@@ -2,8 +2,8 @@
 //!
 //! Each `cargo bench -p vibe-bench --bench <target>` regenerates one table
 //! or figure of the paper as text (and notes the paper's reference values
-//! where it reports any). `sim_perf` is the exception: it measures the
-//! *simulator's* wall-clock performance with Criterion.
+//! where it reports any). The *simulator's* own host-time performance is
+//! measured by the standalone `perfbench/` crate.
 
 /// Print a bench-target banner.
 pub fn banner(id: &str, title: &str) {

@@ -273,12 +273,9 @@ pub fn run_episode(idx: usize) -> EpisodeReport {
             // Compose the fault plan relative to the stream start (the
             // handshake consumed a profile-dependent stretch of sim time).
             let start = t0 + SimDuration::from_micros(100);
-            let plan = match san.topology() {
-                // Multi-switch episodes draw from the full window pool,
-                // including switch-down and trunk-down kinds.
-                Some(t) => FaultPlan::randomized_topo(&mut rng, start, FAULT_SPAN, t),
-                None => FaultPlan::randomized(&mut rng, start, FAULT_SPAN, 2),
-            };
+            // Multi-switch episodes draw from the full window pool,
+            // including switch-down and trunk-down kinds.
+            let plan = FaultPlan::randomized_topo(&mut rng, start, FAULT_SPAN, san.topology());
             let faults = plan.events().len() as u64;
             let plan_end = plan
                 .events()

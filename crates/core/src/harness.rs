@@ -63,7 +63,7 @@ pub struct DtConfig {
     /// RNG seed for the run.
     pub seed: u64,
     /// Fabric shape joining the two nodes. `None` (the base setup) is the
-    /// legacy single-switch San; a multi-switch shape routes the pair's
+    /// single-switch star; a multi-switch shape routes the pair's
     /// traffic hop by hop — the chaos suite uses this to exercise
     /// switch/trunk fault windows end to end.
     pub topology: Option<fabric::Topology>,

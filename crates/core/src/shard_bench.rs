@@ -71,9 +71,8 @@ pub fn ring(
 
 /// Like [`ring`], but always drives the sharded engine — including at
 /// `shards == 1`, where the engine must take its barrier/channel *bypass*
-/// and run the exact serial scheduler path. The `sim_perf` bench pins that
-/// bypass against [`ring`]'s plain-`Sim` baseline: any separation between
-/// the two is sharding overhead taxing every single-shard run.
+/// and run the exact serial scheduler path, which must be observationally
+/// identical to [`ring`]'s plain-`Sim` baseline.
 pub fn ring_pinned(
     profile: Profile,
     nodes: usize,

@@ -4,9 +4,9 @@
 //! fat-tree is the headline — through three workloads:
 //!
 //! * **Connection storm**: 32 concurrent cross-fabric client/server
-//!   pairs connect and stream, once over the degenerate star (the legacy
-//!   single-switch fabric) and once over the fat-tree. The star row is
-//!   the control: same workload, no trunks, no switch buffers.
+//!   pairs connect and stream, once over the one-switch star and once
+//!   over the fat-tree. The star row is the control: same workload, no
+//!   trunks, unbounded ports.
 //! * **16-to-1 incast**: sixteen pipelined senders spread over seven
 //!   edge switches converge on one receiver whose host port has tight
 //!   buffer limits, so the run exercises pause queues, head-of-line
@@ -206,7 +206,7 @@ pub const STORM_MSGS: u64 = 6;
 /// Which shape the storm runs over.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum StormShape {
-    /// The degenerate single-switch star — the legacy fabric, as control.
+    /// The single-switch star, as control.
     Star,
     /// The 64-node 2-level fat-tree.
     FatTree,
@@ -239,7 +239,7 @@ pub struct StormOutcome {
     pub makespan: SimDuration,
     /// Fabric counters for the run.
     pub san: SanStats,
-    /// Sum of per-port pauses (0 on the star: no switch ports exist).
+    /// Sum of per-port pauses (0 on the star: its ports are unbounded).
     pub pauses: u64,
     /// Sum of per-port drops.
     pub port_drops: u64,

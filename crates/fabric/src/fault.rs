@@ -147,6 +147,23 @@ impl FaultKind {
             _ => None,
         }
     }
+
+    /// How a window of this kind shows in the trace: the node its
+    /// `LinkDown`/`LinkUp` edge records are filed under and their `aux`
+    /// tag. `None` for kinds whose edges are not traced (their effect is
+    /// visible per frame instead).
+    pub(crate) fn edge_tag(&self) -> Option<(u32, u64)> {
+        match *self {
+            FaultKind::LinkDown { node } => Some((node.0, 1)),
+            FaultKind::Brownout { .. } => Some((SWITCH_NODE, 2)),
+            FaultKind::SwitchDown { .. } => Some((SWITCH_NODE, 3)),
+            FaultKind::TrunkDown { .. } => Some((SWITCH_NODE, 4)),
+            FaultKind::PortDegrade { .. } => Some((SWITCH_NODE, 5)),
+            FaultKind::NodeDown { node } => Some((node.0, 6)),
+            FaultKind::NicReset { node } => Some((node.0, 7)),
+            FaultKind::Degrade { .. } | FaultKind::Corrupt { .. } => None,
+        }
+    }
 }
 
 /// Detection + reconvergence delays for route recomputation after a
@@ -445,13 +462,18 @@ impl FaultPlan {
     }
 }
 
-/// What the active fault set did to one frame on one hop.
-pub(crate) enum HopFault {
+/// What happened to one frame on one host-link hop: the configured loss
+/// model's roll (made by the SAN) or the active fault set's verdict.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub(crate) enum HopOutcome {
     /// Frame passes, delayed by `extra` (degradation + brownout).
     Pass {
         /// Added latency on this hop.
         extra: SimDuration,
     },
+    /// Frame dropped by the configured [`crate::LossModel`]; never
+    /// returned by [`FaultState`].
+    LossDrop,
     /// Frame dropped: the link is down.
     Down,
     /// Frame dropped: corrupted (failed CRC).
@@ -461,6 +483,13 @@ pub(crate) enum HopFault {
     /// Frame dropped: the endpoint host is crashed (node down / NIC
     /// reset) — no NIC exists to source or sink the frame.
     NodeDead,
+}
+
+impl HopOutcome {
+    /// An undelayed pass: the verdict of a link no fault window touches.
+    pub(crate) const PASS: HopOutcome = HopOutcome::Pass {
+        extra: SimDuration::ZERO,
+    };
 }
 
 /// Runtime fault state, boxed into the SAN once a non-empty plan is
@@ -544,25 +573,25 @@ impl FaultState {
     /// downed link still kills them (the wire is physically gone), but
     /// corruption and degradation loss honor the control channel's
     /// reliable-transport fiction, exactly like the configured loss model.
-    pub(crate) fn on_uplink(&mut self, src: NodeId, lossy: bool) -> HopFault {
+    pub(crate) fn on_uplink(&mut self, src: NodeId, lossy: bool) -> HopOutcome {
         self.on_hop(src, true, lossy)
     }
 
     /// Evaluate the active set for a frame leaving the switch on `dst`'s
     /// downlink.
-    pub(crate) fn on_downlink(&mut self, dst: NodeId, lossy: bool) -> HopFault {
+    pub(crate) fn on_downlink(&mut self, dst: NodeId, lossy: bool) -> HopOutcome {
         self.on_hop(dst, false, lossy)
     }
 
-    fn on_hop(&mut self, endpoint: NodeId, ingress: bool, lossy: bool) -> HopFault {
+    fn on_hop(&mut self, endpoint: NodeId, ingress: bool, lossy: bool) -> HopOutcome {
         let mut extra = SimDuration::ZERO;
         let mut corrupt_p = 0.0f64;
         let mut loss_p = 0.0f64;
         for k in &self.active {
             match *k {
-                FaultKind::LinkDown { node } if node == endpoint => return HopFault::Down,
+                FaultKind::LinkDown { node } if node == endpoint => return HopOutcome::Down,
                 FaultKind::NodeDown { node } | FaultKind::NicReset { node } if node == endpoint => {
-                    return HopFault::NodeDead
+                    return HopOutcome::NodeDead
                 }
                 FaultKind::Degrade {
                     node,
@@ -581,12 +610,12 @@ impl FaultState {
         }
         let rng = &mut self.rngs[endpoint.index()];
         if corrupt_p > 0.0 && rng.chance(corrupt_p.min(1.0)) {
-            return HopFault::Corrupt;
+            return HopOutcome::Corrupt;
         }
         if loss_p > 0.0 && rng.chance(loss_p.min(1.0)) {
-            return HopFault::Lost;
+            return HopOutcome::Lost;
         }
-        HopFault::Pass { extra }
+        HopOutcome::Pass { extra }
     }
 }
 
@@ -670,13 +699,13 @@ mod tests {
     fn link_down_beats_everything_on_its_node_only() {
         let mut st = FaultState::new(1, 3);
         st.begin(FaultKind::LinkDown { node: NodeId(2) });
-        assert!(matches!(st.on_uplink(NodeId(2), true), HopFault::Down));
-        assert!(matches!(st.on_downlink(NodeId(2), true), HopFault::Down));
+        assert!(matches!(st.on_uplink(NodeId(2), true), HopOutcome::Down));
+        assert!(matches!(st.on_downlink(NodeId(2), true), HopOutcome::Down));
         // Control frames die on a downed link too.
-        assert!(matches!(st.on_uplink(NodeId(2), false), HopFault::Down));
+        assert!(matches!(st.on_uplink(NodeId(2), false), HopOutcome::Down));
         assert!(matches!(
             st.on_uplink(NodeId(0), true),
-            HopFault::Pass {
+            HopOutcome::Pass {
                 extra: SimDuration::ZERO
             }
         ));
@@ -684,7 +713,7 @@ mod tests {
         assert!(!st.any_active());
         assert!(matches!(
             st.on_uplink(NodeId(2), true),
-            HopFault::Pass { .. }
+            HopOutcome::Pass { .. }
         ));
     }
 
@@ -700,12 +729,12 @@ mod tests {
             extra_latency: SimDuration::from_micros(2),
         });
         match st.on_uplink(NodeId(0), true) {
-            HopFault::Pass { extra } => assert_eq!(extra, SimDuration::from_micros(5)),
+            HopOutcome::Pass { extra } => assert_eq!(extra, SimDuration::from_micros(5)),
             _ => panic!("expected pass"),
         }
         // Brownout is charged at the switch (ingress hop) only.
         match st.on_downlink(NodeId(0), true) {
-            HopFault::Pass { extra } => assert_eq!(extra, SimDuration::from_micros(3)),
+            HopOutcome::Pass { extra } => assert_eq!(extra, SimDuration::from_micros(3)),
             _ => panic!("expected pass"),
         }
     }
@@ -714,15 +743,15 @@ mod tests {
     fn corruption_only_rolls_at_ingress_on_lossy_frames() {
         let mut st = FaultState::new(7, 3);
         st.begin(FaultKind::Corrupt { p: 1.0 });
-        assert!(matches!(st.on_uplink(NodeId(0), true), HopFault::Corrupt));
+        assert!(matches!(st.on_uplink(NodeId(0), true), HopOutcome::Corrupt));
         assert!(matches!(
             st.on_downlink(NodeId(1), true),
-            HopFault::Pass { .. }
+            HopOutcome::Pass { .. }
         ));
         // Control frames keep their reliable-channel exemption.
         assert!(matches!(
             st.on_uplink(NodeId(0), false),
-            HopFault::Pass { .. }
+            HopOutcome::Pass { .. }
         ));
     }
 
@@ -779,7 +808,7 @@ mod tests {
         // Switch-scoped kinds never perturb host-link hop decisions.
         assert!(matches!(
             st.on_uplink(NodeId(0), true),
-            HopFault::Pass {
+            HopOutcome::Pass {
                 extra: SimDuration::ZERO
             }
         ));
@@ -861,14 +890,17 @@ mod tests {
         assert!(st.node_dead(NodeId(1)));
         assert!(!st.node_dead(NodeId(0)));
         // Both directions die, control frames included: the NIC is gone.
-        assert!(matches!(st.on_uplink(NodeId(1), true), HopFault::NodeDead));
+        assert!(matches!(
+            st.on_uplink(NodeId(1), true),
+            HopOutcome::NodeDead
+        ));
         assert!(matches!(
             st.on_downlink(NodeId(1), false),
-            HopFault::NodeDead
+            HopOutcome::NodeDead
         ));
         assert!(matches!(
             st.on_uplink(NodeId(0), true),
-            HopFault::Pass { .. }
+            HopOutcome::Pass { .. }
         ));
         st.end(FaultKind::NodeDown { node: NodeId(1) });
         assert!(!st.node_dead(NodeId(1)));
@@ -876,7 +908,7 @@ mod tests {
         assert!(st.node_dead(NodeId(2)));
         assert!(matches!(
             st.on_downlink(NodeId(2), true),
-            HopFault::NodeDead
+            HopOutcome::NodeDead
         ));
         st.end(FaultKind::NicReset { node: NodeId(2) });
         assert!(!st.any_active());

@@ -1,44 +1,63 @@
-//! The simulated System Area Network: a star of N nodes around one switch,
-//! or — built over a multi-switch [`Topology`] — a routed fabric with
-//! per-output-port buffered switches.
+//! The simulated System Area Network: N nodes joined by the switches of a
+//! [`Topology`] — one switch (the star every paper experiment runs on) or a
+//! routed multi-switch fabric.
 //!
-//! Frames traverse `source uplink → switch → destination downlink`. Each
-//! link direction is a FIFO resource with busy-until occupancy, so
+//! # The frame pipeline
+//!
+//! Every frame of every SAN takes the same three stages:
+//!
+//! 1. **inject** — occupy the source uplink, roll the configured loss
+//!    model, ask the fault plan for the uplink's verdict, count the frame
+//!    as sent;
+//! 2. **hop**, once per switch on the route — pick the output port
+//!    (deterministic content-keyed ECMP, [`Topology::next_hop`]; no RNG),
+//!    win admission to it, occupy its wire;
+//! 3. **egress**, when that port feeds the destination host — roll the
+//!    downlink's loss and fault verdict and schedule the NIC arrival.
+//!
+//! Each link direction is a FIFO resource with busy-until occupancy, so
 //! back-to-back sends queue behind each other and bandwidth contention
 //! emerges naturally. Loss injection (for the reliability benchmarks) drops
-//! frames with a seeded RNG stream *per link direction*, so the draw a
+//! frames with a seeded RNG stream *per host-link direction*, so the draw a
 //! frame sees depends only on the order of frames over its own link —
 //! never on unrelated traffic elsewhere, and never on how nodes are
 //! distributed over engine shards.
 //!
-//! # Multi-switch operation
+//! What differs between shapes are parameters the pipeline derives from the
+//! topology — nothing a caller sets:
 //!
-//! A SAN built with [`San::new_topo`] over a multi-switch [`Topology`]
-//! replaces the single switch traversal with store-and-forward hops:
-//! `uplink → edge switch → (trunk → switch)* → host port → NIC`. Every
-//! switch output port is a bounded FIFO ([`crate::topo::PortLimits`]):
-//! frames past `capacity` are *paused* — parked under link-level
-//! backpressure and admitted FIFO as the wire frees slots — and dropped
-//! only when the pause queue is also full, with per-port
-//! `drops`/`pauses`/`hol_blocked` counters ([`San::port_stats`]) naming
-//! every such loss. Routing is deterministic content-keyed ECMP
-//! ([`Topology::next_hop`]); no RNG is consumed by forwarding. A
-//! single-switch topology (e.g. [`Topology::star`]) is a true degenerate
-//! case: construction falls through to the legacy path and every artifact
-//! stays byte-identical.
+//! * **Bounded ports arbitrate, unbounded ports do not.** A bounded output
+//!   port ([`crate::topo::PortLimits`]) is a FIFO of `capacity` frames:
+//!   arrivals are staged and resolved one nanosecond later in a canonical
+//!   content order, frames past `capacity` are *paused* — parked under
+//!   link-level backpressure and admitted FIFO as the wire frees slots —
+//!   and dropped only when the pause queue is also full, with per-port
+//!   `drops`/`pauses`/`hol_blocked` counters ([`San::port_stats`]) naming
+//!   every such loss. A star's host ports are unbounded: there is nothing
+//!   to pause, drop or order, so a frame is admitted inline at its hop
+//!   event and costs no staging, resolver or depart event — two `Fabric`
+//!   events per frame, the hop and the arrival.
+//! * **Where the switch traversal is paid.** With one switch the route is
+//!   known at injection, so the traversal latency is paid on the way in
+//!   and [`crate::params::SwitchParams::cut_through`] applies: the hop
+//!   fires once the *header* has crossed the switch. A multi-hop fabric
+//!   needs the whole frame before a routing decision exists, so it stores
+//!   and forwards, and each switch charges its latency after admission.
+//! * **Which shard runs a hop.** See below.
 //!
 //! # Sharded operation
 //!
-//! A SAN built with [`San::new_sharded`] splits its link-layer state by
-//! shard: node `n`'s uplink is touched only while `n`'s shard executes a
-//! send, and its downlink only while `n`'s shard executes the switch
-//! egress, so each shard owns the state it mutates. The uplink stage ends
-//! by scheduling the egress stage on the *destination's* shard — same
-//! shard: a direct local event (the exact serial path); different shard: a
-//! [`simkit::ShardSender`] channel message. The scheduling delay is at
-//! least `propagation + switch latency` ([`NetParams::min_cross_latency`]),
-//! which is precisely the conservative lookahead the sharded engine
-//! synchronizes on.
+//! A SAN built with [`San::new_sharded`] or [`San::new_sharded_topo`]
+//! splits its state by shard: node `n`'s uplink is touched only while
+//! `n`'s shard executes an injection, and a switch port only by the shard
+//! that runs its hops — the destination node's shard for a host port, the
+//! switch's own shard ([`Topology::switch_shard`]) for a trunk port. On a
+//! multi-switch shape every node shares its edge switch's shard, so the
+//! only cross-shard step is a trunk traversal; on a star nodes spread by
+//! the content-keyed map and the cross-shard step is the injection. Either
+//! way the step is a [`simkit::ShardSender`] channel message (same shard: a
+//! direct local event, the exact serial path) whose delay is at least the
+//! lookahead the engine synchronizes on ([`Topology::shard_lookahead`]).
 
 use std::any::Any;
 use std::collections::VecDeque;
@@ -49,7 +68,7 @@ use parking_lot::Mutex;
 use simkit::{EventClass, ShardMap, ShardSender, ShardedSim, Sim, SimDuration, SimRng, SimTime};
 use trace::{MsgId, TracePoint, Tracer};
 
-use crate::fault::{FaultKind, FaultPlan, FaultState, HopFault, SWITCH_NODE};
+use crate::fault::{FaultKind, FaultPlan, FaultState, HopOutcome, SWITCH_NODE};
 use crate::params::{LossModel, NetParams};
 use crate::topo::{PortSnapshot, PortStats, PortTarget, Routes, Topology};
 
@@ -85,39 +104,30 @@ pub struct Delivery {
 /// Handler invoked on the scheduler thread when a frame reaches a node.
 pub type RxHandler = Arc<dyn Fn(&Sim, Delivery) + Send + Sync>;
 
-struct DirLink {
+/// One wire direction — a host uplink or a switch output port's egress —
+/// as a FIFO resource.
+struct Wire {
     busy_until: SimTime,
-    loss: LossState,
-    /// Dedicated loss-draw stream for this link direction, derived from
-    /// the SAN seed and the (node, direction) label. Per-link streams make
-    /// drop decisions a function of the frame order on *this* link alone —
-    /// the property that keeps seeded runs identical at any shard count.
-    rng: SimRng,
     /// Virtual time of the last occupancy application. Occupancy chaining
-    /// (`max(busy_until, at)`) is only exact when applications arrive in
-    /// non-decreasing `at` order; the fused fast path applies occupancy
-    /// *eagerly* (at post time, for a future wire time), so this tripwire
-    /// turns any ordering inversion into a loud debug assertion instead of
-    /// a silently divergent timeline.
+    /// (`max(busy_until, ready)`) is only exact when applications arrive in
+    /// non-decreasing `at` order; a fused send applies occupancy *eagerly*
+    /// (at post time, for a future wire time), so this tripwire turns any
+    /// ordering inversion into a loud debug assertion instead of a
+    /// silently divergent timeline.
     last_applied_at: SimTime,
 }
 
-impl DirLink {
-    fn new(seed: u64, node: usize, up: bool) -> DirLink {
-        let dir = if up { "up" } else { "down" };
-        DirLink {
-            busy_until: SimTime::ZERO,
-            loss: LossState::new(),
-            rng: SimRng::derive(seed, &format!("fabric-loss-{dir}-n{node}")),
-            last_applied_at: SimTime::ZERO,
-        }
-    }
+impl Wire {
+    const IDLE: Wire = Wire {
+        busy_until: SimTime::ZERO,
+        last_applied_at: SimTime::ZERO,
+    };
 
-    /// Occupy this link direction for `ser` starting no earlier than `at`;
-    /// returns the transmit start. Shared by the general stages (where
-    /// `at` is the current virtual time) and the fused path (where `at`
-    /// is a precomputed future wire time).
-    fn occupy(&mut self, at: SimTime, ser: SimDuration) -> SimTime {
+    /// Occupy this wire for `ser`, starting no earlier than `at + delay`;
+    /// returns the transmit start. `at` is the instant the frame asks for
+    /// the wire — the current virtual time for a scheduled stage, a
+    /// precomputed future wire time for a fused send.
+    fn occupy(&mut self, at: SimTime, delay: SimDuration, ser: SimDuration) -> SimTime {
         debug_assert!(
             at >= self.last_applied_at,
             "link occupancy applied out of time order: {:?} < {:?}",
@@ -125,9 +135,29 @@ impl DirLink {
             self.last_applied_at,
         );
         self.last_applied_at = at;
-        let start = self.busy_until.max(at);
+        let start = self.busy_until.max(at + delay);
         self.busy_until = start + ser;
         start
+    }
+}
+
+/// The loss channel of one host-link direction.
+struct LossLane {
+    loss: LossState,
+    /// Dedicated loss-draw stream for this link direction, derived from
+    /// the SAN seed and the (node, direction) label. Per-link streams make
+    /// drop decisions a function of the frame order on *this* link alone —
+    /// the property that keeps seeded runs identical at any shard count.
+    rng: SimRng,
+}
+
+impl LossLane {
+    fn new(seed: u64, node: usize, up: bool) -> LossLane {
+        let dir = if up { "up" } else { "down" };
+        LossLane {
+            loss: LossState::new(),
+            rng: SimRng::derive(seed, &format!("fabric-loss-{dir}-n{node}")),
+        }
     }
 }
 
@@ -199,10 +229,10 @@ pub struct SanStats {
     /// Frames dropped because a fault plan had the link down.
     pub frames_faulted: u64,
     /// Frames dropped at a switch output port whose buffer *and* pause
-    /// queue were full (multi-switch topologies only; the per-port
-    /// counters in [`San::port_stats`] attribute each one to its port).
-    /// Includes pause-queue frames drained by watchdog storm trips — the
-    /// per-port split is `drops` vs `storm_dropped`.
+    /// queue were full (bounded ports only; the per-port counters in
+    /// [`San::port_stats`] attribute each one to its port). Includes
+    /// pause-queue frames drained by watchdog storm trips — the per-port
+    /// split is `drops` vs `storm_dropped`.
     pub frames_port_dropped: u64,
     /// Frames dropped by a switch-scoped fault window: flushed from a dead
     /// switch's port FIFOs, refused at a dead switch's ingress, refused at
@@ -212,13 +242,17 @@ pub struct SanStats {
     pub frames_fault_dropped: u64,
 }
 
-/// Per-shard link-layer state. Vectors span *all* nodes for simple
+/// Per-shard host-link state. Vectors span *all* nodes for simple
 /// indexing, but a shard only ever touches the entries of nodes it owns
-/// (uplinks at send, downlinks at switch egress), so the replicated
-/// entries of foreign nodes stay untouched and cost only idle memory.
+/// (uplinks at injection, downlink loss lanes at egress), so the
+/// replicated entries of foreign nodes stay untouched and cost only idle
+/// memory.
 struct LinkShard {
-    uplinks: Vec<DirLink>,
-    downlinks: Vec<DirLink>,
+    uplinks: Vec<Wire>,
+    up_loss: Vec<LossLane>,
+    /// A node's downlink *wire* is its host port's (see [`Port`]); only
+    /// the loss channel lives here.
+    down_loss: Vec<LossLane>,
     /// Present only once a non-empty [`FaultPlan`] is installed, so the
     /// fault-free send path pays exactly one `Option` branch. Window state
     /// is replicated per shard (edges are scheduled on every shard's
@@ -228,10 +262,10 @@ struct LinkShard {
 }
 
 /// Who can write a node's downlink. Registered at VIA connect time —
-/// before any frame of the flow can possibly be on the wire — so a fused
-/// sender can prove it is the *sole* writer of the destination downlink
-/// and apply that downlink's occupancy eagerly without reordering anyone
-/// else's frames.
+/// before any frame of the flow can possibly be on the wire — so a sender
+/// can prove it is the *sole* writer of the destination downlink and apply
+/// that downlink's occupancy eagerly without reordering anyone else's
+/// frames.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum WriterSet {
     /// No flow targets this downlink yet.
@@ -249,12 +283,59 @@ struct SharedState {
     handlers: Vec<Option<RxHandler>>,
     stats: SanStats,
     tracer: Tracer,
-    /// Per-destination writer registry for the fused fast path.
+    /// Per-destination writer registry for the switch-egress fold.
     writers: Vec<WriterSet>,
     /// Per-node split of [`SanStats::frames_fault_dropped`] attributable
     /// to node-scoped windows: frames that died because this node was
     /// crashed (as sender, receiver, or in-flight destination).
     node_fault_dropped: Vec<u64>,
+}
+
+impl SharedState {
+    /// Count and trace what a host-link hop did to a frame at `node`'s end
+    /// of the link. `WireDrop` hop tags are odd on the source uplink (`up`)
+    /// and even on the destination downlink: 1/2 loss model, 3/4 link
+    /// down, 5/6 degradation-burst loss; 10 either way for a crashed host.
+    fn record_outcome(
+        &mut self,
+        at: SimTime,
+        node: NodeId,
+        msg: Option<MsgId>,
+        payload_bytes: u32,
+        outcome: HopOutcome,
+        up: bool,
+    ) {
+        let tag = |uplink_tag: u64| uplink_tag + u64::from(!up);
+        let aux = match outcome {
+            HopOutcome::Pass { .. } => return,
+            HopOutcome::LossDrop => {
+                self.stats.frames_dropped += 1;
+                tag(1)
+            }
+            HopOutcome::Down => {
+                self.stats.frames_faulted += 1;
+                tag(3)
+            }
+            HopOutcome::Corrupt => {
+                self.stats.frames_corrupted += 1;
+                let bytes = payload_bytes as u64;
+                self.tracer
+                    .record(at, TracePoint::FrameCorrupt, node.0, msg, bytes);
+                return;
+            }
+            HopOutcome::Lost => {
+                self.stats.frames_dropped += 1;
+                tag(5)
+            }
+            HopOutcome::NodeDead => {
+                self.stats.frames_fault_dropped += 1;
+                self.node_fault_dropped[node.index()] += 1;
+                10
+            }
+        };
+        self.tracer
+            .record(at, TracePoint::WireDrop, node.0, msg, aux);
+    }
 }
 
 /// Callback fired at a node-scoped fault window edge, on the victim
@@ -264,9 +345,9 @@ struct SharedState {
 /// ([`FaultKind::NodeDown`] or [`FaultKind::NicReset`]).
 pub type NodeFaultHook = Arc<dyn Fn(&Sim, FaultKind, bool) + Send + Sync>;
 
-/// A frame in flight inside the multi-switch fabric: everything the next
-/// switch hop needs, owned by whichever shard currently holds the frame.
-struct TopoFrame {
+/// A frame in flight between injection and arrival: everything the next
+/// stage needs, owned by whichever shard currently holds the frame.
+struct Frame {
     src: NodeId,
     dst: NodeId,
     payload_bytes: u32,
@@ -275,21 +356,24 @@ struct TopoFrame {
     lossy: bool,
 }
 
-/// One switch output port: a bounded FIFO in front of a FIFO wire. Only
-/// the switch's owning shard ever touches it.
+/// One switch output port: a FIFO buffer in front of a FIFO wire. Only the
+/// shard that runs the port's hops ever touches it. For a host port the
+/// wire *is* the node's downlink.
 ///
-/// Arrivals and slot frees are not applied at their event's instant:
-/// they are *staged* and applied by a resolver event one nanosecond
-/// later, in a canonical content order (see [`San::topo_resolve`]). The
-/// engine executes same-timestamp events in insertion order, and with a
-/// sharded engine that order depends on how switches map to shards — so
+/// On a bounded port, arrivals and slot frees are not applied at their
+/// event's instant: they are *staged* and applied by a resolver event one
+/// nanosecond later, in a canonical content order (see [`San::resolve`]).
+/// The engine executes same-timestamp events in insertion order, and with
+/// a sharded engine that order depends on how switches map to shards — so
 /// any admit/pause/drop decision made directly in event order would make
-/// artifact bytes a function of the shard count. Staging makes every
-/// port decision a pure function of virtual time and frame content.
+/// artifact bytes a function of the shard count. Staging makes every port
+/// decision a pure function of virtual time and frame content. An
+/// unbounded port has no decision to make and uses only `wire`, `last_dst`
+/// and `stats.admitted`.
 struct Port {
     /// Egress-wire occupancy chain (monotone: admissions happen in this
-    /// shard's resolver order, and each admission extends it).
-    busy_until: SimTime,
+    /// shard's event order, and each admission extends it).
+    wire: Wire,
     /// Frames admitted — buffered or serializing — bounded by `capacity`.
     queued: u32,
     /// Final destination of the last admitted frame, for head-of-line
@@ -297,10 +381,10 @@ struct Port {
     last_dst: u32,
     /// Paused frames parked under backpressure, admitted FIFO as the wire
     /// frees slots; bounded by `pause_depth`.
-    waiting: VecDeque<TopoFrame>,
+    waiting: VecDeque<Frame>,
     /// Arrivals staged for the next resolver tick, with their landing
     /// instant; consumed only by a resolver running strictly later.
-    staged: Vec<(SimTime, TopoFrame)>,
+    staged: Vec<(SimTime, Frame)>,
     /// Slot-free tokens (departed frames) staged the same way.
     freed: Vec<SimTime>,
     /// Latest resolver instant already scheduled; stagings at or past it
@@ -322,6 +406,20 @@ struct Port {
 const RESOLVE_TICK: SimDuration = SimDuration::from_nanos(1);
 
 impl Port {
+    fn new() -> Port {
+        Port {
+            wire: Wire::IDLE,
+            queued: 0,
+            last_dst: u32::MAX,
+            waiting: VecDeque::new(),
+            staged: Vec::new(),
+            freed: Vec::new(),
+            next_resolve: SimTime::ZERO,
+            paused_since: None,
+            stats: PortStats::default(),
+        }
+    }
+
     /// Record that something was staged at `now`; returns true when the
     /// caller must schedule a resolver at `now + RESOLVE_TICK` (at most
     /// one resolver per port per instant — `<=` and not `<`, so a staging
@@ -334,6 +432,15 @@ impl Port {
             false
         }
     }
+}
+
+/// The canonical order a port's same-instant arrivals are applied in:
+/// (landing instant, src, dst, VI, seq, bytes) — a total order, because
+/// two frames of one flow can never land at one port at one instant (the
+/// upstream wire serialized them apart).
+fn arrival_order((at, f): &(SimTime, Frame)) -> (SimTime, u32, u32, u32, u64, u32) {
+    let (vi, seq) = f.msg.map_or((u32::MAX, u64::MAX), |m| (m.vi, m.seq));
+    (*at, f.src.0, f.dst.0, vi, seq, f.payload_bytes)
 }
 
 /// Per-shard replica of the reconverged routing table plus the failure
@@ -358,27 +465,15 @@ struct RoutingState {
     routes: Option<Routes>,
 }
 
-/// Multi-switch fabric state. Present only for genuinely multi-switch
-/// topologies — single-switch SANs carry `None` and run the legacy path
-/// untouched.
-struct TopoState {
-    topo: Topology,
-    /// Per-switch output-port state, indexed like [`Topology::ports`].
-    /// Only the owning shard (`switch_shard`) touches a switch's entry.
-    switches: Vec<Mutex<Vec<Port>>>,
-    /// Switch → owning shard.
-    switch_shard: Vec<usize>,
-    /// Per-shard routing replicas (see [`RoutingState`]).
-    routing: Vec<Mutex<RoutingState>>,
-}
-
 struct SanInner {
     params: NetParams,
     seed: u64,
-    nodes: usize,
     map: ShardMap,
-    /// Multi-switch routing and port state; `None` for single-switch SANs.
-    topo: Option<TopoState>,
+    topo: Topology,
+    /// Per-switch output-port state, indexed like [`Topology::ports`].
+    ports: Vec<Vec<Mutex<Port>>>,
+    /// Per-shard routing replicas (see [`RoutingState`]).
+    routing: Vec<Mutex<RoutingState>>,
     /// One engine per shard; a serial SAN has exactly one.
     sims: Vec<Sim>,
     /// Cross-shard schedulers, indexed by source shard. Empty for a serial
@@ -387,14 +482,14 @@ struct SanInner {
     senders: Vec<ShardSender>,
     links: Vec<Mutex<LinkShard>>,
     shared: Mutex<SharedState>,
-    /// Master switch for the fabric-side event folds (`VIBE_FUSE`). The
-    /// VIA layer sets it at cluster build; folding never changes virtual
-    /// times or counters, only how many scheduler events carry a frame.
+    /// Master switch for the switch-egress fold (`VIBE_FUSE`). The VIA
+    /// layer sets it at cluster build; folding never changes virtual times
+    /// or counters, only how many scheduler events carry a frame.
     fuse: AtomicBool,
     /// Set once a plan containing switch-scoped windows ([`SwitchDown`],
-    /// [`TrunkDown`], [`PortDegrade`]) is installed. The multi-switch data
-    /// plane checks fault state and reconverged routes only under this
-    /// flag, so fault-free topologies pay one relaxed load per hop.
+    /// [`TrunkDown`], [`PortDegrade`]) is installed. A hop checks fault
+    /// state and reconverged routes only under this flag, so fault-free
+    /// topologies pay one relaxed load per hop.
     ///
     /// [`SwitchDown`]: FaultKind::SwitchDown
     /// [`TrunkDown`]: FaultKind::TrunkDown
@@ -413,18 +508,6 @@ struct SanInner {
     node_hooks: Mutex<Vec<Option<NodeFaultHook>>>,
 }
 
-/// What the uplink or downlink stage decided about one frame.
-#[derive(Clone, Copy, PartialEq)]
-enum HopOutcome {
-    Pass,
-    LossDrop,
-    FaultDown,
-    Corrupt,
-    FaultLost,
-    /// The endpoint host is crashed (node-scoped fault window).
-    NodeDead,
-}
-
 /// Handle to the SAN; cheap to clone.
 #[derive(Clone)]
 pub struct San {
@@ -432,85 +515,54 @@ pub struct San {
 }
 
 impl San {
-    /// Build a SAN with `nodes` endpoints, all joined through one switch,
-    /// driven by a single serial engine. `seed` feeds the per-link
-    /// loss-injection RNG streams.
+    /// Build a SAN with `nodes` endpoints, all joined through one switch
+    /// ([`Topology::star`]), driven by a single serial engine. `seed`
+    /// feeds the per-link loss-injection RNG streams.
     pub fn new(sim: Sim, params: NetParams, nodes: usize, seed: u64) -> Self {
-        Self::build(
-            vec![sim],
-            Vec::new(),
-            ShardMap::new(1),
-            params,
-            nodes,
-            seed,
-            None,
-        )
+        Self::new_topo(sim, params, Topology::star(nodes), seed)
     }
 
     /// Build a SAN over an explicit [`Topology`], driven by a single
-    /// serial engine. A single-switch topology (e.g. [`Topology::star`])
-    /// degenerates to exactly [`San::new`]; multi-switch shapes route
-    /// frames hop by hop through buffered, backpressured switch ports.
+    /// serial engine.
     pub fn new_topo(sim: Sim, params: NetParams, topo: Topology, seed: u64) -> Self {
-        let nodes = topo.nodes();
-        Self::build(
-            vec![sim],
-            Vec::new(),
-            ShardMap::new(1),
-            params,
-            nodes,
-            seed,
-            Some(topo),
-        )
+        Self::build(vec![sim], Vec::new(), ShardMap::new(1), params, topo, seed)
     }
 
     /// Build a SAN over an explicit [`Topology`] distributed over the
     /// shards of a [`ShardedSim`]. The engine must have been built with
     /// this topology's [`Topology::shard_map`] (so switch neighborhoods
     /// are co-sharded and only trunk hops cross shards) and a lookahead no
-    /// larger than [`Topology::shard_lookahead`] — the minimum trunk
-    /// traversal, which every cross-shard hop strictly exceeds.
+    /// larger than [`Topology::shard_lookahead`], which every cross-shard
+    /// step meets or exceeds.
     pub fn new_sharded_topo(
         sharded: &ShardedSim,
         params: NetParams,
         topo: Topology,
         seed: u64,
     ) -> Self {
-        assert!(
-            sharded.lookahead() <= topo.shard_lookahead(&params),
-            "engine lookahead {:?} exceeds the topology's minimum trunk traversal {:?}",
-            sharded.lookahead(),
-            topo.shard_lookahead(&params),
-        );
         assert_eq!(
             sharded.map(),
             topo.shard_map(sharded.shards()),
             "sharded engine must use the topology's node→shard map",
         );
-        let nodes = topo.nodes();
-        let senders = (0..sharded.shards()).map(|s| sharded.sender(s)).collect();
-        Self::build(
-            sharded.sims().to_vec(),
-            senders,
-            sharded.map(),
-            params,
-            nodes,
-            seed,
-            Some(topo),
-        )
+        Self::on_shards(sharded, params, topo, seed)
     }
 
-    /// Build a SAN whose nodes are distributed over the shards of a
-    /// [`ShardedSim`] by its content-keyed map. The engine's lookahead
-    /// must not exceed [`NetParams::min_cross_latency`] — the fastest any
-    /// frame can cross between nodes — or conservative synchronization
-    /// would be unsound.
+    /// Build a one-switch SAN ([`Topology::star`]) whose nodes are
+    /// distributed over the shards of a [`ShardedSim`] by the engine's own
+    /// map. The engine's lookahead must not exceed
+    /// [`NetParams::min_cross_latency`] — the fastest any frame can cross
+    /// between nodes — or conservative synchronization would be unsound.
     pub fn new_sharded(sharded: &ShardedSim, params: NetParams, nodes: usize, seed: u64) -> Self {
+        Self::on_shards(sharded, params, Topology::star(nodes), seed)
+    }
+
+    fn on_shards(sharded: &ShardedSim, params: NetParams, topo: Topology, seed: u64) -> Self {
         assert!(
-            sharded.lookahead() <= params.min_cross_latency(),
-            "engine lookahead {:?} exceeds the fabric's minimum cross-node latency {:?}",
+            sharded.lookahead() <= topo.shard_lookahead(&params),
+            "engine lookahead {:?} exceeds the fabric's minimum cross-shard latency {:?}",
             sharded.lookahead(),
-            params.min_cross_latency(),
+            topo.shard_lookahead(&params),
         );
         let senders = (0..sharded.shards()).map(|s| sharded.sender(s)).collect();
         Self::build(
@@ -518,84 +570,52 @@ impl San {
             senders,
             sharded.map(),
             params,
-            nodes,
+            topo,
             seed,
-            None,
         )
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn build(
         sims: Vec<Sim>,
         senders: Vec<ShardSender>,
         map: ShardMap,
         params: NetParams,
-        nodes: usize,
+        topo: Topology,
         seed: u64,
-        topo: Option<Topology>,
     ) -> Self {
-        // Single-switch topologies (the star) are a true degenerate case:
-        // drop the description and take the legacy path verbatim.
-        let topo = topo.filter(|t| !t.is_single_switch()).map(|t| {
-            assert_eq!(t.nodes(), nodes, "topology node count mismatch");
-            let shards = sims.len();
+        let nodes = topo.nodes();
+        let shards = sims.len();
+        if !topo.is_single_switch() {
             for n in 0..nodes as u32 {
                 assert_eq!(
                     map.assign(n),
-                    t.switch_shard(t.edge_of(n), shards),
+                    topo.switch_shard(topo.edge_of(n), shards),
                     "node {n} must share its edge switch's shard",
                 );
             }
-            let switch_shard = (0..t.switches())
-                .map(|s| t.switch_shard(s as u32, shards))
-                .collect();
-            let switches = (0..t.switches() as u32)
-                .map(|s| {
-                    for p in t.ports(s) {
-                        if let Some(l) = p.trunk {
-                            // Upper layers fragment to the access MTU; a
-                            // narrower trunk would strand frames mid-path.
-                            assert!(
-                                l.mtu >= params.link.mtu,
-                                "trunk MTU {} below access MTU {}",
-                                l.mtu,
-                                params.link.mtu,
-                            );
-                        }
-                    }
-                    Mutex::new(
-                        t.ports(s)
-                            .iter()
-                            .map(|_| Port {
-                                busy_until: SimTime::ZERO,
-                                queued: 0,
-                                last_dst: u32::MAX,
-                                waiting: VecDeque::new(),
-                                staged: Vec::new(),
-                                freed: Vec::new(),
-                                next_resolve: SimTime::ZERO,
-                                paused_since: None,
-                                stats: PortStats::default(),
-                            })
-                            .collect(),
-                    )
-                })
-                .collect();
-            let routing = (0..sims.len())
-                .map(|_| Mutex::new(RoutingState::default()))
-                .collect();
-            TopoState {
-                topo: t,
-                switches,
-                switch_shard,
-                routing,
-            }
-        });
-        let links = (0..sims.len())
+        }
+        let ports = (0..topo.switches() as u32)
+            .map(|s| {
+                let specs = topo.ports(s);
+                for l in specs.iter().filter_map(|p| p.trunk) {
+                    // Upper layers fragment to the access MTU; a narrower
+                    // trunk would strand frames mid-path.
+                    assert!(
+                        l.mtu >= params.link.mtu,
+                        "trunk MTU {} below access MTU {}",
+                        l.mtu,
+                        params.link.mtu,
+                    );
+                }
+                specs.iter().map(|_| Mutex::new(Port::new())).collect()
+            })
+            .collect();
+        let links = (0..shards)
             .map(|_| {
                 Mutex::new(LinkShard {
-                    uplinks: (0..nodes).map(|n| DirLink::new(seed, n, true)).collect(),
-                    downlinks: (0..nodes).map(|n| DirLink::new(seed, n, false)).collect(),
+                    uplinks: (0..nodes).map(|_| Wire::IDLE).collect(),
+                    up_loss: (0..nodes).map(|n| LossLane::new(seed, n, true)).collect(),
+                    down_loss: (0..nodes).map(|n| LossLane::new(seed, n, false)).collect(),
                     faults: None,
                 })
             })
@@ -604,9 +624,12 @@ impl San {
             inner: Arc::new(SanInner {
                 params,
                 seed,
-                nodes,
                 map,
                 topo,
+                ports,
+                routing: (0..shards)
+                    .map(|_| Mutex::new(RoutingState::default()))
+                    .collect(),
                 sims,
                 senders,
                 links,
@@ -625,16 +648,11 @@ impl San {
         }
     }
 
-    /// Enable or disable the fabric-side event folds (the switch-egress
-    /// fold in the send path and the fused injection entry point's fold).
+    /// Enable or disable the switch-egress fold (see [`San::send_msg_at`]).
     /// Folding is timeline-neutral; the knob exists so `VIBE_FUSE=0` runs
     /// measure the genuinely unfused scheduler.
     pub fn set_fuse(&self, on: bool) {
         self.inner.fuse.store(on, Ordering::Relaxed);
-    }
-
-    fn fuse_on(&self) -> bool {
-        self.inner.fuse.load(Ordering::Relaxed)
     }
 
     /// Install a fault plan: schedule every window's open/close edge on
@@ -651,18 +669,18 @@ impl San {
         if plan.is_empty() {
             return;
         }
+        let inner = &self.inner;
         if plan.has_switch_faults() {
-            let ts = self
-                .inner
-                .topo
-                .as_ref()
-                .expect("switch-scoped fault windows require a multi-switch topology");
-            let trunks = ts.topo.trunk_pairs();
+            assert!(
+                !inner.topo.is_single_switch(),
+                "switch-scoped fault windows require a multi-switch topology"
+            );
+            let trunks = inner.topo.trunk_pairs();
             for w in plan.events() {
                 match w.kind {
                     FaultKind::SwitchDown { switch } | FaultKind::PortDegrade { switch, .. } => {
                         assert!(
-                            (switch as usize) < ts.topo.switches(),
+                            (switch as usize) < inner.topo.switches(),
                             "fault window names switch {switch} outside the topology"
                         );
                     }
@@ -675,208 +693,84 @@ impl San {
                     _ => {}
                 }
             }
-            self.inner.switch_faults.store(true, Ordering::Relaxed);
+            inner.switch_faults.store(true, Ordering::Relaxed);
         }
         if plan.has_node_faults() {
             for w in plan.events() {
                 if let Some(n) = w.kind.node_scope() {
                     assert!(
-                        (n.0 as usize) < self.inner.nodes,
+                        (n.0 as usize) < inner.topo.nodes(),
                         "fault window names node {n} outside the fabric"
                     );
                 }
             }
-            self.inner.node_faults.store(true, Ordering::Relaxed);
+            inner.node_faults.store(true, Ordering::Relaxed);
         }
-        let reroute = plan.reroute();
-        for shard in 0..self.inner.sims.len() {
-            {
-                let mut ls = self.inner.links[shard].lock();
-                if ls.faults.is_none() {
-                    ls.faults = Some(Box::new(FaultState::new(self.inner.seed, self.inner.nodes)));
-                }
-            }
-            // Edge trace records are global (one logical window), so only
-            // shard 0's replica emits them.
-            let trace_edges = shard == 0;
+        let reroute = plan.reroute().total();
+        for (shard, sim) in inner.sims.iter().enumerate() {
+            inner.links[shard]
+                .lock()
+                .faults
+                .get_or_insert_with(|| Box::new(FaultState::new(inner.seed, inner.topo.nodes())));
             for w in plan.events() {
                 let kind = w.kind;
-                let open = self.clone();
-                self.inner.sims[shard].call_at_as(EventClass::Fabric, w.at, move |sim| {
-                    open.inner.links[shard]
-                        .lock()
-                        .faults
-                        .as_mut()
-                        .expect("fault state installed")
-                        .begin(kind);
-                    // A switch or trunk dying takes its parked frames with
-                    // it; only the owning shard holds (and flushes) them.
-                    open.flush_fault_ports(shard, kind, sim.now());
-                    if trace_edges {
-                        let sh = open.inner.shared.lock();
-                        match kind {
-                            FaultKind::LinkDown { node } => {
-                                sh.tracer
-                                    .record(sim.now(), TracePoint::LinkDown, node.0, None, 1);
-                            }
-                            FaultKind::Brownout { .. } => {
-                                sh.tracer.record(
-                                    sim.now(),
-                                    TracePoint::LinkDown,
-                                    SWITCH_NODE,
-                                    None,
-                                    2,
-                                );
-                            }
-                            FaultKind::SwitchDown { .. } => {
-                                sh.tracer.record(
-                                    sim.now(),
-                                    TracePoint::LinkDown,
-                                    SWITCH_NODE,
-                                    None,
-                                    3,
-                                );
-                            }
-                            FaultKind::TrunkDown { .. } => {
-                                sh.tracer.record(
-                                    sim.now(),
-                                    TracePoint::LinkDown,
-                                    SWITCH_NODE,
-                                    None,
-                                    4,
-                                );
-                            }
-                            FaultKind::PortDegrade { .. } => {
-                                sh.tracer.record(
-                                    sim.now(),
-                                    TracePoint::LinkDown,
-                                    SWITCH_NODE,
-                                    None,
-                                    5,
-                                );
-                            }
-                            FaultKind::NodeDown { node } => {
-                                sh.tracer
-                                    .record(sim.now(), TracePoint::LinkDown, node.0, None, 6);
-                            }
-                            FaultKind::NicReset { node } => {
-                                sh.tracer
-                                    .record(sim.now(), TracePoint::LinkDown, node.0, None, 7);
-                            }
-                            _ => {}
-                        }
-                    }
-                    // The victim's provider crashes on its owning shard
-                    // only, after the fabric-side window state is in place
-                    // (so the hook observes the node as already dead).
-                    open.fire_node_hook(sim, shard, kind, true);
-                });
-                let close = self.clone();
-                self.inner.sims[shard].call_at_as(
-                    EventClass::Fabric,
-                    w.at + w.duration,
-                    move |sim| {
-                        close.inner.links[shard]
-                            .lock()
-                            .faults
-                            .as_mut()
-                            .expect("fault state installed")
-                            .end(kind);
-                        if trace_edges {
-                            let sh = close.inner.shared.lock();
-                            match kind {
-                                FaultKind::LinkDown { node } => {
-                                    sh.tracer.record(
-                                        sim.now(),
-                                        TracePoint::LinkUp,
-                                        node.0,
-                                        None,
-                                        1,
-                                    );
-                                }
-                                FaultKind::Brownout { .. } => {
-                                    sh.tracer.record(
-                                        sim.now(),
-                                        TracePoint::LinkUp,
-                                        SWITCH_NODE,
-                                        None,
-                                        2,
-                                    );
-                                }
-                                FaultKind::SwitchDown { .. } => {
-                                    sh.tracer.record(
-                                        sim.now(),
-                                        TracePoint::LinkUp,
-                                        SWITCH_NODE,
-                                        None,
-                                        3,
-                                    );
-                                }
-                                FaultKind::TrunkDown { .. } => {
-                                    sh.tracer.record(
-                                        sim.now(),
-                                        TracePoint::LinkUp,
-                                        SWITCH_NODE,
-                                        None,
-                                        4,
-                                    );
-                                }
-                                FaultKind::PortDegrade { .. } => {
-                                    sh.tracer.record(
-                                        sim.now(),
-                                        TracePoint::LinkUp,
-                                        SWITCH_NODE,
-                                        None,
-                                        5,
-                                    );
-                                }
-                                FaultKind::NodeDown { node } => {
-                                    sh.tracer.record(
-                                        sim.now(),
-                                        TracePoint::LinkUp,
-                                        node.0,
-                                        None,
-                                        6,
-                                    );
-                                }
-                                FaultKind::NicReset { node } => {
-                                    sh.tracer.record(
-                                        sim.now(),
-                                        TracePoint::LinkUp,
-                                        node.0,
-                                        None,
-                                        7,
-                                    );
-                                }
-                                _ => {}
-                            }
-                        }
-                        // Reboot: fired after the window state is retired,
-                        // so the hook observes a live fabric edge.
-                        close.fire_node_hook(sim, shard, kind, false);
-                    },
-                );
+                let edges = [(w.at, true), (w.at + w.duration, false)];
+                for (at, open) in edges {
+                    let san = self.clone();
+                    sim.call_at_as(EventClass::Fabric, at, move |sim| {
+                        san.fault_edge(sim, shard, kind, open)
+                    });
+                }
                 // Routing reconverges a configurable detection +
                 // reconvergence delay after each edge of a topology-
                 // affecting window — scheduled at install time on every
                 // shard, so all replicas flip identically and before any
                 // same-instant traffic event.
                 if kind.triggers_reroute() {
-                    let apply = self.clone();
-                    self.inner.sims[shard].call_at_as(
-                        EventClass::Fabric,
-                        w.at + reroute.total(),
-                        move |_| apply.routing_update(shard, kind, true),
-                    );
-                    let revert = self.clone();
-                    self.inner.sims[shard].call_at_as(
-                        EventClass::Fabric,
-                        w.at + w.duration + reroute.total(),
-                        move |_| revert.routing_update(shard, kind, false),
-                    );
+                    for (at, open) in edges {
+                        let san = self.clone();
+                        sim.call_at_as(EventClass::Fabric, at + reroute, move |_| {
+                            san.routing_update(shard, kind, open)
+                        });
+                    }
                 }
             }
         }
+    }
+
+    /// One edge of a fault window on one shard: flip this shard's replica
+    /// of the window state, flush what a dying switch or trunk takes with
+    /// it, trace the edge, and crash or reboot the victim host.
+    fn fault_edge(&self, sim: &Sim, shard: usize, kind: FaultKind, open: bool) {
+        let now = sim.now();
+        {
+            let mut ls = self.inner.links[shard].lock();
+            let fs = ls.faults.as_mut().expect("fault state installed");
+            if open {
+                fs.begin(kind);
+            } else {
+                fs.end(kind);
+            }
+        }
+        if open {
+            self.flush_fault_ports(shard, kind, now);
+        }
+        // Edge trace records are global (one logical window), so only
+        // shard 0's replica emits them.
+        if let Some((node, aux)) = kind.edge_tag().filter(|_| shard == 0) {
+            let point = if open {
+                TracePoint::LinkDown
+            } else {
+                TracePoint::LinkUp
+            };
+            let sh = self.inner.shared.lock();
+            sh.tracer.record(now, point, node, None, aux);
+        }
+        // The victim's provider crashes (or reboots) on its owning shard
+        // only, after the fabric-side window state is in place — so a crash
+        // hook observes the node as already dead, a reboot hook a live
+        // fabric edge.
+        self.fire_node_hook(sim, shard, kind, open);
     }
 
     /// Flush every frame parked (`waiting`) or staged-but-unapplied at
@@ -891,60 +785,50 @@ impl San {
     /// [`TrunkDown`]: FaultKind::TrunkDown
     fn flush_fault_ports(&self, shard: usize, kind: FaultKind, now: SimTime) {
         let inner = &self.inner;
-        let Some(ts) = inner.topo.as_ref() else {
-            return;
-        };
-        // (switch, port) targets this shard owns: every port of a dead
+        let owned = |sw: u32| inner.topo.switch_shard(sw, inner.sims.len()) == shard;
+        // (switch, ports) targets this shard owns: every port of a dead
         // switch, or the two directed ports of a dead trunk.
-        let mut targets: Vec<(u32, Option<usize>)> = Vec::new();
+        let mut targets: Vec<(u32, std::ops::Range<usize>)> = Vec::new();
         match kind {
-            FaultKind::SwitchDown { switch } => {
-                if ts.switch_shard[switch as usize] == shard {
-                    targets.push((switch, None));
-                }
+            FaultKind::SwitchDown { switch } if owned(switch) => {
+                targets.push((switch, 0..inner.ports[switch as usize].len()));
             }
             FaultKind::TrunkDown { a, b } => {
-                if ts.switch_shard[a as usize] == shard {
-                    targets.push((a, Some(ts.topo.port_to_switch(a, b))));
-                }
-                if ts.switch_shard[b as usize] == shard {
-                    targets.push((b, Some(ts.topo.port_to_switch(b, a))));
+                for (sw, far) in [(a, b), (b, a)] {
+                    if owned(sw) {
+                        let i = inner.topo.port_to_switch(sw, far);
+                        targets.push((sw, i..i + 1));
+                    }
                 }
             }
             _ => return,
         }
         let mut flushed: Vec<Option<MsgId>> = Vec::new();
-        for (sw, only) in targets {
-            let mut ports = ts.switches[sw as usize].lock();
-            let idxs: Vec<usize> = match only {
-                Some(i) => vec![i],
-                None => (0..ports.len()).collect(),
-            };
-            for i in idxs {
-                let port = &mut ports[i];
-                while let Some(f) = port.waiting.pop_front() {
-                    port.stats.fault_dropped += 1;
-                    flushed.push(f.msg);
-                }
-                port.staged.sort_by_key(|(at, f)| {
-                    let (vi, seq) = f.msg.map_or((u32::MAX, u64::MAX), |m| (m.vi, m.seq));
-                    (*at, f.src.0, f.dst.0, vi, seq, f.payload_bytes)
-                });
-                for (_, f) in port.staged.drain(..) {
-                    port.stats.fault_dropped += 1;
-                    flushed.push(f.msg);
-                }
+        for (sw, range) in targets {
+            for port in &inner.ports[sw as usize][range] {
+                let mut port = port.lock();
+                let port = &mut *port;
+                let before = flushed.len();
+                flushed.extend(port.waiting.drain(..).map(|f| f.msg));
+                port.staged.sort_by_key(arrival_order);
+                flushed.extend(port.staged.drain(..).map(|(_, f)| f.msg));
+                port.stats.fault_dropped += (flushed.len() - before) as u64;
                 port.paused_since = None;
             }
         }
-        if !flushed.is_empty() {
-            let mut sh = inner.shared.lock();
-            for msg in flushed {
-                sh.stats.frames_fault_dropped += 1;
-                // aux = 8: frame killed by a switch/trunk fault window.
-                sh.tracer
-                    .record(now, TracePoint::WireDrop, SWITCH_NODE, msg, 8);
-            }
+        self.fault_drop(now, flushed);
+    }
+
+    /// Count and trace frames killed by a switch-scoped fault window
+    /// (`WireDrop` hop tag 8): refused at a dead switch or a downed trunk,
+    /// stranded with no surviving route, or flushed from a dying element's
+    /// queues.
+    fn fault_drop(&self, at: SimTime, msgs: impl IntoIterator<Item = Option<MsgId>>) {
+        let mut sh = self.inner.shared.lock();
+        for msg in msgs {
+            sh.stats.frames_fault_dropped += 1;
+            sh.tracer
+                .record(at, TracePoint::WireDrop, SWITCH_NODE, msg, 8);
         }
     }
 
@@ -954,8 +838,7 @@ impl San {
     /// re-salts ECMP identically on every shard.
     fn routing_update(&self, shard: usize, kind: FaultKind, apply: bool) {
         let inner = &self.inner;
-        let ts = inner.topo.as_ref().expect("multi-switch state");
-        let mut rs = ts.routing[shard].lock();
+        let mut rs = inner.routing[shard].lock();
         fn bump<K: PartialEq + Copy>(set: &mut Vec<(K, u32)>, key: K, apply: bool) {
             match set.iter_mut().find(|(k, _)| *k == key) {
                 Some((_, n)) if apply => *n += 1,
@@ -982,7 +865,7 @@ impl San {
             .filter(|&&(_, n)| n > 0)
             .map(|&(t, _)| t)
             .collect();
-        rs.routes = Some(ts.topo.compute_routes(&failed_sw, &failed_tr, rs.epoch));
+        rs.routes = Some(inner.topo.compute_routes(&failed_sw, &failed_tr, rs.epoch));
     }
 
     /// The ECMP next hop the current routing state picks from `sw` toward
@@ -990,15 +873,13 @@ impl San {
     /// shard's replica only under the switch-fault flag; pristine fabrics
     /// take the baseline precomputed table with zero locking.
     fn route_next_hop(&self, shard: usize, sw: u32, dst_sw: u32, key: u64) -> Option<u32> {
-        let ts = self.inner.topo.as_ref().expect("multi-switch state");
-        if !self.inner.switch_faults.load(Ordering::Relaxed) {
-            return Some(ts.topo.next_hop(sw, dst_sw, key));
+        let inner = &self.inner;
+        if inner.switch_faults.load(Ordering::Relaxed) {
+            if let Some(r) = &inner.routing[shard].lock().routes {
+                return r.next_hop(sw, dst_sw, key);
+            }
         }
-        let rs = ts.routing[shard].lock();
-        match &rs.routes {
-            Some(r) => r.next_hop(sw, dst_sw, key),
-            None => Some(ts.topo.next_hop(sw, dst_sw, key)),
-        }
+        Some(inner.topo.next_hop(sw, dst_sw, key))
     }
 
     /// Invoke the registered crash/reboot hook for a node-scoped window
@@ -1057,6 +938,16 @@ impl San {
         self.inner.links.iter().any(|l| l.lock().faults.is_some())
     }
 
+    /// Ask `shard`'s replica of the fault-window state a yes/no question;
+    /// `false` when no plan is installed.
+    fn fault_active(&self, shard: usize, q: impl FnOnce(&FaultState) -> bool) -> bool {
+        self.inner.links[shard]
+            .lock()
+            .faults
+            .as_deref()
+            .is_some_and(q)
+    }
+
     /// True when the configured loss model never drops a frame (and hence
     /// never draws from the per-link RNG streams). Lossy links de-fuse:
     /// preserving per-link draw *order* requires the general path.
@@ -1070,22 +961,27 @@ impl San {
         self.inner.shared.lock().tracer.enabled()
     }
 
+    /// The current virtual time on the engine of `node`'s shard.
+    fn now_at(&self, node: NodeId) -> SimTime {
+        self.inner.sims[self.inner.map.assign(node.0)].now()
+    }
+
     /// True when `node`'s uplink has no in-progress or queued serialization
     /// at its shard's current virtual time. Call only for nodes owned by
     /// the executing shard.
     pub fn uplink_idle(&self, node: NodeId) -> bool {
         let shard = self.inner.map.assign(node.0);
-        let now = self.inner.sims[shard].now();
-        self.inner.links[shard].lock().uplinks[node.index()].busy_until <= now
+        self.inner.links[shard].lock().uplinks[node.index()].busy_until <= self.now_at(node)
     }
 
-    /// True when `node`'s downlink has no in-progress or queued
-    /// serialization at its shard's current virtual time. Call only for
-    /// nodes owned by the executing shard.
+    /// True when `node`'s downlink — the wire of its host port — has no
+    /// in-progress or queued serialization at its shard's current virtual
+    /// time. Call only for nodes owned by the executing shard.
     pub fn downlink_idle(&self, node: NodeId) -> bool {
-        let shard = self.inner.map.assign(node.0);
-        let now = self.inner.sims[shard].now();
-        self.inner.links[shard].lock().downlinks[node.index()].busy_until <= now
+        let topo = &self.inner.topo;
+        let sw = topo.edge_of(node.0);
+        let port = &self.inner.ports[sw as usize][topo.port_to_node(sw, node.0)];
+        port.lock().wire.busy_until <= self.now_at(node)
     }
 
     /// Record that `src` opens a flow toward `dst`. VIA connection setup
@@ -1117,7 +1013,7 @@ impl San {
 
     /// Number of attached nodes.
     pub fn nodes(&self) -> usize {
-        self.inner.nodes
+        self.inner.topo.nodes()
     }
 
     /// The network parameters this SAN was built with.
@@ -1139,7 +1035,7 @@ impl San {
     /// layers own fragmentation) or if src == dst (no loopback path in the
     /// paper's testbed; VIA loopback short-circuits above the fabric).
     pub fn send(&self, src: NodeId, dst: NodeId, payload_bytes: u32, body: Box<dyn Any + Send>) {
-        self.send_inner(src, dst, payload_bytes, body, true, None)
+        self.inject(src, dst, payload_bytes, body, true, None, self.now_at(src));
     }
 
     /// Like [`San::send`], but tagged with the message the frame belongs
@@ -1152,7 +1048,7 @@ impl San {
         body: Box<dyn Any + Send>,
         msg: Option<MsgId>,
     ) {
-        self.send_inner(src, dst, payload_bytes, body, true, msg)
+        self.inject(src, dst, payload_bytes, body, true, msg, self.now_at(src));
     }
 
     /// Like [`San::send`], but exempt from loss injection. Connection
@@ -1166,10 +1062,81 @@ impl San {
         payload_bytes: u32,
         body: Box<dyn Any + Send>,
     ) {
-        self.send_inner(src, dst, payload_bytes, body, false, None)
+        self.inject(src, dst, payload_bytes, body, false, None, self.now_at(src));
     }
 
-    fn send_inner(
+    /// Fused-path injection: put a frame on the wire exactly as
+    /// [`San::send_msg`] executed at virtual time `at` (the precomputed
+    /// wire time, `at >= now`) would have — the same pipeline, entered
+    /// early. Callers must have verified the fabric-side fuse guard first
+    /// — one switch, lossless loss model, no fault plan — so the frame
+    /// cannot drop and no RNG stream is consumed, which is what makes
+    /// computing the uplink occupancy ahead of time exact: the caller's
+    /// NIC ring serializes all sends of the source node, so no other frame
+    /// can claim this uplink between now and `at`.
+    ///
+    /// Returns `true` when the switch-egress hop was folded in as well —
+    /// same shard, and `src` the sole registered writer of `dst`'s
+    /// downlink ([`San::sole_writer`]) — and `false` when its event had to
+    /// be scheduled.
+    pub fn send_msg_at(
+        &self,
+        src: NodeId,
+        dst: NodeId,
+        payload_bytes: u32,
+        body: Box<dyn Any + Send>,
+        msg: Option<MsgId>,
+        at: SimTime,
+    ) -> bool {
+        debug_assert!(
+            self.is_single_switch() && self.is_lossless() && !self.faults_installed(),
+            "fused injection requires a lossless, fault-free one-switch fabric"
+        );
+        debug_assert!(at >= self.now_at(src), "fused wire time lies in the past");
+        self.inject(src, dst, payload_bytes, body, true, msg, at)
+    }
+
+    /// Run `f` as a `Fabric` event at `at` on shard `to`'s engine, from
+    /// code executing on shard `from`. Same shard: a plain local event —
+    /// the exact serial path. Different shard: a channel send, legal
+    /// because every cross-shard step is at least the lookahead away.
+    fn schedule(&self, from: usize, to: usize, at: SimTime, f: impl FnOnce(&Sim) + Send + 'static) {
+        if to == from {
+            self.inner.sims[from].call_at_as(EventClass::Fabric, at, f);
+        } else {
+            self.inner.senders[from].send(to, at, EventClass::Fabric, f);
+        }
+    }
+
+    /// The shard that runs switch `sw`'s hop for a frame bound for `dst`:
+    /// the destination's own shard when the hop is onto its host port, the
+    /// switch's shard for a trunk hop. (On multi-switch shapes a node
+    /// shares its edge switch's shard, so there the two coincide.)
+    fn hop_shard(&self, sw: u32, dst: NodeId) -> usize {
+        let inner = &self.inner;
+        if inner.topo.edge_of(dst.0) == sw {
+            inner.map.assign(dst.0)
+        } else {
+            inner.topo.switch_shard(sw, inner.sims.len())
+        }
+    }
+
+    /// Stage 1 — injection at virtual time `at`, on `src`'s shard: uplink
+    /// occupancy, the per-link loss roll, the fault plan's uplink verdict,
+    /// the `frames_sent`/`WireTx` accounting, then on to the edge switch's
+    /// hop. `at` is the current virtual time, or a future wire time for a
+    /// fused send ([`San::send_msg_at`]).
+    ///
+    /// Switch-egress fold: on a lossless, fault-free, untraced one-switch
+    /// fabric the hop is a pure function of the destination port's wire
+    /// occupancy, and with `src` the sole registered writer of `dst`'s
+    /// downlink its applications arrive in non-decreasing order (they all
+    /// chain through `src`'s uplink). The hop then runs inline instead of
+    /// as a scheduled event, and the elided `Fabric` event is credited to
+    /// the engine's logical ledger via `note_elided`. Returns whether it
+    /// folded.
+    #[allow(clippy::too_many_arguments)]
+    fn inject(
         &self,
         src: NodeId,
         dst: NodeId,
@@ -1177,378 +1144,68 @@ impl San {
         body: Box<dyn Any + Send>,
         lossy: bool,
         msg: Option<MsgId>,
-    ) {
+        at: SimTime,
+    ) -> bool {
         assert_ne!(src, dst, "fabric has no loopback path");
         let inner = &self.inner;
+        let p = &inner.params;
         assert!(
-            payload_bytes <= inner.params.link.mtu,
+            payload_bytes <= p.link.mtu,
             "frame payload {} exceeds link MTU {}",
             payload_bytes,
-            inner.params.link.mtu
+            p.link.mtu
         );
-        if inner.topo.is_some() {
-            return self.topo_send(src, dst, payload_bytes, body, lossy, msg);
-        }
+        let one_switch = inner.topo.is_single_switch();
         let src_shard = inner.map.assign(src.0);
-        let sim = &inner.sims[src_shard];
-        let now = sim.now();
-        // Stage 1, under the source shard's link lock: uplink occupancy,
-        // the per-link loss roll, and fault decisions.
-        let (at_switch, outcome, no_faults) = {
+        let ser = p.link.serialization(payload_bytes);
+        // One switch: the route is known here, so the switch traversal is
+        // paid on the way in, and a cut-through switch starts forwarding
+        // once the header is in (the egress wire still pays a full
+        // serialization, so the unloaded path costs one overall). Multi-
+        // switch: the whole frame must land before a routing decision
+        // exists, and each switch charges its latency after admission.
+        let to_hop = p.link.propagation
+            + match (one_switch, p.switch.cut_through) {
+                (true, true) => p.switch.latency,
+                (true, false) => p.switch.latency + ser,
+                (false, _) => ser,
+            };
+        let (outcome, at_hop, no_faults) = {
             let mut ls = inner.links[src_shard].lock();
             let ls = &mut *ls;
-            let no_faults = ls.faults.is_none();
-            let ser = inner.params.link.serialization(payload_bytes);
-            let prop = inner.params.link.propagation;
-            let link = &mut ls.uplinks[src.index()];
-            let start = link.occupy(now, ser);
-            // Cut-through: the switch starts forwarding once the header is
-            // in (the egress link still pays a full serialization, so the
-            // unloaded path costs one serialization overall). Store-and-
-            // forward: the whole frame must land first.
-            let mut at_switch = if inner.params.switch.cut_through {
-                start + prop + inner.params.switch.latency
-            } else {
-                start + ser + prop + inner.params.switch.latency
-            };
-            let mut outcome = if lossy && link.loss.roll(&mut link.rng, inner.params.loss) {
+            let start = ls.uplinks[src.index()].occupy(at, SimDuration::ZERO, ser);
+            let lane = &mut ls.up_loss[src.index()];
+            let outcome = if lossy && lane.loss.roll(&mut lane.rng, p.loss) {
                 HopOutcome::LossDrop
             } else {
-                HopOutcome::Pass
-            };
-            if outcome == HopOutcome::Pass {
-                if let Some(f) = ls.faults.as_mut() {
-                    match f.on_uplink(src, lossy) {
-                        HopFault::Pass { extra } => at_switch += extra,
-                        HopFault::Down => outcome = HopOutcome::FaultDown,
-                        HopFault::Corrupt => outcome = HopOutcome::Corrupt,
-                        HopFault::Lost => outcome = HopOutcome::FaultLost,
-                        HopFault::NodeDead => outcome = HopOutcome::NodeDead,
-                    }
+                match ls.faults.as_mut() {
+                    Some(f) => f.on_uplink(src, lossy),
+                    None => HopOutcome::PASS,
                 }
-            }
-            (at_switch, outcome, no_faults)
+            };
+            (outcome, start + to_hop, ls.faults.is_none())
         };
-        let dst_shard = inner.map.assign(dst.0);
-        // Stage 2, under the shared lock: counters and trace records. The
-        // switch-egress fold decision reads the writer registry and tracer
-        // state under the same lock acquisition.
-        let fold_forward = {
-            let mut sh = self.inner.shared.lock();
-            let fold = outcome == HopOutcome::Pass
-                && dst_shard == src_shard
-                && no_faults
-                && matches!(inner.params.loss, LossModel::None)
-                && self.fuse_on()
-                && !sh.tracer.enabled()
-                && sh.writers[dst.index()] == WriterSet::One(src);
-            sh.stats.frames_sent += 1;
-            sh.tracer
-                .record(now, TracePoint::WireTx, src.0, msg, payload_bytes as u64);
-            match outcome {
-                HopOutcome::Pass => {}
-                HopOutcome::LossDrop => {
-                    sh.stats.frames_dropped += 1;
-                    // aux = 1: dropped on the source uplink.
-                    sh.tracer.record(now, TracePoint::WireDrop, src.0, msg, 1);
-                }
-                HopOutcome::FaultDown => {
-                    sh.stats.frames_faulted += 1;
-                    // aux = 3: the source's link was down.
-                    sh.tracer.record(now, TracePoint::WireDrop, src.0, msg, 3);
-                }
-                HopOutcome::Corrupt => {
-                    sh.stats.frames_corrupted += 1;
-                    sh.tracer.record(
-                        now,
-                        TracePoint::FrameCorrupt,
-                        src.0,
-                        msg,
-                        payload_bytes as u64,
-                    );
-                }
-                HopOutcome::FaultLost => {
-                    sh.stats.frames_dropped += 1;
-                    // aux = 5: degradation-burst loss on the uplink.
-                    sh.tracer.record(now, TracePoint::WireDrop, src.0, msg, 5);
-                }
-                HopOutcome::NodeDead => {
-                    sh.stats.frames_fault_dropped += 1;
-                    sh.node_fault_dropped[src.index()] += 1;
-                    // aux = 10: the source host is crashed.
-                    sh.tracer.record(now, TracePoint::WireDrop, src.0, msg, 10);
-                }
-            }
-            fold
-        };
-        if outcome != HopOutcome::Pass {
-            return;
-        }
-        if fold_forward {
-            // Switch-egress fold: with a lossless, fault-free fabric the
-            // forward stage is a pure function of the downlink occupancy,
-            // and with `src` the sole registered writer of `dst`'s downlink
-            // its applications arrive in non-decreasing `at_switch` order
-            // (they all chain through `src`'s uplink). Apply the occupancy
-            // now and schedule the arrival directly, eliding one Fabric
-            // event — the logical ledger stays exact via `note_elided`.
-            let arrive = {
-                let mut ls = inner.links[src_shard].lock();
-                let link = &mut ls.downlinks[dst.index()];
-                let ser = inner.params.link.serialization(payload_bytes);
-                let start = link.occupy(at_switch, ser);
-                start + ser + inner.params.link.propagation
-            };
-            sim.note_elided(EventClass::Fabric, 1);
-            self.schedule_delivery(sim, src, dst, payload_bytes, body, msg, arrive);
-            return;
-        }
-        // Stage 3: hand off to the switch-egress stage on the destination's
-        // shard. Same shard: a plain local event — the exact serial path.
-        // Different shard: a cross-shard channel send, legal because
-        // `at_switch - now >= min_cross_latency >= lookahead`.
-        let san = self.clone();
-        let deliver = move |_: &Sim| san.forward(src, dst, payload_bytes, body, lossy, msg);
-        if dst_shard == src_shard {
-            sim.call_at_as(EventClass::Fabric, at_switch, deliver);
-        } else {
-            inner.senders[src_shard].send(dst_shard, at_switch, EventClass::Fabric, deliver);
-        }
-    }
-
-    /// Switch egress stage: occupy the destination downlink, then deliver.
-    fn forward(
-        &self,
-        src: NodeId,
-        dst: NodeId,
-        payload_bytes: u32,
-        body: Box<dyn Any + Send>,
-        lossy: bool,
-        msg: Option<MsgId>,
-    ) {
-        let inner = &self.inner;
-        let dst_shard = inner.map.assign(dst.0);
-        let sim = &inner.sims[dst_shard];
-        let now = sim.now();
-        let (arrive_nic, outcome) = {
-            let mut ls = inner.links[dst_shard].lock();
-            let ls = &mut *ls;
-            let ser = inner.params.link.serialization(payload_bytes);
-            let prop = inner.params.link.propagation;
-            let link = &mut ls.downlinks[dst.index()];
-            let start = link.occupy(now, ser);
-            let mut arrive = start + ser + prop;
-            let mut outcome = if lossy && link.loss.roll(&mut link.rng, inner.params.loss) {
-                HopOutcome::LossDrop
-            } else {
-                HopOutcome::Pass
-            };
-            if outcome == HopOutcome::Pass {
-                if let Some(f) = ls.faults.as_mut() {
-                    match f.on_downlink(dst, lossy) {
-                        HopFault::Pass { extra } => arrive += extra,
-                        HopFault::Down => outcome = HopOutcome::FaultDown,
-                        // Corruption is rolled once per frame, at ingress.
-                        HopFault::Corrupt => unreachable!("corruption rolls at ingress"),
-                        HopFault::Lost => outcome = HopOutcome::FaultLost,
-                        HopFault::NodeDead => outcome = HopOutcome::NodeDead,
-                    }
-                }
-            }
-            (arrive, outcome)
-        };
-        match outcome {
-            HopOutcome::Pass => {}
-            HopOutcome::LossDrop => {
-                let mut sh = inner.shared.lock();
-                sh.stats.frames_dropped += 1;
-                // aux = 2: dropped on the destination downlink.
-                sh.tracer.record(now, TracePoint::WireDrop, dst.0, msg, 2);
-                return;
-            }
-            HopOutcome::FaultDown => {
-                let mut sh = inner.shared.lock();
-                sh.stats.frames_faulted += 1;
-                // aux = 4: the destination's link was down.
-                sh.tracer.record(now, TracePoint::WireDrop, dst.0, msg, 4);
-                return;
-            }
-            HopOutcome::Corrupt => unreachable!("corruption rolls at ingress"),
-            HopOutcome::FaultLost => {
-                let mut sh = inner.shared.lock();
-                sh.stats.frames_dropped += 1;
-                // aux = 6: degradation-burst loss on the downlink.
-                sh.tracer.record(now, TracePoint::WireDrop, dst.0, msg, 6);
-                return;
-            }
-            HopOutcome::NodeDead => {
-                let mut sh = inner.shared.lock();
-                sh.stats.frames_fault_dropped += 1;
-                sh.node_fault_dropped[dst.index()] += 1;
-                // aux = 10: the destination host is crashed.
-                sh.tracer.record(now, TracePoint::WireDrop, dst.0, msg, 10);
-                return;
-            }
-        }
-        self.schedule_delivery(sim, src, dst, payload_bytes, body, msg, arrive_nic);
-    }
-
-    /// Final hop: schedule the NIC arrival event at `arrive` on the
-    /// destination's engine. Shared by the general forward stage and the
-    /// fused sender (which computes `arrive` eagerly).
-    #[allow(clippy::too_many_arguments)]
-    fn schedule_delivery(
-        &self,
-        sim: &Sim,
-        src: NodeId,
-        dst: NodeId,
-        payload_bytes: u32,
-        body: Box<dyn Any + Send>,
-        msg: Option<MsgId>,
-        arrive: SimTime,
-    ) {
-        let san = self.clone();
-        sim.call_at_as(EventClass::Fabric, arrive, move |sim| {
-            // Frames already past the downlink when a node-scoped window
-            // opened still arrive during it: the dead NIC sinks them.
-            // Liveness at the arrival instant is a pure function of
-            // virtual time (window edges flip every shard's replica), so
-            // this decision is shard-count-invariant.
-            if san.inner.node_faults.load(Ordering::Relaxed) {
-                let dst_shard = san.inner.map.assign(dst.0);
-                let dead = san.inner.links[dst_shard]
-                    .lock()
-                    .faults
-                    .as_ref()
-                    .is_some_and(|fs| fs.node_dead(dst));
-                if dead {
-                    let mut sh = san.inner.shared.lock();
-                    sh.stats.frames_fault_dropped += 1;
-                    sh.node_fault_dropped[dst.index()] += 1;
-                    // aux = 10: the destination host is crashed.
-                    sh.tracer
-                        .record(sim.now(), TracePoint::WireDrop, dst.0, msg, 10);
-                    return;
-                }
-            }
-            let handler = {
-                let mut sh = san.inner.shared.lock();
-                sh.stats.frames_delivered += 1;
-                sh.stats.bytes_delivered += payload_bytes as u64;
-                sh.tracer.record(
-                    sim.now(),
-                    TracePoint::WireRx,
-                    dst.0,
-                    msg,
-                    payload_bytes as u64,
-                );
-                sh.handlers[dst.index()].clone()
-            };
-            let handler = handler.unwrap_or_else(|| {
-                panic!("frame delivered to node {dst} with no handler attached")
-            });
-            handler(
-                sim,
-                Delivery {
-                    src,
-                    dst,
-                    payload_bytes,
-                    body,
-                },
-            );
-        });
-    }
-
-    /// Multi-switch injection stage: uplink occupancy, the per-link loss
-    /// roll, and fault decisions — the legacy stage 1/2, except the frame
-    /// lands at the *edge switch* (store-and-forward: multi-hop fabrics
-    /// need the whole frame before a routing decision exists, so the
-    /// single-switch cut-through shortcut does not apply) and the switch
-    /// traversal latency is paid per hop at ingress, not here.
-    fn topo_send(
-        &self,
-        src: NodeId,
-        dst: NodeId,
-        payload_bytes: u32,
-        body: Box<dyn Any + Send>,
-        lossy: bool,
-        msg: Option<MsgId>,
-    ) {
-        let inner = &self.inner;
-        let ts = inner.topo.as_ref().expect("multi-switch state");
-        let src_shard = inner.map.assign(src.0);
-        let sim = &inner.sims[src_shard];
-        let now = sim.now();
-        let (at_edge, outcome) = {
-            let mut ls = inner.links[src_shard].lock();
-            let ls = &mut *ls;
-            let ser = inner.params.link.serialization(payload_bytes);
-            let link = &mut ls.uplinks[src.index()];
-            let start = link.occupy(now, ser);
-            let mut at_edge = start + ser + inner.params.link.propagation;
-            let mut outcome = if lossy && link.loss.roll(&mut link.rng, inner.params.loss) {
-                HopOutcome::LossDrop
-            } else {
-                HopOutcome::Pass
-            };
-            if outcome == HopOutcome::Pass {
-                if let Some(f) = ls.faults.as_mut() {
-                    match f.on_uplink(src, lossy) {
-                        HopFault::Pass { extra } => at_edge += extra,
-                        HopFault::Down => outcome = HopOutcome::FaultDown,
-                        HopFault::Corrupt => outcome = HopOutcome::Corrupt,
-                        HopFault::Lost => outcome = HopOutcome::FaultLost,
-                        HopFault::NodeDead => outcome = HopOutcome::NodeDead,
-                    }
-                }
-            }
-            (at_edge, outcome)
-        };
-        {
+        let edge = inner.topo.edge_of(src.0);
+        let shard = self.hop_shard(edge, dst);
+        let fold = {
             let mut sh = inner.shared.lock();
             sh.stats.frames_sent += 1;
             sh.tracer
-                .record(now, TracePoint::WireTx, src.0, msg, payload_bytes as u64);
-            match outcome {
-                HopOutcome::Pass => {}
-                HopOutcome::LossDrop => {
-                    sh.stats.frames_dropped += 1;
-                    sh.tracer.record(now, TracePoint::WireDrop, src.0, msg, 1);
-                }
-                HopOutcome::FaultDown => {
-                    sh.stats.frames_faulted += 1;
-                    sh.tracer.record(now, TracePoint::WireDrop, src.0, msg, 3);
-                }
-                HopOutcome::Corrupt => {
-                    sh.stats.frames_corrupted += 1;
-                    sh.tracer.record(
-                        now,
-                        TracePoint::FrameCorrupt,
-                        src.0,
-                        msg,
-                        payload_bytes as u64,
-                    );
-                }
-                HopOutcome::FaultLost => {
-                    sh.stats.frames_dropped += 1;
-                    sh.tracer.record(now, TracePoint::WireDrop, src.0, msg, 5);
-                }
-                HopOutcome::NodeDead => {
-                    sh.stats.frames_fault_dropped += 1;
-                    sh.node_fault_dropped[src.index()] += 1;
-                    // aux = 10: the source host is crashed.
-                    sh.tracer.record(now, TracePoint::WireDrop, src.0, msg, 10);
-                }
-            }
-        }
-        if outcome != HopOutcome::Pass {
-            return;
-        }
-        // The edge-ingress event is always shard-local: every node shares
-        // its edge switch's shard by construction.
-        let edge = ts.topo.edge_of(src.0);
-        let san = self.clone();
-        let frame = TopoFrame {
+                .record(at, TracePoint::WireTx, src.0, msg, payload_bytes as u64);
+            sh.record_outcome(at, src, msg, payload_bytes, outcome, true);
+            one_switch
+                && shard == src_shard
+                && no_faults
+                && self.is_lossless()
+                && inner.fuse.load(Ordering::Relaxed)
+                && !sh.tracer.enabled()
+                && sh.writers[dst.index()] == WriterSet::One(src)
+        };
+        let HopOutcome::Pass { extra } = outcome else {
+            return false;
+        };
+        let at_hop = at_hop + extra;
+        let frame = Frame {
             src,
             dst,
             payload_bytes,
@@ -1556,114 +1213,91 @@ impl San {
             msg,
             lossy,
         };
-        sim.call_at_as(EventClass::Fabric, at_edge, move |_| {
-            san.topo_ingress(edge, frame)
+        if fold {
+            inner.sims[src_shard].note_elided(EventClass::Fabric, 1);
+            self.hop(shard, edge, frame, at_hop);
+            return true;
+        }
+        let san = self.clone();
+        self.schedule(src_shard, shard, at_hop, move |sim| {
+            san.hop(shard, edge, frame, sim.now())
         });
+        false
     }
 
-    /// A whole frame has landed at switch `sw`: pick the output port
-    /// (deterministic ECMP for trunk hops, the host port when this is the
-    /// destination's edge) and stage it for the port's next resolver tick.
+    /// Stage 2 — a frame is ready for switch `sw` at `at`, on `shard`:
+    /// pick the output port (the host port when this is the destination's
+    /// edge, deterministic ECMP otherwise) and ask it for admission.
     ///
-    /// The admit/pause/drop decision deliberately does NOT happen here.
-    /// Same-instant arrivals reach this event in engine insertion order —
-    /// which the shard map reshuffles — so deciding inline would make the
-    /// outcome a function of the shard count. Staging defers the decision
-    /// to [`San::topo_resolve`] one nanosecond later, where the whole
-    /// same-instant batch is ordered by frame content.
-    fn topo_ingress(&self, sw: u32, f: TopoFrame) {
+    /// An unbounded port admits on the spot. A bounded port deliberately
+    /// does NOT decide here: same-instant arrivals reach this event in
+    /// engine insertion order — which the shard map reshuffles — so
+    /// deciding inline would make the outcome a function of the shard
+    /// count. The frame is staged for [`San::resolve`] one nanosecond
+    /// later, where the whole same-instant batch is ordered by content.
+    fn hop(&self, shard: usize, sw: u32, f: Frame, at: SimTime) {
         let inner = &self.inner;
-        let ts = inner.topo.as_ref().expect("multi-switch state");
-        let shard = ts.switch_shard[sw as usize];
-        let sim = &inner.sims[shard];
-        let now = sim.now();
+        let topo = &inner.topo;
         let switch_faults = inner.switch_faults.load(Ordering::Relaxed);
-        if switch_faults {
-            // A dead switch accepts nothing: frames still converging on it
-            // (sent before routing detected the failure) die here, with no
-            // single output port to blame.
-            let down = inner.links[shard]
-                .lock()
-                .faults
-                .as_ref()
-                .is_some_and(|fs| fs.switch_down(sw));
-            if down {
-                let mut sh = inner.shared.lock();
-                sh.stats.frames_fault_dropped += 1;
-                // aux = 8: frame killed by a switch/trunk fault window.
-                sh.tracer
-                    .record(now, TracePoint::WireDrop, SWITCH_NODE, f.msg, 8);
-                return;
-            }
+        // A dead switch accepts nothing: frames still converging on it
+        // (sent before routing detected the failure) die here, with no
+        // single output port to blame.
+        if switch_faults && self.fault_active(shard, |fs| fs.switch_down(sw)) {
+            return self.fault_drop(at, [f.msg]);
         }
-        let dst_sw = ts.topo.edge_of(f.dst.0);
+        let dst_sw = topo.edge_of(f.dst.0);
         let port_idx = if sw == dst_sw {
-            ts.topo.port_to_node(sw, f.dst.0)
+            topo.port_to_node(sw, f.dst.0)
         } else {
             let key = Topology::flow_key(f.src, f.dst, f.msg.as_ref());
             let Some(next) = self.route_next_hop(shard, sw, dst_sw, key) else {
                 // The surviving fabric has no path: an honest fault drop
                 // rather than a stall (the fabric may be partitioned).
-                let mut sh = inner.shared.lock();
-                sh.stats.frames_fault_dropped += 1;
-                sh.tracer
-                    .record(now, TracePoint::WireDrop, SWITCH_NODE, f.msg, 8);
-                return;
+                return self.fault_drop(at, [f.msg]);
             };
-            if switch_faults {
-                // Routing may still point over a downed trunk during the
-                // detection window; the port refuses the frame and owns it
-                // in its counters.
-                let cut = inner.links[shard]
+            let port_idx = topo.port_to_switch(sw, next);
+            // Routing may still point over a downed trunk during the
+            // detection window; the port refuses the frame and owns it in
+            // its counters.
+            if switch_faults && self.fault_active(shard, |fs| fs.trunk_down(sw, next)) {
+                inner.ports[sw as usize][port_idx]
                     .lock()
-                    .faults
-                    .as_ref()
-                    .is_some_and(|fs| fs.trunk_down(sw, next));
-                if cut {
-                    let pi = ts.topo.port_to_switch(sw, next);
-                    ts.switches[sw as usize].lock()[pi].stats.fault_dropped += 1;
-                    let mut sh = inner.shared.lock();
-                    sh.stats.frames_fault_dropped += 1;
-                    sh.tracer
-                        .record(now, TracePoint::WireDrop, SWITCH_NODE, f.msg, 8);
-                    return;
-                }
+                    .stats
+                    .fault_dropped += 1;
+                return self.fault_drop(at, [f.msg]);
             }
-            ts.topo.port_to_switch(sw, next)
+            port_idx
         };
+        if topo.limits().is_unbounded() {
+            return self.transmit(shard, sw, port_idx, f, at, SimDuration::ZERO);
+        }
         let need_resolver = {
-            let mut ports = ts.switches[sw as usize].lock();
-            let port = &mut ports[port_idx];
-            port.staged.push((now, f));
-            port.schedule_resolver(now)
+            let mut port = inner.ports[sw as usize][port_idx].lock();
+            port.staged.push((at, f));
+            port.schedule_resolver(at)
         };
         if need_resolver {
             let san = self.clone();
-            sim.call_at_as(EventClass::Fabric, now + RESOLVE_TICK, move |_| {
-                san.topo_resolve(sw, port_idx)
+            inner.sims[shard].call_at_as(EventClass::Fabric, at + RESOLVE_TICK, move |_| {
+                san.resolve(shard, sw, port_idx)
             });
         }
     }
 
-    /// Apply everything staged at port `(sw, port_idx)` strictly before
-    /// `now`, in canonical order: slot frees first, then paused frames
-    /// refill freed slots FIFO, then the arrival batch sorted by frame
-    /// content — (src, dst, VI, seq, bytes), a total order because two
-    /// frames of one flow can never land at one port at one instant (the
-    /// upstream wire serialized them apart). The outcome is a pure
-    /// function of virtual time, port state and frame content — never of
-    /// engine event order, so it cannot depend on the shard count.
-    fn topo_resolve(&self, sw: u32, port_idx: usize) {
+    /// Apply everything staged at bounded port `(sw, port_idx)` strictly
+    /// before `now`, in canonical order: slot frees first, then paused
+    /// frames refill freed slots FIFO, then the arrival batch in
+    /// [`arrival_order`]. The outcome is a pure function of virtual time,
+    /// port state and frame content — never of engine event order, so it
+    /// cannot depend on the shard count.
+    fn resolve(&self, shard: usize, sw: u32, port_idx: usize) {
         let inner = &self.inner;
-        let ts = inner.topo.as_ref().expect("multi-switch state");
-        let shard = ts.switch_shard[sw as usize];
-        let sim = &inner.sims[shard];
-        let now = sim.now();
-        let limits = ts.topo.limits();
+        let now = inner.sims[shard].now();
+        let limits = inner.topo.limits();
         // PortDegrade stretches the switch traversal of every admission at
         // this switch. Queried from the link-fault lock strictly before
-        // the ports lock (the shared-stats lock is likewise never taken
-        // inside it) — lock order is links → ports → shared, always.
+        // the port lock (the shared-stats lock is likewise never taken
+        // inside it) — lock order is links → port → shared, always.
         let degrade_extra = if inner.switch_faults.load(Ordering::Relaxed) {
             inner.links[shard]
                 .lock()
@@ -1673,12 +1307,12 @@ impl San {
         } else {
             SimDuration::ZERO
         };
-        let mut admit: Vec<TopoFrame> = Vec::new();
+        let mut admit: Vec<Frame> = Vec::new();
         let mut dropped: Vec<Option<MsgId>> = Vec::new();
         let mut stormed: Vec<Option<MsgId>> = Vec::new();
         {
-            let mut ports = ts.switches[sw as usize].lock();
-            let port = &mut ports[port_idx];
+            let mut port = inner.ports[sw as usize][port_idx].lock();
+            let port = &mut *port;
             // 1. Slot frees: departures staged strictly before this tick.
             let freed = port.freed.iter().filter(|&&t| t < now).count() as u32;
             port.freed.retain(|&t| t >= now);
@@ -1686,9 +1320,9 @@ impl San {
             port.queued -= freed;
             // 2. Paused frames refill freed slots first, strict FIFO.
             // `q` tracks slots this resolver has already committed — the
-            // admissions themselves happen in `topo_transmit` below, after
-            // the lock drops (the shared-stats lock is never taken inside
-            // the switch lock).
+            // admissions themselves happen in `transmit` below, after the
+            // lock drops (the shared-stats lock is never taken inside the
+            // port lock).
             let mut q = port.queued;
             while q < limits.capacity {
                 match port.waiting.pop_front() {
@@ -1701,7 +1335,7 @@ impl San {
                 }
             }
             // 3. The same-instant arrival batch, in content order.
-            let mut batch: Vec<(SimTime, TopoFrame)> = Vec::new();
+            let mut batch: Vec<(SimTime, Frame)> = Vec::new();
             let mut i = 0;
             while i < port.staged.len() {
                 if port.staged[i].0 < now {
@@ -1710,10 +1344,7 @@ impl San {
                     i += 1;
                 }
             }
-            batch.sort_by_key(|(at, f)| {
-                let (vi, seq) = f.msg.map_or((u32::MAX, u64::MAX), |m| (m.vi, m.seq));
-                (*at, f.src.0, f.dst.0, vi, seq, f.payload_bytes)
-            });
+            batch.sort_by_key(arrival_order);
             for (_, f) in batch {
                 // `q < capacity` implies the pause queue is empty (frees
                 // refill from the queue first, above), but the explicit
@@ -1765,15 +1396,10 @@ impl San {
                 }
             }
         }
-        // Admitted frames pay the switch traversal before occupying the
-        // output wire, chained in the canonical order fixed above.
+        // Admitted frames occupy the output wire in the canonical order
+        // fixed above.
         for f in admit {
-            self.topo_transmit(
-                sw,
-                port_idx,
-                f,
-                now + inner.params.switch.latency + degrade_extra,
-            );
+            self.transmit(shard, sw, port_idx, f, now, degrade_extra);
         }
         if !dropped.is_empty() || !stormed.is_empty() {
             let mut sh = inner.shared.lock();
@@ -1792,282 +1418,214 @@ impl San {
         }
     }
 
-    /// Put an admitted frame on switch `sw`'s output port `port_idx`: chain
-    /// the port's wire occupancy from `t_ready`, schedule the local depart
-    /// event (slot free + waiter pop), and schedule the frame's onward
-    /// arrival — next-switch ingress for trunks (the only cross-shard hop
-    /// in a topology SAN), NIC delivery for host ports.
-    fn topo_transmit(&self, sw: u32, port_idx: usize, f: TopoFrame, t_ready: SimTime) {
+    /// Put a frame admitted at `at` on switch `sw`'s output port
+    /// `port_idx`: chain the port's wire occupancy and schedule the
+    /// frame's onward step — the next switch's hop for a trunk (the only
+    /// cross-shard step of a multi-switch SAN), [`San::egress`] for a host
+    /// port. A bounded port also schedules the depart event that frees the
+    /// buffer slot.
+    fn transmit(
+        &self,
+        shard: usize,
+        sw: u32,
+        port_idx: usize,
+        f: Frame,
+        at: SimTime,
+        degrade: SimDuration,
+    ) {
         let inner = &self.inner;
-        let ts = inner.topo.as_ref().expect("multi-switch state");
-        let shard = ts.switch_shard[sw as usize];
-        let sim = &inner.sims[shard];
-        let spec = ts.topo.ports(sw)[port_idx];
+        let spec = inner.topo.ports(sw)[port_idx];
         let link = spec.trunk.unwrap_or(inner.params.link);
         let ser = link.serialization(f.payload_bytes);
-        let depart = {
-            let mut ports = ts.switches[sw as usize].lock();
-            let port = &mut ports[port_idx];
-            port.queued += 1;
-            port.stats.admitted += 1;
-            port.stats.highwater = port.stats.highwater.max(port.queued);
-            port.last_dst = f.dst.0;
-            let start = port.busy_until.max(t_ready);
-            port.busy_until = start + ser;
-            start + ser
+        let bounded = !inner.topo.limits().is_unbounded();
+        // The traversal a one-switch fabric already paid at injection.
+        let traversal = if inner.topo.is_single_switch() {
+            SimDuration::ZERO
+        } else {
+            inner.params.switch.latency + degrade
         };
-        let san = self.clone();
-        sim.call_at_as(EventClass::Fabric, depart, move |_| {
-            san.topo_depart(sw, port_idx)
-        });
+        let depart = {
+            let mut port = inner.ports[sw as usize][port_idx].lock();
+            port.stats.admitted += 1;
+            port.last_dst = f.dst.0;
+            if bounded {
+                port.queued += 1;
+                port.stats.highwater = port.stats.highwater.max(port.queued);
+            }
+            port.wire.occupy(at, traversal, ser) + ser
+        };
+        if bounded {
+            let san = self.clone();
+            inner.sims[shard].call_at_as(EventClass::Fabric, depart, move |_| {
+                san.depart(shard, sw, port_idx)
+            });
+        }
         match spec.target {
             PortTarget::Switch(next) => {
                 // Scheduling from the admission event keeps every
                 // cross-shard delay at `switch latency + serialization +
                 // propagation` — strictly above the sharded lookahead
                 // (`switch latency + min trunk propagation`).
-                let arrive = depart + link.propagation;
-                let dst_shard = ts.switch_shard[next as usize];
+                let to = self.hop_shard(next, f.dst);
                 let san = self.clone();
-                let go = move |_: &Sim| san.topo_ingress(next, f);
-                if dst_shard == shard {
-                    sim.call_at_as(EventClass::Fabric, arrive, go);
-                } else {
-                    inner.senders[shard].send(dst_shard, arrive, EventClass::Fabric, go);
-                }
+                self.schedule(shard, to, depart + link.propagation, move |sim| {
+                    san.hop(to, next, f, sim.now())
+                });
             }
             PortTarget::Node(node) => {
                 debug_assert_eq!(node, f.dst.0, "host port target mismatch");
-                self.topo_deliver(f, depart, shard);
+                self.egress(shard, f, depart, at);
             }
         }
     }
 
-    /// A frame finished serializing out of a port: stage the freed buffer
-    /// slot for the next resolver tick, which applies it and — if paused
-    /// frames are parked — admits the head of the pause queue. A popped
-    /// frame re-pays the switch traversal (the forwarding pipeline
-    /// restarts for parked frames), preserving the per-hop delay floor
-    /// the sharded lookahead relies on. The free is staged rather than
-    /// applied inline for the same reason arrivals are (see
-    /// [`San::topo_resolve`]): a depart and an arrival at one instant
-    /// must not race in engine order.
-    fn topo_depart(&self, sw: u32, port_idx: usize) {
-        let inner = &self.inner;
-        let ts = inner.topo.as_ref().expect("multi-switch state");
-        let shard = ts.switch_shard[sw as usize];
-        let sim = &inner.sims[shard];
+    /// A frame finished serializing out of a bounded port: stage the freed
+    /// buffer slot for the next resolver tick, which applies it and — if
+    /// paused frames are parked — admits the head of the pause queue. A
+    /// popped frame re-pays the switch traversal (the forwarding pipeline
+    /// restarts for parked frames), preserving the per-hop delay floor the
+    /// sharded lookahead relies on. The free is staged rather than applied
+    /// inline for the same reason arrivals are (see [`San::resolve`]): a
+    /// depart and an arrival at one instant must not race in engine order.
+    fn depart(&self, shard: usize, sw: u32, port_idx: usize) {
+        let sim = &self.inner.sims[shard];
         let now = sim.now();
         let need_resolver = {
-            let mut ports = ts.switches[sw as usize].lock();
-            let port = &mut ports[port_idx];
+            let mut port = self.inner.ports[sw as usize][port_idx].lock();
             port.freed.push(now);
             port.schedule_resolver(now)
         };
         if need_resolver {
             let san = self.clone();
             sim.call_at_as(EventClass::Fabric, now + RESOLVE_TICK, move |_| {
-                san.topo_resolve(sw, port_idx)
+                san.resolve(shard, sw, port_idx)
             });
         }
     }
 
-    /// Final hop of the multi-switch path: the host port's egress *is* the
-    /// destination downlink. Roll the downlink loss and fault decisions in
-    /// port-admission order (this shard's event order — the downlink RNG
-    /// stream stays a pure function of frame order on this link), then
-    /// schedule the NIC arrival.
-    fn topo_deliver(&self, f: TopoFrame, depart: SimTime, shard: usize) {
+    /// Stage 3 — the host port's wire *is* the destination downlink: at
+    /// admission instant `at`, roll the downlink's loss and fault verdict
+    /// (in admission order — the downlink RNG stream stays a pure function
+    /// of frame order on this link), then schedule the NIC arrival one
+    /// propagation after the frame `depart`s the wire.
+    fn egress(&self, shard: usize, f: Frame, depart: SimTime, at: SimTime) {
         let inner = &self.inner;
-        let sim = &inner.sims[shard];
-        let now = sim.now();
-        let dst = f.dst;
-        let (arrive, outcome) = {
+        let outcome = {
             let mut ls = inner.links[shard].lock();
             let ls = &mut *ls;
-            let link = &mut ls.downlinks[dst.index()];
-            let mut arrive = depart + inner.params.link.propagation;
-            let mut outcome = if f.lossy && link.loss.roll(&mut link.rng, inner.params.loss) {
+            let lane = &mut ls.down_loss[f.dst.index()];
+            if f.lossy && lane.loss.roll(&mut lane.rng, inner.params.loss) {
                 HopOutcome::LossDrop
             } else {
-                HopOutcome::Pass
-            };
-            if outcome == HopOutcome::Pass {
-                if let Some(fs) = ls.faults.as_mut() {
-                    match fs.on_downlink(dst, f.lossy) {
-                        HopFault::Pass { extra } => arrive += extra,
-                        HopFault::Down => outcome = HopOutcome::FaultDown,
-                        HopFault::Corrupt => unreachable!("corruption rolls at ingress"),
-                        HopFault::Lost => outcome = HopOutcome::FaultLost,
-                        HopFault::NodeDead => outcome = HopOutcome::NodeDead,
-                    }
+                match ls.faults.as_mut() {
+                    Some(fs) => fs.on_downlink(f.dst, f.lossy),
+                    None => HopOutcome::PASS,
                 }
             }
-            (arrive, outcome)
         };
         match outcome {
-            HopOutcome::Pass => {}
-            HopOutcome::LossDrop => {
-                let mut sh = inner.shared.lock();
-                sh.stats.frames_dropped += 1;
-                sh.tracer.record(now, TracePoint::WireDrop, dst.0, f.msg, 2);
-                return;
+            HopOutcome::Pass { extra } => {
+                let arrive = depart + inner.params.link.propagation + extra;
+                self.schedule_delivery(shard, f, arrive);
             }
-            HopOutcome::FaultDown => {
-                let mut sh = inner.shared.lock();
-                sh.stats.frames_faulted += 1;
-                sh.tracer.record(now, TracePoint::WireDrop, dst.0, f.msg, 4);
-                return;
-            }
-            HopOutcome::Corrupt => unreachable!("corruption rolls at ingress"),
-            HopOutcome::FaultLost => {
-                let mut sh = inner.shared.lock();
-                sh.stats.frames_dropped += 1;
-                sh.tracer.record(now, TracePoint::WireDrop, dst.0, f.msg, 6);
-                return;
-            }
-            HopOutcome::NodeDead => {
-                let mut sh = inner.shared.lock();
-                sh.stats.frames_fault_dropped += 1;
-                sh.node_fault_dropped[dst.index()] += 1;
-                // aux = 10: the destination host is crashed.
-                sh.tracer
-                    .record(now, TracePoint::WireDrop, dst.0, f.msg, 10);
-                return;
-            }
+            dropped => inner.shared.lock().record_outcome(
+                at,
+                f.dst,
+                f.msg,
+                f.payload_bytes,
+                dropped,
+                false,
+            ),
         }
-        self.schedule_delivery(sim, f.src, dst, f.payload_bytes, f.body, f.msg, arrive);
     }
 
-    /// True for single-switch SANs (whether built plainly or through a
-    /// degenerate [`Topology::star`]). Multi-switch fabrics route hop by
-    /// hop, so the fused fast path — whose arithmetic assumes the one-
-    /// switch traversal — must de-fuse when this is false.
+    /// Schedule the NIC arrival event at `arrive` on the destination's
+    /// engine (`shard`).
+    fn schedule_delivery(&self, shard: usize, f: Frame, arrive: SimTime) {
+        let san = self.clone();
+        self.inner.sims[shard].call_at_as(EventClass::Fabric, arrive, move |sim| {
+            let Frame {
+                src,
+                dst,
+                payload_bytes,
+                body,
+                msg,
+                ..
+            } = f;
+            // Frames already past the downlink when a node-scoped window
+            // opened still arrive during it: the dead NIC sinks them.
+            // Liveness at the arrival instant is a pure function of
+            // virtual time (window edges flip every shard's replica), so
+            // this decision is shard-count-invariant.
+            if san.inner.node_faults.load(Ordering::Relaxed)
+                && san.fault_active(shard, |fs| fs.node_dead(dst))
+            {
+                let dead = HopOutcome::NodeDead;
+                let mut sh = san.inner.shared.lock();
+                return sh.record_outcome(sim.now(), dst, msg, payload_bytes, dead, false);
+            }
+            let handler = {
+                let mut sh = san.inner.shared.lock();
+                sh.stats.frames_delivered += 1;
+                sh.stats.bytes_delivered += payload_bytes as u64;
+                sh.tracer.record(
+                    sim.now(),
+                    TracePoint::WireRx,
+                    dst.0,
+                    msg,
+                    payload_bytes as u64,
+                );
+                sh.handlers[dst.index()].clone()
+            };
+            let handler = handler.unwrap_or_else(|| {
+                panic!("frame delivered to node {dst} with no handler attached")
+            });
+            handler(
+                sim,
+                Delivery {
+                    src,
+                    dst,
+                    payload_bytes,
+                    body,
+                },
+            );
+        });
+    }
+
+    /// True when this SAN's topology has exactly one switch (however it
+    /// was built). Multi-switch fabrics route hop by hop through bounded
+    /// ports, so the fused fast path — whose arithmetic assumes the
+    /// one-switch traversal — must de-fuse when this is false.
     pub fn is_single_switch(&self) -> bool {
-        self.inner.topo.is_none()
+        self.inner.topo.is_single_switch()
     }
 
-    /// The topology this SAN routes over; `None` for single-switch SANs
-    /// (including degenerate stars, which keep no routing state).
-    pub fn topology(&self) -> Option<&Topology> {
-        self.inner.topo.as_ref().map(|t| &t.topo)
+    /// The topology this SAN routes over.
+    pub fn topology(&self) -> &Topology {
+        &self.inner.topo
     }
 
     /// Snapshot of every switch output port's counters, in `(switch, port)`
-    /// order. Empty for single-switch SANs.
+    /// order.
     pub fn port_stats(&self) -> Vec<PortSnapshot> {
-        let Some(ts) = &self.inner.topo else {
-            return Vec::new();
-        };
+        let inner = &self.inner;
         let mut out = Vec::new();
-        for s in 0..ts.topo.switches() as u32 {
-            let ports = ts.switches[s as usize].lock();
-            for (i, p) in ports.iter().enumerate() {
+        for (s, ports) in inner.ports.iter().enumerate() {
+            for (spec, port) in inner.topo.ports(s as u32).iter().zip(ports) {
                 out.push(PortSnapshot {
-                    switch: s,
-                    target: ts.topo.ports(s)[i].target,
-                    stats: p.stats,
+                    switch: s as u32,
+                    target: spec.target,
+                    stats: port.lock().stats,
                 });
             }
         }
         out
     }
 
-    /// Fused-path injection: put a frame on the wire exactly as
-    /// [`San::send_msg`] executed at virtual time `at` (the precomputed
-    /// wire time, `at >= now`) would have. Callers must have verified the
-    /// fabric-side fuse guard first — lossless loss model and no fault
-    /// plan — so the frame cannot drop and no RNG stream is consumed,
-    /// which is what makes computing the occupancy ahead of time exact.
-    ///
-    /// Uplink occupancy chains from `max(busy_until, at)`, identical to
-    /// the general stage running at `at`: the caller's NIC ring serializes
-    /// all sends of the source node, so no other frame can claim this
-    /// uplink between now and `at`.
-    ///
-    /// When the destination is on the same engine shard *and* the source
-    /// is provably the sole writer of the destination downlink
-    /// ([`San::sole_writer`]), the switch-egress hop is folded in eagerly:
-    /// downlink occupancy is applied now (sole-writer frames have strictly
-    /// monotone switch-arrival times, so eager application preserves the
-    /// general path's FIFO chaining bit-exactly) and the NIC arrival event
-    /// is scheduled directly; the elided Fabric hop is credited to the
-    /// engine's logical ledger here. Returns `true` in that case and
-    /// `false` when the general forward event had to be scheduled.
-    pub fn send_msg_at(
-        &self,
-        src: NodeId,
-        dst: NodeId,
-        payload_bytes: u32,
-        body: Box<dyn Any + Send>,
-        msg: Option<MsgId>,
-        at: SimTime,
-    ) -> bool {
-        assert_ne!(src, dst, "fabric has no loopback path");
-        let inner = &self.inner;
-        assert!(
-            payload_bytes <= inner.params.link.mtu,
-            "frame payload {} exceeds link MTU {}",
-            payload_bytes,
-            inner.params.link.mtu
-        );
-        debug_assert!(
-            self.is_lossless() && !self.faults_installed(),
-            "fused injection requires a lossless, fault-free fabric"
-        );
-        debug_assert!(
-            self.is_single_switch(),
-            "fused injection requires the single-switch fabric"
-        );
-        let src_shard = inner.map.assign(src.0);
-        let sim = &inner.sims[src_shard];
-        debug_assert!(at >= sim.now(), "fused wire time lies in the past");
-        let ser = inner.params.link.serialization(payload_bytes);
-        let prop = inner.params.link.propagation;
-        let at_switch = {
-            let mut ls = inner.links[src_shard].lock();
-            let link = &mut ls.uplinks[src.index()];
-            let start = link.occupy(at, ser);
-            if inner.params.switch.cut_through {
-                start + prop + inner.params.switch.latency
-            } else {
-                start + ser + prop + inner.params.switch.latency
-            }
-        };
-        {
-            let mut sh = inner.shared.lock();
-            sh.stats.frames_sent += 1;
-            sh.tracer
-                .record(at, TracePoint::WireTx, src.0, msg, payload_bytes as u64);
-        }
-        let dst_shard = inner.map.assign(dst.0);
-        if dst_shard == src_shard && self.sole_writer(src, dst) {
-            // Fold the switch-egress hop: apply the downlink occupancy
-            // eagerly and schedule the arrival directly.
-            let arrive = {
-                let mut ls = inner.links[src_shard].lock();
-                let link = &mut ls.downlinks[dst.index()];
-                let start = link.occupy(at_switch, ser);
-                start + ser + prop
-            };
-            sim.note_elided(EventClass::Fabric, 1);
-            self.schedule_delivery(sim, src, dst, payload_bytes, body, msg, arrive);
-            true
-        } else {
-            let san = self.clone();
-            let deliver = move |_: &Sim| san.forward(src, dst, payload_bytes, body, true, msg);
-            if dst_shard == src_shard {
-                sim.call_at_as(EventClass::Fabric, at_switch, deliver);
-            } else {
-                inner.senders[src_shard].send(dst_shard, at_switch, EventClass::Fabric, deliver);
-            }
-            false
-        }
-    }
-
-    /// Unloaded one-way frame latency for a given payload (no queueing):
-    /// one serialization on a cut-through path, two when the switch stores
-    /// and forwards, plus two propagations and the switch traversal.
+    /// Unloaded one-way frame latency across one switch for a given
+    /// payload (no queueing): one serialization on a cut-through path, two
+    /// when the switch stores and forwards, plus two propagations and the
+    /// switch traversal.
     pub fn unloaded_latency(&self, payload_bytes: u32) -> SimDuration {
         let p = &self.inner.params;
         let ser = p.link.serialization(payload_bytes);
@@ -2658,57 +2216,210 @@ mod tests {
         }
     }
 
-    /// Satellite regression: a San built through `Topology::star` must be
-    /// indistinguishable from the legacy constructor — same timeline, same
-    /// stats, same RNG draws — under loss, where any divergence in draw
-    /// order would show immediately.
-    #[test]
-    fn star_topology_is_byte_identical_to_legacy() {
-        use crate::topo::Topology;
-        type Log = Arc<Mutex<Vec<(u64, u32, u32)>>>;
-        fn run(star: bool) -> (Vec<(u64, u32, u32)>, SanStats) {
-            let params = NetParams::clan().with_loss(0.2);
-            let nodes = 4u32;
+    /// One delivery: (arrival ns, dst, payload bytes).
+    type Arrival = (u64, u32, u32);
+    /// One `WireDrop` trace record: (stamp ns, node, hop tag).
+    type Drop = (u64, u32, u64);
+
+    /// The 4-node / 32-frame / 20 %-loss star scenario the pinned timelines
+    /// below were recorded from: arrivals and `WireDrop` records, both
+    /// sorted, plus the SAN counters and the SAN itself.
+    fn run_pinned(
+        cut_through: bool,
+        plan: &FaultPlan,
+        shards: usize,
+    ) -> (Vec<Arrival>, Vec<Drop>, SanStats, San) {
+        use simkit::ShardedSim;
+        use trace::TraceConfig;
+        let mut params = NetParams::clan().with_loss(0.2);
+        params.switch.cut_through = cut_through;
+        let nodes = 4u32;
+        let (san, sims, eng) = if shards == 1 {
             let sim = Sim::new();
-            let san = if star {
-                San::new_topo(sim.clone(), params, Topology::star(nodes as usize), 7)
-            } else {
-                San::new(sim.clone(), params, nodes as usize, 7)
-            };
-            let log: Log = Arc::new(Mutex::new(Vec::new()));
-            for n in 0..nodes {
-                let l2 = Arc::clone(&log);
-                san.attach(
-                    NodeId(n),
-                    Arc::new(move |sim, d| {
-                        l2.lock()
-                            .push((sim.now().as_nanos(), d.dst.0, d.payload_bytes));
-                    }),
-                );
-            }
-            for src in 0..nodes {
-                for k in 0..8u64 {
-                    let dst = NodeId((src + 1 + (k as u32 % (nodes - 1))) % nodes);
-                    let s = NodeId(src);
-                    let san2 = san.clone();
-                    let at = SimDuration::from_nanos(701 * (k + 1) + src as u64 * 97);
-                    sim.call_in_as(EventClass::Fabric, at, move |_| {
-                        san2.send(s, dst, 200 + 64 * k as u32, Box::new(()));
-                    });
-                }
-            }
-            sim.run_to_completion();
-            assert!(san.is_single_switch());
-            assert!(san.port_stats().is_empty());
-            assert!(san.topology().is_none());
-            let l = log.lock().clone();
-            (l, san.stats())
+            let san = San::new(sim.clone(), params, nodes as usize, 7);
+            (san, vec![sim; nodes as usize], None)
+        } else {
+            let eng = ShardedSim::new(shards, params.min_cross_latency());
+            let san = San::new_sharded(&eng, params, nodes as usize, 7);
+            let sims = (0..nodes).map(|n| eng.sim_for_node(n).clone()).collect();
+            (san, sims, Some(eng))
+        };
+        let tracer = Tracer::new(TraceConfig::default());
+        san.set_tracer(tracer.clone());
+        let log = Arc::new(Mutex::new(Vec::new()));
+        for n in 0..nodes {
+            let l2 = Arc::clone(&log);
+            san.attach(
+                NodeId(n),
+                Arc::new(move |sim, d| {
+                    l2.lock()
+                        .push((sim.now().as_nanos(), d.dst.0, d.payload_bytes));
+                }),
+            );
         }
-        let (legacy_log, legacy_stats) = run(false);
-        let (star_log, star_stats) = run(true);
-        assert!(legacy_stats.frames_dropped > 0, "{legacy_stats:?}");
-        assert_eq!(star_log, legacy_log);
-        assert_eq!(star_stats, legacy_stats);
+        san.install_faults(plan);
+        for src in 0..nodes {
+            for k in 0..8u64 {
+                let dst = NodeId((src + 1 + (k as u32 % (nodes - 1))) % nodes);
+                let s = NodeId(src);
+                let san2 = san.clone();
+                let at = SimDuration::from_nanos(701 * (k + 1) + src as u64 * 97);
+                sims[src as usize].call_in_as(EventClass::Fabric, at, move |_| {
+                    san2.send(s, dst, 200 + 64 * k as u32, Box::new(()));
+                });
+            }
+        }
+        match eng {
+            Some(e) => assert_eq!(e.run_to_completion().causality_violations, 0),
+            None => {
+                sims[0].run_to_completion();
+            }
+        }
+        let mut arrivals = log.lock().clone();
+        arrivals.sort_unstable();
+        let mut drops: Vec<Drop> = tracer
+            .records()
+            .iter()
+            .filter(|r| r.point == TracePoint::WireDrop)
+            .map(|r| (r.at_ns, r.node, r.aux))
+            .collect();
+        drops.sort_unstable();
+        (arrivals, drops, san.stats(), san)
+    }
+
+    /// Run the pinned scenario serially and at 2 and 3 shards against one
+    /// recorded timeline, and check what a star reports about itself.
+    fn assert_pinned(
+        cut_through: bool,
+        plan: &FaultPlan,
+        arrivals: &[Arrival],
+        drops: &[Drop],
+        stats: SanStats,
+    ) {
+        for shards in [1usize, 2, 3] {
+            let (a, d, s, san) = run_pinned(cut_through, plan, shards);
+            assert_eq!(a, arrivals, "arrivals moved at shards={shards}");
+            assert_eq!(d, drops, "drop records moved at shards={shards}");
+            assert_eq!(s, stats, "counters moved at shards={shards}");
+            // A star is a topology like any other: one switch, one
+            // unbounded host port per node, nothing paused or dropped
+            // there, and every frame that survived its uplink (no crashed
+            // sender here, so uplink deaths are hop tags 1/3/5) admitted
+            // to one.
+            assert!(san.is_single_switch());
+            assert_eq!(san.topology().name(), "star");
+            let ports = san.port_stats();
+            assert_eq!(ports.len(), 4);
+            for (n, p) in ports.iter().enumerate() {
+                assert_eq!((p.switch, p.target), (0, PortTarget::Node(n as u32)));
+                assert_eq!((p.stats.pauses, p.stats.drops), (0, 0));
+            }
+            let uplink_drops = d.iter().filter(|r| matches!(r.2, 1 | 3 | 5)).count() as u64;
+            let admitted: u64 = ports.iter().map(|p| p.stats.admitted).sum();
+            assert_eq!(admitted, s.frames_sent - uplink_drops);
+        }
+    }
+
+    // The three timelines below were recorded from the single-switch
+    // forwarding path this pipeline replaced (`send_inner → forward`),
+    // immediately before it was deleted. They are never re-blessed: the
+    // star must keep producing exactly what that path produced.
+
+    #[test]
+    #[rustfmt::skip]
+    fn star_timeline_pinned_cut_through() {
+        assert_pinned(
+            true,
+            &FaultPlan::new(),
+            &[
+                (3492, 1, 200), (3686, 3, 200), (3783, 0, 200), (6062, 2, 264),
+                (6159, 3, 264), (6256, 0, 264), (6256, 1, 264), (9214, 3, 328),
+                (9311, 0, 328), (12851, 3, 392), (12948, 0, 392), (12948, 1, 392),
+                (16973, 2, 456), (17070, 3, 456), (17167, 0, 456), (17167, 1, 456),
+                (21870, 3, 520), (21967, 1, 520), (21967, 2, 520), (27349, 1, 584),
+                (27349, 2, 584), (33313, 2, 648),
+            ],
+            &[
+                (1498, 2, 2), (2394, 3, 1), (4303, 1, 1), (5101, 2, 1), (5198, 3, 1),
+                (5802, 2, 1), (5959, 1, 2), (8917, 2, 2), (26955, 3, 2), (27149, 1, 2),
+            ],
+            SanStats {
+                frames_sent: 32,
+                frames_delivered: 22,
+                frames_dropped: 10,
+                bytes_delivered: 8688,
+                ..SanStats::default()
+            },
+        );
+    }
+
+    #[test]
+    #[rustfmt::skip]
+    fn star_timeline_pinned_store_and_forward() {
+        assert_pinned(
+            false,
+            &FaultPlan::new(),
+            &[
+                (5383, 1, 200), (5577, 3, 200), (5674, 0, 200), (8438, 2, 264),
+                (8535, 3, 264), (8632, 0, 264), (8729, 1, 264), (12075, 3, 328),
+                (12172, 0, 328), (16294, 1, 392), (16488, 3, 392), (16585, 0, 392),
+                (21095, 2, 456), (21192, 3, 456), (21289, 0, 456), (21386, 1, 456),
+                (26476, 3, 520), (26670, 1, 520), (26767, 2, 520), (32440, 1, 584),
+                (32537, 2, 584), (38986, 2, 648),
+            ],
+            &[
+                (2394, 3, 1), (3389, 2, 2), (4303, 1, 1), (5101, 2, 1), (5198, 3, 1),
+                (5802, 2, 1), (9014, 1, 2), (12554, 2, 2), (32919, 3, 2), (33113, 1, 2),
+            ],
+            SanStats {
+                frames_sent: 32,
+                frames_delivered: 22,
+                frames_dropped: 10,
+                bytes_delivered: 8688,
+                ..SanStats::default()
+            },
+        );
+    }
+
+    /// An armed plan pins where fault windows are *sampled*: the brownout
+    /// at injection (it shifts everything downstream), the link flap on
+    /// both hops (tags 3 and 4), and the node crash both at the downlink
+    /// hop's instant and — for the frame already past it, (8965, 2, 10) —
+    /// at arrival.
+    #[test]
+    #[rustfmt::skip]
+    fn star_timeline_pinned_under_faults() {
+        let us = SimDuration::from_micros;
+        let t = |ns| SimTime::ZERO + SimDuration::from_nanos(ns);
+        let plan = FaultPlan::new()
+            .brownout(t(1_000), us(2), us(3))
+            .link_flap(NodeId(1), t(4_000), us(3))
+            .node_down(NodeId(2), t(8_500), us(10));
+        assert_pinned(
+            true,
+            &plan,
+            &[
+                (3492, 1, 200), (3686, 3, 200), (3783, 0, 200), (9062, 3, 264),
+                (9159, 0, 264), (12117, 3, 328), (12214, 0, 328), (15851, 0, 392),
+                (15851, 3, 392), (15948, 1, 392), (20070, 0, 456), (20070, 3, 456),
+                (20167, 1, 456), (24870, 3, 520), (24967, 1, 520), (30349, 1, 584),
+                (33022, 2, 648),
+            ],
+            &[
+                (1498, 2, 2), (2394, 3, 1), (4303, 1, 1), (5004, 1, 3), (5101, 2, 1),
+                (5198, 3, 1), (5705, 1, 3), (5802, 2, 1), (6583, 1, 4), (8959, 1, 2),
+                (8965, 2, 10), (11917, 2, 2), (12457, 2, 10), (16967, 2, 10), (27149, 1, 2),
+            ],
+            SanStats {
+                frames_sent: 32,
+                frames_delivered: 17,
+                frames_dropped: 9,
+                bytes_delivered: 6600,
+                frames_faulted: 3,
+                frames_fault_dropped: 3,
+                ..SanStats::default()
+            },
+        );
     }
 
     #[test]

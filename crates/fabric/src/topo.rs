@@ -3,11 +3,11 @@
 //! A [`Topology`] is a pure description: `N` hosts, `S` switches, a host→
 //! edge-switch attachment map, and switch↔switch trunks with their own
 //! [`LinkParams`]. Constructors cover the shapes the suite exercises —
-//! [`Topology::star`] (today's single-switch San as a true degenerate
-//! case), [`Topology::dumbbell`], a 2-level [`Topology::fat_tree`], and a
+//! [`Topology::star`] (the paper's testbed: one switch, unbounded host
+//! ports), [`Topology::dumbbell`], a 2-level [`Topology::fat_tree`], and a
 //! [`Topology::ring`] of switches. The San consumes the description to
-//! build per-output-port buffered switch state (see `san.rs`); everything
-//! here is side-effect-free and cheap to clone.
+//! build per-output-port switch state (see `san.rs`); everything here is
+//! side-effect-free and cheap to clone.
 //!
 //! # Routing
 //!
@@ -29,9 +29,10 @@
 //! [`Topology::shard_lookahead`] is the matching conservative window: the
 //! minimum over all trunks of `switch latency + trunk propagation` (a
 //! frame admitted to a trunk port additionally pays serialization, so this
-//! is a strict floor). Single-switch topologies fall back to the legacy
-//! global [`NetParams::min_cross_latency`] and the content-keyed
-//! [`ShardMap`] — the degenerate case is bit-for-bit the pre-topology San.
+//! is a strict floor). A single switch has no neighborhoods to keep
+//! together: its nodes spread by the content-keyed [`ShardMap`], every
+//! frame may cross shards on its way into the switch, and the window is
+//! [`NetParams::min_cross_latency`].
 
 use simkit::{ShardMap, SimDuration};
 use trace::MsgId;
@@ -95,6 +96,23 @@ pub struct PortLimits {
     /// (default) disables the watchdog — pauses may persist indefinitely,
     /// as before.
     pub max_pause: Option<SimDuration>,
+}
+
+impl PortLimits {
+    /// A port with nothing to arbitrate: every frame is admitted the
+    /// instant it arrives, so the San neither stages arrivals nor tracks
+    /// occupancy for it. Only one-switch shapes may use it — see
+    /// [`Topology::star`].
+    pub(crate) const UNBOUNDED: PortLimits = PortLimits {
+        capacity: u32::MAX,
+        pause_depth: 0,
+        max_pause: None,
+    };
+
+    /// True for [`PortLimits::UNBOUNDED`] buffers.
+    pub(crate) fn is_unbounded(&self) -> bool {
+        self.capacity == u32::MAX
+    }
 }
 
 impl Default for PortLimits {
@@ -206,6 +224,8 @@ pub struct Topology {
     nodes: u32,
     /// Host → edge switch.
     edge_of: Vec<u32>,
+    /// Host → index of its port on its edge switch.
+    host_port: Vec<u32>,
     /// Per-switch output ports: host ports first (ascending node), then
     /// trunk ports (ascending neighbor switch).
     ports: Vec<Vec<PortSpec>>,
@@ -218,9 +238,10 @@ pub struct Topology {
 }
 
 impl Topology {
-    /// The single-switch star: every node attached to one switch. This is
-    /// today's San exactly — a San built over it takes the legacy
-    /// single-switch path and produces byte-identical artifacts.
+    /// The single-switch star: every node attached to one switch — the
+    /// shape of the paper's testbeds. Its host ports are unbounded (the
+    /// destination downlink is the only queue, and a wire never refuses a
+    /// frame), so nothing is ever paused or dropped at the switch.
     pub fn star(nodes: usize) -> Topology {
         assert!(nodes >= 1, "star needs at least one node");
         let ports = vec![(0..nodes as u32)
@@ -234,7 +255,7 @@ impl Topology {
             nodes as u32,
             vec![0; nodes],
             ports,
-            PortLimits::default(),
+            PortLimits::UNBOUNDED,
         )
     }
 
@@ -341,6 +362,20 @@ impl Topology {
     ) -> Topology {
         assert!(limits.capacity >= 1, "port capacity must be at least 1");
         let s = ports.len();
+        // Unbounded ports admit in engine event order; with trunks between
+        // shards that order would depend on the shard count.
+        assert!(
+            s == 1 || !limits.is_unbounded(),
+            "multi-switch ports need a finite buffer"
+        );
+        let mut host_port = vec![0; nodes as usize];
+        for ps in &ports {
+            for (i, p) in ps.iter().enumerate() {
+                if let PortTarget::Node(n) = p.target {
+                    host_port[n as usize] = i as u32;
+                }
+            }
+        }
         let adj: Vec<Vec<u32>> = ports
             .iter()
             .map(|ps| {
@@ -401,6 +436,7 @@ impl Topology {
             name,
             nodes,
             edge_of,
+            host_port,
             ports,
             next_hops,
             dist,
@@ -428,7 +464,9 @@ impl Topology {
         self.edge_of[node as usize]
     }
 
-    /// True for exactly-one-switch shapes — the legacy San fast path.
+    /// True for exactly-one-switch shapes: the route is known at injection,
+    /// so the San pays the switch traversal on the way in and honors
+    /// [`crate::params::SwitchParams::cut_through`].
     pub fn is_single_switch(&self) -> bool {
         self.ports.len() == 1
     }
@@ -481,10 +519,11 @@ impl Topology {
     /// Index of switch `sw`'s port toward node `node`. Panics if the node
     /// is not attached to `sw`.
     pub fn port_to_node(&self, sw: u32, node: u32) -> usize {
-        self.ports[sw as usize]
-            .iter()
-            .position(|p| p.target == PortTarget::Node(node))
-            .expect("node not attached to this switch")
+        assert_eq!(
+            self.edge_of[node as usize], sw,
+            "node not attached to this switch"
+        );
+        self.host_port[node as usize] as usize
     }
 
     /// Index of switch `sw`'s trunk port toward neighbor switch `next`.
@@ -612,12 +651,12 @@ impl Topology {
         Routes { next_hops, epoch }
     }
 
-    /// The shard owning switch `sw` in a multi-switch shape: switches
-    /// stripe round-robin — switch counts are small and homogeneous, so
-    /// striping balances shards where a content-keyed hash could leave one
-    /// empty. Pure function of `(sw, shards)`: stable across runs and
-    /// machines. (Single-switch shapes never consult this; their nodes
-    /// follow the legacy content-keyed map.)
+    /// The shard owning switch `sw`: switches stripe round-robin — switch
+    /// counts are small and homogeneous, so striping balances shards where
+    /// a content-keyed hash could leave one empty. Pure function of
+    /// `(sw, shards)`: stable across runs and machines. (A hop onto a host
+    /// port runs on the *node's* shard, which [`Topology::shard_map`] makes
+    /// the same thing on every multi-switch shape.)
     pub fn switch_shard(&self, sw: u32, shards: usize) -> usize {
         if shards == 1 {
             return 0;
@@ -627,9 +666,8 @@ impl Topology {
 
     /// The topology-aware node→shard map: every node lands on its edge
     /// switch's shard, so switch neighborhoods stay co-sharded and only
-    /// trunk traversals cross shards. Single-switch shapes return the
-    /// legacy content-keyed map (the degenerate case must not perturb
-    /// existing shard layouts).
+    /// trunk traversals cross shards. A single switch has no neighborhoods
+    /// to keep together, so its nodes spread by the content-keyed map.
     pub fn shard_map(&self, shards: usize) -> ShardMap {
         if self.is_single_switch() {
             return ShardMap::new(shards);
@@ -645,8 +683,9 @@ impl Topology {
     /// The conservative cross-shard lookahead this topology supports under
     /// `net`: the minimum over trunks of `switch latency + trunk
     /// propagation` (admission additionally pays serialization, so this is
-    /// a strict floor on any trunk traversal). Single-switch shapes use
-    /// the legacy global [`NetParams::min_cross_latency`].
+    /// a strict floor on any trunk traversal). On a single switch the
+    /// cross-shard hop is the injection itself, which pays at least
+    /// [`NetParams::min_cross_latency`].
     pub fn shard_lookahead(&self, net: &NetParams) -> SimDuration {
         if self.is_single_switch() {
             return net.min_cross_latency();
@@ -675,7 +714,7 @@ mod tests {
     }
 
     #[test]
-    fn star_is_degenerate() {
+    fn star_is_one_unbounded_switch() {
         let t = Topology::star(5);
         assert!(t.is_single_switch());
         assert_eq!(t.switches(), 1);
@@ -683,12 +722,14 @@ mod tests {
         assert_eq!(t.trunk_ports(), 0);
         assert!((0..5).all(|n| t.edge_of(n) == 0));
         assert_eq!(t.ports(0).len(), 5);
+        assert!(t.limits().is_unbounded());
+        assert!((0..5).all(|n| t.port_to_node(0, n) == n as usize));
         let net = NetParams::clan();
         assert_eq!(t.shard_lookahead(&net), net.min_cross_latency());
-        // The degenerate shard map is the legacy content-keyed one.
-        let legacy = ShardMap::new(4);
+        // One switch: nodes spread by the content-keyed map.
+        let keyed = ShardMap::new(4);
         let m = t.shard_map(4);
-        assert!((0..5).all(|n| m.assign(n) == legacy.assign(n)));
+        assert!((0..5).all(|n| m.assign(n) == keyed.assign(n)));
     }
 
     #[test]

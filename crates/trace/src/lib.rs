@@ -13,9 +13,10 @@
 //! A [`Tracer`] is either *attached* (it holds shared state) or *disabled*
 //! (it holds nothing). Disabled is the default everywhere: every
 //! [`Tracer::record`] call is then a single `Option` branch, so the hot
-//! path of an untraced run stays allocation- and lock-free (pinned by the
-//! `sim_perf` bench). When attached, lifecycle *counters* are always on,
-//! while full span [`Record`]s go into a bounded ring buffer only when
+//! path of an untraced run stays allocation- and lock-free (the baseline
+//! perfbench's `trace.attached_overhead_pct` measures the attached path
+//! against). When attached, lifecycle *counters* are always on, while full
+//! span [`Record`]s go into a bounded ring buffer only when
 //! [`TraceConfig::capture_spans`] is set.
 //!
 //! ## Consumers

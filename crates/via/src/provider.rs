@@ -831,16 +831,14 @@ pub struct Cluster {
 
 impl Cluster {
     /// Build `nodes` providers running `profile` over a fresh SAN. `seed`
-    /// feeds loss injection. The SAN is constructed through the degenerate
-    /// [`Topology::star`] — bit-for-bit the legacy single-switch fabric.
+    /// feeds loss injection. The SAN is a one-switch [`Topology::star`].
     pub fn new(sim: Sim, profile: Profile, nodes: usize, seed: u64) -> Self {
         Self::new_topo(sim, profile, Topology::star(nodes), seed)
     }
 
     /// Build one provider per topology node over an explicit [`Topology`]
     /// on a serial engine. Multi-switch shapes route frames hop by hop
-    /// through buffered, backpressured switch ports (see `fabric::topo`);
-    /// single-switch shapes are exactly [`Cluster::new`].
+    /// through buffered, backpressured switch ports (see `fabric::topo`).
     pub fn new_topo(sim: Sim, profile: Profile, topo: Topology, seed: u64) -> Self {
         let nodes = topo.nodes();
         let san = San::new_topo(sim.clone(), profile.net, topo, seed);

@@ -67,10 +67,16 @@ fn ping_pong_stats(profile: Profile, iters: usize, msg: u32) -> simkit::SchedSta
     sim.sched_stats()
 }
 
+/// The fuse knob is process-global and libtest runs tests on parallel
+/// threads, so the three legs that pin it run inside one test.
 #[test]
+fn fuse_knob_legs() {
+    offload_ping_pong_fuses();
+    disabled_knob_defuses_everything();
+    host_emulated_sends_defuse_but_landings_fold();
+}
+
 fn offload_ping_pong_fuses() {
-    // This test binary owns the process, so pinning the global knob is
-    // safe regardless of the VIBE_FUSE the harness exported.
     via::fastpath::set_fuse(true);
     let iters = 64;
     let stats = ping_pong_stats(Profile::clan(), iters, 64);
@@ -95,7 +101,6 @@ fn offload_ping_pong_fuses() {
     );
 }
 
-#[test]
 fn disabled_knob_defuses_everything() {
     via::fastpath::set_fuse(false);
     let stats = ping_pong_stats(Profile::clan(), 16, 64);
@@ -106,7 +111,6 @@ fn disabled_knob_defuses_everything() {
     assert!(fuse.cause(simkit::DefuseCause::Disabled) > 0);
 }
 
-#[test]
 fn host_emulated_sends_defuse_but_landings_fold() {
     via::fastpath::set_fuse(true);
     let stats = ping_pong_stats(Profile::mvia(), 16, 64);

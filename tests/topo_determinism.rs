@@ -283,9 +283,8 @@ fn per_link_pair_lookahead_never_undershoots_trunk_traversal() {
         let mut params = NetParams::clan();
         params.switch.latency = SimDuration::from_nanos(150 + rng.below(2_500));
         let topo = random_topology(&mut rng);
-        if topo.is_single_switch() {
-            continue; // no trunks, nothing crosses shards through the fabric
-        }
+        // (A star has no trunks: its lookahead is the injection's floor,
+        // and the trunk loop below has nothing to visit.)
         let look = topo.shard_lookahead(&params);
         assert!(look > SimDuration::ZERO, "case {case}");
         for sw in 0..topo.switches() as u32 {
