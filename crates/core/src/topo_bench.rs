@@ -952,6 +952,70 @@ mod tests {
         }
     }
 
+    /// Weak handles on a world's fabric and on each of its engines (through
+    /// an event hook, which only the engine owns).
+    fn world_probes(
+        san: &fabric::San,
+        sims: &[&Sim],
+    ) -> (fabric::WeakSan, Vec<std::sync::Weak<()>>) {
+        let engines = sims
+            .iter()
+            .map(|sim| {
+                let owned = std::sync::Arc::new(());
+                let weak = std::sync::Arc::downgrade(&owned);
+                sim.set_event_hook(Some(std::sync::Arc::new(move |_, _| {
+                    let _ = &owned;
+                })));
+                weak
+            })
+            .collect();
+        (san.downgrade(), engines)
+    }
+
+    /// Regression test for the `Provider -> San -> handler -> Provider`
+    /// cycle that used to keep every simulated world alive forever.
+    #[test]
+    fn finished_worlds_are_freed() {
+        use crate::harness::{ping_pong_on, DtConfig, Pair};
+        let cfg = DtConfig {
+            iters: 10,
+            warmup: 2,
+            ..DtConfig::base(Profile::clan(), 64)
+        };
+        let pair = Pair::new(&cfg);
+        let (san, engines) = world_probes(&pair.san(), &[pair.sim()]);
+        assert!(ping_pong_on(&pair, &cfg).latency_us > 0.0);
+        assert!(san.upgrade().is_some());
+        drop(pair);
+        assert!(san.upgrade().is_none(), "ping-pong fabric leaked");
+        assert!(engines[0].upgrade().is_none(), "ping-pong engine leaked");
+
+        for shards in [1, 2] {
+            let rig = Rig::new(fat_tree64(PortLimits::default()), 7, shards, "leak-probe");
+            let sims: Vec<&Sim> = (0..2).map(|n| rig.cluster.node_sim(32 * n)).collect();
+            let (san, engines) = world_probes(rig.cluster.san(), &sims);
+            let (a, b) = (rig.cluster.provider(0), rig.cluster.provider(32));
+            sims[1].spawn("srv", Some(b.cpu()), move |ctx| {
+                let vi = b.create_vi(ctx, rd(), None, None).expect("vi");
+                b.accept(ctx, &vi, Discriminator(1)).expect("accept");
+            });
+            sims[0].spawn("cli", Some(a.cpu()), move |ctx| {
+                let vi = a.create_vi(ctx, rd(), None, None).expect("vi");
+                a.connect(ctx, &vi, NodeId(32), Discriminator(1), None)
+                    .expect("connect");
+            });
+            rig.run();
+            drop(rig);
+            assert!(san.upgrade().is_none(), "{shards}-shard fabric leaked");
+            for (i, engine) in engines.iter().enumerate() {
+                assert!(
+                    engine.upgrade().is_none(),
+                    "{shards}-shard engine {i} leaked"
+                );
+            }
+        }
+    }
+
     #[test]
     fn storm_delivers_everything_on_both_shapes() {
         for shape in [StormShape::Star, StormShape::FatTree] {

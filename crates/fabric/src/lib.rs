@@ -36,5 +36,5 @@ pub mod topo;
 
 pub use fault::{FaultKind, FaultPlan, FaultWindow, RerouteParams};
 pub use params::{LinkParams, LossModel, NetParams, SwitchParams};
-pub use san::{Delivery, LossState, NodeId, RxHandler, San, SanStats};
+pub use san::{Delivery, LossState, NodeId, RxHandler, San, SanStats, WeakSan};
 pub use topo::{PortLimits, PortSnapshot, PortStats, PortTarget, Routes, Topology};

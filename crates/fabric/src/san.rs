@@ -62,7 +62,7 @@
 use std::any::Any;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 use parking_lot::Mutex;
 use simkit::{EventClass, ShardMap, ShardSender, ShardedSim, Sim, SimDuration, SimRng, SimTime};
@@ -101,7 +101,7 @@ pub struct Delivery {
     pub body: Box<dyn Any + Send>,
 }
 
-/// Handler invoked on the scheduler thread when a frame reaches a node.
+/// Handler invoked from the event loop when a frame reaches a node.
 pub type RxHandler = Arc<dyn Fn(&Sim, Delivery) + Send + Sync>;
 
 /// One wire direction — a host uplink or a switch output port's egress —
@@ -514,7 +514,30 @@ pub struct San {
     inner: Arc<SanInner>,
 }
 
+/// Non-owning handle to a [`San`]: what a receive handler or fault hook
+/// that must call back into the SAN holds, since the SAN owns the hook and
+/// a strong handle there would keep the whole fabric alive forever.
+#[derive(Clone)]
+pub struct WeakSan {
+    inner: Weak<SanInner>,
+}
+
+impl WeakSan {
+    /// The SAN, if any strong handle to it is left. Always `Some` inside a
+    /// hook the SAN itself is invoking.
+    pub fn upgrade(&self) -> Option<San> {
+        self.inner.upgrade().map(|inner| San { inner })
+    }
+}
+
 impl San {
+    /// A handle that does not keep this SAN alive.
+    pub fn downgrade(&self) -> WeakSan {
+        WeakSan {
+            inner: Arc::downgrade(&self.inner),
+        }
+    }
+
     /// Build a SAN with `nodes` endpoints, all joined through one switch
     /// ([`Topology::star`]), driven by a single serial engine. `seed`
     /// feeds the per-link loss-injection RNG streams.

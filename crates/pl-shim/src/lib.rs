@@ -3,11 +3,10 @@
 //! The workspace builds in environments with no registry access, so the
 //! external `parking_lot` crate is replaced by this vendored shim (wired via
 //! the `package =` rename in the workspace manifest). Only the surface the
-//! simulator uses is provided: [`Mutex`] with infallible `lock()`, the
-//! matching [`MutexGuard`], and a [`Condvar`] whose `wait` takes `&mut
-//! MutexGuard`. Poisoning is deliberately ignored — a simulated process that
-//! panics is unwound by the harness, and the shared state it held is either
-//! torn down or inspected by tests that expect the panic.
+//! simulator uses is provided: [`Mutex`] with infallible `lock()` and the
+//! matching [`MutexGuard`]. Poisoning is deliberately ignored — a simulated
+//! process that panics is unwound by the harness, and the shared state it
+//! held is either torn down or inspected by tests that expect the panic.
 
 #![warn(missing_docs)]
 
@@ -19,12 +18,8 @@ pub struct Mutex<T: ?Sized> {
 }
 
 /// RAII guard returned by [`Mutex::lock`].
-///
-/// Holds the std guard in an `Option` so [`Condvar::wait`] can move it out
-/// and put the re-acquired guard back, matching `parking_lot`'s
-/// wait-by-mut-ref signature.
 pub struct MutexGuard<'a, T: ?Sized + 'a> {
-    inner: Option<std::sync::MutexGuard<'a, T>>,
+    inner: std::sync::MutexGuard<'a, T>,
 }
 
 impl<T> Mutex<T> {
@@ -46,16 +41,16 @@ impl<T: ?Sized> Mutex<T> {
     /// mutex (panicked holder) is recovered and handed out anyway.
     pub fn lock(&self) -> MutexGuard<'_, T> {
         MutexGuard {
-            inner: Some(self.inner.lock().unwrap_or_else(|e| e.into_inner())),
+            inner: self.inner.lock().unwrap_or_else(|e| e.into_inner()),
         }
     }
 
     /// Try to acquire the lock without blocking.
     pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
         match self.inner.try_lock() {
-            Ok(g) => Some(MutexGuard { inner: Some(g) }),
+            Ok(g) => Some(MutexGuard { inner: g }),
             Err(std::sync::TryLockError::Poisoned(e)) => Some(MutexGuard {
-                inner: Some(e.into_inner()),
+                inner: e.into_inner(),
             }),
             Err(std::sync::TryLockError::WouldBlock) => None,
         }
@@ -85,54 +80,13 @@ impl<T: ?Sized + std::fmt::Debug> std::fmt::Debug for Mutex<T> {
 impl<'a, T: ?Sized> Deref for MutexGuard<'a, T> {
     type Target = T;
     fn deref(&self) -> &T {
-        self.inner.as_ref().expect("guard taken during wait")
+        &self.inner
     }
 }
 
 impl<'a, T: ?Sized> DerefMut for MutexGuard<'a, T> {
     fn deref_mut(&mut self) -> &mut T {
-        self.inner.as_mut().expect("guard taken during wait")
-    }
-}
-
-/// Condition variable compatible with [`Mutex`]/[`MutexGuard`].
-pub struct Condvar {
-    inner: std::sync::Condvar,
-}
-
-impl Condvar {
-    /// Create a new condition variable.
-    pub const fn new() -> Self {
-        Condvar {
-            inner: std::sync::Condvar::new(),
-        }
-    }
-
-    /// Block until notified, releasing the guard's mutex while parked.
-    /// Spurious wakeups are possible, exactly as with `parking_lot`.
-    pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
-        let std_guard = guard.inner.take().expect("guard already waited away");
-        let reacquired = self
-            .inner
-            .wait(std_guard)
-            .unwrap_or_else(|e| e.into_inner());
-        guard.inner = Some(reacquired);
-    }
-
-    /// Wake one parked waiter.
-    pub fn notify_one(&self) {
-        self.inner.notify_one();
-    }
-
-    /// Wake every parked waiter.
-    pub fn notify_all(&self) {
-        self.inner.notify_all();
-    }
-}
-
-impl Default for Condvar {
-    fn default() -> Self {
-        Condvar::new()
+        &mut self.inner
     }
 }
 
@@ -159,25 +113,6 @@ mod tests {
         .join();
         // parking_lot semantics: lock() still succeeds.
         assert_eq!(*m.lock(), 0);
-    }
-
-    #[test]
-    fn condvar_handoff() {
-        let pair = Arc::new((Mutex::new(false), Condvar::new()));
-        let pair2 = Arc::clone(&pair);
-        let t = std::thread::spawn(move || {
-            let (m, cv) = &*pair2;
-            let mut ready = m.lock();
-            while !*ready {
-                cv.wait(&mut ready);
-            }
-        });
-        {
-            let (m, cv) = &*pair;
-            *m.lock() = true;
-            cv.notify_all();
-        }
-        t.join().expect("waiter thread");
     }
 
     #[test]

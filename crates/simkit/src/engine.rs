@@ -2,9 +2,10 @@
 //!
 //! Events are ordered by `(time, insertion sequence)`, so simultaneous events
 //! run in FIFO order and a run is fully deterministic: the interleaving of
-//! simulated processes is decided by the event queue alone, never by the OS
-//! thread scheduler (see [`crate::process`] for the baton protocol that
-//! guarantees only one simulated entity executes at a time).
+//! simulated processes is decided by the event queue alone. A process is a
+//! coroutine the event loop switches onto from inside [`Sim::run`] (see
+//! [`crate::process`]), so exactly one simulated entity executes at a time
+//! and the OS scheduler has no say.
 //!
 //! # Timer subsystem
 //!
@@ -56,7 +57,7 @@ use crate::cpu::{CpuId, CpuRecord};
 use crate::process::{ProcessCtx, ProcessHandle, ProcessId, ProcessRecord, WaitToken};
 use crate::time::{SimDuration, SimTime};
 
-/// A scheduled callback: runs on the scheduler thread with a `&Sim` handle.
+/// A scheduled callback: runs inside [`Sim::run`] with a `&Sim` handle.
 pub type Event = Box<dyn FnOnce(&Sim) + Send + 'static>;
 
 thread_local! {
@@ -740,14 +741,15 @@ pub(crate) struct SimInner {
 
 /// Observer called once per fired event with its timestamp and class.
 ///
-/// Hooks run on the scheduler thread *after* the event's bookkeeping but
+/// Hooks run inside [`Sim::run`] *after* the event's bookkeeping but
 /// *before* its action executes, and never under the scheduler lock — a
 /// hook may inspect the [`Sim`] but must not block. Tracing layers use
 /// this to tally engine activity without the engine depending on them.
 pub type EventHook = Arc<dyn Fn(SimTime, EventClass) + Send + Sync>;
 
 /// Handle to a simulation. Cheap to clone; all clones share one virtual
-/// world. The thread that calls [`Sim::run`] becomes the scheduler thread.
+/// world. The thread that calls [`Sim::run`] executes every event and every
+/// process until the call returns.
 #[derive(Clone)]
 pub struct Sim {
     pub(crate) inner: Arc<SimInner>,
@@ -927,7 +929,7 @@ impl Sim {
         self.push_as(at, EventClass::User, action);
     }
 
-    /// Schedule `f` to run at absolute time `at` on the scheduler thread.
+    /// Schedule `f` to run at absolute time `at`, inside [`Sim::run`].
     pub fn call_at(&self, at: SimTime, f: impl FnOnce(&Sim) + Send + 'static) {
         self.call_at_as(EventClass::User, at, f);
     }
@@ -1027,10 +1029,13 @@ impl Sim {
         }
     }
 
-    /// Spawn a simulated process. `body` runs on a dedicated OS thread but
-    /// the baton protocol guarantees it never executes concurrently with the
-    /// scheduler or another process. `cpu`, when given, is charged by
-    /// [`ProcessCtx::busy`] and the `*_charged` waits.
+    /// Spawn a simulated process. `body` runs on its own stack, on
+    /// whichever thread is inside [`Sim::run`] when one of its wakes fires,
+    /// and never concurrently with the event loop or another process. It
+    /// must not hold anything bound to a thread (a lock guard, a reference
+    /// into a thread-local) across a wait: under the sharded engine the
+    /// next `run` may resume it on a different thread. `cpu`, when given,
+    /// is charged by [`ProcessCtx::busy`] and the `*_charged` waits.
     pub fn spawn<T, F>(
         &self,
         name: impl Into<String>,
@@ -1041,43 +1046,31 @@ impl Sim {
         T: Send + 'static,
         F: FnOnce(&mut ProcessCtx) -> T + Send + 'static,
     {
-        let name = name.into();
+        let slot = Arc::new(Mutex::new(None));
         let record = {
             let mut procs = self.inner.procs.lock();
             let pid = ProcessId::new(procs.len() as u32);
-            let record = Arc::new(ProcessRecord::new(pid, name, cpu));
+            let (sim, result) = (self.clone(), Arc::clone(&slot));
+            // The body looks its own record up when it first runs, so the
+            // record does not have to exist before the closure it owns.
+            let on_stack = move || {
+                let record = sim.record(pid).expect("a running process is registered");
+                let mut ctx = ProcessCtx::new(sim, record);
+                let value = body(&mut ctx);
+                *result.lock() = Some(value);
+            };
+            let record = Arc::new(ProcessRecord::new(
+                pid,
+                name.into(),
+                cpu,
+                Box::new(on_stack),
+            ));
             procs.push(Arc::clone(&record));
             record
         };
-        let handle = ProcessHandle::new(Arc::clone(&record));
-        let result_slot = handle.slot();
-        let sim = self.clone();
-        let rec = Arc::clone(&record);
-        std::thread::Builder::new()
-            .name(format!("sim-{}", record.name))
-            .spawn(move || {
-                rec.wait_for_first_wake();
-                let mut ctx = ProcessCtx::new(sim, Arc::clone(&rec));
-                let outcome =
-                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| body(&mut ctx)));
-                match outcome {
-                    Ok(value) => {
-                        *result_slot.lock() = Some(value);
-                        rec.finish(None);
-                    }
-                    Err(payload) => {
-                        if crate::process::is_shutdown_panic(&payload) {
-                            rec.finish(None); // quiet teardown via Sim::shutdown()
-                        } else {
-                            rec.finish(Some(payload));
-                        }
-                    }
-                }
-            })
-            .expect("failed to spawn simulated process thread");
         // First wake: token sequence 0, the state ProcessRecord::new starts in.
         self.push(self.now(), Action::Wake(WaitToken::initial(record.pid)));
-        handle
+        ProcessHandle::new(record, slot)
     }
 
     /// Pop the next live event, reaping stale (cancelled) entries.
@@ -1228,26 +1221,34 @@ impl Sim {
         report
     }
 
-    fn dispatch_wake(&self, token: WaitToken) {
-        let record = {
-            let procs = self.inner.procs.lock();
-            match procs.get(token.pid().index()) {
-                Some(r) => Arc::clone(r),
-                None => return,
-            }
-        };
-        record.try_resume(token);
+    /// The record of process `pid`, taken without holding `procs` past
+    /// the call: whoever resumes the process may find it spawning.
+    fn record(&self, pid: ProcessId) -> Option<Arc<ProcessRecord>> {
+        self.inner.procs.lock().get(pid.index()).cloned()
     }
 
-    /// Ask every blocked process thread to unwind and exit. Call this before
-    /// abandoning a simulation whose processes may still be parked (e.g.
-    /// after an intentional-deadlock test); otherwise their threads stay
-    /// parked until the host process exits.
+    fn dispatch_wake(&self, token: WaitToken) {
+        if let Some(record) = self.record(token.pid()) {
+            record.try_resume(token);
+        }
+    }
+
+    /// Tear down every process that has not finished, on the calling
+    /// thread: a parked process is resumed so that its wait unwinds it and
+    /// its locals' destructors run; one that never started is dropped
+    /// unrun. Call this before abandoning a simulation whose processes may
+    /// still be parked (e.g. after an intentional-deadlock test) —
+    /// otherwise their stacks, and the world they reference, are never
+    /// freed. Idempotent; finished processes are untouched. Any process
+    /// that waits after this unwinds at that wait.
     pub fn shutdown(&self) {
         self.inner.shutdown.store(true, AtomicOrdering::SeqCst);
-        let procs = self.inner.procs.lock();
-        for p in procs.iter() {
-            p.notify_shutdown();
+        // By index rather than under one lock: an unwinding process may
+        // spawn, and the newcomer must be torn down too.
+        let mut next = 0;
+        while let Some(record) = self.record(ProcessId::new(next)) {
+            record.unwind_if_parked();
+            next += 1;
         }
     }
 

@@ -1,17 +1,20 @@
 //! # simkit — deterministic discrete-event simulation kernel
 //!
 //! The substrate under the whole VIBe reproduction: a virtual-time event
-//! scheduler plus *thread-backed cooperative processes*, so that simulated
-//! hosts can run natural blocking code (like the paper's VIPL benchmark
-//! loops) while the run stays bit-for-bit deterministic.
+//! scheduler plus *cooperative processes on stackful coroutines*, so that
+//! simulated hosts can run natural blocking code (like the paper's VIPL
+//! benchmark loops) while the run stays bit-for-bit deterministic.
 //!
 //! ## Model
 //!
 //! * The clock is an integer nanosecond counter ([`SimTime`]); events are
 //!   ordered by `(time, insertion sequence)` so ties break FIFO.
-//! * A *process* ([`Sim::spawn`]) runs on its own OS thread, but a baton
-//!   protocol guarantees exactly one thread (the scheduler or one process)
-//!   executes at any instant — the OS scheduler can never affect results.
+//! * A *process* ([`Sim::spawn`]) runs on its own stack, on the thread that
+//!   called [`Sim::run`]: a wake switches that thread onto the process, a
+//!   wait switches it back, so exactly one of them (the event loop or one
+//!   process) executes at any instant — the OS scheduler can never affect
+//!   results. x86-64 Linux only; each stack is 1 MiB of lazily committed
+//!   address space above a guard page.
 //! * Processes spend virtual time explicitly: [`ProcessCtx::busy`] charges a
 //!   CPU (the simulated `getrusage`), [`ProcessCtx::sleep`] idles, and waits
 //!   come in polling ([`ProcessCtx::wait_polling`], 100% CPU) and blocking
@@ -47,6 +50,7 @@
 
 #![warn(missing_docs)]
 
+mod coroutine;
 pub mod cpu;
 pub mod engine;
 pub mod process;

@@ -1,12 +1,22 @@
-//! Thread-backed cooperative simulated processes.
+//! Cooperative simulated processes on stackful coroutines.
 //!
-//! Each simulated process runs on its own OS thread so that benchmark code
-//! can use a natural *blocking* style (`post_send(); wait_send();` loops,
-//! like the paper's VIPL benchmarks). Determinism is preserved by a baton
-//! protocol: at any instant exactly one thread — the scheduler or a single
-//! process — is runnable. Hand-off goes through a `Mutex`+`Condvar` pair per
-//! process (release/acquire pairs come for free; no bespoke atomics, per the
-//! "Rust Atomics and Locks" guidance).
+//! Each simulated process is a stackful coroutine: its body runs on a private
+//! stack, on whichever thread is inside [`Sim::run`], so benchmark code can
+//! use a natural *blocking* style (`post_send(); wait_send();` loops, like
+//! the paper's VIPL benchmarks). A wake event switches the running thread
+//! onto the process's stack; [`ProcessCtx::wait`] switches it back. The
+//! event loop and the processes therefore alternate on one thread — exactly
+//! one of them executes at any instant, and which one is decided by the
+//! event queue alone.
+//!
+//! A per-process atomic **baton** (`ProcessRecord::state`) records whether
+//! the process is parked (and on which wait), running, or finished. Only
+//! the thread that moves it from parked to running may touch the coroutine,
+//! which is what lets a process parked under one `run` be resumed by a
+//! different thread under the next (the sharded engine's scoped workers).
+//! The one rule this puts on process bodies: **hold nothing bound to a
+//! thread — a lock guard, a reference into a thread-local — across a
+//! `wait`**.
 //!
 //! Wakeups are tokenized: every wait gets a fresh [`WaitToken`], and a wake
 //! only resumes the process if it is still waiting on that exact token.
@@ -14,11 +24,14 @@
 //! dropped, which makes signaling unconditionally safe.
 
 use std::any::Any;
-use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
+use std::cell::Cell;
+use std::marker::PhantomData;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering as AtomicOrdering};
 use std::sync::Arc;
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 
+use crate::coroutine::{Coroutine, Resumed};
 use crate::cpu::CpuId;
 use crate::engine::Sim;
 use crate::time::{SimDuration, SimTime};
@@ -53,107 +66,142 @@ impl WaitToken {
     }
 }
 
-pub(crate) enum BatonState {
-    /// Process is parked waiting for a wake carrying sequence `seq`.
-    Waiting { seq: u64 },
-    /// Process thread holds the baton and is executing.
-    Running,
-    /// Body returned (or unwound); thread is gone or going.
-    Finished,
-}
+/// Baton value while the process's body (or its resumer, on the way in or
+/// out) is executing. Every other value below [`FINISHED`] is the sequence
+/// number of the wait the process is parked on.
+const RUNNING: u64 = u64::MAX;
+/// Baton value once the body has returned or unwound.
+const FINISHED: u64 = u64::MAX - 1;
 
+/// Payload of the unwind [`Sim::shutdown`] raises inside a parked process.
 struct ShutdownSignal;
-
-pub(crate) fn is_shutdown_panic(payload: &(dyn Any + Send)) -> bool {
-    payload.is::<ShutdownSignal>()
-}
 
 pub(crate) struct ProcessRecord {
     pub(crate) pid: ProcessId,
     pub(crate) name: String,
     pub(crate) cpu: Option<CpuId>,
-    state: Mutex<BatonState>,
-    cv: Condvar,
+    /// The baton: [`RUNNING`], [`FINISHED`], or the parked-on wait sequence.
+    state: AtomicU64,
+    /// The body on its own stack. Touched only while holding the baton.
+    co: Coroutine,
+    /// Set by the body just before it suspends: the wait sequence its
+    /// resumer must publish in `state`. Touched only while holding the baton.
+    parked_on: Cell<u64>,
     next_wait_seq: AtomicU64,
     panic_payload: Mutex<Option<Box<dyn Any + Send>>>,
 }
 
+// SAFETY: `co` and `parked_on` are the only fields that are not already
+// `Send + Sync`. They are accessed only between a successful
+// `state: parked -> RUNNING` compare-exchange (Acquire) and the
+// `state: RUNNING -> next` store (Release) that ends the same call, by the
+// thread that won the exchange — directly, or from the body it switched
+// onto. The exchange admits one thread at a time and the Release/Acquire
+// pair orders one holder's writes before the next holder's reads. The body
+// closure is `Send`, so it may run on whichever thread holds the baton.
+unsafe impl Send for ProcessRecord {}
+// SAFETY: as above.
+unsafe impl Sync for ProcessRecord {}
+
 impl ProcessRecord {
-    pub(crate) fn new(pid: ProcessId, name: String, cpu: Option<CpuId>) -> Self {
+    pub(crate) fn new(
+        pid: ProcessId,
+        name: String,
+        cpu: Option<CpuId>,
+        body: Box<dyn FnOnce() + Send>,
+    ) -> Self {
         ProcessRecord {
             pid,
             name,
             cpu,
             // Token sequence 0 is the spawn wake.
-            state: Mutex::new(BatonState::Waiting { seq: 0 }),
-            cv: Condvar::new(),
+            state: AtomicU64::new(0),
+            co: Coroutine::new(body),
+            parked_on: Cell::new(0),
             next_wait_seq: AtomicU64::new(1),
             panic_payload: Mutex::new(None),
         }
     }
 
-    /// Process-thread side: park until the scheduler grants the first turn.
-    pub(crate) fn wait_for_first_wake(&self) {
-        let mut st = self.state.lock();
-        while !matches!(*st, BatonState::Running) {
-            self.cv.wait(&mut st);
-        }
-    }
-
-    /// Scheduler side: resume the process if it still waits on `token`, then
-    /// park the scheduler until the process yields the baton back.
+    /// Event-loop side: if the process still waits on `token`, run it on
+    /// the calling thread until it parks again or finishes.
     pub(crate) fn try_resume(&self, token: WaitToken) {
-        let mut st = self.state.lock();
-        match *st {
-            BatonState::Waiting { seq } if seq == token.seq => {
-                *st = BatonState::Running;
-                self.cv.notify_all();
-                while matches!(*st, BatonState::Running) {
-                    self.cv.wait(&mut st);
-                }
-            }
-            // Stale or mistimed wake: the process moved on. Drop it.
-            _ => {}
+        // A failed exchange is a stale or mistimed wake: the process moved
+        // on. Drop it.
+        if self.take_baton(token.seq) {
+            self.run_body();
         }
     }
 
-    /// Process-thread side: yield the baton and park until woken with `token`.
-    fn park(&self, token: WaitToken, shutdown: &std::sync::atomic::AtomicBool) {
-        let mut st = self.state.lock();
-        debug_assert!(matches!(*st, BatonState::Running));
-        *st = BatonState::Waiting { seq: token.seq };
-        self.cv.notify_all();
-        loop {
-            if shutdown.load(AtomicOrdering::SeqCst) {
-                drop(st);
-                std::panic::panic_any(ShutdownSignal);
+    fn take_baton(&self, parked_on: u64) -> bool {
+        self.state
+            .compare_exchange(
+                parked_on,
+                RUNNING,
+                AtomicOrdering::Acquire,
+                AtomicOrdering::Relaxed,
+            )
+            .is_ok()
+    }
+
+    /// Switch onto the body, then publish where it stopped. Requires the
+    /// baton (`take_baton` succeeded on this thread).
+    fn run_body(&self) {
+        // SAFETY: this thread holds the baton, so nothing else touches
+        // `co`, and the body is not running (it would hold the baton).
+        // Records are only ever built inside the `Arc` that `Sim::procs`
+        // keeps, so `co` never moves.
+        let next = match unsafe { self.co.resume() } {
+            Resumed::Suspended => self.parked_on.get(),
+            Resumed::Finished(payload) => {
+                // A shutdown unwind is a quiet teardown; anything else is
+                // kept for the `ProcessHandle` owner to rethrow.
+                *self.panic_payload.lock() = payload.filter(|p| !p.is::<ShutdownSignal>());
+                FINISHED
             }
-            if matches!(*st, BatonState::Running) {
-                return;
-            }
-            self.cv.wait(&mut st);
+        };
+        self.state.store(next, AtomicOrdering::Release);
+    }
+
+    /// Body side: hand the thread back to the event loop until a wake
+    /// carrying `token` arrives. Once `shutdown` is set, unwinds the body
+    /// instead (with a payload the panic hook never sees).
+    fn park(&self, token: WaitToken, shutdown: &AtomicBool) {
+        debug_assert_eq!(self.state.load(AtomicOrdering::Relaxed), RUNNING);
+        if !shutdown.load(AtomicOrdering::SeqCst) {
+            self.parked_on.set(token.seq);
+            // SAFETY: `park` is reached only through this process's own
+            // `ProcessCtx`, which exists only on the body's stack and is
+            // neither `Send` nor `'static`.
+            unsafe { self.co.suspend() };
+        }
+        if shutdown.load(AtomicOrdering::SeqCst) {
+            std::panic::resume_unwind(Box::new(ShutdownSignal));
         }
     }
 
-    /// Mark the process finished, storing any panic payload so the owner of
-    /// the [`ProcessHandle`] can rethrow it from `take_result`.
-    pub(crate) fn finish(&self, panic: Option<Box<dyn Any + Send>>) {
-        *self.panic_payload.lock() = panic;
-        let mut st = self.state.lock();
-        *st = BatonState::Finished;
-        self.cv.notify_all();
-    }
-
-    pub(crate) fn notify_shutdown(&self) {
-        self.cv.notify_all();
+    /// [`Sim::shutdown`] side, with the shutdown flag already set: finish
+    /// the process on the calling thread. A parked body is resumed so that
+    /// `park` unwinds it and its locals' destructors run; a body that never
+    /// started is dropped unrun. Running or finished processes are left be.
+    pub(crate) fn unwind_if_parked(&self) {
+        let seq = self.state.load(AtomicOrdering::Relaxed);
+        if seq >= FINISHED || !self.take_baton(seq) {
+            return;
+        }
+        if self.co.is_unstarted() {
+            self.co.discard();
+        }
+        // Unwinds a parked body; a discarded one reports finished at once.
+        self.run_body();
     }
 
     pub(crate) fn is_blocked(&self) -> bool {
-        matches!(*self.state.lock(), BatonState::Waiting { .. })
+        self.state.load(AtomicOrdering::Acquire) < FINISHED
     }
 
     pub(crate) fn is_finished(&self) -> bool {
-        matches!(*self.state.lock(), BatonState::Finished)
+        self.state.load(AtomicOrdering::Acquire) == FINISHED
     }
 
     fn take_panic(&self) -> Option<Box<dyn Any + Send>> {
@@ -173,11 +221,18 @@ impl ProcessRecord {
 pub struct ProcessCtx {
     sim: Sim,
     record: Arc<ProcessRecord>,
+    /// Not `Send`: `wait` switches stacks, which is only sound from the
+    /// process's own.
+    _on_own_stack: PhantomData<*mut ()>,
 }
 
 impl ProcessCtx {
     pub(crate) fn new(sim: Sim, record: Arc<ProcessRecord>) -> Self {
-        ProcessCtx { sim, record }
+        ProcessCtx {
+            sim,
+            record,
+            _on_own_stack: PhantomData,
+        }
     }
 
     /// The simulation this process belongs to.
@@ -213,8 +268,9 @@ impl ProcessCtx {
         self.record.fresh_token()
     }
 
-    /// Yield the baton and park until [`Sim::wake`] is called with `token`.
-    /// No CPU time is charged (a blocked process is idle).
+    /// Hand the thread back to the event loop and park until [`Sim::wake`]
+    /// is called with `token`. No CPU time is charged (a blocked process is
+    /// idle).
     pub fn wait(&mut self, token: WaitToken) {
         self.record.park(token, &self.sim.inner.shutdown);
     }
@@ -250,8 +306,8 @@ impl ProcessCtx {
         self.sleep(d);
     }
 
-    /// Yield the baton, letting all other events queued at the current
-    /// instant run before this process continues.
+    /// Park behind every event already queued at the current instant, then
+    /// continue.
     pub fn yield_now(&mut self) {
         let token = self.prepare_wait();
         self.sim.wake(token);
@@ -267,15 +323,8 @@ pub struct ProcessHandle<T> {
 }
 
 impl<T: Send + 'static> ProcessHandle<T> {
-    pub(crate) fn new(record: Arc<ProcessRecord>) -> Self {
-        ProcessHandle {
-            record,
-            slot: Arc::new(Mutex::new(None)),
-        }
-    }
-
-    pub(crate) fn slot(&self) -> Arc<Mutex<Option<T>>> {
-        Arc::clone(&self.slot)
+    pub(crate) fn new(record: Arc<ProcessRecord>, slot: Arc<Mutex<Option<T>>>) -> Self {
+        ProcessHandle { record, slot }
     }
 
     /// The process id.
@@ -437,6 +486,132 @@ mod tests {
         let report = sim.run();
         assert_eq!(report.blocked, vec!["stuck".to_string()]);
         sim.shutdown();
+    }
+
+    #[test]
+    fn every_process_runs_on_the_thread_that_calls_run() {
+        let sim = Sim::new();
+        let handles: Vec<_> = (0..64)
+            .map(|i| {
+                sim.spawn(format!("p{i}"), None, move |ctx| {
+                    let first = std::thread::current().id();
+                    ctx.sleep(SimDuration::from_micros(i % 5 + 1));
+                    (first, std::thread::current().id())
+                })
+            })
+            .collect();
+        // Spawned here, run elsewhere: the runner, not the spawner, hosts them.
+        let runner = std::thread::spawn(move || {
+            sim.run_to_completion();
+            std::thread::current().id()
+        })
+        .join()
+        .expect("runner thread");
+        assert_ne!(runner, std::thread::current().id());
+        for h in handles {
+            assert_eq!(h.expect_result(), (runner, runner));
+        }
+    }
+
+    /// Records the thread it is dropped on.
+    struct DropProbe(Arc<Mutex<Vec<std::thread::ThreadId>>>);
+    impl Drop for DropProbe {
+        fn drop(&mut self) {
+            self.0.lock().push(std::thread::current().id());
+        }
+    }
+
+    #[test]
+    fn shutdown_unwinds_parked_processes_on_the_calling_thread() {
+        let sim = Sim::new();
+        let drops = Arc::new(Mutex::new(Vec::new()));
+        let (parked, unstarted) = (DropProbe(drops.clone()), DropProbe(drops.clone()));
+        let stuck = sim.spawn("stuck", None, move |ctx| {
+            let _local = parked;
+            let token = ctx.prepare_wait();
+            ctx.wait(token); // nobody will ever wake us
+            unreachable!("woken only to unwind");
+        });
+        let done = sim.spawn("done", None, |ctx| ctx.sleep(SimDuration::from_micros(1)));
+        assert_eq!(sim.run().blocked, vec!["stuck".to_string()]);
+        // Spawned after the last run: its body never starts.
+        let late = sim.spawn("late", None, move |_ctx| drop(unstarted));
+
+        assert!(drops.lock().is_empty());
+        sim.shutdown();
+        let here = std::thread::current().id();
+        assert_eq!(*drops.lock(), vec![here, here]);
+        assert!(stuck.is_finished() && late.is_finished());
+        assert!(stuck.take_result().is_none(), "a shutdown is not a panic");
+        done.expect_result();
+
+        sim.shutdown();
+        assert!(sim.run().is_quiescent());
+        assert_eq!(drops.lock().len(), 2);
+    }
+
+    #[test]
+    fn shutdown_reaches_processes_spawned_by_an_unwinding_one() {
+        struct SpawnOnDrop(Sim, Arc<Mutex<Vec<std::thread::ThreadId>>>);
+        impl Drop for SpawnOnDrop {
+            fn drop(&mut self) {
+                let probe = DropProbe(self.1.clone());
+                self.0.spawn("orphan", None, move |_ctx| drop(probe));
+            }
+        }
+        let sim = Sim::new();
+        let drops = Arc::new(Mutex::new(Vec::new()));
+        let guard = SpawnOnDrop(sim.clone(), drops.clone());
+        sim.spawn("stuck", None, move |ctx| {
+            let _guard = guard;
+            let token = ctx.prepare_wait();
+            ctx.wait(token);
+        });
+        sim.run();
+        sim.shutdown();
+        assert_eq!(drops.lock().len(), 1, "the orphan's body was dropped");
+        assert!(sim.run().is_quiescent());
+    }
+
+    /// This process's mapped address space in KiB (`VmSize`).
+    fn vm_size_kib() -> u64 {
+        let status = std::fs::read_to_string("/proc/self/status").expect("procfs");
+        let line = status.lines().find(|l| l.starts_with("VmSize:"));
+        let digits = line.expect("VmSize line").split_whitespace().nth(1);
+        digits
+            .expect("VmSize value")
+            .parse()
+            .expect("VmSize in KiB")
+    }
+
+    #[test]
+    fn stacks_are_released_when_a_process_finishes() {
+        const PROCESSES: u64 = 10_000;
+        let sim = Sim::new();
+        let finished = Arc::new(AtomicU64::new(0));
+        let before = vm_size_kib();
+        let (sim2, finished2) = (sim.clone(), Arc::clone(&finished));
+        sim.spawn("driver", None, move |ctx| {
+            for i in 0..PROCESSES {
+                let finished = Arc::clone(&finished2);
+                sim2.spawn(format!("p{i}"), None, move |ctx| {
+                    ctx.sleep(SimDuration::from_micros(1));
+                    finished.fetch_add(1, AtomicOrdering::Relaxed);
+                });
+                ctx.sleep(SimDuration::from_micros(2));
+            }
+        });
+        sim.run_to_completion();
+        assert_eq!(finished.load(AtomicOrdering::Relaxed), PROCESSES);
+        // The `Sim` (and every record) is still alive here. Had the stacks
+        // lived as long, this would read PROCESSES x STACK_BYTES = 10 GiB;
+        // tests running beside this one map a few stacks of their own.
+        let grown_kib = vm_size_kib().saturating_sub(before);
+        let leaked_kib = PROCESSES * (crate::coroutine::STACK_BYTES as u64 / 1024);
+        assert!(
+            grown_kib < leaked_kib / 10,
+            "address space grew by {grown_kib} KiB over {PROCESSES} finished processes"
+        );
     }
 
     #[test]

@@ -665,6 +665,31 @@ mod tests {
     }
 
     #[test]
+    fn process_parked_under_one_run_resumes_under_the_next() {
+        let ss = ShardedSim::new(2, SimDuration::from_nanos(50));
+        let waiting_on = Arc::new(Mutex::new(None));
+        let slot = Arc::clone(&waiting_on);
+        let h = ss.sim(1).spawn("straddler", None, move |ctx| {
+            let before = std::thread::current().id();
+            let token = ctx.prepare_wait();
+            *slot.lock() = Some(token);
+            ctx.wait(token);
+            (before, std::thread::current().id(), ctx.now())
+        });
+        let r1 = ss.run();
+        assert_eq!(r1.blocked, vec!["straddler".to_string()]);
+        let token = waiting_on.lock().take().expect("parked on a token");
+        ss.sim(1).wake_in(SimDuration::from_nanos(10), token);
+        ss.run_to_completion();
+        // Each `run` drives shard 1 from a fresh scoped worker, so the
+        // body started on one OS thread and finished on another.
+        let (before, after, woke_at) = h.expect_result();
+        let here = std::thread::current().id();
+        assert!(before != here && after != here && before != after);
+        assert_eq!(woke_at, r1.end_time + SimDuration::from_nanos(10));
+    }
+
+    #[test]
     fn thread_telemetry_credited_to_coordinator() {
         let before = crate::thread_events();
         let (_, report) = ping_pong(4, 12);

@@ -900,66 +900,75 @@ impl Cluster {
         let mut providers = Vec::with_capacity(nodes);
         for i in 0..nodes {
             let sim = sim_of(i);
+            let node = NodeId(i as u32);
             let cpu = sim.add_cpu(format!("{}-node{}", profile.name, i));
             let pci = PciBus::new(sim.clone(), profile.pci);
-            let provider = Provider {
+            let intr = InterruptController::from_host(cpu, &profile.host);
+            let state = Arc::new(Mutex::new(ProviderState {
+                mem: ProcessMem::new(profile.host.page_size),
+                rx_engine_busy: simkit::SimTime::ZERO,
+                probe: None,
+                tracer: Tracer::disabled(),
+                vis: Vec::new(),
+                cqs: Vec::new(),
+                xlate: XlateEngine::new(profile.xlate),
+                listeners: HashMap::new(),
+                pending_conn: HashMap::new(),
+                nic_tx: NicTx {
+                    queue: DescRing::new(profile.nic_tx_ring),
+                    busy: false,
+                    fused_until: simkit::SimTime::ZERO,
+                    release_scheduled: false,
+                },
+                fw_stalls: FirmwareStalls::new(),
+                crashed: false,
+                stats: ProviderStats::default(),
+            }));
+            let profile = Arc::clone(&profile);
+            // This node's provider, around whichever SAN handle it is given.
+            let provider_on = move |san: San| Provider {
                 sim: sim.clone(),
-                san: san.clone(),
+                san,
                 profile: Arc::clone(&profile),
-                node: NodeId(i as u32),
+                node,
                 cpu,
                 seed,
-                pci,
-                intr: InterruptController::from_host(cpu, &profile.host),
-                state: Arc::new(Mutex::new(ProviderState {
-                    mem: ProcessMem::new(profile.host.page_size),
-                    rx_engine_busy: simkit::SimTime::ZERO,
-                    probe: None,
-                    tracer: Tracer::disabled(),
-                    vis: Vec::new(),
-                    cqs: Vec::new(),
-                    xlate: XlateEngine::new(profile.xlate),
-                    listeners: HashMap::new(),
-                    pending_conn: HashMap::new(),
-                    nic_tx: NicTx {
-                        queue: DescRing::new(profile.nic_tx_ring),
-                        busy: false,
-                        fused_until: simkit::SimTime::ZERO,
-                        release_scheduled: false,
-                    },
-                    fw_stalls: FirmwareStalls::new(),
-                    crashed: false,
-                    stats: ProviderStats::default(),
-                })),
+                pci: pci.clone(),
+                intr,
+                state: Arc::clone(&state),
             };
-            providers.push(provider);
-        }
-        for p in &providers {
-            let pc = p.clone();
+            providers.push(provider_on(san.clone()));
+            // The SAN owns the two hooks below, so they reach it through a
+            // weak handle: a strong one (inside a captured `Provider`)
+            // would close a cycle that keeps every simulated world alive
+            // forever. The upgrade cannot fail inside a hook the SAN is
+            // invoking.
+            let (weak, on_frame) = (san.downgrade(), provider_on.clone());
             san.attach(
-                p.node,
+                node,
                 Arc::new(move |sim, delivery| {
+                    let Some(san) = weak.upgrade() else { return };
                     let frame = delivery
                         .body
                         .downcast::<Frame>()
                         .expect("non-VIA frame on a VIA SAN");
-                    transport::handle_frame(&pc, sim, delivery.src, *frame);
+                    transport::handle_frame(&on_frame(san), sim, delivery.src, *frame);
                 }),
             );
-        }
-        // Node-scoped fault windows (node_down / nic_reset) wipe and
-        // reboot the victim's provider. The fabric fires the hook on the
-        // victim's owning shard, after its own state flip, so the wipe is
-        // ordered identically at every shard count.
-        for p in &providers {
-            let pc = p.clone();
+            // Node-scoped fault windows (node_down / nic_reset) wipe and
+            // reboot the victim's provider. The fabric fires the hook on the
+            // victim's owning shard, after its own state flip, so the wipe is
+            // ordered identically at every shard count.
+            let weak = san.downgrade();
             san.on_node_fault(
-                p.node,
+                node,
                 Arc::new(move |_sim, kind, open| {
+                    let Some(san) = weak.upgrade() else { return };
+                    let provider = provider_on(san);
                     if open {
-                        pc.crash(kind);
+                        provider.crash(kind);
                     } else {
-                        pc.reboot();
+                        provider.reboot();
                     }
                 }),
             );
