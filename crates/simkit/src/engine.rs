@@ -12,23 +12,42 @@
 //! Scheduled work lives in a **generational slab arena**: the binary heap
 //! holds only plain-data entries `(time, seq, slot, gen, class)`, and the
 //! action itself (a callback or a process wake token) sits in a slab slot
-//! addressed by `slot` and guarded by `gen`. That layout gives three things:
+//! addressed by `slot` and guarded by `gen`. A slot is a generation, a
+//! freelist link, a vtable pointer and [`LARGE_WORDS`] words of raw
+//! payload; the rule for what goes through it is **written once, copied
+//! once, sized by the closure**:
+//!
+//! * **Written once.** [`Sim::call_at_as`] / [`Sim::timer_at`] are generic
+//!   over the closure, so its captures are copied from the caller's frame
+//!   straight into the slot's payload under the scheduler lock, next to a
+//!   `&'static` per-type vtable `{size, call, drop}`. There is no
+//!   intermediate enum or cell to build, return and move into place.
+//! * **Copied once.** [`Sim::run`] copies `size` bytes — not the slot —
+//!   out of the payload into a buffer on its own stack and frees the slot
+//!   *before* the action runs, so the handler may schedule (reusing that
+//!   very slot, or growing and so reallocating the slab) while its captures
+//!   sit safely on the stack. The vtable's `call` then consumes them in
+//!   place. [`TimerHandle::cancel`] takes the same one copy out and runs
+//!   the vtable's `drop` on it after releasing the lock; a `Sim` dropped
+//!   with events pending drops each exactly once, in slot order.
+//! * **Sized by the closure.** A two-word capture moves two words. Captures
+//!   up to [`LARGE_WORDS`]`×8` bytes and no more aligned than a `usize`
+//!   live inline — tallied as *small* up to [`SMALL_WORDS`]`×8` bytes and
+//!   *large* above, which is accounting only: both use the same slot — and
+//!   only outsized or over-aligned ones fall back to a heap `Box`, whose
+//!   pointer is then the inline payload. Process wakeups ([`Sim::wake`],
+//!   [`Sim::wake_in`], sleeps, timeouts) store the bare [`WaitToken`] the
+//!   same way. Since slots come off a freelist, the common schedule→fire
+//!   cycle performs **zero allocations**.
+//!
+//! On top of that layout:
 //!
 //! * **O(1) cancellation by lazy deletion.** [`Sim::timer_at`] /
 //!   [`Sim::timer_in`] return a [`TimerHandle`]; [`TimerHandle::cancel`]
-//!   frees the slot (dropping the closure immediately) and bumps its
+//!   frees the slot (dropping the closure before it returns) and bumps its
 //!   generation. The heap entry stays behind and is reaped when it
 //!   surfaces — a generation mismatch at pop costs one counter increment,
 //!   not a heap rebuild.
-//! * **No per-event `Box` on the wake/timer path.** Process wakeups
-//!   ([`Sim::wake`], [`Sim::wake_in`], sleeps, timeouts) store a
-//!   [`WaitToken`] inline in the slot.
-//! * **No per-event `Box` on the callback path either.** Closures are
-//!   stored in a *size-classed inline cell* inside the recycled slab slot:
-//!   captures up to [`SMALL_WORDS`]`×8` bytes land in the small class,
-//!   up to [`LARGE_WORDS`]`×8` bytes in the large class, and only outsized
-//!   captures fall back to a heap `Box`. Since slots come off a freelist,
-//!   the common schedule→fire cycle performs **zero allocations**.
 //! * **Batched same-timestamp pops.** [`Sim::run`] drains the heap one
 //!   *timestamp cohort* at a time into a reusable batch queue, so N
 //!   simultaneous events cost one heap drain rather than N interleaved
@@ -44,10 +63,13 @@
 //! Determinism is unchanged: `seq` is still assigned under the scheduler
 //! lock at push time, and `(time, seq)` ordering is exactly the pre-slab
 //! semantics — neither cancellation nor batching reorders survivors.
+//!
+//! The erased payloads are this module's only `unsafe`: everything that
+//! reads or writes one is below, between `erase` and [`Sim::run`].
 
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
-use std::mem::{align_of, size_of, MaybeUninit};
+use std::mem::{align_of, size_of, ManuallyDrop, MaybeUninit};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering as AtomicOrdering};
 use std::sync::{Arc, Weak};
 
@@ -179,111 +201,168 @@ impl EventClass {
     }
 }
 
-/// Payload capacity (in `usize` words) of the small inline event class:
-/// fits a captured `Arc` plus a word of state — the shape of most fabric
-/// hop and doorbell events.
+/// Capture size (in `usize` words) up to which a closure is tallied in the
+/// small inline class: fits a captured `Arc` plus a word of state — the
+/// shape of most fabric hop and doorbell events.
 pub const SMALL_WORDS: usize = 2;
-/// Payload capacity (in `usize` words) of the large inline event class.
-/// Sized from measurement: the biggest recurring closures on the suite's
-/// hot path are the descriptor-carrying datapath events (fabric delivery,
-/// firmware fetch/DMA completions) at 184–216 bytes of capture; 28 words
-/// (224 B) keeps the whole suite at a 100% pool hit rate.
+/// Payload capacity (in `usize` words) of a slab slot, and so the largest
+/// capture stored inline. Sized from measurement, and since re-measured:
+/// with a six-`Arc` provider handle in every datapath closure the biggest
+/// recurring captures (fabric delivery, firmware fetch/DMA completions)
+/// were 184–216 bytes; now that the handle is two words the suite's
+/// largest is 136 bytes (the per-fragment wire handoff and the ACK), and 17
+/// words would hold all of it. The class stays at 28 words (224 B): slot
+/// size is what `peak_rss_mb` is pinned against, and the margin is what
+/// keeps every other workload at a 100% pool hit rate.
 pub const LARGE_WORDS: usize = 28;
 
-/// A closure stored inline in a slab slot instead of behind a `Box`.
-///
-/// Layout: `WORDS` words of payload plus two erased function pointers
-/// (invoke and drop). Only closures whose size fits the payload and whose
-/// alignment does not exceed `usize`'s are stored this way; everything
-/// else takes the boxed fallback, so the unsafe code here never sees an
-/// ill-fitting type.
-pub(crate) struct InlineCell<const WORDS: usize> {
-    data: MaybeUninit<[usize; WORDS]>,
+/// Raw storage for one pending action: a slab slot's payload, and the stack
+/// buffer an action is copied into on its way out of the slab.
+type Payload = MaybeUninit<[usize; LARGE_WORDS]>;
+
+/// What the scheduler knows about a stored value once its type is erased:
+/// how many payload bytes it occupies, how to run it and how to discard it.
+/// One per stored type, promoted to `'static` from [`VtableOf`].
+pub(crate) struct ActionVtable {
+    /// `size_of` the stored value — the bytes a move in or out copies.
+    size: usize,
+    /// Run the value at the pointer, consuming it.
+    ///
+    /// # Safety
+    /// The pointer must address a valid, owned, `usize`-aligned value of
+    /// this vtable's type that is not read or dropped again.
     call: unsafe fn(*mut u8, &Sim),
-    drop_fn: unsafe fn(*mut u8),
+    /// Drop the value at the pointer without running it; same contract.
+    drop: unsafe fn(*mut u8),
 }
 
-// Safety: a cell is only ever constructed from an `F: Send` closure, whose
-// bytes it owns exclusively; both erased pointers are plain fns.
-unsafe impl<const WORDS: usize> Send for InlineCell<WORDS> {}
-
 unsafe fn call_erased<F: FnOnce(&Sim)>(p: *mut u8, sim: &Sim) {
-    // Safety: caller guarantees `p` holds a valid, owned `F` that will not
-    // be read or dropped again.
+    // Safety: the caller hands over a valid, owned `F` (`ActionVtable::call`).
     (unsafe { p.cast::<F>().read() })(sim)
 }
 
 unsafe fn drop_erased<F>(p: *mut u8) {
-    // Safety: caller guarantees `p` holds a valid, owned `F`.
+    // Safety: the caller hands over a valid, owned `F` (`ActionVtable::drop`).
     unsafe { std::ptr::drop_in_place(p.cast::<F>()) }
 }
 
-impl<const WORDS: usize> InlineCell<WORDS> {
-    /// Move `f` into an inline cell, or hand it back if it does not fit
-    /// this size class.
-    fn try_new<F: FnOnce(&Sim) + Send + 'static>(f: F) -> Result<Self, F> {
-        if size_of::<F>() > size_of::<[usize; WORDS]>() || align_of::<F>() > align_of::<usize>() {
-            return Err(f);
-        }
-        let mut data = MaybeUninit::<[usize; WORDS]>::uninit();
-        // Safety: size and alignment were just checked.
-        unsafe { data.as_mut_ptr().cast::<F>().write(f) };
-        Ok(InlineCell {
-            data,
-            call: call_erased::<F>,
-            drop_fn: drop_erased::<F>,
-        })
-    }
+unsafe fn wake_erased(p: *mut u8, sim: &Sim) {
+    // Safety: `WAKE` is only ever paired with a `WaitToken` payload.
+    sim.dispatch_wake(unsafe { p.cast::<WaitToken>().read() })
+}
 
-    /// Run the stored closure, consuming the cell without dropping the
-    /// payload twice.
-    fn invoke(self, sim: &Sim) {
-        // Copy the payload out to the stack (MaybeUninit is Copy, so the
-        // possibly-uninitialized tail words are never *read* as values)
-        // and forget the cell before the closure body runs, so the
-        // payload is dropped exactly once — by the call itself.
-        let mut payload = self.data;
-        let call = self.call;
-        std::mem::forget(self);
-        unsafe { call(payload.as_mut_ptr().cast(), sim) }
+/// Carrier of the per-closure-type vtable (a generic `static` by other
+/// means: `&VtableOf::<F>::VTABLE` is promoted to a `'static` reference).
+struct VtableOf<F>(std::marker::PhantomData<F>);
+
+impl<F: FnOnce(&Sim) + Send + 'static> VtableOf<F> {
+    const VTABLE: ActionVtable = ActionVtable {
+        size: size_of::<F>(),
+        call: call_erased::<F>,
+        drop: drop_erased::<F>,
+    };
+}
+
+/// Vtable of a process wake: the payload is the bare [`WaitToken`].
+const WAKE: ActionVtable = ActionVtable {
+    size: size_of::<WaitToken>(),
+    call: wake_erased,
+    drop: drop_erased::<WaitToken>,
+};
+
+// A slot payload is `usize`-aligned and `LARGE_WORDS` long; the wake token
+// must fit it like any inline closure.
+const _: () = assert!(
+    size_of::<WaitToken>() <= size_of::<Payload>()
+        && align_of::<WaitToken>() <= align_of::<usize>()
+);
+
+/// How a stored action is tallied in [`PoolStats`].
+#[derive(Clone, Copy)]
+pub(crate) enum Stored {
+    Small,
+    Large,
+    Boxed,
+    Wake,
+}
+
+/// True when an `F` can live in a slot payload as it is.
+const fn fits_inline<F>() -> bool {
+    size_of::<F>() <= size_of::<Payload>() && align_of::<F>() <= align_of::<usize>()
+}
+
+/// The tally class of an inline `F`.
+const fn inline_class<F>() -> Stored {
+    if size_of::<F>() <= SMALL_WORDS * size_of::<usize>() {
+        Stored::Small
+    } else {
+        Stored::Large
     }
 }
 
-impl<const WORDS: usize> Drop for InlineCell<WORDS> {
-    fn drop(&mut self) {
-        // Only reached when a pending cell is discarded (timer cancel or
-        // simulation teardown): the payload is still live, drop it in place.
-        unsafe { (self.drop_fn)(self.data.as_mut_ptr().cast()) }
+/// Erase `f` — as it is when it fits a slot payload, behind a `Box`
+/// (whose pointer then is the payload) when it is oversized or over-aligned
+/// — and hand its vtable, tally class and bytes to `sink`. The value is the
+/// sink's from then on: `erase` never drops it, so a sink that does not
+/// move the bytes somewhere that will leaks it.
+fn erase<F: FnOnce(&Sim) + Send + 'static, R>(
+    f: F,
+    sink: impl FnOnce(&'static ActionVtable, Stored, *const u8) -> R,
+) -> R {
+    if fits_inline::<F>() {
+        let f = ManuallyDrop::new(f);
+        sink(
+            &VtableOf::<F>::VTABLE,
+            inline_class::<F>(),
+            (&raw const *f).cast(),
+        )
+    } else {
+        let boxed: ManuallyDrop<Event> = ManuallyDrop::new(Box::new(f));
+        sink(
+            &VtableOf::<Event>::VTABLE,
+            Stored::Boxed,
+            (&raw const *boxed).cast(),
+        )
     }
 }
 
-// The size skew is the design: `Large` keeps its 224-byte payload inline
-// in the recycled slab slot precisely so no variant ever touches the heap.
-// Boxing it (clippy's suggestion) would reintroduce the per-event
-// allocation the arena exists to remove; slots are recycled, so the wide
-// variant costs slab capacity once, not allocator traffic per event.
-#[allow(clippy::large_enum_variant)]
-pub(crate) enum Action {
-    /// Closure inline in the small size class.
-    Small(InlineCell<SMALL_WORDS>),
-    /// Closure inline in the large size class.
-    Large(InlineCell<LARGE_WORDS>),
-    /// Oversized closure behind a heap `Box` (the pre-arena representation).
-    Call(Event),
-    Wake(WaitToken),
+/// A type-erased closure outside the slab: what a cross-shard send parks
+/// in the destination's mailbox until the round boundary moves it into a
+/// slot ([`Sim::push_action`]) by the same byte-count copy a local schedule
+/// makes. `Send` like the bytes it carries: [`erase`] only admits `Send`
+/// closures.
+pub(crate) struct Action {
+    vtable: &'static ActionVtable,
+    stored: Stored,
+    payload: Payload,
 }
 
 impl Action {
-    /// Store `f` in the smallest size class it fits, boxing as a last
-    /// resort.
+    /// Erase `f` into a free-standing action.
     pub(crate) fn from_closure(f: impl FnOnce(&Sim) + Send + 'static) -> Action {
-        match InlineCell::<SMALL_WORDS>::try_new(f) {
-            Ok(cell) => Action::Small(cell),
-            Err(f) => match InlineCell::<LARGE_WORDS>::try_new(f) {
-                Ok(cell) => Action::Large(cell),
-                Err(f) => Action::Call(Box::new(f)),
-            },
-        }
+        erase(f, |vtable, stored, src| {
+            let mut payload = Payload::uninit();
+            // Safety: `src` addresses a value of `vtable`'s type, which
+            // fits a payload; `erase` gives it up to this sink.
+            unsafe {
+                std::ptr::copy_nonoverlapping(src, payload.as_mut_ptr().cast::<u8>(), vtable.size)
+            };
+            Action {
+                vtable,
+                stored,
+                payload,
+            }
+        })
+    }
+}
+
+impl Drop for Action {
+    fn drop(&mut self) {
+        // Only reached when a parked action is discarded unrun (its
+        // mailbox is torn down); `Sim::push_action` forgets the ones it
+        // moves into a slot.
+        // Safety: the payload still holds the value `from_closure` wrote.
+        unsafe { (self.vtable.drop)(self.payload.as_mut_ptr().cast()) }
     }
 }
 
@@ -314,21 +393,31 @@ impl Ord for Scheduled {
     }
 }
 
-// Same deal as `Action`: the occupied payload must live in the slot
-// itself for the zero-alloc recycle cycle to work.
-#[allow(clippy::large_enum_variant)]
-enum SlotState {
-    /// Free; `next_free` chains the freelist (`NO_SLOT` terminates it).
-    Vacant { next_free: u32 },
-    /// Holds a pending action.
-    Occupied { action: Action },
-}
-
+/// One slab slot. Occupied exactly while `vtable` is `Some`, and then
+/// `payload[..vtable.size]` holds a valid, owned value of the vtable's
+/// type. The slab code alone touches these fields, which is what the
+/// unsafe reads and writes below rely on; and every stored value came
+/// through [`erase`], whose `Send` bound is what lets a slot (plain words,
+/// as far as the compiler can tell) cross threads with its `Sim`.
 struct Slot {
     /// Bumped every time the slot is freed; a heap entry or handle whose
     /// generation no longer matches is stale.
     gen: u32,
-    state: SlotState,
+    /// Next slot on the freelist while vacant (`NO_SLOT` terminates it).
+    next_free: u32,
+    vtable: Option<&'static ActionVtable>,
+    payload: Payload,
+}
+
+impl Drop for Slot {
+    fn drop(&mut self) {
+        // Simulation teardown with the action still pending: drop it in
+        // place, unrun.
+        if let Some(vtable) = self.vtable {
+            // Safety: occupied, so the payload holds the vtable's type.
+            unsafe { (vtable.drop)(self.payload.as_mut_ptr().cast()) }
+        }
+    }
 }
 
 const NO_SLOT: u32 = u32::MAX;
@@ -511,11 +600,11 @@ impl FuseTally {
 /// were stored and how slab slots were obtained.
 #[derive(Default, Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PoolStats {
-    /// Closures stored inline in the small size class ([`SMALL_WORDS`]).
+    /// Closures stored inline whose capture is at most [`SMALL_WORDS`] words.
     pub inline_small: u64,
-    /// Closures stored inline in the large size class ([`LARGE_WORDS`]).
+    /// Closures stored inline with a larger capture (up to [`LARGE_WORDS`]).
     pub inline_large: u64,
-    /// Closures too big for either inline class, heap-boxed.
+    /// Closures too big (or too aligned) for a slot payload, heap-boxed.
     pub boxed: u64,
     /// Wake tokens (never allocate).
     pub wakes: u64,
@@ -667,45 +756,64 @@ struct SchedState {
 }
 
 impl SchedState {
-    /// Move `action` into a slab slot and return `(slot, gen)`.
-    fn alloc_slot(&mut self, action: Action) -> (u32, u32) {
-        if self.free_head != NO_SLOT {
+    /// Copy the `vtable.size` bytes at `src` into a slab slot, once, and
+    /// return `(slot, gen)`.
+    ///
+    /// # Safety
+    /// `src` must address a valid value of `vtable`'s type, and the caller
+    /// gives that value up: the slot owns it from here on.
+    unsafe fn alloc_slot(&mut self, vtable: &'static ActionVtable, src: *const u8) -> (u32, u32) {
+        let (idx, slot) = if self.free_head != NO_SLOT {
             let idx = self.free_head;
             let slot = &mut self.slots[idx as usize];
-            let SlotState::Vacant { next_free } = slot.state else {
-                unreachable!("freelist head points at an occupied slot");
-            };
-            self.free_head = next_free;
-            slot.state = SlotState::Occupied { action };
+            assert!(
+                slot.vtable.is_none(),
+                "freelist head points at an occupied slot"
+            );
+            self.free_head = slot.next_free;
             self.stats.pool.slot_reused += 1;
-            (idx, slot.gen)
+            (idx, slot)
         } else {
             let idx = self.slots.len() as u32;
             self.slots.push(Slot {
                 gen: 0,
-                state: SlotState::Occupied { action },
+                next_free: NO_SLOT,
+                vtable: None,
+                payload: Payload::uninit(),
             });
             self.stats.pool.slot_grown += 1;
-            (idx, 0)
-        }
+            (idx, self.slots.last_mut().expect("just pushed"))
+        };
+        // Safety: `src` is readable for `size` bytes (caller); the payload
+        // is a distinct allocation at least that long, because only types
+        // passing `fits_inline` get a vtable.
+        unsafe {
+            std::ptr::copy_nonoverlapping(src, slot.payload.as_mut_ptr().cast::<u8>(), vtable.size)
+        };
+        slot.vtable = Some(vtable);
+        (idx, slot.gen)
     }
 
-    /// Take the action out of an occupied slot, bump its generation, and
-    /// return the slot to the freelist.
-    fn free_slot(&mut self, idx: u32) -> Action {
+    /// Copy the action out of an occupied slot into `out`, once, bump the
+    /// slot's generation and return it to the freelist. The caller now owns
+    /// the value in `out` and must hand it to exactly one of the returned
+    /// vtable's `call` / `drop`.
+    fn free_slot(&mut self, idx: u32, out: &mut Payload) -> &'static ActionVtable {
         let slot = &mut self.slots[idx as usize];
-        let prev = std::mem::replace(
-            &mut slot.state,
-            SlotState::Vacant {
-                next_free: self.free_head,
-            },
-        );
+        let vtable = slot.vtable.take().expect("freeing a vacant slot");
+        // Safety: the slot was occupied, so its first `size` bytes are the
+        // stored value; `out` is a whole payload, distinct from the slab.
+        unsafe {
+            std::ptr::copy_nonoverlapping(
+                slot.payload.as_ptr().cast::<u8>(),
+                out.as_mut_ptr().cast::<u8>(),
+                vtable.size,
+            )
+        };
         slot.gen = slot.gen.wrapping_add(1);
+        slot.next_free = self.free_head;
         self.free_head = idx;
-        match prev {
-            SlotState::Occupied { action } => action,
-            SlotState::Vacant { .. } => unreachable!("freeing a vacant slot"),
-        }
+        vtable
     }
 }
 
@@ -790,23 +898,25 @@ impl TimerHandle {
         let Some(inner) = self.inner.upgrade() else {
             return false;
         };
-        let action;
-        {
+        let mut taken = Payload::uninit();
+        let vtable = {
             let mut s = inner.sched.lock();
             let Some(slot) = s.slots.get(self.slot as usize) else {
                 return false;
             };
-            if slot.gen != self.gen || matches!(slot.state, SlotState::Vacant { .. }) {
+            if slot.gen != self.gen || slot.vtable.is_none() {
                 return false;
             }
-            action = s.free_slot(self.slot);
             s.dead_in_queue += 1;
             s.stats.cancelled += 1;
             s.stats.by_class[self.class.index()].cancelled += 1;
-        }
+            s.free_slot(self.slot, &mut taken)
+        };
         // Drop the closure outside the scheduler lock: its captured state
         // may itself take locks on the way down.
-        drop(action);
+        // Safety: `free_slot` moved the pending value into `taken`; this is
+        // its one use.
+        unsafe { (vtable.drop)(taken.as_mut_ptr().cast()) };
         true
     }
 
@@ -817,7 +927,7 @@ impl TimerHandle {
         };
         let s = inner.sched.lock();
         match s.slots.get(self.slot as usize) {
-            Some(slot) => slot.gen == self.gen && matches!(slot.state, SlotState::Occupied { .. }),
+            Some(slot) => slot.gen == self.gen && slot.vtable.is_some(),
             None => false,
         }
     }
@@ -899,7 +1009,18 @@ impl Sim {
 
     /// Insert an action into the arena + heap; returns `(slot, gen)` for
     /// callers that hand out a [`TimerHandle`].
-    pub(crate) fn push_as(&self, at: SimTime, class: EventClass, action: Action) -> (u32, u32) {
+    ///
+    /// # Safety
+    /// `src` must address a valid value of `vtable`'s type, which the
+    /// scheduler owns from here on: the caller must neither use nor drop it.
+    unsafe fn push_raw(
+        &self,
+        at: SimTime,
+        class: EventClass,
+        vtable: &'static ActionVtable,
+        stored: Stored,
+        src: *const u8,
+    ) -> (u32, u32) {
         debug_assert!(
             at >= self.now(),
             "scheduling into the past: {at:?} < {:?}",
@@ -908,13 +1029,14 @@ impl Sim {
         let mut s = self.inner.sched.lock();
         let seq = s.seq;
         s.seq += 1;
-        match &action {
-            Action::Small(_) => s.stats.pool.inline_small += 1,
-            Action::Large(_) => s.stats.pool.inline_large += 1,
-            Action::Call(_) => s.stats.pool.boxed += 1,
-            Action::Wake(_) => s.stats.pool.wakes += 1,
+        match stored {
+            Stored::Small => s.stats.pool.inline_small += 1,
+            Stored::Large => s.stats.pool.inline_large += 1,
+            Stored::Boxed => s.stats.pool.boxed += 1,
+            Stored::Wake => s.stats.pool.wakes += 1,
         }
-        let (slot, gen) = s.alloc_slot(action);
+        // Safety: forwarded from this function's own contract.
+        let (slot, gen) = unsafe { s.alloc_slot(vtable, src) };
         s.queue.push(Scheduled {
             at,
             seq,
@@ -925,8 +1047,41 @@ impl Sim {
         (slot, gen)
     }
 
-    pub(crate) fn push(&self, at: SimTime, action: Action) {
-        self.push_as(at, EventClass::User, action);
+    /// Schedule `f`: its captures are written once, straight into a slab
+    /// slot (or, oversized or over-aligned, into a `Box` whose pointer is).
+    fn push_closure<F: FnOnce(&Sim) + Send + 'static>(
+        &self,
+        at: SimTime,
+        class: EventClass,
+        f: F,
+    ) -> (u32, u32) {
+        erase(f, |vtable, stored, src| {
+            // Safety: `erase` passes its value's own vtable and gives the
+            // value up to this sink.
+            unsafe { self.push_raw(at, class, vtable, stored, src) }
+        })
+    }
+
+    /// Move a parked cross-shard [`Action`] into the arena.
+    pub(crate) fn push_action(&self, at: SimTime, class: EventClass, action: Action) {
+        let action = ManuallyDrop::new(action);
+        // Safety: the payload holds `action.vtable`'s type, and the
+        // `ManuallyDrop` gives it up to the slot.
+        unsafe {
+            self.push_raw(
+                at,
+                class,
+                action.vtable,
+                action.stored,
+                action.payload.as_ptr().cast(),
+            )
+        };
+    }
+
+    fn push_wake(&self, at: SimTime, class: EventClass, token: WaitToken) -> (u32, u32) {
+        // Safety: `WAKE` is the vtable of a `WaitToken`, which is `Copy`, so
+        // the slot's copy is the only one that is ever consumed.
+        unsafe { self.push_raw(at, class, &WAKE, Stored::Wake, (&raw const token).cast()) }
     }
 
     /// Schedule `f` to run at absolute time `at`, inside [`Sim::run`].
@@ -941,7 +1096,7 @@ impl Sim {
         at: SimTime,
         f: impl FnOnce(&Sim) + Send + 'static,
     ) {
-        self.push_as(at, class, Action::from_closure(f));
+        self.push_closure(at, class, f);
     }
 
     /// Schedule `f` to run `delay` from now.
@@ -973,7 +1128,7 @@ impl Sim {
         at: SimTime,
         f: impl FnOnce(&Sim) + Send + 'static,
     ) -> TimerHandle {
-        let (slot, gen) = self.push_as(at, class, Action::from_closure(f));
+        let (slot, gen) = self.push_closure(at, class, f);
         TimerHandle {
             inner: Arc::downgrade(&self.inner),
             slot,
@@ -997,18 +1152,18 @@ impl Sim {
     /// (the process has since moved on) are ignored, so it is always safe to
     /// signal.
     pub fn wake(&self, token: WaitToken) {
-        self.push(self.now(), Action::Wake(token));
+        self.push_wake(self.now(), EventClass::User, token);
     }
 
     /// Wake the process waiting on `token` after `delay` (used for timeouts).
     pub fn wake_in(&self, delay: SimDuration, token: WaitToken) {
-        self.push(self.now() + delay, Action::Wake(token));
+        self.push_wake(self.now() + delay, EventClass::User, token);
     }
 
     /// [`Sim::wake_in`] with an explicit [`EventClass`] tag (e.g. interrupt
     /// delivery accounts as [`EventClass::Completion`]).
     pub fn wake_in_as(&self, class: EventClass, delay: SimDuration, token: WaitToken) {
-        self.push_as(self.now() + delay, class, Action::Wake(token));
+        self.push_wake(self.now() + delay, class, token);
     }
 
     /// Schedule a wake for `token` after `delay` and return a cancellable
@@ -1020,7 +1175,7 @@ impl Sim {
         delay: SimDuration,
         token: WaitToken,
     ) -> TimerHandle {
-        let (slot, gen) = self.push_as(self.now() + delay, class, Action::Wake(token));
+        let (slot, gen) = self.push_wake(self.now() + delay, class, token);
         TimerHandle {
             inner: Arc::downgrade(&self.inner),
             slot,
@@ -1069,7 +1224,7 @@ impl Sim {
             record
         };
         // First wake: token sequence 0, the state ProcessRecord::new starts in.
-        self.push(self.now(), Action::Wake(WaitToken::initial(record.pid)));
+        self.push_wake(self.now(), EventClass::User, WaitToken::initial(record.pid));
         ProcessHandle::new(record, slot)
     }
 
@@ -1080,8 +1235,14 @@ impl Sim {
     /// drain, then execute in seq order. Actions are taken from their slot
     /// only at this point — not at batch-fill — so a cohort member
     /// cancelling a later same-timestamp timer still wins, exactly as in
-    /// the one-at-a-time pop loop.
-    fn pop_live(&self, bound: Option<SimTime>) -> Option<(SimTime, EventClass, Action)> {
+    /// the one-at-a-time pop loop. The action's bytes are copied into
+    /// `out` (the slot is free again before its action runs) and its
+    /// vtable returned: the caller owes `out` exactly one `call`.
+    fn pop_live(
+        &self,
+        bound: Option<SimTime>,
+        out: &mut Payload,
+    ) -> Option<(SimTime, EventClass, &'static ActionVtable)> {
         let mut s = self.inner.sched.lock();
         loop {
             let entry = match s.batch.pop_front() {
@@ -1119,10 +1280,10 @@ impl Sim {
                 s.stats.by_class[entry.class.index()].dead_popped += 1;
                 continue;
             }
-            let action = s.free_slot(entry.slot);
+            let vtable = s.free_slot(entry.slot, out);
             s.stats.fired += 1;
             s.stats.by_class[entry.class.index()].fired += 1;
-            return Some((entry.at, entry.class, action));
+            return Some((entry.at, entry.class, vtable));
         }
     }
 
@@ -1150,7 +1311,8 @@ impl Sim {
             (s.stats.pool, s.stats.events_elided, s.stats.fuse)
         };
         let mut events = 0u64;
-        while let Some((at, class, action)) = self.pop_live(bound) {
+        let mut taken = Payload::uninit();
+        while let Some((at, class, vtable)) = self.pop_live(bound, &mut taken) {
             debug_assert!(at.as_nanos() >= self.inner.now_ns.load(AtomicOrdering::Relaxed));
             self.inner
                 .now_ns
@@ -1162,12 +1324,9 @@ impl Sim {
                     hook(at, class);
                 }
             }
-            match action {
-                Action::Small(cell) => cell.invoke(self),
-                Action::Large(cell) => cell.invoke(self),
-                Action::Call(f) => f(self),
-                Action::Wake(token) => self.dispatch_wake(token),
-            }
+            // Safety: `pop_live` just moved a value of `vtable`'s type into
+            // `taken`; this call consumes it, once.
+            unsafe { (vtable.call)(taken.as_mut_ptr().cast(), self) }
         }
         // Report *logical* events: physical pops plus hops the fused fast
         // path elided during this run. Matches the sharded engine, which

@@ -185,9 +185,8 @@ impl ShardSender {
         class: EventClass,
         f: impl FnOnce(&Sim) + Send + 'static,
     ) {
-        let action = Action::from_closure(f);
         if dst == self.src as usize {
-            self.inner.sims[dst].push_as(at, class, action);
+            self.inner.sims[dst].call_at_as(class, at, f);
             return;
         }
         debug_assert!(
@@ -203,7 +202,7 @@ impl ShardSender {
             src: self.src,
             seq,
             class,
-            action,
+            action: Action::from_closure(f),
         });
     }
 }
@@ -479,7 +478,7 @@ fn run_shard_rounds(
             if m.at < now {
                 inner.late.fetch_add(1, Ordering::Relaxed);
             }
-            sim.push_as(m.at.max(now), m.class, m.action);
+            sim.push_action(m.at.max(now), m.class, m.action);
         }
         mins[i].store(
             sim.next_event_time().map_or(u64::MAX, |t| t.as_nanos()),

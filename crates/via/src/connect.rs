@@ -26,7 +26,7 @@ pub(crate) fn connect(
     disc: Discriminator,
     timeout: Option<SimDuration>,
 ) -> ViaResult<()> {
-    if remote == provider.node {
+    if remote == provider.core.node {
         return Err(ViaError::InvalidParameter);
     }
     let (reliability, mts) = {
@@ -39,11 +39,11 @@ pub(crate) fn connect(
             vi.attrs.reliability,
             vi.attrs
                 .max_transfer_size
-                .min(provider.profile.max_transfer_size),
+                .min(provider.core.profile.max_transfer_size),
         )
     };
     // Client-side connection-manager processing.
-    ctx.busy(provider.profile.setup.connect_client);
+    ctx.busy(provider.core.profile.setup.connect_client);
     let token = {
         let mut st = provider.lock();
         let vi = st.vi_mut(vi_id);
@@ -59,22 +59,22 @@ pub(crate) fn connect(
     // possible writer of each downlink (a rejected or timed-out connect
     // leaves a stale entry, which can only demote a downlink to
     // "many writers" — de-fusing, never corrupting).
-    provider.san.register_flow(provider.node, remote);
-    provider.san.register_flow(remote, provider.node);
+    provider.san.register_flow(provider.core.node, remote);
+    provider.san.register_flow(remote, provider.core.node);
     provider.san.send_control(
-        provider.node,
+        provider.core.node,
         remote,
         CONN_FRAME_BYTES,
         Box::new(Frame::Conn(ConnFrame::Request {
             disc,
-            client_node: provider.node,
+            client_node: provider.core.node,
             client_vi: vi_id,
             reliability,
             max_transfer_size: mts,
         })),
     );
     if let Some(t) = timeout {
-        provider.sim.wake_in(t, token);
+        provider.core.sim.wake_in(t, token);
     }
     ctx.wait(token);
     let mut st = provider.lock();
@@ -102,7 +102,7 @@ pub(crate) fn accept(
     disc: Discriminator,
     timeout: Option<SimDuration>,
 ) -> ViaResult<NodeId> {
-    let deadline = timeout.map(|t| provider.sim.now() + t);
+    let deadline = timeout.map(|t| provider.core.sim.now() + t);
     // Take a parked request, or register as the listener and wait.
     let req: PendingConnReq = loop {
         let token = {
@@ -131,8 +131,9 @@ pub(crate) fn accept(
         };
         if let Some(d) = deadline {
             provider
+                .core
                 .sim
-                .wake_in(d.saturating_duration_since(provider.sim.now()), token);
+                .wake_in(d.saturating_duration_since(provider.core.sim.now()), token);
         }
         ctx.wait(token);
         let mut st = provider.lock();
@@ -141,14 +142,14 @@ pub(crate) fn accept(
                 break req;
             }
         }
-        if deadline.is_some_and(|d| provider.sim.now() >= d) {
+        if deadline.is_some_and(|d| provider.core.sim.now() >= d) {
             return Err(ViaError::ConnectFailed); // timed out; listener removed above
         }
         // Spurious resume; loop and re-register.
     };
 
     // Server-side connection-manager processing.
-    ctx.busy(provider.profile.setup.connect_server);
+    ctx.busy(provider.core.profile.setup.connect_server);
 
     let our = {
         let st = provider.lock();
@@ -157,17 +158,21 @@ pub(crate) fn accept(
             vi.attrs.reliability,
             vi.attrs
                 .max_transfer_size
-                .min(provider.profile.max_transfer_size),
+                .min(provider.core.profile.max_transfer_size),
         )
     };
     // Idempotent re-registration from the server side (the client already
     // registered both directions before its request; a server that sends
     // any frame — Accept or Reject — is a writer of the client's downlink).
-    provider.san.register_flow(provider.node, req.client_node);
-    provider.san.register_flow(req.client_node, provider.node);
+    provider
+        .san
+        .register_flow(provider.core.node, req.client_node);
+    provider
+        .san
+        .register_flow(req.client_node, provider.core.node);
     if our.0 != req.reliability {
         provider.san.send_control(
-            provider.node,
+            provider.core.node,
             req.client_node,
             CONN_FRAME_BYTES,
             Box::new(Frame::Conn(ConnFrame::Reject {
@@ -189,12 +194,12 @@ pub(crate) fn accept(
     }
     arm_heartbeat(provider, vi_id);
     provider.san.send_control(
-        provider.node,
+        provider.core.node,
         req.client_node,
         CONN_FRAME_BYTES,
         Box::new(Frame::Conn(ConnFrame::Accept {
             client_vi: req.client_vi,
-            server_node: provider.node,
+            server_node: provider.core.node,
             server_vi: vi_id,
             max_transfer_size: our.1,
         })),
@@ -217,11 +222,11 @@ pub(crate) fn disconnect(provider: &Provider, ctx: &mut ProcessCtx, vi_id: ViId)
             _ => return Err(ViaError::InvalidState),
         }
     };
-    ctx.busy(provider.profile.setup.teardown);
+    ctx.busy(provider.core.profile.setup.teardown);
     teardown_local(provider, vi_id);
     if let Some(peer) = peer {
         provider.san.send_control(
-            provider.node,
+            provider.core.node,
             peer.0,
             CONN_FRAME_BYTES,
             Box::new(Frame::Conn(ConnFrame::Disconnect { dst_vi: peer.1 })),
@@ -302,10 +307,10 @@ pub(crate) fn teardown_local(provider: &Provider, vi_id: ViId) {
 /// the feature. Called at every `Connected` transition (both the accept
 /// side and the client's accept-frame handler).
 pub(crate) fn arm_heartbeat(provider: &Provider, vi_id: ViId) {
-    let Some(hb) = provider.profile.heartbeat else {
+    let Some(hb) = provider.core.profile.heartbeat else {
         return;
     };
-    let now = provider.sim.now();
+    let now = provider.core.sim.now();
     {
         let mut st = provider.lock();
         let Some(vi) = st.try_vi_mut(vi_id) else {
@@ -329,10 +334,13 @@ pub(crate) fn arm_heartbeat(provider: &Provider, vi_id: ViId) {
 /// Schedule the next keepalive tick one interval out.
 fn schedule_beat(provider: &Provider, vi_id: ViId, hb: HeartbeatParams) {
     let p = provider.clone();
-    let at = provider.sim.now() + hb.interval;
-    let handle = provider.sim.timer_at(EventClass::Retransmit, at, move |_| {
-        heartbeat_tick(&p, vi_id, hb);
-    });
+    let at = provider.core.sim.now() + hb.interval;
+    let handle = provider
+        .core
+        .sim
+        .timer_at(EventClass::Retransmit, at, move |_| {
+            heartbeat_tick(&p, vi_id, hb);
+        });
     let mut st = provider.lock();
     let stored = st
         .try_vi_mut(vi_id)
@@ -352,7 +360,7 @@ fn schedule_beat(provider: &Provider, vi_id: ViId, hb: HeartbeatParams) {
 /// *before* the send, so a dead peer is detected within
 /// `timeout + interval` of its last frame regardless of traffic.
 fn heartbeat_tick(provider: &Provider, vi_id: ViId, hb: HeartbeatParams) {
-    let now = provider.sim.now();
+    let now = provider.core.sim.now();
     enum Verdict {
         Dead,
         Beat(NodeId, ViId),
@@ -386,7 +394,7 @@ fn heartbeat_tick(provider: &Provider, vi_id: ViId, hb: HeartbeatParams) {
         }
         Verdict::Beat(peer_node, peer_vi) => {
             provider.san.send_control(
-                provider.node,
+                provider.core.node,
                 peer_node,
                 CONN_FRAME_BYTES,
                 Box::new(Frame::Conn(ConnFrame::Heartbeat { dst_vi: peer_vi })),
@@ -433,7 +441,7 @@ pub(crate) fn handle_conn_frame(provider: &Provider, sim: &Sim, frame: ConnFrame
         } => {
             let waiter = {
                 let mut st = provider.lock();
-                let profile_mts = provider.profile.max_transfer_size;
+                let profile_mts = provider.core.profile.max_transfer_size;
                 match st.try_vi_mut(client_vi) {
                     Some(vi) if vi.conn == ConnState::Connecting => {
                         let mtu = vi

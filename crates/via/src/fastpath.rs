@@ -27,7 +27,7 @@ use std::sync::OnceLock;
 use simkit::{DefuseCause, EventClass};
 
 use crate::descriptor::DescOp;
-use crate::provider::{Provider, TxJobRef};
+use crate::provider::{Provider, ProviderState, TxJobRef};
 use crate::transport::{arm_retransmit_at, complete_send, resolve_job, tx_msg};
 use crate::transport::{JobPayload, LastAction};
 use crate::types::{Reliability, ViId};
@@ -77,7 +77,7 @@ pub(crate) fn try_fuse_send(
     total_len: u64,
     host_emulated: bool,
 ) -> Result<(), DefuseCause> {
-    let profile = &provider.profile;
+    let profile = &provider.core.profile;
     if !fuse_enabled() {
         return Err(DefuseCause::Disabled);
     }
@@ -112,14 +112,14 @@ pub(crate) fn try_fuse_send(
     if !san.is_lossless() || san.faults_installed() {
         return Err(DefuseCause::FaultWindow);
     }
-    let now = provider.sim.now();
+    let now = provider.core.sim.now();
+    // Tracing hooks observe individual events; eliding any would change the
+    // trace stream.
+    if provider.observed() {
+        return Err(DefuseCause::TraceAttached);
+    }
     {
         let st = provider.lock();
-        // Tracing hooks observe individual events; eliding any would
-        // change the trace stream.
-        if st.tracer.enabled() || st.probe.is_some() {
-            return Err(DefuseCause::TraceAttached);
-        }
         if !st.fw_stalls.is_empty() {
             return Err(DefuseCause::FaultWindow);
         }
@@ -141,13 +141,13 @@ pub(crate) fn try_fuse_send(
             return Err(DefuseCause::Contention);
         }
     }
-    if !provider.pci.idle(now)
-        || !san.uplink_idle(provider.node)
-        || !san.downlink_idle(provider.node)
+    if !provider.core.pci.idle(now)
+        || !san.uplink_idle(provider.core.node)
+        || !san.downlink_idle(provider.core.node)
     {
         return Err(DefuseCause::Contention);
     }
-    let Some(spec) = resolve_job(provider, &TxJobRef { vi: vi_id, seq }) else {
+    let Some(spec) = resolve_job(provider, &provider.lock(), &TxJobRef { vi: vi_id, seq }) else {
         return Err(DefuseCause::Other);
     };
     let JobPayload::Data(kind) = spec.payload else {
@@ -165,7 +165,7 @@ pub(crate) fn try_fuse_send(
         profile.firmware.service_delay(st.active_vis())
     };
     let t_scan = t_ring + scan;
-    let fetch_end = provider.pci.reserve_at(t_scan, spec.desc_wire);
+    let fetch_end = provider.core.pci.reserve_at(t_scan, spec.desc_wire);
     let xlate_delay = {
         let mut st = provider.lock();
         let st = &mut *st;
@@ -174,14 +174,14 @@ pub(crate) fn try_fuse_send(
         // `fetch_end`, so those reservations chain exactly as the general
         // translation stage (running at `fetch_end`) would chain them.
         st.xlate
-            .nic_translate(spec.pages.iter().copied(), &provider.pci)
+            .nic_translate(spec.bufs.pages.iter().copied(), &provider.core.pci)
     };
     let t_xlate = fetch_end + xlate_delay;
-    let dma_end = provider.pci.reserve_at(t_xlate, total_len);
+    let dma_end = provider.core.pci.reserve_at(t_xlate, total_len);
     let t_wire = dma_end + profile.data.tx_frag_nic;
 
     let msg = tx_msg(provider, vi_id, seq);
-    let payload = spec.data[..total_len as usize].to_vec();
+    let payload = spec.bufs.data[..total_len as usize].to_vec();
     let frame = Frame::Data(DataFrame {
         src_vi: vi_id,
         dst_vi: spec.dst_vi,
@@ -195,7 +195,7 @@ pub(crate) fn try_fuse_send(
         reliability: spec.reliability,
     });
     san.send_msg_at(
-        provider.node,
+        provider.core.node,
         spec.dst_node,
         total_len as u32 + profile.frag_header_bytes,
         Box::new(frame),
@@ -215,7 +215,7 @@ pub(crate) fn try_fuse_send(
         LastAction::ArmRetx => arm_retransmit_at(provider, vi_id, seq, t_wire),
         LastAction::CompleteLocal => {
             let p = provider.clone();
-            provider.sim.call_at_as(
+            provider.core.sim.call_at_as(
                 EventClass::Completion,
                 t_wire + profile.data.completion_write,
                 move |_| complete_send(&p, vi_id, seq, Ok(())),
@@ -225,7 +225,7 @@ pub(crate) fn try_fuse_send(
         // only. Both were filtered above.
         LastAction::AlreadyCompleted | LastAction::Nothing => unreachable!(),
     }
-    let sim = &provider.sim;
+    let sim = &provider.core.sim;
     sim.note_macro();
     sim.note_fuse_hit();
     sim.note_elided(EventClass::Doorbell, 1);
@@ -240,7 +240,7 @@ pub(crate) fn try_fuse_send(
 /// every future handoff happens at `>= now`) and `ack_processing` is
 /// strictly below this floor.
 pub(crate) fn min_wire_latency(provider: &Provider) -> simkit::SimDuration {
-    let profile = &provider.profile;
+    let profile = &provider.core.profile;
     match profile.data_path {
         crate::profile::DataPathKind::HostEmulated => {
             // The post enqueues inline and an RDMA-read request hits the
@@ -273,7 +273,7 @@ pub(crate) fn min_wire_latency(provider: &Provider) -> simkit::SimDuration {
 /// exactness. The early `delivered` mark a fold causes is compensated by
 /// `ViState::unfused_highwater`, and lossless in-order delivery makes it
 /// dedup-safe.
-pub(crate) fn fuse_rx_eligible(provider: &Provider, df: &DataFrame) -> bool {
+pub(crate) fn fuse_rx_eligible(provider: &Provider, st: &ProviderState, df: &DataFrame) -> bool {
     if !fuse_enabled() || df.frag_count != 1 || df.reliability == Reliability::ReliableReception {
         return false;
     }
@@ -281,8 +281,7 @@ pub(crate) fn fuse_rx_eligible(provider: &Provider, df: &DataFrame) -> bool {
     if !san.is_single_switch() || !san.is_lossless() || san.faults_installed() {
         return false;
     }
-    let st = provider.lock();
-    if st.tracer.enabled() || st.probe.is_some() {
+    if provider.observed() {
         return false;
     }
     let Some(vi) = st.vis.get(df.dst_vi.index()).and_then(|v| v.as_ref()) else {

@@ -1,7 +1,8 @@
 //! The per-node VIA provider and the cluster builder.
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, OnceLock};
 
 use fabric::{NodeId, San, Topology};
 use parking_lot::{Mutex, MutexGuard};
@@ -164,11 +165,6 @@ pub struct ProbeEvent {
 
 pub(crate) struct ProviderState {
     pub mem: ProcessMem,
-    /// Data-path probe: when `Some`, transport stages append events here.
-    pub probe: Option<Vec<ProbeEvent>>,
-    /// Message-lifecycle tracer; disabled (a single branch per would-be
-    /// record) unless [`Cluster::enable_trace`] attached one.
-    pub tracer: Tracer,
     /// Busy-until of the receive-side processing engine (NIC processor on
     /// the offload path, kernel on the emulated path): per-fragment receive
     /// work is serial on one engine.
@@ -223,44 +219,87 @@ impl ProviderState {
     }
 }
 
-/// Handle to one node's VIA provider. Cheap to clone.
+/// Everything one node's provider is, allocated once: the fields fixed at
+/// cluster construction, the two observers, and the mutable state behind
+/// its lock. Every [`Provider`] handle to the node — one rides in nearly
+/// every datapath closure — shares this one allocation, so capturing a
+/// provider costs one reference count here (and one on the SAN), not one
+/// per field.
+///
+/// **Observing nothing costs no lock.** The tracer and the probe live
+/// beside `state`, not in it: on an untraced, unprobed cluster a would-be
+/// record is one load, and either observer may be consulted with the state
+/// lock held.
+pub(crate) struct ProviderCore {
+    pub sim: Sim,
+    pub profile: Arc<Profile>,
+    pub node: NodeId,
+    pub cpu: CpuId,
+    /// Cluster seed; keys the deterministic retransmission-backoff jitter.
+    pub seed: u64,
+    pub pci: PciBus,
+    pub intr: InterruptController,
+    /// Message-lifecycle tracer, set at most once by
+    /// [`Cluster::enable_trace`].
+    pub tracer: OnceLock<Tracer>,
+    /// True once [`Provider::enable_probe`] ran; transport stages then
+    /// append to `probe`.
+    pub probe_on: AtomicBool,
+    pub probe: Mutex<Vec<ProbeEvent>>,
+    pub state: Mutex<ProviderState>,
+}
+
+/// Handle to one node's VIA provider: the node's shared core (identity,
+/// profile, PCI bus, observers, state — one allocation) and the SAN it
+/// sends on, two pointers in all. Cheap to clone, and the datapath mostly
+/// does not: a transmit job's stages and a frame's arrival hand one handle
+/// from event to event.
+///
+/// The SAN handle stays beside the core rather than inside it because the
+/// SAN owns this node's receive and fault hooks: they hold the core and a
+/// *weak* SAN handle and pair the two per invocation, so no strong
+/// `Provider → San → hook → Provider` cycle keeps a finished world alive.
 #[derive(Clone)]
 pub struct Provider {
-    pub(crate) sim: Sim,
+    pub(crate) core: Arc<ProviderCore>,
     pub(crate) san: San,
-    pub(crate) profile: Arc<Profile>,
-    pub(crate) node: NodeId,
-    pub(crate) cpu: CpuId,
-    /// Cluster seed; keys the deterministic retransmission-backoff jitter.
-    pub(crate) seed: u64,
-    pub(crate) pci: PciBus,
-    pub(crate) intr: InterruptController,
-    pub(crate) state: Arc<Mutex<ProviderState>>,
 }
 
 impl Provider {
     /// The simulation handle.
     pub fn sim(&self) -> &Sim {
-        &self.sim
+        &self.core.sim
     }
 
     /// This provider's node id.
     pub fn node(&self) -> NodeId {
-        self.node
+        self.core.node
     }
 
     /// The CPU benchmarks should bind their process to.
     pub fn cpu(&self) -> CpuId {
-        self.cpu
+        self.core.cpu
     }
 
     /// The architecture/cost profile in force.
     pub fn profile(&self) -> &Profile {
-        &self.profile
+        &self.core.profile
     }
 
     pub(crate) fn lock(&self) -> MutexGuard<'_, ProviderState> {
-        self.state.lock()
+        self.core.state.lock()
+    }
+
+    /// The attached tracer, or a disabled one: for the `*_traced` cost
+    /// helpers, which take a `&Tracer` either way.
+    pub(crate) fn tracer(&self) -> Tracer {
+        self.core.tracer.get().cloned().unwrap_or_default()
+    }
+
+    /// True when a tracer or the probe observes individual events (the
+    /// fused fast path must not elide any then).
+    pub(crate) fn observed(&self) -> bool {
+        self.core.tracer.get().is_some() || self.core.probe_on.load(Ordering::Relaxed)
     }
 
     pub(crate) fn with_vi<R>(&self, id: ViId, f: impl FnOnce(&ViState) -> R) -> R {
@@ -295,7 +334,7 @@ impl Provider {
             let st = self.lock();
             st.mem.page_count(va, len.max(1))
         };
-        let cost = self.profile.setup.reg_base + self.profile.setup.reg_per_page * pages;
+        let cost = self.core.profile.setup.reg_base + self.core.profile.setup.reg_per_page * pages;
         ctx.busy(cost);
         self.lock().mem.register(va, len, attrs)
     }
@@ -310,7 +349,8 @@ impl Provider {
             span
         };
         let pages = last - first + 1;
-        let cost = self.profile.setup.dereg_base + self.profile.setup.dereg_per_page * pages;
+        let cost =
+            self.core.profile.setup.dereg_base + self.core.profile.setup.dereg_per_page * pages;
         ctx.busy(cost);
         Ok(())
     }
@@ -324,14 +364,14 @@ impl Provider {
         send_cq: Option<&Cq>,
         recv_cq: Option<&Cq>,
     ) -> ViaResult<Vi> {
-        if !self.profile.supports_reliability(attrs.reliability) {
+        if !self.core.profile.supports_reliability(attrs.reliability) {
             return Err(ViaError::NotSupported);
         }
-        ctx.busy(self.profile.setup.create_vi);
+        ctx.busy(self.core.profile.setup.create_vi);
         let mut st = self.lock();
         for cq in [send_cq, recv_cq].into_iter().flatten() {
             // CQ handles must belong to this provider.
-            if !Arc::ptr_eq(&cq.provider.state, &self.state) {
+            if !Arc::ptr_eq(&cq.provider.core, &self.core) {
                 return Err(ViaError::InvalidParameter);
             }
             st.cq_mut(cq.id).refs += 1;
@@ -363,7 +403,7 @@ impl Provider {
             }
             st.vis[vi.id.index()] = None;
         }
-        ctx.busy(self.profile.setup.destroy_vi);
+        ctx.busy(self.core.profile.setup.destroy_vi);
         Ok(())
     }
 
@@ -372,7 +412,7 @@ impl Provider {
         if depth == 0 {
             return Err(ViaError::InvalidParameter);
         }
-        ctx.busy(self.profile.setup.create_cq);
+        ctx.busy(self.core.profile.setup.create_cq);
         let mut st = self.lock();
         let id = CqId(st.cqs.len() as u32);
         st.cqs.push(Some(CqState::new(id, depth)));
@@ -391,7 +431,7 @@ impl Provider {
             }
             st.cqs[cq.id.index()] = None;
         }
-        ctx.busy(self.profile.setup.destroy_cq);
+        ctx.busy(self.core.profile.setup.destroy_cq);
         Ok(())
     }
 
@@ -400,20 +440,13 @@ impl Provider {
     /// paper's §3 promises exactly this ("identify how much time is spent
     /// in each of the components … and pinpoint the bottlenecks").
     pub fn enable_probe(&self) {
-        let mut st = self.lock();
-        if st.probe.is_none() {
-            st.probe = Some(Vec::new());
-        }
+        self.core.probe_on.store(true, Ordering::Relaxed);
     }
 
     /// Drain and return the probe's recorded events (empty if the probe
     /// was never enabled).
     pub fn take_probe_events(&self) -> Vec<ProbeEvent> {
-        let mut st = self.lock();
-        match st.probe.as_mut() {
-            Some(v) => std::mem::take(v),
-            None => Vec::new(),
-        }
+        std::mem::take(&mut *self.core.probe.lock())
     }
 
     /// Snapshot of this provider's counters.
@@ -432,9 +465,9 @@ impl Provider {
     pub fn audit(&self) -> AuditReport {
         use crate::vi::ConnState;
         let st = self.lock();
-        let node = self.node.0;
+        let node = self.core.node.0;
         let mut violations = Vec::new();
-        let initial = self.profile.credit_flow.initial as u64;
+        let initial = self.core.profile.credit_flow.initial as u64;
         for vi in st.vis.iter().flatten() {
             let tag = format!("node {node} vi {}", vi.id.raw());
             if matches!(vi.conn, ConnState::Error { .. }) {
@@ -518,7 +551,7 @@ impl Provider {
         // Macro-event ledger: every fuse attempt either committed (one
         // macro-event per hit) or was charged to exactly one de-fuse cause,
         // and the engine never elided events without a fold recording them.
-        let sched = self.sim.sched_stats();
+        let sched = self.core.sim.sched_stats();
         if sched.fuse.attempts != sched.fuse.hits + sched.fuse.defused() {
             violations.push(format!(
                 "node {node}: fuse ledger unbalanced ({} attempts != {} hits + {} defused)",
@@ -598,7 +631,7 @@ impl Provider {
             transport::fail_connection(self, vi_id, cause);
         }
         for token in waiters {
-            self.sim.wake(token);
+            self.core.sim.wake(token);
         }
     }
 
@@ -638,7 +671,7 @@ impl Provider {
         vi: ViId,
         send_side: bool,
     ) -> Option<Completion> {
-        ctx.busy(self.profile.host.completion_check);
+        ctx.busy(self.core.profile.host.completion_check);
         let mut st = self.lock();
         let v = st.vi_mut(vi);
         let q = if send_side {
@@ -667,7 +700,7 @@ impl Provider {
                 };
                 if let Some(c) = q.pop_front() {
                     drop(st);
-                    ctx.busy(self.profile.host.completion_check);
+                    ctx.busy(self.core.profile.host.completion_check);
                     return c;
                 }
                 let waiter = if send_side {
@@ -714,7 +747,7 @@ impl Provider {
                 };
                 if let Some(c) = q.pop_front() {
                     drop(st);
-                    ctx.busy(self.profile.host.completion_check);
+                    ctx.busy(self.core.profile.host.completion_check);
                     return Some(c);
                 }
                 if !connected {
@@ -742,7 +775,7 @@ impl Provider {
     // ------------------------------------------------------------------
 
     pub(crate) fn cq_done(&self, ctx: &mut ProcessCtx, cq: CqId) -> Option<(ViId, QueueKind)> {
-        ctx.busy(self.profile.data.cq_check);
+        ctx.busy(self.core.profile.data.cq_check);
         let mut st = self.lock();
         st.cq_mut(cq).entries.pop_front()
     }
@@ -759,7 +792,7 @@ impl Provider {
                 let c = st.cq_mut(cq);
                 if let Some(e) = c.entries.pop_front() {
                     drop(st);
-                    ctx.busy(self.profile.data.cq_check);
+                    ctx.busy(self.core.profile.data.cq_check);
                     return e;
                 }
                 let token = ctx.prepare_wait();
@@ -902,48 +935,46 @@ impl Cluster {
             let sim = sim_of(i);
             let node = NodeId(i as u32);
             let cpu = sim.add_cpu(format!("{}-node{}", profile.name, i));
-            let pci = PciBus::new(sim.clone(), profile.pci);
-            let intr = InterruptController::from_host(cpu, &profile.host);
-            let state = Arc::new(Mutex::new(ProviderState {
-                mem: ProcessMem::new(profile.host.page_size),
-                rx_engine_busy: simkit::SimTime::ZERO,
-                probe: None,
-                tracer: Tracer::disabled(),
-                vis: Vec::new(),
-                cqs: Vec::new(),
-                xlate: XlateEngine::new(profile.xlate),
-                listeners: HashMap::new(),
-                pending_conn: HashMap::new(),
-                nic_tx: NicTx {
-                    queue: DescRing::new(profile.nic_tx_ring),
-                    busy: false,
-                    fused_until: simkit::SimTime::ZERO,
-                    release_scheduled: false,
-                },
-                fw_stalls: FirmwareStalls::new(),
-                crashed: false,
-                stats: ProviderStats::default(),
-            }));
-            let profile = Arc::clone(&profile);
-            // This node's provider, around whichever SAN handle it is given.
-            let provider_on = move |san: San| Provider {
-                sim: sim.clone(),
-                san,
+            let core = Arc::new(ProviderCore {
+                pci: PciBus::new(sim.clone(), profile.pci),
+                intr: InterruptController::from_host(cpu, &profile.host),
+                sim,
                 profile: Arc::clone(&profile),
                 node,
                 cpu,
                 seed,
-                pci: pci.clone(),
-                intr,
-                state: Arc::clone(&state),
-            };
-            providers.push(provider_on(san.clone()));
+                tracer: OnceLock::new(),
+                probe_on: AtomicBool::new(false),
+                probe: Mutex::new(Vec::new()),
+                state: Mutex::new(ProviderState {
+                    mem: ProcessMem::new(profile.host.page_size),
+                    rx_engine_busy: simkit::SimTime::ZERO,
+                    vis: Vec::new(),
+                    cqs: Vec::new(),
+                    xlate: XlateEngine::new(profile.xlate),
+                    listeners: HashMap::new(),
+                    pending_conn: HashMap::new(),
+                    nic_tx: NicTx {
+                        queue: DescRing::new(profile.nic_tx_ring),
+                        busy: false,
+                        fused_until: simkit::SimTime::ZERO,
+                        release_scheduled: false,
+                    },
+                    fw_stalls: FirmwareStalls::new(),
+                    crashed: false,
+                    stats: ProviderStats::default(),
+                }),
+            });
+            providers.push(Provider {
+                core: Arc::clone(&core),
+                san: san.clone(),
+            });
             // The SAN owns the two hooks below, so they reach it through a
             // weak handle: a strong one (inside a captured `Provider`)
             // would close a cycle that keeps every simulated world alive
             // forever. The upgrade cannot fail inside a hook the SAN is
             // invoking.
-            let (weak, on_frame) = (san.downgrade(), provider_on.clone());
+            let (weak, on_frame) = (san.downgrade(), Arc::clone(&core));
             san.attach(
                 node,
                 Arc::new(move |sim, delivery| {
@@ -952,7 +983,11 @@ impl Cluster {
                         .body
                         .downcast::<Frame>()
                         .expect("non-VIA frame on a VIA SAN");
-                    transport::handle_frame(&on_frame(san), sim, delivery.src, *frame);
+                    let provider = Provider {
+                        core: Arc::clone(&on_frame),
+                        san,
+                    };
+                    transport::handle_frame(provider, sim, delivery.src, *frame);
                 }),
             );
             // Node-scoped fault windows (node_down / nic_reset) wipe and
@@ -964,7 +999,10 @@ impl Cluster {
                 node,
                 Arc::new(move |_sim, kind, open| {
                     let Some(san) = weak.upgrade() else { return };
-                    let provider = provider_on(san);
+                    let provider = Provider {
+                        core: Arc::clone(&core),
+                        san,
+                    };
                     if open {
                         provider.crash(kind);
                     } else {
@@ -1006,7 +1044,7 @@ impl Cluster {
     /// they run on the node's shard. For a serial cluster this is always
     /// the one engine.
     pub fn node_sim(&self, i: usize) -> &Sim {
-        &self.providers[i].sim
+        &self.providers[i].core.sim
     }
 
     /// The profile all nodes run.
@@ -1021,10 +1059,16 @@ impl Cluster {
     /// [`simkit::Sim::set_event_hook`]). Returns the tracer handle;
     /// tracing adds **no virtual-time cost**, so a traced run's timeline
     /// is identical to an untraced one.
+    ///
+    /// # Panics
+    /// A cluster takes one tracer for its lifetime; a second call panics.
     pub fn enable_trace(&self, config: TraceConfig) -> Tracer {
         let tracer = Tracer::new(config);
         for p in &self.providers {
-            p.state.lock().tracer = tracer.clone();
+            assert!(
+                p.core.tracer.set(tracer.clone()).is_ok(),
+                "a tracer is already attached to this cluster"
+            );
         }
         self.san.set_tracer(tracer.clone());
         for sim in &self.engine_sims {

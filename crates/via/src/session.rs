@@ -464,7 +464,7 @@ impl SessionSender {
             .min(self.params.backoff_cap.as_nanos())
             .max(1);
         let provider = self.vi.provider();
-        let key = provider.seed
+        let key = provider.core.seed
             ^ ((provider.node().0 as u64) << 40)
             ^ ((self.vi.id().raw() as u64) << 20)
             ^ self.attempt_streak as u64;

@@ -1,6 +1,6 @@
 //! Virtual Interfaces: state, work queues, and the public [`Vi`] handle.
 
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::sync::Arc;
 
 use fabric::NodeId;
@@ -57,15 +57,21 @@ pub enum ConnState {
     },
 }
 
+/// What a posted send snapshots once and every (re)transmission, and every
+/// fragment of each, then shares: one allocation, one reference count.
+pub(crate) struct TxBuffers {
+    /// The source bytes (empty for RDMA reads).
+    pub data: Vec<u8>,
+    /// Pages the local segments span (for NIC translation).
+    pub pages: Vec<u64>,
+}
+
 /// A send/RDMA descriptor in flight (posted, not yet completed).
 pub(crate) struct InflightSend {
     pub seq: u64,
     pub desc: Descriptor,
-    /// Snapshot of the source bytes (empty for RDMA reads).
-    pub data: Arc<Vec<u8>>,
+    pub bufs: Arc<TxBuffers>,
     pub total_len: u64,
-    /// Pages the local segments span (for NIC translation / retransmit).
-    pub pages: Vec<u64>,
     pub kind: MsgKind,
     pub retries: u32,
     /// When the last fragment of the *first* transmission hit the wire.
@@ -130,7 +136,8 @@ pub(crate) struct ViState {
     pub next_seq: u64,
     pub connect_waiter: Option<WaitToken>,
     pub connect_result: Option<ViaResult<()>>,
-    /// Reassemblies keyed by message sequence (one peer per VI).
+    /// Reassemblies keyed by message sequence (one peer per VI). Iteration
+    /// order depends on the process's hash seed: sort before acting on it.
     pub reassembly: HashMap<u64, Reassembly>,
     /// Which message sequences have been fully delivered (reliable-mode
     /// duplicate detection across out-of-order loss recovery).
@@ -138,7 +145,7 @@ pub(crate) struct ViState {
     /// Completions landed out of order on a reliable connection, parked
     /// until every earlier message has landed (the spec's in-order
     /// delivery guarantee).
-    pub parked_recv: std::collections::BTreeMap<u64, Completion>,
+    pub parked_recv: BTreeMap<u64, Completion>,
     /// Adaptive retransmission-timeout estimator (reliable modes).
     pub rto: RtoEstimator,
     /// Sender-side flow control: credits consumed by reliable sends this
@@ -316,7 +323,7 @@ impl ViState {
             connect_result: None,
             reassembly: HashMap::new(),
             delivered: DeliveredTracker::default(),
-            parked_recv: std::collections::BTreeMap::new(),
+            parked_recv: BTreeMap::new(),
             rto: RtoEstimator::default(),
             credits_consumed: 0,
             credit_seen_total: 0,
@@ -337,6 +344,21 @@ impl ViState {
             self.fold_pending.pop_front();
         }
         self.fold_pending.len() as u64
+    }
+
+    /// Sequences of the reassemblies older than `before` that still miss
+    /// *arrivals* (ones whose fragments are merely mid-DMA will finish),
+    /// ascending. The caller completes their descriptors in this order, so
+    /// it must not be the map's: that one changes with the hash seed.
+    pub(crate) fn stale_reassemblies(&self, before: u64) -> Vec<u64> {
+        let mut stale: Vec<u64> = self
+            .reassembly
+            .iter()
+            .filter(|(&s, r)| s < before && r.arrived < r.frag_count)
+            .map(|(&s, _)| s)
+            .collect();
+        stale.sort_unstable();
+        stale
     }
 
     /// The delivery highwater an *unfused* run would observe at `now`:
@@ -615,24 +637,44 @@ mod tests {
         assert_eq!(est.samples(), 0);
     }
 
-    #[test]
-    fn reassembly_tracks_fragments() {
-        let mut r = Reassembly {
+    fn two_fragment_reassembly(arrived: u32) -> Reassembly {
+        Reassembly {
             target: RxTarget::Recv {
                 desc: Descriptor::recv().segment(0, MemHandle::test(0), 64),
                 imm: None,
             },
             msg_len: 64,
             frag_count: 2,
-            arrived: 0,
+            arrived,
             landed: 0,
             seen: vec![false; 2],
             error: None,
             reliability: Reliability::Unreliable,
-        };
+        }
+    }
+
+    #[test]
+    fn reassembly_tracks_fragments() {
+        let mut r = two_fragment_reassembly(0);
         r.seen[0] = true;
         r.arrived += 1;
         assert_eq!(r.arrived, 1);
         assert!(!r.seen[1]);
+    }
+
+    #[test]
+    fn stale_reassemblies_come_out_in_sequence_order_whatever_the_hash_seed() {
+        // Every `HashMap` draws its own hash keys, so twenty fresh maps
+        // holding the same seven partial messages iterate in (almost
+        // surely) several different orders; the stale list may not.
+        for _ in 0..20 {
+            let mut vi = ViState::new(ViId(0), ViAttributes::default(), None, None);
+            for seq in [11, 3, 8, 5, 2, 13, 7] {
+                vi.reassembly.insert(seq, two_fragment_reassembly(1));
+            }
+            // Fully arrived (mid-DMA) and not-older entries are not stale.
+            vi.reassembly.insert(4, two_fragment_reassembly(2));
+            assert_eq!(vi.stale_reassemblies(12), [2, 3, 5, 7, 8, 11]);
+        }
     }
 }
