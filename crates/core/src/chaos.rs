@@ -420,15 +420,17 @@ pub fn run_episode(idx: usize) -> EpisodeReport {
     // summary (switch-scoped windows on dumbbell episodes flush frames,
     // node windows wipe providers; chaos streams use raw VIs, so no
     // sessions recover here).
-    crate::runner::record_crash_health(crash_wipes, 0);
-    crate::runner::record_fabric_health(
-        pair.san()
-            .port_stats()
-            .iter()
-            .map(|p| p.stats.storm_trips)
-            .sum(),
-        fstats.frames_fault_dropped,
-    );
+    let storm_trips: u64 = pair
+        .san()
+        .port_stats()
+        .iter()
+        .map(|p| p.stats.storm_trips)
+        .sum();
+    crate::runner::ledger(|l| {
+        l.health.node_crashes += crash_wipes;
+        l.health.storm_trips += storm_trips;
+        l.health.fault_dropped += fstats.frames_fault_dropped;
+    });
     EpisodeReport {
         seed_fp: cluster_seed % 1_000_000,
         faults,

@@ -339,7 +339,10 @@ pub fn node_kill(seed: u64, shards: usize) -> CrashOutcome {
         sessions_recovered, AFFECTED_FLOWS as u64,
         "every victim-terminating session must recover"
     );
-    crate::runner::record_crash_health(vstats.node_crashes + vstats.nic_resets, sessions_recovered);
+    crate::runner::ledger(|l| {
+        l.health.node_crashes += vstats.node_crashes + vstats.nic_resets;
+        l.health.sessions_recovered += sessions_recovered;
+    });
 
     CrashOutcome {
         flows,

@@ -33,10 +33,10 @@
 //! and [`via::Provider::audit`] clean on every node. Design notes:
 //! DESIGN.md §4.7.
 
-use fabric::{FaultPlan, NodeId, PortLimits, PortSnapshot, RerouteParams, SanStats};
-use simkit::{SimDuration, SimTime, WaitMode};
-use via::{Descriptor, Discriminator, MemAttributes, Reliability, ViAttributes};
+use fabric::{FaultPlan, PortLimits, PortSnapshot, RerouteParams, SanStats};
+use simkit::{SimDuration, SimTime};
 
+use crate::flow::{run_flows, Flow};
 use crate::report::Table;
 use crate::runner::default_shards;
 use crate::topo_bench::{fat_tree64, EDGES, HOSTS_PER_EDGE};
@@ -74,15 +74,6 @@ fn kill_at() -> SimTime {
 /// How long the spine stays dead.
 fn kill_duration() -> SimDuration {
     SimDuration::from_micros(500)
-}
-
-/// Reliable Delivery VI attributes — retransmission is the recovery
-/// mechanism both workloads lean on.
-fn rd() -> ViAttributes {
-    ViAttributes {
-        reliability: Reliability::ReliableDelivery,
-        ..ViAttributes::default()
-    }
 }
 
 /// Kill-workload flow `f`'s endpoints: sources on edges 1..=6, each
@@ -148,99 +139,31 @@ pub fn spine_kill(seed: u64, shards: usize) -> FailoverOutcome {
         .with_reroute(RerouteParams::default());
     cluster.san().install_faults(&plan);
 
-    let mut rx = Vec::with_capacity(KILL_FLOWS);
-    for f in 0..KILL_FLOWS {
-        let (src, dst) = kill_flow_pair(f);
-        let size = kill_flow_size(f);
-        let p = cluster.provider(dst);
-        let sim = cluster.node_sim(dst).clone();
-        let label = format!("f{f:02} {src}->{dst}");
-        rx.push(
-            sim.spawn(format!("failover-rx-f{f}"), Some(p.cpu()), move |ctx| {
-                let vi = p.create_vi(ctx, rd(), None, None).expect("vi");
-                let buf = p.malloc(size);
-                let mh = p
-                    .register_mem(ctx, buf, size, MemAttributes::default())
-                    .expect("register");
-                for _ in 0..KILL_MSGS {
-                    vi.post_recv(ctx, Descriptor::recv().segment(buf, mh, size as u32))
-                        .expect("post_recv");
-                }
-                p.accept(ctx, &vi, Discriminator(f as u64)).expect("accept");
-                let mut bytes = 0u64;
-                let mut last = SimTime::ZERO;
-                let mut prev: Option<SimTime> = None;
-                let mut stall = SimDuration::ZERO;
-                let mut post_kill = 0u64;
-                for _ in 0..KILL_MSGS {
-                    let comp = vi.recv_wait(ctx, WaitMode::Poll);
-                    assert!(comp.is_ok(), "failover delivery failed: {:?}", comp.status);
-                    bytes += comp.length;
-                    let now = ctx.now();
-                    if let Some(prev) = prev {
-                        stall = stall.max(now.duration_since(prev));
-                    }
-                    prev = Some(now);
-                    last = last.max(now);
-                    if now > kill_at() {
-                        post_kill += 1;
-                    }
-                }
-                FailoverFlow {
-                    label,
-                    delivered: KILL_MSGS as u64,
-                    bytes,
-                    last_rx: last,
-                    stall,
-                    post_kill,
-                }
-            }),
-        );
-    }
-
-    let mut tx = Vec::with_capacity(KILL_FLOWS);
-    for f in 0..KILL_FLOWS {
-        let (src, dst) = kill_flow_pair(f);
-        let size = kill_flow_size(f);
-        let p = cluster.provider(src);
-        let sim = cluster.node_sim(src).clone();
-        tx.push(
-            sim.spawn(format!("failover-tx-f{f}"), Some(p.cpu()), move |ctx| {
-                let vi = p.create_vi(ctx, rd(), None, None).expect("vi");
-                let buf = p.malloc(size);
-                let mh = p
-                    .register_mem(ctx, buf, size, MemAttributes::default())
-                    .expect("register");
-                ctx.sleep(SimDuration::from_nanos(1_069 * f as u64));
-                p.connect(ctx, &vi, NodeId(dst as u32), Discriminator(f as u64), None)
-                    .expect("connect");
-                ctx.sleep(SimDuration::from_nanos(30_000 + 977 * f as u64));
-                // A window of two keeps frames in flight across the kill
-                // instant without overrunning the default port limits.
-                let mut posted = 0usize;
-                while posted < KILL_MSGS.min(2) {
-                    vi.post_send(ctx, Descriptor::send().segment(buf, mh, size as u32))
-                        .expect("post_send");
-                    posted += 1;
-                }
-                for _ in 0..KILL_MSGS {
-                    let comp = vi.send_wait(ctx, WaitMode::Poll);
-                    assert!(comp.is_ok(), "failover send failed: {:?}", comp.status);
-                    if posted < KILL_MSGS {
-                        vi.post_send(ctx, Descriptor::send().segment(buf, mh, size as u32))
-                            .expect("post_send");
-                        posted += 1;
-                    }
-                }
-            }),
-        );
-    }
-
-    rig.run();
-    for t in tx {
-        t.expect_result();
-    }
-    let flows: Vec<FailoverFlow> = rx.into_iter().map(|h| h.expect_result()).collect();
+    // The burst's window of two keeps frames in flight across the kill
+    // instant without overrunning the default port limits.
+    let flows: Vec<Flow> = (0..KILL_FLOWS)
+        .map(|f| Flow::staggered(f, kill_flow_pair(f), f as u64, KILL_MSGS, kill_flow_size(f)))
+        .collect();
+    let traces = run_flows(
+        &rig,
+        &flows,
+        |f, _| format!("failover-rx-f{f}"),
+        |f, _| format!("failover-tx-f{f}"),
+        kill_at(),
+    );
+    let flows = flows
+        .iter()
+        .zip(traces)
+        .enumerate()
+        .map(|(f, (flow, t))| FailoverFlow {
+            label: format!("f{f:02} {}->{}", flow.src, flow.dst),
+            delivered: t.delivered,
+            bytes: t.bytes,
+            last_rx: t.last_rx,
+            stall: t.max_gap,
+            post_kill: t.after_mark,
+        })
+        .collect();
     FailoverOutcome {
         flows,
         san: cluster.san().stats(),
@@ -376,92 +299,25 @@ pub fn pause_cascade(seed: u64, shards: usize) -> CascadeOutcome {
     );
     let cluster = &rig.cluster;
 
-    let mut rx = Vec::with_capacity(CASCADE_SENDERS);
-    for s in 0..CASCADE_SENDERS {
-        let dst = s % HOSTS_PER_EDGE;
-        let size = cascade_size(s);
-        let p = cluster.provider(dst);
-        let sim = cluster.node_sim(dst).clone();
-        rx.push(
-            sim.spawn(format!("cascade-rx-s{s}"), Some(p.cpu()), move |ctx| {
-                let vi = p.create_vi(ctx, rd(), None, None).expect("vi");
-                let buf = p.malloc(size);
-                let mh = p
-                    .register_mem(ctx, buf, size, MemAttributes::default())
-                    .expect("register");
-                for _ in 0..CASCADE_MSGS {
-                    vi.post_recv(ctx, Descriptor::recv().segment(buf, mh, size as u32))
-                        .expect("post_recv");
-                }
-                p.accept(ctx, &vi, Discriminator(400 + s as u64))
-                    .expect("accept");
-                let mut bytes = 0u64;
-                let mut last = SimTime::ZERO;
-                for _ in 0..CASCADE_MSGS {
-                    let comp = vi.recv_wait(ctx, WaitMode::Poll);
-                    assert!(comp.is_ok(), "cascade delivery failed: {:?}", comp.status);
-                    bytes += comp.length;
-                    last = last.max(ctx.now());
-                }
-                (CASCADE_MSGS as u64, bytes, last)
-            }),
-        );
-    }
-
-    let mut tx = Vec::with_capacity(CASCADE_SENDERS);
-    for s in 0..CASCADE_SENDERS {
-        let src = cascade_sender_node(s);
-        let dst = s % HOSTS_PER_EDGE;
-        let size = cascade_size(s);
-        let p = cluster.provider(src);
-        let sim = cluster.node_sim(src).clone();
-        tx.push(
-            sim.spawn(format!("cascade-tx-s{s}"), Some(p.cpu()), move |ctx| {
-                let vi = p.create_vi(ctx, rd(), None, None).expect("vi");
-                let buf = p.malloc(size);
-                let mh = p
-                    .register_mem(ctx, buf, size, MemAttributes::default())
-                    .expect("register");
-                ctx.sleep(SimDuration::from_nanos(1_069 * s as u64));
-                p.connect(
-                    ctx,
-                    &vi,
-                    NodeId(dst as u32),
-                    Discriminator(400 + s as u64),
-                    None,
-                )
-                .expect("connect");
-                ctx.sleep(SimDuration::from_nanos(30_000 + 977 * s as u64));
-                let mut posted = 0usize;
-                while posted < CASCADE_MSGS.min(2) {
-                    vi.post_send(ctx, Descriptor::send().segment(buf, mh, size as u32))
-                        .expect("post_send");
-                    posted += 1;
-                }
-                for _ in 0..CASCADE_MSGS {
-                    let comp = vi.send_wait(ctx, WaitMode::Poll);
-                    assert!(comp.is_ok(), "cascade send failed: {:?}", comp.status);
-                    if posted < CASCADE_MSGS {
-                        vi.post_send(ctx, Descriptor::send().segment(buf, mh, size as u32))
-                            .expect("post_send");
-                        posted += 1;
-                    }
-                }
-            }),
-        );
-    }
-
-    rig.run();
-    for t in tx {
-        t.expect_result();
-    }
-    let mut delivered = 0u64;
-    let mut last = SimTime::ZERO;
-    for r in rx {
-        let (d, _, l) = r.expect_result();
-        delivered += d;
-        last = last.max(l);
-    }
+    let flows: Vec<Flow> = (0..CASCADE_SENDERS)
+        .map(|s| {
+            let pair = (cascade_sender_node(s), s % HOSTS_PER_EDGE);
+            Flow::staggered(s, pair, 400 + s as u64, CASCADE_MSGS, cascade_size(s))
+        })
+        .collect();
+    let traces = run_flows(
+        &rig,
+        &flows,
+        |s, _| format!("cascade-rx-s{s}"),
+        |s, _| format!("cascade-tx-s{s}"),
+        SimTime::MAX,
+    );
+    let delivered = traces.iter().map(|t| t.delivered).sum();
+    let last = traces
+        .iter()
+        .map(|t| t.last_rx)
+        .max()
+        .unwrap_or(SimTime::ZERO);
     CascadeOutcome {
         delivered,
         last_rx: last,

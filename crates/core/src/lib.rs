@@ -27,9 +27,9 @@
 //!
 //! [`harness`] holds the measurement machinery; [`report`] renders
 //! paper-style tables/figures; [`suite`] is the experiment registry the
-//! `vibe` runner binary and the bench targets drive; [`runner`] fans the
-//! registry's per-experiment job plans over a worker pool and reassembles
-//! the artifacts deterministically.
+//! `run_suite` example binary drives; [`runner`] runs the registry's
+//! per-experiment job plans on one worker or many and reassembles the
+//! artifacts deterministically.
 
 #![warn(missing_docs)]
 
@@ -43,6 +43,7 @@ pub mod dsm_bench;
 pub mod extra;
 pub mod failover_bench;
 pub mod fault_bench;
+pub(crate) mod flow;
 pub mod getput;
 pub mod harness;
 pub mod mpl_bench;
@@ -64,7 +65,6 @@ pub use harness::{
 };
 pub use report::{merge_artifacts, Artifact, Figure, Series, Table};
 pub use runner::{
-    default_shards, default_workers, record_shard_run, run_suite, take_shard_runs, Job, JobReport,
-    ShardRunRecord, SuiteRun,
+    default_shards, default_workers, run_suite, Job, JobReport, ShardRunRecord, SuiteRun,
 };
 pub use suite::{all_experiments, Experiment};

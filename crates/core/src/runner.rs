@@ -6,31 +6,37 @@
 //! makes that hold by construction:
 //!
 //! 1. Each experiment declares a **plan**: a list of self-contained
-//!    [`Job`]s in canonical order, each a closure over the same leaf
-//!    builders the serial path uses, narrowed to one slice of the sweep
-//!    (one profile, one sweep point, one table). Each job restates the
-//!    base seed its measurements derive from ([`crate::harness::BASE_SEED`]);
-//!    since RNG streams are content-keyed (`SimRng::derive(seed, label)`),
-//!    no job can observe *when* or *where* another job ran.
+//!    [`Job`]s in canonical order, each a closure over a leaf builder
+//!    narrowed to one slice of the sweep (one profile, one sweep point,
+//!    one table). Each job restates the base seed its measurements derive
+//!    from ([`crate::harness::BASE_SEED`]); since RNG streams are
+//!    content-keyed (`SimRng::derive(seed, label)`), no job can observe
+//!    *when* or *where* another job ran.
 //! 2. Workers pull jobs from a shared queue (an atomic cursor — the
 //!    degenerate but optimal form of work stealing for independent
 //!    one-shot jobs) inside a [`std::thread::scope`], so the pool needs no
 //!    `'static` bounds and no lingering threads.
 //! 3. Job outputs are reassembled **in canonical job order** via
-//!    [`merge_artifacts`], which replays the exact append order of the
-//!    serial builders — so the merged artifact set is byte-identical to
-//!    the serial one.
+//!    [`merge_artifacts`], which replays the append order of the leaf
+//!    builders — so the merged artifact set does not depend on which
+//!    worker ran what, or when.
 //!
-//! With `workers <= 1` ([`run_suite`]'s serial fallback, what
-//! `VIBE_JOBS=1` selects) no pool is spun up at all: each experiment's
-//! `produce` runs directly on the calling thread — the exact pre-parallel
-//! code path CI's golden comparison pins.
+//! The plan is the only definition of an experiment. With `workers <= 1`
+//! (what `VIBE_JOBS=1` selects) the same jobs run in canonical order on
+//! the calling thread — no pool, no thread spawn — and go through the
+//! same merge, so a serial run is the parallel run with one worker, not a
+//! second code path. The committed goldens pin the result across time.
 //!
 //! The runner also harvests the per-thread scheduler telemetry simkit
 //! maintains ([`thread_events`], [`thread_pool_stats`]) to attribute
 //! wall-clock, event throughput, and event-arena churn to each job —
-//! surfaced as the X-PAR artifact ([`SuiteRun::xpar_artifacts`]).
+//! surfaced as the X-PAR artifact ([`SuiteRun::xpar_artifacts`]). What a
+//! workload wants the suite summary to know (shard balance, fabric
+//! health) goes into a per-job ledger that exists only while the job's
+//! closure runs, so concurrent suites in one process cannot see each
+//! other's records.
 
+use std::cell::RefCell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
@@ -107,7 +113,7 @@ pub struct ExperimentRun {
     pub id: &'static str,
     /// Experiment title.
     pub title: &'static str,
-    /// The merged artifact set — byte-identical to the serial build.
+    /// The merged artifact set — byte-identical at any worker count.
     pub artifacts: Vec<Artifact>,
     /// Sum of the experiment's job wall-clocks (serial-equivalent cost).
     pub wall: Duration,
@@ -138,7 +144,7 @@ pub struct SuiteRun {
     pub experiments: Vec<ExperimentRun>,
     /// Per-job telemetry, in canonical job order.
     pub jobs: Vec<JobReport>,
-    /// Worker threads used (1 = serial fallback, no pool).
+    /// Workers used (1 = the calling thread, no pool).
     pub workers: usize,
     /// End-to-end wall-clock of the whole run.
     pub wall: Duration,
@@ -344,30 +350,13 @@ pub struct ShardRunRecord {
     pub per_shard: Vec<simkit::ShardStats>,
 }
 
-static SHARD_RUNS: std::sync::Mutex<Vec<ShardRunRecord>> = std::sync::Mutex::new(Vec::new());
-
-/// Record one sharded-engine run for the next [`SuiteRun::xpar_artifacts`]
-/// snapshot. Serial runs (one shard, zero rounds) are worth recording
-/// too: they pin the bypass path's zero barrier-stall in the artifact.
-pub fn record_shard_run(rec: ShardRunRecord) {
-    SHARD_RUNS.lock().unwrap().push(rec);
-}
-
-/// Drain every recorded sharded-engine run, sorted by label for a
-/// worker-schedule-independent order.
-pub fn take_shard_runs() -> Vec<ShardRunRecord> {
-    let mut runs = std::mem::take(&mut *SHARD_RUNS.lock().unwrap());
-    runs.sort_by(|a, b| a.label.cmp(&b.label));
-    runs
-}
-
 /// Fabric-robustness counters accumulated across a suite run's workloads
 /// — pause-storm watchdog trips and fault-window frame drops. Surfaced
 /// as the runner binary's `[fabric: ...]` summary line so a PR diff shows
 /// at a glance when the suite's fault exposure changed. Sums are
 /// order-independent, so the totals are identical at any `VIBE_JOBS`
-/// worker count (each workload records exactly once whether it ran on
-/// the serial `produce` path or as a plan job).
+/// worker count (each workload records exactly once, inside its plan
+/// job).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FabricHealth {
     /// Pause-storm watchdog trips across every recorded run.
@@ -383,33 +372,33 @@ pub struct FabricHealth {
     pub sessions_recovered: u64,
 }
 
-static FABRIC_HEALTH: std::sync::Mutex<FabricHealth> = std::sync::Mutex::new(FabricHealth {
-    storm_trips: 0,
-    fault_dropped: 0,
-    node_crashes: 0,
-    sessions_recovered: 0,
-});
-
-/// Accumulate one run's fabric-robustness counters for the suite summary.
-pub fn record_fabric_health(storm_trips: u64, fault_dropped: u64) {
-    let mut h = FABRIC_HEALTH.lock().unwrap();
-    h.storm_trips += storm_trips;
-    h.fault_dropped += fault_dropped;
+impl FabricHealth {
+    fn merge(&mut self, other: &FabricHealth) {
+        self.storm_trips += other.storm_trips;
+        self.fault_dropped += other.fault_dropped;
+        self.node_crashes += other.node_crashes;
+        self.sessions_recovered += other.sessions_recovered;
+    }
 }
 
-/// Accumulate one run's node-crash / session-recovery counters for the
-/// suite summary (the `node_crashes=… sessions_recovered=…` half of the
-/// `[fabric: ...]` roll-up line). Sums are order-independent, so the
-/// totals are deterministic at any worker/shard/fuse setting.
-pub fn record_crash_health(node_crashes: u64, sessions_recovered: u64) {
-    let mut h = FABRIC_HEALTH.lock().unwrap();
-    h.node_crashes += node_crashes;
-    h.sessions_recovered += sessions_recovered;
+/// What one job's workloads reported for the suite summary.
+#[derive(Default)]
+pub(crate) struct JobLedger {
+    pub(crate) shard_runs: Vec<ShardRunRecord>,
+    pub(crate) health: FabricHealth,
 }
 
-/// Drain the accumulated fabric-robustness counters.
-pub fn take_fabric_health() -> FabricHealth {
-    std::mem::take(&mut *FABRIC_HEALTH.lock().unwrap())
+thread_local! {
+    /// The ledger of the job running on this thread: `execute` opens it
+    /// before the job's closure and closes it after.
+    static LEDGER: RefCell<Option<JobLedger>> = const { RefCell::new(None) };
+}
+
+/// Write into the running job's ledger. A workload driven outside a suite
+/// job (a unit test, `perfbench`'s direct legs) has no ledger and the
+/// record is dropped — nothing accumulates for the life of the process.
+pub(crate) fn ledger(write: impl FnOnce(&mut JobLedger)) {
+    LEDGER.with_borrow_mut(|l| l.as_mut().map(write));
 }
 
 struct JobOutcome {
@@ -418,12 +407,14 @@ struct JobOutcome {
     events: u64,
     pool: PoolStats,
     fuse: FuseTally,
+    ledger: JobLedger,
 }
 
 fn execute(job: Job) -> JobOutcome {
     let ev0 = thread_events();
     let pool0 = thread_pool_stats();
     let fuse0 = thread_fuse_stats();
+    LEDGER.set(Some(JobLedger::default()));
     let t0 = Instant::now();
     let artifacts = job.run();
     JobOutcome {
@@ -432,6 +423,7 @@ fn execute(job: Job) -> JobOutcome {
         events: thread_events() - ev0,
         pool: thread_pool_stats().delta_since(&pool0),
         fuse: thread_fuse_stats().delta_since(&fuse0),
+        ledger: LEDGER.take().expect("ledger stays open for the whole job"),
     }
 }
 
@@ -440,131 +432,92 @@ fn execute(job: Job) -> JobOutcome {
 /// byte-identical at any worker count).
 pub fn run_suite(experiments: Vec<Experiment>, workers: usize) -> SuiteRun {
     let t0 = Instant::now();
-    // Drop stale sharded-engine and fabric-health records from earlier
-    // runs in this process so the snapshots cover exactly this suite's
-    // jobs.
-    drop(take_shard_runs());
-    let _ = take_fabric_health();
-    if workers <= 1 {
-        // Serial fallback: the exact pre-parallel path — `produce` on the
-        // calling thread, no plan, no pool. CI pins goldens in this mode.
-        let mut runs = Vec::with_capacity(experiments.len());
-        let mut jobs = Vec::with_capacity(experiments.len());
-        let mut pool = PoolStats::zero();
-        for e in experiments {
-            let out = execute(Job::new(
-                format!("{}/serial", e.id),
-                crate::harness::BASE_SEED,
-                e.produce,
-            ));
-            pool.merge(&out.pool);
-            jobs.push(JobReport {
-                experiment: e.id,
-                label: format!("{}/serial", e.id),
-                wall: out.wall,
-                events: out.events,
-                pool: out.pool,
-                fuse: out.fuse,
-            });
-            runs.push(ExperimentRun {
-                id: e.id,
-                title: e.title,
-                artifacts: out.artifacts,
-                wall: out.wall,
-                events: out.events,
-            });
-        }
-        return SuiteRun {
-            experiments: runs,
-            jobs,
-            workers: 1,
-            wall: t0.elapsed(),
-            pool,
-            shard_runs: take_shard_runs(),
-            fabric_health: take_fabric_health(),
-        };
-    }
+    let workers = workers.max(1);
 
     // Flatten every experiment's plan into one canonical job list.
     let mut exp_of_job: Vec<usize> = Vec::new();
+    let mut labels: Vec<String> = Vec::new();
     let mut slots: Vec<Mutex<Option<Job>>> = Vec::new();
     for (ei, e) in experiments.iter().enumerate() {
         for job in (e.plan)() {
             exp_of_job.push(ei);
+            labels.push(job.label().to_string());
             slots.push(Mutex::new(Some(job)));
         }
     }
-    let labels: Vec<String> = slots
-        .iter()
-        .map(|s| {
-            s.lock()
-                .as_ref()
-                .expect("job present before run")
-                .label()
-                .to_string()
-        })
-        .collect();
     let results: Vec<Mutex<Option<JobOutcome>>> = slots.iter().map(|_| Mutex::new(None)).collect();
     let cursor = AtomicUsize::new(0);
-
-    std::thread::scope(|scope| {
-        for _ in 0..workers.min(slots.len()).max(1) {
-            scope.spawn(|| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                let Some(slot) = slots.get(i) else { break };
-                let job = slot.lock().take().expect("job claimed twice");
-                *results[i].lock() = Some(execute(job));
-            });
-        }
-    });
-
-    let outcomes: Vec<JobOutcome> = results
-        .into_iter()
-        .map(|m| m.into_inner().expect("worker pool left a job unexecuted"))
-        .collect();
+    let work = || loop {
+        let i = cursor.fetch_add(1, Ordering::Relaxed);
+        let Some(slot) = slots.get(i) else { break };
+        let job = slot.lock().take().expect("job claimed twice");
+        *results[i].lock() = Some(execute(job));
+    };
+    if workers == 1 {
+        // One worker is the calling thread: canonical order, no spawn.
+        work();
+    } else {
+        std::thread::scope(|scope| {
+            for _ in 0..workers.min(slots.len()) {
+                scope.spawn(work);
+            }
+        });
+    }
 
     let mut pool = PoolStats::zero();
-    let mut jobs = Vec::with_capacity(outcomes.len());
-    let mut per_exp_parts: Vec<Vec<Vec<Artifact>>> =
-        experiments.iter().map(|_| Vec::new()).collect();
-    let mut per_exp_wall: Vec<Duration> = vec![Duration::ZERO; experiments.len()];
-    let mut per_exp_events: Vec<u64> = vec![0; experiments.len()];
-    for ((out, ei), label) in outcomes.into_iter().zip(exp_of_job).zip(labels) {
+    let mut shard_runs = Vec::new();
+    let mut fabric_health = FabricHealth::default();
+    let mut jobs = Vec::with_capacity(results.len());
+    let mut runs: Vec<(ExperimentRun, Vec<Vec<Artifact>>)> = experiments
+        .iter()
+        .map(|e| {
+            let run = ExperimentRun {
+                id: e.id,
+                title: e.title,
+                artifacts: Vec::new(),
+                wall: Duration::ZERO,
+                events: 0,
+            };
+            (run, Vec::new())
+        })
+        .collect();
+    for ((result, ei), label) in results.into_iter().zip(exp_of_job).zip(labels) {
+        let out = result
+            .into_inner()
+            .expect("worker pool left a job unexecuted");
         pool.merge(&out.pool);
-        per_exp_wall[ei] += out.wall;
-        per_exp_events[ei] += out.events;
+        shard_runs.extend(out.ledger.shard_runs);
+        fabric_health.merge(&out.ledger.health);
+        let (run, parts) = &mut runs[ei];
+        run.wall += out.wall;
+        run.events += out.events;
+        parts.push(out.artifacts);
         jobs.push(JobReport {
-            experiment: experiments[ei].id,
+            experiment: run.id,
             label,
             wall: out.wall,
             events: out.events,
             pool: out.pool,
             fuse: out.fuse,
         });
-        per_exp_parts[ei].push(out.artifacts);
     }
-
-    let runs: Vec<ExperimentRun> = experiments
-        .iter()
-        .zip(per_exp_parts)
-        .zip(per_exp_wall.iter().zip(&per_exp_events))
-        .map(|((e, parts), (wall, events))| ExperimentRun {
-            id: e.id,
-            title: e.title,
-            artifacts: merge_artifacts(parts),
-            wall: *wall,
-            events: *events,
-        })
-        .collect();
+    // Label order, so the table does not depend on which jobs ran where.
+    shard_runs.sort_by(|a, b| a.label.cmp(&b.label));
 
     SuiteRun {
-        experiments: runs,
+        experiments: runs
+            .into_iter()
+            .map(|(run, parts)| ExperimentRun {
+                artifacts: merge_artifacts(parts),
+                ..run
+            })
+            .collect(),
         jobs,
         workers,
         wall: t0.elapsed(),
         pool,
-        shard_runs: take_shard_runs(),
-        fabric_health: take_fabric_health(),
+        shard_runs,
+        fabric_health,
     }
 }
 
@@ -599,30 +552,99 @@ mod tests {
         assert!(run.total_events() > 0);
     }
 
+    thread_local! {
+        /// Labels of the traced jobs that ran on *this* thread, in order.
+        static RAN_HERE: RefCell<Vec<String>> = const { RefCell::new(Vec::new()) };
+    }
+
+    /// CQ's plan, each job wrapped to note the thread it ran on.
+    fn traced_cq_plan() -> Vec<Job> {
+        (find("CQ").unwrap().plan)()
+            .into_iter()
+            .map(|j| {
+                let label = j.label().to_string();
+                Job::new(label.clone(), j.seed(), move || {
+                    RAN_HERE.with_borrow_mut(|r| r.push(label));
+                    j.run()
+                })
+            })
+            .collect()
+    }
+
     #[test]
-    fn serial_fallback_reports_one_job_per_experiment() {
-        let run = run_suite(vec![find("CQ").unwrap()], 1);
+    fn one_worker_runs_the_plan_in_order_on_the_calling_thread() {
+        let plan: Vec<String> = (find("CQ").unwrap().plan)()
+            .iter()
+            .map(|j| j.label().to_string())
+            .collect();
+        assert!(plan.len() > 1, "CQ should decompose");
+        let traced = || Experiment {
+            plan: traced_cq_plan,
+            ..find("CQ").unwrap()
+        };
+        let pooled = run_suite(vec![traced()], 2);
+        assert_eq!(pooled.jobs.len(), plan.len());
+        assert!(RAN_HERE.take().is_empty(), "two workers are a pool");
+
+        let run = run_suite(vec![traced()], 1);
+        assert_eq!(
+            run.experiments[0].run_json(),
+            pooled.experiments[0].run_json()
+        );
         assert_eq!(run.workers, 1);
-        assert_eq!(run.jobs.len(), 1);
-        assert_eq!(run.jobs[0].label, "CQ/serial");
+        assert_eq!(
+            RAN_HERE.take(),
+            plan,
+            "exactly the plan's jobs, in plan order, on the calling thread"
+        );
+        let reported: Vec<&str> = run.jobs.iter().map(|j| j.label.as_str()).collect();
+        assert_eq!(reported, plan, "with the plan's labels");
         assert!(
-            run.jobs[0].events > 0,
+            run.jobs.iter().all(|j| j.events > 0),
             "events attributed via thread counter"
         );
         assert!(run.pool.pooled() + run.pool.boxed > 0);
+        // CQ drives no `Rig`, so there is no shard-balance table — and a
+        // test recording beside this one cannot add one.
         let xpar = run.xpar_artifacts();
-        // A fourth table (shard balance) follows when a test running
-        // beside this one recorded a `Rig` run in the process-wide ledger
-        // during the suite.
-        assert!(xpar.len() >= 3);
+        assert_eq!(xpar.len(), 3);
         assert!(xpar[0].title().starts_with("X-PAR"));
         assert!(xpar[2].title().contains("fused fast path"));
     }
 
     #[test]
+    fn concurrent_suites_keep_their_own_ledgers() {
+        // Two suites on two threads of one process: each must report
+        // exactly its own shard-run rows and fabric health.
+        let suite =
+            |id: &'static str| std::thread::spawn(move || run_suite(vec![find(id).unwrap()], 1));
+        for _ in 0..3 {
+            let (shard, failover) = (suite("X-SHARD"), suite("X-FAILOVER"));
+            let (shard, failover) = (shard.join().unwrap(), failover.join().unwrap());
+            let labels = |run: &SuiteRun| -> Vec<String> {
+                run.shard_runs.iter().map(|r| r.label.clone()).collect()
+            };
+            assert_eq!(labels(&shard), ["BVIA-ring", "M-VIA-ring", "cLAN-ring"]);
+            assert_eq!(shard.fabric_health, FabricHealth::default());
+            assert_eq!(
+                labels(&failover),
+                ["failover-pause-cascade", "failover-spine-kill"]
+            );
+            assert!(failover.fabric_health.storm_trips > 0);
+            assert!(failover.fabric_health.fault_dropped > 0);
+            assert_eq!(shard.xpar_artifacts().len(), 4);
+        }
+        // Outside a job there is no ledger: the record is dropped.
+        ledger(|_| panic!("no job is open on the test thread"));
+    }
+
+    #[test]
     fn fuse_ledger_attributed_to_jobs() {
         let run = run_suite(vec![find("CQ").unwrap()], 1);
-        let fuse = &run.jobs[0].fuse;
+        let mut fuse = FuseTally::default();
+        for j in &run.jobs {
+            fuse.merge(&j.fuse);
+        }
         assert_eq!(
             fuse.attempts,
             fuse.hits + fuse.defused(),

@@ -8,20 +8,23 @@
 //! SAN counters), so it is byte-identical at any `VIBE_SHARDS` value —
 //! the invariant CI's golden matrix pins. The shard count *does* shape
 //! the engine telemetry (barrier stalls, horizon grants), which flows
-//! into the non-golden X-PAR artifact via
-//! [`crate::runner::record_shard_run`].
+//! into the non-golden X-PAR artifact through the running job's ledger
+//! (the shared `topo_bench::Rig` records it and runs the conservation
+//! oracles, the ring being a workload over a one-switch star).
 //!
 //! Client starts are staggered by odd per-node offsets so no two nodes
 //! inject at the same nanosecond: the ring stays tie-free, which keeps
 //! the delivery timeline independent of how simultaneous events would
 //! interleave across engines.
 
-use fabric::{NodeId, SanStats};
-use simkit::{ShardedSim, Sim, SimDuration, SimTime, WaitMode};
-use via::{Cluster, Descriptor, Discriminator, MemAttributes, Profile, ViAttributes};
+use fabric::{SanStats, Topology};
+use simkit::{SimDuration, SimTime};
+use via::{Profile, ViAttributes};
 
+use crate::flow::{spawn_rx, spawn_tx, Flow};
 use crate::report::Table;
-use crate::runner::{default_shards, record_shard_run, ShardRunRecord};
+use crate::runner::default_shards;
+use crate::topo_bench::Rig;
 
 /// Nodes in the ring (enough that 2- and 4-shard maps split them).
 pub const RING_NODES: usize = 8;
@@ -64,147 +67,57 @@ pub fn ring(
     seed: u64,
     shards: usize,
 ) -> RingOutcome {
-    let lookahead = profile.net.min_cross_latency();
-    let engine = (shards > 1).then(|| ShardedSim::new(shards, lookahead));
-    ring_with(profile, nodes, msgs, size, seed, engine)
-}
-
-/// Like [`ring`], but always drives the sharded engine — including at
-/// `shards == 1`, where the engine must take its barrier/channel *bypass*
-/// and run the exact serial scheduler path, which must be observationally
-/// identical to [`ring`]'s plain-`Sim` baseline.
-pub fn ring_pinned(
-    profile: Profile,
-    nodes: usize,
-    msgs: u64,
-    size: u64,
-    seed: u64,
-    shards: usize,
-) -> RingOutcome {
-    let lookahead = profile.net.min_cross_latency();
-    let engine = ShardedSim::new(shards, lookahead);
-    ring_with(profile, nodes, msgs, size, seed, Some(engine))
-}
-
-fn ring_with(
-    profile: Profile,
-    nodes: usize,
-    msgs: u64,
-    size: u64,
-    seed: u64,
-    engine: Option<ShardedSim>,
-) -> RingOutcome {
-    assert!(nodes >= 2, "a ring needs at least two nodes");
     let label = format!("{}-ring", profile.name);
-    let serial = engine.is_none().then(Sim::new);
-    let cluster = match &engine {
-        Some(eng) => Cluster::new_sharded(eng, profile, nodes, seed),
-        None => Cluster::new(serial.clone().expect("serial engine"), profile, nodes, seed),
-    };
+    let rig = Rig::new_with_profile(Topology::star(nodes), profile, seed, shards, label);
+    ring_on(&rig, nodes, msgs, size)
+}
 
-    // Receivers: accept from the predecessor, pre-post the whole window,
-    // drain by polling.
-    let mut servers = Vec::with_capacity(nodes);
-    for i in 0..nodes {
-        let p = cluster.provider(i);
-        let sim = cluster.node_sim(i).clone();
-        servers.push(
-            sim.spawn(format!("ring-srv{i}"), Some(p.cpu()), move |ctx| {
-                let vi = p
-                    .create_vi(ctx, ViAttributes::default(), None, None)
-                    .expect("vi");
-                let buf = p.malloc(size);
-                let mh = p
-                    .register_mem(ctx, buf, size, MemAttributes::default())
-                    .expect("register");
-                for _ in 0..msgs {
-                    vi.post_recv(ctx, Descriptor::recv().segment(buf, mh, size as u32))
-                        .expect("post_recv");
-                }
-                p.accept(ctx, &vi, Discriminator(i as u64)).expect("accept");
-                let mut first = SimTime::MAX;
-                let mut last = SimTime::ZERO;
-                let mut bytes = 0u64;
-                for _ in 0..msgs {
-                    let comp = vi.recv_wait(ctx, WaitMode::Poll);
-                    assert!(comp.is_ok(), "ring delivery failed: {:?}", comp.status);
-                    bytes += comp.length;
-                    first = first.min(ctx.now());
-                    last = last.max(ctx.now());
-                }
-                RingNode {
-                    delivered: msgs,
-                    bytes,
-                    first_rx: first,
-                    last_rx: last,
-                }
-            }),
-        );
-    }
-
-    // Senders: connect to the successor, then stream after a staggered,
+fn ring_on(rig: &Rig, nodes: usize, msgs: u64, size: u64) -> RingOutcome {
+    assert!(nodes >= 2, "a ring needs at least two nodes");
+    let cluster = &rig.cluster;
+    // Node `i` streams to its successor, self-paced, after a staggered,
     // tie-breaking start offset.
-    let mut clients = Vec::with_capacity(nodes);
-    for i in 0..nodes {
-        let p = cluster.provider(i);
-        let sim = cluster.node_sim(i).clone();
-        let dst = (i + 1) % nodes;
-        clients.push(
-            sim.spawn(format!("ring-cli{i}"), Some(p.cpu()), move |ctx| {
-                let vi = p
-                    .create_vi(ctx, ViAttributes::default(), None, None)
-                    .expect("vi");
-                let buf = p.malloc(size);
-                let mh = p
-                    .register_mem(ctx, buf, size, MemAttributes::default())
-                    .expect("register");
-                p.connect(
-                    ctx,
-                    &vi,
-                    NodeId(dst as u32),
-                    Discriminator(dst as u64),
-                    None,
-                )
-                .expect("connect");
-                ctx.sleep(SimDuration::from_nanos(5_000 + 1_713 * i as u64));
-                for _ in 0..msgs {
-                    vi.post_send(ctx, Descriptor::send().segment(buf, mh, size as u32))
-                        .expect("post_send");
-                    let comp = vi.send_wait(ctx, WaitMode::Poll);
-                    assert!(comp.is_ok(), "ring send failed: {:?}", comp.status);
-                }
-            }),
-        );
-    }
+    let flows: Vec<Flow> = (0..nodes)
+        .map(|i| Flow {
+            src: i,
+            dst: (i + 1) % nodes,
+            disc: ((i + 1) % nodes) as u64,
+            msgs: msgs as usize,
+            size,
+            attrs: ViAttributes::default(),
+            connect_at: None,
+            start: SimDuration::from_nanos(5_000 + 1_713 * i as u64),
+            depth: 1,
+        })
+        .collect();
+    // Receivers spawn in node order: node `i` hosts flow `i - 1`'s.
+    let servers: Vec<_> = (0..nodes)
+        .map(|i| {
+            let f = &flows[(i + nodes - 1) % nodes];
+            spawn_rx(cluster, f, format!("ring-srv{i}"), SimTime::MAX)
+        })
+        .collect();
+    let clients: Vec<_> = flows
+        .iter()
+        .map(|f| spawn_tx(cluster, f, format!("ring-cli{}", f.src)))
+        .collect();
 
-    match (&engine, &serial) {
-        (Some(eng), _) => {
-            let rep = eng.run_to_completion();
-            record_shard_run(ShardRunRecord {
-                label,
-                shards: eng.shards(),
-                rounds: rep.rounds,
-                per_shard: rep.per_shard,
-            });
-        }
-        (None, Some(sim)) => {
-            let rep = sim.run_to_completion();
-            record_shard_run(ShardRunRecord {
-                label,
-                shards: 1,
-                rounds: 0,
-                per_shard: vec![simkit::ShardStats {
-                    events: rep.events,
-                    ..Default::default()
-                }],
-            });
-        }
-        (None, None) => unreachable!("one engine flavor is always built"),
-    }
+    rig.run();
     for c in clients {
         c.expect_result();
     }
-    let per_node: Vec<RingNode> = servers.into_iter().map(|s| s.expect_result()).collect();
+    let per_node: Vec<RingNode> = servers
+        .into_iter()
+        .map(|s| {
+            let t = s.expect_result();
+            RingNode {
+                delivered: t.delivered,
+                bytes: t.bytes,
+                first_rx: t.first_rx,
+                last_rx: t.last_rx,
+            }
+        })
+        .collect();
     let makespan = per_node
         .iter()
         .map(|n| n.last_rx)
@@ -329,6 +242,23 @@ mod tests {
             assert_eq!(sharded.san, serial.san);
             assert_eq!(sharded.makespan, serial.makespan);
         }
+    }
+
+    /// Like [`ring`], but always drives the sharded engine — including at
+    /// `shards == 1`, where the engine must take its barrier/channel
+    /// *bypass* and run the exact serial scheduler path.
+    fn ring_pinned(
+        profile: Profile,
+        nodes: usize,
+        msgs: u64,
+        size: u64,
+        seed: u64,
+        shards: usize,
+    ) -> RingOutcome {
+        let engine = simkit::ShardedSim::new(shards, profile.net.min_cross_latency());
+        let topo = Topology::star(nodes);
+        let rig = Rig::on(Some(engine), topo, profile, seed, "pinned-ring");
+        ring_on(&rig, nodes, msgs, size)
     }
 
     #[test]

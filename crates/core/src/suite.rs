@@ -1,13 +1,12 @@
 //! The experiment registry: every table and figure the paper reports (plus
 //! the tech-report extras and our extensions) mapped to a runnable that
 //! regenerates it as structured [`Artifact`]s — renderable as paper-style
-//! text or CSV. Drives the `run_suite` example binary and the bench
-//! targets.
+//! text or CSV. Drives the `run_suite` example binary.
 
 use via::Profile;
 
 use crate::harness::BASE_SEED;
-use crate::report::Artifact;
+use crate::report::{merge_artifacts, Artifact};
 use crate::runner::Job;
 use crate::{
     base, breakdown, chaos, client_server, cqimpact, crash_bench, dsm_bench, extra, failover_bench,
@@ -35,36 +34,38 @@ pub struct Experiment {
     pub title: &'static str,
     /// Paper category.
     pub category: Category,
-    /// Regenerate the artifact set (the serial path).
-    pub produce: fn() -> Vec<Artifact>,
-    /// Decompose into self-contained [`Job`]s, in canonical order. The
-    /// parallel runner merges the job outputs back into exactly what
-    /// `produce` builds (see [`crate::report::merge_artifacts`]).
+    /// The experiment's only definition: self-contained [`Job`]s in
+    /// canonical order, whose outputs [`merge_artifacts`] reassembles
+    /// into the artifact set — on one worker or many.
     pub plan: fn() -> Vec<Job>,
 }
 
 impl Experiment {
+    /// Run the plan's jobs in order on the calling thread and merge them.
+    fn artifacts(&self) -> Vec<Artifact> {
+        merge_artifacts((self.plan)().into_iter().map(Job::run))
+    }
+
     /// Run and render every artifact as paper-style text.
     pub fn run_text(&self) -> String {
-        render_text(&(self.produce)())
+        render_text(&self.artifacts())
     }
 
     /// Run and serialize the artifact set as one JSON document (the
     /// paper's planned "repository of VIBe results" interchange form).
     pub fn run_json(&self) -> String {
-        render_json(self.id, self.title, &(self.produce)())
+        render_json(self.id, self.title, &self.artifacts())
     }
 
     /// Run and render every artifact as `(slug, csv)` pairs suitable for
     /// writing to files.
     pub fn run_csv(&self) -> Vec<(String, String)> {
-        render_csv(self.id, &(self.produce)())
+        render_csv(self.id, &self.artifacts())
     }
 }
 
 /// Render an artifact set as paper-style text. Shared by
-/// [`Experiment::run_text`] and the parallel runner, so serial and merged
-/// artifacts go through one code path.
+/// [`Experiment::run_text`] and the suite runner.
 pub fn render_text(artifacts: &[Artifact]) -> String {
     artifacts
         .iter()
@@ -115,10 +116,6 @@ fn trio() -> Vec<Profile> {
     Profile::paper_trio()
 }
 
-fn run_t1() -> Vec<Artifact> {
-    vec![nondata::table1(&trio(), 3).into()]
-}
-
 fn f1_f2(profiles: &[Profile]) -> Vec<Artifact> {
     let sizes = nondata::registration_sizes();
     let mut reg = crate::report::Figure::new(
@@ -139,88 +136,8 @@ fn f1_f2(profiles: &[Profile]) -> Vec<Artifact> {
     vec![reg.into(), dereg.into()]
 }
 
-fn run_f1_f2() -> Vec<Artifact> {
-    f1_f2(&trio())
-}
-
-fn run_f3() -> Vec<Artifact> {
-    vec![
-        base::latency_figure(&trio(), WaitMode::Poll).into(),
-        base::bandwidth_figure(&trio(), WaitMode::Poll).into(),
-    ]
-}
-
-fn run_f4() -> Vec<Artifact> {
-    vec![
-        base::latency_figure(&trio(), WaitMode::Block).into(),
-        base::cpu_figure(&trio(), WaitMode::Block).into(),
-    ]
-}
-
-fn run_f5() -> Vec<Artifact> {
-    let levels = xlate::reuse_levels();
-    vec![
-        xlate::reuse_latency_figure(Profile::bvia(), &levels).into(),
-        xlate::reuse_bandwidth_figure(Profile::bvia(), &levels).into(),
-        // The CPU panel the paper defers to the tech report.
-        xlate::reuse_cpu_figure(Profile::bvia(), &[100, 0]).into(),
-    ]
-}
-
-fn run_cq() -> Vec<Artifact> {
-    vec![cqimpact::cq_overhead_table(&trio(), 64).into()]
-}
-
 const F6_SIZES: [u64; 4] = [4, 256, 4096, 28672];
 const F6_CPU_COUNTS: [usize; 3] = [1, 8, 32];
-
-fn run_f6() -> Vec<Artifact> {
-    let counts = mvi::vi_counts();
-    vec![
-        mvi::vi_latency_figure(Profile::bvia(), &counts, &F6_SIZES).into(),
-        mvi::vi_bandwidth_figure(Profile::bvia(), &counts, &F6_SIZES).into(),
-        // The CPU panel the paper defers to the tech report.
-        mvi::vi_cpu_figure(Profile::bvia(), &F6_CPU_COUNTS, &F6_SIZES).into(),
-    ]
-}
-
-fn run_f7() -> Vec<Artifact> {
-    vec![client_server::transaction_figure(
-        &trio(),
-        &client_server::request_sizes(),
-        &client_server::reply_sizes(),
-    )
-    .into()]
-}
-
-fn run_mds() -> Vec<Artifact> {
-    vec![extra::mds_figure(&trio(), 8192).into()]
-}
-
-fn run_asy() -> Vec<Artifact> {
-    vec![extra::asy_figure(&trio(), 256).into()]
-}
-
-fn run_rdma() -> Vec<Artifact> {
-    vec![extra::rdma_figure(&trio(), &[4, 256, 4096, 28672]).into()]
-}
-
-fn run_pip() -> Vec<Artifact> {
-    vec![extra::pip_figure(&trio(), 4096).into()]
-}
-
-fn run_mtu() -> Vec<Artifact> {
-    let (lat, bw) = extra::mtu_figures(Profile::clan(), 28672);
-    vec![lat.into(), bw.into()]
-}
-
-fn run_rel() -> Vec<Artifact> {
-    vec![
-        extra::rel_table(Profile::clan(), 4096).into(),
-        extra::rel_loss_table(Profile::clan(), 4096, &[0.0, 0.01, 0.05]).into(),
-        extra::rel_tail_table(Profile::clan(), 1024, &[0.0, 0.01, 0.03]).into(),
-    ]
-}
 
 fn getput_profiles() -> Vec<Profile> {
     // An RDMA-read-capable variant provides the model's `get` mapping.
@@ -232,69 +149,16 @@ fn getput_profiles() -> Vec<Profile> {
 
 const GETPUT_SIZES: [u64; 4] = [4, 256, 4096, 28672];
 
-fn run_getput() -> Vec<Artifact> {
-    vec![getput::getput_figure(&getput_profiles(), &GETPUT_SIZES).into()]
-}
-
-fn run_mpl() -> Vec<Artifact> {
-    vec![
-        mpl_bench::overhead_figure(&trio()).into(),
-        mpl_bench::threshold_figure(Profile::bvia(), 16384).into(),
-    ]
-}
-
-fn run_dsm() -> Vec<Artifact> {
-    vec![
-        dsm_bench::migration_table(&trio()).into(),
-        dsm_bench::false_sharing_figure(Profile::clan()).into(),
-    ]
-}
-
-fn run_breakdown() -> Vec<Artifact> {
-    vec![
-        breakdown::breakdown_table(&trio(), 4).into(),
-        breakdown::breakdown_table(&trio(), 28672).into(),
-    ]
-}
-
 const X_TRACE_SIZE: u64 = 4096;
-
-fn run_trace() -> Vec<Artifact> {
-    let (stages, counts) = trace_bench::x_trace_tables(&trio(), X_TRACE_SIZE);
-    vec![stages.into(), counts.into()]
-}
-
-fn run_scale() -> Vec<Artifact> {
-    vec![scale::fan_in_figure(&trio(), &[1, 2, 4, 8], 1024).into()]
-}
-
-fn run_sched() -> Vec<Artifact> {
-    vec![
-        sched_bench::class_table(Profile::clan(), 64).into(),
-        sched_bench::retx_timer_table(&trio(), &[0.0, 0.05], 64).into(),
-    ]
-}
 
 const X_FAULT_FLAPS: [u64; 4] = [0, 500, 2_000, 8_000];
 
-fn run_fault() -> Vec<Artifact> {
-    vec![
-        fault_bench::recovery_table(&trio(), &X_FAULT_FLAPS).into(),
-        fault_bench::burst_goodput_table(&trio()).into(),
-        fault_bench::stall_table(&trio()).into(),
-        fault_bench::reconnect_table(Profile::clan()).into(),
-    ]
-}
-
-fn run_chaos() -> Vec<Artifact> {
-    vec![chaos::chaos_table().into()]
-}
-
 // ---------------------------------------------------------------------
-// Plans: canonical job decompositions. Each job calls the same leaf
-// builder the serial path uses, narrowed to one slice (one profile, one
-// sweep point, one table); replaying the slices in this order through
-// `merge_artifacts` rebuilds the serial artifact set byte-for-byte.
+// Plans: each experiment's one definition. Every job calls a leaf
+// builder narrowed to one slice (one profile, one sweep point, one
+// table); replaying the slices in this order through `merge_artifacts`
+// builds the artifact set, whichever workers ran them. The committed
+// goldens (`tests/goldens/<id>.json`, all 27) pin the bytes.
 // Decomposition limits worth noting are commented per plan.
 // ---------------------------------------------------------------------
 
@@ -411,7 +275,7 @@ fn plan_f6() -> Vec<Job> {
 
 fn plan_f7() -> Vec<Job> {
     // One series per (profile, request size): per-pair jobs append series
-    // in the serial nesting order (profile-major).
+    // profile-major.
     let mut jobs = Vec::new();
     for p in trio() {
         for &req in &client_server::request_sizes() {
@@ -449,7 +313,10 @@ fn plan_pip() -> Vec<Job> {
 
 fn plan_mtu() -> Vec<Job> {
     // Single-profile MTU sweep: cheap enough to stay one job.
-    vec![job("X-MTU/cLAN".to_string(), run_mtu)]
+    vec![job("X-MTU/cLAN".to_string(), || {
+        let (lat, bw) = extra::mtu_figures(Profile::clan(), 28672);
+        vec![lat.into(), bw.into()]
+    })]
 }
 
 fn plan_rel() -> Vec<Job> {
@@ -568,35 +435,17 @@ fn plan_chaos() -> Vec<Job> {
         .collect()
 }
 
-fn run_shard() -> Vec<Artifact> {
-    trio()
-        .into_iter()
-        .map(|p| shard_bench::ring_table(p).into())
-        .collect()
-}
-
 fn plan_shard() -> Vec<Job> {
     // One ring per profile; each job is a whole table, so slices
     // column-merge trivially.
     per_profile_jobs("X-SHARD", |p| vec![shard_bench::ring_table(p).into()])
 }
 
-fn run_topo() -> Vec<Artifact> {
-    use topo_bench::StormShape;
-    let mut arts: Vec<Artifact> =
-        vec![topo_bench::storm_table(&[StormShape::Star, StormShape::FatTree]).into()];
-    let (flows, ports) = topo_bench::incast_tables();
-    arts.push(flows.into());
-    arts.push(ports.into());
-    arts.push(topo_bench::all_to_all_table().into());
-    arts
-}
-
 fn plan_topo() -> Vec<Job> {
     use topo_bench::StormShape;
     vec![
         // The storm rows share one table: single-row slices row-merge in
-        // job order (star control first, matching the serial build).
+        // job order (star control first).
         job("X-TOPO/storm-star".to_string(), || {
             vec![topo_bench::storm_table(&[StormShape::Star]).into()]
         }),
@@ -615,23 +464,12 @@ fn plan_topo() -> Vec<Job> {
     ]
 }
 
-fn run_crash() -> Vec<Artifact> {
-    let (flows, summary) = crash_bench::node_kill_tables();
-    vec![flows.into(), summary.into()]
-}
-
 fn plan_crash() -> Vec<Job> {
     // One node-kill run feeds both of its artifacts.
-    vec![job("X-CRASH/node-kill".to_string(), run_crash)]
-}
-
-fn run_failover() -> Vec<Artifact> {
-    let (flows, summary) = failover_bench::spine_kill_tables();
-    vec![
-        flows.into(),
-        summary.into(),
-        failover_bench::pause_cascade_table().into(),
-    ]
+    vec![job("X-CRASH/node-kill".to_string(), || {
+        let (flows, summary) = crash_bench::node_kill_tables();
+        vec![flows.into(), summary.into()]
+    })]
 }
 
 fn plan_failover() -> Vec<Job> {
@@ -655,189 +493,162 @@ pub fn all_experiments() -> Vec<Experiment> {
             id: "T1",
             title: "Table 1: non-data transfer costs",
             category: NonDataTransfer,
-            produce: run_t1,
             plan: plan_t1,
         },
         Experiment {
             id: "F1-F2",
             title: "Figs 1-2: memory registration / deregistration",
             category: NonDataTransfer,
-            produce: run_f1_f2,
             plan: plan_f1_f2,
         },
         Experiment {
             id: "F3",
             title: "Fig 3: base latency & bandwidth (polling)",
             category: DataTransfer,
-            produce: run_f3,
             plan: plan_f3,
         },
         Experiment {
             id: "F4",
             title: "Fig 4: base latency & CPU utilization (blocking)",
             category: DataTransfer,
-            produce: run_f4,
             plan: plan_f4,
         },
         Experiment {
             id: "F5",
             title: "Fig 5: buffer-reuse sweep (BVIA)",
             category: DataTransfer,
-            produce: run_f5,
             plan: plan_f5,
         },
         Experiment {
             id: "CQ",
             title: "Sec 4.3.3: completion-queue overhead",
             category: DataTransfer,
-            produce: run_cq,
             plan: plan_cq,
         },
         Experiment {
             id: "F6",
             title: "Fig 6: active-VI sweep (BVIA)",
             category: DataTransfer,
-            produce: run_f6,
             plan: plan_f6,
         },
         Experiment {
             id: "F7",
             title: "Fig 7: client/server transactions",
             category: ProgrammingModel,
-            produce: run_f7,
             plan: plan_f7,
         },
         Experiment {
             id: "X-MDS",
             title: "TR: multiple data segments",
             category: DataTransfer,
-            produce: run_mds,
             plan: plan_mds,
         },
         Experiment {
             id: "X-ASY",
             title: "TR: asynchronous message handling",
             category: DataTransfer,
-            produce: run_asy,
             plan: plan_asy,
         },
         Experiment {
             id: "X-RDMA",
             title: "TR: RDMA write vs send/receive",
             category: DataTransfer,
-            produce: run_rdma,
             plan: plan_rdma,
         },
         Experiment {
             id: "X-PIP",
             title: "TR: sender pipeline length",
             category: DataTransfer,
-            produce: run_pip,
             plan: plan_pip,
         },
         Experiment {
             id: "X-MTU",
             title: "TR: maximum transfer unit",
             category: DataTransfer,
-            produce: run_mtu,
             plan: plan_mtu,
         },
         Experiment {
             id: "X-REL",
             title: "TR: reliability levels (incl. loss injection)",
             category: DataTransfer,
-            produce: run_rel,
             plan: plan_rel,
         },
         Experiment {
             id: "X-GETPUT",
             title: "Future work (Sec 5): get/put programming model",
             category: ProgrammingModel,
-            produce: run_getput,
             plan: plan_getput,
         },
         Experiment {
             id: "X-SCALE",
             title: "Extension: fan-in scalability (aggregate bandwidth vs clients)",
             category: ProgrammingModel,
-            produce: run_scale,
             plan: plan_scale,
         },
         Experiment {
             id: "X-SCHED",
             title: "Extension: scheduler event classes & retransmit-timer ledger",
             category: DataTransfer,
-            produce: run_sched,
             plan: plan_sched,
         },
         Experiment {
             id: "X-BRK",
             title: "Extension: per-component breakdown of one transfer",
             category: DataTransfer,
-            produce: run_breakdown,
             plan: plan_breakdown,
         },
         Experiment {
             id: "X-TRACE",
             title: "Extension: trace-derived stage latency & lifecycle counters",
             category: DataTransfer,
-            produce: run_trace,
             plan: plan_trace,
         },
         Experiment {
             id: "X-FAULT",
             title: "Extension: fault injection, recovery latency & VI error states",
             category: DataTransfer,
-            produce: run_fault,
             plan: plan_fault,
         },
         Experiment {
             id: "X-CHAOS",
             title: "Extension: seeded chaos episodes & conservation invariants",
             category: DataTransfer,
-            produce: run_chaos,
             plan: plan_chaos,
         },
         Experiment {
             id: "X-SHARD",
             title: "Extension: sharded-engine ring traffic (lookahead synchronization)",
             category: DataTransfer,
-            produce: run_shard,
             plan: plan_shard,
         },
         Experiment {
             id: "X-TOPO",
             title: "Extension: multi-switch topologies, port backpressure & scale-out",
             category: DataTransfer,
-            produce: run_topo,
             plan: plan_topo,
         },
         Experiment {
             id: "X-FAILOVER",
             title: "Extension: switch fault domains, deterministic reroute & the pause watchdog",
             category: DataTransfer,
-            produce: run_failover,
             plan: plan_failover,
         },
         Experiment {
             id: "X-CRASH",
             title: "Extension: node fault domains, heartbeat detection & session recovery",
             category: DataTransfer,
-            produce: run_crash,
             plan: plan_crash,
         },
         Experiment {
             id: "X-MPL",
             title: "Future work (Sec 5): message-passing layer over VIA",
             category: ProgrammingModel,
-            produce: run_mpl,
             plan: plan_mpl,
         },
         Experiment {
             id: "X-DSM",
             title: "Future work (Sec 5): distributed shared memory over VIA",
             category: ProgrammingModel,
-            produce: run_dsm,
             plan: plan_dsm,
         },
     ]

@@ -25,15 +25,16 @@
 //! attributed drops (+ loss/fault/corruption buckets, all zero here),
 //! Σ per-port `drops` = the fabric's `frames_port_dropped`, and
 //! [`via::Provider::audit`] clean on every node (credits conserved per
-//! VI). Shard-balance telemetry flows into X-PAR via
-//! [`crate::runner::record_shard_run`] under `topo-*` labels.
+//! VI). Shard-balance telemetry flows into X-PAR through the running
+//! job's ledger under `topo-*` labels.
 
 use fabric::{LinkParams, NodeId, PortLimits, PortSnapshot, PortTarget, SanStats, Topology};
 use simkit::{ShardedSim, Sim, SimDuration, SimTime, WaitMode};
-use via::{Cluster, Descriptor, Discriminator, MemAttributes, Profile, Reliability, ViAttributes};
+use via::{Cluster, Descriptor, Discriminator, MemAttributes, Profile};
 
+use crate::flow::{rd, run_flows, Flow};
 use crate::report::Table;
-use crate::runner::{default_shards, record_shard_run, ShardRunRecord};
+use crate::runner::{default_shards, ledger, ShardRunRecord};
 
 /// Edge switches in the fat-tree.
 pub const EDGES: usize = 8;
@@ -61,23 +62,12 @@ pub fn fat_tree64(limits: PortLimits) -> Topology {
     Topology::fat_tree(EDGES, HOSTS_PER_EDGE, SPINES, trunk(), limits)
 }
 
-/// Reliable Delivery VI attributes — retransmission recovers any frame a
-/// full switch port drops, so every workload runs to completion and the
-/// conservation oracles can demand zero stranded descriptors.
-fn rd() -> ViAttributes {
-    ViAttributes {
-        reliability: Reliability::ReliableDelivery,
-        ..ViAttributes::default()
-    }
-}
-
-/// Engine scaffolding shared by the workloads: a serial [`Sim`] at one
-/// shard, a [`ShardedSim`] on the topology's own shard map and
-/// per-link-pair lookahead otherwise.
+/// Engine scaffolding shared by the multi-node workloads: the serial
+/// engine at one shard, a [`ShardedSim`] on the topology's own shard map
+/// and per-link-pair lookahead otherwise.
 pub(crate) struct Rig {
     pub(crate) cluster: Cluster,
     engine: Option<ShardedSim>,
-    serial: Option<Sim>,
     label: String,
 }
 
@@ -95,57 +85,58 @@ impl Rig {
         shards: usize,
         label: impl Into<String>,
     ) -> Rig {
-        if shards > 1 {
-            let engine = ShardedSim::new_with_map(
-                topo.shard_map(shards),
-                topo.shard_lookahead(&profile.net),
-            );
-            let cluster = Cluster::new_sharded_topo(&engine, profile, topo, seed);
-            Rig {
-                cluster,
-                engine: Some(engine),
-                serial: None,
-                label: label.into(),
-            }
-        } else {
-            let sim = Sim::new();
-            let cluster = Cluster::new_topo(sim.clone(), profile, topo, seed);
-            Rig {
-                cluster,
-                engine: None,
-                serial: Some(sim),
-                label: label.into(),
-            }
+        let engine = (shards > 1).then(|| {
+            ShardedSim::new_with_map(topo.shard_map(shards), topo.shard_lookahead(&profile.net))
+        });
+        Rig::on(engine, topo, profile, seed, label)
+    }
+
+    /// Build on a given engine: `None` is a fresh serial [`Sim`].
+    pub(crate) fn on(
+        engine: Option<ShardedSim>,
+        topo: Topology,
+        profile: Profile,
+        seed: u64,
+        label: impl Into<String>,
+    ) -> Rig {
+        let cluster = match &engine {
+            Some(engine) => Cluster::new_sharded_topo(engine, profile, topo, seed),
+            None => Cluster::new_topo(Sim::new(), profile, topo, seed),
+        };
+        Rig {
+            cluster,
+            engine,
+            label: label.into(),
         }
     }
 
     /// Run to completion, record the shard-balance row, check the
     /// conservation oracles.
     pub(crate) fn run(&self) {
-        match (&self.engine, &self.serial) {
-            (Some(eng), _) => {
+        let (shards, rounds, per_shard) = match &self.engine {
+            Some(eng) => {
                 let rep = eng.run_to_completion();
-                record_shard_run(ShardRunRecord {
-                    label: self.label.clone(),
-                    shards: eng.shards(),
-                    rounds: rep.rounds,
-                    per_shard: rep.per_shard,
-                });
+                (eng.shards(), rep.rounds, rep.per_shard)
             }
-            (None, Some(sim)) => {
-                let rep = sim.run_to_completion();
-                record_shard_run(ShardRunRecord {
-                    label: self.label.clone(),
-                    shards: 1,
-                    rounds: 0,
-                    per_shard: vec![simkit::ShardStats {
-                        events: rep.events,
-                        ..Default::default()
-                    }],
-                });
+            // Every node of a serial cluster shares the one engine. Its
+            // row (one shard, zero rounds) pins the zero barrier stall.
+            None => {
+                let rep = self.cluster.node_sim(0).run_to_completion();
+                let stats = simkit::ShardStats {
+                    events: rep.events,
+                    ..Default::default()
+                };
+                (1, 0, vec![stats])
             }
-            (None, None) => unreachable!("one engine flavor is always built"),
-        }
+        };
+        ledger(|l| {
+            l.shard_runs.push(ShardRunRecord {
+                label: self.label.clone(),
+                shards,
+                rounds,
+                per_shard,
+            })
+        });
         check_oracles(&self.cluster, &self.label);
     }
 }
@@ -188,10 +179,10 @@ pub(crate) fn check_oracles(cluster: &Cluster, tag: &str) {
             audit.violations
         );
     }
-    crate::runner::record_fabric_health(
-        ports.iter().map(|p| p.stats.storm_trips).sum(),
-        san.frames_fault_dropped,
-    );
+    ledger(|l| {
+        l.health.storm_trips += ports.iter().map(|p| p.stats.storm_trips).sum::<u64>();
+        l.health.fault_dropped += san.frames_fault_dropped;
+    });
 }
 
 // ---------------------------------------------------------------------
@@ -258,77 +249,33 @@ pub fn storm(shape: StormShape, seed: u64, shards: usize) -> StormOutcome {
     );
     let cluster = &rig.cluster;
     let pairs = STORM_NODES / 2;
-
-    let mut servers = Vec::with_capacity(pairs);
-    for i in 0..pairs {
-        let srv = pairs + i;
-        let size = 2048 + 32 * i as u64;
-        let p = cluster.provider(srv);
-        let sim = cluster.node_sim(srv).clone();
-        servers.push(
-            sim.spawn(format!("storm-srv{srv}"), Some(p.cpu()), move |ctx| {
-                let vi = p.create_vi(ctx, rd(), None, None).expect("vi");
-                let buf = p.malloc(size);
-                let mh = p
-                    .register_mem(ctx, buf, size, MemAttributes::default())
-                    .expect("register");
-                for _ in 0..STORM_MSGS {
-                    vi.post_recv(ctx, Descriptor::recv().segment(buf, mh, size as u32))
-                        .expect("post_recv");
-                }
-                p.accept(ctx, &vi, Discriminator(i as u64)).expect("accept");
-                let mut bytes = 0u64;
-                let mut last = SimTime::ZERO;
-                for _ in 0..STORM_MSGS {
-                    let comp = vi.recv_wait(ctx, WaitMode::Poll);
-                    assert!(comp.is_ok(), "storm delivery failed: {:?}", comp.status);
-                    bytes += comp.length;
-                    last = last.max(ctx.now());
-                }
-                (bytes, last)
-            }),
-        );
-    }
-
-    let mut clients = Vec::with_capacity(pairs);
-    for i in 0..pairs {
-        let srv = pairs + i;
-        let size = 2048 + 32 * i as u64;
-        let p = cluster.provider(i);
-        let sim = cluster.node_sim(i).clone();
-        clients.push(
-            sim.spawn(format!("storm-cli{i}"), Some(p.cpu()), move |ctx| {
-                let vi = p.create_vi(ctx, rd(), None, None).expect("vi");
-                let buf = p.malloc(size);
-                let mh = p
-                    .register_mem(ctx, buf, size, MemAttributes::default())
-                    .expect("register");
-                p.connect(ctx, &vi, NodeId(srv as u32), Discriminator(i as u64), None)
-                    .expect("connect");
-                ctx.sleep(SimDuration::from_nanos(3_000 + 1_237 * i as u64));
-                for _ in 0..STORM_MSGS {
-                    vi.post_send(ctx, Descriptor::send().segment(buf, mh, size as u32))
-                        .expect("post_send");
-                    let comp = vi.send_wait(ctx, WaitMode::Poll);
-                    assert!(comp.is_ok(), "storm send failed: {:?}", comp.status);
-                }
-            }),
-        );
-    }
-
-    rig.run();
-    for c in clients {
-        c.expect_result();
-    }
-    let mut delivered = 0u64;
-    let mut bytes = 0u64;
-    let mut last = SimTime::ZERO;
-    for s in servers {
-        let (b, l) = s.expect_result();
-        delivered += STORM_MSGS;
-        bytes += b;
-        last = last.max(l);
-    }
+    let flows: Vec<Flow> = (0..pairs)
+        .map(|i| Flow {
+            src: i,
+            dst: pairs + i,
+            disc: i as u64,
+            msgs: STORM_MSGS as usize,
+            size: 2048 + 32 * i as u64,
+            attrs: rd(),
+            connect_at: None,
+            start: SimDuration::from_nanos(3_000 + 1_237 * i as u64),
+            depth: 1,
+        })
+        .collect();
+    let traces = run_flows(
+        &rig,
+        &flows,
+        |_, f| format!("storm-srv{}", f.dst),
+        |_, f| format!("storm-cli{}", f.src),
+        SimTime::MAX,
+    );
+    let delivered = traces.iter().map(|t| t.delivered).sum();
+    let bytes = traces.iter().map(|t| t.bytes).sum();
+    let last = traces
+        .iter()
+        .map(|t| t.last_rx)
+        .max()
+        .unwrap_or(SimTime::ZERO);
     let ports = cluster.san().port_stats();
     StormOutcome {
         delivered,
@@ -440,101 +387,9 @@ pub struct IncastOutcome {
     pub ports: Vec<PortSnapshot>,
 }
 
-/// One receiving flow: create a VI, pre-post `msgs` receives, accept
-/// `disc`, drain, report. Shared by the incast receiver (16 flows on
-/// node 0) and the victim/probe servers.
-fn rx_flow(
-    cluster: &Cluster,
-    node: usize,
-    disc: u64,
-    msgs: usize,
-    max_size: u64,
-    label: String,
-) -> simkit::ProcessHandle<IncastFlow> {
-    let p = cluster.provider(node);
-    let sim = cluster.node_sim(node).clone();
-    sim.spawn(format!("incast-rx-{label}"), Some(p.cpu()), move |ctx| {
-        let vi = p.create_vi(ctx, rd(), None, None).expect("vi");
-        let buf = p.malloc(max_size);
-        let mh = p
-            .register_mem(ctx, buf, max_size, MemAttributes::default())
-            .expect("register");
-        for _ in 0..msgs {
-            vi.post_recv(ctx, Descriptor::recv().segment(buf, mh, max_size as u32))
-                .expect("post_recv");
-        }
-        p.accept(ctx, &vi, Discriminator(disc)).expect("accept");
-        let mut bytes = 0u64;
-        let mut first = SimTime::MAX;
-        let mut last = SimTime::ZERO;
-        for _ in 0..msgs {
-            let comp = vi.recv_wait(ctx, WaitMode::Poll);
-            assert!(comp.is_ok(), "incast delivery failed: {:?}", comp.status);
-            bytes += comp.length;
-            first = first.min(ctx.now());
-            last = last.max(ctx.now());
-        }
-        IncastFlow {
-            label,
-            delivered: msgs as u64,
-            bytes,
-            first_rx: first,
-            last_rx: last,
-        }
-    })
-}
-
-/// One sending flow toward `(dst, disc)`: after a `connect_at` stagger
-/// (control frames are not retransmitted, so connects must not collide
-/// hard enough to overflow a port), connect, wait out the `start`
-/// offset, then keep a window of `depth` sends outstanding until `msgs`
-/// complete. Depth 1 is a self-paced flow; depth 2 is the incast burst —
-/// enough standing pressure to pause and drop at the tight receiver
-/// port, while staying inside the retransmission budget that recovers
-/// every drop.
-#[allow(clippy::too_many_arguments)]
-fn tx_flow(
-    cluster: &Cluster,
-    node: usize,
-    dst: usize,
-    disc: u64,
-    msgs: usize,
-    size: u64,
-    connect_at: u64,
-    start: u64,
-    depth: usize,
-) -> simkit::ProcessHandle<()> {
-    let p = cluster.provider(node);
-    let sim = cluster.node_sim(node).clone();
-    sim.spawn(format!("incast-tx-n{node}"), Some(p.cpu()), move |ctx| {
-        let vi = p.create_vi(ctx, rd(), None, None).expect("vi");
-        let buf = p.malloc(size);
-        let mh = p
-            .register_mem(ctx, buf, size, MemAttributes::default())
-            .expect("register");
-        ctx.sleep(SimDuration::from_nanos(connect_at));
-        p.connect(ctx, &vi, NodeId(dst as u32), Discriminator(disc), None)
-            .expect("connect");
-        ctx.sleep(SimDuration::from_nanos(start));
-        let mut posted = 0usize;
-        while posted < msgs.min(depth.max(1)) {
-            vi.post_send(ctx, Descriptor::send().segment(buf, mh, size as u32))
-                .expect("post_send");
-            posted += 1;
-        }
-        for _ in 0..msgs {
-            let comp = vi.send_wait(ctx, WaitMode::Poll);
-            assert!(comp.is_ok(), "incast send failed: {:?}", comp.status);
-            if posted < msgs {
-                vi.post_send(ctx, Descriptor::send().segment(buf, mh, size as u32))
-                    .expect("post_send");
-                posted += 1;
-            }
-        }
-    })
-}
-
 /// Run the 16-to-1 incast with the victim and probe flows alongside.
+/// The senders run a window of two — enough standing pressure to pause
+/// and drop at the tight receiver port; victim and probe are self-paced.
 pub fn incast(seed: u64, shards: usize) -> IncastOutcome {
     let rig = Rig::new(
         fat_tree64(incast_limits()),
@@ -544,80 +399,49 @@ pub fn incast(seed: u64, shards: usize) -> IncastOutcome {
     );
     let cluster = &rig.cluster;
 
-    let mut rx = Vec::new();
-    for s in 0..INCAST_SENDERS {
-        let size = 8192 + 128 * s as u64;
-        rx.push(rx_flow(
-            cluster,
-            0,
-            100 + s as u64,
-            INCAST_MSGS,
-            size,
-            format!("s{s:02}"),
-        ));
-    }
+    let mut labels: Vec<String> = (0..INCAST_SENDERS).map(|s| format!("s{s:02}")).collect();
+    let mut flows: Vec<Flow> = (0..INCAST_SENDERS)
+        .map(|s| {
+            let pair = (incast_sender_node(s), 0);
+            Flow::staggered(s, pair, 100 + s as u64, INCAST_MSGS, 8192 + 128 * s as u64)
+        })
+        .collect();
+    let probe = |src, dst, disc, connect_at| Flow {
+        src,
+        dst,
+        disc,
+        msgs: INCAST_PROBE_MSGS,
+        size: 4096,
+        attrs: rd(),
+        connect_at: Some(SimDuration::from_nanos(connect_at)),
+        start: SimDuration::from_nanos(24_000),
+        depth: 1,
+    };
     // Victim: crosses the congested spine->edge-0 trunks into node 1.
-    rx.push(rx_flow(
-        cluster,
-        1,
-        200,
-        INCAST_PROBE_MSGS,
-        4096,
-        "victim 58->1".to_string(),
-    ));
+    labels.push("victim 58->1".to_string());
+    flows.push(probe(58, 1, 200, 18_401));
     // Probe: stays inside edge switch 0, touching no trunk.
-    rx.push(rx_flow(
-        cluster,
-        5,
-        300,
-        INCAST_PROBE_MSGS,
-        4096,
-        "probe 4->5".to_string(),
-    ));
+    labels.push("probe 4->5".to_string());
+    flows.push(probe(4, 5, 300, 18_731));
 
-    let mut tx = Vec::new();
-    for s in 0..INCAST_SENDERS {
-        let size = 8192 + 128 * s as u64;
-        tx.push(tx_flow(
-            cluster,
-            incast_sender_node(s),
-            0,
-            100 + s as u64,
-            INCAST_MSGS,
-            size,
-            1_069 * s as u64,
-            30_000 + 977 * s as u64,
-            2,
-        ));
-    }
-    tx.push(tx_flow(
-        cluster,
-        58,
-        1,
-        200,
-        INCAST_PROBE_MSGS,
-        4096,
-        18_401,
-        24_000,
-        1,
-    ));
-    tx.push(tx_flow(
-        cluster,
-        4,
-        5,
-        300,
-        INCAST_PROBE_MSGS,
-        4096,
-        18_731,
-        24_000,
-        1,
-    ));
-
-    rig.run();
-    for t in tx {
-        t.expect_result();
-    }
-    let flows: Vec<IncastFlow> = rx.into_iter().map(|h| h.expect_result()).collect();
+    let traces = run_flows(
+        &rig,
+        &flows,
+        |i, _| format!("incast-rx-{}", labels[i]),
+        |_, f| format!("incast-tx-n{}", f.src),
+        SimTime::MAX,
+    );
+    let flows = labels
+        .into_iter()
+        .zip(traces)
+        .map(|(label, t)| IncastFlow {
+            label,
+            delivered: t.delivered,
+            bytes: t.bytes,
+            first_rx: t.first_rx,
+            last_rx: t.last_rx,
+        })
+        .collect();
     IncastOutcome {
         flows,
         san: cluster.san().stats(),

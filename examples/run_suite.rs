@@ -14,11 +14,11 @@
 //! ```
 //!
 //! Worker count: `--jobs N` wins, then the `VIBE_JOBS` env var, then the
-//! machine's available parallelism. `--jobs 1` (or `VIBE_JOBS=1`) takes
-//! the serial fallback — the exact single-threaded code path CI's golden
-//! comparison pins. Artifact bytes are identical at any worker count; a
-//! multi-worker run additionally prints the X-PAR telemetry artifact
-//! (wall-clock, events/sec, speedup, event-arena hit rates).
+//! machine's available parallelism. `--jobs 1` (or `VIBE_JOBS=1`) runs
+//! the same job plan in order on the calling thread, with no pool.
+//! Artifact bytes are identical at any worker count; every run also
+//! prints the X-PAR telemetry artifact (wall-clock, events/sec, speedup,
+//! event-arena hit rates).
 //!
 //! Engine shard count: `--shards N` wins, then the `VIBE_SHARDS` env var,
 //! else 1 (the serial engine). Experiments that drive a sharded engine
@@ -30,9 +30,10 @@
 //!
 //! Fused fast path: on by default; `--no-fuse` (or `VIBE_FUSE=0`) forces
 //! every message down the general event-by-event chain. Artifact bytes
-//! are identical either way — CI pins a `VIBE_FUSE=0` leg — and the
-//! X-PAR fused-path table reports per-experiment hit rates and de-fuse
-//! causes.
+//! are identical either way — CI pins a `VIBE_FUSE=0` leg — except F5's
+//! and F6's small-message bandwidth panels (≤ 1.3 %, ROADMAP item 1), and
+//! the X-PAR fused-path table reports per-experiment hit rates and
+//! de-fuse causes.
 
 use vibe::runner::{default_shards, default_workers, run_suite};
 use vibe::suite::{all_experiments, find, render_json, Category};
@@ -42,9 +43,9 @@ fn main() {
     if args.is_empty() || args.iter().any(|a| a == "--help" || a == "-h") {
         println!("usage: run_suite [--list | --all | <id>...] [--jobs <n>] [--shards <n>] [--no-fuse] [--csv <dir>] [--json <dir>] [--trace <dir>]");
         println!("       ids: T1 F1-F2 F3 F4 F5 CQ F6 F7 X-MDS X-ASY X-RDMA X-PIP X-MTU X-REL X-GETPUT X-SCALE X-SCHED X-TRACE X-FAULT X-CHAOS X-SHARD X-TOPO X-FAILOVER X-CRASH");
-        println!("       --jobs <n>: worker threads (default: VIBE_JOBS env, else all cores; 1 = serial)");
+        println!("       --jobs <n>: worker threads (default: VIBE_JOBS env, else all cores; 1 = the calling thread)");
         println!("       --shards <n>: engine shards for sharded experiments (default: VIBE_SHARDS env, else 1)");
-        println!("       --no-fuse: disable the fused message-lifecycle fast path (same as VIBE_FUSE=0; artifacts are byte-identical either way)");
+        println!("       --no-fuse: disable the fused message-lifecycle fast path (same as VIBE_FUSE=0; artifacts are byte-identical either way, F5/F6 small-message bandwidth excepted)");
         println!("       --trace <dir>: also write Perfetto/Chrome message-lifecycle traces (default: VIBE_TRACE env)");
         return;
     }

@@ -238,3 +238,27 @@ fn random_worlds_fused_equals_general() {
     }
     via::fastpath::set_fuse(true);
 }
+
+/// Reproducer for a divergence the property above does not reach: outside
+/// the experiments CI's `VIBE_FUSE=0` leg has always diffed, the fused
+/// path is not timeline-neutral. F5's bandwidth panel at 25/50/75 %
+/// buffer reuse (4–256 B; e.g. 50 % / 4 B reads 0.21227 MB/s fused,
+/// 0.21494 general) and F6's BVIA bandwidth panel at 4–32 VIs (≤ 256 B,
+/// and 32 VIs / 28 KiB) differ by up to 1.3 %, deterministically. The
+/// committed `f5.json` / `f6.json` pin the default (fused) bytes. Flips
+/// the process-global fuse knob, so run it alone:
+/// `cargo test --test fuse_equivalence -- --ignored`.
+#[test]
+#[ignore = "fused path diverges on F5/F6 small-message bandwidth; ROADMAP item 1"]
+fn f5_f6_render_identically_fused_and_general() {
+    use vibe_suite::vibe::suite::find;
+    for id in ["F5", "F6"] {
+        let e = find(id).unwrap();
+        via::fastpath::set_fuse(true);
+        let fused = e.run_json();
+        via::fastpath::set_fuse(false);
+        let general = e.run_json();
+        via::fastpath::set_fuse(true);
+        assert!(fused == general, "{id}: VIBE_FUSE=0 changes the artifact");
+    }
+}

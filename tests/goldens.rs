@@ -1,8 +1,12 @@
 //! Golden-artifact tests: the suite must be *byte-identical* run to run —
 //! every reported microsecond is virtual time, so there is no tolerance to
-//! grant. One experiment per paper category is pinned as a committed JSON
-//! golden (the `run_suite --json` interchange form); CI regenerates them
-//! through the example binary and diffs.
+//! grant. Every experiment in the registry is pinned as a committed JSON
+//! golden (the `run_suite --json` interchange form), and an experiment
+//! without one fails [`every_experiment_matches_its_golden`]. The plan is
+//! an experiment's only definition, so these files are what holds it
+//! still across time; CI regenerates them through the example binary at
+//! every `VIBE_JOBS` / `VIBE_SHARDS` / `VIBE_FUSE` leg and diffs the
+//! directory.
 //!
 //! To bless intentional changes (e.g. a recalibration):
 //!
@@ -10,17 +14,33 @@
 //! UPDATE_GOLDENS=1 cargo test --test goldens
 //! ```
 
-use vibe_suite::vibe::suite::find;
+use std::sync::OnceLock;
+
+use vibe_suite::vibe::{all_experiments, default_workers, run_suite};
+
+/// One suite run shared by every test in this file: `(id, json)`.
+fn rendered() -> &'static [(&'static str, String)] {
+    static RUN: OnceLock<Vec<(&'static str, String)>> = OnceLock::new();
+    RUN.get_or_init(|| {
+        run_suite(all_experiments(), default_workers())
+            .experiments
+            .iter()
+            .map(|e| (e.id, e.run_json()))
+            .collect()
+    })
+}
 
 fn check(id: &str) {
-    let e = find(id).unwrap_or_else(|| panic!("unknown experiment {id}"));
-    let got = e.run_json();
+    let (_, got) = rendered()
+        .iter()
+        .find(|(have, _)| *have == id)
+        .unwrap_or_else(|| panic!("unknown experiment {id}"));
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("tests/goldens")
         .join(format!("{}.json", id.to_lowercase()));
     if std::env::var_os("UPDATE_GOLDENS").is_some() {
         std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, &got).unwrap();
+        std::fs::write(&path, got).unwrap();
         return;
     }
     let want = std::fs::read_to_string(&path).unwrap_or_else(|e| {
@@ -30,12 +50,22 @@ fn check(id: &str) {
         )
     });
     assert_eq!(
-        got,
+        *got,
         want,
         "{id} artifacts drifted from {}; if intentional, re-bless with \
          UPDATE_GOLDENS=1 cargo test --test goldens",
         path.display()
     );
+}
+
+#[test]
+fn every_experiment_matches_its_golden() {
+    // All 27, so a new registry entry cannot land without a golden. The
+    // named tests below single out the ones whose goldens pin something
+    // worth a sentence.
+    for e in all_experiments() {
+        check(e.id);
+    }
 }
 
 #[test]
