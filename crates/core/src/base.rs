@@ -6,8 +6,8 @@
 use simkit::WaitMode;
 use via::Profile;
 
-use crate::harness::{bandwidth, paper_sizes, ping_pong, DtConfig};
-use crate::report::{Figure, Series};
+use crate::harness::{paper_sizes, DtConfig};
+use crate::sweep::{Curve, Metric, Sweep};
 
 /// Iteration count for a latency point (deterministic sim: modest counts).
 pub const LAT_ITERS: u32 = 30;
@@ -19,110 +19,40 @@ pub fn bw_iters(size: u64) -> u32 {
     ((4 << 20) / size.max(1)).clamp(64, 2048) as u32
 }
 
-/// Base one-way latency (us) vs. message size, per profile.
-pub fn latency_figure(profiles: &[Profile], mode: WaitMode) -> Figure {
-    latency_figure_sized(profiles, mode, &paper_sizes())
-}
-
-/// [`latency_figure`] over an explicit size list — the per-sweep-point
-/// unit the parallel suite planner fans out (a `&[p]`/`&[size]` call
-/// yields one single-point series slice).
-pub fn latency_figure_sized(profiles: &[Profile], mode: WaitMode, sizes: &[u64]) -> Figure {
+/// One base panel: `metric` vs. message size over the paper's sizes, one
+/// curve per profile, under polling (Fig 3) or blocking (Fig 4) waits.
+/// With polling every profile's CPU curve pegs at 100%.
+pub fn base_sweep(profiles: &[Profile], mode: WaitMode, metric: Metric) -> Sweep {
     let label = match mode {
         WaitMode::Poll => "polling",
         WaitMode::Block => "blocking",
     };
-    let mut fig = Figure::new(
-        format!(
-            "Base latency with {label} (Fig {})",
-            if mode == WaitMode::Poll { 3 } else { 4 }
-        ),
-        "bytes",
-        "one-way latency (us)",
-    );
-    for p in profiles {
-        let mut s = Series::new(p.name);
-        for &size in sizes {
-            let cfg = DtConfig {
-                iters: LAT_ITERS,
-                wait: mode,
-                ..DtConfig::base(p.clone(), size)
-            };
-            s.push(size as f64, ping_pong(&cfg).latency_us);
-        }
-        fig.push(s);
-    }
-    fig
-}
-
-/// Base bandwidth (MB/s) vs. message size, per profile.
-pub fn bandwidth_figure(profiles: &[Profile], mode: WaitMode) -> Figure {
-    bandwidth_figure_sized(profiles, mode, &paper_sizes())
-}
-
-/// [`bandwidth_figure`] over an explicit size list (see
-/// [`latency_figure_sized`]).
-pub fn bandwidth_figure_sized(profiles: &[Profile], mode: WaitMode, sizes: &[u64]) -> Figure {
-    let label = match mode {
-        WaitMode::Poll => "polling",
-        WaitMode::Block => "blocking",
+    let fig = match (metric, mode) {
+        (Metric::Bandwidth, _) | (Metric::Latency, WaitMode::Poll) => 3,
+        (Metric::Cpu, _) | (Metric::Latency, WaitMode::Block) => 4,
     };
-    let mut fig = Figure::new(
-        format!("Base bandwidth with {label} (Fig 3)"),
-        "bytes",
-        "bandwidth (MB/s)",
-    );
+    let title = format!("Base {} with {label} (Fig {fig})", metric.name());
+    let mut sweep = Sweep::new(title, "bytes", metric.y_label());
     for p in profiles {
-        let mut s = Series::new(p.name);
-        for &size in sizes {
-            let cfg = DtConfig {
-                iters: bw_iters(size),
+        let profile = p.clone();
+        sweep.push(Curve::dt(p.name, &paper_sizes(), metric, move |size| {
+            DtConfig {
+                iters: match metric {
+                    Metric::Bandwidth => bw_iters(size),
+                    Metric::Latency | Metric::Cpu => LAT_ITERS,
+                },
                 wait: mode,
-                ..DtConfig::base(p.clone(), size)
-            };
-            s.push(size as f64, bandwidth(&cfg).mbps);
-        }
-        fig.push(s);
+                ..DtConfig::base(profile.clone(), size)
+            }
+        }));
     }
-    fig
-}
-
-/// Receiver-side CPU utilization (%) vs. message size, per profile
-/// (Fig 4's right panel; with polling every profile pegs at 100%).
-pub fn cpu_figure(profiles: &[Profile], mode: WaitMode) -> Figure {
-    cpu_figure_sized(profiles, mode, &paper_sizes())
-}
-
-/// [`cpu_figure`] over an explicit size list (see
-/// [`latency_figure_sized`]).
-pub fn cpu_figure_sized(profiles: &[Profile], mode: WaitMode, sizes: &[u64]) -> Figure {
-    let label = match mode {
-        WaitMode::Poll => "polling",
-        WaitMode::Block => "blocking",
-    };
-    let mut fig = Figure::new(
-        format!("Base CPU utilization with {label} (Fig 4)"),
-        "bytes",
-        "CPU utilization (%)",
-    );
-    for p in profiles {
-        let mut s = Series::new(p.name);
-        for &size in sizes {
-            let cfg = DtConfig {
-                iters: LAT_ITERS,
-                wait: mode,
-                ..DtConfig::base(p.clone(), size)
-            };
-            s.push(size as f64, ping_pong(&cfg).client_util * 100.0);
-        }
-        fig.push(s);
-    }
-    fig
+    sweep
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::harness::{bandwidth, ping_pong};
 
     fn lat(profile: Profile, size: u64, mode: WaitMode) -> f64 {
         let cfg = DtConfig {

@@ -30,7 +30,7 @@ use fabric::{FaultPlan, NodeId, PortLimits, Topology};
 use simkit::{ProcessCtx, SimBarrier, SimDuration, SimRng, WaitMode};
 use via::{Discriminator, MemAttributes, MemHandle, Profile, Reliability, ViAttributes, ViaError};
 
-use crate::harness::{DtConfig, Endpoint, Pair, BASE_SEED};
+use crate::harness::{rel_short, DtConfig, Endpoint, Pair, BASE_SEED};
 use crate::report::Table;
 
 /// Episodes X-CHAOS runs (and CI replays as the chaos smoke).
@@ -144,14 +144,6 @@ impl Stream {
                 Err(e) => panic!("chaos post_send: {e:?}"),
             }
         }
-    }
-}
-
-fn rel_short(r: Reliability) -> &'static str {
-    match r {
-        Reliability::Unreliable => "UD",
-        Reliability::ReliableDelivery => "RD",
-        Reliability::ReliableReception => "RR",
     }
 }
 
@@ -489,15 +481,6 @@ fn push_episode(t: &mut Table, idx: usize, r: &EpisodeReport) {
 pub fn episode_table(idx: usize) -> Table {
     let mut t = table_shell();
     push_episode(&mut t, idx, &run_episode(idx));
-    t
-}
-
-/// All [`EPISODES`] episodes as one table (the serial path).
-pub fn chaos_table() -> Table {
-    let mut t = table_shell();
-    for idx in 0..EPISODES {
-        push_episode(&mut t, idx, &run_episode(idx));
-    }
     t
 }
 

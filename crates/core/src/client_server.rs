@@ -7,7 +7,7 @@
 use via::Profile;
 
 use crate::harness::{transactions, DtConfig};
-use crate::report::{Figure, Series};
+use crate::sweep::{Curve, Sweep};
 
 /// The request sizes Fig. 7 plots.
 pub fn request_sizes() -> Vec<u64> {
@@ -19,28 +19,32 @@ pub fn reply_sizes() -> Vec<u64> {
     vec![4, 16, 64, 256, 1024, 4096, 12288, 20480, 28672]
 }
 
-/// Transactions/second vs. reply size; one series per (profile, request
-/// size), named like the paper's legend ("clan 16", "bvia 256", …).
-pub fn transaction_figure(profiles: &[Profile], requests: &[u64], replies: &[u64]) -> Figure {
-    let mut fig = Figure::new(
+/// Transactions/second vs. reply size; one curve per (profile, request
+/// size), profile-major, named like the paper's legend ("clan 16",
+/// "bvia 256", …).
+pub fn transaction_sweep(profiles: &[Profile], requests: &[u64], replies: &[u64]) -> Sweep {
+    let mut sweep = Sweep::new(
         "Client/server transactions per second (Fig 7)",
         "response bytes",
         "transactions/s",
     );
     for p in profiles {
         for &req in requests {
-            let mut s = Series::new(format!("{} {}", p.name.to_lowercase(), req));
-            for &rep in replies {
-                let cfg = DtConfig {
-                    iters: 40,
-                    ..DtConfig::base(p.clone(), rep)
-                };
-                s.push(rep as f64, transactions(&cfg, req, rep));
-            }
-            fig.push(s);
+            let profile = p.clone();
+            sweep.push(Curve::new(
+                format!("{} {}", p.name.to_lowercase(), req),
+                replies,
+                move |rep| {
+                    let cfg = DtConfig {
+                        iters: 40,
+                        ..DtConfig::base(profile.clone(), rep)
+                    };
+                    transactions(&cfg, req, rep)
+                },
+            ));
         }
     }
-    fig
+    sweep
 }
 
 #[cfg(test)]

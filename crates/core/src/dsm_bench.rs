@@ -8,7 +8,8 @@ use dsm::{run_world, Dsm, DsmConfig, PAGE_SIZE};
 use simkit::Sim;
 use via::Profile;
 
-use crate::report::{Figure, Series, Table};
+use crate::report::Table;
+use crate::sweep::{Curve, Sweep};
 
 /// Mean time (us) for one page-ownership round trip: two ranks alternately
 /// write the same page, so every access migrates it (the DSM analogue of
@@ -72,46 +73,49 @@ pub fn migration_table(profiles: &[Profile]) -> Table {
 /// False sharing: two ranks write *disjoint words* that share one page vs.
 /// words on separate pages — the page-granularity penalty every DSM paper
 /// warns about, measured on the simulated stack.
-pub fn false_sharing_figure(profile: Profile) -> Figure {
-    let mut fig = Figure::new(
+pub fn false_sharing_sweep(profile: Profile) -> Sweep {
+    let mut sweep = Sweep::new(
         format!("DSM: false sharing on {} (50 writes/rank)", profile.name),
         "layout (0 = same page, 1 = separate pages)",
         "elapsed (us)",
     );
-    let mut s = Series::new(profile.name);
-    for (x, separate) in [(0.0, false), (1.0, true)] {
-        let sim = Sim::new();
-        let handles = Dsm::spawn_world(
-            &sim,
-            profile.clone(),
-            2,
-            DsmConfig::default(),
-            9,
-            move |ctx, dsm| {
-                let addr = if separate {
-                    dsm.rank() as u64 * PAGE_SIZE
-                } else {
-                    dsm.rank() as u64 * 64 // both words on page 0
-                };
-                let t0 = ctx.now();
-                for i in 0..50u64 {
-                    dsm.write(ctx, addr, &i.to_le_bytes());
-                    // A little think time between writes so the two ranks
-                    // genuinely interleave (same pause in both layouts).
-                    ctx.sleep(simkit::SimDuration::from_micros(10));
-                }
-                (ctx.now() - t0).as_micros_f64()
-            },
-        );
-        run_world(&sim);
-        let worst = handles
-            .into_iter()
-            .map(|h| h.expect_result())
-            .fold(0.0f64, f64::max);
-        s.push(x, worst);
-    }
-    fig.push(s);
-    fig
+    sweep.push(Curve::new(profile.name, &[0usize, 1], move |layout| {
+        false_sharing_us(profile.clone(), layout == 1)
+    }));
+    sweep
+}
+
+/// Slowest rank's time (us) for 50 writes to its own word, the two ranks'
+/// words on one page or on `separate` pages.
+fn false_sharing_us(profile: Profile, separate: bool) -> f64 {
+    let sim = Sim::new();
+    let handles = Dsm::spawn_world(
+        &sim,
+        profile,
+        2,
+        DsmConfig::default(),
+        9,
+        move |ctx, dsm| {
+            let addr = if separate {
+                dsm.rank() as u64 * PAGE_SIZE
+            } else {
+                dsm.rank() as u64 * 64 // both words on page 0
+            };
+            let t0 = ctx.now();
+            for i in 0..50u64 {
+                dsm.write(ctx, addr, &i.to_le_bytes());
+                // A little think time between writes so the two ranks
+                // genuinely interleave (same pause in both layouts).
+                ctx.sleep(simkit::SimDuration::from_micros(10));
+            }
+            (ctx.now() - t0).as_micros_f64()
+        },
+    );
+    run_world(&sim);
+    handles
+        .into_iter()
+        .map(|h| h.expect_result())
+        .fold(0.0f64, f64::max)
 }
 
 #[cfg(test)]
@@ -134,7 +138,7 @@ mod tests {
 
     #[test]
     fn false_sharing_costs_orders_of_magnitude() {
-        let fig = false_sharing_figure(Profile::clan());
+        let fig = false_sharing_sweep(Profile::clan()).figure();
         let s = &fig.series[0];
         let same = s.at(0.0).unwrap();
         let separate = s.at(1.0).unwrap();

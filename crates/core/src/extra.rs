@@ -5,11 +5,13 @@
 //! reliability levels (REL). The paper describes their design; we
 //! reproduce the benchmarks and report our own numbers.
 
-use simkit::WaitMode;
 use via::{Profile, Reliability};
 
-use crate::harness::{bandwidth, ping_pong, rdma_write_ping, BufferPool, DtConfig, Pair};
-use crate::report::{Figure, Series, Table};
+use crate::harness::{
+    bandwidth, ping_pong, rdma_write_ping, rel_short, BufferPool, DtConfig, Pair,
+};
+use crate::report::Table;
+use crate::sweep::{Curve, Metric, Sweep};
 
 // ---------------------------------------------------------------------
 // MDS: multiple data segments.
@@ -21,25 +23,26 @@ pub fn segment_counts() -> Vec<usize> {
 }
 
 /// Latency vs. number of data segments at a fixed total size, per profile.
-pub fn mds_figure(profiles: &[Profile], msg_size: u64) -> Figure {
-    let mut fig = Figure::new(
+pub fn mds_sweep(profiles: &[Profile], msg_size: u64) -> Sweep {
+    let mut sweep = Sweep::new(
         format!("MDS: latency vs data segments ({msg_size} B total)"),
         "data segments",
-        "one-way latency (us)",
+        Metric::Latency.y_label(),
     );
     for p in profiles {
-        let mut s = Series::new(p.name);
-        for &n in &segment_counts() {
-            let cfg = DtConfig {
+        let profile = p.clone();
+        sweep.push(Curve::dt(
+            p.name,
+            &segment_counts(),
+            Metric::Latency,
+            move |n| DtConfig {
                 iters: 30,
                 segments: n,
-                ..DtConfig::base(p.clone(), msg_size)
-            };
-            s.push(n as f64, ping_pong(&cfg).latency_us);
-        }
-        fig.push(s);
+                ..DtConfig::base(profile.clone(), msg_size)
+            },
+        ));
     }
-    fig
+    sweep
 }
 
 // ---------------------------------------------------------------------
@@ -126,24 +129,22 @@ pub fn asy_burst_latency(cfg: &DtConfig, burst: usize) -> f64 {
 }
 
 /// Per-message latency vs. burst size, per profile.
-pub fn asy_figure(profiles: &[Profile], msg_size: u64) -> Figure {
-    let mut fig = Figure::new(
+pub fn asy_sweep(profiles: &[Profile], msg_size: u64) -> Sweep {
+    let mut sweep = Sweep::new(
         format!("ASY: per-message time vs burst size ({msg_size} B)"),
         "burst size",
         "per-message time (us)",
     );
     for p in profiles {
-        let mut s = Series::new(p.name);
-        for &k in &burst_sizes() {
-            let cfg = DtConfig {
-                iters: 20,
-                ..DtConfig::base(p.clone(), msg_size)
-            };
-            s.push(k as f64, asy_burst_latency(&cfg, k));
-        }
-        fig.push(s);
+        let cfg = DtConfig {
+            iters: 20,
+            ..DtConfig::base(p.clone(), msg_size)
+        };
+        sweep.push(Curve::new(p.name, &burst_sizes(), move |k| {
+            asy_burst_latency(&cfg, k)
+        }));
     }
-    fig
+    sweep
 }
 
 // ---------------------------------------------------------------------
@@ -151,31 +152,31 @@ pub fn asy_figure(profiles: &[Profile], msg_size: u64) -> Figure {
 // ---------------------------------------------------------------------
 
 /// Latency of send/receive vs. RDMA write over message sizes, for the
-/// profiles that implement RDMA write (M-VIA and cLAN in the paper).
-pub fn rdma_figure(profiles: &[Profile], sizes: &[u64]) -> Figure {
-    let mut fig = Figure::new(
+/// profiles that implement RDMA write (M-VIA and cLAN in the paper); a
+/// profile that does not contributes no curve.
+pub fn rdma_sweep(profiles: &[Profile], sizes: &[u64]) -> Sweep {
+    let mut sweep = Sweep::new(
         "RDMA: send/receive vs RDMA-write latency",
         "bytes",
-        "one-way latency (us)",
+        Metric::Latency.y_label(),
     );
-    for p in profiles {
-        if !p.supports_rdma_write {
-            continue;
-        }
-        let mut s_send = Series::new(format!("{} send", p.name));
-        let mut s_rdma = Series::new(format!("{} rdma", p.name));
-        for &size in sizes {
-            let cfg = DtConfig {
-                iters: 30,
-                ..DtConfig::base(p.clone(), size)
-            };
-            s_send.push(size as f64, ping_pong(&cfg).latency_us);
-            s_rdma.push(size as f64, rdma_write_ping(&cfg).latency_us);
-        }
-        fig.push(s_send);
-        fig.push(s_rdma);
+    for p in profiles.iter().filter(|p| p.supports_rdma_write) {
+        let profile = p.clone();
+        let cfg = move |size| DtConfig {
+            iters: 30,
+            ..DtConfig::base(profile.clone(), size)
+        };
+        sweep.push(Curve::dt(
+            format!("{} send", p.name),
+            sizes,
+            Metric::Latency,
+            cfg.clone(),
+        ));
+        sweep.push(Curve::new(format!("{} rdma", p.name), sizes, move |size| {
+            rdma_write_ping(&cfg(size)).latency_us
+        }));
     }
-    fig
+    sweep
 }
 
 // ---------------------------------------------------------------------
@@ -193,11 +194,11 @@ pub fn pipeline_depths() -> Vec<usize> {
 /// depth directly bounds the in-flight window — which is the effect this
 /// benchmark isolates. (On Unreliable connections a send completes at
 /// local wire hand-off and the curve is nearly flat.)
-pub fn pip_figure(profiles: &[Profile], msg_size: u64) -> Figure {
-    let mut fig = Figure::new(
+pub fn pip_sweep(profiles: &[Profile], msg_size: u64) -> Sweep {
+    let mut sweep = Sweep::new(
         format!("PIP: bandwidth vs sender pipeline length ({msg_size} B)"),
         "outstanding sends",
-        "bandwidth (MB/s)",
+        Metric::Bandwidth.y_label(),
     );
     for p in profiles {
         let level = if p.supports_reliability(Reliability::ReliableDelivery) {
@@ -205,27 +206,20 @@ pub fn pip_figure(profiles: &[Profile], msg_size: u64) -> Figure {
         } else {
             Reliability::Unreliable
         };
-        let mut s = Series::new(format!(
-            "{} ({})",
-            p.name,
-            match level {
-                Reliability::Unreliable => "UD",
-                Reliability::ReliableDelivery => "RD",
-                Reliability::ReliableReception => "RR",
-            }
-        ));
-        for &d in &pipeline_depths() {
-            let cfg = DtConfig {
+        let profile = p.clone();
+        sweep.push(Curve::dt(
+            format!("{} ({})", p.name, rel_short(level)),
+            &pipeline_depths(),
+            Metric::Bandwidth,
+            move |d| DtConfig {
                 iters: 256,
                 queue_depth: d,
                 reliability: level,
-                ..DtConfig::base(p.clone(), msg_size)
-            };
-            s.push(d as f64, bandwidth(&cfg).mbps);
-        }
-        fig.push(s);
+                ..DtConfig::base(profile.clone(), msg_size)
+            },
+        ));
     }
-    fig
+    sweep
 }
 
 // ---------------------------------------------------------------------
@@ -241,43 +235,34 @@ pub fn mtu_values(p: &Profile) -> Vec<u32> {
 }
 
 /// Latency and bandwidth at a fixed message size while sweeping the
-/// provider's wire fragmentation unit.
-pub fn mtu_figures(profile: Profile, msg_size: u64) -> (Figure, Figure) {
-    let mut lat = Figure::new(
-        format!(
-            "{}: latency vs wire MTU ({msg_size} B message)",
-            profile.name
-        ),
-        "wire MTU (bytes)",
-        "one-way latency (us)",
-    );
-    let mut bw = Figure::new(
-        format!(
-            "{}: bandwidth vs wire MTU ({msg_size} B message)",
-            profile.name
-        ),
-        "wire MTU (bytes)",
-        "bandwidth (MB/s)",
-    );
-    let mut s_lat = Series::new(profile.name);
-    let mut s_bw = Series::new(profile.name);
-    for mtu in mtu_values(&profile) {
-        let mut p = profile.clone();
-        p.wire_mtu = mtu;
-        let cfg = DtConfig {
-            iters: 30,
-            ..DtConfig::base(p.clone(), msg_size)
-        };
-        s_lat.push(mtu as f64, ping_pong(&cfg).latency_us);
-        let cfg = DtConfig {
-            iters: 192,
-            ..DtConfig::base(p, msg_size)
-        };
-        s_bw.push(mtu as f64, bandwidth(&cfg).mbps);
-    }
-    lat.push(s_lat);
-    bw.push(s_bw);
-    (lat, bw)
+/// provider's wire fragmentation unit: two panels, two sweeps.
+pub fn mtu_sweeps(profile: Profile, msg_size: u64) -> [Sweep; 2] {
+    [(Metric::Latency, 30), (Metric::Bandwidth, 192)].map(|(metric, iters)| {
+        let mut sweep = Sweep::new(
+            format!(
+                "{}: {} vs wire MTU ({msg_size} B message)",
+                profile.name,
+                metric.name()
+            ),
+            "wire MTU (bytes)",
+            metric.y_label(),
+        );
+        let base = profile.clone();
+        sweep.push(Curve::dt(
+            profile.name,
+            &mtu_values(&profile),
+            metric,
+            move |mtu| {
+                let mut p = base.clone();
+                p.wire_mtu = mtu;
+                DtConfig {
+                    iters,
+                    ..DtConfig::base(p, msg_size)
+                }
+            },
+        ));
+        sweep
+    })
 }
 
 // ---------------------------------------------------------------------
@@ -591,37 +576,13 @@ fn ping_pong_samples(cfg: &DtConfig) -> (simkit::Samples, u64, u64, u64) {
     )
 }
 
-/// CPU utilization of a blocking large-transfer send across reliability
-/// levels (completion semantics move the wait, not the work).
-pub fn rel_cpu_row(profile: Profile, msg_size: u64) -> Vec<(String, f64)> {
-    let mut rows = Vec::new();
-    for (level, name) in [
-        (Reliability::Unreliable, "UD"),
-        (Reliability::ReliableDelivery, "RD"),
-        (Reliability::ReliableReception, "RR"),
-    ] {
-        if !profile.supports_reliability(level) {
-            continue;
-        }
-        let cfg = DtConfig {
-            iters: 20,
-            wait: WaitMode::Block,
-            reliability: level,
-            ..DtConfig::base(profile.clone(), msg_size)
-        };
-        let r = ping_pong(&cfg);
-        rows.push((name.to_string(), r.client_util * 100.0));
-    }
-    rows
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn mds_latency_grows_with_segments_on_nic_offload() {
-        let fig = mds_figure(&[Profile::bvia()], 8192);
+        let fig = mds_sweep(&[Profile::bvia()], 8192).figure();
         let s = fig.series("BVIA").unwrap();
         let l1 = s.at(1.0).unwrap();
         let l16 = s.at(16.0).unwrap();
@@ -645,7 +606,7 @@ mod tests {
     #[test]
     fn rdma_write_beats_send_for_small_messages_on_clan() {
         // No receive-descriptor matching on the fast path.
-        let fig = rdma_figure(&[Profile::clan()], &[4096]);
+        let fig = rdma_sweep(&[Profile::clan()], &[4096]).figure();
         let send = fig.series("cLAN send").unwrap().at(4096.0).unwrap();
         let rdma = fig.series("cLAN rdma").unwrap().at(4096.0).unwrap();
         // They are close; RDMA write avoids nothing dramatic in latency
@@ -656,7 +617,7 @@ mod tests {
 
     #[test]
     fn pipeline_depth_saturates_bandwidth() {
-        let fig = pip_figure(&[Profile::clan()], 4096);
+        let fig = pip_sweep(&[Profile::clan()], 4096).figure();
         let s = fig.series("cLAN (RD)").unwrap();
         let d1 = s.at(1.0).unwrap();
         let d16 = s.at(16.0).unwrap();
@@ -670,7 +631,7 @@ mod tests {
     fn pipeline_depth_is_flat_on_unreliable_connections() {
         // BVIA only offers UD, where send completion is local: the sender
         // never stalls on the receiver, so depth barely matters.
-        let fig = pip_figure(&[Profile::bvia()], 4096);
+        let fig = pip_sweep(&[Profile::bvia()], 4096).figure();
         let s = fig.series("BVIA (UD)").unwrap();
         let d1 = s.at(1.0).unwrap();
         let d64 = s.at(64.0).unwrap();
@@ -682,7 +643,7 @@ mod tests {
 
     #[test]
     fn mtu_trades_pipelining_against_overhead() {
-        let (lat, bw) = mtu_figures(Profile::clan(), 28672);
+        let [lat, bw] = mtu_sweeps(Profile::clan(), 28672).map(Sweep::figure);
         let s = lat.series("cLAN").unwrap();
         // Large fragments kill intra-message pipelining: latency grows.
         assert!(

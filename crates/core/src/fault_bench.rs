@@ -15,7 +15,7 @@ use fabric::NodeId;
 use simkit::{SimDuration, SimTime};
 use via::{Discriminator, MemAttributes, Profile, Reliability, ViAttributes};
 
-use crate::harness::{DtConfig, Endpoint, Pair};
+use crate::harness::{rel_short, DtConfig, Endpoint, Pair};
 use crate::report::Table;
 
 const MSG_SIZE: u64 = 4096;
@@ -471,14 +471,6 @@ pub fn reconnect_table(profile: Profile) -> Table {
         ],
     );
     t
-}
-
-fn rel_short(r: Reliability) -> &'static str {
-    match r {
-        Reliability::Unreliable => "UD",
-        Reliability::ReliableDelivery => "RD",
-        Reliability::ReliableReception => "RR",
-    }
 }
 
 #[cfg(test)]

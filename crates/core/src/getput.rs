@@ -13,7 +13,7 @@
 use via::{Descriptor, MemAttributes, MemHandle, Profile};
 
 use crate::harness::{DtConfig, Pair};
-use crate::report::{Figure, Series};
+use crate::sweep::{Curve, Sweep};
 
 /// How the one-sided operation is realized on the VIA.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -182,47 +182,34 @@ pub fn get_latency(cfg: &DtConfig) -> f64 {
     per_op
 }
 
-/// Put latency vs. size for both mappings (and `get` where supported).
-pub fn getput_figure(profiles: &[Profile], sizes: &[u64]) -> Figure {
-    let mut fig = Figure::new(
+/// Put latency vs. size for both mappings (and `get` where supported):
+/// per profile, a curve for each operation its hardware can map.
+pub fn getput_sweep(profiles: &[Profile], sizes: &[u64]) -> Sweep {
+    let mut sweep = Sweep::new(
         "Get/Put model: one-sided operation latency",
         "bytes",
         "per-op latency (us)",
     );
     for p in profiles {
+        let profile = p.clone();
+        let cfg = move |size| DtConfig {
+            iters: 30,
+            ..DtConfig::base(profile.clone(), size)
+        };
+        let mut curve = |op: &str, y: fn(&DtConfig) -> f64| {
+            let cfg = cfg.clone();
+            let name = format!("{} {op}", p.name);
+            sweep.push(Curve::new(name, sizes, move |size| y(&cfg(size))));
+        };
         if p.supports_rdma_write {
-            let mut s = Series::new(format!("{} put/rdma", p.name));
-            for &size in sizes {
-                let cfg = DtConfig {
-                    iters: 30,
-                    ..DtConfig::base(p.clone(), size)
-                };
-                s.push(size as f64, put_latency(&cfg, PutMapping::RdmaWrite));
-            }
-            fig.push(s);
+            curve("put/rdma", |cfg| put_latency(cfg, PutMapping::RdmaWrite));
         }
-        let mut s = Series::new(format!("{} put/sendrecv", p.name));
-        for &size in sizes {
-            let cfg = DtConfig {
-                iters: 30,
-                ..DtConfig::base(p.clone(), size)
-            };
-            s.push(size as f64, put_latency(&cfg, PutMapping::SendRecv));
-        }
-        fig.push(s);
+        curve("put/sendrecv", |cfg| put_latency(cfg, PutMapping::SendRecv));
         if p.supports_rdma_read {
-            let mut s = Series::new(format!("{} get/rdma", p.name));
-            for &size in sizes {
-                let cfg = DtConfig {
-                    iters: 30,
-                    ..DtConfig::base(p.clone(), size)
-                };
-                s.push(size as f64, get_latency(&cfg));
-            }
-            fig.push(s);
+            curve("get/rdma", get_latency);
         }
     }
-    fig
+    sweep
 }
 
 #[cfg(test)]
@@ -270,7 +257,7 @@ mod tests {
 
     #[test]
     fn getput_figure_has_expected_series() {
-        let fig = getput_figure(&[Profile::clan()], &[256]);
+        let fig = getput_sweep(&[Profile::clan()], &[256]).figure();
         assert!(fig.series("cLAN put/rdma").is_some());
         assert!(fig.series("cLAN put/sendrecv").is_some());
         assert!(

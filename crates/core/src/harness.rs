@@ -18,9 +18,9 @@ pub use simkit::SimDuration;
 /// Determinism in this codebase is *content-keyed*: a measurement's RNG
 /// streams come from `SimRng::derive(seed, label)` where the label names
 /// *what* is being measured, never *when* or *on which thread*. That is
-/// what lets the parallel suite runner split an experiment into per-sweep-
-/// point jobs without perturbing a single sample — each job restates this
-/// seed and re-derives the identical streams the serial path uses.
+/// what lets the suite runner split an experiment into per-sweep-point
+/// jobs without perturbing a single sample: wherever a point runs, it
+/// derives the identical streams from this seed.
 pub const BASE_SEED: u64 = 0x5EED;
 
 /// The message sizes the paper's figures sweep (bytes).
@@ -89,6 +89,15 @@ impl DtConfig {
             seed: BASE_SEED,
             topology: None,
         }
+    }
+}
+
+/// The two-letter name row and series labels give a reliability level.
+pub(crate) fn rel_short(r: Reliability) -> &'static str {
+    match r {
+        Reliability::Unreliable => "UD",
+        Reliability::ReliableDelivery => "RD",
+        Reliability::ReliableReception => "RR",
     }
 }
 

@@ -25,7 +25,9 @@
 //! windows through the fabric to measure recovery and the VI error-state
 //! machinery.
 //!
-//! [`harness`] holds the measurement machinery; [`report`] renders
+//! [`harness`] holds the measurement machinery; [`sweep`] states a
+//! figure's loop once, as data (panel, curve, x → one simulation), read
+//! both as a figure and as one job per point; [`report`] renders
 //! paper-style tables/figures; [`suite`] is the experiment registry the
 //! `run_suite` example binary drives; [`runner`] runs the registry's
 //! per-experiment job plans on one worker or many and reassembles the
@@ -55,6 +57,7 @@ pub mod scale;
 pub mod sched_bench;
 pub mod shard_bench;
 pub mod suite;
+pub mod sweep;
 pub mod topo_bench;
 pub mod trace_bench;
 pub mod xlate;

@@ -11,8 +11,8 @@ use mpl::{Mpl, MplConfig};
 use simkit::Sim;
 use via::Profile;
 
-use crate::harness::{paper_sizes, ping_pong, DtConfig};
-use crate::report::{Figure, Series};
+use crate::harness::{paper_sizes, DtConfig};
+use crate::sweep::{Curve, Metric, Sweep};
 
 /// One-way latency (us) of an `mpl` ping-pong of `size` bytes.
 pub fn layer_latency(profile: Profile, cfg: MplConfig, size: u64, iters: u32) -> f64 {
@@ -41,58 +41,61 @@ pub fn layer_latency(profile: Profile, cfg: MplConfig, size: u64, iters: u32) ->
 
 /// Layer vs. raw-VIA latency across message sizes, per profile: the
 /// "what does your abstraction cost" figure.
-pub fn overhead_figure(profiles: &[Profile]) -> Figure {
-    let mut fig = Figure::new(
+pub fn overhead_sweep(profiles: &[Profile]) -> Sweep {
+    let mut sweep = Sweep::new(
         "MPL: message-passing layer vs raw VIA latency",
         "bytes",
-        "one-way latency (us)",
+        Metric::Latency.y_label(),
     );
     for p in profiles {
-        let mut raw = Series::new(format!("{} raw", p.name));
-        let mut layered = Series::new(format!("{} mpl", p.name));
-        for &size in &paper_sizes() {
-            let r = ping_pong(&DtConfig {
+        let (raw, layered) = (p.clone(), p.clone());
+        sweep.push(Curve::dt(
+            format!("{} raw", p.name),
+            &paper_sizes(),
+            Metric::Latency,
+            move |size| DtConfig {
                 iters: 20,
-                ..DtConfig::base(p.clone(), size)
-            });
-            raw.push(size as f64, r.latency_us);
-            layered.push(
-                size as f64,
-                layer_latency(p.clone(), MplConfig::default(), size, 20),
-            );
-        }
-        fig.push(raw);
-        fig.push(layered);
+                ..DtConfig::base(raw.clone(), size)
+            },
+        ));
+        sweep.push(Curve::new(
+            format!("{} mpl", p.name),
+            &paper_sizes(),
+            move |size| layer_latency(layered.clone(), MplConfig::default(), size, 20),
+        ));
     }
-    fig
+    sweep
 }
 
 /// Latency at a fixed size while sweeping the eager threshold across it:
 /// the knob a layer implementor tunes with VIBe data.
-pub fn threshold_figure(profile: Profile, size: u64) -> Figure {
-    let mut fig = Figure::new(
+pub fn threshold_sweep(profile: Profile, size: u64) -> Sweep {
+    let mut sweep = Sweep::new(
         format!(
             "MPL: eager-threshold sweep around a {size} B message ({})",
             profile.name
         ),
         "eager threshold (bytes)",
-        "one-way latency (us)",
+        Metric::Latency.y_label(),
     );
-    let mut s = Series::new(profile.name);
-    for &thr in &[1024u32, 2048, 4096, 8192, 16384, 32768] {
-        let cfg = MplConfig {
-            eager_threshold: thr,
-            ..Default::default()
-        };
-        s.push(thr as f64, layer_latency(profile.clone(), cfg, size, 20));
-    }
-    fig.push(s);
-    fig
+    sweep.push(Curve::new(
+        profile.name,
+        &[1024u32, 2048, 4096, 8192, 16384, 32768],
+        move |thr| {
+            let cfg = MplConfig {
+                eager_threshold: thr,
+                ..Default::default()
+            };
+            layer_latency(profile.clone(), cfg, size, 20)
+        },
+    ));
+    sweep
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::harness::ping_pong;
 
     #[test]
     fn layer_costs_more_than_raw_for_eager_messages() {
@@ -132,7 +135,7 @@ mod tests {
         // On BVIA a 16 KiB message sent eagerly pays two copies but keeps
         // translation caches hot; rendezvous is zero-copy but touches
         // fresh user pages. The sweep must show a real difference.
-        let fig = threshold_figure(Profile::bvia(), 16384);
+        let fig = threshold_sweep(Profile::bvia(), 16384).figure();
         let s = &fig.series[0];
         let eager = s.at(32768.0).unwrap(); // threshold above size: eager
         let rendezvous = s.at(1024.0).unwrap(); // threshold below: rendezvous

@@ -4,90 +4,49 @@
 //! grows with the VI count (Fig. 6); implementations with hardware
 //! doorbell FIFOs or host-side emulation are flat.
 
+use simkit::WaitMode;
 use via::Profile;
 
-use crate::harness::{bandwidth, ping_pong, DtConfig};
-use crate::report::{Figure, Series};
+use crate::harness::{ping_pong, DtConfig};
+use crate::sweep::{Curve, Metric, Sweep};
 
 /// The VI counts Fig. 6 sweeps.
 pub fn vi_counts() -> Vec<usize> {
     vec![1, 2, 4, 8, 16, 32]
 }
 
-/// Latency vs. message size, one series per active-VI count.
-pub fn vi_latency_figure(profile: Profile, counts: &[usize], sizes: &[u64]) -> Figure {
-    let mut fig = Figure::new(
-        format!("{}: latency vs number of active VIs (Fig 6)", profile.name),
-        "bytes",
-        "one-way latency (us)",
-    );
-    for &n in counts {
-        let mut s = Series::new(format!("{n} VIs"));
-        for &size in sizes {
-            let cfg = DtConfig {
-                iters: 30,
-                active_vis: n,
-                ..DtConfig::base(profile.clone(), size)
-            };
-            s.push(size as f64, ping_pong(&cfg).latency_us);
-        }
-        fig.push(s);
-    }
-    fig
-}
-
-/// Bandwidth vs. message size, one series per active-VI count.
-pub fn vi_bandwidth_figure(profile: Profile, counts: &[usize], sizes: &[u64]) -> Figure {
-    let mut fig = Figure::new(
+/// One Fig. 6 panel: `metric` vs. message size, one curve per active-VI
+/// count. The CPU panel (the TR companion) runs with blocking waits: the
+/// firmware scan lengthens each transfer without consuming host CPU, so
+/// utilization *drops* as VIs accumulate on a polling-firmware
+/// implementation.
+pub fn vi_sweep(profile: Profile, metric: Metric, counts: &[usize], sizes: &[u64]) -> Sweep {
+    let (source, iters, wait) = match metric {
+        Metric::Latency => ("Fig 6", 30, WaitMode::Poll),
+        Metric::Bandwidth => ("Fig 6", 192, WaitMode::Poll),
+        Metric::Cpu => ("TR", 30, WaitMode::Block),
+    };
+    let mut sweep = Sweep::new(
         format!(
-            "{}: bandwidth vs number of active VIs (Fig 6)",
-            profile.name
+            "{}: {} vs number of active VIs ({source})",
+            profile.name,
+            metric.name()
         ),
         "bytes",
-        "bandwidth (MB/s)",
+        metric.y_label(),
     );
     for &n in counts {
-        let mut s = Series::new(format!("{n} VIs"));
-        for &size in sizes {
-            let cfg = DtConfig {
-                iters: 192,
+        let profile = profile.clone();
+        sweep.push(Curve::dt(format!("{n} VIs"), sizes, metric, move |size| {
+            DtConfig {
+                iters,
                 active_vis: n,
+                wait,
                 ..DtConfig::base(profile.clone(), size)
-            };
-            s.push(size as f64, bandwidth(&cfg).mbps);
-        }
-        fig.push(s);
+            }
+        }));
     }
-    fig
-}
-
-/// Receiver CPU utilization (%) vs. message size per VI count, blocking
-/// waits (the TR companion panel): the firmware scan lengthens each
-/// transfer without consuming host CPU, so utilization *drops* as VIs
-/// accumulate on a polling-firmware implementation.
-pub fn vi_cpu_figure(profile: Profile, counts: &[usize], sizes: &[u64]) -> Figure {
-    let mut fig = Figure::new(
-        format!(
-            "{}: CPU utilization vs number of active VIs (TR)",
-            profile.name
-        ),
-        "bytes",
-        "CPU utilization (%)",
-    );
-    for &n in counts {
-        let mut s = Series::new(format!("{n} VIs"));
-        for &size in sizes {
-            let cfg = DtConfig {
-                iters: 30,
-                active_vis: n,
-                wait: simkit::WaitMode::Block,
-                ..DtConfig::base(profile.clone(), size)
-            };
-            s.push(size as f64, ping_pong(&cfg).client_util * 100.0);
-        }
-        fig.push(s);
-    }
-    fig
+    sweep
 }
 
 /// Added one-way latency per extra VI (the Fig 6 slope) at `size` bytes.
@@ -111,7 +70,7 @@ mod tests {
     fn bvia_latency_grows_with_vi_count() {
         // §4.3.4: "with increase in the number of VIs, the latency of
         // messages increases significantly."
-        let fig = vi_latency_figure(Profile::bvia(), &[1, 8, 32], &[256]);
+        let fig = vi_sweep(Profile::bvia(), Metric::Latency, &[1, 8, 32], &[256]).figure();
         let l1 = fig.series("1 VIs").unwrap().at(256.0).unwrap();
         let l8 = fig.series("8 VIs").unwrap().at(256.0).unwrap();
         let l32 = fig.series("32 VIs").unwrap().at(256.0).unwrap();
@@ -124,7 +83,7 @@ mod tests {
         // §4.3.4: "The impact of number of active VIs on bandwidth is also
         // significant." Small messages are doorbell-bound, so that is
         // where the scan delay bites.
-        let fig = vi_bandwidth_figure(Profile::bvia(), &[1, 32], &[1024]);
+        let fig = vi_sweep(Profile::bvia(), Metric::Bandwidth, &[1, 32], &[1024]).figure();
         let b1 = fig.series("1 VIs").unwrap().at(1024.0).unwrap();
         let b32 = fig.series("32 VIs").unwrap().at(1024.0).unwrap();
         assert!(b32 < b1 * 0.8, "32 VIs {b32} must be well below 1 VI {b1}");
@@ -148,7 +107,7 @@ mod tests {
     fn cpu_utilization_drops_with_vi_count_when_blocking() {
         // More firmware scanning means the blocked host idles longer per
         // transfer: utilization falls as VIs accumulate.
-        let fig = vi_cpu_figure(Profile::bvia(), &[1, 32], &[256]);
+        let fig = vi_sweep(Profile::bvia(), Metric::Cpu, &[1, 32], &[256]).figure();
         let u1 = fig.series("1 VIs").unwrap().at(256.0).unwrap();
         let u32 = fig.series("32 VIs").unwrap().at(256.0).unwrap();
         assert!(u32 < u1, "util with 32 VIs {u32} !< 1 VI {u1}");

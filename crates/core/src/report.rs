@@ -92,13 +92,8 @@ impl Figure {
         }
     }
 
-    /// Render as an aligned text table: one x column, one column per series.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(out, "== {} ==", self.title);
-        let mut headers = vec![self.x_label.clone()];
-        headers.extend(self.series.iter().map(|s| s.name.clone()));
-        // Collect the union of x values, keeping order of first appearance.
+    /// The union of the series' x values, in order of first appearance.
+    fn xs(&self) -> Vec<f64> {
         let mut xs: Vec<f64> = Vec::new();
         for s in &self.series {
             for (x, _) in &s.points {
@@ -107,11 +102,20 @@ impl Figure {
                 }
             }
         }
+        xs
+    }
+
+    /// Render as an aligned text table: one x column, one column per series.
+    pub fn render(&self) -> String {
+        let mut out = String::new();
+        let _ = writeln!(out, "== {} ==", self.title);
+        let mut headers = vec![self.x_label.clone()];
+        headers.extend(self.series.iter().map(|s| s.name.clone()));
         let mut rows: Vec<Vec<String>> = Vec::new();
-        for x in &xs {
-            let mut row = vec![format_num(*x)];
+        for x in self.xs() {
+            let mut row = vec![format_num(x)];
             for s in &self.series {
-                row.push(s.at(*x).map_or_else(|| "-".to_string(), format_num));
+                row.push(s.at(x).map_or_else(|| "-".to_string(), format_num));
             }
             rows.push(row);
         }
@@ -123,23 +127,14 @@ impl Figure {
     /// Render as CSV (header row, then one row per x).
     pub fn to_csv(&self) -> String {
         let mut out = String::new();
-        let mut headers = vec![self.x_label.clone()];
-        headers.extend(self.series.iter().map(|s| s.name.clone()));
-        let _ = writeln!(out, "{}", headers.join(","));
-        let mut xs: Vec<f64> = Vec::new();
-        for s in &self.series {
-            for (x, _) in &s.points {
-                if !xs.iter().any(|e| (e - x).abs() < 1e-9) {
-                    xs.push(*x);
-                }
-            }
-        }
-        for x in xs {
-            let mut cells = vec![format!("{x}")];
-            for s in &self.series {
-                cells.push(s.at(x).map_or_else(String::new, |y| format!("{y}")));
-            }
-            let _ = writeln!(out, "{}", cells.join(","));
+        let names = self.series.iter().map(|s| s.name.clone());
+        csv_record(&mut out, &self.x_label, names);
+        for x in self.xs() {
+            let ys = self
+                .series
+                .iter()
+                .map(|s| s.at(x).map_or_else(String::new, |y| format!("{y}")));
+            csv_record(&mut out, &format!("{x}"), ys);
         }
         out
     }
@@ -241,13 +236,9 @@ impl Table {
     /// Render as CSV (header row, then one row per label).
     pub fn to_csv(&self) -> String {
         let mut out = String::new();
-        let mut headers = vec!["row".to_string()];
-        headers.extend(self.columns.clone());
-        let _ = writeln!(out, "{}", headers.join(","));
+        csv_record(&mut out, "row", self.columns.iter().cloned());
         for (label, cells) in &self.rows {
-            let mut row = vec![label.replace(',', ";")];
-            row.extend(cells.iter().map(|c| format!("{c}")));
-            let _ = writeln!(out, "{}", row.join(","));
+            csv_record(&mut out, label, cells.iter().map(|c| format!("{c}")));
         }
         out
     }
@@ -354,8 +345,25 @@ impl Artifact {
     }
 }
 
+/// Append one CSV record — a leading label, then `cells` — per RFC 4180:
+/// a field containing a comma, a double quote or a line break is quoted,
+/// with inner quotes doubled.
+fn csv_record(out: &mut String, label: &str, cells: impl Iterator<Item = String>) {
+    for (i, field) in std::iter::once(label.to_string()).chain(cells).enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        if field.contains([',', '"', '\n', '\r']) {
+            let _ = write!(out, "\"{}\"", field.replace('"', "\"\""));
+        } else {
+            out.push_str(&field);
+        }
+    }
+    out.push('\n');
+}
+
 /// Escape and quote a string for JSON output.
-fn json_str(s: &str) -> String {
+pub(crate) fn json_str(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for ch in s.chars() {

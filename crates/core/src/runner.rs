@@ -6,11 +6,11 @@
 //! makes that hold by construction:
 //!
 //! 1. Each experiment declares a **plan**: a list of self-contained
-//!    [`Job`]s in canonical order, each a closure over a leaf builder
-//!    narrowed to one slice of the sweep (one profile, one sweep point,
-//!    one table). Each job restates the base seed its measurements derive
-//!    from ([`crate::harness::BASE_SEED`]); since RNG streams are
-//!    content-keyed (`SimRng::derive(seed, label)`), no job can observe
+//!    [`Job`]s in canonical order — one per point of a figure's
+//!    [`crate::sweep::Sweep`], or a closure over a table builder narrowed
+//!    to one slice (one profile, one row, one table). Every measurement
+//!    derives its RNG streams from [`crate::harness::BASE_SEED`] by
+//!    content (`SimRng::derive(seed, label)`), so no job can observe
 //!    *when* or *where* another job ran.
 //! 2. Workers pull jobs from a shared queue (an atomic cursor — the
 //!    degenerate but optimal form of work stealing for independent
@@ -52,23 +52,17 @@ use crate::suite::{render_csv, render_json, render_text, Experiment};
 /// slice of an experiment's artifacts.
 pub struct Job {
     label: String,
-    seed: u64,
     run: Box<dyn FnOnce() -> Vec<Artifact> + Send>,
 }
 
 impl Job {
-    /// Package a closure as a job. `label` names the slice (for reports);
-    /// `seed` is the base seed the job's measurements derive their RNG
-    /// streams from (restated here so the seed-per-job discipline is
-    /// visible in the plan, not buried in leaf defaults).
+    /// Package a closure as a job. `label` names the slice (for reports).
     pub fn new(
         label: impl Into<String>,
-        seed: u64,
         run: impl FnOnce() -> Vec<Artifact> + Send + 'static,
     ) -> Job {
         Job {
             label: label.into(),
-            seed,
             run: Box::new(run),
         }
     }
@@ -76,11 +70,6 @@ impl Job {
     /// The job's display label.
     pub fn label(&self) -> &str {
         &self.label
-    }
-
-    /// The base RNG seed the job's measurements derive from.
-    pub fn seed(&self) -> u64 {
-        self.seed
     }
 
     /// Execute the job, consuming it.
@@ -232,7 +221,6 @@ impl SuiteRun {
             "slot reuse rate (%)",
             vec![self.pool.slot_reuse_rate() * 100.0],
         );
-        summary.push("same-time batches", vec![self.pool.batches as f64]);
         // The fused-path table: where the fast path engaged and why it
         // missed, per experiment. Deterministic in serial runs (the
         // ledger counts logical protocol decisions, not wall-clock), but
@@ -322,16 +310,6 @@ pub fn default_shards() -> usize {
             .unwrap_or_else(|| panic!("VIBE_SHARDS must be a positive integer, got '{v}'")),
         Err(_) => 1,
     }
-}
-
-/// Fuse knob selected by the environment: `VIBE_FUSE=0` disables the
-/// fused message-lifecycle fast path, anything else (or unset) leaves it
-/// on. The committed goldens are byte-identical either way — CI runs a
-/// `VIBE_FUSE=0` leg to enforce that — so the knob only trades simulator
-/// wall-clock for an event-by-event general path (useful when bisecting
-/// a suspected fusing bug).
-pub fn default_fuse() -> bool {
-    std::env::var("VIBE_FUSE").map_or(true, |v| v.trim() != "0")
 }
 
 /// Telemetry from one sharded-engine run, recorded by workloads that
@@ -534,10 +512,9 @@ mod tests {
     }
 
     #[test]
-    fn job_carries_label_and_seed() {
-        let j = Job::new("T1/cLAN", 0x5EED, Vec::new);
+    fn job_carries_label() {
+        let j = Job::new("T1/cLAN", Vec::new);
         assert_eq!(j.label(), "T1/cLAN");
-        assert_eq!(j.seed(), 0x5EED);
         assert!(j.run().is_empty());
     }
 
@@ -563,7 +540,7 @@ mod tests {
             .into_iter()
             .map(|j| {
                 let label = j.label().to_string();
-                Job::new(label.clone(), j.seed(), move || {
+                Job::new(label.clone(), move || {
                     RAN_HERE.with_borrow_mut(|r| r.push(label));
                     j.run()
                 })

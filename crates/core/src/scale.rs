@@ -9,7 +9,7 @@ use fabric::NodeId;
 use simkit::{CpuMeter, Sim, SimBarrier, WaitMode};
 use via::{Cluster, Descriptor, Discriminator, MemAttributes, Profile, QueueKind, ViAttributes};
 
-use crate::report::{Figure, Series};
+use crate::sweep::{Curve, Sweep};
 
 /// Result of one fan-in run.
 #[derive(Clone, Debug)]
@@ -187,21 +187,19 @@ pub fn fan_in(profile: Profile, clients: usize, size: u64, msgs: u64, seed: u64)
 }
 
 /// Aggregate fan-in bandwidth vs. client count, per profile.
-pub fn fan_in_figure(profiles: &[Profile], counts: &[usize], size: u64) -> Figure {
-    let mut fig = Figure::new(
+pub fn fan_in_sweep(profiles: &[Profile], counts: &[usize], size: u64) -> Sweep {
+    let mut sweep = Sweep::new(
         format!("Scalability: fan-in aggregate bandwidth ({size} B messages)"),
         "clients",
         "aggregate bandwidth (MB/s)",
     );
     for p in profiles {
-        let mut s = Series::new(p.name);
-        for &n in counts {
-            let r = fan_in(p.clone(), n, size, 150, 0xFA + n as u64);
-            s.push(n as f64, r.aggregate_mbps);
-        }
-        fig.push(s);
+        let profile = p.clone();
+        sweep.push(Curve::new(p.name, counts, move |n| {
+            fan_in(profile.clone(), n, size, 150, 0xFA + n as u64).aggregate_mbps
+        }));
     }
-    fig
+    sweep
 }
 
 #[cfg(test)]

@@ -5,13 +5,13 @@
 
 use via::Profile;
 
-use crate::harness::BASE_SEED;
-use crate::report::{merge_artifacts, Artifact};
+use crate::report::{json_str, merge_artifacts, Artifact, Figure};
 use crate::runner::Job;
+use crate::sweep::{Metric, Sweep};
 use crate::{
     base, breakdown, chaos, client_server, cqimpact, crash_bench, dsm_bench, extra, failover_bench,
-    fault_bench, getput, harness, mpl_bench, mvi, nondata, scale, sched_bench, shard_bench,
-    topo_bench, trace_bench, xlate,
+    fault_bench, getput, mpl_bench, mvi, nondata, scale, sched_bench, shard_bench, topo_bench,
+    trace_bench, xlate,
 };
 use simkit::WaitMode;
 
@@ -79,7 +79,9 @@ pub fn render_text(artifacts: &[Artifact]) -> String {
 pub fn render_json(id: &str, title: &str, artifacts: &[Artifact]) -> String {
     let items: Vec<String> = artifacts.iter().map(|a| a.to_json()).collect();
     format!(
-        "{{\n  \"id\": \"{id}\",\n  \"title\": \"{title}\",\n  \"artifacts\": [\n{}\n  ]\n}}",
+        "{{\n  \"id\": {},\n  \"title\": {},\n  \"artifacts\": [\n{}\n  ]\n}}",
+        json_str(id),
+        json_str(title),
         items.join(",\n")
     )
 }
@@ -107,23 +109,18 @@ pub fn render_csv(id: &str, artifacts: &[Artifact]) -> Vec<(String, String)> {
         .collect()
 }
 
-/// Shorthand: a plan job on the suite's base seed.
-fn job(label: String, run: impl FnOnce() -> Vec<Artifact> + Send + 'static) -> Job {
-    Job::new(label, BASE_SEED, run)
-}
-
 fn trio() -> Vec<Profile> {
     Profile::paper_trio()
 }
 
 fn f1_f2(profiles: &[Profile]) -> Vec<Artifact> {
     let sizes = nondata::registration_sizes();
-    let mut reg = crate::report::Figure::new(
+    let mut reg = Figure::new(
         "Fig 1: cost of memory registration",
         "buffer bytes",
         "cost (us)",
     );
-    let mut dereg = crate::report::Figure::new(
+    let mut dereg = Figure::new(
         "Fig 2: cost of memory deregistration",
         "buffer bytes",
         "cost (us)",
@@ -154,13 +151,20 @@ const X_TRACE_SIZE: u64 = 4096;
 const X_FAULT_FLAPS: [u64; 4] = [0, 500, 2_000, 8_000];
 
 // ---------------------------------------------------------------------
-// Plans: each experiment's one definition. Every job calls a leaf
-// builder narrowed to one slice (one profile, one sweep point, one
-// table); replaying the slices in this order through `merge_artifacts`
-// builds the artifact set, whichever workers ran them. The committed
-// goldens (`tests/goldens/<id>.json`, all 27) pin the bytes.
-// Decomposition limits worth noting are commented per plan.
+// Plans: each experiment's one definition. A figure is one or more
+// `Sweep`s, and its plan is their points, one job each, sweep by sweep.
+// Tables, and F1-F2 (one run per profile yields a point of both panels),
+// are hand-written jobs, each calling a leaf builder narrowed to one
+// slice (one profile, one row, one table). Replaying the slices in plan
+// order through `merge_artifacts` builds the artifact set, whichever
+// workers ran them. The committed goldens (`tests/goldens/<id>.json`,
+// all 27) pin the bytes.
 // ---------------------------------------------------------------------
+
+/// The points of `sweeps` as jobs, sweep by sweep.
+fn sweep_jobs(id: &str, sweeps: impl IntoIterator<Item = Sweep>) -> Vec<Job> {
+    sweeps.into_iter().flat_map(|s| s.jobs(id)).collect()
+}
 
 /// One job per profile, each producing a full artifact slice for it.
 fn per_profile_jobs(
@@ -171,7 +175,7 @@ fn per_profile_jobs(
         .into_iter()
         .map(|p| {
             let run = run.clone();
-            job(format!("{id}/{}", p.name), move || run(p))
+            Job::new(format!("{id}/{}", p.name), move || run(p))
         })
         .collect()
 }
@@ -187,65 +191,25 @@ fn plan_f1_f2() -> Vec<Job> {
 }
 
 fn plan_f3() -> Vec<Job> {
-    let mut jobs = Vec::new();
-    for p in trio() {
-        for &size in &harness::paper_sizes() {
-            let p2 = p.clone();
-            jobs.push(job(format!("F3/latency/{}/{size}", p.name), move || {
-                vec![base::latency_figure_sized(&[p2], WaitMode::Poll, &[size]).into()]
-            }));
-        }
-    }
-    for p in trio() {
-        for &size in &harness::paper_sizes() {
-            let p2 = p.clone();
-            jobs.push(job(format!("F3/bandwidth/{}/{size}", p.name), move || {
-                vec![base::bandwidth_figure_sized(&[p2], WaitMode::Poll, &[size]).into()]
-            }));
-        }
-    }
-    jobs
+    let panel = |m| base::base_sweep(&trio(), WaitMode::Poll, m);
+    sweep_jobs("F3", [Metric::Latency, Metric::Bandwidth].map(panel))
 }
 
 fn plan_f4() -> Vec<Job> {
-    let mut jobs = Vec::new();
-    for p in trio() {
-        for &size in &harness::paper_sizes() {
-            let p2 = p.clone();
-            jobs.push(job(format!("F4/latency/{}/{size}", p.name), move || {
-                vec![base::latency_figure_sized(&[p2], WaitMode::Block, &[size]).into()]
-            }));
-        }
-    }
-    for p in trio() {
-        for &size in &harness::paper_sizes() {
-            let p2 = p.clone();
-            jobs.push(job(format!("F4/cpu/{}/{size}", p.name), move || {
-                vec![base::cpu_figure_sized(&[p2], WaitMode::Block, &[size]).into()]
-            }));
-        }
-    }
-    jobs
+    let panel = |m| base::base_sweep(&trio(), WaitMode::Block, m);
+    sweep_jobs("F4", [Metric::Latency, Metric::Cpu].map(panel))
 }
 
 fn plan_f5() -> Vec<Job> {
-    let mut jobs = Vec::new();
-    for &r in &xlate::reuse_levels() {
-        jobs.push(job(format!("F5/latency/{r}%"), move || {
-            vec![xlate::reuse_latency_figure(Profile::bvia(), &[r]).into()]
-        }));
-    }
-    for &r in &xlate::reuse_levels() {
-        jobs.push(job(format!("F5/bandwidth/{r}%"), move || {
-            vec![xlate::reuse_bandwidth_figure(Profile::bvia(), &[r]).into()]
-        }));
-    }
-    for r in [100u32, 0] {
-        jobs.push(job(format!("F5/cpu/{r}%"), move || {
-            vec![xlate::reuse_cpu_figure(Profile::bvia(), &[r]).into()]
-        }));
-    }
-    jobs
+    let panel = |m, levels: &[u32]| xlate::reuse_sweep(Profile::bvia(), m, levels);
+    sweep_jobs(
+        "F5",
+        [
+            panel(Metric::Latency, &xlate::reuse_levels()),
+            panel(Metric::Bandwidth, &xlate::reuse_levels()),
+            panel(Metric::Cpu, &[100, 0]),
+        ],
+    )
 }
 
 fn plan_cq() -> Vec<Job> {
@@ -254,113 +218,79 @@ fn plan_cq() -> Vec<Job> {
 }
 
 fn plan_f6() -> Vec<Job> {
-    let mut jobs = Vec::new();
-    for &n in &mvi::vi_counts() {
-        jobs.push(job(format!("F6/latency/{n}vi"), move || {
-            vec![mvi::vi_latency_figure(Profile::bvia(), &[n], &F6_SIZES).into()]
-        }));
-    }
-    for &n in &mvi::vi_counts() {
-        jobs.push(job(format!("F6/bandwidth/{n}vi"), move || {
-            vec![mvi::vi_bandwidth_figure(Profile::bvia(), &[n], &F6_SIZES).into()]
-        }));
-    }
-    for n in F6_CPU_COUNTS {
-        jobs.push(job(format!("F6/cpu/{n}vi"), move || {
-            vec![mvi::vi_cpu_figure(Profile::bvia(), &[n], &F6_SIZES).into()]
-        }));
-    }
-    jobs
+    let panel = |m, counts: &[usize]| mvi::vi_sweep(Profile::bvia(), m, counts, &F6_SIZES);
+    sweep_jobs(
+        "F6",
+        [
+            panel(Metric::Latency, &mvi::vi_counts()),
+            panel(Metric::Bandwidth, &mvi::vi_counts()),
+            panel(Metric::Cpu, &F6_CPU_COUNTS),
+        ],
+    )
 }
 
 fn plan_f7() -> Vec<Job> {
-    // One series per (profile, request size): per-pair jobs append series
-    // profile-major.
-    let mut jobs = Vec::new();
-    for p in trio() {
-        for &req in &client_server::request_sizes() {
-            let p2 = p.clone();
-            jobs.push(job(format!("F7/{}/{req}", p.name), move || {
-                vec![client_server::transaction_figure(
-                    &[p2],
-                    &[req],
-                    &client_server::reply_sizes(),
-                )
-                .into()]
-            }));
-        }
-    }
-    jobs
+    client_server::transaction_sweep(
+        &trio(),
+        &client_server::request_sizes(),
+        &client_server::reply_sizes(),
+    )
+    .jobs("F7")
 }
 
 fn plan_mds() -> Vec<Job> {
-    per_profile_jobs("X-MDS", |p| vec![extra::mds_figure(&[p], 8192).into()])
+    extra::mds_sweep(&trio(), 8192).jobs("X-MDS")
 }
 
 fn plan_asy() -> Vec<Job> {
-    per_profile_jobs("X-ASY", |p| vec![extra::asy_figure(&[p], 256).into()])
+    extra::asy_sweep(&trio(), 256).jobs("X-ASY")
 }
 
 fn plan_rdma() -> Vec<Job> {
-    per_profile_jobs("X-RDMA", |p| {
-        vec![extra::rdma_figure(&[p], &[4, 256, 4096, 28672]).into()]
-    })
+    extra::rdma_sweep(&trio(), &[4, 256, 4096, 28672]).jobs("X-RDMA")
 }
 
 fn plan_pip() -> Vec<Job> {
-    per_profile_jobs("X-PIP", |p| vec![extra::pip_figure(&[p], 4096).into()])
+    extra::pip_sweep(&trio(), 4096).jobs("X-PIP")
 }
 
 fn plan_mtu() -> Vec<Job> {
-    // Single-profile MTU sweep: cheap enough to stay one job.
-    vec![job("X-MTU/cLAN".to_string(), || {
-        let (lat, bw) = extra::mtu_figures(Profile::clan(), 28672);
-        vec![lat.into(), bw.into()]
-    })]
+    sweep_jobs("X-MTU", extra::mtu_sweeps(Profile::clan(), 28672))
 }
 
 fn plan_rel() -> Vec<Job> {
     vec![
-        job("X-REL/levels".to_string(), || {
+        Job::new("X-REL/levels", || {
             vec![extra::rel_table(Profile::clan(), 4096).into()]
         }),
-        job("X-REL/loss".to_string(), || {
+        Job::new("X-REL/loss", || {
             vec![extra::rel_loss_table(Profile::clan(), 4096, &[0.0, 0.01, 0.05]).into()]
         }),
-        job("X-REL/tail".to_string(), || {
+        Job::new("X-REL/tail", || {
             vec![extra::rel_tail_table(Profile::clan(), 1024, &[0.0, 0.01, 0.03]).into()]
         }),
     ]
 }
 
 fn plan_getput() -> Vec<Job> {
-    getput_profiles()
-        .into_iter()
-        .map(|p| {
-            job(format!("X-GETPUT/{}", p.name), move || {
-                vec![getput::getput_figure(&[p], &GETPUT_SIZES).into()]
-            })
-        })
-        .collect()
+    getput::getput_sweep(&getput_profiles(), &GETPUT_SIZES).jobs("X-GETPUT")
 }
 
 fn plan_mpl() -> Vec<Job> {
-    let mut jobs = per_profile_jobs("X-MPL/overhead", |p| {
-        vec![mpl_bench::overhead_figure(&[p]).into()]
-    });
-    jobs.push(job("X-MPL/threshold".to_string(), || {
-        vec![mpl_bench::threshold_figure(Profile::bvia(), 16384).into()]
-    }));
-    jobs
+    sweep_jobs(
+        "X-MPL",
+        [
+            mpl_bench::overhead_sweep(&trio()),
+            mpl_bench::threshold_sweep(Profile::bvia(), 16384),
+        ],
+    )
 }
 
 fn plan_dsm() -> Vec<Job> {
     let mut jobs = per_profile_jobs("X-DSM/migration", |p| {
         vec![dsm_bench::migration_table(&[p]).into()]
     });
-    jobs.push(job("X-DSM/false-sharing".to_string(), || {
-        vec![dsm_bench::false_sharing_figure(Profile::clan()).into()]
-    }));
+    jobs.extend(dsm_bench::false_sharing_sweep(Profile::clan()).jobs("X-DSM"));
     jobs
 }
 
@@ -371,7 +301,7 @@ fn plan_breakdown() -> Vec<Job> {
     [4u64, 28672]
         .into_iter()
         .map(|size| {
-            job(format!("X-BRK/{size}"), move || {
+            Job::new(format!("X-BRK/{size}"), move || {
                 vec![breakdown::breakdown_table(&trio(), size).into()]
             })
         })
@@ -388,13 +318,11 @@ fn plan_trace() -> Vec<Job> {
 }
 
 fn plan_scale() -> Vec<Job> {
-    per_profile_jobs("X-SCALE", |p| {
-        vec![scale::fan_in_figure(&[p], &[1, 2, 4, 8], 1024).into()]
-    })
+    scale::fan_in_sweep(&trio(), &[1, 2, 4, 8], 1024).jobs("X-SCALE")
 }
 
 fn plan_sched() -> Vec<Job> {
-    let mut jobs = vec![job("X-SCHED/classes".to_string(), || {
+    let mut jobs = vec![Job::new("X-SCHED/classes", || {
         vec![sched_bench::class_table(Profile::clan(), 64).into()]
     })];
     // Per-profile retransmit rows; profiles without reliable delivery
@@ -417,7 +345,7 @@ fn plan_fault() -> Vec<Job> {
     jobs.extend(per_profile_jobs("X-FAULT/stall", |p| {
         vec![fault_bench::stall_table(&[p]).into()]
     }));
-    jobs.push(job("X-FAULT/reconnect".to_string(), || {
+    jobs.push(Job::new("X-FAULT/reconnect", || {
         vec![fault_bench::reconnect_table(Profile::clan()).into()]
     }));
     jobs
@@ -428,7 +356,7 @@ fn plan_chaos() -> Vec<Job> {
     // table, and same-column slices row-merge back in episode order.
     (0..chaos::EPISODES)
         .map(|i| {
-            job(format!("X-CHAOS/ep{i:02}"), move || {
+            Job::new(format!("X-CHAOS/ep{i:02}"), move || {
                 vec![chaos::episode_table(i).into()]
             })
         })
@@ -446,19 +374,19 @@ fn plan_topo() -> Vec<Job> {
     vec![
         // The storm rows share one table: single-row slices row-merge in
         // job order (star control first).
-        job("X-TOPO/storm-star".to_string(), || {
+        Job::new("X-TOPO/storm-star", || {
             vec![topo_bench::storm_table(&[StormShape::Star]).into()]
         }),
-        job("X-TOPO/storm-fat-tree".to_string(), || {
+        Job::new("X-TOPO/storm-fat-tree", || {
             vec![topo_bench::storm_table(&[StormShape::FatTree]).into()]
         }),
         // One incast run feeds both incast artifacts; splitting it would
         // run the workload twice for identical tables.
-        job("X-TOPO/incast".to_string(), || {
+        Job::new("X-TOPO/incast", || {
             let (flows, ports) = topo_bench::incast_tables();
             vec![flows.into(), ports.into()]
         }),
-        job("X-TOPO/all-to-all".to_string(), || {
+        Job::new("X-TOPO/all-to-all", || {
             vec![topo_bench::all_to_all_table().into()]
         }),
     ]
@@ -466,7 +394,7 @@ fn plan_topo() -> Vec<Job> {
 
 fn plan_crash() -> Vec<Job> {
     // One node-kill run feeds both of its artifacts.
-    vec![job("X-CRASH/node-kill".to_string(), || {
+    vec![Job::new("X-CRASH/node-kill", || {
         let (flows, summary) = crash_bench::node_kill_tables();
         vec![flows.into(), summary.into()]
     })]
@@ -475,11 +403,11 @@ fn plan_crash() -> Vec<Job> {
 fn plan_failover() -> Vec<Job> {
     vec![
         // One spine-kill run feeds both of its artifacts.
-        job("X-FAILOVER/spine-kill".to_string(), || {
+        Job::new("X-FAILOVER/spine-kill", || {
             let (flows, summary) = failover_bench::spine_kill_tables();
             vec![flows.into(), summary.into()]
         }),
-        job("X-FAILOVER/pause-cascade".to_string(), || {
+        Job::new("X-FAILOVER/pause-cascade", || {
             vec![failover_bench::pause_cascade_table().into()]
         }),
     ]
@@ -691,6 +619,30 @@ mod tests {
         ] {
             assert!(ids.contains(&id), "missing {id}");
         }
+    }
+
+    #[test]
+    fn every_job_label_is_unique() {
+        // A label names one simulation: X-PAR rows and any replay key on it.
+        let mut seen = std::collections::HashSet::new();
+        for e in all_experiments() {
+            for job in (e.plan)() {
+                assert!(job.label().starts_with(e.id), "{}", job.label());
+                assert!(
+                    seen.insert(job.label().to_string()),
+                    "duplicate job label '{}'",
+                    job.label()
+                );
+            }
+        }
+        assert!(seen.len() > all_experiments().len());
+    }
+
+    #[test]
+    fn render_json_escapes_id_and_title() {
+        let doc = render_json("X-\"Q\"", "a \"quoted\" title\\", &[]);
+        assert!(doc.contains(r#""id": "X-\"Q\"","#), "{doc}");
+        assert!(doc.contains(r#""title": "a \"quoted\" title\\","#), "{doc}");
     }
 
     #[test]

@@ -5,87 +5,53 @@
 //! per message — and more so for large messages, which span several pages.
 //! Reproduces Fig. 5.
 
+use simkit::WaitMode;
 use via::Profile;
 
-use crate::harness::{bandwidth, paper_sizes, ping_pong, DtConfig};
-use crate::report::{Figure, Series};
+use crate::harness::{paper_sizes, ping_pong, DtConfig};
+use crate::sweep::{Curve, Metric, Sweep};
 
 /// The reuse percentages Fig. 5 sweeps.
 pub fn reuse_levels() -> Vec<u32> {
     vec![100, 75, 50, 25, 0]
 }
 
-/// Latency vs. message size, one series per reuse level.
-pub fn reuse_latency_figure(profile: Profile, levels: &[u32]) -> Figure {
-    let mut fig = Figure::new(
-        format!("{}: latency vs buffer reuse (Fig 5)", profile.name),
+/// One Fig. 5 panel: `metric` vs. message size, one curve per reuse level.
+/// The CPU panel (the TR companion) runs with blocking waits — with
+/// polling every point is 100% — and there more translation misses mean
+/// longer NIC phases, so the host spends a *smaller* fraction of each
+/// transfer busy.
+pub fn reuse_sweep(profile: Profile, metric: Metric, levels: &[u32]) -> Sweep {
+    let (source, iters, wait) = match metric {
+        Metric::Latency => ("Fig 5", 60, WaitMode::Poll),
+        Metric::Bandwidth => ("Fig 5", 256, WaitMode::Poll),
+        Metric::Cpu => ("TR", 30, WaitMode::Block),
+    };
+    let mut sweep = Sweep::new(
+        format!(
+            "{}: {} vs buffer reuse ({source})",
+            profile.name,
+            metric.name()
+        ),
         "bytes",
-        "one-way latency (us)",
+        metric.y_label(),
     );
     for &r in levels {
-        let mut s = Series::new(format!("{r}% reuse"));
-        for &size in &paper_sizes() {
-            let cfg = DtConfig {
-                iters: 60,
+        let profile = profile.clone();
+        sweep.push(Curve::dt(
+            format!("{r}% reuse"),
+            &paper_sizes(),
+            metric,
+            move |size| DtConfig {
+                iters,
                 warmup: 0, // warmup would prime the translation cache
                 reuse_percent: r,
+                wait,
                 ..DtConfig::base(profile.clone(), size)
-            };
-            s.push(size as f64, ping_pong(&cfg).latency_us);
-        }
-        fig.push(s);
+            },
+        ));
     }
-    fig
-}
-
-/// Bandwidth vs. message size, one series per reuse level.
-pub fn reuse_bandwidth_figure(profile: Profile, levels: &[u32]) -> Figure {
-    let mut fig = Figure::new(
-        format!("{}: bandwidth vs buffer reuse (Fig 5)", profile.name),
-        "bytes",
-        "bandwidth (MB/s)",
-    );
-    for &r in levels {
-        let mut s = Series::new(format!("{r}% reuse"));
-        for &size in &paper_sizes() {
-            let cfg = DtConfig {
-                iters: 256,
-                warmup: 0,
-                reuse_percent: r,
-                ..DtConfig::base(profile.clone(), size)
-            };
-            s.push(size as f64, bandwidth(&cfg).mbps);
-        }
-        fig.push(s);
-    }
-    fig
-}
-
-/// Receiver CPU utilization (%) vs. message size per reuse level, with
-/// blocking waits (the TR companion panel; with polling every point is
-/// 100%). More translation misses mean longer NIC phases, so the host
-/// spends a *smaller* fraction of each transfer busy.
-pub fn reuse_cpu_figure(profile: Profile, levels: &[u32]) -> Figure {
-    let mut fig = Figure::new(
-        format!("{}: CPU utilization vs buffer reuse (TR)", profile.name),
-        "bytes",
-        "CPU utilization (%)",
-    );
-    for &r in levels {
-        let mut s = Series::new(format!("{r}% reuse"));
-        for &size in &paper_sizes() {
-            let cfg = DtConfig {
-                iters: 30,
-                warmup: 0,
-                reuse_percent: r,
-                wait: simkit::WaitMode::Block,
-                ..DtConfig::base(profile.clone(), size)
-            };
-            s.push(size as f64, ping_pong(&cfg).client_util * 100.0);
-        }
-        fig.push(s);
-    }
-    fig
+    sweep
 }
 
 /// §4.3.2's sensitivity numbers at `size` bytes: the added one-way latency
@@ -112,7 +78,7 @@ mod tests {
     fn bvia_latency_degrades_as_reuse_drops() {
         // §4.3.2: "changing the send and receive buffers has a significant
         // effect on the latency of messages for BVIA."
-        let fig = reuse_latency_figure(Profile::bvia(), &[100, 50, 0]);
+        let fig = reuse_sweep(Profile::bvia(), Metric::Latency, &[100, 50, 0]).figure();
         let full = fig.series("100% reuse").unwrap();
         let half = fig.series("50% reuse").unwrap();
         let none = fig.series("0% reuse").unwrap();
@@ -165,7 +131,7 @@ mod tests {
     fn cpu_utilization_drops_with_fresh_buffers_when_blocking() {
         // Misses stretch the NIC phase of each transfer; the blocked host
         // idles through it, so utilization at 0% reuse is lower.
-        let fig = reuse_cpu_figure(Profile::bvia(), &[100, 0]);
+        let fig = reuse_sweep(Profile::bvia(), Metric::Cpu, &[100, 0]).figure();
         let u100 = fig.series("100% reuse").unwrap().at(28672.0).unwrap();
         let u0 = fig.series("0% reuse").unwrap().at(28672.0).unwrap();
         assert!(u0 < u100, "0% reuse util {u0} !< 100% reuse util {u100}");
@@ -175,7 +141,7 @@ mod tests {
     fn bvia_bandwidth_also_degrades() {
         // §4.3.2: "the percentage of buffer reuse also has a significant
         // effect on the bandwidth."
-        let fig = reuse_bandwidth_figure(Profile::bvia(), &[100, 0]);
+        let fig = reuse_sweep(Profile::bvia(), Metric::Bandwidth, &[100, 0]).figure();
         let full = fig.series("100% reuse").unwrap().at(28672.0).unwrap();
         let none = fig.series("0% reuse").unwrap().at(28672.0).unwrap();
         assert!(none < full, "0% reuse bw {none} !< 100% reuse bw {full}");

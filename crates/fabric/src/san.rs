@@ -978,12 +978,6 @@ impl San {
         matches!(self.inner.params.loss, LossModel::None)
     }
 
-    /// True while a wire tracer is attached (trace record order is
-    /// byte-relevant, so fused sends are disabled while tracing).
-    pub fn tracer_attached(&self) -> bool {
-        self.inner.shared.lock().tracer.enabled()
-    }
-
     /// The current virtual time on the engine of `node`'s shard.
     fn now_at(&self, node: NodeId) -> SimTime {
         self.inner.sims[self.inner.map.assign(node.0)].now()
@@ -1042,11 +1036,6 @@ impl San {
     /// The network parameters this SAN was built with.
     pub fn params(&self) -> NetParams {
         self.inner.params
-    }
-
-    /// Largest frame payload the links accept; callers fragment above this.
-    pub fn max_frame_payload(&self) -> u32 {
-        self.inner.params.link.mtu
     }
 
     /// Install the receive handler for `node` (the NIC's rx path).

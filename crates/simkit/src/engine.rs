@@ -48,12 +48,6 @@
 //!   generation. The heap entry stays behind and is reaped when it
 //!   surfaces — a generation mismatch at pop costs one counter increment,
 //!   not a heap rebuild.
-//! * **Batched same-timestamp pops.** [`Sim::run`] drains the heap one
-//!   *timestamp cohort* at a time into a reusable batch queue, so N
-//!   simultaneous events cost one heap drain rather than N interleaved
-//!   pop/push cycles. Actions stay in their slots until the moment each
-//!   batched entry executes, so a cohort member cancelling a later
-//!   same-timestamp timer behaves exactly as in the serial pop-one loop.
 //! * **Accounting.** Every event carries an [`EventClass`] tag, and the
 //!   scheduler tallies fired / cancelled / dead-popped counts per class in
 //!   [`SchedStats`], surfaced through [`RunReport`] and [`Sim::sched_stats`].
@@ -62,13 +56,17 @@
 //!
 //! Determinism is unchanged: `seq` is still assigned under the scheduler
 //! lock at push time, and `(time, seq)` ordering is exactly the pre-slab
-//! semantics — neither cancellation nor batching reorders survivors.
+//! semantics — cancellation does not reorder survivors. [`Sim::run`] pops
+//! the heap one event at a time. (PRs 2–16 drained each same-timestamp
+//! cohort into a side queue first; the scheduler lock is taken per pop
+//! either way, and the suite's mean cohort measured 1.2 events, so the
+//! queue cost every event a push and a pop and saved nothing.)
 //!
 //! The erased payloads are this module's only `unsafe`: everything that
 //! reads or writes one is below, between `erase` and [`Sim::run`].
 
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 use std::mem::{align_of, size_of, ManuallyDrop, MaybeUninit};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering as AtomicOrdering};
 use std::sync::{Arc, Weak};
@@ -612,8 +610,6 @@ pub struct PoolStats {
     pub slot_reused: u64,
     /// Slot requests that grew the slab (one `Vec` push, amortized).
     pub slot_grown: u64,
-    /// Same-timestamp cohorts drained from the heap in one batch.
-    pub batches: u64,
 }
 
 impl PoolStats {
@@ -626,7 +622,6 @@ impl PoolStats {
             wakes: 0,
             slot_reused: 0,
             slot_grown: 0,
-            batches: 0,
         }
     }
 
@@ -638,7 +633,6 @@ impl PoolStats {
         self.wakes += d.wakes;
         self.slot_reused += d.slot_reused;
         self.slot_grown += d.slot_grown;
-        self.batches += d.batches;
     }
 
     /// Field-wise difference against an earlier snapshot of the same
@@ -651,7 +645,6 @@ impl PoolStats {
             wakes: self.wakes - earlier.wakes,
             slot_reused: self.slot_reused - earlier.slot_reused,
             slot_grown: self.slot_grown - earlier.slot_grown,
-            batches: self.batches - earlier.batches,
         }
     }
 
@@ -704,7 +697,7 @@ pub struct SchedStats {
     pub events_elided: u64,
     /// Fused-fast-path attempt/hit/de-fuse ledger.
     pub fuse: FuseTally,
-    /// Event-arena churn: inline vs. boxed storage, slot reuse, batching.
+    /// Event-arena churn: inline vs. boxed storage, slot reuse.
     pub pool: PoolStats,
     by_class: [ClassTally; 6],
 }
@@ -743,14 +736,10 @@ impl SchedStats {
 
 struct SchedState {
     queue: BinaryHeap<Scheduled>,
-    /// Same-timestamp cohort drained from the heap, awaiting execution in
-    /// seq order. Entries here still own their slot, so they remain
-    /// cancellable until the moment they are taken.
-    batch: VecDeque<Scheduled>,
     seq: u64,
     slots: Vec<Slot>,
     free_head: u32,
-    /// Cancelled entries (heap or batch) that have not been reaped yet.
+    /// Cancelled heap entries that have not been reaped yet.
     dead_in_queue: usize,
     stats: SchedStats,
 }
@@ -821,7 +810,6 @@ impl Default for SchedState {
     fn default() -> Self {
         SchedState {
             queue: BinaryHeap::new(),
-            batch: VecDeque::new(),
             seq: 0,
             slots: Vec::new(),
             free_head: NO_SLOT,
@@ -1230,14 +1218,14 @@ impl Sim {
 
     /// Pop the next live event, reaping stale (cancelled) entries.
     ///
-    /// The heap is drained one *timestamp cohort* at a time into a batch
-    /// queue: all entries sharing the earliest `at` come out under a single
-    /// drain, then execute in seq order. Actions are taken from their slot
-    /// only at this point — not at batch-fill — so a cohort member
-    /// cancelling a later same-timestamp timer still wins, exactly as in
-    /// the one-at-a-time pop loop. The action's bytes are copied into
-    /// `out` (the slot is free again before its action runs) and its
-    /// vtable returned: the caller owes `out` exactly one `call`.
+    /// An action stays in its slot until its entry reaches the head of the
+    /// heap, so an event cancelling a later same-timestamp timer still
+    /// wins. The horizon is checked before *each* pop: the head is the
+    /// global minimum, so `head.at >= bound` means every pending entry is
+    /// at or past the bound — and a stale head there is left unreaped for
+    /// whoever pops it next. The action's bytes are copied into `out`
+    /// (the slot is free again before its action runs) and its vtable
+    /// returned: the caller owes `out` exactly one `call`.
     fn pop_live(
         &self,
         bound: Option<SimTime>,
@@ -1245,31 +1233,12 @@ impl Sim {
     ) -> Option<(SimTime, EventClass, &'static ActionVtable)> {
         let mut s = self.inner.sched.lock();
         loop {
-            let entry = match s.batch.pop_front() {
-                Some(e) => e,
-                None => {
-                    // Refill: one whole same-timestamp cohort. The horizon
-                    // bound is enforced here: the heap head is the global
-                    // minimum, so `head.at >= bound` means *every* pending
-                    // entry (stale ones included) is at or past the bound,
-                    // and the batch is empty whenever we get here — between
-                    // bounded runs no partially-drained cohort survives.
-                    if let (Some(b), Some(head)) = (bound, s.queue.peek()) {
-                        if head.at >= b {
-                            return None;
-                        }
-                    }
-                    let first = s.queue.pop()?;
-                    let at = first.at;
-                    s.batch.push_back(first);
-                    while s.queue.peek().is_some_and(|e| e.at == at) {
-                        let e = s.queue.pop().expect("peeked entry vanished");
-                        s.batch.push_back(e);
-                    }
-                    s.stats.pool.batches += 1;
-                    continue;
+            if let (Some(b), Some(head)) = (bound, s.queue.peek()) {
+                if head.at >= b {
+                    return None;
                 }
-            };
+            }
+            let entry = s.queue.pop()?;
             let stale = match s.slots.get(entry.slot as usize) {
                 Some(slot) => slot.gen != entry.gen,
                 None => true,
@@ -1298,9 +1267,9 @@ impl Sim {
     /// this: each shard runs up to its granted horizon, then re-syncs.
     ///
     /// Repeated bounded runs compose exactly like one unbounded run over
-    /// the same events: the cohort batch is always fully drained before a
-    /// bound check, and new events can only be scheduled at `>= now`, so
-    /// no event below a respected bound is ever left behind.
+    /// the same events: the bound is checked against the heap's minimum
+    /// before every pop, and new events can only be scheduled at `>= now`,
+    /// so no event below a respected bound is ever left behind.
     pub fn run_until(&self, bound: SimTime) -> RunReport {
         self.run_bounded(Some(bound))
     }
@@ -1436,11 +1405,10 @@ impl Sim {
     }
 
     /// Number of live events currently queued (diagnostics/tests).
-    /// Cancelled-but-unreaped entries are not counted; entries drained
-    /// into the current batch but not yet executed still are.
+    /// Cancelled-but-unreaped entries are not counted.
     pub fn queued_events(&self) -> usize {
         let s = self.inner.sched.lock();
-        s.queue.len() + s.batch.len() - s.dead_in_queue
+        s.queue.len() - s.dead_in_queue
     }
 
     /// Timestamp of the earliest *live* pending event, or `None` when the
@@ -1450,11 +1418,6 @@ impl Sim {
     /// engine polls this between rounds to compute the global horizon.
     pub fn next_event_time(&self) -> Option<SimTime> {
         let mut s = self.inner.sched.lock();
-        // A pending batch (only possible mid-run) is already the earliest
-        // cohort; between bounded runs it is empty and the heap decides.
-        if let Some(e) = s.batch.front() {
-            return Some(e.at);
-        }
         loop {
             let head = s.queue.peek()?;
             let (at, slot, gen, class) = (head.at, head.slot, head.gen, head.class);
@@ -1741,14 +1704,13 @@ mod tests {
     }
 
     #[test]
-    fn same_time_cancel_still_wins_under_batching() {
-        // Event A and timer B share one timestamp; A cancels B. The batch
-        // drain must leave B's action in its slot until execution, so the
-        // cancel lands exactly as it would under one-at-a-time popping.
+    fn same_time_cancel_still_wins() {
+        // Event A and timer B share one timestamp; A cancels B. B's action
+        // stays in its slot until B itself is popped, so the cancel lands.
         let sim = Sim::new();
         let hit = Arc::new(AtomicUsize::new(0));
-        // A is armed first (smaller seq, runs first in the cohort) and
-        // cancels B, which shares its timestamp but has a later seq.
+        // A is armed first (smaller seq, runs first) and cancels B, which
+        // shares its timestamp but has a later seq.
         let b_handle: Arc<Mutex<Option<TimerHandle>>> = Arc::new(Mutex::new(None));
         let b2 = Arc::clone(&b_handle);
         sim.call_at(SimTime::from_nanos(5_000), move |_| {
@@ -1768,7 +1730,7 @@ mod tests {
         assert_eq!(
             hit.load(AtomicOrdering::Relaxed),
             0,
-            "cancelled cohort member fired"
+            "cancelled same-timestamp timer fired"
         );
         assert_eq!(report.sched.cancelled, 1);
         assert_eq!(report.sched.dead_popped, 1);
@@ -1802,8 +1764,7 @@ mod tests {
         assert_eq!(pool.inline_large, 1, "{pool:?}");
         assert_eq!(pool.boxed, 1, "{pool:?}");
         assert!((pool.pool_hit_rate() - 2.0 / 3.0).abs() < 1e-12);
-        // Three events, three distinct timestamps: three cohorts.
-        assert_eq!(pool.batches, 3);
+        assert_eq!(pool.slot_grown, 3, "three pending at once: three slots");
     }
 
     #[test]
@@ -1828,16 +1789,26 @@ mod tests {
     }
 
     #[test]
-    fn batched_cohort_runs_fifo_and_counts_one_batch() {
+    fn same_time_events_run_fifo_and_newcomers_join_the_back() {
+        // 32 events share a timestamp; every eighth schedules one more at
+        // that same instant, which must run after all 32, in seq order.
         let sim = Sim::new();
         let log = Arc::new(Mutex::new(Vec::new()));
         for tag in 0..32 {
             let log = Arc::clone(&log);
-            sim.call_at(SimTime::from_nanos(500), move |_| log.lock().push(tag));
+            sim.call_at(SimTime::from_nanos(500), move |sim| {
+                log.lock().push(tag);
+                if tag % 8 == 0 {
+                    let log = Arc::clone(&log);
+                    sim.call_soon(move |_| log.lock().push(100 + tag));
+                }
+            });
         }
         let report = sim.run();
-        assert_eq!(*log.lock(), (0..32).collect::<Vec<_>>());
-        assert_eq!(report.sched.pool.batches, 1, "one timestamp = one cohort");
+        let want: Vec<i32> = (0..32).chain([100, 108, 116, 124]).collect();
+        assert_eq!(*log.lock(), want);
+        assert_eq!(report.events, 36);
+        assert_eq!(report.end_time, SimTime::from_nanos(500));
     }
 
     #[test]
@@ -1997,6 +1968,164 @@ mod tests {
         };
         assert!(!h.cancel());
         assert!(!h.is_pending());
+    }
+
+    /// The model test's clock: every delay is a small multiple of this, so
+    /// most events share a timestamp with others.
+    const TICK: u64 = 100;
+
+    /// One event of a random program: when it fires it logs itself, tries
+    /// to cancel `cancels` (pending or not), then schedules `children`.
+    #[derive(Clone)]
+    struct ModelNode {
+        /// Ticks from the scheduling instant to firing; 0 = same timestamp.
+        delay: u64,
+        children: Vec<usize>,
+        cancels: Vec<usize>,
+    }
+
+    /// A random forest of events: `(nodes, roots)`.
+    fn model_program(rng: &mut crate::rng::SimRng) -> (Vec<ModelNode>, Vec<usize>) {
+        const N: usize = 400;
+        let mut pick = |n: usize| (rng.next_u64() % n as u64) as usize;
+        let mut nodes: Vec<ModelNode> = (0..N)
+            .map(|_| ModelNode {
+                delay: pick(4) as u64,
+                children: Vec::new(),
+                cancels: Vec::new(),
+            })
+            .collect();
+        let mut roots = Vec::new();
+        for i in 0..N {
+            if i < 8 || pick(6) == 0 {
+                roots.push(i);
+            } else {
+                nodes[pick(i)].children.push(i);
+            }
+            nodes[pick(N)].cancels.push(pick(N));
+        }
+        (nodes, roots)
+    }
+
+    /// What a scheduler must do with the program, from a `Vec` re-sorted by
+    /// `(time, seq)` before every pop: the fired order and the
+    /// `(fired, cancelled, dead_popped)` ledger.
+    fn model_reference(nodes: &[ModelNode], roots: &[usize]) -> (Vec<usize>, (u64, u64, u64)) {
+        #[derive(Clone, Copy, PartialEq)]
+        enum State {
+            Unscheduled,
+            Pending,
+            Cancelled,
+            Fired,
+        }
+        let mut state = vec![State::Unscheduled; nodes.len()];
+        let mut queue: Vec<(u64, u64, usize)> = Vec::new();
+        let mut seq = 0;
+        let mut arm = |queue: &mut Vec<_>, state: &mut Vec<State>, now: u64, node: usize| {
+            queue.push((now + nodes[node].delay * TICK, seq, node));
+            state[node] = State::Pending;
+            seq += 1;
+        };
+        for &r in roots {
+            arm(&mut queue, &mut state, 0, r);
+        }
+        let (mut order, mut cancelled, mut dead_popped) = (Vec::new(), 0, 0);
+        while !queue.is_empty() {
+            queue.sort_unstable();
+            let (now, _, node) = queue.remove(0);
+            if state[node] == State::Cancelled {
+                dead_popped += 1;
+                continue;
+            }
+            state[node] = State::Fired;
+            order.push(node);
+            for &c in &nodes[node].cancels {
+                if state[c] == State::Pending {
+                    state[c] = State::Cancelled;
+                    cancelled += 1;
+                }
+            }
+            for &c in &nodes[node].children {
+                arm(&mut queue, &mut state, now, c);
+            }
+        }
+        let fired = order.len() as u64;
+        (order, (fired, cancelled, dead_popped))
+    }
+
+    struct ModelWorld {
+        nodes: Vec<ModelNode>,
+        handles: Mutex<Vec<Option<TimerHandle>>>,
+        order: Mutex<Vec<usize>>,
+    }
+
+    fn model_arm(sim: &Sim, world: &Arc<ModelWorld>, node: usize) {
+        let at = sim.now() + SimDuration::from_nanos(world.nodes[node].delay * TICK);
+        let w = Arc::clone(world);
+        let handle = sim.timer_at(EventClass::User, at, move |sim| {
+            w.order.lock().push(node);
+            for &c in &w.nodes[node].cancels {
+                let handle = w.handles.lock()[c].take();
+                if let Some(handle) = handle {
+                    handle.cancel();
+                }
+            }
+            for &c in &w.nodes[node].children {
+                model_arm(sim, &w, c);
+            }
+        });
+        world.handles.lock()[node] = Some(handle);
+    }
+
+    #[test]
+    fn random_programs_match_a_sorted_vec_scheduler() {
+        // Schedule / cancel / reschedule-at-now on a coarse clock, run
+        // whole and in random `run_until` chunks: same fired order, same
+        // ledger as the reference, however the run is sliced.
+        use crate::rng::SimRng;
+        for seed in 0..12u64 {
+            let mut rng = SimRng::derive(seed, "engine-model");
+            let (nodes, roots) = model_program(&mut rng);
+            let (want_order, want_ledger) = model_reference(&nodes, &roots);
+            assert!(want_ledger.1 >= 20, "seed {seed}: the program must cancel");
+            for chunked in [false, true] {
+                let sim = Sim::new();
+                let world = Arc::new(ModelWorld {
+                    nodes: nodes.clone(),
+                    handles: Mutex::new((0..nodes.len()).map(|_| None).collect()),
+                    order: Mutex::new(Vec::new()),
+                });
+                for &r in &roots {
+                    model_arm(&sim, &world, r);
+                }
+                let mut bound = 0;
+                while chunked && sim.next_event_time().is_some() {
+                    // Bounds land on ticks, between them, and on the
+                    // previous bound (an empty run).
+                    bound += rng.next_u64() % 3 * TICK + rng.next_u64() % 2 * (TICK / 2);
+                    let report = sim.run_until(SimTime::from_nanos(bound));
+                    assert!(
+                        report.events == 0 || report.end_time.as_nanos() < bound,
+                        "seed {seed}: fired at or past the bound {bound}"
+                    );
+                    assert!(
+                        sim.next_event_time().is_none_or(|t| t.as_nanos() >= bound),
+                        "seed {seed}: left an event below the bound {bound}"
+                    );
+                }
+                let stats = sim.run().sched;
+                assert_eq!(
+                    *world.order.lock(),
+                    want_order,
+                    "seed {seed}, chunked {chunked}"
+                );
+                assert_eq!(
+                    (stats.fired, stats.cancelled, stats.dead_popped),
+                    want_ledger,
+                    "seed {seed}, chunked {chunked}"
+                );
+            }
+        }
     }
 }
 

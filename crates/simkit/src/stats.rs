@@ -2,90 +2,6 @@
 
 use crate::time::SimDuration;
 
-/// Streaming statistics over `f64` samples (Welford's algorithm for the
-/// variance; exact min/max).
-#[derive(Clone, Debug, Default)]
-pub struct OnlineStats {
-    n: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl OnlineStats {
-    /// Empty accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Add one sample.
-    pub fn push(&mut self, x: f64) {
-        self.n += 1;
-        if self.n == 1 {
-            self.min = x;
-            self.max = x;
-        } else {
-            self.min = self.min.min(x);
-            self.max = self.max.max(x);
-        }
-        let delta = x - self.mean;
-        self.mean += delta / self.n as f64;
-        self.m2 += delta * (x - self.mean);
-    }
-
-    /// Add a duration sample, in microseconds.
-    pub fn push_duration(&mut self, d: SimDuration) {
-        self.push(d.as_micros_f64());
-    }
-
-    /// Number of samples.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Arithmetic mean (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Population variance (0 with fewer than 2 samples).
-    pub fn variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / self.n as f64
-        }
-    }
-
-    /// Population standard deviation.
-    pub fn stddev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Smallest sample (0 when empty).
-    pub fn min(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.min
-        }
-    }
-
-    /// Largest sample (0 when empty).
-    pub fn max(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.max
-        }
-    }
-}
-
 /// Collected samples with percentile queries (sorts lazily on demand).
 #[derive(Clone, Debug, Default)]
 pub struct Samples {
@@ -223,35 +139,23 @@ mod tests {
     use super::*;
 
     #[test]
-    fn online_stats_basic() {
-        let mut s = OnlineStats::new();
-        for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
-            s.push(x);
-        }
-        assert_eq!(s.count(), 8);
-        assert!((s.mean() - 5.0).abs() < 1e-12);
-        assert!((s.stddev() - 2.0).abs() < 1e-12);
-        assert_eq!(s.min(), 2.0);
-        assert_eq!(s.max(), 9.0);
-    }
-
-    #[test]
     fn empty_stats_are_zero() {
-        let s = OnlineStats::new();
+        let s = Samples::new();
+        assert!(s.is_empty());
         assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.variance(), 0.0);
-        assert_eq!(s.min(), 0.0);
-        assert_eq!(s.max(), 0.0);
+        assert_eq!(s.median(), 0.0);
+        assert_eq!(s.percentile(99.0), 0.0);
     }
 
     #[test]
     fn single_sample_stats() {
-        let mut s = OnlineStats::new();
+        let mut s = Samples::new();
         s.push(3.5);
+        assert_eq!(s.len(), 1);
         assert_eq!(s.mean(), 3.5);
-        assert_eq!(s.variance(), 0.0);
-        assert_eq!(s.min(), 3.5);
-        assert_eq!(s.max(), 3.5);
+        for p in [0.0, 50.0, 100.0] {
+            assert_eq!(s.percentile(p), 3.5);
+        }
     }
 
     #[test]

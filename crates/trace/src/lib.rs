@@ -275,16 +275,6 @@ impl Default for TraceConfig {
     }
 }
 
-impl TraceConfig {
-    /// Counters and metrics only — no span records.
-    pub fn counters_only() -> Self {
-        TraceConfig {
-            capture_spans: false,
-            capacity: 0,
-        }
-    }
-}
-
 /// Span-record ring plus always-on lifecycle counters.
 struct TraceState {
     ring: Vec<Record>,
@@ -705,7 +695,10 @@ mod tests {
 
     #[test]
     fn counters_accumulate_without_span_capture() {
-        let t = Tracer::new(TraceConfig::counters_only());
+        let t = Tracer::new(TraceConfig {
+            capture_spans: false,
+            capacity: 0,
+        });
         for _ in 0..5 {
             t.record(SimTime::ZERO, TracePoint::DoorbellRing, 0, None, 0);
         }
@@ -749,7 +742,7 @@ mod tests {
 
     #[test]
     fn registry_roundtrip_and_snapshot() {
-        let t = Tracer::new(TraceConfig::counters_only());
+        let t = Tracer::new(TraceConfig::default());
         t.metrics(|m| {
             let c = m.counter("msgs");
             m.inc(c, 3);
@@ -777,7 +770,7 @@ mod tests {
 
     #[test]
     fn engine_hook_tallies_classes() {
-        let t = Tracer::new(TraceConfig::counters_only());
+        let t = Tracer::new(TraceConfig::default());
         let hook = t.engine_hook().expect("attached tracer provides a hook");
         hook(SimTime::ZERO, EventClass::Fabric);
         hook(SimTime::ZERO, EventClass::Fabric);

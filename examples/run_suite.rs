@@ -15,10 +15,12 @@
 //!
 //! Worker count: `--jobs N` wins, then the `VIBE_JOBS` env var, then the
 //! machine's available parallelism. `--jobs 1` (or `VIBE_JOBS=1`) runs
-//! the same job plan in order on the calling thread, with no pool.
-//! Artifact bytes are identical at any worker count; every run also
-//! prints the X-PAR telemetry artifact (wall-clock, events/sec, speedup,
-//! event-arena hit rates).
+//! the same job plan in order on the calling thread, with no pool. A
+//! figure's plan is one job per point of its sweep (`vibe::sweep`), a
+//! table's one job per profile or row, so `--all` is 579 jobs at any
+//! worker count. Artifact bytes are identical at any worker count; every
+//! run also prints the X-PAR telemetry artifact (wall-clock, events/sec,
+//! speedup, event-arena hit rates).
 //!
 //! Engine shard count: `--shards N` wins, then the `VIBE_SHARDS` env var,
 //! else 1 (the serial engine). Experiments that drive a sharded engine
@@ -42,7 +44,8 @@ fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     if args.is_empty() || args.iter().any(|a| a == "--help" || a == "-h") {
         println!("usage: run_suite [--list | --all | <id>...] [--jobs <n>] [--shards <n>] [--no-fuse] [--csv <dir>] [--json <dir>] [--trace <dir>]");
-        println!("       ids: T1 F1-F2 F3 F4 F5 CQ F6 F7 X-MDS X-ASY X-RDMA X-PIP X-MTU X-REL X-GETPUT X-SCALE X-SCHED X-TRACE X-FAULT X-CHAOS X-SHARD X-TOPO X-FAILOVER X-CRASH");
+        let ids: Vec<&str> = all_experiments().iter().map(|e| e.id).collect();
+        println!("       ids: {}", ids.join(" "));
         println!("       --jobs <n>: worker threads (default: VIBE_JOBS env, else all cores; 1 = the calling thread)");
         println!("       --shards <n>: engine shards for sharded experiments (default: VIBE_SHARDS env, else 1)");
         println!("       --no-fuse: disable the fused message-lifecycle fast path (same as VIBE_FUSE=0; artifacts are byte-identical either way, F5/F6 small-message bandwidth excepted)");
@@ -84,6 +87,11 @@ fn main() {
     if let Some(i) = args.iter().position(|a| a == "--no-fuse") {
         args.remove(i);
         via::fastpath::set_fuse(false);
+    }
+    // Every flag that takes a value is consumed by now.
+    let known = |a: &str| !a.starts_with("--") || a == "--all" || a == "--list";
+    if let Some(flag) = args.iter().find(|a| !known(a)) {
+        panic!("unknown flag '{flag}' (try --help)");
     }
     if args.iter().any(|a| a == "--list") {
         println!("{:<8}  {:<18}  title", "id", "category");

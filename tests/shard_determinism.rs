@@ -92,9 +92,9 @@ fn sharded_ledger_merge_is_conservation_exact() {
     // Satellite invariant: merged per-shard SchedStats/PoolStats are plain
     // sums, so a sharded run's ledger must equal the serial ledger of the
     // same (fault-free) workload — not approximately, exactly. Shard-local
-    // arena shape (freelist reuse vs. growth, same-time batching) is the
-    // one legitimately shard-dependent corner, so those fields are only
-    // compared in conserved combination.
+    // arena shape (freelist reuse vs. growth) is the one legitimately
+    // shard-dependent corner, so those fields are only compared in
+    // conserved combination.
     let params = NetParams::clan();
     let nodes = 6u32;
 
