@@ -281,35 +281,48 @@ impl SuiteRun {
     }
 }
 
-/// Worker count selected by the environment: `VIBE_JOBS` if set (must be
-/// a positive integer), else the machine's available parallelism.
-pub fn default_workers() -> usize {
-    match std::env::var("VIBE_JOBS") {
-        Ok(v) => v
-            .trim()
-            .parse::<usize>()
-            .ok()
-            .filter(|&n| n >= 1)
-            .unwrap_or_else(|| panic!("VIBE_JOBS must be a positive integer, got '{v}'")),
-        Err(_) => std::thread::available_parallelism().map_or(1, |n| n.get()),
+/// Parse a worker or shard count given as `what` (a flag or an environment
+/// variable): a positive integer, or a message naming `what`.
+pub fn parse_count(what: &str, value: &str) -> Result<usize, String> {
+    let n = value.trim().parse::<usize>().ok().filter(|&n| n >= 1);
+    n.ok_or_else(|| format!("{what} must be a positive integer, got '{value}'"))
+}
+
+/// The count in environment variable `name`, if it is set.
+fn env_count(name: &str) -> Result<Option<usize>, String> {
+    match std::env::var(name) {
+        Ok(v) => parse_count(name, &v).map(Some),
+        Err(_) => Ok(None),
     }
 }
 
+/// Worker count selected by the environment: `VIBE_JOBS` if set (must be
+/// a positive integer, else an error saying so), else the machine's
+/// available parallelism.
+pub fn try_default_workers() -> Result<usize, String> {
+    let parallelism = || std::thread::available_parallelism().map_or(1, |n| n.get());
+    Ok(env_count("VIBE_JOBS")?.unwrap_or_else(parallelism))
+}
+
 /// Engine shard count selected by the environment: `VIBE_SHARDS` if set
-/// (must be a positive integer), else 1 — the serial engine, the exact
-/// path the committed goldens pin. Experiments that drive a sharded
-/// engine (X-SHARD) read this; their artifacts are byte-identical at any
-/// value, which CI enforces.
+/// (must be a positive integer, else an error saying so), else 1 — the
+/// serial engine, the exact path the committed goldens pin. Experiments
+/// that drive a sharded engine (X-SHARD) read this; their artifacts are
+/// byte-identical at any value, which CI enforces.
+pub fn try_default_shards() -> Result<usize, String> {
+    Ok(env_count("VIBE_SHARDS")?.unwrap_or(1))
+}
+
+/// [`try_default_workers`] for callers with nobody to report to. Panics on
+/// a malformed `VIBE_JOBS`; a front end checks with the `try_` form first.
+pub fn default_workers() -> usize {
+    try_default_workers().unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// [`try_default_shards`] for job bodies, which run long after the front
+/// end has checked `VIBE_SHARDS`. Panics on a malformed value.
 pub fn default_shards() -> usize {
-    match std::env::var("VIBE_SHARDS") {
-        Ok(v) => v
-            .trim()
-            .parse::<usize>()
-            .ok()
-            .filter(|&n| n >= 1)
-            .unwrap_or_else(|| panic!("VIBE_SHARDS must be a positive integer, got '{v}'")),
-        Err(_) => 1,
-    }
+    try_default_shards().unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Telemetry from one sharded-engine run, recorded by workloads that
@@ -509,6 +522,18 @@ mod tests {
         // Can't mutate the environment safely in a threaded test binary;
         // just assert the fallback is sane.
         assert!(default_workers() >= 1);
+    }
+
+    #[test]
+    fn counts_must_be_positive_integers() {
+        assert_eq!(parse_count("--jobs", " 4 "), Ok(4));
+        for bad in ["0", "x", "-1", ""] {
+            let err = parse_count("VIBE_JOBS", bad).unwrap_err();
+            assert_eq!(
+                err,
+                format!("VIBE_JOBS must be a positive integer, got '{bad}'")
+            );
+        }
     }
 
     #[test]

@@ -7,10 +7,36 @@
 //! matching [`MutexGuard`]. Poisoning is deliberately ignored — a simulated
 //! process that panics is unwound by the harness, and the shared state it
 //! held is either torn down or inspected by tests that expect the panic.
+//!
+//! With the default-off `count` feature every `lock()` / `try_lock()` call
+//! also bumps a per-thread counter read by `lock_count()`: a simulated world
+//! runs on one thread, so the delta around a workload is its exact number of
+//! mutex acquisitions — the host-independent cost `tests/perf_proxies.rs`
+//! gates. Only the root crate's dev-dependencies turn it on.
 
 #![warn(missing_docs)]
 
 use std::ops::{Deref, DerefMut};
+
+#[cfg(feature = "count")]
+thread_local! {
+    /// No destructor, so a lock taken during thread teardown still counts
+    /// safely.
+    static LOCKS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// `lock()` and `try_lock()` calls made by the calling thread since it
+/// started. Monotonic; take a delta around a workload.
+#[cfg(feature = "count")]
+pub fn lock_count() -> u64 {
+    LOCKS.with(|c| c.get())
+}
+
+#[inline(always)]
+fn count_one() {
+    #[cfg(feature = "count")]
+    LOCKS.with(|c| c.set(c.get() + 1));
+}
 
 /// Mutual exclusion with `parking_lot`'s infallible `lock()` signature.
 pub struct Mutex<T: ?Sized> {
@@ -40,6 +66,7 @@ impl<T: ?Sized> Mutex<T> {
     /// Acquire the lock, blocking until available. Never fails: a poisoned
     /// mutex (panicked holder) is recovered and handed out anyway.
     pub fn lock(&self) -> MutexGuard<'_, T> {
+        count_one();
         MutexGuard {
             inner: self.inner.lock().unwrap_or_else(|e| e.into_inner()),
         }
@@ -47,6 +74,7 @@ impl<T: ?Sized> Mutex<T> {
 
     /// Try to acquire the lock without blocking.
     pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
+        count_one();
         match self.inner.try_lock() {
             Ok(g) => Some(MutexGuard { inner: g }),
             Err(std::sync::TryLockError::Poisoned(e)) => Some(MutexGuard {
@@ -122,5 +150,19 @@ mod tests {
         assert!(m.try_lock().is_none());
         drop(g);
         assert_eq!(*m.try_lock().expect("free now"), 5);
+    }
+
+    #[cfg(feature = "count")]
+    #[test]
+    fn lock_count_counts_this_threads_calls() {
+        let m = Arc::new(Mutex::new(0u32));
+        let before = lock_count();
+        drop(m.lock());
+        drop(m.try_lock());
+        let m2 = Arc::clone(&m);
+        std::thread::spawn(move || drop(m2.lock()))
+            .join()
+            .expect("locker thread");
+        assert_eq!(lock_count() - before, 2, "another thread's lock leaked in");
     }
 }

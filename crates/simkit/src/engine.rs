@@ -19,7 +19,7 @@
 //!
 //! * **Written once.** [`Sim::call_at_as`] / [`Sim::timer_at`] are generic
 //!   over the closure, so its captures are copied from the caller's frame
-//!   straight into the slot's payload under the scheduler lock, next to a
+//!   straight into the slot's payload under the scheduler guard, next to a
 //!   `&'static` per-type vtable `{size, call, drop}`. There is no
 //!   intermediate enum or cell to build, return and move into place.
 //! * **Copied once.** [`Sim::run`] copies `size` bytes — not the slot —
@@ -28,7 +28,7 @@
 //!   very slot, or growing and so reallocating the slab) while its captures
 //!   sit safely on the stack. The vtable's `call` then consumes them in
 //!   place. [`TimerHandle::cancel`] takes the same one copy out and runs
-//!   the vtable's `drop` on it after releasing the lock; a `Sim` dropped
+//!   the vtable's `drop` on it after releasing the guard; a `Sim` dropped
 //!   with events pending drops each exactly once, in slot order.
 //! * **Sized by the closure.** A two-word capture moves two words. Captures
 //!   up to [`LARGE_WORDS`]`×8` bytes and no more aligned than a `usize`
@@ -55,12 +55,25 @@
 //!   closures and freelist hits vs. slab growth.
 //!
 //! Determinism is unchanged: `seq` is still assigned under the scheduler
-//! lock at push time, and `(time, seq)` ordering is exactly the pre-slab
+//! guard at push time, and `(time, seq)` ordering is exactly the pre-slab
 //! semantics — cancellation does not reorder survivors. [`Sim::run`] pops
 //! the heap one event at a time. (PRs 2–16 drained each same-timestamp
-//! cohort into a side queue first; the scheduler lock is taken per pop
+//! cohort into a side queue first; the scheduler state is entered per pop
 //! either way, and the suite's mean cohort measured 1.2 events, so the
 //! queue cost every event a push and a pop and saved nothing.)
+//!
+//! # Threads
+//!
+//! The scheduler state, the process table and the CPU records are
+//! [`Confined`] cells, not mutexes: `run` takes ownership of the `Sim`'s
+//! affinity word for the calling thread once, and every `.lock()` below —
+//! from the loop, an event or a process body — is then an ownership check
+//! and a re-entrancy flag, with no atomic read-modify-write. Other threads
+//! may still schedule, cancel and read between runs (each call claims the
+//! word and gives it back); one that calls in *during* a run waits for the
+//! run to return. [`crate::confined`] has the argument. Only the event hook
+//! keeps a real mutex: it is installed from outside and read once per
+//! event behind an atomic flag.
 //!
 //! The erased payloads are this module's only `unsafe`: everything that
 //! reads or writes one is below, between `erase` and [`Sim::run`].
@@ -71,8 +84,7 @@ use std::mem::{align_of, size_of, ManuallyDrop, MaybeUninit};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering as AtomicOrdering};
 use std::sync::{Arc, Weak};
 
-use parking_lot::Mutex;
-
+use crate::confined::{Affinity, Confined};
 use crate::cpu::{CpuId, CpuRecord};
 use crate::process::{ProcessCtx, ProcessHandle, ProcessId, ProcessRecord, WaitToken};
 use crate::time::{SimDuration, SimTime};
@@ -820,25 +832,29 @@ impl Default for SchedState {
 }
 
 pub(crate) struct SimInner {
-    sched: Mutex<SchedState>,
+    /// Which thread owns the confined cells below — and every cell made by
+    /// [`Sim::confined`] — right now. Held by [`Sim::run`] for a whole run.
+    affinity: Arc<Affinity>,
+    sched: Confined<SchedState>,
     /// Mirror of the current virtual time for lock-free reads.
     now_ns: AtomicU64,
-    pub(crate) procs: Mutex<Vec<Arc<ProcessRecord>>>,
-    pub(crate) cpus: Mutex<Vec<CpuRecord>>,
+    /// Grows only: a record stays at its index, alive, as long as the `Sim`.
+    pub(crate) procs: Confined<Vec<Arc<ProcessRecord>>>,
+    pub(crate) cpus: Confined<Vec<CpuRecord>>,
     pub(crate) shutdown: AtomicBool,
     /// Fast-path guard for `hook`: the run loop checks this relaxed flag
     /// before touching the mutex, so an unhooked simulation pays one
     /// predictable-branch load per event and nothing else.
     hook_set: AtomicBool,
-    /// Observer invoked after each fired event (outside the scheduler
-    /// lock), installed by [`Sim::set_event_hook`].
-    hook: Mutex<Option<EventHook>>,
+    /// Observer invoked after each fired event (with no scheduler guard
+    /// alive), installed by [`Sim::set_event_hook`].
+    hook: parking_lot::Mutex<Option<EventHook>>,
 }
 
 /// Observer called once per fired event with its timestamp and class.
 ///
 /// Hooks run inside [`Sim::run`] *after* the event's bookkeeping but
-/// *before* its action executes, and never under the scheduler lock — a
+/// *before* its action executes, and never under the scheduler guard — a
 /// hook may inspect the [`Sim`] but must not block. Tracing layers use
 /// this to tally engine activity without the engine depending on them.
 pub type EventHook = Arc<dyn Fn(SimTime, EventClass) + Send + Sync>;
@@ -900,8 +916,8 @@ impl TimerHandle {
             s.stats.by_class[self.class.index()].cancelled += 1;
             s.free_slot(self.slot, &mut taken)
         };
-        // Drop the closure outside the scheduler lock: its captured state
-        // may itself take locks on the way down.
+        // Drop the closure with the scheduler guard released: its captured
+        // state may itself schedule or cancel on the way down.
         // Safety: `free_slot` moved the pending value into `taken`; this is
         // its one use.
         unsafe { (vtable.drop)(taken.as_mut_ptr().cast()) };
@@ -967,17 +983,28 @@ impl Default for Sim {
 impl Sim {
     /// Create an empty simulation at time zero.
     pub fn new() -> Self {
+        let affinity = Affinity::new();
         Sim {
             inner: Arc::new(SimInner {
-                sched: Mutex::new(SchedState::default()),
+                sched: Confined::new(Arc::clone(&affinity), SchedState::default()),
                 now_ns: AtomicU64::new(0),
-                procs: Mutex::new(Vec::new()),
-                cpus: Mutex::new(Vec::new()),
+                procs: Confined::new(Arc::clone(&affinity), Vec::new()),
+                cpus: Confined::new(Arc::clone(&affinity), Vec::new()),
                 shutdown: AtomicBool::new(false),
                 hook_set: AtomicBool::new(false),
-                hook: Mutex::new(None),
+                hook: parking_lot::Mutex::new(None),
+                affinity,
             }),
         }
+    }
+
+    /// Wrap `value` in a cell confined to whichever thread is using this
+    /// simulation: free to lock from inside [`Sim::run`] (events and process
+    /// bodies), and from any one thread at a time outside it. For per-node
+    /// model state that only this `Sim`'s events touch. See
+    /// [`crate::confined`].
+    pub fn confined<T>(&self, value: T) -> Confined<T> {
+        Confined::new(Arc::clone(&self.inner.affinity), value)
     }
 
     /// Install (or clear, with `None`) the per-event observer. See
@@ -1189,7 +1216,7 @@ impl Sim {
         T: Send + 'static,
         F: FnOnce(&mut ProcessCtx) -> T + Send + 'static,
     {
-        let slot = Arc::new(Mutex::new(None));
+        let slot = Arc::new(parking_lot::Mutex::new(None));
         let record = {
             let mut procs = self.inner.procs.lock();
             let pid = ProcessId::new(procs.len() as u32);
@@ -1275,6 +1302,10 @@ impl Sim {
     }
 
     fn run_bounded(&self, bound: Option<SimTime>) -> RunReport {
+        // This thread owns every confined cell of the simulation until the
+        // run returns or unwinds, so each access made below, by an event or
+        // by a process body costs a compare and a few plain stores.
+        let _hold = self.inner.affinity.hold();
         let (pool_at_entry, elided_at_entry, fuse_at_entry) = {
             let s = self.inner.sched.lock();
             (s.stats.pool, s.stats.events_elided, s.stats.fuse)
@@ -1356,9 +1387,16 @@ impl Sim {
     }
 
     fn dispatch_wake(&self, token: WaitToken) {
-        if let Some(record) = self.record(token.pid()) {
-            record.try_resume(token);
-        }
+        let record = match self.inner.procs.lock().get(token.pid().index()) {
+            Some(record) => Arc::as_ptr(record),
+            None => return,
+        };
+        // Safety: `procs` only grows, so the `Arc` the pointer came from
+        // stays in it, and `&self` keeps `SimInner` (and so `procs`) alive
+        // for the whole call — the invariant `run_body` already rests on.
+        // Borrowing the record this way spares a reference-count round trip
+        // per wake, and the `procs` guard is gone before the body runs.
+        unsafe { &*record }.try_resume(token);
     }
 
     /// Tear down every process that has not finished, on the calling
@@ -1489,6 +1527,7 @@ impl Sim {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use parking_lot::Mutex;
     use std::sync::atomic::AtomicUsize;
 
     #[test]
@@ -2133,6 +2172,7 @@ mod tests {
 mod thread_safety_tests {
     use super::*;
     use crate::time::SimDuration;
+    use parking_lot::Mutex;
     use std::sync::atomic::AtomicUsize;
 
     #[test]

@@ -50,6 +50,7 @@
 
 #![warn(missing_docs)]
 
+pub mod confined;
 mod coroutine;
 pub mod cpu;
 pub mod engine;
@@ -60,6 +61,7 @@ pub mod stats;
 pub mod sync;
 pub mod time;
 
+pub use confined::{Confined, ConfinedGuard};
 pub use cpu::{CpuId, CpuMeter, CpuUsage};
 pub use engine::{
     thread_events, thread_fuse_stats, thread_pool_stats, ClassTally, DefuseCause, EventClass,

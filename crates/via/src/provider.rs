@@ -5,8 +5,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use fabric::{NodeId, San, Topology};
-use parking_lot::{Mutex, MutexGuard};
-use simkit::{CpuId, ProcessCtx, ShardedSim, Sim, SimDuration, WaitMode};
+use parking_lot::Mutex;
+use simkit::{Confined, ConfinedGuard, CpuId, ProcessCtx, ShardedSim, Sim, SimDuration, WaitMode};
 use trace::{TraceConfig, Tracer};
 use vnic::{DescRing, FirmwareStalls, InterruptController, PciBus, TlbStats, XlateEngine};
 
@@ -220,8 +220,8 @@ impl ProviderState {
 }
 
 /// Everything one node's provider is, allocated once: the fields fixed at
-/// cluster construction, the two observers, and the mutable state behind
-/// its lock. Every [`Provider`] handle to the node — one rides in nearly
+/// cluster construction, the two observers, and the mutable state in its
+/// thread-confined cell. Every [`Provider`] handle to the node — one rides in nearly
 /// every datapath closure — shares this one allocation, so capturing a
 /// provider costs one reference count here (and one on the SAN), not one
 /// per field.
@@ -229,7 +229,7 @@ impl ProviderState {
 /// **Observing nothing costs no lock.** The tracer and the probe live
 /// beside `state`, not in it: on an untraced, unprobed cluster a would-be
 /// record is one load, and either observer may be consulted with the state
-/// lock held.
+/// guard held.
 pub(crate) struct ProviderCore {
     pub sim: Sim,
     pub profile: Arc<Profile>,
@@ -246,7 +246,9 @@ pub(crate) struct ProviderCore {
     /// append to `probe`.
     pub probe_on: AtomicBool,
     pub probe: Mutex<Vec<ProbeEvent>>,
-    pub state: Mutex<ProviderState>,
+    /// Confined to the thread running `sim`: only this node's events and
+    /// processes touch it, all from inside `Sim::run`.
+    pub state: Confined<ProviderState>,
 }
 
 /// Handle to one node's VIA provider: the node's shared core (identity,
@@ -286,7 +288,7 @@ impl Provider {
         &self.core.profile
     }
 
-    pub(crate) fn lock(&self) -> MutexGuard<'_, ProviderState> {
+    pub(crate) fn lock(&self) -> ConfinedGuard<'_, ProviderState> {
         self.core.state.lock()
     }
 
@@ -938,7 +940,6 @@ impl Cluster {
             let core = Arc::new(ProviderCore {
                 pci: PciBus::new(sim.clone(), profile.pci),
                 intr: InterruptController::from_host(cpu, &profile.host),
-                sim,
                 profile: Arc::clone(&profile),
                 node,
                 cpu,
@@ -946,7 +947,7 @@ impl Cluster {
                 tracer: OnceLock::new(),
                 probe_on: AtomicBool::new(false),
                 probe: Mutex::new(Vec::new()),
-                state: Mutex::new(ProviderState {
+                state: sim.confined(ProviderState {
                     mem: ProcessMem::new(profile.host.page_size),
                     rx_engine_busy: simkit::SimTime::ZERO,
                     vis: Vec::new(),
@@ -964,6 +965,8 @@ impl Cluster {
                     crashed: false,
                     stats: ProviderStats::default(),
                 }),
+                // Last: `pci` and `state` above are built from it.
+                sim,
             });
             providers.push(Provider {
                 core: Arc::clone(&core),

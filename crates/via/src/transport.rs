@@ -1314,8 +1314,8 @@ pub(crate) fn complete_send(provider: &Provider, vi_id: ViId, seq: u64, status: 
 /// Queue `comp` on the VI's `kind` work queue and signal whoever waits for
 /// it: the process parked on the queue, then the associated CQ. Runs under
 /// the caller's state guard — every handler that completes a descriptor
-/// already holds it — and takes no lock the state lock does not already
-/// precede (the scheduler's, to post the wake).
+/// already holds it — and enters nothing but the scheduler (to post the
+/// wake), never the provider state again.
 fn deliver_completion(
     provider: &Provider,
     st: &mut ProviderState,

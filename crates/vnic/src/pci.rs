@@ -9,8 +9,7 @@
 
 use std::sync::Arc;
 
-use parking_lot::Mutex;
-use simkit::{EventClass, Sim, SimDuration, SimTime};
+use simkit::{Confined, EventClass, Sim, SimDuration, SimTime};
 
 /// PCI bus characteristics.
 #[derive(Clone, Copy, Debug)]
@@ -55,24 +54,23 @@ struct PciState {
     stats: PciStats,
 }
 
-/// One node's PCI bus. Clonable handle; all clones share the occupancy.
+/// One node's PCI bus. Clonable handle; all clones share the occupancy,
+/// which is confined to the thread running `sim` (no lock on the datapath).
 #[derive(Clone)]
 pub struct PciBus {
     sim: Sim,
-    state: Arc<Mutex<PciState>>,
+    state: Arc<Confined<PciState>>,
 }
 
 impl PciBus {
     /// New idle bus.
     pub fn new(sim: Sim, params: PciParams) -> Self {
-        PciBus {
-            sim,
-            state: Arc::new(Mutex::new(PciState {
-                params,
-                busy_until: SimTime::ZERO,
-                stats: PciStats::default(),
-            })),
-        }
+        let state = Arc::new(sim.confined(PciState {
+            params,
+            busy_until: SimTime::ZERO,
+            stats: PciStats::default(),
+        }));
+        PciBus { sim, state }
     }
 
     /// Reserve the bus starting no earlier than `earliest` for a transfer of
@@ -141,6 +139,7 @@ impl PciBus {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use parking_lot::Mutex;
 
     #[test]
     fn transfers_serialize_on_the_bus() {

@@ -37,10 +37,25 @@
 //! the X-PAR fused-path table reports per-experiment hit rates and
 //! de-fuse causes.
 
-use vibe::runner::{default_shards, default_workers, run_suite};
+//!
+//! A usage error (unknown id or flag, a flag without its value, a worker or
+//! shard count that is not a positive integer — on the command line or in
+//! `VIBE_JOBS` / `VIBE_SHARDS`) prints `run_suite: <what>` to stderr and
+//! exits with status 2 before anything runs.
+
+use vibe::runner::{parse_count, run_suite, try_default_shards, try_default_workers};
 use vibe::suite::{all_experiments, find, render_json, Category};
 
 fn main() {
+    if let Err(message) = run() {
+        eprintln!("run_suite: {message}");
+        eprintln!("(try --help)");
+        std::process::exit(2);
+    }
+}
+
+/// Everything `main` does; `Err` is a usage error for `main` to report.
+fn run() -> Result<(), String> {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     if args.is_empty() || args.iter().any(|a| a == "--help" || a == "-h") {
         println!("usage: run_suite [--list | --all | <id>...] [--jobs <n>] [--shards <n>] [--no-fuse] [--csv <dir>] [--json <dir>] [--trace <dir>]");
@@ -50,40 +65,35 @@ fn main() {
         println!("       --shards <n>: engine shards for sharded experiments (default: VIBE_SHARDS env, else 1)");
         println!("       --no-fuse: disable the fused message-lifecycle fast path (same as VIBE_FUSE=0; artifacts are byte-identical either way, F5/F6 small-message bandwidth excepted)");
         println!("       --trace <dir>: also write Perfetto/Chrome message-lifecycle traces (default: VIBE_TRACE env)");
-        return;
+        return Ok(());
     }
-    let take_val = |flag: &str, args: &mut Vec<String>| {
-        args.iter().position(|a| a == flag).map(|i| {
-            let v = args
-                .get(i + 1)
-                .unwrap_or_else(|| panic!("{flag} needs a value"))
-                .clone();
-            args.drain(i..=i + 1);
-            v
-        })
+    let take_val = |flag: &str, args: &mut Vec<String>| -> Result<Option<String>, String> {
+        let Some(i) = args.iter().position(|a| a == flag) else {
+            return Ok(None);
+        };
+        let v = args.get(i + 1).cloned();
+        let v = v.ok_or_else(|| format!("{flag} needs a value"))?;
+        args.drain(i..=i + 1);
+        Ok(Some(v))
     };
-    let csv_dir = take_val("--csv", &mut args);
-    let json_dir = take_val("--json", &mut args);
-    let trace_dir = take_val("--trace", &mut args).or_else(|| std::env::var("VIBE_TRACE").ok());
-    let workers = take_val("--jobs", &mut args)
-        .map(|v| {
-            v.parse::<usize>()
-                .ok()
-                .filter(|&n| n >= 1)
-                .unwrap_or_else(|| panic!("--jobs must be a positive integer, got '{v}'"))
-        })
-        .unwrap_or_else(default_workers);
-    if let Some(v) = take_val("--shards", &mut args) {
-        v.parse::<usize>()
-            .ok()
-            .filter(|&n| n >= 1)
-            .unwrap_or_else(|| panic!("--shards must be a positive integer, got '{v}'"));
+    let csv_dir = take_val("--csv", &mut args)?;
+    let json_dir = take_val("--json", &mut args)?;
+    let trace_dir = take_val("--trace", &mut args)?.or_else(|| std::env::var("VIBE_TRACE").ok());
+    let workers = match take_val("--jobs", &mut args)? {
+        Some(v) => parse_count("--jobs", &v)?,
+        None => try_default_workers()?,
+    };
+    if let Some(v) = take_val("--shards", &mut args)? {
+        parse_count("--shards", &v)?;
         // Sharded experiments read VIBE_SHARDS through
         // `runner::default_shards` when their jobs run; routing the flag
         // through the env keeps job closures environment-driven and lets
         // CI's golden matrix exercise the same path.
         std::env::set_var("VIBE_SHARDS", &v);
     }
+    // Job bodies read it with the panicking `default_shards`: reject a
+    // malformed `VIBE_SHARDS` here, before any of them runs.
+    let shards = try_default_shards()?;
     if let Some(i) = args.iter().position(|a| a == "--no-fuse") {
         args.remove(i);
         via::fastpath::set_fuse(false);
@@ -91,7 +101,7 @@ fn main() {
     // Every flag that takes a value is consumed by now.
     let known = |a: &str| !a.starts_with("--") || a == "--all" || a == "--list";
     if let Some(flag) = args.iter().find(|a| !known(a)) {
-        panic!("unknown flag '{flag}' (try --help)");
+        return Err(format!("unknown flag '{flag}'"));
     }
     if args.iter().any(|a| a == "--list") {
         println!("{:<8}  {:<18}  title", "id", "category");
@@ -104,16 +114,15 @@ fn main() {
             };
             println!("{:<8}  {:<18}  {}", e.id, cat, e.title);
         }
-        return;
+        return Ok(());
     }
     let experiments: Vec<_> = if args.iter().any(|a| a == "--all") {
         all_experiments()
     } else {
-        args.iter()
-            .map(|id| {
-                find(id).unwrap_or_else(|| panic!("unknown experiment id '{id}' (try --list)"))
-            })
-            .collect()
+        let found = args.iter().map(|id| {
+            find(id).ok_or_else(|| format!("unknown experiment id '{id}' (--list prints them)"))
+        });
+        found.collect::<Result<_, _>>()?
     };
     for dir in [&csv_dir, &json_dir].into_iter().flatten() {
         std::fs::create_dir_all(dir).expect("create output dir");
@@ -174,10 +183,11 @@ fn main() {
         "[suite: {} jobs on {} workers x {} shards, {:.2}s wall, {:.2}s serial-equivalent, {:.2}x speedup, {:.1}M events/s]",
         run.jobs.len(),
         run.workers,
-        default_shards(),
+        shards,
         run.wall.as_secs_f64(),
         run.serial_wall().as_secs_f64(),
         run.speedup(),
         run.total_events() as f64 / run.wall.as_secs_f64().max(1e-9) / 1e6,
     );
+    Ok(())
 }

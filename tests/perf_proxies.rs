@@ -1,16 +1,18 @@
 //! Host-independent performance proxies, gated so that a regression fails
 //! a diff instead of waiting for someone to notice a slower laptop
-//! (ROADMAP item 1d): heap allocations per message, boxed events, event-pool
-//! hit rate, and the size of the handle every datapath closure captures.
+//! (ROADMAP item 2): heap allocations and mutex acquisitions per message,
+//! affinity claims inside a run, boxed events, event-pool hit rate, and the
+//! size of the handle every datapath closure captures.
 //!
 //! Every number here is a count the simulator reproduces exactly: the whole
-//! world runs on the calling thread, and the allocator below counts per
-//! thread, so tests running beside this one do not leak into it.
+//! world runs on the calling thread, and the allocator below, `pl-shim`'s
+//! `count` feature and `simkit::confined::claims` all count per thread, so
+//! tests running beside this one do not leak into it.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use vibe_suite::simkit::{thread_pool_stats, PoolStats};
+use vibe_suite::simkit::{confined::claims, thread_pool_stats, PoolStats};
 use vibe_suite::via::{Profile, Provider};
 use vibe_suite::vibe::harness::{bandwidth, ping_pong, DtConfig};
 
@@ -44,47 +46,50 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// Allocations and event-pool churn of one call.
-fn measured(f: impl FnOnce()) -> (u64, PoolStats) {
-    let (allocs, pool) = (ALLOCS.with(Cell::get), thread_pool_stats());
+/// `[allocations, mutex acquisitions, affinity claims]` made by this thread
+/// so far.
+fn counters() -> [u64; 3] {
+    [ALLOCS.with(Cell::get), parking_lot::lock_count(), claims()]
+}
+
+/// The counters and event-pool churn of one call.
+fn measured(f: impl FnOnce()) -> ([u64; 3], PoolStats) {
+    let (before, pool) = (counters(), thread_pool_stats());
     f();
+    let after = counters();
     (
-        ALLOCS.with(Cell::get) - allocs,
+        std::array::from_fn(|i| after[i] - before[i]),
         thread_pool_stats().delta_since(&pool),
     )
 }
 
-/// Marginal heap allocations per iteration of `run`, in hundredths: the
-/// slope between a short and a long run of the same world, so cluster
-/// set-up and one-off buffer growth cancel.
-fn allocs_per_iter_x100(run: impl Fn(u32)) -> u64 {
+/// Marginal `[allocations, mutex acquisitions, affinity claims]` per
+/// iteration of `run`, in hundredths: the slope between a short and a long
+/// run of the same world, so cluster set-up and one-off buffer growth
+/// cancel.
+fn per_iter_x100(run: impl Fn(u32)) -> [u64; 3] {
     const SHORT: u32 = 64;
     const LONG: u32 = 576;
     let (short, _) = measured(|| run(SHORT));
     let (long, pool) = measured(|| run(LONG));
     assert_eq!(pool.boxed, 0, "an event closure outgrew the slab: {pool:?}");
     assert_eq!(pool.pool_hit_rate(), 1.0, "{pool:?}");
-    (long - short) * 100 / (LONG - SHORT) as u64
+    std::array::from_fn(|i| (long[i] - short[i]) * 100 / (LONG - SHORT) as u64)
 }
 
-/// Ceilings recorded from this tree, per profile in `paper_trio` order
-/// (M-VIA, BVIA, cLAN): a 4 B polling ping-pong iteration (two messages)
-/// and one 16 KiB message of a depth-16 stream. CHANGES.md (PR 15) holds
-/// the parent's values next to these.
-const PING_PONG_X100: [u64; 3] = [2001, 2201, 2201];
-const STREAM_X100: [u64; 3] = [3234, 1736, 2537];
-
-#[test]
-fn allocations_per_message_stay_under_their_recorded_ceilings() {
-    let (mut ping_pongs, mut streams) = ([0; 3], [0; 3]);
+/// Per profile in `paper_trio` order (M-VIA, BVIA, cLAN), the
+/// [`per_iter_x100`] counters of a 4 B polling ping-pong iteration (two
+/// messages) and of one 16 KiB message of a depth-16 stream.
+fn trio_x100() -> [[[u64; 3]; 3]; 2] {
+    let (mut ping_pongs, mut streams) = ([[0; 3]; 3], [[0; 3]; 3]);
     for (i, profile) in Profile::paper_trio().into_iter().enumerate() {
-        ping_pongs[i] = allocs_per_iter_x100(|iters| {
+        ping_pongs[i] = per_iter_x100(|iters| {
             ping_pong(&DtConfig {
                 iters,
                 ..DtConfig::base(profile.clone(), 4)
             });
         });
-        streams[i] = allocs_per_iter_x100(|iters| {
+        streams[i] = per_iter_x100(|iters| {
             bandwidth(&DtConfig {
                 iters,
                 queue_depth: 16,
@@ -92,14 +97,66 @@ fn allocations_per_message_stay_under_their_recorded_ceilings() {
             });
         });
     }
-    println!("allocations x100 per iteration: ping-pong {ping_pongs:?}, stream {streams:?}");
-    for i in 0..3 {
-        assert!(
-            ping_pongs[i] <= PING_PONG_X100[i] && streams[i] <= STREAM_X100[i],
-            "allocations x100 per iteration (M-VIA, BVIA, cLAN): ping-pong {ping_pongs:?} \
-             over {PING_PONG_X100:?}, or stream {streams:?} over {STREAM_X100:?}"
-        );
-    }
+    [ping_pongs, streams]
+}
+
+/// One counter of [`trio_x100`], as `[ping-pong, stream]` rows of profiles.
+fn column(trio: &[[[u64; 3]; 3]; 2], counter: usize) -> [[u64; 3]; 2] {
+    trio.map(|workload| workload.map(|profile| profile[counter]))
+}
+
+/// True when every entry of `got` is at or under its `ceiling`.
+fn under(got: &[[u64; 3]; 2], ceiling: &[[u64; 3]; 2]) -> bool {
+    let mut pairs = got.iter().flatten().zip(ceiling.iter().flatten());
+    pairs.all(|(got, ceiling)| got <= ceiling)
+}
+
+/// Allocation ceilings recorded from this tree, `[ping-pong, stream]` per
+/// profile, in hundredths. CHANGES.md (PR 15) holds the parent's values next
+/// to these.
+const ALLOCS_X100: [[u64; 3]; 2] = [[2001, 2201, 2201], [3234, 1736, 2537]];
+
+/// Mutex-acquisition ceilings recorded from this tree, same layout. CHANGES.md
+/// (PR 21) holds the parent's values next to these: 10600/12700/12700 and
+/// 27533/12470/19620 before the scheduler, process table, CPU records,
+/// provider state and PCI bus became `simkit::Confined` cells. Every one
+/// that is left is in `fabric::san` (five or six per frame), which is shared
+/// between engine shards by design.
+/// A debug build reads two more per fused ping-pong iteration (BVIA, cLAN):
+/// `San::send_msg_at`'s `debug_assert!` asks the fabric whether faults are
+/// installed.
+const LOCKS_X100: [[u64; 3]; 2] = if cfg!(debug_assertions) {
+    [[1200, 2000, 2000], [6018, 2021, 4021]]
+} else {
+    [[1200, 1800, 1800], [6018, 2021, 4021]]
+};
+
+#[test]
+fn allocations_per_message_stay_under_their_recorded_ceilings() {
+    let allocs = column(&trio_x100(), 0);
+    println!(
+        "allocations x100 per iteration, [ping-pong, stream] x (M-VIA, BVIA, cLAN): {allocs:?}"
+    );
+    assert!(
+        under(&allocs, &ALLOCS_X100),
+        "allocations x100 per iteration {allocs:?} over {ALLOCS_X100:?}"
+    );
+}
+
+#[test]
+fn mutex_acquisitions_per_message_stay_under_their_ceilings_and_a_run_claims_nothing() {
+    let trio = trio_x100();
+    let (locks, claims) = (column(&trio, 1), column(&trio, 2));
+    println!(
+        "mutex acquisitions x100 per iteration, [ping-pong, stream] x (M-VIA, BVIA, cLAN): {locks:?}"
+    );
+    assert!(
+        under(&locks, &LOCKS_X100),
+        "mutex acquisitions x100 per iteration {locks:?} over {LOCKS_X100:?}"
+    );
+    // A claim inside a run means some confined state is being reached from
+    // a thread other than the one running it.
+    assert_eq!(claims, [[0; 3]; 2], "affinity claims per iteration");
 }
 
 #[test]
