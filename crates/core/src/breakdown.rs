@@ -2,260 +2,157 @@
 //! "identify how much time is spent in each of the components in the
 //! implementation, and pinpoint the bottlenecks").
 //!
-//! Uses the `via` data-path probe to record every stage transition of one
-//! message and reports where the microseconds went, per implementation —
-//! the table a VIA implementor would read before deciding what to
-//! optimize.
+//! Follows one warm message of [`traced_stream`] through its trace records
+//! and reports where the microseconds went, per implementation — the table
+//! a VIA implementor would read before deciding what to optimize.
 
-use via::{ProbeEvent, Profile, ViId};
+use simkit::SimTime;
+use via::Profile;
 
-use crate::harness::{ping_pong, DtConfig, Pair};
 use crate::report::Table;
+use crate::trace_bench::{traced_stream, Cut, TracedRun};
 
-/// Stage names in pipeline order (tx side then rx side).
-pub const STAGES: &[&str] = &[
-    "posted",
-    "dev_queued",
-    "fw_scanned",
-    "desc_fetched",
-    "translated",
-    "first_frag_wire",
-    "last_frag_wire",
-    "first_frag_arrived",
-    "last_frag_arrived",
-    "last_frag_landed",
-    "recv_completed",
+/// Component rows: `(label, from-cut, to-cut)`, tx side then rx side.
+const ROWS: [(&str, Cut, Cut); 9] = [
+    ("host post + doorbell", Cut::Posted, Cut::DevQueued),
+    ("firmware scheduling", Cut::DevQueued, Cut::FwScanned),
+    ("descriptor fetch", Cut::FwScanned, Cut::DescFetched),
+    ("address translation", Cut::DescFetched, Cut::Translated),
+    ("data DMA (first frag)", Cut::Translated, Cut::FirstWireTx),
+    ("tx streaming (rest)", Cut::FirstWireTx, Cut::LastWireTx),
+    ("wire + rx to arrival", Cut::LastWireTx, Cut::LastWireRx),
+    ("rx placement (DMA)", Cut::LastWireRx, Cut::Landed),
+    ("completion delivery", Cut::Landed, Cut::RecvCompleted),
 ];
 
-/// The recorded one-way timeline of a single message: absolute stage
-/// timestamps in microseconds, relative to `posted`.
-#[derive(Clone, Debug)]
-pub struct Timeline {
-    /// `(stage, microseconds after posting)` in stage order; stages an
-    /// architecture skips (e.g. `fw_scanned` on M-VIA) are absent.
-    pub marks: Vec<(&'static str, f64)>,
-}
+const TOTAL: &str = "TOTAL (post -> recv completion)";
 
-impl Timeline {
-    /// Time between two recorded stages, if both are present.
-    pub fn between(&self, from: &str, to: &str) -> Option<f64> {
-        let f = self.marks.iter().find(|(s, _)| *s == from)?.1;
-        let t = self.marks.iter().find(|(s, _)| *s == to)?.1;
-        Some(t - f)
-    }
-
-    /// Total recorded span (posting to the last mark).
-    pub fn total(&self) -> f64 {
-        self.marks.last().map(|(_, t)| *t).unwrap_or(0.0)
-    }
-}
-
-fn collect(
-    tx_events: &[ProbeEvent],
-    rx_events: &[ProbeEvent],
-    vi_tx: ViId,
-    vi_rx: ViId,
-    seq: u64,
-) -> Timeline {
-    let mut marks = Vec::new();
-    let mut t0 = None;
-    for stage in STAGES {
-        let hit = tx_events
-            .iter()
-            .find(|e| e.vi == vi_tx && e.seq == seq && e.stage == *stage)
-            .or_else(|| {
-                rx_events
-                    .iter()
-                    .find(|e| e.vi == vi_rx && e.seq == seq && e.stage == *stage)
-            });
-        if let Some(e) = hit {
-            let at = e.at.as_micros_f64();
-            let base = *t0.get_or_insert(at);
-            marks.push((*stage, at - base));
-        }
-    }
-    Timeline { marks }
-}
-
-/// Record the stage timeline of the `probe_seq`-th message of a one-way
-/// stream of `size`-byte messages on `profile`.
-pub fn message_timeline(profile: Profile, size: u64, probe_seq: u64) -> Timeline {
-    use simkit::{SimDuration, WaitMode};
-    use via::{Descriptor, MemAttributes};
-    let cfg = DtConfig {
-        iters: 4,
-        warmup: 0,
-        ..DtConfig::base(profile, size)
-    };
-    let pair = Pair::new(&cfg);
-    let total = probe_seq + 1;
-    let scfg = cfg.clone();
-    let ccfg = cfg.clone();
-    let (rx, tx) = pair.run(
-        move |ctx, ep| {
-            let cfg = scfg;
-            ep.provider.enable_probe();
-            let buf = ep.provider.malloc(cfg.msg_size.max(1));
-            let mh = ep
-                .provider
-                .register_mem(ctx, buf, cfg.msg_size.max(1), MemAttributes::default())
-                .unwrap();
-            for _ in 0..total {
-                ep.vi
-                    .post_recv(
-                        ctx,
-                        Descriptor::recv().segment(buf, mh, cfg.msg_size as u32),
-                    )
-                    .unwrap();
-            }
-            ep.sync(ctx);
-            for _ in 0..total {
-                let c = ep.vi.recv_wait(ctx, WaitMode::Poll);
-                assert!(c.is_ok());
-            }
-            (ep.provider.take_probe_events(), ep.vi.id())
-        },
-        move |ctx, ep| {
-            let cfg = ccfg;
-            ep.provider.enable_probe();
-            let buf = ep.provider.malloc(cfg.msg_size.max(1));
-            let mh = ep
-                .provider
-                .register_mem(ctx, buf, cfg.msg_size.max(1), MemAttributes::default())
-                .unwrap();
-            ep.sync(ctx);
-            for _ in 0..total {
-                ep.vi
-                    .post_send(
-                        ctx,
-                        Descriptor::send().segment(buf, mh, cfg.msg_size as u32),
-                    )
-                    .unwrap();
-                let c = ep.vi.send_wait(ctx, WaitMode::Poll);
-                assert!(c.is_ok());
-                // Space messages so timelines never overlap.
-                ctx.sleep(SimDuration::from_millis(2));
-            }
-            (ep.provider.take_probe_events(), ep.vi.id())
-        },
-    );
-    let (rx_events, vi_rx) = rx;
-    let (tx_events, vi_tx) = tx;
-    collect(&tx_events, &rx_events, vi_tx, vi_rx, probe_seq)
+/// Microseconds from posting to `cut`; `None` where the architecture skips
+/// the stage. Both stamps become float microseconds *before* the
+/// subtraction, and a row subtracts two of these again: that order produced
+/// the committed golden's low digits (`0.3000000000001819`).
+fn mark(run: &TracedRun, cut: Cut) -> Option<f64> {
+    let us = |c| Some(SimTime::from_nanos(run.cut(c)?).as_micros_f64());
+    Some(us(cut)? - us(Cut::Posted)?)
 }
 
 /// Per-component breakdown table of one warm `size`-byte transfer across
-/// profiles: each row is the time spent between consecutive recorded
-/// stages.
+/// profiles: each row is the time spent between two cuts, 0 for a profile
+/// that skips either; a row that is zero for every profile is omitted.
 pub fn breakdown_table(profiles: &[Profile], size: u64) -> Table {
-    let rows: &[(&str, &str, &str)] = &[
-        ("host post + doorbell", "posted", "dev_queued"),
-        ("firmware scheduling", "dev_queued", "fw_scanned"),
-        ("descriptor fetch", "fw_scanned", "desc_fetched"),
-        ("address translation", "desc_fetched", "translated"),
-        ("data DMA (first frag)", "translated", "first_frag_wire"),
-        ("tx streaming (rest)", "first_frag_wire", "last_frag_wire"),
-        (
-            "wire + rx to arrival",
-            "last_frag_wire",
-            "last_frag_arrived",
-        ),
-        (
-            "rx placement (DMA)",
-            "last_frag_arrived",
-            "last_frag_landed",
-        ),
-        ("completion delivery", "last_frag_landed", "recv_completed"),
-    ];
     let mut t = Table::new(
         format!("Component breakdown of one warm {size} B transfer (us)"),
         profiles.iter().map(|p| p.name.to_string()).collect(),
     );
-    // Probe message 2 (0-indexed): caches warm, queues quiet.
-    let timelines: Vec<Timeline> = profiles
+    let runs: Vec<TracedRun> = profiles
         .iter()
-        .map(|p| message_timeline(p.clone(), size, 2))
+        .map(|p| traced_stream(p.clone(), size))
         .collect();
-    for (label, from, to) in rows {
-        let cells: Vec<f64> = timelines
+    for (label, from, to) in ROWS {
+        let cells: Vec<f64> = runs
             .iter()
-            .map(|tl| tl.between(from, to).unwrap_or(0.0))
+            .map(|r| match (mark(r, from), mark(r, to)) {
+                (Some(f), Some(t)) => t - f,
+                _ => 0.0,
+            })
             .collect();
         if cells.iter().any(|c| *c != 0.0) {
-            t.push(*label, cells);
+            t.push(label, cells);
         }
     }
     t.push(
-        "TOTAL (post -> recv completion)",
-        timelines.iter().map(Timeline::total).collect(),
+        TOTAL,
+        runs.iter()
+            .map(|r| mark(r, Cut::RecvCompleted).expect("the followed message completed"))
+            .collect(),
     );
     t
-}
-
-/// A sanity companion: the probe's end-to-end total must agree with the
-/// ping-pong measurement (half RTT) to within the per-iteration framing
-/// costs.
-pub fn probe_vs_pingpong(profile: Profile, size: u64) -> (f64, f64) {
-    let probed = message_timeline(profile.clone(), size, 2).total();
-    let pp = ping_pong(&DtConfig {
-        iters: 20,
-        ..DtConfig::base(profile, size)
-    })
-    .latency_us;
-    (probed, pp)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::harness::{ping_pong, DtConfig};
+
+    /// Every cut a [`ROWS`] entry names, in pipeline order.
+    fn cuts() -> Vec<Cut> {
+        let mut cuts = vec![ROWS[0].1];
+        cuts.extend(ROWS.iter().map(|(_, _, to)| *to));
+        cuts
+    }
+
+    #[test]
+    fn rows_telescope_to_the_total() {
+        for size in [4, 4096, 28672] {
+            let t = breakdown_table(&Profile::paper_trio(), size);
+            let parts = |col: &str| -> f64 {
+                ROWS.iter()
+                    .filter_map(|(label, _, _)| t.cell(label, col))
+                    .sum()
+            };
+            for col in ["BVIA", "cLAN"] {
+                let total = t.cell(TOTAL, col).unwrap();
+                assert!(
+                    (parts(col) - total).abs() < 1e-9,
+                    "{col} at {size} B: rows {} != total {total}",
+                    parts(col)
+                );
+            }
+            // M-VIA's kernel send path (software queue -> first fragment on
+            // the wire) lies between a cut it has and three it skips, so no
+            // row claims it: its rows undershoot the total by that much.
+            let total = t.cell(TOTAL, "M-VIA").unwrap();
+            assert!(parts("M-VIA") < total, "{size} B");
+        }
+    }
 
     #[test]
     fn timeline_stages_are_monotone_and_complete_for_offload() {
-        let tl = message_timeline(Profile::bvia(), 4096, 2);
-        let stages: Vec<&str> = tl.marks.iter().map(|(s, _)| *s).collect();
-        for s in [
-            "posted",
-            "dev_queued",
-            "fw_scanned",
-            "desc_fetched",
-            "translated",
-            "first_frag_wire",
-            "last_frag_wire",
-            "last_frag_arrived",
-            "last_frag_landed",
-            "recv_completed",
-        ] {
-            assert!(stages.contains(&s), "missing stage {s}: {stages:?}");
+        for p in [Profile::bvia(), Profile::clan()] {
+            let run = traced_stream(p.clone(), 4096);
+            let marks: Vec<f64> = cuts()
+                .into_iter()
+                .map(|c| mark(&run, c).unwrap_or_else(|| panic!("{}: no {c:?} cut", p.name)))
+                .collect();
+            assert!(marks.windows(2).all(|w| w[0] <= w[1]), "{marks:?}");
+            assert_eq!(marks[0], 0.0);
         }
-        let times: Vec<f64> = tl.marks.iter().map(|(_, t)| *t).collect();
-        assert!(times.windows(2).all(|w| w[0] <= w[1]), "{tl:?}");
-        assert_eq!(tl.marks[0].1, 0.0);
     }
 
     #[test]
     fn host_emulated_skips_device_stages() {
-        let tl = message_timeline(Profile::mvia(), 1024, 2);
-        let stages: Vec<&str> = tl.marks.iter().map(|(s, _)| *s).collect();
-        // M-VIA has no firmware scan or NIC descriptor fetch/translation
-        // stages between dev_queued and the first fragment... the probe
-        // records dev_queued (the kernel's software queue) but no
-        // fw_scanned/desc_fetched/translated marks.
-        assert!(!stages.contains(&"fw_scanned"), "{stages:?}");
-        assert!(!stages.contains(&"desc_fetched"), "{stages:?}");
-        assert!(!stages.contains(&"translated"), "{stages:?}");
-        assert!(stages.contains(&"recv_completed"), "{stages:?}");
+        // M-VIA has no firmware scan, NIC descriptor fetch or translation
+        // between the kernel's software queue and the first fragment: those
+        // cuts are absent (not inherited), so their rows read exactly 0.0.
+        let run = traced_stream(Profile::mvia(), 1024);
+        for c in [Cut::FwScanned, Cut::DescFetched, Cut::Translated] {
+            assert_eq!(run.cut(c), None, "{c:?}");
+        }
+        assert!(run.cut(Cut::DevQueued).is_some());
+        assert!(run.cut(Cut::RecvCompleted).is_some());
+        let t = breakdown_table(&Profile::paper_trio(), 1024);
+        for (label, _, _) in &ROWS[1..5] {
+            assert_eq!(t.cell(label, "M-VIA"), Some(0.0), "{label}");
+        }
     }
 
     #[test]
     fn breakdown_total_tracks_pingpong_latency() {
         for p in [Profile::bvia(), Profile::clan()] {
-            let (probed, pp) = probe_vs_pingpong(p.clone(), 4096);
-            // The probe total excludes the receiver's completion check and
-            // the next post; allow 20% slack.
-            let ratio = probed / pp;
+            let total = breakdown_table(std::slice::from_ref(&p), 4096)
+                .cell(TOTAL, p.name)
+                .unwrap();
+            let pp = ping_pong(&DtConfig {
+                iters: 20,
+                ..DtConfig::base(p.clone(), 4096)
+            })
+            .latency_us;
+            // The one-way total excludes the receiver's completion check
+            // and the next post; allow 20% slack.
+            let ratio = total / pp;
             assert!(
                 (0.7..=1.2).contains(&ratio),
-                "{}: probe {probed} vs ping-pong {pp}",
+                "{}: one-way {total} vs ping-pong {pp}",
                 p.name
             );
         }

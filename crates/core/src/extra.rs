@@ -514,23 +514,10 @@ fn ping_pong_samples(cfg: &DtConfig) -> (simkit::Samples, u64, u64, u64) {
                 .unwrap();
             ep.sync(ctx);
             for i in 0..total {
-                let c = ep.recv_one(ctx, cfg.wait);
-                assert!(c.is_ok(), "{:?}", c.status);
-                if i + 1 < total {
-                    ep.vi
-                        .post_recv(
-                            ctx,
-                            Descriptor::recv().segment(buf, mh, cfg.msg_size as u32),
-                        )
-                        .unwrap();
-                }
-                ep.vi
-                    .post_send(
-                        ctx,
-                        Descriptor::send().segment(buf, mh, cfg.msg_size as u32),
-                    )
-                    .unwrap();
-                assert!(ep.vi.send_wait(ctx, cfg.wait).is_ok());
+                let next = (i + 1 < total)
+                    .then(|| Descriptor::recv().segment(buf, mh, cfg.msg_size as u32));
+                let pong = Descriptor::send().segment(buf, mh, cfg.msg_size as u32);
+                ep.pong(ctx, cfg.wait, next, pong);
             }
         },
         move |ctx, ep| {
@@ -544,21 +531,12 @@ fn ping_pong_samples(cfg: &DtConfig) -> (simkit::Samples, u64, u64, u64) {
             let mut samples = Samples::new();
             for i in 0..total {
                 let t0 = ctx.now();
-                ep.vi
-                    .post_recv(
-                        ctx,
-                        Descriptor::recv().segment(buf, mh, cfg.msg_size as u32),
-                    )
-                    .unwrap();
-                ep.vi
-                    .post_send(
-                        ctx,
-                        Descriptor::send().segment(buf, mh, cfg.msg_size as u32),
-                    )
-                    .unwrap();
-                let c = ep.recv_one(ctx, cfg.wait);
-                assert!(c.is_ok(), "{:?}", c.status);
-                assert!(ep.vi.send_wait(ctx, cfg.wait).is_ok());
+                ep.ping(
+                    ctx,
+                    cfg.wait,
+                    Descriptor::recv().segment(buf, mh, cfg.msg_size as u32),
+                    Descriptor::send().segment(buf, mh, cfg.msg_size as u32),
+                );
                 if i >= cfg.warmup as u64 {
                     samples.push((ctx.now() - t0).as_micros_f64() / 2.0);
                 }

@@ -214,6 +214,40 @@ impl Endpoint {
         }
     }
 
+    /// One client iteration of a request/response exchange: post the reply
+    /// receive, post the request, wait for the reply, then reap the send.
+    /// Both completions must be OK.
+    pub fn ping(&self, ctx: &mut ProcessCtx, wait: WaitMode, recv: Descriptor, send: Descriptor) {
+        self.vi.post_recv(ctx, recv).unwrap();
+        self.vi.post_send(ctx, send).unwrap();
+        let c = self.recv_one(ctx, wait);
+        assert!(c.is_ok(), "ping: reply {:?}", c.status);
+        let c = self.vi.send_wait(ctx, wait);
+        assert!(c.is_ok(), "ping: send {:?}", c.status);
+    }
+
+    /// One server iteration, the mirror of [`Endpoint::ping`]: wait for the
+    /// request (its receive was posted by the previous iteration, the
+    /// first one before the rendezvous), post `next_recv` *before* replying
+    /// so the peer's next request finds a descriptor, send the reply, reap
+    /// it. Both completions must be OK.
+    pub fn pong(
+        &self,
+        ctx: &mut ProcessCtx,
+        wait: WaitMode,
+        next_recv: Option<Descriptor>,
+        send: Descriptor,
+    ) {
+        let c = self.recv_one(ctx, wait);
+        assert!(c.is_ok(), "pong: request {:?}", c.status);
+        if let Some(recv) = next_recv {
+            self.vi.post_recv(ctx, recv).unwrap();
+        }
+        self.vi.post_send(ctx, send).unwrap();
+        let c = self.vi.send_wait(ctx, wait);
+        assert!(c.is_ok(), "pong: send {:?}", c.status);
+    }
+
     /// Build a one-segment (or `segments`-way split) descriptor over
     /// `(va, mh)` covering `len` bytes.
     pub fn split_desc(
@@ -419,27 +453,13 @@ pub(crate) fn ping_pong_on(pair: &Pair, cfg: &DtConfig) -> PingPongResult {
             ep.sync(ctx);
             let meter = CpuMeter::start(ctx.sim(), ep.provider.cpu());
             for i in 0..total {
-                let comp = ep.recv_one(ctx, cfg.wait);
-                assert!(comp.is_ok(), "server recv {i}: {:?}", comp.status);
                 let (va, mh) = pool.pick(i);
-                // Post the next receive before sending the pong.
-                if i + 1 < total {
+                let next = (i + 1 < total).then(|| {
                     let (nva, nmh) = pool.pick(i + 1);
-                    ep.vi
-                        .post_recv(
-                            ctx,
-                            ep.split_desc(true, nva, nmh, cfg.msg_size, cfg.segments),
-                        )
-                        .unwrap();
-                }
-                ep.vi
-                    .post_send(
-                        ctx,
-                        ep.split_desc(false, va, mh, cfg.msg_size, cfg.segments),
-                    )
-                    .unwrap();
-                let comp = ep.vi.send_wait(ctx, cfg.wait);
-                assert!(comp.is_ok(), "server send {i}: {:?}", comp.status);
+                    ep.split_desc(true, nva, nmh, cfg.msg_size, cfg.segments)
+                });
+                let pong = ep.split_desc(false, va, mh, cfg.msg_size, cfg.segments);
+                ep.pong(ctx, cfg.wait, next, pong);
             }
             meter.stop(ctx.sim()).utilization()
         },
@@ -457,19 +477,12 @@ pub(crate) fn ping_pong_on(pair: &Pair, cfg: &DtConfig) -> PingPongResult {
                 }
                 let (va, mh) = pool.pick(i);
                 // Post the reply receive before pinging (paper §3.2.1).
-                ep.vi
-                    .post_recv(ctx, ep.split_desc(true, va, mh, cfg.msg_size, cfg.segments))
-                    .unwrap();
-                ep.vi
-                    .post_send(
-                        ctx,
-                        ep.split_desc(false, va, mh, cfg.msg_size, cfg.segments),
-                    )
-                    .unwrap();
-                let comp = ep.recv_one(ctx, cfg.wait);
-                assert!(comp.is_ok(), "client recv {i}: {:?}", comp.status);
-                let comp = ep.vi.send_wait(ctx, cfg.wait);
-                assert!(comp.is_ok(), "client send {i}: {:?}", comp.status);
+                ep.ping(
+                    ctx,
+                    cfg.wait,
+                    ep.split_desc(true, va, mh, cfg.msg_size, cfg.segments),
+                    ep.split_desc(false, va, mh, cfg.msg_size, cfg.segments),
+                );
             }
             let elapsed = ctx.now() - t0;
             let util = meter.stop(ctx.sim()).utilization();
@@ -648,17 +661,10 @@ pub fn transactions(cfg: &DtConfig, request: u64, reply: u64) -> f64 {
                 .unwrap();
             ep.sync(ctx);
             for i in 0..total {
-                let comp = ep.recv_one(ctx, wait);
-                assert!(comp.is_ok(), "server req {i}: {:?}", comp.status);
-                if i + 1 < total {
-                    ep.vi
-                        .post_recv(ctx, Descriptor::recv().segment(req, req_mh, request as u32))
-                        .unwrap();
-                }
-                ep.vi
-                    .post_send(ctx, Descriptor::send().segment(rep, rep_mh, reply as u32))
-                    .unwrap();
-                ep.vi.send_wait(ctx, wait);
+                let next = (i + 1 < total)
+                    .then(|| Descriptor::recv().segment(req, req_mh, request as u32));
+                let rep = Descriptor::send().segment(rep, rep_mh, reply as u32);
+                ep.pong(ctx, wait, next, rep);
             }
         },
         move |ctx, ep| {
@@ -678,15 +684,12 @@ pub fn transactions(cfg: &DtConfig, request: u64, reply: u64) -> f64 {
                 if i == warmup {
                     t0 = ctx.now();
                 }
-                ep.vi
-                    .post_recv(ctx, Descriptor::recv().segment(rep, rep_mh, reply as u32))
-                    .unwrap();
-                ep.vi
-                    .post_send(ctx, Descriptor::send().segment(req, req_mh, request as u32))
-                    .unwrap();
-                let comp = ep.recv_one(ctx, wait);
-                assert!(comp.is_ok(), "client reply {i}: {:?}", comp.status);
-                ep.vi.send_wait(ctx, wait);
+                ep.ping(
+                    ctx,
+                    wait,
+                    Descriptor::recv().segment(rep, rep_mh, reply as u32),
+                    Descriptor::send().segment(req, req_mh, request as u32),
+                );
             }
             let elapsed = ctx.now() - t0;
             iters / elapsed.as_secs_f64()
@@ -720,14 +723,9 @@ pub fn rdma_write_ping(cfg: &DtConfig) -> PingPongResult {
             ep.sync(ctx);
             let meter = CpuMeter::start(ctx.sim(), ep.provider.cpu());
             for i in 0..total {
-                let comp = ep.recv_one(ctx, cfg.wait);
-                assert!(comp.is_ok(), "rdma target {i}: {:?}", comp.status);
-                if i + 1 < total {
-                    ep.vi.post_recv(ctx, Descriptor::recv()).unwrap();
-                }
                 // Bounce a zero-byte send back as the pong.
-                ep.vi.post_send(ctx, Descriptor::send()).unwrap();
-                ep.vi.send_wait(ctx, cfg.wait);
+                let next = (i + 1 < total).then(Descriptor::recv);
+                ep.pong(ctx, cfg.wait, next, Descriptor::send());
             }
             meter.stop(ctx.sim()).utilization()
         },
@@ -747,14 +745,10 @@ pub fn rdma_write_ping(cfg: &DtConfig) -> PingPongResult {
                     t0 = ctx.now();
                     meter = CpuMeter::start(ctx.sim(), ep.provider.cpu());
                 }
-                ep.vi.post_recv(ctx, Descriptor::recv()).unwrap();
-                let desc = Descriptor::rdma_write(rva, rmh)
+                let write = Descriptor::rdma_write(rva, rmh)
                     .segment(buf, mh, cfg.msg_size as u32)
                     .immediate(i as u32);
-                ep.vi.post_send(ctx, desc).unwrap();
-                let comp = ep.recv_one(ctx, cfg.wait);
-                assert!(comp.is_ok(), "rdma pong {i}: {:?}", comp.status);
-                ep.vi.send_wait(ctx, cfg.wait);
+                ep.ping(ctx, cfg.wait, Descriptor::recv(), write);
             }
             let elapsed = ctx.now() - t0;
             let util = meter.stop(ctx.sim()).utilization();

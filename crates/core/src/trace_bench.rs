@@ -1,14 +1,13 @@
-//! X-TRACE: trace-derived per-stage latency and lifecycle counters.
+//! X-TRACE: trace-derived per-stage latency and lifecycle counters, and the
+//! traced one-way stream X-BRK ([`crate::breakdown`]) reads too.
 //!
-//! Where X-BRK reconstructs a message's journey from the `via` data-path
-//! probe, this experiment derives the same journey from the `trace` crate's
+//! Both experiments follow one warm message through the `trace` crate's
 //! layer-boundary records — doorbell, firmware scan, descriptor fetch,
-//! DMA, wire, landing, completion — and the two must agree exactly at
-//! every shared cut point, because trace records and probe events are
-//! stamped at the same sim times by colocated instrumentation. That
-//! cross-check (see `trace_stage_stamps_match_probe_breakdown`) is the
-//! suite's evidence that the always-on tracing layer observes the
-//! simulation without perturbing it.
+//! DMA, wire, landing, completion — of the same run ([`traced_stream`]) and
+//! name the instants they subtract with one vocabulary ([`Cut`]); they
+//! differ only in which cuts a row spans and in how a stage an
+//! architecture skips reads (X-TRACE: a zero-duration row, so every
+//! nanosecond stays attributed; X-BRK: the row contributes nothing).
 
 use std::io::Write as _;
 
@@ -20,20 +19,23 @@ use crate::harness::{DtConfig, Pair};
 use crate::report::Table;
 
 /// A traced one-way message stream: the full record set, the id of the
-/// probed message, and the metrics snapshot of the run.
+/// followed message, and the metrics snapshot of the run.
 pub struct TracedRun {
     /// Every span record the run captured, in ring order.
     pub records: Vec<Record>,
-    /// [`MsgId`] of the `probe_seq`-th message the client posted.
+    /// [`MsgId`] of the followed message: the last one the client posted.
     pub msg: MsgId,
     /// Counters, gauges, and engine-event tallies at end of run.
     pub snapshot: trace::MetricsSnapshot,
 }
 
-/// Stream `probe_seq + 1` one-way messages of `size` bytes on `profile`
-/// with tracing enabled, mirroring the X-BRK probe stream (same seed, same
-/// spacing) so the two runs have identical timelines.
-pub fn traced_stream(profile: Profile, size: u64, probe_seq: u64) -> TracedRun {
+/// Messages a [`traced_stream`] sends; the last is the one followed, by
+/// which time caches are warm and queues quiet.
+const STREAM_MSGS: usize = 3;
+
+/// Stream [`STREAM_MSGS`] one-way messages of `size` bytes on `profile`
+/// with tracing enabled, spaced so that no two messages' timelines overlap.
+pub fn traced_stream(profile: Profile, size: u64) -> TracedRun {
     let cfg = DtConfig {
         iters: 4,
         warmup: 0,
@@ -41,7 +43,7 @@ pub fn traced_stream(profile: Profile, size: u64, probe_seq: u64) -> TracedRun {
     };
     let pair = Pair::new(&cfg);
     let tracer = pair.enable_trace(TraceConfig::default());
-    let total = probe_seq + 1;
+    let total = STREAM_MSGS;
     let scfg = cfg.clone();
     let ccfg = cfg.clone();
     pair.run(
@@ -83,22 +85,22 @@ pub fn traced_stream(profile: Profile, size: u64, probe_seq: u64) -> TracedRun {
                     .unwrap();
                 let c = ep.vi.send_wait(ctx, WaitMode::Poll);
                 assert!(c.is_ok());
-                // Space messages so timelines never overlap (as X-BRK does).
+                // Space messages so timelines never overlap.
                 ctx.sleep(SimDuration::from_millis(2));
             }
         },
     );
     let records = tracer.records();
-    // The probed message is the `probe_seq`-th send the client posted.
+    // The followed message is the last send the client posted.
     let mut posts: Vec<&Record> = records
         .iter()
         .filter(|r| r.point == TracePoint::SendPosted && r.node == 0)
         .collect();
     posts.sort_by_key(|r| r.at_ns);
     let msg = posts
-        .get(probe_seq as usize)
+        .get(STREAM_MSGS - 1)
         .and_then(|r| r.msg)
-        .expect("probed message was posted");
+        .expect("followed message was posted");
     TracedRun {
         records,
         msg,
@@ -106,92 +108,112 @@ pub fn traced_stream(profile: Profile, size: u64, probe_seq: u64) -> TracedRun {
     }
 }
 
-/// The named cut points a stage table is built from, in pipeline order.
-const CUTS: &[&str] = &[
-    "posted",
-    "doorbell",
-    "fw_scanned",
-    "desc_fetched",
-    "first_dma",
-    "first_wire_tx",
-    "last_wire_tx",
-    "last_wire_rx",
-    "landed",
-    "recv_completed",
-];
-
-/// Absolute ns of each `CUTS` entry for `msg`, from its trace records. A
-/// cut an architecture skips (e.g. the firmware scan on M-VIA) inherits
-/// the previous cut's stamp, so skipped stages read as zero-duration rows
-/// and every nanosecond stays attributed to some row.
-pub fn cut_stamps(records: &[Record], msg: MsgId) -> Vec<(&'static str, u64)> {
-    let of: Vec<&Record> = records.iter().filter(|r| r.msg == Some(msg)).collect();
-    let first = |p: TracePoint| of.iter().filter(|r| r.point == p).map(|r| r.at_ns).min();
-    let last = |p: TracePoint| of.iter().filter(|r| r.point == p).map(|r| r.at_ns).max();
-    let raw: Vec<Option<u64>> = vec![
-        first(TracePoint::SendPosted),
-        first(TracePoint::DoorbellRing),
-        first(TracePoint::FwScan),
-        first(TracePoint::DescFetch),
-        first(TracePoint::DmaStart),
-        first(TracePoint::WireTx),
-        last(TracePoint::WireTx),
-        last(TracePoint::WireRx),
-        last(TracePoint::RecvLanded),
-        of.iter()
-            .filter(|r| r.point == TracePoint::CqCompletion && r.aux == 1)
-            .map(|r| r.at_ns)
-            .max(),
-    ];
-    let mut out = Vec::with_capacity(CUTS.len());
-    let mut prev = 0u64;
-    for (name, at) in CUTS.iter().zip(raw) {
-        let at = at.unwrap_or(prev);
-        out.push((*name, at));
-        prev = at;
-    }
-    out
+/// An instant on a message's journey that a stage table can cut at.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Cut {
+    /// `post_send` queued the descriptor.
+    Posted,
+    /// The doorbell was rung.
+    Doorbell,
+    /// The doorbell reached the device's transmit queue.
+    DevQueued,
+    /// The firmware's scan picked the queue up.
+    FwScanned,
+    /// The descriptor crossed the PCI bus.
+    DescFetched,
+    /// Send-side address translation finished.
+    Translated,
+    /// The first fragment's payload DMA began.
+    FirstDma,
+    /// The first fragment went onto the wire.
+    FirstWireTx,
+    /// The last fragment went onto the wire.
+    LastWireTx,
+    /// The last fragment reached the destination NIC.
+    LastWireRx,
+    /// The last fragment landed in the receive buffer.
+    Landed,
+    /// The receive completion was written.
+    RecvCompleted,
 }
 
-/// Fixed stage-latency rows: `(label, from-cut, to-cut)`.
-const STAGE_ROWS: &[(&str, &str, &str)] = &[
-    ("post -> doorbell", "posted", "doorbell"),
-    ("doorbell -> firmware scan", "doorbell", "fw_scanned"),
-    (
-        "firmware scan -> desc fetched",
-        "fw_scanned",
-        "desc_fetched",
-    ),
-    ("desc fetched -> first DMA", "desc_fetched", "first_dma"),
-    ("first DMA -> first wire tx", "first_dma", "first_wire_tx"),
-    (
-        "tx streaming (first -> last wire)",
-        "first_wire_tx",
-        "last_wire_tx",
-    ),
-    (
-        "wire + rx (last tx -> last rx)",
-        "last_wire_tx",
-        "last_wire_rx",
-    ),
-    ("rx placement (last rx -> landed)", "last_wire_rx", "landed"),
-    ("landed -> recv completion", "landed", "recv_completed"),
-    (
-        "TOTAL (post -> recv completion)",
-        "posted",
-        "recv_completed",
-    ),
+impl TracedRun {
+    /// Absolute ns at which the followed message crossed `cut`; `None` where
+    /// the architecture skips that stage (e.g. the firmware scan on M-VIA).
+    pub fn cut(&self, cut: Cut) -> Option<u64> {
+        use TracePoint as P;
+        let (point, last) = match cut {
+            Cut::Posted => (P::SendPosted, false),
+            Cut::Doorbell => (P::DoorbellRing, false),
+            Cut::DevQueued => (P::DevQueued, false),
+            Cut::FwScanned => (P::FwScan, false),
+            Cut::DescFetched => (P::DescFetch, false),
+            Cut::Translated => (P::Translated, false),
+            Cut::FirstDma => (P::DmaStart, false),
+            Cut::FirstWireTx => (P::WireTx, false),
+            Cut::LastWireTx => (P::WireTx, true),
+            Cut::LastWireRx => (P::WireRx, true),
+            Cut::Landed => (P::RecvLanded, true),
+            Cut::RecvCompleted => (P::CqCompletion, true),
+        };
+        // `CqCompletion` marks both queues; aux 1 is the receive side.
+        let at = self
+            .records
+            .iter()
+            .filter(|r| r.msg == Some(self.msg) && r.point == point)
+            .filter(|r| cut != Cut::RecvCompleted || r.aux == 1)
+            .map(|r| r.at_ns);
+        if last {
+            at.max()
+        } else {
+            at.min()
+        }
+    }
+}
+
+/// X-TRACE's cuts in pipeline order; each stage row spans two neighbours.
+const CUTS: [Cut; 10] = [
+    Cut::Posted,
+    Cut::Doorbell,
+    Cut::FwScanned,
+    Cut::DescFetched,
+    Cut::FirstDma,
+    Cut::FirstWireTx,
+    Cut::LastWireTx,
+    Cut::LastWireRx,
+    Cut::Landed,
+    Cut::RecvCompleted,
 ];
 
-fn stamp(cuts: &[(&'static str, u64)], name: &str) -> u64 {
-    cuts.iter()
-        .find(|(n, _)| *n == name)
-        .map(|(_, t)| *t)
-        .unwrap_or(0)
+/// X-TRACE's stage-row labels, one per pair of neighbouring [`CUTS`].
+const STAGE_LABELS: [&str; CUTS.len() - 1] = [
+    "post -> doorbell",
+    "doorbell -> firmware scan",
+    "firmware scan -> desc fetched",
+    "desc fetched -> first DMA",
+    "first DMA -> first wire tx",
+    "tx streaming (first -> last wire)",
+    "wire + rx (last tx -> last rx)",
+    "rx placement (last rx -> landed)",
+    "landed -> recv completion",
+];
+
+const TOTAL_LABEL: &str = "TOTAL (post -> recv completion)";
+
+/// Absolute ns of each [`CUTS`] entry for the followed message. A cut an
+/// architecture skips inherits the previous cut's stamp, so skipped stages
+/// read as zero-duration rows and every nanosecond stays attributed to
+/// some row.
+fn inherited_stamps(run: &TracedRun) -> [u64; CUTS.len()] {
+    let mut prev = 0;
+    CUTS.map(|cut| {
+        prev = run.cut(cut).unwrap_or(prev);
+        prev
+    })
 }
 
 /// Both X-TRACE tables for `profiles` at `size` bytes, from one traced run
-/// per profile: per-stage latency of the warm probed message, and the
+/// per profile: per-stage latency of the warm followed message, and the
 /// run's lifecycle-point counters.
 pub fn x_trace_tables(profiles: &[Profile], size: u64) -> (Table, Table) {
     let cols: Vec<String> = profiles.iter().map(|p| p.name.to_string()).collect();
@@ -203,20 +225,21 @@ pub fn x_trace_tables(profiles: &[Profile], size: u64) -> (Table, Table) {
         format!("X-TRACE: lifecycle records of a {size} B one-way stream (count)"),
         cols,
     );
-    // Probe message 2 (0-indexed), matching X-BRK: caches warm, queues quiet.
     let runs: Vec<TracedRun> = profiles
         .iter()
-        .map(|p| traced_stream(p.clone(), size, 2))
+        .map(|p| traced_stream(p.clone(), size))
         .collect();
-    let cuts: Vec<Vec<(&'static str, u64)>> =
-        runs.iter().map(|r| cut_stamps(&r.records, r.msg)).collect();
-    for (label, from, to) in STAGE_ROWS {
-        let cells: Vec<f64> = cuts
+    let stamps: Vec<[u64; CUTS.len()]> = runs.iter().map(inherited_stamps).collect();
+    let us_between = |from: usize, to: usize| -> Vec<f64> {
+        stamps
             .iter()
-            .map(|c| (stamp(c, to).saturating_sub(stamp(c, from))) as f64 / 1_000.0)
-            .collect();
-        stages.push(*label, cells);
+            .map(|s| s[to].saturating_sub(s[from]) as f64 / 1_000.0)
+            .collect()
+    };
+    for (i, label) in STAGE_LABELS.iter().enumerate() {
+        stages.push(*label, us_between(i, i + 1));
     }
+    stages.push(TOTAL_LABEL, us_between(0, CUTS.len() - 1));
     // The committed golden pins exactly the message-lifecycle rows; the
     // fault/recovery points (zero in this clean workload) are excluded.
     for point in TracePoint::LIFECYCLE {
@@ -249,7 +272,7 @@ pub fn write_chrome_traces(dir: &std::path::Path, size: u64) -> std::io::Result<
     let mut written = Vec::new();
     for profile in Profile::paper_trio() {
         let name = format!("x_trace_{}_{size}b.json", profile.name.to_lowercase());
-        let run = traced_stream(profile, size, 2);
+        let run = traced_stream(profile, size);
         let mut f = std::fs::File::create(dir.join(&name))?;
         f.write_all(chrome_trace_json(&run.records).as_bytes())?;
         written.push(name);
@@ -260,57 +283,16 @@ pub fn write_chrome_traces(dir: &std::path::Path, size: u64) -> std::io::Result<
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::breakdown;
-
-    /// Shared cut points between the probe vocabulary and the trace
-    /// vocabulary. Both are stamped at the same sim times by colocated
-    /// instrumentation, so a traced run and a probed run of the same
-    /// deterministic workload must agree exactly.
-    const SHARED: &[(&str, &str)] = &[
-        ("posted", "posted"),
-        ("fw_scanned", "fw_scanned"),
-        ("desc_fetched", "desc_fetched"),
-        ("first_frag_wire", "first_wire_tx"),
-        ("last_frag_wire", "last_wire_tx"),
-        ("last_frag_landed", "landed"),
-        ("recv_completed", "recv_completed"),
-    ];
-
-    #[test]
-    fn trace_stage_stamps_match_probe_breakdown() {
-        for profile in [Profile::bvia(), Profile::clan(), Profile::mvia()] {
-            let name = profile.name;
-            let tl = breakdown::message_timeline(profile.clone(), 4096, 2);
-            let run = traced_stream(profile, 4096, 2);
-            let cuts = cut_stamps(&run.records, run.msg);
-            let posted_ns = stamp(&cuts, "posted");
-            for (probe_stage, cut) in SHARED {
-                let Some(probe_us) = tl
-                    .marks
-                    .iter()
-                    .find(|(s, _)| s == probe_stage)
-                    .map(|(_, t)| *t)
-                else {
-                    continue; // stage skipped by this architecture
-                };
-                let trace_us = (stamp(&cuts, cut).saturating_sub(posted_ns)) as f64 / 1_000.0;
-                assert!(
-                    (probe_us - trace_us).abs() < 1e-6,
-                    "{name}/{probe_stage}: probe {probe_us} us vs trace {trace_us} us"
-                );
-            }
-        }
-    }
 
     #[test]
     fn stage_table_is_monotone_and_totals_add_up() {
         let (stages, counts) = x_trace_tables(&[Profile::bvia()], 4096);
         let col = "BVIA";
-        let parts: f64 = STAGE_ROWS[..STAGE_ROWS.len() - 1]
+        let parts: f64 = STAGE_LABELS
             .iter()
-            .map(|(label, _, _)| stages.cell(label, col).unwrap())
+            .map(|label| stages.cell(label, col).unwrap())
             .sum();
-        let total = stages.cell("TOTAL (post -> recv completion)", col).unwrap();
+        let total = stages.cell(TOTAL_LABEL, col).unwrap();
         assert!(
             (parts - total).abs() < 1e-6,
             "rows {parts} != total {total}"

@@ -463,7 +463,7 @@ pub enum DefuseCause {
     Disabled,
     /// A fault plan is installed on the fabric.
     FaultWindow,
-    /// A trace ring or probe recorder is attached.
+    /// A tracer is attached.
     TraceAttached,
     /// Link, PCI, rx engine, or NIC ring contended at post time.
     Contention,

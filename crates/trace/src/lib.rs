@@ -27,8 +27,8 @@
 //!   histograms built on [`simkit::stats::Histogram`]) with a single
 //!   [`Registry::snapshot`] path; each attached tracer owns one.
 //! * The `vibe` suite crate derives per-stage latency tables from records
-//!   (the X-TRACE experiment), cross-validated against the probe-based
-//!   X-BRK breakdown.
+//!   (the X-TRACE experiment) and the X-BRK component breakdown from
+//!   the same records.
 
 #![warn(missing_docs)]
 
@@ -121,12 +121,18 @@ pub enum TracePoint {
     /// An ACK-carried credit update released a parked send back onto the
     /// transmit path; aux = the released sequence number.
     CreditGrant,
+    /// The doorbell reached the device: the send entered the NIC's (or, on
+    /// the host-emulated path, the kernel's) transmit queue.
+    DevQueued,
+    /// Send-side address translation finished; payload DMA may begin.
+    /// Absent on the host-emulated path, which translates nothing.
+    Translated,
 }
 
 impl TracePoint {
     /// Every point, in lifecycle order (fault/recovery points trail the
     /// message-lifecycle ones: new variants append so indices stay stable).
-    pub const ALL: [TracePoint; 25] = [
+    pub const ALL: [TracePoint; 27] = [
         TracePoint::SendPosted,
         TracePoint::DoorbellRing,
         TracePoint::FwScan,
@@ -152,10 +158,13 @@ impl TracePoint {
         TracePoint::ViFlush,
         TracePoint::CreditStall,
         TracePoint::CreditGrant,
+        TracePoint::DevQueued,
+        TracePoint::Translated,
     ];
 
-    /// The original message-lifecycle vocabulary (no fault/recovery
-    /// points) — the stable row set of the X-TRACE lifecycle-count table.
+    /// The original message-lifecycle vocabulary (none of the points
+    /// appended since) — the stable row set of the X-TRACE lifecycle-count
+    /// table.
     pub const LIFECYCLE: [TracePoint; 17] = [
         TracePoint::SendPosted,
         TracePoint::DoorbellRing,
@@ -209,6 +218,8 @@ impl TracePoint {
             TracePoint::ViFlush => "vi_flush",
             TracePoint::CreditStall => "credit_stall",
             TracePoint::CreditGrant => "credit_grant",
+            TracePoint::DevQueued => "dev_queued",
+            TracePoint::Translated => "translated",
         }
     }
 

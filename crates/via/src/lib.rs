@@ -72,7 +72,7 @@ pub use cq::Cq;
 pub use descriptor::{Completion, DataSegment, DescOp, Descriptor, RemoteSegment};
 pub use mem::MemAttributes;
 pub use profile::{CreditFlow, DataCosts, DataPathKind, HeartbeatParams, Profile, SetupCosts};
-pub use provider::{AuditReport, Cluster, ProbeEvent, Provider, ProviderStats};
+pub use provider::{AuditReport, Cluster, Provider, ProviderStats};
 pub use session::{SessionParams, SessionReceiver, SessionSender, SessionStats, SESSION_HDR_BYTES};
 pub use types::{
     CqId, Discriminator, MemHandle, QueueKind, Reliability, ViAttributes, ViId, ViaError, ViaResult,

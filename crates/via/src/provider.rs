@@ -1,14 +1,12 @@
 //! The per-node VIA provider and the cluster builder.
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use fabric::{NodeId, San, Topology};
-use parking_lot::Mutex;
 use simkit::{Confined, ConfinedGuard, CpuId, ProcessCtx, ShardedSim, Sim, SimDuration, WaitMode};
 use trace::{TraceConfig, Tracer};
-use vnic::{DescRing, FirmwareStalls, InterruptController, PciBus, TlbStats, XlateEngine};
+use vnic::{DescRing, FirmwareStalls, InterruptController, PciBus, XlateEngine};
 
 use crate::cq::{Cq, CqState};
 use crate::descriptor::Completion;
@@ -150,19 +148,6 @@ pub(crate) struct NicTx {
     pub release_scheduled: bool,
 }
 
-/// One recorded data-path stage transition (probe output).
-#[derive(Clone, Debug)]
-pub struct ProbeEvent {
-    /// VI the message belongss to (local id).
-    pub vi: ViId,
-    /// Message sequence number on that VI.
-    pub seq: u64,
-    /// Stage name (see `via::transport` for the stage vocabulary).
-    pub stage: &'static str,
-    /// When the stage completed.
-    pub at: simkit::SimTime,
-}
-
 pub(crate) struct ProviderState {
     pub mem: ProcessMem,
     /// Busy-until of the receive-side processing engine (NIC processor on
@@ -220,16 +205,15 @@ impl ProviderState {
 }
 
 /// Everything one node's provider is, allocated once: the fields fixed at
-/// cluster construction, the two observers, and the mutable state in its
+/// cluster construction, the tracer, and the mutable state in its
 /// thread-confined cell. Every [`Provider`] handle to the node — one rides in nearly
 /// every datapath closure — shares this one allocation, so capturing a
 /// provider costs one reference count here (and one on the SAN), not one
 /// per field.
 ///
-/// **Observing nothing costs no lock.** The tracer and the probe live
-/// beside `state`, not in it: on an untraced, unprobed cluster a would-be
-/// record is one load, and either observer may be consulted with the state
-/// guard held.
+/// **Observing nothing costs no lock.** The tracer lives beside `state`,
+/// not in it: on an untraced cluster a would-be record is one load, and the
+/// tracer may be consulted with the state guard held.
 pub(crate) struct ProviderCore {
     pub sim: Sim,
     pub profile: Arc<Profile>,
@@ -242,17 +226,13 @@ pub(crate) struct ProviderCore {
     /// Message-lifecycle tracer, set at most once by
     /// [`Cluster::enable_trace`].
     pub tracer: OnceLock<Tracer>,
-    /// True once [`Provider::enable_probe`] ran; transport stages then
-    /// append to `probe`.
-    pub probe_on: AtomicBool,
-    pub probe: Mutex<Vec<ProbeEvent>>,
     /// Confined to the thread running `sim`: only this node's events and
     /// processes touch it, all from inside `Sim::run`.
     pub state: Confined<ProviderState>,
 }
 
 /// Handle to one node's VIA provider: the node's shared core (identity,
-/// profile, PCI bus, observers, state — one allocation) and the SAN it
+/// profile, PCI bus, tracer, state — one allocation) and the SAN it
 /// sends on, two pointers in all. Cheap to clone, and the datapath mostly
 /// does not: a transmit job's stages and a frame's arrival hand one handle
 /// from event to event.
@@ -298,10 +278,10 @@ impl Provider {
         self.core.tracer.get().cloned().unwrap_or_default()
     }
 
-    /// True when a tracer or the probe observes individual events (the
-    /// fused fast path must not elide any then).
+    /// True when a tracer observes individual events (the fused fast path
+    /// must not elide any then).
     pub(crate) fn observed(&self) -> bool {
-        self.core.tracer.get().is_some() || self.core.probe_on.load(Ordering::Relaxed)
+        self.core.tracer.get().is_some()
     }
 
     pub(crate) fn with_vi<R>(&self, id: ViId, f: impl FnOnce(&ViState) -> R) -> R {
@@ -435,20 +415,6 @@ impl Provider {
         }
         ctx.busy(self.core.profile.setup.destroy_cq);
         Ok(())
-    }
-
-    /// Turn on the data-path probe: every message's stage transitions are
-    /// recorded until [`Provider::take_probe_events`] drains them. The
-    /// paper's §3 promises exactly this ("identify how much time is spent
-    /// in each of the components … and pinpoint the bottlenecks").
-    pub fn enable_probe(&self) {
-        self.core.probe_on.store(true, Ordering::Relaxed);
-    }
-
-    /// Drain and return the probe's recorded events (empty if the probe
-    /// was never enabled).
-    pub fn take_probe_events(&self) -> Vec<ProbeEvent> {
-        std::mem::take(&mut *self.core.probe.lock())
     }
 
     /// Snapshot of this provider's counters.
@@ -651,11 +617,6 @@ impl Provider {
     /// have no firmware to stall.
     pub fn stall_firmware(&self, at: simkit::SimTime, duration: SimDuration) {
         self.lock().fw_stalls.add(at, duration);
-    }
-
-    /// Snapshot of the NIC translation-cache counters.
-    pub fn xlate_stats(&self) -> TlbStats {
-        self.lock().xlate.stats()
     }
 
     /// Number of live VIs on this provider.
@@ -945,8 +906,6 @@ impl Cluster {
                 cpu,
                 seed,
                 tracer: OnceLock::new(),
-                probe_on: AtomicBool::new(false),
-                probe: Mutex::new(Vec::new()),
                 state: sim.confined(ProviderState {
                     mem: ProcessMem::new(profile.host.page_size),
                     rx_engine_busy: simkit::SimTime::ZERO,
@@ -1132,14 +1091,6 @@ mod tests {
             assert_eq!(p2.active_vis(), 1);
         });
         sim.run_to_completion();
-    }
-
-    #[test]
-    fn probe_is_off_by_default_and_drains_once_enabled() {
-        let (_sim, p) = one_node_pair();
-        assert!(p.take_probe_events().is_empty());
-        p.enable_probe();
-        assert!(p.take_probe_events().is_empty(), "enabled but nothing ran");
     }
 
     #[test]

@@ -576,11 +576,6 @@ impl SessionReceiver {
         &self.vi
     }
 
-    /// Sequences delivered so far (== the cumulative ack the sender sees).
-    pub fn delivered_up_to(&self) -> u64 {
-        self.expect_next
-    }
-
     /// Deliver the next session message, exactly once and in order, or
     /// `None` when the peer closed the session (end-of-stream marker
     /// delivered, or a clean teardown observed). Accepts the initial

@@ -16,7 +16,6 @@
 //! busy-until occupancy, so pipelining and its limits emerge rather than
 //! being assumed.
 
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use fabric::NodeId;
@@ -30,31 +29,6 @@ use crate::provider::{Provider, ProviderState, TxJobRef};
 use crate::types::{QueueKind, Reliability, ViId, ViaError, ViaResult};
 use crate::vi::{ConnState, InflightSend, Reassembly, RxTarget, TxBuffers};
 use crate::wire::{DataFrame, Frame, MsgKind, RdmaReadReq, RDMA_READ_REQ_BYTES};
-
-/// Record a data-path stage transition when the provider's probe is on.
-/// Stage vocabulary (tx): `posted`, `dev_queued`, `fw_scanned`,
-/// `desc_fetched`, `translated`, `first_frag_wire`, `last_frag_wire`,
-/// `send_completed`; (rx): `first_frag_arrived`, `last_frag_arrived`,
-/// `last_frag_landed`, `recv_completed`.
-///
-/// Neither this nor [`trace_at`] touches [`ProviderState`]: with the
-/// observer off each is one load, and either may be called with the state
-/// lock held.
-fn probe(provider: &Provider, vi: ViId, seq: u64, stage: &'static str) {
-    if !provider.core.probe_on.load(Ordering::Relaxed) {
-        return;
-    }
-    provider
-        .core
-        .probe
-        .lock()
-        .push(crate::provider::ProbeEvent {
-            vi,
-            seq,
-            stage,
-            at: provider.core.sim.now(),
-        });
-}
 
 /// [`MsgId`] of a message this node originated (transmit side).
 pub(crate) fn tx_msg(provider: &Provider, vi: ViId, seq: u64) -> MsgId {
@@ -76,20 +50,12 @@ fn rx_msg(src: NodeId, src_vi: ViId, seq: u64) -> MsgId {
     }
 }
 
-/// Record a lifecycle trace point (one load when tracing is off).
+/// Record a lifecycle trace point. Does not touch [`ProviderState`]: with
+/// tracing off it is one load, and it may be called with the state guard
+/// held.
 fn trace_at(provider: &Provider, at: SimTime, point: TracePoint, msg: MsgId, aux: u64) {
     if let Some(tracer) = provider.core.tracer.get() {
         tracer.record(at, point, provider.core.node.0, Some(msg), aux);
-    }
-}
-
-/// Add `n` to the named counter of the attached tracer's metric registry.
-fn bump_metric(provider: &Provider, name: &'static str, n: u64) {
-    if let Some(tracer) = provider.core.tracer.get() {
-        tracer.metrics(|m| {
-            let c = m.counter(name);
-            m.inc(c, n);
-        });
     }
 }
 
@@ -351,7 +317,6 @@ pub(crate) fn post_send(
             };
         if parked {
             st.stats.credit_stalls += 1;
-            bump_metric(provider, "via.credit_stalls", 1);
         }
         let inline = host_emulated
             && reliability == Reliability::Unreliable
@@ -359,7 +324,6 @@ pub(crate) fn post_send(
         (seq, inline, parked)
     };
 
-    probe(provider, vi_id, seq, "posted");
     let msg = tx_msg(provider, vi_id, seq);
     trace_at(
         provider,
@@ -548,7 +512,13 @@ pub(crate) fn resolve_job(
 /// transmit ring is bounded: a full ring fails the job with
 /// `DescriptorError` instead of queueing unboundedly in host memory.
 pub(crate) fn nic_enqueue(provider: &Provider, job: TxJobRef) {
-    probe(provider, job.vi, job.seq, "dev_queued");
+    trace_at(
+        provider,
+        provider.core.sim.now(),
+        TracePoint::DevQueued,
+        tx_msg(provider, job.vi, job.seq),
+        0,
+    );
     enum Enq {
         Start(TxJobRef),
         Queued,
@@ -704,11 +674,9 @@ fn nic_tx_start(provider: &Provider, job: TxJobRef) {
     // The scan, then the descriptor fetch DMA.
     let msg = tx_msg(provider, spec.src_vi, spec.seq);
     sim.call_in_as(EventClass::Firmware, scan, move |sim| {
-        probe(&p, spec.src_vi, spec.seq, "fw_scanned");
         let fetch_end = p.core.pci.reserve(spec.desc_wire);
         trace_at(&p, fetch_end, TracePoint::DescFetch, msg, spec.desc_wire);
         sim.call_at_as(EventClass::Firmware, fetch_end, move |sim| {
-            probe(&p, spec.src_vi, spec.seq, "desc_fetched");
             nic_tx_xlate(sim, p, spec)
         });
     });
@@ -726,7 +694,7 @@ fn nic_tx_xlate(sim: &Sim, provider: Provider, spec: JobSpec) {
         Some(msg),
     );
     sim.call_in_as(EventClass::Firmware, delay, move |sim| {
-        probe(&provider, spec.src_vi, spec.seq, "translated");
+        trace_at(&provider, sim.now(), TracePoint::Translated, msg, 0);
         tx_fragment(sim, provider, spec, 0)
     });
 }
@@ -829,13 +797,9 @@ fn wire_send(
         Box::new(frame),
         Some(tx_msg(provider, spec.src_vi, spec.seq)),
     );
-    if idx == 0 {
-        probe(provider, spec.src_vi, spec.seq, "first_frag_wire");
-    }
     if !is_last {
         return;
     }
-    probe(provider, spec.src_vi, spec.seq, "last_frag_wire");
     // One visit to the state for everything the last fragment settles
     // there: the counter, the host-emulated retire, and the device's next
     // job (whose events are scheduled below, after this message's own).
@@ -1013,7 +977,6 @@ fn handle_ack(provider: &Provider, vi_id: ViId, seq: u64, credit_total: u64) {
         }
         if !released.is_empty() {
             st.stats.credit_grants += released.len() as u64;
-            bump_metric(provider, "via.credit_grants", released.len() as u64);
         }
         (outcome, released)
     };
@@ -1283,7 +1246,6 @@ pub(crate) fn wake_stranded_waiters(provider: &Provider, vi_id: ViId) {
 // ---------------------------------------------------------------------
 
 pub(crate) fn complete_send(provider: &Provider, vi_id: ViId, seq: u64, status: ViaResult<()>) {
-    probe(provider, vi_id, seq, "send_completed");
     trace_at(
         provider,
         provider.core.sim.now(),
@@ -1718,10 +1680,6 @@ fn rx_arrived(
                 });
         }
 
-        if df.frag_idx == 0 {
-            probe(provider, df.dst_vi, df.seq, "first_frag_arrived");
-        }
-
         // Record the fragment's arrival.
         let (fully_arrived, ackable) = {
             let vi = st.vi_mut(df.dst_vi);
@@ -1737,10 +1695,6 @@ fn rx_arrived(
                 !matches!(reass.target, RxTarget::Discard { .. }) || reass.error.is_some();
             (reass.arrived == reass.frag_count, ackable)
         };
-
-        if fully_arrived {
-            probe(provider, df.dst_vi, df.seq, "last_frag_arrived");
-        }
 
         // Reliable Delivery ACKs when the message has fully *arrived at the
         // NIC* — before placement in memory.
@@ -1890,7 +1844,6 @@ fn rx_landed(sim: &Sim, provider: Provider, src: NodeId, df: DataFrame, at: SimT
                 // RDMA-read responses complete a *send-queue* descriptor on
                 // the initiator and bypass the recv-ordering machinery.
                 drop(st);
-                probe(&provider, df.dst_vi, df.seq, "last_frag_landed");
                 trace_at(
                     &provider,
                     at,
@@ -1940,7 +1893,6 @@ fn rx_landed(sim: &Sim, provider: Provider, src: NodeId, df: DataFrame, at: SimT
     };
 
     if !matches!(finish, Finish::None) || ack_rr {
-        probe(&provider, df.dst_vi, df.seq, "last_frag_landed");
         trace_at(
             &provider,
             at,
@@ -1966,7 +1918,6 @@ fn rx_landed(sim: &Sim, provider: Provider, src: NodeId, df: DataFrame, at: SimT
                 let p = &provider;
                 let mut st = p.lock();
                 for (seq, comp) in comps {
-                    probe(p, vi_id, seq, "recv_completed");
                     let msg = rx_msg(src, src_vi, seq);
                     trace_at(p, sim.now(), TracePoint::CqCompletion, msg, 1);
                     deliver_completion(p, &mut st, vi_id, QueueKind::Recv, comp);

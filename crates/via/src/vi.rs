@@ -491,27 +491,6 @@ impl Vi {
         self.provider.queue_wait(ctx, self.id, false, mode)
     }
 
-    /// Send descriptors posted but not yet completed (`VipQueryVi`-style
-    /// introspection — e.g. for application-level flow control).
-    pub fn sends_in_flight(&self) -> usize {
-        self.provider.with_vi(self.id, |vi| vi.send_inflight.len())
-    }
-
-    /// Receive descriptors posted and not yet consumed.
-    pub fn recvs_posted(&self) -> usize {
-        self.provider.with_vi(self.id, |vi| vi.recv_posted.len())
-    }
-
-    /// Completions ready to be collected from the send queue.
-    pub fn send_completions_ready(&self) -> usize {
-        self.provider.with_vi(self.id, |vi| vi.send_completed.len())
-    }
-
-    /// Completions ready to be collected from the receive queue.
-    pub fn recv_completions_ready(&self) -> usize {
-        self.provider.with_vi(self.id, |vi| vi.recv_completed.len())
-    }
-
     /// Sends parked by credit-based flow control (posted, in flight, but
     /// not yet allowed onto the wire).
     pub fn sends_credit_parked(&self) -> usize {

@@ -1459,8 +1459,10 @@ fn trace_captures_full_message_lifecycle() {
     for point in [
         TracePoint::SendPosted,
         TracePoint::DoorbellRing,
+        TracePoint::DevQueued,
         TracePoint::FwScan,
         TracePoint::DescFetch,
+        TracePoint::Translated,
         TracePoint::DmaStart,
         TracePoint::DmaEnd,
         TracePoint::WireTx,
@@ -1507,14 +1509,15 @@ fn trace_captures_full_message_lifecycle() {
 
 #[test]
 fn tracing_does_not_perturb_the_timeline() {
-    fn run_once(traced: bool) -> u64 {
+    /// End of run, then the instant each receive and each send completed.
+    fn run_once(profile: Profile, traced: bool) -> (u64, Vec<u64>, Vec<u64>) {
         let sim = Sim::new();
-        let cluster = Cluster::new(sim.clone(), Profile::bvia(), 2, 42);
+        let cluster = Cluster::new(sim.clone(), profile, 2, 42);
         if traced {
             cluster.enable_trace(trace::TraceConfig::default());
         }
         let (pa, pb) = (cluster.provider(0), cluster.provider(1));
-        {
+        let sh = {
             let pb = pb.clone();
             sim.spawn("server", Some(pb.cpu()), move |ctx| {
                 let vi = pb
@@ -1529,12 +1532,15 @@ fn tracing_does_not_perturb_the_timeline() {
                         .unwrap();
                 }
                 pb.accept(ctx, &vi, Discriminator(1)).unwrap();
+                let mut done = Vec::new();
                 for _ in 0..8 {
-                    vi.recv_wait(ctx, WaitMode::Poll);
+                    assert!(vi.recv_wait(ctx, WaitMode::Poll).is_ok());
+                    done.push(ctx.now().as_nanos());
                 }
-            });
-        }
-        {
+                done
+            })
+        };
+        let ch = {
             let pa = pa.clone();
             sim.spawn("client", Some(pa.cpu()), move |ctx| {
                 let vi = pa
@@ -1546,19 +1552,29 @@ fn tracing_does_not_perturb_the_timeline() {
                 let mh = pa
                     .register_mem(ctx, buf, 8192, MemAttributes::default())
                     .unwrap();
+                let mut done = Vec::new();
                 for _ in 0..8 {
                     vi.post_send(ctx, Descriptor::send().segment(buf, mh, 6000))
                         .unwrap();
-                    vi.send_wait(ctx, WaitMode::Poll);
+                    assert!(vi.send_wait(ctx, WaitMode::Poll).is_ok());
+                    done.push(ctx.now().as_nanos());
                 }
-            });
-        }
+                done
+            })
+        };
         let report = sim.run_to_completion();
-        report.end_time.as_nanos()
+        (
+            report.end_time.as_nanos(),
+            sh.expect_result(),
+            ch.expect_result(),
+        )
     }
-    assert_eq!(
-        run_once(false),
-        run_once(true),
-        "tracing is observational: identical timeline with and without it"
-    );
+    for profile in Profile::paper_trio() {
+        assert_eq!(
+            run_once(profile.clone(), false),
+            run_once(profile.clone(), true),
+            "{}: tracing is observational: identical timeline with and without it",
+            profile.name
+        );
+    }
 }

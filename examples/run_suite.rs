@@ -41,21 +41,49 @@
 //! A usage error (unknown id or flag, a flag without its value, a worker or
 //! shard count that is not a positive integer — on the command line or in
 //! `VIBE_JOBS` / `VIBE_SHARDS`) prints `run_suite: <what>` to stderr and
-//! exits with status 2 before anything runs.
+//! exits with status 2 before anything runs. An output directory or file
+//! that cannot be written (`--csv`, `--json`, `--trace` / `VIBE_TRACE`)
+//! prints `run_suite: cannot write '<path>': <io error>` and exits with
+//! status 1; the directories are created before anything runs.
+
+use std::path::{Path, PathBuf};
 
 use vibe::runner::{parse_count, run_suite, try_default_shards, try_default_workers};
 use vibe::suite::{all_experiments, find, render_json, Category};
 
-fn main() {
-    if let Err(message) = run() {
-        eprintln!("run_suite: {message}");
-        eprintln!("(try --help)");
-        std::process::exit(2);
+/// Why `run` gave up: the line for stderr and the exit status.
+struct Failure {
+    message: String,
+    status: i32,
+}
+
+/// A usage error (every `String` error below is one).
+impl From<String> for Failure {
+    fn from(message: String) -> Self {
+        Failure { message, status: 2 }
     }
 }
 
-/// Everything `main` does; `Err` is a usage error for `main` to report.
-fn run() -> Result<(), String> {
+/// For `map_err`: the failure to create or write `path`.
+fn cannot_write(path: &Path) -> impl FnOnce(std::io::Error) -> Failure + '_ {
+    move |e| Failure {
+        message: format!("cannot write '{}': {e}", path.display()),
+        status: 1,
+    }
+}
+
+fn main() {
+    if let Err(failure) = run() {
+        eprintln!("run_suite: {}", failure.message);
+        if failure.status == 2 {
+            eprintln!("(try --help)");
+        }
+        std::process::exit(failure.status);
+    }
+}
+
+/// Everything `main` does; `Err` is for `main` to report.
+fn run() -> Result<(), Failure> {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     if args.is_empty() || args.iter().any(|a| a == "--help" || a == "-h") {
         println!("usage: run_suite [--list | --all | <id>...] [--jobs <n>] [--shards <n>] [--no-fuse] [--csv <dir>] [--json <dir>] [--trace <dir>]");
@@ -76,9 +104,11 @@ fn run() -> Result<(), String> {
         args.drain(i..=i + 1);
         Ok(Some(v))
     };
-    let csv_dir = take_val("--csv", &mut args)?;
-    let json_dir = take_val("--json", &mut args)?;
-    let trace_dir = take_val("--trace", &mut args)?.or_else(|| std::env::var("VIBE_TRACE").ok());
+    let csv_dir = take_val("--csv", &mut args)?.map(PathBuf::from);
+    let json_dir = take_val("--json", &mut args)?.map(PathBuf::from);
+    let trace_dir = take_val("--trace", &mut args)?
+        .or_else(|| std::env::var("VIBE_TRACE").ok())
+        .map(PathBuf::from);
     let workers = match take_val("--jobs", &mut args)? {
         Some(v) => parse_count("--jobs", &v)?,
         None => try_default_workers()?,
@@ -101,7 +131,7 @@ fn run() -> Result<(), String> {
     // Every flag that takes a value is consumed by now.
     let known = |a: &str| !a.starts_with("--") || a == "--all" || a == "--list";
     if let Some(flag) = args.iter().find(|a| !known(a)) {
-        return Err(format!("unknown flag '{flag}'"));
+        return Err(format!("unknown flag '{flag}'").into());
     }
     if args.iter().any(|a| a == "--list") {
         println!("{:<8}  {:<18}  title", "id", "category");
@@ -122,10 +152,10 @@ fn run() -> Result<(), String> {
         let found = args.iter().map(|id| {
             find(id).ok_or_else(|| format!("unknown experiment id '{id}' (--list prints them)"))
         });
-        found.collect::<Result<_, _>>()?
+        found.collect::<Result<_, String>>()?
     };
-    for dir in [&csv_dir, &json_dir].into_iter().flatten() {
-        std::fs::create_dir_all(dir).expect("create output dir");
+    for dir in [&csv_dir, &json_dir, &trace_dir].into_iter().flatten() {
+        std::fs::create_dir_all(dir).map_err(cannot_write(dir))?;
     }
     let run = run_suite(experiments, workers);
     for e in &run.experiments {
@@ -134,14 +164,14 @@ fn run() -> Result<(), String> {
         println!("{}", e.run_text());
         if let Some(dir) = &csv_dir {
             for (slug, csv) in e.run_csv() {
-                let path = std::path::Path::new(dir).join(format!("{slug}.csv"));
-                std::fs::write(&path, csv).expect("write csv");
+                let path = dir.join(format!("{slug}.csv"));
+                std::fs::write(&path, csv).map_err(cannot_write(&path))?;
                 println!("[wrote {}]", path.display());
             }
         }
         if let Some(dir) = &json_dir {
-            let path = std::path::Path::new(dir).join(format!("{}.json", e.id.to_lowercase()));
-            std::fs::write(&path, e.run_json()).expect("write json");
+            let path = dir.join(format!("{}.json", e.id.to_lowercase()));
+            std::fs::write(&path, e.run_json()).map_err(cannot_write(&path))?;
             println!("[wrote {}]", path.display());
         }
         println!("[{} regenerated in {:.2}s]", e.id, e.wall.as_secs_f64());
@@ -149,8 +179,8 @@ fn run() -> Result<(), String> {
     if let Some(dir) = &trace_dir {
         // One Perfetto/Chrome-loadable lifecycle trace per paper profile,
         // from the same deterministic workload the X-TRACE tables use.
-        let dir = std::path::Path::new(dir);
-        let written = vibe::trace_bench::write_chrome_traces(dir, 4096).expect("write traces");
+        let written =
+            vibe::trace_bench::write_chrome_traces(dir, 4096).map_err(cannot_write(dir))?;
         for name in written {
             println!("[wrote {}]", dir.join(name).display());
         }
@@ -164,9 +194,9 @@ fn run() -> Result<(), String> {
         println!("{}", a.render());
     }
     if let Some(dir) = &json_dir {
-        let path = std::path::Path::new(dir).join("x-par.json");
+        let path = dir.join("x-par.json");
         let doc = render_json("X-PAR", "Parallel-runner telemetry", &xpar);
-        std::fs::write(&path, doc).expect("write json");
+        std::fs::write(&path, doc).map_err(cannot_write(&path))?;
         println!("[wrote {}]", path.display());
     }
     // Fabric-robustness roll-up: deterministic sums, identical at any

@@ -1,4 +1,5 @@
 //! `run_suite` usage errors: one line on stderr, exit status 2, no panic.
+//! Unwritable output directories: one line, exit status 1, nothing run.
 //!
 //! Runs the built example. `cargo test` builds the package's examples next
 //! to its test binaries (`target/<profile>/examples/`), which is where this
@@ -16,7 +17,8 @@ fn run_suite(args: &[&str], env: &[(&str, &str)]) -> Output {
     let mut cmd = Command::new(&example);
     cmd.args(args)
         .env_remove("VIBE_JOBS")
-        .env_remove("VIBE_SHARDS");
+        .env_remove("VIBE_SHARDS")
+        .env_remove("VIBE_TRACE");
     cmd.envs(env.iter().copied());
     cmd.output().unwrap_or_else(|e| {
         panic!(
@@ -78,6 +80,37 @@ fn zero_workers_or_malformed_shards_from_the_environment() {
     assert_usage_error(
         run_suite(&["CQ"], &[("VIBE_SHARDS", "two")]),
         "VIBE_SHARDS must be a positive integer, got 'two'",
+    );
+}
+
+/// The run must have been refused because `path` cannot be written: before
+/// anything ran, as an I/O failure (status 1), not a usage error.
+fn assert_cannot_write(out: Output, path: &str) {
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
+    assert!(!stderr.contains("panicked"), "stderr: {stderr}");
+    let prefix = format!("run_suite: cannot write '{path}': ");
+    assert!(stderr.starts_with(&prefix), "stderr: {stderr}");
+    assert_eq!(stderr.lines().count(), 1, "stderr: {stderr}");
+    assert!(out.stdout.is_empty(), "nothing may run before the refusal");
+}
+
+#[test]
+fn unwritable_json_or_csv_directory() {
+    for flag in ["--json", "--csv"] {
+        assert_cannot_write(run_suite(&["CQ", flag, "/dev/null/x"], &[]), "/dev/null/x");
+    }
+}
+
+#[test]
+fn unwritable_trace_directory_is_refused_before_the_suite_runs() {
+    assert_cannot_write(
+        run_suite(&["CQ", "--trace", "/dev/null/x"], &[]),
+        "/dev/null/x",
+    );
+    assert_cannot_write(
+        run_suite(&["CQ"], &[("VIBE_TRACE", "/dev/null/y")]),
+        "/dev/null/y",
     );
 }
 
