@@ -33,7 +33,7 @@ pub struct TracedRun {
 /// which time caches are warm and queues quiet.
 const STREAM_MSGS: usize = 3;
 
-/// Stream [`STREAM_MSGS`] one-way messages of `size` bytes on `profile`
+/// Stream `STREAM_MSGS` one-way messages of `size` bytes on `profile`
 /// with tracing enabled, spaced so that no two messages' timelines overlap.
 pub fn traced_stream(profile: Profile, size: u64) -> TracedRun {
     let cfg = DtConfig {

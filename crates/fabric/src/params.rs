@@ -78,9 +78,9 @@ impl LinkParams {
     /// Serialization time for a frame with `payload_bytes` of payload.
     pub fn serialization(&self, payload_bytes: u32) -> SimDuration {
         let total = payload_bytes as u64 + self.frame_overhead_bytes as u64;
-        // ceil(total * 1e9 / bw) without overflow for realistic sizes.
-        let ns = (total as u128 * 1_000_000_000u128).div_ceil(self.bandwidth_bps as u128);
-        SimDuration::from_nanos(ns as u64)
+        // ceil(total * 1e9 / bw). Two `u32`s sum below 2^33 and
+        // 2^33 * 1e9 < 2^64, so the product cannot overflow a `u64`.
+        SimDuration::from_nanos((total * 1_000_000_000).div_ceil(self.bandwidth_bps))
     }
 }
 
@@ -210,6 +210,30 @@ impl NetParams {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn serialization_in_u64_equals_the_wide_formula_at_the_extremes() {
+        let wide = |l: &LinkParams, payload: u32| {
+            let total = payload as u128 + l.frame_overhead_bytes as u128;
+            (total * 1_000_000_000).div_ceil(l.bandwidth_bps as u128) as u64
+        };
+        for bandwidth_bps in [1, 3, 125_000_000, 160_000_000, u64::MAX] {
+            for frame_overhead_bytes in [0, 38, u32::MAX] {
+                let l = LinkParams {
+                    bandwidth_bps,
+                    frame_overhead_bytes,
+                    ..NetParams::myrinet().link
+                };
+                for payload in [0, 1, 1500, 65_535, u32::MAX - 1, u32::MAX] {
+                    assert_eq!(
+                        l.serialization(payload).as_nanos(),
+                        wide(&l, payload),
+                        "{payload} B + {frame_overhead_bytes} B at {bandwidth_bps} B/s"
+                    );
+                }
+            }
+        }
+    }
 
     #[test]
     fn serialization_scales_with_size() {

@@ -10,7 +10,7 @@
 //! # Timer subsystem
 //!
 //! Scheduled work lives in a **generational slab arena**: the binary heap
-//! holds only plain-data entries `(time, seq, slot, gen, class)`, and the
+//! holds only plain-data entries `(time << 64 | seq, slot, gen, class)`, and the
 //! action itself (a callback or a process wake token) sits in a slab slot
 //! addressed by `slot` and guarded by `gen`. A slot is a generation, a
 //! freelist link, a vtable pointer and [`LARGE_WORDS`] words of raw
@@ -378,16 +378,35 @@ impl Drop for Action {
 
 /// Plain-data heap entry; the action lives in the slab, not here.
 struct Scheduled {
-    at: SimTime,
-    seq: u64,
+    /// `(at in ns) << 64 | seq`: the `(time, seq)` order as one integer, so
+    /// a heap level costs one branch-free compare.
+    key: u128,
     slot: u32,
     gen: u32,
     class: EventClass,
 }
 
+impl Scheduled {
+    fn new(at: SimTime, seq: u64, slot: u32, gen: u32, class: EventClass) -> Self {
+        Scheduled {
+            key: (at.as_nanos() as u128) << 64 | seq as u128,
+            slot,
+            gen,
+            class,
+        }
+    }
+
+    fn at(&self) -> SimTime {
+        SimTime::from_nanos((self.key >> 64) as u64)
+    }
+}
+
+// BinaryHeap is a max-heap; every comparison is inverted so the earliest
+// (time, seq) pops first. The heap sifts with `<=`/`>=`, which would
+// otherwise go through `partial_cmp` and an `Option<Ordering>` match.
 impl PartialEq for Scheduled {
     fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
+        self.key == other.key
     }
 }
 impl Eq for Scheduled {}
@@ -395,11 +414,22 @@ impl PartialOrd for Scheduled {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
+    fn lt(&self, other: &Self) -> bool {
+        self.key > other.key
+    }
+    fn le(&self, other: &Self) -> bool {
+        self.key >= other.key
+    }
+    fn gt(&self, other: &Self) -> bool {
+        self.key < other.key
+    }
+    fn ge(&self, other: &Self) -> bool {
+        self.key <= other.key
+    }
 }
 impl Ord for Scheduled {
     fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so the earliest (time, seq) pops first.
-        (other.at, other.seq).cmp(&(self.at, self.seq))
+        other.key.cmp(&self.key)
     }
 }
 
@@ -1052,13 +1082,7 @@ impl Sim {
         }
         // Safety: forwarded from this function's own contract.
         let (slot, gen) = unsafe { s.alloc_slot(vtable, src) };
-        s.queue.push(Scheduled {
-            at,
-            seq,
-            slot,
-            gen,
-            class,
-        });
+        s.queue.push(Scheduled::new(at, seq, slot, gen, class));
         (slot, gen)
     }
 
@@ -1261,7 +1285,7 @@ impl Sim {
         let mut s = self.inner.sched.lock();
         loop {
             if let (Some(b), Some(head)) = (bound, s.queue.peek()) {
-                if head.at >= b {
+                if head.at() >= b {
                     return None;
                 }
             }
@@ -1279,7 +1303,7 @@ impl Sim {
             let vtable = s.free_slot(entry.slot, out);
             s.stats.fired += 1;
             s.stats.by_class[entry.class.index()].fired += 1;
-            return Some((entry.at, entry.class, vtable));
+            return Some((entry.at(), entry.class, vtable));
         }
     }
 
@@ -1458,7 +1482,7 @@ impl Sim {
         let mut s = self.inner.sched.lock();
         loop {
             let head = s.queue.peek()?;
-            let (at, slot, gen, class) = (head.at, head.slot, head.gen, head.class);
+            let (at, slot, gen, class) = (head.at(), head.slot, head.gen, head.class);
             let stale = match s.slots.get(slot as usize) {
                 Some(slot) => slot.gen != gen,
                 None => true,
@@ -1584,6 +1608,66 @@ mod tests {
         }
         sim.run();
         assert_eq!(*log.lock(), (0..16).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn heap_order_is_a_sort_by_time_then_seq() {
+        use crate::rng::SimRng;
+        let mut rng = SimRng::derive(0x5EED, "heap-order");
+        // Few distinct instants, so most entries tie on time and fall back
+        // to `seq`; both ends of the representable range are among them.
+        let instants = [0, 1, 7, 1 << 32, u64::MAX - 1, u64::MAX];
+        let mut want = Vec::new();
+        let mut heap = BinaryHeap::new();
+        for seq in 0..2_000u64 {
+            let at = SimTime::from_nanos(instants[rng.below(6) as usize]);
+            // Sequence numbers near `u64::MAX` must not spill into the time.
+            let seq = if seq % 2 == 0 { seq } else { u64::MAX - seq };
+            want.push((at, seq));
+            heap.push(Scheduled::new(at, seq, 0, 0, EventClass::User));
+        }
+        assert!(want.iter().any(|w| w.0 == SimTime::ZERO));
+        assert!(want.iter().any(|w| w.0 == SimTime::MAX));
+        // The four operators the heap sifts with answer as the (inverted)
+        // tuple order does.
+        for pair in want.windows(2) {
+            let (a, b) = (pair[0], pair[1]);
+            let (sa, sb) = (
+                Scheduled::new(a.0, a.1, 0, 0, EventClass::User),
+                Scheduled::new(b.0, b.1, 0, 0, EventClass::User),
+            );
+            assert_eq!(sa.at(), a.0);
+            assert_eq!(sa < sb, a > b);
+            assert_eq!(sa <= sb, a >= b);
+            assert_eq!(sa > sb, a < b);
+            assert_eq!(sa >= sb, a <= b);
+            assert_eq!(sa.cmp(&sb), b.cmp(&a));
+            assert_eq!(sa == sb, a == b);
+        }
+        want.sort_unstable();
+        let got: Vec<_> = std::iter::from_fn(|| heap.pop())
+            .map(|e| (e.at(), e.key as u64))
+            .collect();
+        assert_eq!(got, want);
+    }
+
+    #[test]
+    fn events_at_zero_and_at_the_last_instant_run_in_order() {
+        let sim = Sim::new();
+        let log = Arc::new(Mutex::new(Vec::new()));
+        for (at, tag) in [
+            (SimTime::MAX, 'y'),
+            (SimTime::from_nanos(3), 'c'),
+            (SimTime::ZERO, 'a'),
+            (SimTime::MAX, 'z'),
+            (SimTime::ZERO, 'b'),
+        ] {
+            let log = Arc::clone(&log);
+            sim.call_at(at, move |_| log.lock().push(tag));
+        }
+        let report = sim.run();
+        assert_eq!(*log.lock(), vec!['a', 'b', 'c', 'y', 'z']);
+        assert_eq!(report.end_time, SimTime::MAX);
     }
 
     #[test]

@@ -32,7 +32,7 @@ use crate::transport::{arm_retransmit_at, complete_send, resolve_job, tx_msg};
 use crate::transport::{JobPayload, LastAction};
 use crate::types::{Reliability, ViId};
 use crate::vi::{Reassembly, RxTarget};
-use crate::wire::{DataFrame, Frame};
+use crate::wire::{DataFrame, Frame, Window};
 
 /// The global fuse knob: `VIBE_FUSE=0` disables fusing for the process
 /// (default on). Read once; [`set_fuse`] overrides it afterwards.
@@ -181,7 +181,6 @@ pub(crate) fn try_fuse_send(
     let t_wire = dma_end + profile.data.tx_frag_nic;
 
     let msg = tx_msg(provider, vi_id, seq);
-    let payload = spec.bufs.data[..total_len as usize].to_vec();
     let frame = Frame::Data(DataFrame {
         src_vi: vi_id,
         dst_vi: spec.dst_vi,
@@ -190,7 +189,7 @@ pub(crate) fn try_fuse_send(
         frag_count: 1,
         msg_len: total_len,
         offset: 0,
-        payload,
+        payload: Window::new(spec.bufs, 0, total_len as u32),
         kind,
         reliability: spec.reliability,
     });

@@ -82,24 +82,28 @@ impl ProcessMem {
         }
     }
 
-    /// Read `len` bytes at `va`. Panics on wild addresses (a simulation bug,
-    /// not a simulated error).
-    pub fn read(&self, va: u64, len: u64) -> Vec<u8> {
+    /// Borrow `len` bytes at `va`. Panics on wild addresses (a simulation
+    /// bug, not a simulated error).
+    pub fn slice(&self, va: u64, len: u64) -> &[u8] {
         let (start, backing) = self
             .region_containing(va, len)
             .unwrap_or_else(|| panic!("read outside any allocation: va={va:#x} len={len}"));
         let off = (va - start) as usize;
-        backing[off..off + len as usize].to_vec()
+        &backing[off..off + len as usize]
+    }
+
+    /// Copy out `len` bytes at `va`; panics like [`ProcessMem::slice`].
+    pub fn read(&self, va: u64, len: u64) -> Vec<u8> {
+        self.slice(va, len).to_vec()
     }
 
     /// Write `data` at `va`.
     pub fn write(&mut self, va: u64, data: &[u8]) {
-        let (&start, _) = self
+        let (&start, backing) = self
             .regions
-            .range(..=va)
+            .range_mut(..=va)
             .next_back()
             .unwrap_or_else(|| panic!("write outside any allocation: va={va:#x}"));
-        let backing = self.regions.get_mut(&start).expect("region vanished");
         let end = start + backing.len() as u64;
         assert!(
             va >= start && va + data.len() as u64 <= end,
@@ -203,6 +207,27 @@ mod tests {
         m.write(va + 10, b"hello");
         assert_eq!(m.read(va + 10, 5), b"hello");
         assert_eq!(m.read(va, 1), vec![0]); // zero-initialized
+    }
+
+    #[test]
+    fn slice_borrows_the_backing_bytes_read_copies_them() {
+        let mut m = mem();
+        let va = m.malloc(100);
+        m.write(va + 90, b"0123456789");
+        assert_eq!(m.slice(va + 92, 3), b"234");
+        assert_eq!(m.slice(va + 100, 0), b"");
+        let copy = m.read(va + 90, 10);
+        m.write(va + 90, b"__________");
+        assert_eq!(copy, b"0123456789");
+        assert_eq!(m.slice(va + 90, 10), b"__________");
+    }
+
+    #[test]
+    #[should_panic(expected = "outside any allocation")]
+    fn a_slice_may_not_run_off_its_allocation() {
+        let mut m = mem();
+        let va = m.malloc(16);
+        m.slice(va + 10, 7);
     }
 
     #[test]

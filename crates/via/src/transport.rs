@@ -28,7 +28,7 @@ use crate::profile::DataPathKind;
 use crate::provider::{Provider, ProviderState, TxJobRef};
 use crate::types::{QueueKind, Reliability, ViId, ViaError, ViaResult};
 use crate::vi::{ConnState, InflightSend, Reassembly, RxTarget, TxBuffers};
-use crate::wire::{DataFrame, Frame, MsgKind, RdmaReadReq, RDMA_READ_REQ_BYTES};
+use crate::wire::{DataFrame, Frame, MsgKind, RdmaReadReq, Window, RDMA_READ_REQ_BYTES};
 
 /// [`MsgId`] of a message this node originated (transmit side).
 pub(crate) fn tx_msg(provider: &Provider, vi: ViId, seq: u64) -> MsgId {
@@ -63,11 +63,12 @@ fn trace_at(provider: &Provider, at: SimTime, point: TracePoint, msg: MsgId, aux
 // Gather / scatter helpers.
 // ---------------------------------------------------------------------
 
-/// Concatenate a descriptor's segments out of user memory.
+/// Concatenate a descriptor's segments out of user memory: the one copy a
+/// message's bytes take on the sending side.
 pub(crate) fn gather(mem: &ProcessMem, desc: &Descriptor) -> Vec<u8> {
     let mut out = Vec::with_capacity(desc.total_len() as usize);
     for seg in &desc.segments {
-        out.extend_from_slice(&mem.read(seg.va, seg.len as u64));
+        out.extend_from_slice(mem.slice(seg.va, seg.len as u64));
     }
     out
 }
@@ -777,7 +778,6 @@ fn wire_send(
         JobPayload::Data(k) => k,
         JobPayload::ReadReq { .. } => unreachable!("handled in tx_fragment"),
     };
-    let payload = spec.bufs.data[off as usize..(off as usize + len as usize)].to_vec();
     let frame = Frame::Data(DataFrame {
         src_vi: spec.src_vi,
         dst_vi: spec.dst_vi,
@@ -786,7 +786,7 @@ fn wire_send(
         frag_count: fragment_count(spec.total_len, profile.wire_mtu),
         msg_len: spec.total_len,
         offset: off,
-        payload,
+        payload: Window::new(spec.bufs, off, len),
         kind,
         reliability: spec.reliability,
     });
@@ -2020,7 +2020,7 @@ mod tests {
                     frag_count,
                     msg_len: len as u64 * frag_count as u64,
                     offset: 0,
-                    payload: vec![seq as u8; len],
+                    payload: vec![seq as u8; len].into(),
                     kind: MsgKind::Send { imm: None },
                     reliability: Reliability::Unreliable,
                 };

@@ -1,6 +1,7 @@
 //! Virtual Interfaces: state, work queues, and the public [`Vi`] handle.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 use fabric::NodeId;
@@ -119,6 +120,30 @@ pub(crate) struct Reassembly {
     pub reliability: Reliability,
 }
 
+/// Hashes a message sequence with one multiply (Fibonacci hashing: the
+/// odd constant spreads consecutive sequences over both the low bits, which
+/// pick the bucket, and the high bits, which tag it). No per-process key,
+/// so a map's iteration order is the same in every run.
+#[derive(Default)]
+pub(crate) struct SeqHasher(u64);
+
+impl Hasher for SeqHasher {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("reassembly keys are u64 sequences");
+    }
+    fn write_u64(&mut self, seq: u64) {
+        self.0 = seq.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// In-progress reassemblies by message sequence. A hash map, not a
+/// `BTreeMap`: one B-tree leaf of these ~140 B values per VI costs the
+/// 64-node worlds ~3 MiB of peak RSS (DESIGN.md §4.9).
+pub(crate) type ReassemblyMap = HashMap<u64, Reassembly, BuildHasherDefault<SeqHasher>>;
+
 /// Internal per-VI state.
 pub(crate) struct ViState {
     #[allow(dead_code)] // kept for diagnostics
@@ -137,8 +162,9 @@ pub(crate) struct ViState {
     pub connect_waiter: Option<WaitToken>,
     pub connect_result: Option<ViaResult<()>>,
     /// Reassemblies keyed by message sequence (one peer per VI). Iteration
-    /// order depends on the process's hash seed: sort before acting on it.
-    pub reassembly: HashMap<u64, Reassembly>,
+    /// order is the same in every run but is not sequence order: sort
+    /// before acting on it.
+    pub reassembly: ReassemblyMap,
     /// Which message sequences have been fully delivered (reliable-mode
     /// duplicate detection across out-of-order loss recovery).
     pub delivered: DeliveredTracker,
@@ -321,7 +347,7 @@ impl ViState {
             next_seq: 0,
             connect_waiter: None,
             connect_result: None,
-            reassembly: HashMap::new(),
+            reassembly: ReassemblyMap::default(),
             delivered: DeliveredTracker::default(),
             parked_recv: BTreeMap::new(),
             rto: RtoEstimator::default(),
@@ -349,7 +375,7 @@ impl ViState {
     /// Sequences of the reassemblies older than `before` that still miss
     /// *arrivals* (ones whose fragments are merely mid-DMA will finish),
     /// ascending. The caller completes their descriptors in this order, so
-    /// it must not be the map's: that one changes with the hash seed.
+    /// it must not be the map's, which follows the hash, not the sequence.
     pub(crate) fn stale_reassemblies(&self, before: u64) -> Vec<u64> {
         let mut stale: Vec<u64> = self
             .reassembly
@@ -642,10 +668,13 @@ mod tests {
     }
 
     #[test]
-    fn stale_reassemblies_come_out_in_sequence_order_whatever_the_hash_seed() {
-        // Every `HashMap` draws its own hash keys, so twenty fresh maps
-        // holding the same seven partial messages iterate in (almost
-        // surely) several different orders; the stale list may not.
+    fn stale_reassemblies_come_out_in_sequence_order_and_every_map_iterates_alike() {
+        // `SeqHasher` draws no per-map (or per-process) key — the test
+        // below pins its output — so twenty fresh maps holding the same
+        // seven partial messages all iterate in one order (under
+        // `RandomState` they almost surely read several). It is the hash's
+        // order, not the sequences', so the stale list still sorts.
+        let mut first_order = None;
         for _ in 0..20 {
             let mut vi = ViState::new(ViId(0), ViAttributes::default(), None, None);
             for seq in [11, 3, 8, 5, 2, 13, 7] {
@@ -653,7 +682,24 @@ mod tests {
             }
             // Fully arrived (mid-DMA) and not-older entries are not stale.
             vi.reassembly.insert(4, two_fragment_reassembly(2));
+            let order: Vec<u64> = vi.reassembly.keys().copied().collect();
+            assert!(!order.is_sorted(), "{order:?}");
+            assert_eq!(first_order.get_or_insert(order.clone()), &order);
             assert_eq!(vi.stale_reassemblies(12), [2, 3, 5, 7, 8, 11]);
         }
+    }
+
+    #[test]
+    fn seq_hasher_is_one_multiply_and_spreads_consecutive_sequences() {
+        use std::hash::BuildHasher;
+        let hash = |seq: u64| BuildHasherDefault::<SeqHasher>::default().hash_one(seq);
+        assert_eq!(hash(0), 0);
+        assert_eq!(hash(1), 0x9E37_79B9_7F4A_7C15);
+        // hashbrown takes the bucket from the low bits and the tag from the
+        // top seven: 128 consecutive sequences collide in neither.
+        let low: BTreeSet<u64> = (0..128).map(|s| hash(s) & 127).collect();
+        let top: BTreeSet<u64> = (0..128).map(|s| hash(s) >> 57).collect();
+        assert_eq!(low.len(), 128);
+        assert!(top.len() > 96, "{} distinct tags", top.len());
     }
 }

@@ -4,9 +4,57 @@
 //! handler downcasts back. `payload_bytes` handed to the fabric counts the
 //! framing header so serialization times are honest.
 
+use std::sync::Arc;
+
 use fabric::NodeId;
 
 use crate::types::{Discriminator, Reliability, ViId};
+use crate::vi::TxBuffers;
+
+/// A fragment's bytes: a window into the snapshot its message's post took.
+/// Every fragment of every (re)transmission shares that one allocation, and
+/// a frame in flight keeps it alive until it lands.
+#[derive(Clone)]
+pub(crate) struct Window {
+    bufs: Arc<TxBuffers>,
+    off: u32,
+    len: u32,
+}
+
+impl Window {
+    /// `len` bytes of `bufs.data` starting at `off`.
+    pub(crate) fn new(bufs: Arc<TxBuffers>, off: u64, len: u32) -> Self {
+        debug_assert!(off + len as u64 <= bufs.data.len() as u64);
+        Window {
+            bufs,
+            off: off as u32,
+            len,
+        }
+    }
+}
+
+impl std::ops::Deref for Window {
+    type Target = [u8];
+    fn deref(&self) -> &[u8] {
+        &self.bufs.data[self.off as usize..][..self.len as usize]
+    }
+}
+
+impl std::fmt::Debug for Window {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "Window({}+{})", self.off, self.len)
+    }
+}
+
+/// A whole buffer as one window (frames built by hand in tests).
+#[cfg(test)]
+impl From<Vec<u8>> for Window {
+    fn from(data: Vec<u8>) -> Self {
+        let len = data.len() as u32;
+        let pages = Vec::new();
+        Window::new(Arc::new(TxBuffers { data, pages }), 0, len)
+    }
+}
 
 /// What kind of message a data fragment belongs to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -53,7 +101,7 @@ pub(crate) struct DataFrame {
     /// Byte offset of this fragment within the message.
     pub offset: u64,
     /// The fragment's bytes.
-    pub payload: Vec<u8>,
+    pub payload: Window,
     /// Message kind.
     pub kind: MsgKind,
     /// Reliability mode of the sending connection.
@@ -158,6 +206,22 @@ mod tests {
     use super::*;
 
     #[test]
+    fn a_window_reads_its_slice_of_the_shared_snapshot() {
+        let data: Vec<u8> = (0..=255).collect();
+        let bufs = Arc::new(TxBuffers {
+            data,
+            pages: Vec::new(),
+        });
+        let w = Window::new(Arc::clone(&bufs), 100, 50);
+        assert_eq!(&*w, &bufs.data[100..150]);
+        assert_eq!(Window::new(Arc::clone(&bufs), 256, 0).len(), 0);
+        // Windows share the snapshot; none owns a copy.
+        assert_eq!(Arc::strong_count(&bufs), 2);
+        fn crosses_shards<T: Send + Sync>() {}
+        crosses_shards::<Window>();
+    }
+
+    #[test]
     fn frames_are_cloneable_and_carry_payload() {
         let f = Frame::Data(DataFrame {
             src_vi: ViId(0),
@@ -167,7 +231,7 @@ mod tests {
             frag_count: 2,
             msg_len: 6000,
             offset: 0,
-            payload: vec![0xAB; 4096],
+            payload: vec![0xAB; 4096].into(),
             kind: MsgKind::Send { imm: Some(9) },
             reliability: Reliability::Unreliable,
         });

@@ -1,6 +1,7 @@
 //! Host-independent performance proxies, gated so that a regression fails
 //! a diff instead of waiting for someone to notice a slower laptop
-//! (ROADMAP item 2): heap allocations and mutex acquisitions per message,
+//! (ROADMAP item 2): heap allocations, bytes allocated and mutex
+//! acquisitions per message,
 //! affinity claims inside a run, boxed events, event-pool hit rate, and the
 //! size of the handle every datapath closure captures.
 //!
@@ -18,17 +19,24 @@ use vibe_suite::vibe::harness::{bandwidth, ping_pong, DtConfig};
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static ALLOCATED_BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
-/// The system allocator, counting this thread's allocations.
+/// The system allocator, counting this thread's allocations and the bytes
+/// they asked for (a `realloc` counts its whole new size).
 struct Counting;
 
+fn count(bytes: usize) {
+    ALLOCS.with(|c| c.set(c.get() + 1));
+    ALLOCATED_BYTES.with(|c| c.set(c.get() + bytes as u64));
+}
+
 // Safety: every call is forwarded unchanged to `System`, which upholds the
-// `GlobalAlloc` contract; the counter is a plain thread-local `Cell` with no
-// destructor, so touching it from inside the allocator cannot recurse.
+// `GlobalAlloc` contract; the counters are plain thread-local `Cell`s with no
+// destructor, so touching them from inside the allocator cannot recurse.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.with(|c| c.set(c.get() + 1));
+        count(layout.size());
         // Safety: the caller's obligations are `System::alloc`'s.
         unsafe { System.alloc(layout) }
     }
@@ -37,7 +45,7 @@ unsafe impl GlobalAlloc for Counting {
         unsafe { System.dealloc(ptr, layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.with(|c| c.set(c.get() + 1));
+        count(new_size);
         // Safety: as for `dealloc`, plus the caller's size obligations.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -46,14 +54,19 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// `[allocations, mutex acquisitions, affinity claims]` made by this thread
-/// so far.
-fn counters() -> [u64; 3] {
-    [ALLOCS.with(Cell::get), parking_lot::lock_count(), claims()]
+/// `[allocations, mutex acquisitions, affinity claims, bytes allocated]` made
+/// by this thread so far.
+fn counters() -> [u64; 4] {
+    [
+        ALLOCS.with(Cell::get),
+        parking_lot::lock_count(),
+        claims(),
+        ALLOCATED_BYTES.with(Cell::get),
+    ]
 }
 
 /// The counters and event-pool churn of one call.
-fn measured(f: impl FnOnce()) -> ([u64; 3], PoolStats) {
+fn measured(f: impl FnOnce()) -> ([u64; 4], PoolStats) {
     let (before, pool) = (counters(), thread_pool_stats());
     f();
     let after = counters();
@@ -63,11 +76,11 @@ fn measured(f: impl FnOnce()) -> ([u64; 3], PoolStats) {
     )
 }
 
-/// Marginal `[allocations, mutex acquisitions, affinity claims]` per
-/// iteration of `run`, in hundredths: the slope between a short and a long
-/// run of the same world, so cluster set-up and one-off buffer growth
-/// cancel.
-fn per_iter_x100(run: impl Fn(u32)) -> [u64; 3] {
+/// Marginal `[allocations, mutex acquisitions, affinity claims, bytes
+/// allocated]` per iteration of `run`, in hundredths: the slope between a
+/// short and a long run of the same world, so cluster set-up and one-off
+/// buffer growth cancel.
+fn per_iter_x100(run: impl Fn(u32)) -> [u64; 4] {
     const SHORT: u32 = 64;
     const LONG: u32 = 576;
     let (short, _) = measured(|| run(SHORT));
@@ -80,8 +93,8 @@ fn per_iter_x100(run: impl Fn(u32)) -> [u64; 3] {
 /// Per profile in `paper_trio` order (M-VIA, BVIA, cLAN), the
 /// [`per_iter_x100`] counters of a 4 B polling ping-pong iteration (two
 /// messages) and of one 16 KiB message of a depth-16 stream.
-fn trio_x100() -> [[[u64; 3]; 3]; 2] {
-    let (mut ping_pongs, mut streams) = ([[0; 3]; 3], [[0; 3]; 3]);
+fn trio_x100() -> [[[u64; 4]; 3]; 2] {
+    let (mut ping_pongs, mut streams) = ([[0; 4]; 3], [[0; 4]; 3]);
     for (i, profile) in Profile::paper_trio().into_iter().enumerate() {
         ping_pongs[i] = per_iter_x100(|iters| {
             ping_pong(&DtConfig {
@@ -101,7 +114,7 @@ fn trio_x100() -> [[[u64; 3]; 3]; 2] {
 }
 
 /// One counter of [`trio_x100`], as `[ping-pong, stream]` rows of profiles.
-fn column(trio: &[[[u64; 3]; 3]; 2], counter: usize) -> [[u64; 3]; 2] {
+fn column(trio: &[[[u64; 4]; 3]; 2], counter: usize) -> [[u64; 3]; 2] {
     trio.map(|workload| workload.map(|profile| profile[counter]))
 }
 
@@ -112,9 +125,16 @@ fn under(got: &[[u64; 3]; 2], ceiling: &[[u64; 3]; 2]) -> bool {
 }
 
 /// Allocation ceilings recorded from this tree, `[ping-pong, stream]` per
-/// profile, in hundredths. CHANGES.md (PR 15) holds the parent's values next
-/// to these.
-const ALLOCS_X100: [[u64; 3]; 2] = [[2001, 2201, 2201], [3234, 1736, 2537]];
+/// profile, in hundredths. CHANGES.md (PR 24) holds the parent's values next
+/// to these: 2001/2201/2201 and 3234/1736/2537 while every fragment owned a
+/// copy of its bytes.
+const ALLOCS_X100: [[u64; 3]; 2] = [[1601, 1801, 1801], [1928, 1229, 1631]];
+
+/// Ceilings on bytes allocated, same layout. A 16 KiB stream message may
+/// allocate its one send snapshot plus a fifth; the parent, which copied the
+/// message twice more on the way to the wire, read 51 022 / 49 843 / 50 436
+/// bytes. The ping-pong row is recorded as found.
+const ALLOCATED_BYTES_X100: [[u64; 3]; 2] = [[75_400, 81_800, 81_800], [2_000_000; 3]];
 
 /// Mutex-acquisition ceilings recorded from this tree, same layout. CHANGES.md
 /// (PR 21) holds the parent's values next to these: 10600/12700/12700 and
@@ -133,13 +153,19 @@ const LOCKS_X100: [[u64; 3]; 2] = if cfg!(debug_assertions) {
 
 #[test]
 fn allocations_per_message_stay_under_their_recorded_ceilings() {
-    let allocs = column(&trio_x100(), 0);
+    let trio = trio_x100();
+    let (allocs, bytes) = (column(&trio, 0), column(&trio, 3));
     println!(
         "allocations x100 per iteration, [ping-pong, stream] x (M-VIA, BVIA, cLAN): {allocs:?}"
     );
+    println!("bytes allocated x100 per iteration, same layout: {bytes:?}");
     assert!(
         under(&allocs, &ALLOCS_X100),
         "allocations x100 per iteration {allocs:?} over {ALLOCS_X100:?}"
+    );
+    assert!(
+        under(&bytes, &ALLOCATED_BYTES_X100),
+        "bytes allocated x100 per iteration {bytes:?} over {ALLOCATED_BYTES_X100:?}"
     );
 }
 
