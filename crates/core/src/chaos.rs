@@ -14,15 +14,17 @@
 //!   connection failure, never a silent stall;
 //! * **recoverability** — a VI that failed is recoverable by the spec's
 //!   one legal arc (disconnect → reconnect → resend) once the fault
-//!   windows close;
-//! * **no leaks** — [`via::Provider::audit`] finds no stranded
-//!   descriptor, credit, CQ reference, or NIC-ring entry on either node
-//!   afterwards.
+//!   windows close.
 //!
-//! A violated invariant panics with the episode's parameters, so the CI
-//! golden regeneration doubles as the chaos smoke test. Episode seeds
-//! derive from [`BASE_SEED`] and the episode index only, which keeps the
-//! table byte-identical at any worker count.
+//! On top of these, the episode's world ends like every suite world, in
+//! [`via::Cluster::audit`] (via [`Pair::run`]): frames conserved, no
+//! stranded descriptor, credit, CQ reference or NIC-ring entry on either
+//! node, a balanced fuse ledger, and every fault drop attributed honestly.
+//!
+//! A violated invariant panics naming the episode (the audit names its
+//! cluster seed), so the CI golden regeneration doubles as the chaos smoke
+//! test. Episode seeds derive from [`BASE_SEED`] and the episode index
+//! only, which keeps the table byte-identical at any worker count.
 
 use std::sync::Arc;
 
@@ -359,70 +361,6 @@ pub fn run_episode(idx: usize) -> EpisodeReport {
             "{tag}: stream failed but no connection failure was recorded"
         );
     }
-    // Invariant: no leaks on either node, whatever arc the episode took.
-    for node in 0..2 {
-        let audit = pair.provider(node).audit();
-        assert!(
-            audit.is_clean(),
-            "{tag}: node {node} audit: {:?}",
-            audit.violations
-        );
-    }
-    // Invariant: fused-ledger conservation — macro-events never break the
-    // attempt accounting, even mid-fault-window (episodes install fault
-    // plans, so most attempts de-fuse; the ledger must still balance).
-    // Note: hits == 0 does NOT imply events_elided == 0 — receive landings
-    // and ack elisions fold without a sender-side fuse hit.
-    let sched = pair.sim().sched_stats();
-    assert_eq!(
-        sched.fuse.attempts,
-        sched.fuse.hits + sched.fuse.defused(),
-        "{tag}: fuse ledger unbalanced: {:?}",
-        sched.fuse
-    );
-    assert_eq!(
-        sched.macro_events, sched.fuse.hits,
-        "{tag}: macro-event census mismatch"
-    );
-    // Invariant: node-scoped fault accounting — the per-node split of
-    // the fault-drop bucket never exceeds the fabric total, a plan with
-    // no node windows drains nothing into it, and every node_down /
-    // nic_reset window open is acknowledged by exactly one provider
-    // crash wipe (the audit above already checked the wiped-and-rebuilt
-    // state leaks nothing).
-    let fstats = pair.san().stats();
-    let node_dropped: u64 = pair.san().node_fault_dropped().iter().sum();
-    assert!(
-        node_dropped <= fstats.frames_fault_dropped,
-        "{tag}: per-node fault attribution exceeds the fabric total"
-    );
-    if !pair.san().node_faults_installed() {
-        assert_eq!(
-            node_dropped, 0,
-            "{tag}: node-attributed drops without node windows"
-        );
-    }
-    let crash_wipes: u64 = (0..2)
-        .map(|n| {
-            let s = pair.provider(n).stats();
-            s.node_crashes + s.nic_resets
-        })
-        .sum();
-    // Fold the episode's fault exposure into the suite's `[fabric: ...]`
-    // summary (switch-scoped windows on dumbbell episodes flush frames,
-    // node windows wipe providers; chaos streams use raw VIs, so no
-    // sessions recover here).
-    let storm_trips: u64 = pair
-        .san()
-        .port_stats()
-        .iter()
-        .map(|p| p.stats.storm_trips)
-        .sum();
-    crate::runner::ledger(|l| {
-        l.health.node_crashes += crash_wipes;
-        l.health.storm_trips += storm_trips;
-        l.health.fault_dropped += fstats.frames_fault_dropped;
-    });
     EpisodeReport {
         seed_fp: cluster_seed % 1_000_000,
         faults,

@@ -27,8 +27,9 @@
 //! fused fast path de-fuses (`DefuseCause::NodeFault`) whenever node
 //! faults are installed. Each run ends with the session-conservation
 //! oracle (every message delivered exactly once, in order, zero losses
-//! and zero duplicates across the kill) on top of the X-TOPO frame
-//! conservation and audit oracles. Design notes: DESIGN.md §4.8.
+//! and zero duplicates across the kill) on top of the audit every suite
+//! world ends in ([`via::Cluster::audit`], run by the shared rig). Design
+//! notes: DESIGN.md §4.8.
 //!
 //! [`recovery_probe`] is the same machinery folded into a seed-derived
 //! randomized scenario on a small 8-node tree — the property test
@@ -154,7 +155,7 @@ pub struct CrashOutcome {
 /// heartbeat watchdog + session recovery carry every flow to completion.
 /// Panics if any conservation oracle fails — the session oracle (every
 /// message exactly once, in order, zero losses, zero duplicates
-/// delivered) plus the X-TOPO frame/audit oracles via the shared rig runner.
+/// delivered) plus the world's audit, via the shared rig runner.
 pub fn node_kill(seed: u64, shards: usize) -> CrashOutcome {
     let rig = Rig::new_with_profile(
         fat_tree64(PortLimits::default()),
@@ -339,10 +340,10 @@ pub fn node_kill(seed: u64, shards: usize) -> CrashOutcome {
         sessions_recovered, AFFECTED_FLOWS as u64,
         "every victim-terminating session must recover"
     );
-    crate::runner::ledger(|l| {
-        l.health.node_crashes += vstats.node_crashes + vstats.nic_resets;
-        l.health.sessions_recovered += sessions_recovered;
-    });
+    // Session recovery is the one health figure `Rig::run`'s roll-up
+    // cannot see (it already counted the crash wipe): it is session-layer
+    // knowledge.
+    crate::runner::ledger(|l| l.health.sessions_recovered += sessions_recovered);
 
     CrashOutcome {
         flows,

@@ -26,12 +26,11 @@
 //! `VIBE_JOBS` / `VIBE_FUSE` value — CI's golden matrix pins that (with
 //! switch faults installed the fused fast path de-fuses with
 //! [`simkit::DefuseCause::Reroute`], so fused and unfused runs are
-//! identical by construction). Each run ends with the X-TOPO
-//! conservation oracles extended for fault domains: frames sent =
-//! delivered + loss + fault + corruption + port-drop + fault-drop
-//! buckets, Σ per-port (drops + storm_dropped) = `frames_port_dropped`,
-//! and [`via::Provider::audit`] clean on every node. Design notes:
-//! DESIGN.md §4.7.
+//! identical by construction). Each run ends, like every suite world, in
+//! [`via::Cluster::audit`], whose fabric laws cover the fault domains:
+//! every frame sent is delivered or in exactly one drop bucket
+//! (fault-drop included), and every port and storm drop is attributed to
+//! its port. Design notes: DESIGN.md §4.7.
 
 use fabric::{FaultPlan, PortLimits, PortSnapshot, RerouteParams, SanStats};
 use simkit::{SimDuration, SimTime};

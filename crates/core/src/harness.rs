@@ -282,6 +282,8 @@ impl Endpoint {
 pub struct Pair {
     sim: Sim,
     cluster: Cluster,
+    /// Cluster seed, kept to name the world if its audit fails.
+    seed: u64,
     attrs: ViAttributes,
     active_vis: usize,
     use_recv_cq: bool,
@@ -307,6 +309,7 @@ impl Pair {
         Pair {
             sim,
             cluster,
+            seed: cfg.seed,
             attrs,
             active_vis: cfg.active_vis.max(1),
             use_recv_cq: cfg.use_recv_cq,
@@ -336,12 +339,6 @@ impl Pair {
         self.cluster.san().install_faults(plan);
     }
 
-    /// Provider handle for node `node` (0 = client, 1 = server), e.g. to
-    /// script a firmware stall before [`Pair::run`].
-    pub fn provider(&self, node: usize) -> via::Provider {
-        self.cluster.provider(node)
-    }
-
     /// Clone of the fabric handle. Workload closures capture this to
     /// install fault windows timed relative to their own progress (VI
     /// setup and the connection handshake consume sim time, so absolute
@@ -356,8 +353,9 @@ impl Pair {
     }
 
     /// Run `server` on node 1 and `client` on node 0, each handed a
-    /// connected [`Endpoint`]. Extra VIs (beyond the test VI) are created
-    /// first so the firmware's scan length matches §3.2.4's setup.
+    /// connected [`Endpoint`], then audit the world ([`Cluster::audit`]).
+    /// Extra VIs (beyond the test VI) are created first so the firmware's
+    /// scan length matches §3.2.4's setup.
     pub fn run<S, C, RS, RC>(&self, server: S, client: C) -> (RS, RC)
     where
         S: FnOnce(&mut ProcessCtx, Endpoint) -> RS + Send + 'static,
@@ -422,8 +420,41 @@ impl Pair {
             })
         };
         self.sim.run_to_completion();
-        (sh.expect_result(), ch.expect_result())
+        let out = (sh.expect_result(), ch.expect_result());
+        let rel = rel_short(self.attrs.reliability);
+        finish_world(
+            &self.cluster,
+            format_args!("{rel} pair, seed {}", self.seed),
+        );
+        out
     }
+}
+
+/// Finish a world whose run has quiesced: check every conservation law its
+/// layers keep ([`Cluster::audit`]), panicking with each violation under
+/// the world's name (`world`, its profile and topology), then roll its
+/// storm trips, fault-dropped frames and crash wipes into the running
+/// job's [`crate::runner::FabricHealth`]. Every world the suite builds ends
+/// here except X-MPL's and X-DSM's, whose `spawn_world` drops its cluster.
+pub(crate) fn finish_world(cluster: &Cluster, world: std::fmt::Arguments) {
+    let audit = cluster.audit();
+    assert!(
+        audit.is_clean(),
+        "{world} ({} on {}): conservation violated:\n  {}",
+        cluster.profile().name,
+        cluster.san().topology().name(),
+        audit.violations.join("\n  ")
+    );
+    crate::runner::ledger(|l| {
+        for p in cluster.san().port_stats() {
+            l.health.storm_trips += p.stats.storm_trips;
+        }
+        l.health.fault_dropped += cluster.san().stats().frames_fault_dropped;
+        for i in 0..cluster.nodes() {
+            let s = cluster.provider(i).stats();
+            l.health.node_crashes += s.node_crashes + s.nic_resets;
+        }
+    });
 }
 
 /// The §3.2 ping-pong test under `cfg`: returns one-way latency and both

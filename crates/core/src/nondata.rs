@@ -7,6 +7,7 @@ use fabric::NodeId;
 use simkit::{Sim, SimDuration};
 use via::{Cluster, Discriminator, MemAttributes, Profile, ViAttributes};
 
+use crate::harness::finish_world;
 use crate::report::{Series, Table};
 
 /// Per-implementation non-data-transfer costs, in microseconds.
@@ -101,7 +102,9 @@ pub fn measure(profile: Profile, iters: u32) -> NonDataCosts {
         })
     };
     sim.run_to_completion();
-    ch.expect_result()
+    let costs = ch.expect_result();
+    finish_world(&cluster, format_args!("Table 1 world"));
+    costs
 }
 
 /// Regenerate Table 1 over the given profiles.
@@ -171,6 +174,7 @@ pub fn registration_costs(profile: Profile, sizes: &[u64]) -> (Series, Series) {
     };
     sim.run_to_completion();
     let (reg, dereg) = h.expect_result();
+    finish_world(&cluster, format_args!("registration world"));
     let mut s_reg = Series::new(profile.name);
     let mut s_dereg = Series::new(profile.name);
     s_reg.points = reg;

@@ -616,10 +616,18 @@ mod tests {
 
     #[test]
     fn concurrent_suites_keep_their_own_ledgers() {
-        // Two suites on two threads of one process: each must report
-        // exactly its own shard-run rows and fabric health.
+        // Suites on threads of one process: each must report exactly its
+        // own shard-run rows and fabric health — the sums every finished
+        // world rolls up, pinned to the values before the roll-up moved
+        // into `harness::finish_world`.
         let suite =
             |id: &'static str| std::thread::spawn(move || run_suite(vec![find(id).unwrap()], 1));
+        let health = |storm_trips, fault_dropped, node_crashes, sessions_recovered| FabricHealth {
+            storm_trips,
+            fault_dropped,
+            node_crashes,
+            sessions_recovered,
+        };
         for _ in 0..3 {
             let (shard, failover) = (suite("X-SHARD"), suite("X-FAILOVER"));
             let (shard, failover) = (shard.join().unwrap(), failover.join().unwrap());
@@ -632,10 +640,12 @@ mod tests {
                 labels(&failover),
                 ["failover-pause-cascade", "failover-spine-kill"]
             );
-            assert!(failover.fabric_health.storm_trips > 0);
-            assert!(failover.fabric_health.fault_dropped > 0);
+            assert_eq!(failover.fabric_health, health(1, 11, 0, 0));
             assert_eq!(shard.xpar_artifacts().len(), 4);
         }
+        let (chaos, crash) = (suite("X-CHAOS"), suite("X-CRASH"));
+        assert_eq!(chaos.join().unwrap().fabric_health, health(0, 8, 4, 0));
+        assert_eq!(crash.join().unwrap().fabric_health, health(0, 64, 1, 3));
         // Outside a job there is no ledger: the record is dropped.
         ledger(|_| panic!("no job is open on the test thread"));
     }

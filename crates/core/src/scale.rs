@@ -9,6 +9,7 @@ use fabric::NodeId;
 use simkit::{CpuMeter, Sim, SimBarrier, WaitMode};
 use via::{Cluster, Descriptor, Discriminator, MemAttributes, Profile, QueueKind, ViAttributes};
 
+use crate::harness::finish_world;
 use crate::sweep::{Curve, Sweep};
 
 /// Result of one fan-in run.
@@ -175,6 +176,7 @@ pub fn fan_in(profile: Profile, clients: usize, size: u64, msgs: u64, seed: u64)
         .into_iter()
         .map(|t| t.expect_result())
         .collect();
+    finish_world(&cluster, format_args!("fan-in, seed {seed}"));
     let (min, max) = per_client
         .iter()
         .fold((f64::MAX, 0.0f64), |(lo, hi), &v| (lo.min(v), hi.max(v)));

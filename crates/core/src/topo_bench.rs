@@ -20,19 +20,18 @@
 //!
 //! Every artifact cell is virtual-time-derived or a deterministic port
 //! counter, so the tables are byte-identical at any `VIBE_SHARDS` /
-//! `VIBE_JOBS` value — CI's golden matrix pins that. Each run ends with
-//! the conservation oracles: frames sent = delivered + per-port
-//! attributed drops (+ loss/fault/corruption buckets, all zero here),
-//! Σ per-port `drops` = the fabric's `frames_port_dropped`, and
-//! [`via::Provider::audit`] clean on every node (credits conserved per
-//! VI). Shard-balance telemetry flows into X-PAR through the running
-//! job's ledger under `topo-*` labels.
+//! `VIBE_JOBS` value — CI's golden matrix pins that. Each run ends like
+//! every suite world, in [`via::Cluster::audit`]: frames conserved and
+//! every port drop attributed to its port, nothing leaked on any node.
+//! Shard-balance telemetry flows into X-PAR through the running job's
+//! ledger under `topo-*` labels.
 
 use fabric::{LinkParams, NodeId, PortLimits, PortSnapshot, PortTarget, SanStats, Topology};
 use simkit::{ShardedSim, Sim, SimDuration, SimTime, WaitMode};
 use via::{Cluster, Descriptor, Discriminator, MemAttributes, Profile};
 
 use crate::flow::{rd, run_flows, Flow};
+use crate::harness::finish_world;
 use crate::report::Table;
 use crate::runner::{default_shards, ledger, ShardRunRecord};
 
@@ -110,8 +109,8 @@ impl Rig {
         }
     }
 
-    /// Run to completion, record the shard-balance row, check the
-    /// conservation oracles.
+    /// Run to completion, record the shard-balance row, finish the world
+    /// ([`finish_world`]).
     pub(crate) fn run(&self) {
         let (shards, rounds, per_shard) = match &self.engine {
             Some(eng) => {
@@ -137,52 +136,8 @@ impl Rig {
                 per_shard,
             })
         });
-        check_oracles(&self.cluster, &self.label);
+        finish_world(&self.cluster, format_args!("{}", self.label));
     }
-}
-
-/// The X-TOPO conservation oracles (see the module docs). Panics on any
-/// violation — the suite must not render tables over broken accounting.
-pub(crate) fn check_oracles(cluster: &Cluster, tag: &str) {
-    let san = cluster.san().stats();
-    let ports = cluster.san().port_stats();
-    let port_drops: u64 = ports
-        .iter()
-        .map(|p| p.stats.drops + p.stats.storm_dropped)
-        .sum();
-    assert_eq!(
-        san.frames_port_dropped, port_drops,
-        "{tag}: every fabric-level port drop must be attributed to a port"
-    );
-    // Trunk-refusal fault drops are port-attributed; switch-wide kills
-    // and no-route drops have no single port, so this is an inequality.
-    let port_faulted: u64 = ports.iter().map(|p| p.stats.fault_dropped).sum();
-    assert!(
-        port_faulted <= san.frames_fault_dropped,
-        "{tag}: port fault attribution exceeds the fabric total: {san:?}"
-    );
-    assert_eq!(
-        san.frames_sent,
-        san.frames_delivered
-            + san.frames_dropped
-            + san.frames_faulted
-            + san.frames_corrupted
-            + san.frames_port_dropped
-            + san.frames_fault_dropped,
-        "{tag}: frame conservation: {san:?}"
-    );
-    for i in 0..cluster.nodes() {
-        let audit = cluster.provider(i).audit();
-        assert!(
-            audit.is_clean(),
-            "{tag}: node {i} audit: {:?}",
-            audit.violations
-        );
-    }
-    ledger(|l| {
-        l.health.storm_trips += ports.iter().map(|p| p.stats.storm_trips).sum::<u64>();
-        l.health.fault_dropped += san.frames_fault_dropped;
-    });
 }
 
 // ---------------------------------------------------------------------

@@ -29,11 +29,13 @@
 
 #![warn(missing_docs)]
 
+pub mod audit;
 pub mod fault;
 pub mod params;
 pub mod san;
 pub mod topo;
 
+pub use audit::conservation_violations;
 pub use fault::{FaultKind, FaultPlan, FaultWindow, RerouteParams};
 pub use params::{LinkParams, LossModel, NetParams, SwitchParams};
 pub use san::{Delivery, LossState, NodeId, RxHandler, San, SanStats, WeakSan};

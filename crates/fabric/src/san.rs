@@ -1649,6 +1649,18 @@ impl San {
     pub fn stats(&self) -> SanStats {
         self.inner.shared.lock().stats
     }
+
+    /// Check the fabric's conservation laws
+    /// ([`crate::conservation_violations`]) over this run's counters: one
+    /// line per broken law, empty when every frame is accounted for.
+    pub fn audit(&self) -> Vec<String> {
+        crate::conservation_violations(
+            &self.stats(),
+            &self.port_stats(),
+            &self.node_fault_dropped(),
+            self.node_faults_installed(),
+        )
+    }
 }
 
 #[cfg(test)]

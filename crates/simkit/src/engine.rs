@@ -757,6 +757,30 @@ impl SchedStats {
             .map(|&c| (c, self.by_class[c.index()]))
     }
 
+    /// The macro-event ledger's laws, one line per broken law: every fuse
+    /// attempt either committed or was charged to exactly one de-fuse
+    /// cause, and the engine recorded one macro-event per hit — never
+    /// elided events without a fold recording them.
+    pub fn audit(&self) -> Vec<String> {
+        let mut violations = Vec::new();
+        let fuse = &self.fuse;
+        if fuse.attempts != fuse.hits + fuse.defused() {
+            violations.push(format!(
+                "fuse ledger unbalanced ({} attempts != {} hits + {} defused)",
+                fuse.attempts,
+                fuse.hits,
+                fuse.defused()
+            ));
+        }
+        if self.macro_events != fuse.hits {
+            violations.push(format!(
+                "{} macro-events recorded but {} fuse hits",
+                self.macro_events, fuse.hits
+            ));
+        }
+        violations
+    }
+
     /// Field-wise accumulate another shard's ledger into this one. Every
     /// counter is a plain sum, so merging per-shard ledgers yields exactly
     /// the totals a single serial engine would have recorded for the same
@@ -1553,6 +1577,45 @@ mod tests {
     use super::*;
     use parking_lot::Mutex;
     use std::sync::atomic::AtomicUsize;
+
+    /// Three fuse attempts: two hits (two macro-events), one de-fused.
+    fn balanced_ledger() -> SchedStats {
+        let mut fuse = FuseTally {
+            attempts: 3,
+            hits: 2,
+            ..FuseTally::default()
+        };
+        fuse.by_cause[DefuseCause::Contention.index()] = 1;
+        SchedStats {
+            macro_events: 2,
+            fuse,
+            ..SchedStats::default()
+        }
+    }
+
+    #[test]
+    fn a_balanced_ledger_audits_clean() {
+        assert!(balanced_ledger().audit().is_empty());
+        assert!(SchedStats::default().audit().is_empty());
+    }
+
+    #[test]
+    fn an_uncharged_fuse_attempt_unbalances_the_ledger() {
+        let mut stats = balanced_ledger();
+        stats.fuse.attempts += 1;
+        let violations = stats.audit();
+        assert_eq!(violations.len(), 1, "{violations:?}");
+        assert!(violations[0].contains("fuse ledger unbalanced"));
+    }
+
+    #[test]
+    fn a_macro_event_without_a_hit_breaks_the_census() {
+        let mut stats = balanced_ledger();
+        stats.macro_events += 1;
+        let violations = stats.audit();
+        assert_eq!(violations.len(), 1, "{violations:?}");
+        assert!(violations[0].contains("macro-events recorded"));
+    }
 
     #[test]
     fn event_hook_sees_fired_events_not_cancelled_ones() {

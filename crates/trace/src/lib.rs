@@ -1,4 +1,4 @@
-//! # trace — deterministic message-lifecycle tracing and metrics
+//! # trace — deterministic message-lifecycle tracing
 //!
 //! A structured event recorder for the simulated VIA stack. Every layer
 //! boundary a message crosses — doorbell ring, firmware scan, descriptor
@@ -23,9 +23,8 @@
 //!
 //! * [`chrome_trace_json`] renders records as Chrome trace-event JSON,
 //!   loadable in Perfetto / `chrome://tracing`.
-//! * [`Registry`] is a typed metrics registry (counters, gauges, and
-//!   histograms built on [`simkit::stats::Histogram`]) with a single
-//!   [`Registry::snapshot`] path; each attached tracer owns one.
+//! * [`Tracer::snapshot`] reads the point counters, the engine's
+//!   per-class event tallies and the ring's overflow count in one go.
 //! * The `vibe` suite crate derives per-stage latency tables from records
 //!   (the X-TRACE experiment) and the X-BRK component breakdown from
 //!   the same records.
@@ -36,7 +35,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use simkit::{EventClass, Histogram, SimDuration, SimTime};
+use simkit::{EventClass, SimTime};
 
 /// Stable identity of one message across layers and nodes.
 ///
@@ -293,7 +292,6 @@ struct TraceState {
     head: usize,
     dropped: u64,
     counters: [u64; TracePoint::ALL.len()],
-    registry: Registry,
 }
 
 struct TraceInner {
@@ -328,7 +326,6 @@ impl Tracer {
                     head: 0,
                     dropped: 0,
                     counters: [0; TracePoint::ALL.len()],
-                    registry: Registry::new(),
                 }),
                 engine_events: Default::default(),
             })),
@@ -412,7 +409,7 @@ impl Tracer {
         }
     }
 
-    /// Discard retained records (counters and metrics keep accumulating).
+    /// Discard retained records (counters keep accumulating).
     pub fn clear(&self) {
         if let Some(inner) = &self.inner {
             let mut st = inner.state.lock();
@@ -421,37 +418,29 @@ impl Tracer {
         }
     }
 
-    /// Run `f` against the tracer's metrics registry. Returns `None` when
-    /// disabled — metric updates cost nothing on the default path.
-    pub fn metrics<R>(&self, f: impl FnOnce(&mut Registry) -> R) -> Option<R> {
-        self.inner
-            .as_ref()
-            .map(|inner| f(&mut inner.state.lock().registry))
-    }
-
     /// The single snapshot path: point counters, engine event tallies, and
-    /// every registered metric, in registration order. Empty when disabled.
+    /// the ring's overflow count. Empty when disabled.
     pub fn snapshot(&self) -> MetricsSnapshot {
         let Some(inner) = &self.inner else {
             return MetricsSnapshot::default();
         };
         let st = inner.state.lock();
-        let mut snap = st.registry.snapshot();
-        snap.points = TracePoint::ALL
-            .iter()
-            .map(|p| (p.name(), st.counters[p.index()]))
-            .collect();
-        snap.engine_events = EventClass::ALL
-            .iter()
-            .map(|c| {
-                (
-                    c.name(),
-                    inner.engine_events[c.index()].load(Ordering::Relaxed),
-                )
-            })
-            .collect();
-        snap.records_dropped = st.dropped;
-        snap
+        MetricsSnapshot {
+            points: TracePoint::ALL
+                .iter()
+                .map(|p| (p.name(), st.counters[p.index()]))
+                .collect(),
+            engine_events: EventClass::ALL
+                .iter()
+                .map(|c| {
+                    (
+                        c.name(),
+                        inner.engine_events[c.index()].load(Ordering::Relaxed),
+                    )
+                })
+                .collect(),
+            records_dropped: st.dropped,
+        }
     }
 
     /// A scheduler hook tallying fired engine events per [`EventClass`]
@@ -465,124 +454,9 @@ impl Tracer {
     }
 }
 
-/// Opaque handle to a registered counter.
-#[derive(Clone, Copy, Debug)]
-pub struct CounterId(usize);
-/// Opaque handle to a registered gauge.
-#[derive(Clone, Copy, Debug)]
-pub struct GaugeId(usize);
-/// Opaque handle to a registered histogram.
-#[derive(Clone, Copy, Debug)]
-pub struct HistogramId(usize);
-
-/// Typed metrics registry: monotonic counters, level gauges, and log-scaled
-/// latency histograms ([`simkit::stats::Histogram`]). Registration returns
-/// an id; updates are O(1) array indexing; [`Registry::snapshot`] is the
-/// one read path.
-#[derive(Default)]
-pub struct Registry {
-    counters: Vec<(String, u64)>,
-    gauges: Vec<(String, i64)>,
-    histograms: Vec<(String, Histogram)>,
-}
-
-impl Registry {
-    /// Empty registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Register (or find) the counter named `name`.
-    pub fn counter(&mut self, name: &str) -> CounterId {
-        if let Some(i) = self.counters.iter().position(|(n, _)| n == name) {
-            return CounterId(i);
-        }
-        self.counters.push((name.to_string(), 0));
-        CounterId(self.counters.len() - 1)
-    }
-
-    /// Add `by` to a counter.
-    pub fn inc(&mut self, id: CounterId, by: u64) {
-        self.counters[id.0].1 += by;
-    }
-
-    /// Register (or find) the gauge named `name`.
-    pub fn gauge(&mut self, name: &str) -> GaugeId {
-        if let Some(i) = self.gauges.iter().position(|(n, _)| n == name) {
-            return GaugeId(i);
-        }
-        self.gauges.push((name.to_string(), 0));
-        GaugeId(self.gauges.len() - 1)
-    }
-
-    /// Set a gauge's level.
-    pub fn set_gauge(&mut self, id: GaugeId, value: i64) {
-        self.gauges[id.0].1 = value;
-    }
-
-    /// Register (or find) the histogram named `name`.
-    pub fn histogram(&mut self, name: &str) -> HistogramId {
-        if let Some(i) = self.histograms.iter().position(|(n, _)| n == name) {
-            return HistogramId(i);
-        }
-        self.histograms.push((name.to_string(), Histogram::new()));
-        HistogramId(self.histograms.len() - 1)
-    }
-
-    /// Record one duration into a histogram.
-    pub fn observe(&mut self, id: HistogramId, d: SimDuration) {
-        self.histograms[id.0].1.record(d);
-    }
-
-    /// Snapshot every metric in registration order.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        MetricsSnapshot {
-            counters: self.counters.clone(),
-            gauges: self.gauges.clone(),
-            histograms: self
-                .histograms
-                .iter()
-                .map(|(n, h)| {
-                    (
-                        n.clone(),
-                        HistogramSummary {
-                            count: h.count(),
-                            p50: h.percentile(50.0),
-                            p99: h.percentile(99.0),
-                            max: h.max(),
-                        },
-                    )
-                })
-                .collect(),
-            points: Vec::new(),
-            engine_events: Vec::new(),
-            records_dropped: 0,
-        }
-    }
-}
-
-/// Digest of one histogram at snapshot time.
-#[derive(Clone, Copy, Debug)]
-pub struct HistogramSummary {
-    /// Samples recorded.
-    pub count: u64,
-    /// Approximate median (bucket upper bound).
-    pub p50: SimDuration,
-    /// Approximate 99th percentile (bucket upper bound).
-    pub p99: SimDuration,
-    /// Exact maximum.
-    pub max: SimDuration,
-}
-
 /// Everything a tracer knows, read through one path ([`Tracer::snapshot`]).
 #[derive(Clone, Debug, Default)]
 pub struct MetricsSnapshot {
-    /// Registered counters, in registration order.
-    pub counters: Vec<(String, u64)>,
-    /// Registered gauges, in registration order.
-    pub gauges: Vec<(String, i64)>,
-    /// Registered histograms, digested.
-    pub histograms: Vec<(String, HistogramSummary)>,
     /// Lifecycle point counters, in [`TracePoint::ALL`] order.
     pub points: Vec<(&'static str, u64)>,
     /// Scheduler events fired per [`simkit::EventClass`].
@@ -701,7 +575,6 @@ mod tests {
         assert!(t.records().is_empty());
         assert!(t.snapshot().points.is_empty());
         assert!(t.engine_hook().is_none());
-        assert!(t.metrics(|_| ()).is_none());
     }
 
     #[test]
@@ -749,34 +622,6 @@ mod tests {
         let recs = t.records();
         assert_eq!(recs[0].msg, recs[1].msg);
         assert_eq!(format!("{id}"), "n0/vi3/s7");
-    }
-
-    #[test]
-    fn registry_roundtrip_and_snapshot() {
-        let t = Tracer::new(TraceConfig::default());
-        t.metrics(|m| {
-            let c = m.counter("msgs");
-            m.inc(c, 3);
-            let g = m.gauge("inflight");
-            m.set_gauge(g, -2);
-            let h = m.histogram("lat");
-            m.observe(h, SimDuration::from_micros(10));
-            m.observe(h, SimDuration::from_micros(100));
-        });
-        let snap = t.snapshot();
-        assert_eq!(snap.counters, vec![("msgs".to_string(), 3)]);
-        assert_eq!(snap.gauges, vec![("inflight".to_string(), -2)]);
-        assert_eq!(snap.histograms.len(), 1);
-        let (name, h) = &snap.histograms[0];
-        assert_eq!(name, "lat");
-        assert_eq!(h.count, 2);
-        assert_eq!(h.max, SimDuration::from_micros(100));
-        // Re-registering by name returns the same metric.
-        t.metrics(|m| {
-            let c = m.counter("msgs");
-            m.inc(c, 1);
-        });
-        assert_eq!(t.snapshot().counters[0].1, 4);
     }
 
     #[test]

@@ -19,8 +19,8 @@ use crate::types::{
 use crate::vi::{Vi, ViState};
 use crate::wire::Frame;
 
-/// Result of a [`Provider::audit`]: every resource-conservation violation
-/// found, empty when the provider leaked nothing.
+/// Result of a [`Cluster::audit`]: every conservation violation found in
+/// the world's fabric, providers and engines, empty when nothing leaked.
 #[derive(Clone, Debug, Default)]
 pub struct AuditReport {
     /// Human-readable description of each violation.
@@ -422,22 +422,21 @@ impl Provider {
         self.lock().stats
     }
 
-    /// Audit resource conservation. After a run has quiesced nothing may be
-    /// leaked: an errored VI holds no descriptors (the Error transition
-    /// flushed everything), every credit-parked send still has its
-    /// in-flight entry, no credit ledger has gone negative, CQ reference
-    /// counts match the VIs that actually point at them, no job is stuck in
-    /// the NIC transmit ring, and no retransmit timer was cancelled more
-    /// often than armed. Returns every violation found — an empty report is
-    /// a clean bill of health.
-    pub fn audit(&self) -> AuditReport {
+    /// Append this node's resource-conservation violations. After a run has
+    /// quiesced nothing may be leaked: an errored VI holds no descriptors
+    /// (the Error transition flushed everything), every credit-parked send
+    /// still has its in-flight entry, no credit ledger has gone negative,
+    /// no keepalive outlives its connection, CQ reference counts match the
+    /// VIs that actually point at them, no job is stuck in the NIC transmit
+    /// ring, and no timer was cancelled more often than armed. A clean node
+    /// appends (and allocates) nothing. [`Cluster::audit`] runs it per node.
+    pub(crate) fn audit(&self, violations: &mut Vec<String>) {
         use crate::vi::ConnState;
         let st = self.lock();
         let node = self.core.node.0;
-        let mut violations = Vec::new();
         let initial = self.core.profile.credit_flow.initial as u64;
         for vi in st.vis.iter().flatten() {
-            let tag = format!("node {node} vi {}", vi.id.raw());
+            let tag = || format!("node {node} vi {}", vi.id.raw());
             if matches!(vi.conn, ConnState::Error { .. }) {
                 for (what, count) in [
                     ("in-flight sends", vi.send_inflight.len()),
@@ -447,35 +446,40 @@ impl Provider {
                     ("credit-parked sends", vi.credit_waiting.len()),
                 ] {
                     if count > 0 {
-                        violations.push(format!("{tag}: Error state holds {count} {what}"));
+                        violations.push(format!("{}: Error state holds {count} {what}", tag()));
                     }
                 }
             }
             for &seq in &vi.credit_waiting {
                 if !vi.send_inflight.iter().any(|i| i.seq == seq) {
                     violations.push(format!(
-                        "{tag}: credit-parked seq {seq} has no in-flight entry"
+                        "{}: credit-parked seq {seq} has no in-flight entry",
+                        tag()
                     ));
                 }
             }
             if vi.credit_waiting.len() > vi.send_inflight.len() {
                 violations.push(format!(
-                    "{tag}: more credit-parked sends ({}) than in-flight entries ({})",
+                    "{}: more credit-parked sends ({}) than in-flight entries ({})",
+                    tag(),
                     vi.credit_waiting.len(),
                     vi.send_inflight.len()
                 ));
             }
             if vi.credits_consumed > initial + vi.credit_seen_total {
                 violations.push(format!(
-                    "{tag}: credit ledger negative (consumed {} > initial {initial} + seen {})",
-                    vi.credits_consumed, vi.credit_seen_total
+                    "{}: credit ledger negative (consumed {} > initial {initial} + seen {})",
+                    tag(),
+                    vi.credits_consumed,
+                    vi.credit_seen_total
                 ));
             }
             // Keepalives only watch live connections: any teardown, error
             // transition, or crash wipe must have disarmed the timer.
             if vi.heartbeat_timer.is_some() && !matches!(vi.conn, ConnState::Connected { .. }) {
                 violations.push(format!(
-                    "{tag}: heartbeat timer armed on a {:?} VI",
+                    "{}: heartbeat timer armed on a {:?} VI",
+                    tag(),
                     vi.conn
                 ));
             }
@@ -516,25 +520,6 @@ impl Provider {
                 st.stats.heartbeat_timers_cancelled, st.stats.heartbeat_timers_armed
             ));
         }
-        // Macro-event ledger: every fuse attempt either committed (one
-        // macro-event per hit) or was charged to exactly one de-fuse cause,
-        // and the engine never elided events without a fold recording them.
-        let sched = self.core.sim.sched_stats();
-        if sched.fuse.attempts != sched.fuse.hits + sched.fuse.defused() {
-            violations.push(format!(
-                "node {node}: fuse ledger unbalanced ({} attempts != {} hits + {} defused)",
-                sched.fuse.attempts,
-                sched.fuse.hits,
-                sched.fuse.defused()
-            ));
-        }
-        if sched.macro_events != sched.fuse.hits {
-            violations.push(format!(
-                "node {node}: {} macro-events recorded but {} fuse hits",
-                sched.macro_events, sched.fuse.hits
-            ));
-        }
-        AuditReport { violations }
     }
 
     /// True inside a node-scoped fault window (node_down / nic_reset).
@@ -1012,6 +997,24 @@ impl Cluster {
     /// The profile all nodes run.
     pub fn profile(&self) -> &Profile {
         &self.profile
+    }
+
+    /// Audit every conservation law this world keeps, once its run has
+    /// quiesced: the fabric's frame laws ([`San::audit`]), each node's
+    /// resource laws (no leaked descriptor, credit, CQ reference, NIC-ring
+    /// entry or timer), and each engine's macro-event ledger
+    /// ([`simkit::SchedStats::audit`]). Returns every violation found —
+    /// an empty report is a clean bill of health.
+    pub fn audit(&self) -> AuditReport {
+        let mut violations = self.san.audit();
+        for p in &self.providers {
+            p.audit(&mut violations);
+        }
+        for (i, sim) in self.engine_sims.iter().enumerate() {
+            let ledger = sim.sched_stats().audit();
+            violations.extend(ledger.into_iter().map(|v| format!("engine {i}: {v}")));
+        }
+        AuditReport { violations }
     }
 
     /// Attach a message-lifecycle [`Tracer`] to every layer of this

@@ -900,10 +900,8 @@ mod tests {
         assert_eq!(sstats.sent, 40);
         assert_eq!(sstats.acked, 40);
         assert_eq!(sstats.reconnects, 0);
-        for p in [&pa, &pb] {
-            let audit = p.audit();
-            assert!(audit.is_clean(), "audit: {:?}", audit.violations);
-        }
+        let audit = cluster.audit();
+        assert!(audit.is_clean(), "audit: {:?}", audit.violations);
     }
 
     #[test]
@@ -969,9 +967,7 @@ mod tests {
         );
         assert!(sstats.replays >= 1, "journal must replay: {sstats:?}");
         assert_eq!(pb.stats().node_crashes, 1);
-        for p in [&pa, &pb] {
-            let audit = p.audit();
-            assert!(audit.is_clean(), "audit: {:?}", audit.violations);
-        }
+        let audit = cluster.audit();
+        assert!(audit.is_clean(), "audit: {:?}", audit.violations);
     }
 }

@@ -2051,7 +2051,7 @@ mod tests {
         let stats = cluster.provider(1).stats();
         assert_eq!(stats.msgs_dropped_partial, 3);
         assert_eq!(stats.msgs_delivered, 1);
-        assert!(cluster.provider(1).audit().is_clean());
+        assert!(cluster.audit().is_clean());
         format!(
             "{statuses:?} at {done_at:?}: {stats:?} {:?}",
             sim.sched_stats()

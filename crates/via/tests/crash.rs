@@ -133,10 +133,8 @@ fn teardown_during_node_down_is_idempotent() {
         stats.heartbeat_timers_cancelled <= stats.heartbeat_timers_armed,
         "timer ledger: {stats:?}"
     );
-    for p in [&pa, &pb] {
-        let audit = p.audit();
-        assert!(audit.is_clean(), "audit: {:?}", audit.violations);
-    }
+    let audit = cluster.audit();
+    assert!(audit.is_clean(), "audit: {:?}", audit.violations);
 }
 
 /// A nic_reset window reports `ErrorCause::NicReset` (host survives, NIC
@@ -195,10 +193,8 @@ fn nic_reset_reports_distinct_cause() {
     let stats = pa.stats();
     assert_eq!(stats.nic_resets, 1);
     assert_eq!(stats.node_crashes, 0);
-    for p in [&pa, &pb] {
-        let audit = p.audit();
-        assert!(audit.is_clean(), "audit: {:?}", audit.violations);
-    }
+    let audit = cluster.audit();
+    assert!(audit.is_clean(), "audit: {:?}", audit.violations);
 }
 
 /// The surviving peer detects a crashed node within the heartbeat bound:
@@ -272,10 +268,8 @@ fn peer_down_detected_within_heartbeat_bound() {
         "detection at {detected:?} exceeds bound {bound:?}"
     );
     assert!(pa.stats().heartbeat_timeouts >= 1);
-    for p in [&pa, &pb] {
-        let audit = p.audit();
-        assert!(audit.is_clean(), "audit: {:?}", audit.violations);
-    }
+    let audit = cluster.audit();
+    assert!(audit.is_clean(), "audit: {:?}", audit.violations);
 }
 
 /// After the window closes the node reboots with a fresh provider: the
@@ -357,8 +351,6 @@ fn rebooted_node_accepts_fresh_connections() {
     sim.run_to_completion();
     sh.expect_result();
     assert_eq!(pb.stats().node_crashes, 1);
-    for p in [&pa, &pb] {
-        let audit = p.audit();
-        assert!(audit.is_clean(), "audit: {:?}", audit.violations);
-    }
+    let audit = cluster.audit();
+    assert!(audit.is_clean(), "audit: {:?}", audit.violations);
 }

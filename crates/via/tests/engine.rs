@@ -1300,10 +1300,8 @@ fn teardown_under_load_flushes_credits_and_leaks_nothing() {
     };
     sim.run_to_completion();
     assert_eq!(ch.expect_result(), 5);
-    for (node, p) in [(0, &pa), (1, &pb)] {
-        let audit = p.audit();
-        assert!(audit.is_clean(), "node {node}: {:?}", audit.violations);
-    }
+    let audit = cluster.audit();
+    assert!(audit.is_clean(), "{:?}", audit.violations);
 }
 
 #[test]

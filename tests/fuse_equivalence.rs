@@ -178,13 +178,13 @@ fn run_world(case: u64, shards: usize, fused: bool) -> (String, SchedStats) {
     let mut lines = Vec::new();
     lines.extend(sh.expect_result());
     lines.extend(ch.expect_result());
+    let audit = cluster.audit();
+    assert!(
+        audit.is_clean(),
+        "case {case} shards={shards} fused={fused}: audit violations: {:?}",
+        audit.violations
+    );
     for (name, p) in [("a", &pa), ("b", &pb)] {
-        let audit = p.audit();
-        assert!(
-            audit.is_clean(),
-            "case {case} shards={shards} fused={fused}: audit violations on {name}: {:?}",
-            audit.violations
-        );
         let st = p.stats();
         lines.push(format!(
             "{name}: sent={} delivered={} acks={} retx={} dup={}",
