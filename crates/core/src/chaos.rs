@@ -16,6 +16,12 @@
 //!   one legal arc (disconnect → reconnect → resend) once the fault
 //!   windows close.
 //!
+//! The stream is the harness's windowed sender ([`Stream`], tolerant of
+//! failures) and the arc is the one X-FAULT's reconnect row runs
+//! ([`standby`], [`reconnect_resend`]); what is this module's own is the
+//! randomized draw, riding through `QueueFull` backpressure, and the
+//! invariants above.
+//!
 //! On top of these, the episode's world ends like every suite world, in
 //! [`via::Cluster::audit`] (via [`Pair::run`]): frames conserved, no
 //! stranded descriptor, credit, CQ reference or NIC-ring entry on either
@@ -28,11 +34,13 @@
 
 use std::sync::Arc;
 
-use fabric::{FaultPlan, NodeId, PortLimits, Topology};
+use fabric::{FaultPlan, PortLimits, Topology};
 use simkit::{ProcessCtx, SimBarrier, SimDuration, SimRng, WaitMode};
-use via::{Discriminator, MemAttributes, MemHandle, Profile, Reliability, ViAttributes, ViaError};
+use via::{Profile, Reliability, ViaError};
 
-use crate::harness::{rel_short, DtConfig, Endpoint, Pair, BASE_SEED};
+use crate::harness::{
+    reconnect_resend, registered, rel_short, standby, DtConfig, Pair, Stream, BASE_SEED, RECONNECT,
+};
 use crate::report::Table;
 
 /// Episodes X-CHAOS runs (and CI replays as the chaos smoke).
@@ -82,71 +90,6 @@ pub struct EpisodeReport {
     /// Every invariant held (violations panic, so a surviving report is
     /// always `true`; the column keeps the verdict visible in the table).
     pub invariants_ok: bool,
-}
-
-/// Client-side stream accounting, shared by the first pass and the
-/// post-reconnect resend pass.
-#[derive(Default)]
-struct Stream {
-    posted: u64,
-    ok: u64,
-    errored: u64,
-    outstanding: u64,
-    conn_lost: bool,
-}
-
-impl Stream {
-    fn absorb(&mut self, c: &via::Completion) {
-        self.outstanding -= 1;
-        if c.is_ok() {
-            self.ok += 1;
-        } else {
-            self.errored += 1;
-            if c.status == Err(ViaError::ConnectionLost) {
-                self.conn_lost = true;
-            }
-        }
-    }
-
-    fn wait_one(&mut self, ctx: &mut ProcessCtx, ep: &Endpoint) {
-        let c = ep.vi.send_wait(ctx, WaitMode::Poll);
-        self.absorb(&c);
-    }
-
-    /// Post one send, riding through backpressure. The bounded work
-    /// queue can refuse a post (`QueueFull`) even with every completion
-    /// drained: entries stay queued until the NIC's transmit engine
-    /// retires them, and a fault window slows that engine down. Draining
-    /// a completion (or idling when none is outstanding) frees a slot.
-    /// Returns `false` when the VI refuses new work outright because it
-    /// entered the Error state.
-    fn post(
-        &mut self,
-        ctx: &mut ProcessCtx,
-        ep: &Endpoint,
-        buf: u64,
-        mh: MemHandle,
-        size: u64,
-    ) -> bool {
-        loop {
-            match ep.vi.post_send(ctx, ep.split_desc(false, buf, mh, size, 1)) {
-                Ok(()) => {
-                    self.posted += 1;
-                    self.outstanding += 1;
-                    return true;
-                }
-                Err(ViaError::QueueFull) => {
-                    if self.outstanding > 0 {
-                        self.wait_one(ctx, ep);
-                    } else {
-                        ctx.busy(SimDuration::from_micros(50));
-                    }
-                }
-                Err(ViaError::InvalidState) => return false,
-                Err(e) => panic!("chaos post_send: {e:?}"),
-            }
-        }
-    }
 }
 
 /// Draw the episode's provider configuration. The retry budget is always
@@ -217,51 +160,25 @@ pub fn run_episode(idx: usize) -> EpisodeReport {
     };
     let pair = Pair::new(&cfg);
     let san = pair.san();
-    let attrs = ViAttributes::reliable(reliability);
     // The client decides after its stream whether the failure arc runs;
     // the server learns the verdict across a second barrier.
     let needs_reconnect = Arc::new(parking_lot::Mutex::new(false));
     let rendezvous = SimBarrier::new(2);
     let (flag_s, flag_c) = (needs_reconnect.clone(), needs_reconnect);
     let (barrier_s, barrier_c) = (rendezvous.clone(), rendezvous);
-    let qd = queue_depth as u64;
     let (_, out) = pair.run(
         move |ctx, ep| {
-            // A second VI on discriminator 2 is the reconnect target.
-            let vi2 = ep.provider.create_vi(ctx, attrs, None, None).unwrap();
-            let buf = ep.provider.malloc(size);
-            let mh = ep
-                .provider
-                .register_mem(ctx, buf, size, MemAttributes::default())
-                .unwrap();
-            // Post a descriptor per message on both VIs, stopping at the
-            // work-queue depth limit: a shrunken queue leaves later
-            // messages descriptor-less, which reliable streams must
-            // surface as retry exhaustion, not absorb silently.
-            for vi in [&ep.vi, &vi2] {
-                for _ in 0..msgs {
-                    if vi
-                        .post_recv(ctx, ep.split_desc(true, buf, mh, size, 1))
-                        .is_err()
-                    {
-                        break;
-                    }
-                }
-            }
+            let (vi2, _) = standby(ctx, &ep, reliability, msgs, size);
             ep.sync(ctx);
             barrier_s.wait(ctx);
             if *flag_s.lock() {
                 ep.provider
-                    .accept(ctx, &vi2, Discriminator(2))
+                    .accept(ctx, &vi2, RECONNECT)
                     .expect("reconnect accept");
             }
         },
         move |ctx, ep| {
-            let buf = ep.provider.malloc(size);
-            let mh = ep
-                .provider
-                .register_mem(ctx, buf, size, MemAttributes::default())
-                .unwrap();
+            let (buf, mh) = registered(ctx, &ep.provider, size);
             ep.sync(ctx);
             let t0 = ctx.now();
             // Compose the fault plan relative to the stream start (the
@@ -278,62 +195,39 @@ pub fn run_episode(idx: usize) -> EpisodeReport {
                 .max()
                 .unwrap_or(t0);
             san.install_faults(&plan);
-            let mut s = Stream::default();
+            let mut s = Stream::new(&ep.vi, queue_depth, WaitMode::Poll).tolerant();
+            // Post one send, riding through backpressure. The bounded work
+            // queue can refuse a post (`QueueFull`) even with every
+            // completion drained: entries stay queued until the NIC's
+            // transmit engine retires them, and a fault window slows that
+            // engine down. Draining a completion (or idling when none is
+            // outstanding) frees a slot. False when the VI refuses new
+            // work outright because it entered the Error state.
+            let mut send = |ctx: &mut ProcessCtx, s: &mut Stream| loop {
+                match s.post(ctx, ep.split_desc(false, buf, mh, size, 1)) {
+                    Ok(()) => return true,
+                    Err(ViaError::QueueFull) if s.outstanding > 0 => s.wait_one(ctx),
+                    Err(ViaError::QueueFull) => ctx.busy(SimDuration::from_micros(50)),
+                    Err(ViaError::InvalidState) => return false,
+                    Err(e) => panic!("chaos post_send: {e:?}"),
+                }
+            };
             for _ in 0..msgs {
                 // A refused post means the VI failed between completions;
                 // the flush below accounts for everything outstanding.
-                if !s.post(ctx, &ep, buf, mh, size) {
+                if !send(ctx, &mut s) {
                     break;
                 }
-                if s.outstanding >= qd {
-                    s.wait_one(ctx, &ep);
-                }
             }
-            while s.outstanding > 0 {
-                s.wait_one(ctx, &ep);
-            }
-            let failed = s.conn_lost || s.posted < msgs;
+            s.drain(ctx);
+            let failed = s.conn_lost > 0 || s.posted < msgs;
             *flag_c.lock() = failed;
             barrier_c.wait(ctx);
-            let mut recovered = !failed;
-            if failed {
-                // The spec's only exit from the Error state.
-                ep.provider.disconnect(ctx, &ep.vi).expect("disconnect");
-                // Sit out every scheduled fault window before redialing:
-                // the reconnect handshake has no retransmission of its own.
-                let resume = plan_end + SimDuration::from_micros(200);
-                let wait = resume.saturating_duration_since(ctx.now());
-                if wait > SimDuration::ZERO {
-                    ctx.busy(wait);
-                }
-                ep.provider
-                    .connect(ctx, &ep.vi, NodeId(1), Discriminator(2), None)
-                    .expect("reconnect");
-                // Re-send everything that never completed successfully. A
-                // second failure (e.g. the fresh VI's receive queue is
-                // also too shallow) is tolerated — it just isn't recovery.
-                recovered = true;
-                let before = s.errored;
-                for _ in 0..msgs - s.ok {
-                    if !s.post(ctx, &ep, buf, mh, size) {
-                        recovered = false;
-                        break;
-                    }
-                    if s.outstanding >= qd {
-                        s.wait_one(ctx, &ep);
-                    }
-                    if s.errored > before {
-                        recovered = false;
-                        break;
-                    }
-                }
-                while s.outstanding > 0 {
-                    s.wait_one(ctx, &ep);
-                }
-                if s.errored > before {
-                    recovered = false;
-                }
-            }
+            // Sit out every scheduled fault window before redialing. A
+            // second failure (e.g. the fresh VI's receive queue is also too
+            // shallow) is tolerated — it just isn't recovery.
+            let resume = plan_end + SimDuration::from_micros(200);
+            let recovered = !failed || reconnect_resend(ctx, &ep, &mut s, resume, msgs, &mut send);
             // Park the VI cleanly; legal from Connected and Error alike.
             let _ = ep.provider.disconnect(ctx, &ep.vi);
             (faults, s.posted, s.ok, s.errored, failed, recovered)

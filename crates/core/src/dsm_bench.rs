@@ -6,8 +6,9 @@
 
 use dsm::{run_world, Dsm, DsmConfig, PAGE_SIZE};
 use simkit::Sim;
-use via::Profile;
+use via::{Cluster, Profile};
 
+use crate::harness::finish_world;
 use crate::report::Table;
 use crate::sweep::{Curve, Sweep};
 
@@ -15,43 +16,37 @@ use crate::sweep::{Curve, Sweep};
 /// write the same page, so every access migrates it (the DSM analogue of
 /// the latency ping-pong).
 pub fn page_pingpong_us(profile: Profile, rounds: u64, seed: u64) -> f64 {
-    let sim = Sim::new();
-    let handles = Dsm::spawn_world(
-        &sim,
-        profile,
-        2,
-        DsmConfig::default(),
-        seed,
-        move |ctx, dsm| {
-            // Strict alternation through a turn word on the hot page:
-            // rank r writes when counter % 2 == r.
-            let me = dsm.rank() as u64;
-            loop {
-                let mut advanced = false;
-                let mut done = false;
-                dsm.update(ctx, 0, 8, |bytes| {
-                    let v = u64::from_le_bytes(bytes.try_into().unwrap());
-                    if v >= 2 * rounds {
-                        done = true;
-                    } else if v % 2 == me {
-                        bytes.copy_from_slice(&(v + 1).to_le_bytes());
-                        advanced = true;
-                    }
-                });
-                if done {
-                    break;
+    let cluster = Cluster::new(Sim::new(), profile, 2, seed);
+    let handles = Dsm::spawn_world(&cluster, DsmConfig::default(), move |ctx, dsm| {
+        // Strict alternation through a turn word on the hot page:
+        // rank r writes when counter % 2 == r.
+        let me = dsm.rank() as u64;
+        loop {
+            let mut advanced = false;
+            let mut done = false;
+            dsm.update(ctx, 0, 8, |bytes| {
+                let v = u64::from_le_bytes(bytes.try_into().unwrap());
+                if v >= 2 * rounds {
+                    done = true;
+                } else if v % 2 == me {
+                    bytes.copy_from_slice(&(v + 1).to_le_bytes());
+                    advanced = true;
                 }
-                if !advanced {
-                    // Not our turn yet: the page will bounce back.
-                    ctx.sleep(simkit::SimDuration::from_micros(5));
-                }
+            });
+            if done {
+                break;
             }
-            (ctx.now(), dsm.stats())
-        },
-    );
-    run_world(&sim);
+            if !advanced {
+                // Not our turn yet: the page will bounce back.
+                ctx.sleep(simkit::SimDuration::from_micros(5));
+            }
+        }
+        (ctx.now(), dsm.stats())
+    });
+    run_world(cluster.sim());
     let (end0, s0) = handles[0].expect_result();
     let (_, s1) = handles[1].expect_result();
+    finish_world(&cluster, format_args!("dsm page ping-pong, seed {seed}"));
     let total_migrations = s0.pages_shipped + s1.pages_shipped;
     // Time per migration over the whole run (start-up amortized away by
     // the round count).
@@ -88,34 +83,32 @@ pub fn false_sharing_sweep(profile: Profile) -> Sweep {
 /// Slowest rank's time (us) for 50 writes to its own word, the two ranks'
 /// words on one page or on `separate` pages.
 fn false_sharing_us(profile: Profile, separate: bool) -> f64 {
-    let sim = Sim::new();
-    let handles = Dsm::spawn_world(
-        &sim,
-        profile,
-        2,
-        DsmConfig::default(),
-        9,
-        move |ctx, dsm| {
-            let addr = if separate {
-                dsm.rank() as u64 * PAGE_SIZE
-            } else {
-                dsm.rank() as u64 * 64 // both words on page 0
-            };
-            let t0 = ctx.now();
-            for i in 0..50u64 {
-                dsm.write(ctx, addr, &i.to_le_bytes());
-                // A little think time between writes so the two ranks
-                // genuinely interleave (same pause in both layouts).
-                ctx.sleep(simkit::SimDuration::from_micros(10));
-            }
-            (ctx.now() - t0).as_micros_f64()
-        },
-    );
-    run_world(&sim);
-    handles
+    let cluster = Cluster::new(Sim::new(), profile, 2, 9);
+    let handles = Dsm::spawn_world(&cluster, DsmConfig::default(), move |ctx, dsm| {
+        let addr = if separate {
+            dsm.rank() as u64 * PAGE_SIZE
+        } else {
+            dsm.rank() as u64 * 64 // both words on page 0
+        };
+        let t0 = ctx.now();
+        for i in 0..50u64 {
+            dsm.write(ctx, addr, &i.to_le_bytes());
+            // A little think time between writes so the two ranks
+            // genuinely interleave (same pause in both layouts).
+            ctx.sleep(simkit::SimDuration::from_micros(10));
+        }
+        (ctx.now() - t0).as_micros_f64()
+    });
+    run_world(cluster.sim());
+    let slowest = handles
         .into_iter()
         .map(|h| h.expect_result())
-        .fold(0.0f64, f64::max)
+        .fold(0.0f64, f64::max);
+    finish_world(
+        &cluster,
+        format_args!("dsm false sharing, separate={separate}"),
+    );
+    slowest
 }
 
 #[cfg(test)]

@@ -8,7 +8,8 @@
 use via::{Profile, Reliability};
 
 use crate::harness::{
-    bandwidth, ping_pong, rdma_write_ping, rel_short, BufferPool, DtConfig, Pair,
+    bandwidth, ping_pong, ping_pong_on, rdma_write_ping, registered, rel_short, BufferPool,
+    DtConfig, Pair, Stream,
 };
 use crate::report::Table;
 use crate::sweep::{Curve, Metric, Sweep};
@@ -362,7 +363,7 @@ pub fn rel_loss_table(profile: Profile, msg_size: u64, loss_rates: &[f64]) -> Ta
 fn run_lossy_bw(pair: &Pair, cfg: &DtConfig) -> (u64, f64) {
     // A plain bandwidth run, but we also read back the sender's
     // retransmission counter.
-    use via::{Descriptor, MemAttributes};
+    use via::Descriptor;
     let total = (cfg.warmup + cfg.iters) as u64;
     let window: u64 = 64;
     let scfg = cfg.clone();
@@ -372,11 +373,7 @@ fn run_lossy_bw(pair: &Pair, cfg: &DtConfig) -> (u64, f64) {
             let cfg = scfg;
             let mut pool = BufferPool::build(ctx, &ep.provider, 1, cfg.msg_size, 100);
             let (va, mh) = pool.pick(0);
-            let ack = ep.provider.malloc(16);
-            let ack_mh = ep
-                .provider
-                .register_mem(ctx, ack, 16, MemAttributes::default())
-                .unwrap();
+            let (ack, ack_mh) = registered(ctx, &ep.provider, 16);
             for _ in 0..window.min(total) {
                 ep.vi
                     .post_recv(ctx, ep.split_desc(true, va, mh, cfg.msg_size, 1))
@@ -392,41 +389,26 @@ fn run_lossy_bw(pair: &Pair, cfg: &DtConfig) -> (u64, f64) {
                         .unwrap();
                 }
             }
-            ep.vi
-                .post_send(ctx, Descriptor::send().segment(ack, ack_mh, 4))
-                .unwrap();
-            ep.vi.send_wait(ctx, cfg.wait);
+            Stream::new(&ep.vi, 1, cfg.wait)
+                .post(ctx, Descriptor::send().segment(ack, ack_mh, 4))
+                .expect("final ack");
         },
         move |ctx, ep| {
             let cfg = ccfg;
             let mut pool = BufferPool::build(ctx, &ep.provider, 1, cfg.msg_size, 100);
             let (va, mh) = pool.pick(0);
-            let ack = ep.provider.malloc(16);
-            let ack_mh = ep
-                .provider
-                .register_mem(ctx, ack, 16, MemAttributes::default())
-                .unwrap();
+            let (ack, ack_mh) = registered(ctx, &ep.provider, 16);
             ep.vi
                 .post_recv(ctx, Descriptor::recv().segment(ack, ack_mh, 16))
                 .unwrap();
             ep.sync(ctx);
             let t0 = ctx.now();
-            let mut outstanding = 0u64;
+            let mut s = Stream::new(&ep.vi, cfg.queue_depth, cfg.wait);
             for _ in 0..total {
-                ep.vi
-                    .post_send(ctx, ep.split_desc(false, va, mh, cfg.msg_size, 1))
-                    .unwrap();
-                outstanding += 1;
-                if outstanding >= cfg.queue_depth as u64 {
-                    let c = ep.vi.send_wait(ctx, cfg.wait);
-                    assert!(c.is_ok(), "lossy bw send: {:?}", c.status);
-                    outstanding -= 1;
-                }
+                s.post(ctx, ep.split_desc(false, va, mh, cfg.msg_size, 1))
+                    .expect("lossy bw send");
             }
-            while outstanding > 0 {
-                assert!(ep.vi.send_wait(ctx, cfg.wait).is_ok());
-                outstanding -= 1;
-            }
+            s.drain(ctx);
             let c = ep.recv_one(ctx, cfg.wait);
             assert!(c.is_ok());
             let elapsed = ctx.now() - t0;
@@ -469,7 +451,9 @@ pub fn rel_tail_table(profile: Profile, msg_size: u64, loss_rates: &[f64]) -> Ta
             reliability: Reliability::ReliableDelivery,
             ..DtConfig::base(p, msg_size)
         };
-        let (samples, retx, dropped, conn_failures) = ping_pong_samples(&cfg);
+        let pair = Pair::new(&cfg);
+        let (_, samples) = ping_pong_on(&pair, &cfg, true);
+        let (client, server) = (pair.provider_stats(0), pair.provider_stats(1));
         t.push(
             format!("loss {:.0}%", loss * 100.0),
             vec![
@@ -477,81 +461,15 @@ pub fn rel_tail_table(profile: Profile, msg_size: u64, loss_rates: &[f64]) -> Ta
                 samples.percentile(99.0),
                 samples.percentile(100.0),
                 samples.mean(),
-                retx as f64,
-                dropped as f64,
+                (client.retransmissions + server.retransmissions) as f64,
+                pair.san_stats().frames_dropped as f64,
                 // The generous retry budget must ride out every loss rate
                 // in the sweep without tripping the VI error state.
-                conn_failures as f64,
+                (client.conn_failures + server.conn_failures) as f64,
             ],
         );
     }
     t
-}
-
-/// A ping-pong that keeps every one-way sample (half of each round trip),
-/// plus the run's total retransmissions and connection failures (both
-/// providers) and the fabric's dropped-frame count.
-fn ping_pong_samples(cfg: &DtConfig) -> (simkit::Samples, u64, u64, u64) {
-    use simkit::Samples;
-    use via::{Descriptor, MemAttributes};
-    let pair = Pair::new(cfg);
-    let total = (cfg.warmup + cfg.iters) as u64;
-    let scfg = cfg.clone();
-    let ccfg = cfg.clone();
-    let (_, samples) = pair.run(
-        move |ctx, ep| {
-            let cfg = scfg;
-            let buf = ep.provider.malloc(cfg.msg_size.max(1));
-            let mh = ep
-                .provider
-                .register_mem(ctx, buf, cfg.msg_size.max(1), MemAttributes::default())
-                .unwrap();
-            ep.vi
-                .post_recv(
-                    ctx,
-                    Descriptor::recv().segment(buf, mh, cfg.msg_size as u32),
-                )
-                .unwrap();
-            ep.sync(ctx);
-            for i in 0..total {
-                let next = (i + 1 < total)
-                    .then(|| Descriptor::recv().segment(buf, mh, cfg.msg_size as u32));
-                let pong = Descriptor::send().segment(buf, mh, cfg.msg_size as u32);
-                ep.pong(ctx, cfg.wait, next, pong);
-            }
-        },
-        move |ctx, ep| {
-            let cfg = ccfg;
-            let buf = ep.provider.malloc(cfg.msg_size.max(1));
-            let mh = ep
-                .provider
-                .register_mem(ctx, buf, cfg.msg_size.max(1), MemAttributes::default())
-                .unwrap();
-            ep.sync(ctx);
-            let mut samples = Samples::new();
-            for i in 0..total {
-                let t0 = ctx.now();
-                ep.ping(
-                    ctx,
-                    cfg.wait,
-                    Descriptor::recv().segment(buf, mh, cfg.msg_size as u32),
-                    Descriptor::send().segment(buf, mh, cfg.msg_size as u32),
-                );
-                if i >= cfg.warmup as u64 {
-                    samples.push((ctx.now() - t0).as_micros_f64() / 2.0);
-                }
-            }
-            samples
-        },
-    );
-    let retx = pair.provider_stats(0).retransmissions + pair.provider_stats(1).retransmissions;
-    let conn_failures = pair.provider_stats(0).conn_failures + pair.provider_stats(1).conn_failures;
-    (
-        samples,
-        retx,
-        pair.san_stats().frames_dropped,
-        conn_failures,
-    )
 }
 
 #[cfg(test)]

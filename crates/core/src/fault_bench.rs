@@ -8,14 +8,21 @@
 //! arc: retry exhaustion → VI Error → descriptor flush → disconnect →
 //! reconnect → resume.
 //!
+//! Every scenario streams through the harness's windowed sender
+//! ([`Stream`]); the reconnect row's arc is the harness's ([`standby`],
+//! [`reconnect_resend`]), the same one every X-CHAOS episode that fails
+//! runs.
+//!
 //! Everything is discrete-event deterministic: the same seed produces the
 //! same fault realization, byte for byte, at any worker count.
 
 use fabric::NodeId;
-use simkit::{SimDuration, SimTime};
-use via::{Discriminator, MemAttributes, Profile, Reliability, ViAttributes};
+use simkit::{ProcessCtx, SimDuration, SimTime};
+use via::{Profile, Reliability, ViaError};
 
-use crate::harness::{rel_short, DtConfig, Endpoint, Pair};
+use crate::harness::{
+    reconnect_resend, registered, rel_short, standby, DtConfig, Endpoint, Pair, Stream, RECONNECT,
+};
 use crate::report::Table;
 
 const MSG_SIZE: u64 = 4096;
@@ -64,11 +71,7 @@ where
     let (_, out) = pair.run(
         move |ctx, ep| {
             let cfg = scfg;
-            let buf = ep.provider.malloc(cfg.msg_size);
-            let mh = ep
-                .provider
-                .register_mem(ctx, buf, cfg.msg_size, MemAttributes::default())
-                .unwrap();
+            let (buf, mh) = registered(ctx, &ep.provider, cfg.msg_size);
             for _ in 0..total {
                 ep.vi
                     .post_recv(ctx, ep.split_desc(true, buf, mh, cfg.msg_size, 1))
@@ -80,40 +83,18 @@ where
         },
         move |ctx, ep| {
             let cfg = ccfg;
-            let buf = ep.provider.malloc(cfg.msg_size);
-            let mh = ep
-                .provider
-                .register_mem(ctx, buf, cfg.msg_size, MemAttributes::default())
-                .unwrap();
+            let (buf, mh) = registered(ctx, &ep.provider, cfg.msg_size);
             ep.sync(ctx);
             let t0 = ctx.now();
             let watch = script(&ep, t0);
-            let mut first_after: Option<SimTime> = None;
-            let mut outstanding = 0u64;
-            let note = |now: SimTime, first: &mut Option<SimTime>| {
-                if first.is_none() && now >= watch {
-                    *first = Some(now);
-                }
-            };
+            let mut s = Stream::new(&ep.vi, cfg.queue_depth, cfg.wait);
+            s.watch(watch);
             for _ in 0..total {
-                ep.vi
-                    .post_send(ctx, ep.split_desc(false, buf, mh, cfg.msg_size, 1))
-                    .unwrap();
-                outstanding += 1;
-                if outstanding >= cfg.queue_depth as u64 {
-                    let c = ep.vi.send_wait(ctx, cfg.wait);
-                    assert!(c.is_ok(), "fault stream send: {:?}", c.status);
-                    outstanding -= 1;
-                    note(ctx.now(), &mut first_after);
-                }
+                s.post(ctx, ep.split_desc(false, buf, mh, cfg.msg_size, 1))
+                    .expect("fault stream send");
             }
-            while outstanding > 0 {
-                let c = ep.vi.send_wait(ctx, cfg.wait);
-                assert!(c.is_ok(), "fault stream drain: {:?}", c.status);
-                outstanding -= 1;
-                note(ctx.now(), &mut first_after);
-            }
-            (ctx.now() - t0, first_after, watch)
+            s.drain(ctx);
+            (ctx.now() - t0, s.first_after_watch, watch)
         },
     );
     out
@@ -302,39 +283,25 @@ pub fn error_reconnect_run(profile: Profile) -> ReconnectReport {
     let pair = Pair::new(&cfg);
     let san = pair.san();
     let ccfg = cfg.clone();
-    let attrs = ViAttributes::reliable(cfg.reliability);
     let (_, mut report) = pair.run(
         move |ctx, ep| {
-            // A second VI listening on discriminator 2 is the reconnect
-            // target; receives may be pre-posted while it is still Idle.
-            let vi2 = ep.provider.create_vi(ctx, attrs, None, None).unwrap();
-            let buf = ep.provider.malloc(MSG_SIZE);
-            let mh = ep
-                .provider
-                .register_mem(ctx, buf, MSG_SIZE, MemAttributes::default())
-                .unwrap();
-            for _ in 0..RECONNECT_TOTAL {
-                ep.vi
-                    .post_recv(ctx, ep.split_desc(true, buf, mh, MSG_SIZE, 1))
-                    .unwrap();
-                vi2.post_recv(ctx, ep.split_desc(true, buf, mh, MSG_SIZE, 1))
-                    .unwrap();
-            }
+            let (vi2, posted) = standby(ctx, &ep, cfg.reliability, RECONNECT_TOTAL, MSG_SIZE);
+            assert_eq!(
+                posted,
+                2 * RECONNECT_TOTAL,
+                "a receive per message on both VIs"
+            );
             ep.sync(ctx);
             // Blocks here through the outage; returns once the client's
             // reconnect handshake lands. Deliveries on either VI complete
             // into their work queues unobserved.
             ep.provider
-                .accept(ctx, &vi2, Discriminator(2))
+                .accept(ctx, &vi2, RECONNECT)
                 .expect("reconnect accept");
         },
         move |ctx, ep| {
             let cfg = ccfg;
-            let buf = ep.provider.malloc(MSG_SIZE);
-            let mh = ep
-                .provider
-                .register_mem(ctx, buf, MSG_SIZE, MemAttributes::default())
-                .unwrap();
+            let (buf, mh) = registered(ctx, &ep.provider, MSG_SIZE);
             ep.sync(ctx);
             // Cut the client's own link shortly into the stream, long
             // enough that the shortened retry budget exhausts mid-outage.
@@ -345,94 +312,42 @@ pub fn error_reconnect_run(profile: Profile) -> ReconnectReport {
                 RECONNECT_FLAP,
             ));
             let flap_end = flap_at + RECONNECT_FLAP;
-            let mut posted = 0u64;
-            let mut ok = 0u64;
-            let mut flushed = 0u64;
-            let mut outstanding = 0u64;
-            let mut failed = false;
-            let take = |c: &via::Completion, ok: &mut u64, flushed: &mut u64| {
-                if c.is_ok() {
-                    *ok += 1;
-                } else {
-                    assert_eq!(c.status, Err(via::ViaError::ConnectionLost));
-                    *flushed += 1;
+            let mut s = Stream::new(&ep.vi, cfg.queue_depth, cfg.wait).tolerant();
+            let mut send = |ctx: &mut ProcessCtx, s: &mut Stream| {
+                match s.post(ctx, ep.split_desc(false, buf, mh, MSG_SIZE, 1)) {
+                    Ok(()) => true,
+                    // The VI went into Error between completions: new work
+                    // is refused until disconnect + reconnect.
+                    Err(ViaError::InvalidState) => false,
+                    Err(e) => panic!("post_send: {e:?}"),
                 }
             };
             for _ in 0..RECONNECT_TOTAL {
-                match ep
-                    .vi
-                    .post_send(ctx, ep.split_desc(false, buf, mh, MSG_SIZE, 1))
-                {
-                    Ok(()) => {
-                        posted += 1;
-                        outstanding += 1;
-                    }
-                    // The VI went into Error between completions: new work
-                    // is refused until disconnect + reconnect.
-                    Err(via::ViaError::InvalidState) => {
-                        failed = true;
-                        break;
-                    }
-                    Err(e) => panic!("post_send: {e:?}"),
-                }
-                if outstanding >= cfg.queue_depth as u64 {
-                    let c = ep.vi.send_wait(ctx, cfg.wait);
-                    outstanding -= 1;
-                    take(&c, &mut ok, &mut flushed);
-                    if !c.is_ok() {
-                        failed = true;
-                        break;
-                    }
+                if !send(ctx, &mut s) {
+                    break;
                 }
             }
             // The error flush completes every outstanding descriptor.
-            while outstanding > 0 {
-                let c = ep.vi.send_wait(ctx, cfg.wait);
-                outstanding -= 1;
-                take(&c, &mut ok, &mut flushed);
-            }
-            assert!(failed, "the outage should have failed the connection");
-            // The spec's only exit from the Error state.
-            ep.provider.disconnect(ctx, &ep.vi).expect("disconnect");
-            // The connect handshake has no retransmission of its own, so
-            // sit out the rest of the scheduled outage before redialing.
-            let resume_at = flap_end + SimDuration::from_micros(100);
-            let wait = resume_at.saturating_duration_since(ctx.now());
-            if wait > SimDuration::ZERO {
-                ctx.busy(wait);
-            }
-            ep.provider
-                .connect(ctx, &ep.vi, NodeId(1), Discriminator(2), None)
-                .expect("reconnect");
-            // Re-send everything that never completed.
-            let resent = RECONNECT_TOTAL - ok;
-            let mut recovered: Option<SimTime> = None;
-            for _ in 0..resent {
-                ep.vi
-                    .post_send(ctx, ep.split_desc(false, buf, mh, MSG_SIZE, 1))
-                    .unwrap();
-                outstanding += 1;
-                if outstanding >= cfg.queue_depth as u64 {
-                    let c = ep.vi.send_wait(ctx, cfg.wait);
-                    assert!(c.is_ok(), "resumed send: {:?}", c.status);
-                    outstanding -= 1;
-                    recovered.get_or_insert(ctx.now());
-                }
-            }
-            while outstanding > 0 {
-                let c = ep.vi.send_wait(ctx, cfg.wait);
-                assert!(c.is_ok(), "resumed drain: {:?}", c.status);
-                outstanding -= 1;
-                recovered.get_or_insert(ctx.now());
-            }
+            s.drain(ctx);
+            assert_eq!(s.conn_lost, s.errored, "only the error flush fails a send");
+            assert!(
+                s.errored > 0 || s.posted < RECONNECT_TOTAL,
+                "the outage should have failed the connection"
+            );
+            let (posted_before, completed_before, flushed) = (s.posted, s.ok, s.errored);
+            // Sit out the rest of the scheduled outage before redialing.
+            let resume = flap_end + SimDuration::from_micros(100);
+            let clean = reconnect_resend(ctx, &ep, &mut s, resume, RECONNECT_TOTAL, &mut send);
+            assert!(clean, "every resent message must complete");
             ReconnectReport {
-                posted_before: posted,
-                completed_before: ok,
+                posted_before,
+                completed_before,
                 flushed,
-                resent,
+                resent: RECONNECT_TOTAL - completed_before,
                 conn_failures: 0, // filled in from the provider below
                 server_received: 0,
-                recovery_us: recovered
+                recovery_us: s
+                    .first_after_watch
                     .expect("something was resent")
                     .saturating_duration_since(flap_end)
                     .as_micros_f64(),

@@ -1,6 +1,8 @@
 //! The one flow pair the multi-node streaming workloads are built from:
 //! a receiver that pre-posts its whole window before accepting, and a
-//! sender that keeps a window of sends outstanding. The connection storm,
+//! sender that keeps a window of sends outstanding — the harness's
+//! windowed sender ([`crate::harness::Stream`]) on the flow's VI, which
+//! needs no `Endpoint`. The connection storm,
 //! the incast, the spine kill, the pause cascade (`topo_bench`,
 //! `failover_bench`) and the X-SHARD ring (`shard_bench`) are each a
 //! list of [`Flow`]s over a cluster.
@@ -24,8 +26,9 @@
 
 use fabric::NodeId;
 use simkit::{ProcessHandle, SimDuration, SimTime, WaitMode};
-use via::{Cluster, Descriptor, Discriminator, MemAttributes, Reliability, ViAttributes};
+use via::{Cluster, Descriptor, Discriminator, Reliability, ViAttributes};
 
+use crate::harness::{registered, Stream};
 use crate::topo_bench::Rig;
 
 /// One unidirectional stream of `msgs` messages of `size` bytes.
@@ -132,10 +135,7 @@ pub(crate) fn spawn_rx(
     let sim = cluster.node_sim(dst).clone();
     sim.spawn(name, Some(p.cpu()), move |ctx| {
         let vi = p.create_vi(ctx, attrs, None, None).expect("vi");
-        let buf = p.malloc(size);
-        let mh = p
-            .register_mem(ctx, buf, size, MemAttributes::default())
-            .expect("register");
+        let (buf, mh) = registered(ctx, &p, size);
         for _ in 0..msgs {
             vi.post_recv(ctx, Descriptor::recv().segment(buf, mh, size as u32))
                 .expect("post_recv");
@@ -189,31 +189,19 @@ pub(crate) fn spawn_tx(cluster: &Cluster, flow: &Flow, name: String) -> ProcessH
     let sim = cluster.node_sim(src).clone();
     sim.spawn(name, Some(p.cpu()), move |ctx| {
         let vi = p.create_vi(ctx, attrs, None, None).expect("vi");
-        let buf = p.malloc(size);
-        let mh = p
-            .register_mem(ctx, buf, size, MemAttributes::default())
-            .expect("register");
+        let (buf, mh) = registered(ctx, &p, size);
         if let Some(stagger) = connect_at {
             ctx.sleep(stagger);
         }
         p.connect(ctx, &vi, NodeId(dst as u32), Discriminator(disc), None)
             .expect("connect");
         ctx.sleep(start);
-        // `posted` runs `depth` ahead of the completions until the tail.
-        let mut posted = 0;
-        for done in 0..msgs {
-            while posted < msgs.min(done + depth) {
-                vi.post_send(ctx, Descriptor::send().segment(buf, mh, size as u32))
-                    .expect("post_send");
-                posted += 1;
-            }
-            let comp = vi.send_wait(ctx, WaitMode::Poll);
-            assert!(
-                comp.is_ok(),
-                "flow {src}->{dst}: send failed: {:?}",
-                comp.status
-            );
+        let mut s = Stream::new(&vi, depth, WaitMode::Poll);
+        for _ in 0..msgs {
+            s.post(ctx, Descriptor::send().segment(buf, mh, size as u32))
+                .expect("post_send");
         }
+        s.drain(ctx);
     })
 }
 

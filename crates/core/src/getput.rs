@@ -12,7 +12,7 @@
 
 use via::{Descriptor, MemAttributes, MemHandle, Profile};
 
-use crate::harness::{DtConfig, Pair};
+use crate::harness::{registered, DtConfig, Pair, Stream};
 use crate::sweep::{Curve, Sweep};
 
 /// How the one-sided operation is realized on the VIA.
@@ -37,11 +37,7 @@ pub fn put_latency(cfg: &DtConfig, mapping: PutMapping) -> f64 {
     let (_, per_op) = pair.run(
         move |ctx, ep| {
             let cfg = scfg;
-            let buf = ep.provider.malloc(cfg.msg_size.max(1));
-            let mh = ep
-                .provider
-                .register_mem(ctx, buf, cfg.msg_size.max(1), MemAttributes::default())
-                .unwrap();
+            let (buf, mh) = registered(ctx, &ep.provider, cfg.msg_size.max(1));
             *s2.lock() = Some((buf, mh));
             match mapping {
                 PutMapping::RdmaWrite => {
@@ -87,13 +83,10 @@ pub fn put_latency(cfg: &DtConfig, mapping: PutMapping) -> f64 {
         },
         move |ctx, ep| {
             let cfg = ccfg;
-            let buf = ep.provider.malloc(cfg.msg_size.max(1));
-            let mh = ep
-                .provider
-                .register_mem(ctx, buf, cfg.msg_size.max(1), MemAttributes::default())
-                .unwrap();
+            let (buf, mh) = registered(ctx, &ep.provider, cfg.msg_size.max(1));
             ep.sync(ctx);
             let (rva, rmh) = slot.lock().expect("target published before barrier");
+            let mut s = Stream::new(&ep.vi, 1, cfg.wait);
             let mut t0 = ctx.now();
             for i in 0..total {
                 if i == cfg.warmup as u64 {
@@ -107,9 +100,7 @@ pub fn put_latency(cfg: &DtConfig, mapping: PutMapping) -> f64 {
                         Descriptor::send().segment(buf, mh, cfg.msg_size as u32)
                     }
                 };
-                ep.vi.post_send(ctx, desc).unwrap();
-                let c = ep.vi.send_wait(ctx, cfg.wait);
-                assert!(c.is_ok(), "{:?}", c.status);
+                s.post(ctx, desc).unwrap();
             }
             (ctx.now() - t0).as_micros_f64() / cfg.iters as f64
         },
@@ -156,26 +147,20 @@ pub fn get_latency(cfg: &DtConfig) -> f64 {
         },
         move |ctx, ep| {
             let cfg = ccfg;
-            let buf = ep.provider.malloc(cfg.msg_size.max(1));
-            let mh = ep
-                .provider
-                .register_mem(ctx, buf, cfg.msg_size.max(1), MemAttributes::default())
-                .unwrap();
+            let (buf, mh) = registered(ctx, &ep.provider, cfg.msg_size.max(1));
             ep.sync(ctx);
             let (rva, rmh) = slot.lock().expect("published");
+            let mut s = Stream::new(&ep.vi, 1, cfg.wait);
             let mut t0 = ctx.now();
             for i in 0..total {
                 if i == cfg.warmup as u64 {
                     t0 = ctx.now();
                 }
                 let desc = Descriptor::rdma_read(rva, rmh).segment(buf, mh, cfg.msg_size as u32);
-                ep.vi.post_send(ctx, desc).unwrap();
-                let c = ep.vi.send_wait(ctx, cfg.wait);
-                assert!(c.is_ok(), "{:?}", c.status);
+                s.post(ctx, desc).unwrap();
             }
             let per = (ctx.now() - t0).as_micros_f64() / cfg.iters as f64;
-            ep.vi.post_send(ctx, Descriptor::send()).unwrap();
-            ep.vi.send_wait(ctx, cfg.wait);
+            s.post(ctx, Descriptor::send()).expect("done message");
             per
         },
     );

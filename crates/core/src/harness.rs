@@ -3,12 +3,18 @@
 //! latency (§3.2's "standard ping-pong test"), streamed bandwidth
 //! ("messages sent repeatedly … sender waits for the last message to be
 //! acknowledged"), and request/reply transactions (§3.3.1).
+//!
+//! Every workload body in the suite is written from the same three steps:
+//! a buffer from [`registered`], sends through the one windowed sender
+//! ([`Stream`]), and — where a fault fails the connection — the VIA spec's
+//! one recovery arc ([`standby`] on the server, [`reconnect_resend`] on
+//! the client).
 
 use fabric::NodeId;
-use simkit::{CpuMeter, ProcessCtx, Sim, SimBarrier, WaitMode};
+use simkit::{CpuMeter, ProcessCtx, Samples, Sim, SimBarrier, SimTime, WaitMode};
 use via::{
     Cluster, Cq, Descriptor, Discriminator, MemAttributes, MemHandle, Profile, Provider,
-    Reliability, Vi, ViAttributes,
+    Reliability, Vi, ViAttributes, ViaError, ViaResult,
 };
 
 pub use simkit::SimDuration;
@@ -143,14 +149,9 @@ impl BufferPool {
     ) -> Self {
         assert!(count >= 1);
         assert!(reuse_percent <= 100);
-        let mut bufs = Vec::with_capacity(count);
-        for _ in 0..count {
-            let va = provider.malloc(size.max(1));
-            let mh = provider
-                .register_mem(ctx, va, size.max(1), MemAttributes::default())
-                .expect("pool registration");
-            bufs.push((va, mh));
-        }
+        let bufs = (0..count)
+            .map(|_| registered(ctx, provider, size.max(1)))
+            .collect();
         BufferPool {
             bufs,
             cursor: 0,
@@ -178,6 +179,119 @@ impl BufferPool {
             self.cursor = (self.cursor + 1) % self.bufs.len();
         }
         self.bufs[self.cursor]
+    }
+}
+
+/// Allocate and register `len` bytes with default attributes. The length
+/// is part of the timeline, so callers choose between `size` and
+/// `size.max(1)` with care: the virtual address of every later buffer,
+/// and with it the page straddles the translation cache sees, depends on
+/// it.
+pub fn registered(ctx: &mut ProcessCtx, provider: &Provider, len: u64) -> (u64, MemHandle) {
+    let va = provider.malloc(len);
+    let mh = provider
+        .register_mem(ctx, va, len, MemAttributes::default())
+        .expect("buffer registration");
+    (va, mh)
+}
+
+/// The one windowed sender every one-way stream body is built from: sends
+/// on one VI with at most `depth` outstanding — a post that fills the
+/// window reaps one completion before it returns, [`Stream::drain`] reaps
+/// the rest — and the ledger the body reports from (read its fields; only
+/// the methods update them). An error completion panics unless the stream
+/// is [`Stream::tolerant`]; a depth of 1 is a self-paced sender (post,
+/// then wait for that send).
+pub struct Stream<'v> {
+    vi: &'v Vi,
+    depth: u64,
+    wait: WaitMode,
+    strict: bool,
+    watch: SimTime,
+    /// Sends the VI accepted.
+    pub posted: u64,
+    /// Completions reaped OK.
+    pub ok: u64,
+    /// Completions reaped with an error status.
+    pub errored: u64,
+    /// Sends accepted and not yet reaped.
+    pub outstanding: u64,
+    /// Of the errored, those flushed as `ConnectionLost` by the VI error
+    /// state machine.
+    pub conn_lost: u64,
+    /// The first completion reaped at or after the [`Stream::watch`]
+    /// instant (any completion, until one is set).
+    pub first_after_watch: Option<SimTime>,
+}
+
+impl<'v> Stream<'v> {
+    /// A sender on `vi` keeping `depth` sends outstanding, reaping with
+    /// `wait`.
+    pub fn new(vi: &'v Vi, depth: usize, wait: WaitMode) -> Self {
+        Stream {
+            vi,
+            depth: depth as u64,
+            wait,
+            strict: true,
+            watch: SimTime::ZERO,
+            posted: 0,
+            ok: 0,
+            errored: 0,
+            outstanding: 0,
+            conn_lost: 0,
+            first_after_watch: None,
+        }
+    }
+
+    /// Count error completions in the ledger instead of panicking on them
+    /// (the fault-injection bodies, whose VI is meant to fail).
+    pub fn tolerant(mut self) -> Self {
+        self.strict = false;
+        self
+    }
+
+    /// Record in [`Stream::first_after_watch`] the first completion reaped
+    /// from `at` on.
+    pub fn watch(&mut self, at: SimTime) {
+        self.watch = at;
+        self.first_after_watch = None;
+    }
+
+    /// Post `desc`. An accepted send is counted and, if it fills the
+    /// window, one completion is reaped before this returns; a refused one
+    /// leaves the ledger untouched. Returns the post's own result, so a
+    /// caller that expects no refusal unwraps it.
+    pub fn post(&mut self, ctx: &mut ProcessCtx, desc: Descriptor) -> ViaResult<()> {
+        self.vi.post_send(ctx, desc)?;
+        self.posted += 1;
+        self.outstanding += 1;
+        if self.outstanding >= self.depth {
+            self.wait_one(ctx);
+        }
+        Ok(())
+    }
+
+    /// Reap one send completion into the ledger.
+    pub fn wait_one(&mut self, ctx: &mut ProcessCtx) {
+        let c = self.vi.send_wait(ctx, self.wait);
+        self.outstanding -= 1;
+        if c.is_ok() {
+            self.ok += 1;
+        } else {
+            assert!(!self.strict, "stream send: {:?}", c.status);
+            self.errored += 1;
+            self.conn_lost += u64::from(c.status == Err(ViaError::ConnectionLost));
+        }
+        if self.first_after_watch.is_none() && ctx.now() >= self.watch {
+            self.first_after_watch = Some(ctx.now());
+        }
+    }
+
+    /// Reap every outstanding completion.
+    pub fn drain(&mut self, ctx: &mut ProcessCtx) {
+        while self.outstanding > 0 {
+            self.wait_one(ctx);
+        }
     }
 }
 
@@ -276,6 +390,78 @@ impl Endpoint {
         }
         d
     }
+}
+
+/// The discriminator a failed connection is redialled on: the server's
+/// [`standby`] VI listens here, beside the original connection's 1.
+pub const RECONNECT: Discriminator = Discriminator(2);
+
+/// Server half of the VIA spec's recovery arc: a standby VI of
+/// `reliability` beside `ep.vi`, and `msgs` receives of `size` bytes
+/// pre-posted on each (`ep.vi` first; a standby may take receives while
+/// still Idle), each VI stopping at the first post its work queue refuses
+/// — a shrunken queue leaves later messages descriptor-less, which a
+/// reliable stream must surface as retry exhaustion. Accept the standby
+/// on [`RECONNECT`] when the client redials. Returns the standby and the
+/// receives posted on both.
+pub fn standby(
+    ctx: &mut ProcessCtx,
+    ep: &Endpoint,
+    reliability: Reliability,
+    msgs: u64,
+    size: u64,
+) -> (Vi, u64) {
+    let attrs = ViAttributes::reliable(reliability);
+    let vi2 = ep
+        .provider
+        .create_vi(ctx, attrs, None, None)
+        .expect("standby vi");
+    let (buf, mh) = registered(ctx, &ep.provider, size);
+    let mut posted = 0;
+    for vi in [&ep.vi, &vi2] {
+        for _ in 0..msgs {
+            if vi
+                .post_recv(ctx, ep.split_desc(true, buf, mh, size, 1))
+                .is_err()
+            {
+                break;
+            }
+            posted += 1;
+        }
+    }
+    (vi2, posted)
+}
+
+/// Client half of the recovery arc, once stream `s` has failed `ep.vi`:
+/// disconnect (the spec's only exit from the Error state), sit out the
+/// fault until `resume` (the connect handshake has no retransmission of
+/// its own), redial the server's [`standby`], then re-send the `msgs −
+/// s.ok` messages that never completed through the same sender. `send`
+/// posts one message and returns false when the VI refused it; the resend
+/// stops at the first refusal or new error completion and then drains.
+/// Returns whether it ran clean; `s.first_after_watch` is then the first
+/// completion after the reconnect.
+pub fn reconnect_resend<'v>(
+    ctx: &mut ProcessCtx,
+    ep: &Endpoint,
+    s: &mut Stream<'v>,
+    resume: SimTime,
+    msgs: u64,
+    mut send: impl FnMut(&mut ProcessCtx, &mut Stream<'v>) -> bool,
+) -> bool {
+    ep.provider.disconnect(ctx, &ep.vi).expect("disconnect");
+    let wait = resume.saturating_duration_since(ctx.now());
+    if wait > SimDuration::ZERO {
+        ctx.busy(wait);
+    }
+    ep.provider
+        .connect(ctx, &ep.vi, NodeId(1), RECONNECT, None)
+        .expect("reconnect");
+    s.watch(ctx.now());
+    let before = s.errored;
+    let clean = (0..msgs - s.ok).all(|_| send(ctx, s) && s.errored == before);
+    s.drain(ctx);
+    clean && s.errored == before
 }
 
 /// Prepared two-node experiment: cluster + closures runner.
@@ -435,7 +621,7 @@ impl Pair {
 /// the world's name (`world`, its profile and topology), then roll its
 /// storm trips, fault-dropped frames and crash wipes into the running
 /// job's [`crate::runner::FabricHealth`]. Every world the suite builds ends
-/// here except X-MPL's and X-DSM's, whose `spawn_world` drops its cluster.
+/// here.
 pub(crate) fn finish_world(cluster: &Cluster, world: std::fmt::Arguments) {
     let audit = cluster.audit();
     assert!(
@@ -460,17 +646,24 @@ pub(crate) fn finish_world(cluster: &Cluster, world: std::fmt::Arguments) {
 /// The §3.2 ping-pong test under `cfg`: returns one-way latency and both
 /// sides' CPU utilization.
 pub fn ping_pong(cfg: &DtConfig) -> PingPongResult {
-    ping_pong_on(&Pair::new(cfg), cfg)
+    ping_pong_on(&Pair::new(cfg), cfg, false).0
 }
 
 /// [`ping_pong`] on a world the caller built from `cfg` (and can therefore
-/// watch being freed).
-pub(crate) fn ping_pong_on(pair: &Pair, cfg: &DtConfig) -> PingPongResult {
+/// read counters from or watch being freed), plus — when `keep_samples` —
+/// every measured iteration's one-way time (half its round trip) in
+/// microseconds. The samples are opt-in because they allocate per
+/// iteration, which the per-message allocation gates would count.
+pub(crate) fn ping_pong_on(
+    pair: &Pair,
+    cfg: &DtConfig,
+    keep_samples: bool,
+) -> (PingPongResult, Samples) {
     let total = (cfg.warmup + cfg.iters) as u64;
     let pool_n = BufferPool::count_for(cfg.iters, cfg.warmup, cfg.reuse_percent);
     let scfg = cfg.clone();
     let ccfg = cfg.clone();
-    let (server_util, (lat, client_util)) = pair.run(
+    let (server_util, (lat, client_util, samples)) = pair.run(
         move |ctx, ep| {
             let cfg = scfg;
             let mut pool =
@@ -501,12 +694,14 @@ pub(crate) fn ping_pong_on(pair: &Pair, cfg: &DtConfig) -> PingPongResult {
             ep.sync(ctx);
             let mut t0 = ctx.now();
             let mut meter = CpuMeter::start(ctx.sim(), ep.provider.cpu());
+            let mut samples = Samples::new();
             for i in 0..total {
                 if i == cfg.warmup as u64 {
                     t0 = ctx.now();
                     meter = CpuMeter::start(ctx.sim(), ep.provider.cpu());
                 }
                 let (va, mh) = pool.pick(i);
+                let sent = ctx.now();
                 // Post the reply receive before pinging (paper §3.2.1).
                 ep.ping(
                     ctx,
@@ -514,18 +709,22 @@ pub(crate) fn ping_pong_on(pair: &Pair, cfg: &DtConfig) -> PingPongResult {
                     ep.split_desc(true, va, mh, cfg.msg_size, cfg.segments),
                     ep.split_desc(false, va, mh, cfg.msg_size, cfg.segments),
                 );
+                if keep_samples && i >= cfg.warmup as u64 {
+                    samples.push((ctx.now() - sent).as_micros_f64() / 2.0);
+                }
             }
             let elapsed = ctx.now() - t0;
             let util = meter.stop(ctx.sim()).utilization();
             let lat = elapsed.as_micros_f64() / (2.0 * cfg.iters as f64);
-            (lat, util)
+            (lat, util, samples)
         },
     );
-    PingPongResult {
+    let result = PingPongResult {
         latency_us: lat,
         client_util,
         server_util,
-    }
+    };
+    (result, samples)
 }
 
 /// The §3.2 bandwidth test under `cfg`: the client streams `iters`
@@ -552,11 +751,8 @@ pub fn bandwidth(cfg: &DtConfig) -> BandwidthResult {
             let cfg = scfg;
             let mut pool =
                 BufferPool::build(ctx, &ep.provider, pool_n, cfg.msg_size, cfg.reuse_percent);
-            let ack = ep.provider.malloc(16);
-            let ack_mh = ep
-                .provider
-                .register_mem(ctx, ack, 16, MemAttributes::default())
-                .unwrap();
+            let (ack, ack_mh) = registered(ctx, &ep.provider, 16);
+            let mut acks = Stream::new(&ep.vi, 1, cfg.wait);
             // Pre-post a window of receives.
             let prepost = window.min(total);
             for i in 0..prepost {
@@ -578,27 +774,19 @@ pub fn bandwidth(cfg: &DtConfig) -> BandwidthResult {
                 }
                 if (i + 1) % burst == 0 {
                     // Credit: the sender may advance another burst.
-                    ep.vi
-                        .post_send(ctx, Descriptor::send().segment(ack, ack_mh, 4))
-                        .unwrap();
-                    ep.vi.send_wait(ctx, cfg.wait);
+                    acks.post(ctx, Descriptor::send().segment(ack, ack_mh, 4))
+                        .expect("credit");
                 }
             }
             // Final application-level acknowledgment.
-            ep.vi
-                .post_send(ctx, Descriptor::send().segment(ack, ack_mh, 4))
-                .unwrap();
-            ep.vi.send_wait(ctx, cfg.wait);
+            acks.post(ctx, Descriptor::send().segment(ack, ack_mh, 4))
+                .expect("final ack");
         },
         move |ctx, ep| {
             let cfg = ccfg;
             let mut pool =
                 BufferPool::build(ctx, &ep.provider, pool_n, cfg.msg_size, cfg.reuse_percent);
-            let ack = ep.provider.malloc(16);
-            let ack_mh = ep
-                .provider
-                .register_mem(ctx, ack, 16, MemAttributes::default())
-                .unwrap();
+            let (ack, ack_mh) = registered(ctx, &ep.provider, 16);
             let credit_desc = || Descriptor::recv().segment(ack, ack_mh, 16);
             let credit_recvs = 8u64.min(credits_total + 1);
             for _ in 0..credit_recvs {
@@ -607,7 +795,7 @@ pub fn bandwidth(cfg: &DtConfig) -> BandwidthResult {
             ep.sync(ctx);
             let t0 = ctx.now();
             let meter = CpuMeter::start(ctx.sim(), ep.provider.cpu());
-            let mut outstanding: u64 = 0;
+            let mut s = Stream::new(&ep.vi, cfg.queue_depth, cfg.wait);
             // The server grants the first two bursts implicitly (its
             // receive window covers them); further bursts need credits.
             let mut allowance = (2 * burst).min(total.max(1));
@@ -630,23 +818,13 @@ pub fn bandwidth(cfg: &DtConfig) -> BandwidthResult {
                     ep.vi.post_recv(ctx, credit_desc()).unwrap();
                 }
                 let (va, mh) = pool.pick(i);
-                ep.vi
-                    .post_send(
-                        ctx,
-                        ep.split_desc(false, va, mh, cfg.msg_size, cfg.segments),
-                    )
-                    .unwrap();
-                outstanding += 1;
-                if outstanding >= cfg.queue_depth as u64 {
-                    let comp = ep.vi.send_wait(ctx, cfg.wait);
-                    assert!(comp.is_ok(), "bw send: {:?}", comp.status);
-                    outstanding -= 1;
-                }
+                s.post(
+                    ctx,
+                    ep.split_desc(false, va, mh, cfg.msg_size, cfg.segments),
+                )
+                .expect("bw send");
             }
-            while outstanding > 0 {
-                ep.vi.send_wait(ctx, cfg.wait);
-                outstanding -= 1;
-            }
+            s.drain(ctx);
             // Drain the remaining credits; the last message is the final
             // ACK (the fabric is FIFO, so it arrives after everything).
             while credits_seen < credits_total + 1 {
@@ -677,16 +855,8 @@ pub fn transactions(cfg: &DtConfig, request: u64, reply: u64) -> f64 {
     let (_, tps) = pair.run(
         move |ctx, ep| {
             // Server: receive request, send reply.
-            let req = ep.provider.malloc(request.max(1));
-            let req_mh = ep
-                .provider
-                .register_mem(ctx, req, request.max(1), MemAttributes::default())
-                .unwrap();
-            let rep = ep.provider.malloc(reply.max(1));
-            let rep_mh = ep
-                .provider
-                .register_mem(ctx, rep, reply.max(1), MemAttributes::default())
-                .unwrap();
+            let (req, req_mh) = registered(ctx, &ep.provider, request.max(1));
+            let (rep, rep_mh) = registered(ctx, &ep.provider, reply.max(1));
             ep.vi
                 .post_recv(ctx, Descriptor::recv().segment(req, req_mh, request as u32))
                 .unwrap();
@@ -699,16 +869,8 @@ pub fn transactions(cfg: &DtConfig, request: u64, reply: u64) -> f64 {
             }
         },
         move |ctx, ep| {
-            let req = ep.provider.malloc(request.max(1));
-            let req_mh = ep
-                .provider
-                .register_mem(ctx, req, request.max(1), MemAttributes::default())
-                .unwrap();
-            let rep = ep.provider.malloc(reply.max(1));
-            let rep_mh = ep
-                .provider
-                .register_mem(ctx, rep, reply.max(1), MemAttributes::default())
-                .unwrap();
+            let (req, req_mh) = registered(ctx, &ep.provider, request.max(1));
+            let (rep, rep_mh) = registered(ctx, &ep.provider, reply.max(1));
             ep.sync(ctx);
             let mut t0 = ctx.now();
             for i in 0..total {
@@ -743,11 +905,7 @@ pub fn rdma_write_ping(cfg: &DtConfig) -> PingPongResult {
     let (server_util, (lat, client_util)) = pair.run(
         move |ctx, ep| {
             let cfg = scfg;
-            let buf = ep.provider.malloc(cfg.msg_size.max(1));
-            let mh = ep
-                .provider
-                .register_mem(ctx, buf, cfg.msg_size.max(1), MemAttributes::default())
-                .unwrap();
+            let (buf, mh) = registered(ctx, &ep.provider, cfg.msg_size.max(1));
             *s2.lock() = Some((buf, mh));
             // Zero-segment receives absorb the RDMA-with-immediate events.
             ep.vi.post_recv(ctx, Descriptor::recv()).unwrap();
@@ -762,11 +920,7 @@ pub fn rdma_write_ping(cfg: &DtConfig) -> PingPongResult {
         },
         move |ctx, ep| {
             let cfg = ccfg;
-            let buf = ep.provider.malloc(cfg.msg_size.max(1));
-            let mh = ep
-                .provider
-                .register_mem(ctx, buf, cfg.msg_size.max(1), MemAttributes::default())
-                .unwrap();
+            let (buf, mh) = registered(ctx, &ep.provider, cfg.msg_size.max(1));
             ep.sync(ctx);
             let (rva, rmh) = slot.lock().expect("target registered before barrier");
             let mut t0 = ctx.now();

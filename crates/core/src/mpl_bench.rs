@@ -9,15 +9,15 @@
 
 use mpl::{Mpl, MplConfig};
 use simkit::Sim;
-use via::Profile;
+use via::{Cluster, Profile};
 
-use crate::harness::{paper_sizes, DtConfig};
+use crate::harness::{finish_world, paper_sizes, DtConfig};
 use crate::sweep::{Curve, Metric, Sweep};
 
 /// One-way latency (us) of an `mpl` ping-pong of `size` bytes.
 pub fn layer_latency(profile: Profile, cfg: MplConfig, size: u64, iters: u32) -> f64 {
-    let sim = Sim::new();
-    let handles = Mpl::spawn_world(&sim, profile, 2, cfg, 0xBEEF, move |ctx, mut mpl| {
+    let cluster = Cluster::new(Sim::new(), profile, 2, 0xBEEF);
+    let handles = Mpl::spawn_world(&cluster, cfg, move |ctx, mut mpl| {
         let cap = size.max(1) + 64;
         let buf = mpl.malloc(cap);
         let mh = mpl.register(ctx, buf, cap);
@@ -35,8 +35,10 @@ pub fn layer_latency(profile: Profile, cfg: MplConfig, size: u64, iters: u32) ->
         }
         (ctx.now() - t0).as_micros_f64() / (2.0 * iters as f64)
     });
-    sim.run_to_completion();
-    handles[0].expect_result()
+    cluster.sim().run_to_completion();
+    let latency = handles[0].expect_result();
+    finish_world(&cluster, format_args!("mpl ping-pong, {size} B"));
+    latency
 }
 
 /// Layer vs. raw-VIA latency across message sizes, per profile: the

@@ -7,9 +7,9 @@
 
 use fabric::NodeId;
 use simkit::{CpuMeter, Sim, SimBarrier, WaitMode};
-use via::{Cluster, Descriptor, Discriminator, MemAttributes, Profile, QueueKind, ViAttributes};
+use via::{Cluster, Descriptor, Discriminator, Profile, QueueKind, ViAttributes};
 
-use crate::harness::finish_world;
+use crate::harness::{finish_world, registered, Stream};
 use crate::sweep::{Curve, Sweep};
 
 /// Result of one fan-in run.
@@ -46,14 +46,8 @@ pub fn fan_in(profile: Profile, clients: usize, size: u64, msgs: u64, seed: u64)
                 let vi = server
                     .create_vi(ctx, ViAttributes::default(), None, Some(&cq))
                     .unwrap();
-                let buf = server.malloc(size.max(1));
-                let mh = server
-                    .register_mem(ctx, buf, size.max(1), MemAttributes::default())
-                    .unwrap();
-                let ack = server.malloc(16);
-                let ack_mh = server
-                    .register_mem(ctx, ack, 16, MemAttributes::default())
-                    .unwrap();
+                let (buf, mh) = registered(ctx, &server, size.max(1));
+                let (ack, ack_mh) = registered(ctx, &server, 16);
                 for _ in 0..window.min(msgs) {
                     vi.post_recv(ctx, Descriptor::recv().segment(buf, mh, size as u32))
                         .unwrap();
@@ -117,14 +111,8 @@ pub fn fan_in(profile: Profile, clients: usize, size: u64, msgs: u64, seed: u64)
             let vi = p
                 .create_vi(ctx, ViAttributes::default(), None, None)
                 .unwrap();
-            let buf = p.malloc(size.max(1));
-            let mh = p
-                .register_mem(ctx, buf, size.max(1), MemAttributes::default())
-                .unwrap();
-            let ack = p.malloc(16);
-            let ack_mh = p
-                .register_mem(ctx, ack, 16, MemAttributes::default())
-                .unwrap();
+            let (buf, mh) = registered(ctx, &p, size.max(1));
+            let (ack, ack_mh) = registered(ctx, &p, 16);
             p.connect(ctx, &vi, NodeId(0), Discriminator(c as u64), None)
                 .unwrap();
             for _ in 0..4u64.min(msgs / burst + 1) {
@@ -133,6 +121,7 @@ pub fn fan_in(profile: Profile, clients: usize, size: u64, msgs: u64, seed: u64)
             }
             start.wait(ctx);
             let t0 = ctx.now();
+            let mut s = Stream::new(&vi, 1, WaitMode::Poll);
             let mut allowance = 2 * burst.min(msgs.max(1));
             let mut credits = 0u64;
             let credits_total = msgs.div_ceil(burst);
@@ -154,10 +143,8 @@ pub fn fan_in(profile: Profile, clients: usize, size: u64, msgs: u64, seed: u64)
                     vi.post_recv(ctx, Descriptor::recv().segment(ack, ack_mh, 16))
                         .unwrap();
                 }
-                vi.post_send(ctx, Descriptor::send().segment(buf, mh, size as u32))
+                s.post(ctx, Descriptor::send().segment(buf, mh, size as u32))
                     .unwrap();
-                let cmp = vi.send_wait(ctx, WaitMode::Poll);
-                assert!(cmp.is_ok());
             }
             // Drain the remaining credits (the last is the final ack).
             while credits < credits_total {

@@ -10,10 +10,10 @@
 //! be *cancelled* by its ACK, never fired, so the "fired" column is an
 //! alarm that goes off if dead timers ever leak back into the queue.
 
-use simkit::{EventClass, SchedStats};
+use simkit::{EventClass, SchedStats, WaitMode};
 use via::{Profile, Reliability};
 
-use crate::harness::{DtConfig, Pair};
+use crate::harness::{registered, DtConfig, Pair, Stream};
 use crate::report::Table;
 
 /// Stream `msgs` reliable messages across a two-node pair and return the
@@ -30,11 +30,7 @@ fn run_stream(mut profile: Profile, loss: f64, msgs: u32) -> (SchedStats, via::P
     let sim = pair.sim().clone();
     let (_, stats) = pair.run(
         move |ctx, ep| {
-            let buf = ep.provider.malloc(2048);
-            let mh = ep
-                .provider
-                .register_mem(ctx, buf, 2048, Default::default())
-                .unwrap();
+            let (buf, mh) = registered(ctx, &ep.provider, 2048);
             for _ in 0..msgs {
                 ep.vi
                     .post_recv(ctx, ep.split_desc(true, buf, mh, 1024, 1))
@@ -42,23 +38,16 @@ fn run_stream(mut profile: Profile, loss: f64, msgs: u32) -> (SchedStats, via::P
             }
             ep.sync(ctx);
             for _ in 0..msgs {
-                let c = ep.vi.recv_wait(ctx, simkit::WaitMode::Block);
+                let c = ep.vi.recv_wait(ctx, WaitMode::Block);
                 assert!(c.is_ok(), "{:?}", c.status);
             }
         },
         move |ctx, ep| {
-            let buf = ep.provider.malloc(2048);
-            let mh = ep
-                .provider
-                .register_mem(ctx, buf, 2048, Default::default())
-                .unwrap();
+            let (buf, mh) = registered(ctx, &ep.provider, 2048);
             ep.sync(ctx);
+            let mut s = Stream::new(&ep.vi, 1, WaitMode::Block);
             for _ in 0..msgs {
-                ep.vi
-                    .post_send(ctx, ep.split_desc(false, buf, mh, 1024, 1))
-                    .unwrap();
-                let c = ep.vi.send_wait(ctx, simkit::WaitMode::Block);
-                assert!(c.is_ok(), "{:?}", c.status);
+                s.post(ctx, ep.split_desc(false, buf, mh, 1024, 1)).unwrap();
             }
             ep.provider.stats()
         },

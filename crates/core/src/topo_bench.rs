@@ -28,10 +28,10 @@
 
 use fabric::{LinkParams, NodeId, PortLimits, PortSnapshot, PortTarget, SanStats, Topology};
 use simkit::{ShardedSim, Sim, SimDuration, SimTime, WaitMode};
-use via::{Cluster, Descriptor, Discriminator, MemAttributes, Profile};
+use via::{Cluster, Descriptor, Discriminator, Profile};
 
 use crate::flow::{rd, run_flows, Flow};
-use crate::harness::finish_world;
+use crate::harness::{finish_world, registered, Stream};
 use crate::report::Table;
 use crate::runner::{default_shards, ledger, ShardRunRecord};
 
@@ -569,10 +569,7 @@ pub fn all_to_all(seed: u64, shards: usize) -> A2aOutcome {
                 .map(|j| a2a_size(j, i))
                 .max()
                 .unwrap();
-            let buf = p.malloc(max);
-            let mh = p
-                .register_mem(ctx, buf, max, MemAttributes::default())
-                .expect("register");
+            let (buf, mh) = registered(ctx, &p, max);
             let mut vis = Vec::with_capacity(n - 1);
             for j in (0..n).filter(|&j| j != i) {
                 let vi = p.create_vi(ctx, rd(), None, None).expect("vi");
@@ -605,16 +602,12 @@ pub fn all_to_all(seed: u64, shards: usize) -> A2aOutcome {
             for j in (0..n).filter(|&j| j != i) {
                 let size = a2a_size(i, j);
                 let vi = p.create_vi(ctx, rd(), None, None).expect("vi");
-                let buf = p.malloc(size);
-                let mh = p
-                    .register_mem(ctx, buf, size, MemAttributes::default())
-                    .expect("register");
+                let (buf, mh) = registered(ctx, &p, size);
                 p.connect(ctx, &vi, NodeId(j as u32), Discriminator(disc(i, j)), None)
                     .expect("connect");
-                vi.post_send(ctx, Descriptor::send().segment(buf, mh, size as u32))
+                Stream::new(&vi, 1, WaitMode::Poll)
+                    .post(ctx, Descriptor::send().segment(buf, mh, size as u32))
                     .expect("post_send");
-                let comp = vi.send_wait(ctx, WaitMode::Poll);
-                assert!(comp.is_ok(), "a2a send failed: {:?}", comp.status);
             }
         }));
     }
@@ -763,7 +756,7 @@ mod tests {
         };
         let pair = Pair::new(&cfg);
         let (san, engines) = world_probes(&pair.san(), &[pair.sim()]);
-        assert!(ping_pong_on(&pair, &cfg).latency_us > 0.0);
+        assert!(ping_pong_on(&pair, &cfg, false).0.latency_us > 0.0);
         assert!(san.upgrade().is_some());
         drop(pair);
         assert!(san.upgrade().is_none(), "ping-pong fabric leaked");

@@ -13,9 +13,9 @@ use std::io::Write as _;
 
 use simkit::{SimDuration, WaitMode};
 use trace::{chrome_trace_json, MsgId, Record, TraceConfig, TracePoint};
-use via::{Descriptor, MemAttributes, Profile};
+use via::{Descriptor, Profile};
 
-use crate::harness::{DtConfig, Pair};
+use crate::harness::{registered, DtConfig, Pair, Stream};
 use crate::report::Table;
 
 /// A traced one-way message stream: the full record set, the id of the
@@ -49,11 +49,7 @@ pub fn traced_stream(profile: Profile, size: u64) -> TracedRun {
     pair.run(
         move |ctx, ep| {
             let cfg = scfg;
-            let buf = ep.provider.malloc(cfg.msg_size.max(1));
-            let mh = ep
-                .provider
-                .register_mem(ctx, buf, cfg.msg_size.max(1), MemAttributes::default())
-                .unwrap();
+            let (buf, mh) = registered(ctx, &ep.provider, cfg.msg_size.max(1));
             for _ in 0..total {
                 ep.vi
                     .post_recv(
@@ -70,21 +66,15 @@ pub fn traced_stream(profile: Profile, size: u64) -> TracedRun {
         },
         move |ctx, ep| {
             let cfg = ccfg;
-            let buf = ep.provider.malloc(cfg.msg_size.max(1));
-            let mh = ep
-                .provider
-                .register_mem(ctx, buf, cfg.msg_size.max(1), MemAttributes::default())
-                .unwrap();
+            let (buf, mh) = registered(ctx, &ep.provider, cfg.msg_size.max(1));
             ep.sync(ctx);
+            let mut s = Stream::new(&ep.vi, 1, WaitMode::Poll);
             for _ in 0..total {
-                ep.vi
-                    .post_send(
-                        ctx,
-                        Descriptor::send().segment(buf, mh, cfg.msg_size as u32),
-                    )
-                    .unwrap();
-                let c = ep.vi.send_wait(ctx, WaitMode::Poll);
-                assert!(c.is_ok());
+                s.post(
+                    ctx,
+                    Descriptor::send().segment(buf, mh, cfg.msg_size as u32),
+                )
+                .unwrap();
                 // Space messages so timelines never overlap.
                 ctx.sleep(SimDuration::from_millis(2));
             }

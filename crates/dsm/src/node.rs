@@ -6,8 +6,8 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use simkit::{Notify, ProcessCtx, ProcessHandle, Sim, WaitMode};
 use via::{
-    Cluster, Cq, Descriptor, Discriminator, MemAttributes, MemHandle, Profile, Provider, QueueKind,
-    Vi, ViAttributes, ViId,
+    Cluster, Cq, Descriptor, Discriminator, MemAttributes, MemHandle, Provider, QueueKind, Vi,
+    ViAttributes, ViId,
 };
 
 use crate::wire::Msg;
@@ -502,25 +502,17 @@ impl Pager {
 // ---------------------------------------------------------------------
 
 impl Dsm {
-    /// Build a DSM world: a `ranks`-node cluster on `profile`, one
-    /// application process per rank running `body`, plus one pager process
-    /// per rank. Drive the simulation with [`run_world`], not
-    /// `run_to_completion` (pagers exit via a stop flag once every
-    /// application returned).
-    pub fn spawn_world<F, R>(
-        sim: &Sim,
-        profile: Profile,
-        ranks: usize,
-        cfg: DsmConfig,
-        seed: u64,
-        body: F,
-    ) -> Vec<ProcessHandle<R>>
+    /// Populate a DSM world: on each node of `cluster` (one rank each), one
+    /// application process running `body` plus one pager process. Drive
+    /// the simulation with [`run_world`], not `run_to_completion` (pagers
+    /// exit via a stop flag once every application returned); the caller
+    /// keeps the cluster, so it can read or audit it after the run.
+    pub fn spawn_world<F, R>(cluster: &Cluster, cfg: DsmConfig, body: F) -> Vec<ProcessHandle<R>>
     where
         F: Fn(&mut ProcessCtx, Dsm) -> R + Clone + Send + 'static,
         R: Send + 'static,
     {
-        assert!(ranks >= 2);
-        let cluster = Cluster::new(sim.clone(), profile, ranks, seed);
+        let ranks = cluster.nodes();
         let finished = Arc::new(std::sync::atomic::AtomicUsize::new(0));
         (0..ranks)
             .map(|rank| {
@@ -528,6 +520,7 @@ impl Dsm {
                 let body = body.clone();
                 let ranks = ranks as u32;
                 let finished = Arc::clone(&finished);
+                let sim = cluster.sim();
                 sim.spawn(format!("dsm-app{rank}"), Some(provider.cpu()), move |ctx| {
                     let (dsm, pager) = build_node(
                         ctx,

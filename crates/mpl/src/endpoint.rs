@@ -20,8 +20,8 @@
 
 use simkit::{ProcessCtx, SimDuration, WaitMode};
 use via::{
-    Cq, Descriptor, Discriminator, MemAttributes, MemHandle, Profile, Provider, QueueKind,
-    Reliability, Vi, ViAttributes, ViId,
+    Cq, Descriptor, Discriminator, MemAttributes, MemHandle, Provider, QueueKind, Reliability, Vi,
+    ViAttributes, ViId,
 };
 
 use crate::proto::{self, Kind, Tag};
@@ -458,30 +458,30 @@ impl Mpl {
         }
     }
 
-    /// Build a default world: a cluster of `ranks` nodes on `profile`, one
-    /// spawned process per rank running `body(ctx, mpl)`. Returns the
-    /// handles in rank order. (Convenience for tests and benchmarks.)
+    /// Populate a world: one spawned process per node of `cluster` (one
+    /// rank each) running `body(ctx, mpl)`. Returns the handles in rank
+    /// order; the caller keeps the cluster, so it can read or audit it
+    /// after the run. (Convenience for tests and benchmarks.)
     pub fn spawn_world<F, R>(
-        sim: &simkit::Sim,
-        profile: Profile,
-        ranks: usize,
+        cluster: &via::Cluster,
         cfg: MplConfig,
-        seed: u64,
         body: F,
     ) -> Vec<simkit::ProcessHandle<R>>
     where
         F: Fn(&mut ProcessCtx, Mpl) -> R + Clone + Send + 'static,
         R: Send + 'static,
     {
-        let cluster = via::Cluster::new(sim.clone(), profile, ranks, seed);
+        let ranks = cluster.nodes();
         (0..ranks)
             .map(|rank| {
                 let provider = cluster.provider(rank);
                 let body = body.clone();
-                sim.spawn(format!("rank{rank}"), Some(provider.cpu()), move |ctx| {
-                    let mpl = Mpl::attach(ctx, provider, rank, ranks, cfg);
-                    body(ctx, mpl)
-                })
+                cluster
+                    .sim()
+                    .spawn(format!("rank{rank}"), Some(provider.cpu()), move |ctx| {
+                        let mpl = Mpl::attach(ctx, provider, rank, ranks, cfg);
+                        body(ctx, mpl)
+                    })
             })
             .collect()
     }
@@ -497,6 +497,7 @@ pub fn settle(ctx: &mut ProcessCtx) {
 mod tests {
     use super::*;
     use simkit::Sim;
+    use via::Profile;
 
     #[test]
     fn default_config_is_sane() {
@@ -508,19 +509,12 @@ mod tests {
 
     #[test]
     fn attach_builds_a_full_mesh() {
-        let sim = Sim::new();
-        let handles = Mpl::spawn_world(
-            &sim,
-            Profile::clan(),
-            3,
-            MplConfig::default(),
-            0,
-            |_ctx, mpl| {
-                // Every peer slot except self is populated.
-                (mpl.rank(), mpl.ranks())
-            },
-        );
-        sim.run_to_completion();
+        let cluster = via::Cluster::new(Sim::new(), Profile::clan(), 3, 0);
+        let handles = Mpl::spawn_world(&cluster, MplConfig::default(), |_ctx, mpl| {
+            // Every peer slot except self is populated.
+            (mpl.rank(), mpl.ranks())
+        });
+        cluster.sim().run_to_completion();
         for (i, h) in handles.into_iter().enumerate() {
             assert_eq!(h.expect_result(), (i, 3));
         }
@@ -528,19 +522,12 @@ mod tests {
 
     #[test]
     fn stats_start_at_zero() {
-        let sim = Sim::new();
-        let handles = Mpl::spawn_world(
-            &sim,
-            Profile::clan(),
-            2,
-            MplConfig::default(),
-            0,
-            |_ctx, mpl| {
-                let s = mpl.stats();
-                s.eager_sends + s.rendezvous_sends + s.unexpected_matches + s.rts_matches
-            },
-        );
-        sim.run_to_completion();
+        let cluster = via::Cluster::new(Sim::new(), Profile::clan(), 2, 0);
+        let handles = Mpl::spawn_world(&cluster, MplConfig::default(), |_ctx, mpl| {
+            let s = mpl.stats();
+            s.eager_sends + s.rendezvous_sends + s.unexpected_matches + s.rts_matches
+        });
+        cluster.sim().run_to_completion();
         for h in handles {
             assert_eq!(h.expect_result(), 0);
         }

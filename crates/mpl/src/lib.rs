@@ -18,11 +18,11 @@
 //!
 //! ```
 //! use simkit::Sim;
-//! use via::Profile;
+//! use via::{Cluster, Profile};
 //! use mpl::{Mpl, MplConfig};
 //!
-//! let sim = Sim::new();
-//! let handles = Mpl::spawn_world(&sim, Profile::clan(), 2, MplConfig::default(), 7,
+//! let cluster = Cluster::new(Sim::new(), Profile::clan(), 2, 7);
+//! let handles = Mpl::spawn_world(&cluster, MplConfig::default(),
 //!     |ctx, mut mpl| {
 //!         let buf = mpl.malloc(1 << 20);
 //!         let mh = mpl.register(ctx, buf, 1 << 20);
@@ -35,7 +35,7 @@
 //!             mpl.mem_read(buf, n)
 //!         }
 //!     });
-//! sim.run_to_completion();
+//! cluster.sim().run_to_completion();
 //! assert_eq!(handles[1].expect_result(), b"forty-two");
 //! ```
 

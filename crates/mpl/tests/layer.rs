@@ -4,7 +4,7 @@
 
 use mpl::{Mpl, MplConfig};
 use simkit::Sim;
-use via::Profile;
+use via::{Cluster, Profile};
 
 fn pattern(len: usize, salt: u8) -> Vec<u8> {
     (0..len)
@@ -20,7 +20,8 @@ fn exchange(
     len: usize,
 ) -> (Vec<u8>, mpl::MplStats, mpl::MplStats) {
     let sim = Sim::new();
-    let handles = Mpl::spawn_world(&sim, profile, 2, cfg, 1, move |ctx, mut mpl| {
+    let cluster = Cluster::new(sim.clone(), profile, 2, 1);
+    let handles = Mpl::spawn_world(&cluster, cfg, move |ctx, mut mpl| {
         let buf = mpl.malloc((len as u64).max(1) + 64);
         let mh = mpl.register(ctx, buf, (len as u64).max(1) + 64);
         if mpl.rank() == 0 {
@@ -83,30 +84,24 @@ fn out_of_order_tags_match_correctly() {
     // Sender posts tag A then tag B; receiver asks for B first: A must be
     // stashed as unexpected and still delivered afterward.
     let sim = Sim::new();
-    let handles = Mpl::spawn_world(
-        &sim,
-        Profile::clan(),
-        2,
-        MplConfig::default(),
-        2,
-        |ctx, mut mpl| {
-            let buf = mpl.malloc(8192);
-            let mh = mpl.register(ctx, buf, 8192);
-            if mpl.rank() == 0 {
-                mpl.mem_write(buf, &pattern(100, 1));
-                mpl.send(ctx, 1, 1, buf, mh, 100);
-                mpl.mem_write(buf, &pattern(200, 2));
-                mpl.send(ctx, 1, 2, buf, mh, 200);
-                (Vec::new(), Vec::new(), mpl.stats())
-            } else {
-                let n2 = mpl.recv(ctx, 0, 2, buf, mh, 8192);
-                let b = mpl.mem_read(buf, n2);
-                let n1 = mpl.recv(ctx, 0, 1, buf, mh, 8192);
-                let a = mpl.mem_read(buf, n1);
-                (a, b, mpl.stats())
-            }
-        },
-    );
+    let cluster = Cluster::new(sim.clone(), Profile::clan(), 2, 2);
+    let handles = Mpl::spawn_world(&cluster, MplConfig::default(), |ctx, mut mpl| {
+        let buf = mpl.malloc(8192);
+        let mh = mpl.register(ctx, buf, 8192);
+        if mpl.rank() == 0 {
+            mpl.mem_write(buf, &pattern(100, 1));
+            mpl.send(ctx, 1, 1, buf, mh, 100);
+            mpl.mem_write(buf, &pattern(200, 2));
+            mpl.send(ctx, 1, 2, buf, mh, 200);
+            (Vec::new(), Vec::new(), mpl.stats())
+        } else {
+            let n2 = mpl.recv(ctx, 0, 2, buf, mh, 8192);
+            let b = mpl.mem_read(buf, n2);
+            let n1 = mpl.recv(ctx, 0, 1, buf, mh, 8192);
+            let a = mpl.mem_read(buf, n1);
+            (a, b, mpl.stats())
+        }
+    });
     sim.run_to_completion();
     let (a, b, stats) = handles[1].expect_result();
     assert_eq!(a, pattern(100, 1));
@@ -117,41 +112,35 @@ fn out_of_order_tags_match_correctly() {
 #[test]
 fn interleaved_eager_and_rendezvous_same_pair() {
     let sim = Sim::new();
-    let handles = Mpl::spawn_world(
-        &sim,
-        Profile::clan(),
-        2,
-        MplConfig::default(),
-        3,
-        |ctx, mut mpl| {
-            let buf = mpl.malloc(64 * 1024);
-            let mh = mpl.register(ctx, buf, 64 * 1024);
-            if mpl.rank() == 0 {
-                for (tag, len, salt) in [
-                    (1u16, 128usize, 1u8),
-                    (2, 30_000, 2),
-                    (3, 64, 3),
-                    (4, 25_000, 4),
-                ] {
-                    mpl.mem_write(buf, &pattern(len, salt));
-                    mpl.send(ctx, 1, tag, buf, mh, len as u64);
-                }
-                true
-            } else {
-                for (tag, len, salt) in [
-                    (1u16, 128usize, 1u8),
-                    (2, 30_000, 2),
-                    (3, 64, 3),
-                    (4, 25_000, 4),
-                ] {
-                    let n = mpl.recv(ctx, 0, tag, buf, mh, 64 * 1024);
-                    assert_eq!(n, len as u64, "tag {tag}");
-                    assert_eq!(mpl.mem_read(buf, n), pattern(len, salt), "tag {tag}");
-                }
-                true
+    let cluster = Cluster::new(sim.clone(), Profile::clan(), 2, 3);
+    let handles = Mpl::spawn_world(&cluster, MplConfig::default(), |ctx, mut mpl| {
+        let buf = mpl.malloc(64 * 1024);
+        let mh = mpl.register(ctx, buf, 64 * 1024);
+        if mpl.rank() == 0 {
+            for (tag, len, salt) in [
+                (1u16, 128usize, 1u8),
+                (2, 30_000, 2),
+                (3, 64, 3),
+                (4, 25_000, 4),
+            ] {
+                mpl.mem_write(buf, &pattern(len, salt));
+                mpl.send(ctx, 1, tag, buf, mh, len as u64);
             }
-        },
-    );
+            true
+        } else {
+            for (tag, len, salt) in [
+                (1u16, 128usize, 1u8),
+                (2, 30_000, 2),
+                (3, 64, 3),
+                (4, 25_000, 4),
+            ] {
+                let n = mpl.recv(ctx, 0, tag, buf, mh, 64 * 1024);
+                assert_eq!(n, len as u64, "tag {tag}");
+                assert_eq!(mpl.mem_read(buf, n), pattern(len, salt), "tag {tag}");
+            }
+            true
+        }
+    });
     sim.run_to_completion();
     assert!(handles.into_iter().all(|h| h.expect_result()));
 }
@@ -159,22 +148,16 @@ fn interleaved_eager_and_rendezvous_same_pair() {
 #[test]
 fn barrier_synchronizes_four_ranks() {
     let sim = Sim::new();
-    let handles = Mpl::spawn_world(
-        &sim,
-        Profile::clan(),
-        4,
-        MplConfig::default(),
-        4,
-        |ctx, mut mpl| {
-            // Ranks reach the barrier at staggered times; everyone must
-            // leave it no earlier than the latest arrival.
-            let delay = simkit::SimDuration::from_millis(mpl.rank() as u64 * 3);
-            ctx.sleep(delay);
-            let arrived = ctx.now();
-            mpl.barrier(ctx);
-            (arrived, ctx.now())
-        },
-    );
+    let cluster = Cluster::new(sim.clone(), Profile::clan(), 4, 4);
+    let handles = Mpl::spawn_world(&cluster, MplConfig::default(), |ctx, mut mpl| {
+        // Ranks reach the barrier at staggered times; everyone must
+        // leave it no earlier than the latest arrival.
+        let delay = simkit::SimDuration::from_millis(mpl.rank() as u64 * 3);
+        ctx.sleep(delay);
+        let arrived = ctx.now();
+        mpl.barrier(ctx);
+        (arrived, ctx.now())
+    });
     sim.run_to_completion();
     let results: Vec<_> = handles.into_iter().map(|h| h.expect_result()).collect();
     let latest_arrival = results.iter().map(|(a, _)| *a).max().unwrap();
@@ -193,35 +176,29 @@ fn ring_exchange_across_four_ranks() {
     const N: usize = 4;
     const LEN: usize = 12_000; // rendezvous-sized
     let sim = Sim::new();
-    let handles = Mpl::spawn_world(
-        &sim,
-        Profile::bvia(),
-        N,
-        MplConfig::default(),
-        5,
-        |ctx, mut mpl| {
-            let rank = mpl.rank();
-            let buf_tx = mpl.malloc(LEN as u64);
-            let mh_tx = mpl.register(ctx, buf_tx, LEN as u64);
-            let buf_rx = mpl.malloc(LEN as u64);
-            let mh_rx = mpl.register(ctx, buf_rx, LEN as u64);
-            mpl.mem_write(buf_tx, &pattern(LEN, rank as u8));
-            let dst = (rank + 1) % N;
-            let src = (rank + N - 1) % N;
-            // Even ranks send first; odd ranks receive first (avoids the
-            // rendezvous handshake interleaving problem of naive rings).
-            if rank % 2 == 0 {
-                mpl.send(ctx, dst, 7, buf_tx, mh_tx, LEN as u64);
-                let n = mpl.recv(ctx, src, 7, buf_rx, mh_rx, LEN as u64);
-                assert_eq!(n, LEN as u64);
-            } else {
-                let n = mpl.recv(ctx, src, 7, buf_rx, mh_rx, LEN as u64);
-                assert_eq!(n, LEN as u64);
-                mpl.send(ctx, dst, 7, buf_tx, mh_tx, LEN as u64);
-            }
-            mpl.mem_read(buf_rx, LEN as u64)
-        },
-    );
+    let cluster = Cluster::new(sim.clone(), Profile::bvia(), N, 5);
+    let handles = Mpl::spawn_world(&cluster, MplConfig::default(), |ctx, mut mpl| {
+        let rank = mpl.rank();
+        let buf_tx = mpl.malloc(LEN as u64);
+        let mh_tx = mpl.register(ctx, buf_tx, LEN as u64);
+        let buf_rx = mpl.malloc(LEN as u64);
+        let mh_rx = mpl.register(ctx, buf_rx, LEN as u64);
+        mpl.mem_write(buf_tx, &pattern(LEN, rank as u8));
+        let dst = (rank + 1) % N;
+        let src = (rank + N - 1) % N;
+        // Even ranks send first; odd ranks receive first (avoids the
+        // rendezvous handshake interleaving problem of naive rings).
+        if rank % 2 == 0 {
+            mpl.send(ctx, dst, 7, buf_tx, mh_tx, LEN as u64);
+            let n = mpl.recv(ctx, src, 7, buf_rx, mh_rx, LEN as u64);
+            assert_eq!(n, LEN as u64);
+        } else {
+            let n = mpl.recv(ctx, src, 7, buf_rx, mh_rx, LEN as u64);
+            assert_eq!(n, LEN as u64);
+            mpl.send(ctx, dst, 7, buf_tx, mh_tx, LEN as u64);
+        }
+        mpl.mem_read(buf_rx, LEN as u64)
+    });
     sim.run_to_completion();
     for (rank, h) in handles.into_iter().enumerate() {
         let got = h.expect_result();
@@ -237,15 +214,13 @@ fn many_small_messages_stress_the_ring() {
     // blocking sends pacing against eager completions).
     const MSGS: usize = 64;
     let sim = Sim::new();
+    let cluster = Cluster::new(sim.clone(), Profile::clan(), 2, 6);
     let handles = Mpl::spawn_world(
-        &sim,
-        Profile::clan(),
-        2,
+        &cluster,
         MplConfig {
             ring_slots: 4,
             ..Default::default()
         },
-        6,
         |ctx, mut mpl| {
             let buf = mpl.malloc(4096);
             let mh = mpl.register(ctx, buf, 4096);
@@ -284,7 +259,8 @@ fn works_over_reliable_delivery_with_loss() {
         reliability: via::Reliability::ReliableDelivery,
         ..Default::default()
     };
-    let handles = Mpl::spawn_world(&sim, profile, 2, cfg, 7, |ctx, mut mpl| {
+    let cluster = Cluster::new(sim.clone(), profile, 2, 7);
+    let handles = Mpl::spawn_world(&cluster, cfg, |ctx, mut mpl| {
         let buf = mpl.malloc(64 * 1024);
         let mh = mpl.register(ctx, buf, 64 * 1024);
         if mpl.rank() == 0 {
@@ -310,23 +286,17 @@ fn works_over_reliable_delivery_with_loss() {
 #[should_panic(expected = "truncated")]
 fn oversized_message_panics_like_mpi_err_truncate() {
     let sim = Sim::new();
-    let handles = Mpl::spawn_world(
-        &sim,
-        Profile::clan(),
-        2,
-        MplConfig::default(),
-        8,
-        |ctx, mut mpl| {
-            let buf = mpl.malloc(8192);
-            let mh = mpl.register(ctx, buf, 8192);
-            if mpl.rank() == 0 {
-                mpl.send(ctx, 1, 1, buf, mh, 4096);
-            } else {
-                // Capacity smaller than the incoming message.
-                mpl.recv(ctx, 0, 1, buf, mh, 100);
-            }
-        },
-    );
+    let cluster = Cluster::new(sim.clone(), Profile::clan(), 2, 8);
+    let handles = Mpl::spawn_world(&cluster, MplConfig::default(), |ctx, mut mpl| {
+        let buf = mpl.malloc(8192);
+        let mh = mpl.register(ctx, buf, 8192);
+        if mpl.rank() == 0 {
+            mpl.send(ctx, 1, 1, buf, mh, 4096);
+        } else {
+            // Capacity smaller than the incoming message.
+            mpl.recv(ctx, 0, 1, buf, mh, 100);
+        }
+    });
     let _ = sim.run();
     sim.shutdown();
     for h in handles {

@@ -105,8 +105,6 @@ pub struct DataCosts {
 /// Unreliable VIs are exempt: the spec's UD semantics are silent drops.
 #[derive(Clone, Copy, Debug)]
 pub struct CreditFlow {
-    /// Gate reliable sends on receiver credits.
-    pub enabled: bool,
     /// Credits the sender assumes at connect time, before the first
     /// ACK-carried grant arrives. Sized to the work-queue depth so a
     /// receiver that pre-posts keeps the wire full from the first send.
@@ -218,10 +216,7 @@ impl Profile {
             max_transfer_size: 32 * 1024,
             max_queue_depth: 1024,
             nic_tx_ring: 4096,
-            credit_flow: CreditFlow {
-                enabled: true,
-                initial: 1024,
-            },
+            credit_flow: CreditFlow { initial: 1024 },
             heartbeat: None,
             reliability_levels: &[Reliability::Unreliable, Reliability::ReliableDelivery],
             supports_rdma_write: true,
@@ -286,10 +281,7 @@ impl Profile {
             max_transfer_size: 32 * 1024,
             max_queue_depth: 128,
             nic_tx_ring: 4096,
-            credit_flow: CreditFlow {
-                enabled: true,
-                initial: 128,
-            },
+            credit_flow: CreditFlow { initial: 128 },
             heartbeat: None,
             reliability_levels: &[Reliability::Unreliable],
             supports_rdma_write: false,
@@ -352,10 +344,7 @@ impl Profile {
             max_transfer_size: 64 * 1024,
             max_queue_depth: 1024,
             nic_tx_ring: 4096,
-            credit_flow: CreditFlow {
-                enabled: true,
-                initial: 1024,
-            },
+            credit_flow: CreditFlow { initial: 1024 },
             heartbeat: None,
             reliability_levels: &[
                 Reliability::Unreliable,

@@ -301,21 +301,19 @@ pub(crate) fn post_send(
         // and enters the device pipeline only when an ACK-carried grant
         // releases it. RDMA ops are exempt (they consume no receive
         // descriptor), as is UD (the spec's silent-drop semantics).
-        let credit = profile.credit_flow;
-        let parked =
-            if credit.enabled && reliability != Reliability::Unreliable && op == DescOp::Send {
-                let vi = st.vi_mut(vi_id);
-                let stall =
-                    vi.credits_available(credit.initial) == 0 || !vi.credit_waiting.is_empty();
-                if stall {
-                    vi.credit_waiting.push_back(seq);
-                } else {
-                    vi.credits_consumed += 1;
-                }
-                stall
+        let parked = if reliability != Reliability::Unreliable && op == DescOp::Send {
+            let vi = st.vi_mut(vi_id);
+            let stall = vi.credits_available(profile.credit_flow.initial) == 0
+                || !vi.credit_waiting.is_empty();
+            if stall {
+                vi.credit_waiting.push_back(seq);
             } else {
-                false
-            };
+                vi.credits_consumed += 1;
+            }
+            stall
+        } else {
+            false
+        };
         if parked {
             st.stats.credit_stalls += 1;
         }
@@ -437,8 +435,7 @@ pub(crate) fn post_recv(
         // flow-control credit; the cumulative total rides out on the next
         // ACK. (Pre-connect posts are folded in by `credit_reset` at the
         // Connected transition instead.)
-        if profile.credit_flow.enabled
-            && vi.attrs.reliability != Reliability::Unreliable
+        if vi.attrs.reliability != Reliability::Unreliable
             && matches!(vi.conn, ConnState::Connected { .. })
         {
             vi.credits_granted_total += 1;

@@ -345,11 +345,22 @@ fn retry_exhaustion_drives_vi_to_error_then_reconnect_recovers() {
                     cause: via::ErrorCause::RetryExhausted
                 }
             );
-            // An errored VI refuses all work until the owner clears it.
+            // An errored VI refuses all work until the owner clears it, and
+            // a refusal costs nothing: no virtual time, no posted count. (A
+            // sender may therefore keep posting until refused instead of
+            // stopping at the first error completion — same timeline.)
+            let (t, before) = (ctx.now(), pa.stats());
             let d = Descriptor::send().segment(buf, mh, 64);
             assert_eq!(vi.post_send(ctx, d), Err(ViaError::InvalidState));
             let d = Descriptor::recv().segment(buf, mh, 64);
             assert_eq!(vi.post_recv(ctx, d), Err(ViaError::InvalidState));
+            let after = pa.stats();
+            assert_eq!(ctx.now(), t, "a refused post must not take time");
+            assert_eq!(
+                (after.sends_posted, after.recvs_posted),
+                (before.sends_posted, before.recvs_posted),
+                "a refused post must not count as posted"
+            );
             pa.disconnect(ctx, &vi).unwrap();
             assert_eq!(vi.conn_state(), ConnState::Idle);
 

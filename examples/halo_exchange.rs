@@ -12,7 +12,7 @@
 
 use mpl::{Mpl, MplConfig};
 use simkit::Sim;
-use via::Profile;
+use via::{Cluster, Profile};
 
 const RANKS: usize = 4;
 const CELLS_PER_RANK: usize = 256;
@@ -49,90 +49,84 @@ fn reference() -> Vec<f64> {
 
 fn main() {
     let sim = Sim::new();
-    let handles = Mpl::spawn_world(
-        &sim,
-        Profile::clan(),
-        RANKS,
-        MplConfig::default(),
-        11,
-        |ctx, mut mpl| {
-            let rank = mpl.rank();
-            let n = RANKS * CELLS_PER_RANK;
-            let base = rank * CELLS_PER_RANK;
-            // Local slab with two ghost cells.
-            let mut local: Vec<f64> = (0..CELLS_PER_RANK)
-                .map(|i| if base + i == n / 3 { 1000.0 } else { 0.0 })
-                .collect();
-            let buf = mpl.malloc(64);
-            let mh = mpl.register(ctx, buf, 64);
+    let cluster = Cluster::new(sim.clone(), Profile::clan(), RANKS, 11);
+    let handles = Mpl::spawn_world(&cluster, MplConfig::default(), |ctx, mut mpl| {
+        let rank = mpl.rank();
+        let n = RANKS * CELLS_PER_RANK;
+        let base = rank * CELLS_PER_RANK;
+        // Local slab with two ghost cells.
+        let mut local: Vec<f64> = (0..CELLS_PER_RANK)
+            .map(|i| if base + i == n / 3 { 1000.0 } else { 0.0 })
+            .collect();
+        let buf = mpl.malloc(64);
+        let mh = mpl.register(ctx, buf, 64);
 
-            let t0 = ctx.now();
-            let mut comm_us = 0.0;
-            for _ in 0..ITERS {
-                let c0 = ctx.now();
-                // Exchange halos with neighbors (boundary ranks clamp).
-                let mut ghost_left = local[0];
-                let mut ghost_right = local[CELLS_PER_RANK - 1];
-                // Send right edge to the right neighbor, receive our right
-                // ghost from it; then the mirrored left exchange. Even
-                // ranks send first to break symmetry.
-                let exchange = |ctx: &mut simkit::ProcessCtx,
-                                mpl: &mut Mpl,
-                                peer: usize,
-                                tag_out: u16,
-                                tag_in: u16,
-                                val: f64|
-                 -> f64 {
-                    let send = |ctx: &mut simkit::ProcessCtx, mpl: &mut Mpl| {
-                        mpl.mem_write(buf, &val.to_le_bytes());
-                        mpl.send(ctx, peer, tag_out, buf, mh, 8);
-                    };
-                    let recv = |ctx: &mut simkit::ProcessCtx, mpl: &mut Mpl| -> f64 {
-                        let got = mpl.recv(ctx, peer, tag_in, buf, mh, 64);
-                        assert_eq!(got, 8);
-                        f64::from_le_bytes(mpl.mem_read(buf, 8).try_into().unwrap())
-                    };
-                    if mpl.rank().is_multiple_of(2) {
-                        send(ctx, mpl);
-                        recv(ctx, mpl)
-                    } else {
-                        let v = recv(ctx, mpl);
-                        send(ctx, mpl);
-                        v
-                    }
+        let t0 = ctx.now();
+        let mut comm_us = 0.0;
+        for _ in 0..ITERS {
+            let c0 = ctx.now();
+            // Exchange halos with neighbors (boundary ranks clamp).
+            let mut ghost_left = local[0];
+            let mut ghost_right = local[CELLS_PER_RANK - 1];
+            // Send right edge to the right neighbor, receive our right
+            // ghost from it; then the mirrored left exchange. Even
+            // ranks send first to break symmetry.
+            let exchange = |ctx: &mut simkit::ProcessCtx,
+                            mpl: &mut Mpl,
+                            peer: usize,
+                            tag_out: u16,
+                            tag_in: u16,
+                            val: f64|
+             -> f64 {
+                let send = |ctx: &mut simkit::ProcessCtx, mpl: &mut Mpl| {
+                    mpl.mem_write(buf, &val.to_le_bytes());
+                    mpl.send(ctx, peer, tag_out, buf, mh, 8);
                 };
-                if rank + 1 < RANKS {
-                    ghost_right = exchange(
-                        ctx,
-                        &mut mpl,
-                        rank + 1,
-                        TAG_RIGHT,
-                        TAG_LEFT,
-                        local[CELLS_PER_RANK - 1],
-                    );
+                let recv = |ctx: &mut simkit::ProcessCtx, mpl: &mut Mpl| -> f64 {
+                    let got = mpl.recv(ctx, peer, tag_in, buf, mh, 64);
+                    assert_eq!(got, 8);
+                    f64::from_le_bytes(mpl.mem_read(buf, 8).try_into().unwrap())
+                };
+                if mpl.rank().is_multiple_of(2) {
+                    send(ctx, mpl);
+                    recv(ctx, mpl)
+                } else {
+                    let v = recv(ctx, mpl);
+                    send(ctx, mpl);
+                    v
                 }
-                if rank > 0 {
-                    ghost_left = exchange(ctx, &mut mpl, rank - 1, TAG_LEFT, TAG_RIGHT, local[0]);
-                }
-                comm_us += (ctx.now() - c0).as_micros_f64();
-
-                // Relax the slab.
-                let prev = local.clone();
-                for i in 0..CELLS_PER_RANK {
-                    let left = if i == 0 { ghost_left } else { prev[i - 1] };
-                    let right = if i == CELLS_PER_RANK - 1 {
-                        ghost_right
-                    } else {
-                        prev[i + 1]
-                    };
-                    local[i] = prev[i] + 0.25 * (left - 2.0 * prev[i] + right);
-                }
+            };
+            if rank + 1 < RANKS {
+                ghost_right = exchange(
+                    ctx,
+                    &mut mpl,
+                    rank + 1,
+                    TAG_RIGHT,
+                    TAG_LEFT,
+                    local[CELLS_PER_RANK - 1],
+                );
             }
-            let total_us = (ctx.now() - t0).as_micros_f64();
-            mpl.barrier(ctx);
-            (f2b(&local), comm_us / ITERS as f64, total_us)
-        },
-    );
+            if rank > 0 {
+                ghost_left = exchange(ctx, &mut mpl, rank - 1, TAG_LEFT, TAG_RIGHT, local[0]);
+            }
+            comm_us += (ctx.now() - c0).as_micros_f64();
+
+            // Relax the slab.
+            let prev = local.clone();
+            for i in 0..CELLS_PER_RANK {
+                let left = if i == 0 { ghost_left } else { prev[i - 1] };
+                let right = if i == CELLS_PER_RANK - 1 {
+                    ghost_right
+                } else {
+                    prev[i + 1]
+                };
+                local[i] = prev[i] + 0.25 * (left - 2.0 * prev[i] + right);
+            }
+        }
+        let total_us = (ctx.now() - t0).as_micros_f64();
+        mpl.barrier(ctx);
+        (f2b(&local), comm_us / ITERS as f64, total_us)
+    });
     sim.run_to_completion();
 
     // Stitch the distributed result together and verify.
