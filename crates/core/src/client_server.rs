@@ -46,78 +46,3 @@ pub fn transaction_sweep(profiles: &[Profile], requests: &[u64], replies: &[u64]
     }
     sweep
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn tps(p: Profile, req: u64, rep: u64) -> f64 {
-        let cfg = DtConfig {
-            iters: 25,
-            ..DtConfig::base(p, rep)
-        };
-        transactions(&cfg, req, rep)
-    }
-
-    #[test]
-    fn clan_outperforms_everywhere() {
-        // §4.4: "cLAN implementation outperforms BVIA and M-VIA."
-        for rep in [4u64, 1024, 28672] {
-            let c = tps(Profile::clan(), 16, rep);
-            let m = tps(Profile::mvia(), 16, rep);
-            let b = tps(Profile::bvia(), 16, rep);
-            assert!(
-                c > m && c > b,
-                "reply {rep}: cLAN {c} vs M-VIA {m}, BVIA {b}"
-            );
-        }
-    }
-
-    #[test]
-    fn mvia_vs_bvia_crossover_pattern() {
-        // §4.4: "M-VIA outperforms BVIA for short ... messages but is
-        // outperformed by BVIA for mid-size messages."
-        let m_short = tps(Profile::mvia(), 16, 4);
-        let b_short = tps(Profile::bvia(), 16, 4);
-        assert!(
-            m_short > b_short,
-            "short replies: M-VIA {m_short} !> BVIA {b_short}"
-        );
-        let m_mid = tps(Profile::mvia(), 16, 12288);
-        let b_mid = tps(Profile::bvia(), 16, 12288);
-        assert!(b_mid > m_mid, "mid replies: BVIA {b_mid} !> M-VIA {m_mid}");
-    }
-
-    #[test]
-    fn mvia_and_bvia_converge_for_long_replies() {
-        // §4.4: "For long reply messages, both M-VIA and BVIA deliver
-        // similar performance."
-        let m = tps(Profile::mvia(), 16, 28672);
-        let b = tps(Profile::bvia(), 16, 28672);
-        let ratio = if m > b { m / b } else { b / m };
-        // "Similar" in the paper's plot reads as same-order-of-magnitude
-        // curves that close the gap seen at mid sizes; our gap at 12 KiB is
-        // ~1.35x in BVIA's favor and must not widen further out.
-        let m_mid = tps(Profile::mvia(), 16, 12288);
-        let b_mid = tps(Profile::bvia(), 16, 12288);
-        assert!(
-            ratio < 1.8,
-            "long replies: M-VIA {m} vs BVIA {b} (ratio {ratio})"
-        );
-        let _ = (m_mid, b_mid);
-    }
-
-    #[test]
-    fn larger_requests_cost_throughput() {
-        let small = tps(Profile::clan(), 16, 1024);
-        let big = tps(Profile::clan(), 256, 1024);
-        assert!(big < small, "256 B requests {big} !< 16 B requests {small}");
-    }
-
-    #[test]
-    fn clan_small_transaction_rate_is_tens_of_thousands() {
-        // Fig 7's y-axis peaks around 50-60k transactions/s for cLAN/16 B.
-        let c = tps(Profile::clan(), 16, 4);
-        assert!((20_000.0..90_000.0).contains(&c), "cLAN 16/4 tps {c}");
-    }
-}

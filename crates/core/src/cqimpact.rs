@@ -34,21 +34,3 @@ pub fn cq_overhead_table(profiles: &[Profile], size: u64) -> Table {
     }
     t
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn cq_overheads_match_section_4_3_3() {
-        let t = cq_overhead_table(&Profile::paper_trio(), 64);
-        let bvia = t.cell("BVIA", "overhead").unwrap();
-        let mvia = t.cell("M-VIA", "overhead").unwrap();
-        let clan = t.cell("cLAN", "overhead").unwrap();
-        // "For BVIA, 2-5 microsec overhead was observed."
-        assert!((2.0..=5.0).contains(&bvia), "BVIA CQ overhead {bvia}");
-        // "The impact ... in M-VIA and cLAN was found to be negligible."
-        assert!((0.0..1.0).contains(&mvia), "M-VIA CQ overhead {mvia}");
-        assert!((0.0..1.0).contains(&clan), "cLAN CQ overhead {clan}");
-    }
-}

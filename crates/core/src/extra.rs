@@ -305,8 +305,8 @@ pub fn rel_table(profile: Profile, msg_size: u64) -> Table {
 /// Reliable delivery under injected frame loss: delivered-message goodput
 /// and retransmission counts per loss rate (the failure-injection side of
 /// the REL benchmark). Rows with independent (Bernoulli) loss plus one
-/// Gilbert–Elliott burst row at a matched mean rate, because burst errors
-/// hit windowed recovery much harder than the mean suggests.
+/// Gilbert–Elliott burst row at a matched mean rate, so clustered and
+/// independent loss of the same mean can be compared.
 pub fn rel_loss_table(profile: Profile, msg_size: u64, loss_rates: &[f64]) -> Table {
     let mut t = Table::new(
         format!(
@@ -470,144 +470,4 @@ pub fn rel_tail_table(profile: Profile, msg_size: u64, loss_rates: &[f64]) -> Ta
         );
     }
     t
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn mds_latency_grows_with_segments_on_nic_offload() {
-        let fig = mds_sweep(&[Profile::bvia()], 8192).figure();
-        let s = fig.series("BVIA").unwrap();
-        let l1 = s.at(1.0).unwrap();
-        let l16 = s.at(16.0).unwrap();
-        assert!(l16 > l1, "16 segs {l16} !> 1 seg {l1}");
-    }
-
-    #[test]
-    fn asy_bursts_amortize_per_message_time() {
-        let cfg = DtConfig {
-            iters: 12,
-            ..DtConfig::base(Profile::clan(), 256)
-        };
-        let k1 = asy_burst_latency(&cfg, 1);
-        let k16 = asy_burst_latency(&cfg, 16);
-        assert!(
-            k16 < k1 * 0.8,
-            "burst of 16 ({k16}) must amortize vs single ({k1})"
-        );
-    }
-
-    #[test]
-    fn rdma_write_beats_send_for_small_messages_on_clan() {
-        // No receive-descriptor matching on the fast path.
-        let fig = rdma_sweep(&[Profile::clan()], &[4096]).figure();
-        let send = fig.series("cLAN send").unwrap().at(4096.0).unwrap();
-        let rdma = fig.series("cLAN rdma").unwrap().at(4096.0).unwrap();
-        // They are close; RDMA write avoids nothing dramatic in latency
-        // terms here but must be in the same ballpark and not slower by
-        // much (the TR reports them comparable).
-        assert!(rdma < send * 1.2, "rdma {rdma} vs send {send}");
-    }
-
-    #[test]
-    fn pipeline_depth_saturates_bandwidth() {
-        let fig = pip_sweep(&[Profile::clan()], 4096).figure();
-        let s = fig.series("cLAN (RD)").unwrap();
-        let d1 = s.at(1.0).unwrap();
-        let d16 = s.at(16.0).unwrap();
-        let d64 = s.at(64.0).unwrap();
-        assert!(d16 > d1 * 1.5, "pipelining must help: d1={d1} d16={d16}");
-        // Diminishing returns by 64.
-        assert!(d64 <= d16 * 1.25, "d64={d64} d16={d16}");
-    }
-
-    #[test]
-    fn pipeline_depth_is_flat_on_unreliable_connections() {
-        // BVIA only offers UD, where send completion is local: the sender
-        // never stalls on the receiver, so depth barely matters.
-        let fig = pip_sweep(&[Profile::bvia()], 4096).figure();
-        let s = fig.series("BVIA (UD)").unwrap();
-        let d1 = s.at(1.0).unwrap();
-        let d64 = s.at(64.0).unwrap();
-        assert!(
-            d64 < d1 * 1.3,
-            "UD curve should be nearly flat: {d1} vs {d64}"
-        );
-    }
-
-    #[test]
-    fn mtu_trades_pipelining_against_overhead() {
-        let [lat, bw] = mtu_sweeps(Profile::clan(), 28672).map(Sweep::figure);
-        let s = lat.series("cLAN").unwrap();
-        // Large fragments kill intra-message pipelining: latency grows.
-        assert!(
-            s.at(16384.0).unwrap() > s.at(2048.0).unwrap(),
-            "16 KiB-MTU latency must exceed 2 KiB-MTU latency: {:?}",
-            s.points
-        );
-        // Tiny fragments pay per-fragment overhead: bandwidth drops.
-        let sb = bw.series("cLAN").unwrap();
-        assert!(
-            sb.at(512.0).unwrap() < sb.at(8192.0).unwrap(),
-            "512 B-MTU bandwidth must trail 8 KiB-MTU: {:?}",
-            sb.points
-        );
-    }
-
-    #[test]
-    fn reliability_costs_order_correctly() {
-        let t = rel_table(Profile::clan(), 4096);
-        let ud = t.cell("Unreliable Delivery", "latency (us)").unwrap();
-        let rd = t.cell("Reliable Delivery", "latency (us)").unwrap();
-        let rr = t.cell("Reliable Reception", "latency (us)").unwrap();
-        // One-way *data* latency is unchanged by acks (they ride the
-        // reverse path), so ping-pong latencies stay close...
-        assert!(rd >= ud * 0.95, "{rd} vs {ud}");
-        assert!(rr >= ud * 0.95, "{rr} vs {ud}");
-        // ...while bandwidth pays for the ack stream.
-        let bw_ud = t.cell("Unreliable Delivery", "bandwidth (MB/s)").unwrap();
-        let bw_rr = t.cell("Reliable Reception", "bandwidth (MB/s)").unwrap();
-        assert!(bw_rr <= bw_ud * 1.02, "RR bw {bw_rr} vs UD bw {bw_ud}");
-    }
-
-    #[test]
-    fn loss_shows_up_in_the_tail_not_the_median() {
-        let t = rel_tail_table(Profile::clan(), 1024, &[0.0, 0.03]);
-        let p50_clean = t.cell("loss 0%", "p50").unwrap();
-        let p50_lossy = t.cell("loss 3%", "p50").unwrap();
-        let p99_clean = t.cell("loss 0%", "p99").unwrap();
-        let p99_lossy = t.cell("loss 3%", "p99").unwrap();
-        // The median barely moves (most exchanges see no loss)...
-        assert!(
-            p50_lossy < p50_clean * 1.5,
-            "median must stay close: {p50_clean} vs {p50_lossy}"
-        );
-        // ...but the p99 absorbs at least one retransmission timeout.
-        assert!(
-            p99_lossy > p99_clean + 150.0,
-            "p99 must show the 400 us retransmit timer: clean {p99_clean}, lossy {p99_lossy}"
-        );
-        // A clean deterministic run has a degenerate distribution.
-        assert!((p99_clean - p50_clean).abs() < 1.0);
-    }
-
-    #[test]
-    fn lossy_reliable_delivery_degrades_gracefully() {
-        let t = rel_loss_table(Profile::clan(), 4096, &[0.0, 0.05]);
-        let clean = t.cell("loss 0%", "bandwidth (MB/s)").unwrap();
-        let lossy = t.cell("loss 5%", "bandwidth (MB/s)").unwrap();
-        assert!(
-            lossy < clean,
-            "loss must cost bandwidth: {lossy} vs {clean}"
-        );
-        assert!(t.cell("loss 0%", "retransmissions").unwrap() == 0.0);
-        assert!(t.cell("loss 5%", "retransmissions").unwrap() > 0.0);
-        // The fabric's drop counter must corroborate: zero drops on the
-        // clean run, and every retransmission answers at least one drop.
-        assert!(t.cell("loss 0%", "frames dropped").unwrap() == 0.0);
-        let dropped = t.cell("loss 5%", "frames dropped").unwrap();
-        assert!(dropped > 0.0, "lossy run must record fabric drops");
-    }
 }

@@ -187,55 +187,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn table1_matches_paper_anchors() {
-        let t = table1(&Profile::paper_trio(), 3);
-        // Calibrated within 10% of the paper's Table 1 for the big costs.
-        let near = |got: f64, want: f64, tol: f64| {
-            assert!(
-                (got - want).abs() <= want * tol,
-                "got {got}, want {want} +- {}%",
-                tol * 100.0
-            );
-        };
-        near(t.cell("Creating VI", "M-VIA").unwrap(), 93.0, 0.10);
-        near(t.cell("Creating VI", "BVIA").unwrap(), 28.0, 0.10);
-        near(t.cell("Creating VI", "cLAN").unwrap(), 3.0, 0.10);
-        near(
-            t.cell("Establishing Connection", "M-VIA").unwrap(),
-            6465.0,
-            0.10,
-        );
-        near(
-            t.cell("Establishing Connection", "BVIA").unwrap(),
-            496.0,
-            0.10,
-        );
-        near(
-            t.cell("Establishing Connection", "cLAN").unwrap(),
-            2454.0,
-            0.10,
-        );
-        near(t.cell("Creating CQ", "BVIA").unwrap(), 206.0, 0.10);
-        near(
-            t.cell("Tearing Down Connection", "cLAN").unwrap(),
-            155.0,
-            0.10,
-        );
-        near(t.cell("Destroying CQ", "M-VIA").unwrap(), 8.44, 0.15);
-    }
-
-    #[test]
-    fn registration_shape_matches_fig1() {
-        let sizes = registration_sizes();
-        let (m, _) = registration_costs(Profile::mvia(), &sizes);
-        let (b, _) = registration_costs(Profile::bvia(), &sizes);
-        // BVIA costlier below 20 KiB; M-VIA overtakes by 28 KiB (Fig 1).
-        assert!(b.at(4096.0).unwrap() > m.at(4096.0).unwrap());
-        assert!(b.at(12288.0).unwrap() > m.at(12288.0).unwrap());
-        assert!(m.at(28672.0).unwrap() > b.at(28672.0).unwrap());
-    }
-
-    #[test]
     fn deregistration_is_cheap_and_flat() {
         let (r, d) = registration_costs(Profile::bvia(), &[4, 28672, 32 * 1024 * 1024]);
         // Fig 2 / §4.2: deregistration stays small even for 32 MB regions.

@@ -656,8 +656,9 @@ mod tests {
     fn cq_experiment_renders_text_and_csv() {
         let e = find("CQ").unwrap();
         let text = e.run_text();
-        assert!(text.contains("BVIA"), "{text}");
-        assert!(text.contains("overhead"), "{text}");
+        for needle in ["M-VIA", "BVIA", "cLAN", "direct", "via CQ", "overhead"] {
+            assert!(text.contains(needle), "missing {needle} in:\n{text}");
+        }
         let csvs = e.run_csv();
         assert_eq!(csvs.len(), 1);
         assert!(csvs[0].0.starts_with("cq_0_"), "{}", csvs[0].0);

@@ -157,8 +157,8 @@ pub(crate) fn try_fuse_send(
     // All guards passed: run the pipeline's arithmetic. Each instant below
     // is exactly what the corresponding general-path event would compute,
     // because the guards proved no other actor can touch the resources
-    // in between (tracing is off, so the *_traced helpers' records are
-    // no-ops and the untraced forms are identical).
+    // in between (tracing is off, so the general path's trace records are
+    // no-ops and its untraced costs are the ones computed here).
     let t_ring = now + profile.doorbell.propagation();
     let scan = {
         let st = provider.lock();

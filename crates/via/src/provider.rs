@@ -272,8 +272,8 @@ impl Provider {
         self.core.state.lock()
     }
 
-    /// The attached tracer, or a disabled one: for the `*_traced` cost
-    /// helpers, which take a `&Tracer` either way.
+    /// The attached tracer, or a disabled one: for
+    /// `XlateEngine::nic_translate_traced`, which takes a `&Tracer` either way.
     pub(crate) fn tracer(&self) -> Tracer {
         self.core.tracer.get().cloned().unwrap_or_default()
     }

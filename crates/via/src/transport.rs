@@ -21,6 +21,7 @@ use std::sync::Arc;
 use fabric::NodeId;
 use simkit::{EventClass, ProcessCtx, Sim, SimDuration, SimTime, WaitMode, WaitToken};
 use trace::{MsgId, TracePoint};
+use vnic::DoorbellKind;
 
 use crate::descriptor::{Completion, DescOp, Descriptor};
 use crate::mem::ProcessMem;
@@ -53,9 +54,15 @@ fn rx_msg(src: NodeId, src_vi: ViId, seq: u64) -> MsgId {
 /// Record a lifecycle trace point. Does not touch [`ProviderState`]: with
 /// tracing off it is one load, and it may be called with the state guard
 /// held.
-fn trace_at(provider: &Provider, at: SimTime, point: TracePoint, msg: MsgId, aux: u64) {
+fn trace_at(
+    provider: &Provider,
+    at: SimTime,
+    point: TracePoint,
+    msg: impl Into<Option<MsgId>>,
+    aux: u64,
+) {
     if let Some(tracer) = provider.core.tracer.get() {
-        tracer.record(at, point, provider.core.node.0, Some(msg), aux);
+        tracer.record(at, point, provider.core.node.0, msg.into(), aux);
     }
 }
 
@@ -381,12 +388,14 @@ pub(crate) fn post_send(
     // Hand the job to the device path. Both architectures serialize
     // messages through the (real or emulated) device transmit queue so a
     // connection's fragments hit the wire in message order.
-    let ring = profile.doorbell.propagation_traced(
-        &provider.tracer(),
+    trace_at(
+        provider,
         provider.core.sim.now(),
-        provider.core.node.0,
-        Some(msg),
+        TracePoint::DoorbellRing,
+        msg,
+        (profile.doorbell == DoorbellKind::KernelTrap) as u64,
     );
+    let ring = profile.doorbell.propagation();
     if host_emulated {
         nic_enqueue(provider, TxJobRef { vi: vi_id, seq });
     } else {
@@ -647,12 +656,14 @@ fn nic_tx_start(provider: &Provider, job: TxJobRef) {
             // A stalled firmware notices nothing until its stall window
             // closes; the scan itself runs only after release.
             let stall = st.fw_stalls.delay_from(now);
-            let scan = profile.firmware.service_delay_traced(
-                st.active_vis(),
-                &provider.tracer(),
-                now + stall,
-                provider.core.node.0,
-                Some(tx_msg(provider, spec.src_vi, spec.seq)),
+            let vis = st.active_vis();
+            let scan = profile.firmware.service_delay(vis);
+            trace_at(
+                provider,
+                now + stall + scan,
+                TracePoint::FwScan,
+                tx_msg(provider, spec.src_vi, spec.seq),
+                vis as u64,
             );
             (spec, stall + scan)
         })
@@ -1312,13 +1323,17 @@ fn wake_waiter(provider: &Provider, token: WaitToken, mode: WaitMode) {
         // The poller notices the status flip as soon as it is written.
         WaitMode::Poll => provider.core.sim.wake(token),
         // The blocked process needs an interrupt.
-        WaitMode::Block => provider.core.intr.deliver_traced(
-            &provider.core.sim,
-            token,
-            &provider.tracer(),
-            provider.core.node.0,
-            None,
-        ),
+        WaitMode::Block => {
+            let intr = &provider.core.intr;
+            trace_at(
+                provider,
+                provider.core.sim.now(),
+                TracePoint::Interrupt,
+                None,
+                intr.latency().as_nanos(),
+            );
+            intr.deliver(&provider.core.sim, token);
+        }
     }
 }
 

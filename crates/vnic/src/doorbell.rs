@@ -7,8 +7,7 @@
 //! the device on every single post — the §3.2.1 base benchmarks see it
 //! directly, and `bench --bench ablation_doorbell` isolates it.
 
-use simkit::{SimDuration, SimTime};
-use trace::{MsgId, TracePoint, Tracer};
+use simkit::SimDuration;
 
 use crate::host::HostParams;
 
@@ -39,26 +38,6 @@ impl DoorbellKind {
             // The kernel *is* the provider: no device to propagate to.
             DoorbellKind::KernelTrap => SimDuration::ZERO,
         }
-    }
-
-    /// Like [`DoorbellKind::propagation`], but stamps a
-    /// [`TracePoint::DoorbellRing`] record (aux = 0 for MMIO, 1 for a
-    /// kernel trap) at ring time.
-    pub fn propagation_traced(
-        self,
-        tracer: &Tracer,
-        at: SimTime,
-        node: u32,
-        msg: Option<MsgId>,
-    ) -> SimDuration {
-        tracer.record(
-            at,
-            TracePoint::DoorbellRing,
-            node,
-            msg,
-            matches!(self, DoorbellKind::KernelTrap) as u64,
-        );
-        self.propagation()
     }
 }
 

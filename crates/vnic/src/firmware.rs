@@ -8,7 +8,6 @@
 //! in O(1). M-VIA has no device-side descriptor processing at all.
 
 use simkit::{SimDuration, SimTime};
-use trace::{MsgId, TracePoint, Tracer};
 
 /// Device-side descriptor scheduling model.
 #[derive(Clone, Copy, Debug)]
@@ -46,22 +45,6 @@ impl FirmwareModel {
             }
             FirmwareModel::HostEmulated => SimDuration::ZERO,
         }
-    }
-
-    /// Like [`FirmwareModel::service_delay`], but stamps a
-    /// [`TracePoint::FwScan`] record (aux = the VI count the scan walked)
-    /// when the scan completes, i.e. at `at + delay`.
-    pub fn service_delay_traced(
-        &self,
-        active_vis: usize,
-        tracer: &Tracer,
-        at: SimTime,
-        node: u32,
-        msg: Option<MsgId>,
-    ) -> SimDuration {
-        let delay = self.service_delay(active_vis);
-        tracer.record(at + delay, TracePoint::FwScan, node, msg, active_vis as u64);
-        delay
     }
 
     /// Berkeley VIA's LANai 4.3 polling firmware.

@@ -19,7 +19,6 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 use simkit::{CpuId, EventClass, Sim, SimDuration, SimTime, TimerHandle, WaitToken};
-use trace::{MsgId, TracePoint, Tracer};
 
 use crate::host::HostParams;
 
@@ -53,27 +52,6 @@ impl InterruptController {
     pub fn deliver(&self, sim: &Sim, token: WaitToken) {
         sim.charge(self.cpu, self.cpu_cost);
         sim.wake_in_as(EventClass::Completion, self.latency, token);
-    }
-
-    /// Like [`InterruptController::deliver`], but stamps a
-    /// [`TracePoint::Interrupt`] record (aux = dispatch latency in ns) at
-    /// assert time.
-    pub fn deliver_traced(
-        &self,
-        sim: &Sim,
-        token: WaitToken,
-        tracer: &Tracer,
-        node: u32,
-        msg: Option<MsgId>,
-    ) {
-        tracer.record(
-            sim.now(),
-            TracePoint::Interrupt,
-            node,
-            msg,
-            self.latency.as_nanos(),
-        );
-        self.deliver(sim, token);
     }
 
     /// The dispatch latency of this controller.

@@ -8,37 +8,45 @@
 //! every `VIBE_JOBS` / `VIBE_SHARDS` / `VIBE_FUSE` leg and diffs the
 //! directory.
 //!
-//! To bless intentional changes (e.g. a recalibration):
+//! The same run is where the paper's claims are checked ([`claims`]):
+//! the artifacts a claim reads are the bytes the goldens pin, and
+//! EXPERIMENTS.md's scoreboard is rendered from them.
+//!
+//! To bless intentional changes (e.g. a recalibration) — goldens and
+//! scoreboard both; a claim that no longer holds still fails:
 //!
 //! ```text
 //! UPDATE_GOLDENS=1 cargo test --test goldens
 //! ```
 
+mod claims;
+
+use std::path::Path;
 use std::sync::OnceLock;
 
+use vibe_suite::vibe::runner::ExperimentRun;
 use vibe_suite::vibe::{all_experiments, default_workers, run_suite};
 
-/// One suite run shared by every test in this file: `(id, json)`.
-fn rendered() -> &'static [(&'static str, String)] {
-    static RUN: OnceLock<Vec<(&'static str, String)>> = OnceLock::new();
-    RUN.get_or_init(|| {
-        run_suite(all_experiments(), default_workers())
-            .experiments
-            .iter()
-            .map(|e| (e.id, e.run_json()))
-            .collect()
-    })
+/// One suite run shared by every test in this file.
+fn runs() -> &'static [ExperimentRun] {
+    static RUN: OnceLock<Vec<ExperimentRun>> = OnceLock::new();
+    RUN.get_or_init(|| run_suite(all_experiments(), default_workers()).experiments)
+}
+
+fn blessing() -> bool {
+    std::env::var_os("UPDATE_GOLDENS").is_some()
 }
 
 fn check(id: &str) {
-    let (_, got) = rendered()
+    let got = runs()
         .iter()
-        .find(|(have, _)| *have == id)
-        .unwrap_or_else(|| panic!("unknown experiment {id}"));
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .find(|r| r.id == id)
+        .unwrap_or_else(|| panic!("unknown experiment {id}"))
+        .run_json();
+    let path = Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("tests/goldens")
         .join(format!("{}.json", id.to_lowercase()));
-    if std::env::var_os("UPDATE_GOLDENS").is_some() {
+    if blessing() {
         std::fs::create_dir_all(path.parent().unwrap()).unwrap();
         std::fs::write(&path, got).unwrap();
         return;
@@ -50,7 +58,7 @@ fn check(id: &str) {
         )
     });
     assert_eq!(
-        *got,
+        got,
         want,
         "{id} artifacts drifted from {}; if intentional, re-bless with \
          UPDATE_GOLDENS=1 cargo test --test goldens",
@@ -169,4 +177,44 @@ fn x_fault_matches_golden() {
     // are exact — any drift means the fault plumbing or the VI error
     // state machine changed behaviour.
     check("X-FAULT");
+}
+
+const BEGIN: &str = "<!-- claims:begin -->\n";
+const END: &str = "<!-- claims:end -->";
+
+#[test]
+fn every_claim_holds_and_experiments_md_shows_it() {
+    let (board, failed) = claims::scoreboard(runs());
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("EXPERIMENTS.md");
+    let doc = std::fs::read_to_string(&path).unwrap();
+    let (head, rest) = doc
+        .split_once(BEGIN)
+        .expect("EXPERIMENTS.md: no claims:begin");
+    let (block, tail) = rest.split_once(END).expect("EXPERIMENTS.md: no claims:end");
+    if blessing() {
+        std::fs::write(&path, format!("{head}{BEGIN}{board}{END}{tail}")).unwrap();
+    }
+    assert!(
+        failed.is_empty(),
+        "claims that do not hold:\n{}",
+        failed.join("\n")
+    );
+    if !blessing() {
+        assert_eq!(
+            block, board,
+            "EXPERIMENTS.md's claim scoreboard is stale; re-bless with \
+             UPDATE_GOLDENS=1 cargo test --test goldens"
+        );
+    }
+}
+
+#[test]
+fn with_no_artifacts_every_claim_fails_naming_its_lookup() {
+    let ids: Vec<&str> = all_experiments().iter().map(|e| e.id).collect();
+    for c in claims::CLAIMS {
+        let v = c.eval(&[]);
+        let lookup = v.measured.strip_prefix("missing ").unwrap_or_default();
+        let exp = lookup.split(' ').next().unwrap_or_default();
+        assert!(!v.holds && ids.contains(&exp), "{}: {}", c.id, v.measured);
+    }
 }
