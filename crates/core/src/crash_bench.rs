@@ -38,10 +38,7 @@
 
 use fabric::{FaultPlan, LinkParams, NodeId, PortLimits, SanStats, Topology};
 use simkit::{SimDuration, SimRng, SimTime};
-use via::{
-    Discriminator, HeartbeatParams, Profile, SessionParams, SessionReceiver, SessionSender,
-    SessionStats,
-};
+use via::{Discriminator, HeartbeatParams, Profile, SessionReceiver, SessionSender, SessionStats};
 
 use crate::report::Table;
 use crate::runner::default_shards;
@@ -178,13 +175,8 @@ pub fn node_kill(seed: u64, shards: usize) -> CrashOutcome {
         let sim = cluster.node_sim(dst).clone();
         rx.push(
             sim.spawn(format!("crash-rx-f{f}"), Some(p.cpu()), move |ctx| {
-                let mut r = SessionReceiver::new(
-                    &p,
-                    ctx,
-                    Discriminator(700 + f as u64),
-                    SessionParams::default(),
-                )
-                .expect("session receiver");
+                let mut r = SessionReceiver::new(&p, ctx, Discriminator(700 + f as u64))
+                    .expect("session receiver");
                 let mut got: Vec<Vec<u8>> = Vec::new();
                 let mut prev: Option<SimTime> = None;
                 let mut stall = SimDuration::ZERO;
@@ -216,14 +208,9 @@ pub fn node_kill(seed: u64, shards: usize) -> CrashOutcome {
         tx.push(
             sim.spawn(format!("crash-tx-f{f}"), Some(p.cpu()), move |ctx| {
                 ctx.sleep(SimDuration::from_nanos(1_069 * f as u64));
-                let mut s = SessionSender::new(
-                    &p,
-                    ctx,
-                    NodeId(dst as u32),
-                    Discriminator(700 + f as u64),
-                    SessionParams::default(),
-                )
-                .expect("session sender");
+                let mut s =
+                    SessionSender::new(&p, ctx, NodeId(dst as u32), Discriminator(700 + f as u64))
+                        .expect("session sender");
                 for i in 0..CRASH_MSGS {
                     s.send(ctx, &payload(f, i));
                     ctx.sleep(flow_gap(f));
@@ -509,8 +496,8 @@ pub fn recovery_probe(seed: u64, shards: usize) -> String {
         let p = cluster.provider(dst);
         let sim = cluster.node_sim(dst).clone();
         sim.spawn("probe-rx", Some(p.cpu()), move |ctx| {
-            let mut r = SessionReceiver::new(&p, ctx, Discriminator(900), SessionParams::default())
-                .expect("session receiver");
+            let mut r =
+                SessionReceiver::new(&p, ctx, Discriminator(900)).expect("session receiver");
             let mut got = Vec::new();
             while let Some(msg) = r.recv(ctx) {
                 got.push(msg);
@@ -522,14 +509,8 @@ pub fn recovery_probe(seed: u64, shards: usize) -> String {
         let p = cluster.provider(src);
         let sim = cluster.node_sim(src).clone();
         sim.spawn("probe-tx", Some(p.cpu()), move |ctx| {
-            let mut s = SessionSender::new(
-                &p,
-                ctx,
-                NodeId(dst as u32),
-                Discriminator(900),
-                SessionParams::default(),
-            )
-            .expect("session sender");
+            let mut s = SessionSender::new(&p, ctx, NodeId(dst as u32), Discriminator(900))
+                .expect("session sender");
             for i in 0..msgs {
                 s.send(ctx, &payload(99, i));
                 ctx.sleep(gap);

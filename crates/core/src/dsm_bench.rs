@@ -4,7 +4,7 @@
 //! fault cost on each VIA implementation, and how fast can ownership of a
 //! hot page bounce between two ranks?
 
-use dsm::{run_world, Dsm, DsmConfig, PAGE_SIZE};
+use dsm::{run_world, Dsm, PAGE_SIZE};
 use simkit::Sim;
 use via::{Cluster, Profile};
 
@@ -17,7 +17,7 @@ use crate::sweep::{Curve, Sweep};
 /// the latency ping-pong).
 pub fn page_pingpong_us(profile: Profile, rounds: u64, seed: u64) -> f64 {
     let cluster = Cluster::new(Sim::new(), profile, 2, seed);
-    let handles = Dsm::spawn_world(&cluster, DsmConfig::default(), move |ctx, dsm| {
+    let handles = Dsm::spawn_world(&cluster, move |ctx, dsm| {
         // Strict alternation through a turn word on the hot page:
         // rank r writes when counter % 2 == r.
         let me = dsm.rank() as u64;
@@ -84,7 +84,7 @@ pub fn false_sharing_sweep(profile: Profile) -> Sweep {
 /// words on one page or on `separate` pages.
 fn false_sharing_us(profile: Profile, separate: bool) -> f64 {
     let cluster = Cluster::new(Sim::new(), profile, 2, 9);
-    let handles = Dsm::spawn_world(&cluster, DsmConfig::default(), move |ctx, dsm| {
+    let handles = Dsm::spawn_world(&cluster, move |ctx, dsm| {
         let addr = if separate {
             dsm.rank() as u64 * PAGE_SIZE
         } else {

@@ -37,4 +37,4 @@
 pub mod node;
 pub mod wire;
 
-pub use node::{run_world, Dsm, DsmConfig, DsmStats, PAGE_SIZE};
+pub use node::{run_world, Dsm, DsmStats, PAGE_SIZE};

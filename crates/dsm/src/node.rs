@@ -15,23 +15,10 @@ use crate::wire::Msg;
 /// Coherence granule (matches the testbed's virtual-memory page).
 pub const PAGE_SIZE: u64 = 4096;
 
-/// World configuration.
-#[derive(Clone, Copy, Debug)]
-pub struct DsmConfig {
-    /// Number of shared pages.
-    pub pages: u64,
-    /// Pre-posted receive slots per lane.
-    pub ring_slots: usize,
-}
-
-impl Default for DsmConfig {
-    fn default() -> Self {
-        DsmConfig {
-            pages: 64,
-            ring_slots: 8,
-        }
-    }
-}
+/// Number of shared pages (256 KiB of shared memory).
+const PAGES: u64 = 64;
+/// Pre-posted receive slots per lane.
+const RING_SLOTS: usize = 8;
 
 /// Per-rank counters.
 #[derive(Clone, Copy, Debug, Default)]
@@ -76,7 +63,6 @@ struct Shared {
     provider: Provider,
     rank: u32,
     ranks: u32,
-    cfg: DsmConfig,
     state: Mutex<NodeState>,
     /// Signaled by the pager whenever a page lands.
     arrivals: Notify,
@@ -132,7 +118,7 @@ impl Dsm {
 
     /// Total shared bytes.
     pub fn size(&self) -> u64 {
-        self.shared.cfg.pages * PAGE_SIZE
+        PAGES * PAGE_SIZE
     }
 
     /// Read `len` bytes at shared address `addr` (may span pages).
@@ -222,7 +208,7 @@ impl Dsm {
 
     /// Ensure this rank owns `page`, faulting it over if necessary.
     fn acquire(&self, ctx: &mut ProcessCtx, page: u64) {
-        assert!(page < self.shared.cfg.pages, "page out of range");
+        assert!(page < PAGES, "page out of range");
         let me = self.shared.rank;
         let home = home_of(page, self.shared.ranks);
         loop {
@@ -507,7 +493,7 @@ impl Dsm {
     /// the simulation with [`run_world`], not `run_to_completion` (pagers
     /// exit via a stop flag once every application returned); the caller
     /// keeps the cluster, so it can read or audit it after the run.
-    pub fn spawn_world<F, R>(cluster: &Cluster, cfg: DsmConfig, body: F) -> Vec<ProcessHandle<R>>
+    pub fn spawn_world<F, R>(cluster: &Cluster, body: F) -> Vec<ProcessHandle<R>>
     where
         F: Fn(&mut ProcessCtx, Dsm) -> R + Clone + Send + 'static,
         R: Send + 'static,
@@ -522,14 +508,8 @@ impl Dsm {
                 let finished = Arc::clone(&finished);
                 let sim = cluster.sim();
                 sim.spawn(format!("dsm-app{rank}"), Some(provider.cpu()), move |ctx| {
-                    let (dsm, pager) = build_node(
-                        ctx,
-                        provider,
-                        rank as u32,
-                        ranks,
-                        cfg,
-                        Arc::clone(&finished),
-                    );
+                    let (dsm, pager) =
+                        build_node(ctx, provider, rank as u32, ranks, Arc::clone(&finished));
                     let shared = Arc::clone(&dsm.shared);
                     let sim2 = ctx.sim().clone();
                     let mut pager = pager;
@@ -554,19 +534,18 @@ fn build_node(
     provider: Provider,
     rank: u32,
     ranks: u32,
-    cfg: DsmConfig,
     finished_apps: Arc<std::sync::atomic::AtomicUsize>,
 ) -> (Dsm, Pager) {
     let cq = provider
-        .create_cq(ctx, (ranks as usize * cfg.ring_slots * 2).max(64))
+        .create_cq(ctx, (ranks as usize * RING_SLOTS * 2).max(64))
         .expect("pager cq");
     let mut mesh: Vec<Option<Lane>> = (0..ranks).map(|_| None).collect();
     let mut app_rx: Vec<Option<Lane>> = (0..ranks).map(|_| None).collect();
     let mut app_tx: Vec<Option<Vi>> = (0..ranks).map(|_| None).collect();
     let attrs = ViAttributes::default();
     let make_lane = |ctx: &mut ProcessCtx, vi: &Vi, provider: &Provider| -> Vec<(u64, MemHandle)> {
-        let mut ring = Vec::with_capacity(cfg.ring_slots);
-        for _ in 0..cfg.ring_slots {
+        let mut ring = Vec::with_capacity(RING_SLOTS);
+        for _ in 0..RING_SLOTS {
             let va = provider.malloc(SLOT_LEN);
             let mh = provider
                 .register_mem(ctx, va, SLOT_LEN, MemAttributes::default())
@@ -629,7 +608,7 @@ fn build_node(
     // Initial ownership: each home owns its pages.
     let mut owned = HashSet::new();
     let mut directory = HashMap::new();
-    for page in 0..cfg.pages {
+    for page in 0..PAGES {
         if home_of(page, ranks) == rank {
             owned.insert(page);
             directory.insert(page, rank);
@@ -639,7 +618,6 @@ fn build_node(
         provider: provider.clone(),
         rank,
         ranks,
-        cfg,
         state: Mutex::new(NodeState {
             owned,
             store: HashMap::new(),
@@ -691,12 +669,5 @@ mod tests {
             .map(|r| (0..64u64).filter(|&p| home_of(p, 4) == r).count())
             .collect();
         assert_eq!(counts, vec![16, 16, 16, 16]);
-    }
-
-    #[test]
-    fn default_config() {
-        let c = DsmConfig::default();
-        assert_eq!(c.pages * PAGE_SIZE, 256 * 1024);
-        assert!(c.ring_slots >= 2);
     }
 }

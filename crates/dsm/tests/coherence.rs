@@ -2,7 +2,7 @@
 //! data persistence across migrations, contention storms on one page, and
 //! disjoint-page parallelism.
 
-use dsm::{run_world, Dsm, DsmConfig, PAGE_SIZE};
+use dsm::{run_world, Dsm, PAGE_SIZE};
 use simkit::Sim;
 use via::{Cluster, Profile};
 
@@ -15,7 +15,7 @@ fn shared_counter_sees_every_increment() {
     const PER_RANK: u64 = 25;
     let sim = Sim::new();
     let cluster = Cluster::new(sim.clone(), Profile::clan(), RANKS, 1);
-    let handles = Dsm::spawn_world(&cluster, DsmConfig::default(), |ctx, dsm| {
+    let handles = Dsm::spawn_world(&cluster, |ctx, dsm| {
         for _ in 0..PER_RANK {
             dsm.update(ctx, 128, 8, |bytes| {
                 let v = u64::from_le_bytes(bytes.try_into().unwrap());
@@ -45,7 +45,7 @@ fn data_persists_across_migrations() {
     // reads the overwrite back — through four ownership migrations.
     let sim = Sim::new();
     let cluster = Cluster::new(sim.clone(), Profile::bvia(), 2, 2);
-    let handles = Dsm::spawn_world(&cluster, DsmConfig::default(), |ctx, dsm| {
+    let handles = Dsm::spawn_world(&cluster, |ctx, dsm| {
         let addr = 3 * PAGE_SIZE + 100; // page 3 (homed on rank 1)
         if dsm.rank() == 0 {
             dsm.write(ctx, addr, b"written by rank zero");
@@ -84,7 +84,7 @@ fn one_hot_page_survives_a_contention_storm() {
     const PER_RANK: u64 = 12;
     let sim = Sim::new();
     let cluster = Cluster::new(sim.clone(), Profile::clan(), RANKS, 3);
-    let handles = Dsm::spawn_world(&cluster, DsmConfig::default(), |ctx, dsm| {
+    let handles = Dsm::spawn_world(&cluster, |ctx, dsm| {
         let my_slot = 8 + 8 * dsm.rank() as u64; // distinct words, same page
         for i in 0..PER_RANK {
             dsm.update(ctx, my_slot, 8, |bytes| {
@@ -127,7 +127,7 @@ fn disjoint_pages_do_not_interfere() {
     const RANKS: usize = 4;
     let sim = Sim::new();
     let cluster = Cluster::new(sim.clone(), Profile::clan(), RANKS, 4);
-    let handles = Dsm::spawn_world(&cluster, DsmConfig::default(), |ctx, dsm| {
+    let handles = Dsm::spawn_world(&cluster, |ctx, dsm| {
         // Each rank uses a page IT is the home of: zero faults at all.
         let page = dsm.rank() as u64; // home_of(page) == rank for page < ranks
         let addr = page * PAGE_SIZE;
@@ -151,7 +151,7 @@ fn disjoint_pages_do_not_interfere() {
 fn page_spanning_access_is_correct() {
     let sim = Sim::new();
     let cluster = Cluster::new(sim.clone(), Profile::mvia(), 2, 5);
-    let handles = Dsm::spawn_world(&cluster, DsmConfig::default(), |ctx, dsm| {
+    let handles = Dsm::spawn_world(&cluster, |ctx, dsm| {
         if dsm.rank() == 0 {
             // Straddle pages 1|2 with a recognizable pattern.
             let data: Vec<u8> = (0..600).map(|i| (i % 251) as u8).collect();
@@ -178,7 +178,7 @@ fn page_spanning_access_is_correct() {
 fn stats_account_for_migrations() {
     let sim = Sim::new();
     let cluster = Cluster::new(sim.clone(), Profile::clan(), 2, 6);
-    let handles = Dsm::spawn_world(&cluster, DsmConfig::default(), |ctx, dsm| {
+    let handles = Dsm::spawn_world(&cluster, |ctx, dsm| {
         // Page 0 is homed at rank 0. Rank 1 pulls it, then rank 0
         // pulls it back: each side ships once.
         if dsm.rank() == 1 {

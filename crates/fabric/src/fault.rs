@@ -1,11 +1,18 @@
 //! Scripted, seeded fault injection for the SAN.
 //!
-//! A [`FaultPlan`] is a list of sim-time-scheduled fault windows — link
-//! down/up flaps, per-link degradation bursts (extra latency and loss),
-//! frame corruption (CRC-fail drops, counted separately from congestion
-//! loss), and switch brownouts. [`crate::San::install_faults`] schedules
-//! the window edges on the engine's slab timer core; inside a window the
-//! send path consults the active fault set on every frame.
+//! A [`FaultPlan`] is a list of sim-time-scheduled fault windows, one
+//! [`FaultKind`] each, in three scopes:
+//! - host links and the network as a whole: down/up flaps, degradation
+//!   bursts (extra latency and loss), frame corruption (CRC-fail drops,
+//!   counted separately from congestion loss) and switch brownouts;
+//! - switch fabric (multi-switch topologies): a dead switch or a severed
+//!   trunk, both of which trigger route reconvergence;
+//! - hosts: a node crash or a NIC reset.
+//!
+//! [`FaultPlan::randomized_topo`] draws every kind, and a unit test keeps
+//! it so. [`crate::San::install_faults`] schedules the window edges on the
+//! engine's slab timer core; inside a window the send path consults the
+//! active fault set on every frame.
 //!
 //! Determinism: all fault drop decisions come from dedicated per-node
 //! `SimRng::derive(seed, "fabric-fault-n*")` streams (a frame's decision
@@ -79,15 +86,6 @@ pub enum FaultKind {
         /// Higher-numbered endpoint switch.
         b: u32,
     },
-    /// Every output port of one switch degrades: admitted frames pay
-    /// `extra_latency` on top of the switch traversal. Paths stay valid,
-    /// so no reroute is triggered.
-    PortDegrade {
-        /// The degraded switch.
-        switch: u32,
-        /// Added per-traversal latency on every port of the switch.
-        extra_latency: SimDuration,
-    },
     /// The whole host is down: its NIC rings, translation tables, and VI
     /// state are wiped at window open (the attached provider's crash hook
     /// fires), every frame to or from the node during the window drains to
@@ -111,19 +109,9 @@ pub enum FaultKind {
 
 impl FaultKind {
     /// True for the kinds that target switch-fabric elements rather than
-    /// host links — the kinds only a multi-switch SAN can apply.
+    /// host links — the kinds only a multi-switch SAN can apply. Each one
+    /// invalidates routes and triggers deterministic reconvergence.
     pub fn is_switch_scoped(&self) -> bool {
-        matches!(
-            self,
-            FaultKind::SwitchDown { .. }
-                | FaultKind::TrunkDown { .. }
-                | FaultKind::PortDegrade { .. }
-        )
-    }
-
-    /// True for the kinds that invalidate routes and trigger deterministic
-    /// reconvergence (a degraded port still forwards, so it does not).
-    pub fn triggers_reroute(&self) -> bool {
         matches!(
             self,
             FaultKind::SwitchDown { .. } | FaultKind::TrunkDown { .. }
@@ -158,7 +146,6 @@ impl FaultKind {
             FaultKind::Brownout { .. } => Some((SWITCH_NODE, 2)),
             FaultKind::SwitchDown { .. } => Some((SWITCH_NODE, 3)),
             FaultKind::TrunkDown { .. } => Some((SWITCH_NODE, 4)),
-            FaultKind::PortDegrade { .. } => Some((SWITCH_NODE, 5)),
             FaultKind::NodeDown { node } => Some((node.0, 6)),
             FaultKind::NicReset { node } => Some((node.0, 7)),
             FaultKind::Degrade { .. } | FaultKind::Corrupt { .. } => None,
@@ -307,25 +294,6 @@ impl FaultPlan {
         )
     }
 
-    /// Degrade every output port of switch `switch` by `extra_latency` per
-    /// traversal during the window.
-    pub fn port_degrade(
-        self,
-        switch: u32,
-        at: SimTime,
-        duration: SimDuration,
-        extra_latency: SimDuration,
-    ) -> Self {
-        self.window(
-            at,
-            duration,
-            FaultKind::PortDegrade {
-                switch,
-                extra_latency,
-            },
-        )
-    }
-
     /// Crash node `node` for `duration` starting at `at`: NIC and VI state
     /// wiped at window open, all frames to/from the node dropped during
     /// the window, reboot at window close.
@@ -352,16 +320,10 @@ impl FaultPlan {
         self.reroute.unwrap_or_default()
     }
 
-    /// True when any window targets a switch-fabric element (switch,
-    /// trunk, or switch-port degrade) — installation requires a
-    /// multi-switch topology.
+    /// True when any window targets a switch-fabric element (switch or
+    /// trunk) — installation requires a multi-switch topology.
     pub fn has_switch_faults(&self) -> bool {
         self.events.iter().any(|w| w.kind.is_switch_scoped())
-    }
-
-    /// True when any window triggers route reconvergence.
-    pub fn has_reroute_faults(&self) -> bool {
-        self.events.iter().any(|w| w.kind.triggers_reroute())
     }
 
     /// True when any window kills a host (node crash or NIC reset).
@@ -549,21 +511,6 @@ impl FaultState {
         self.active
             .iter()
             .any(|k| matches!(k, FaultKind::TrunkDown { a, b } if *a == lo && *b == hi))
-    }
-
-    /// Summed [`FaultKind::PortDegrade`] latency currently active on
-    /// switch `sw`'s ports (overlapping windows stack).
-    pub(crate) fn port_degrade_extra(&self, sw: u32) -> SimDuration {
-        self.active
-            .iter()
-            .filter_map(|k| match k {
-                FaultKind::PortDegrade {
-                    switch,
-                    extra_latency,
-                } if *switch == sw => Some(*extra_latency),
-                _ => None,
-            })
-            .fold(SimDuration::ZERO, |acc, d| acc + d)
     }
 
     /// Evaluate the active set for a frame entering the fabric on `src`'s
@@ -761,18 +708,14 @@ mod tests {
         let d = SimDuration::from_micros(50);
         let plan = FaultPlan::new()
             .switch_down(3, t0, d)
-            .trunk_down(5, 2, t0, d)
-            .port_degrade(1, t0, d, SimDuration::from_micros(4));
+            .trunk_down(5, 2, t0, d);
         assert!(plan.has_switch_faults());
-        assert!(plan.has_reroute_faults());
         assert_eq!(plan.events()[1].kind, FaultKind::TrunkDown { a: 2, b: 5 });
-        assert!(plan.events()[0].kind.triggers_reroute());
-        assert!(!plan.events()[2].kind.triggers_reroute());
-        assert!(plan.events()[2].kind.is_switch_scoped());
-        // Host-link kinds are neither switch-scoped nor reroute triggers.
+        assert!(plan.events()[0].kind.is_switch_scoped());
+        assert!(plan.events()[1].kind.is_switch_scoped());
+        // Host-link kinds are not switch-scoped.
         let host = FaultPlan::new().link_flap(NodeId(0), t0, d);
         assert!(!host.has_switch_faults());
-        assert!(!host.has_reroute_faults());
         // Reroute defaults apply until overridden.
         assert_eq!(plan.reroute(), RerouteParams::default());
         let custom = RerouteParams {
@@ -788,21 +731,11 @@ mod tests {
         let mut st = FaultState::new(1, 2);
         st.begin(FaultKind::SwitchDown { switch: 4 });
         st.begin(FaultKind::TrunkDown { a: 1, b: 3 });
-        st.begin(FaultKind::PortDegrade {
-            switch: 2,
-            extra_latency: SimDuration::from_micros(3),
-        });
-        st.begin(FaultKind::PortDegrade {
-            switch: 2,
-            extra_latency: SimDuration::from_micros(2),
-        });
         assert!(st.switch_down(4));
         assert!(!st.switch_down(3));
         assert!(st.trunk_down(1, 3));
         assert!(st.trunk_down(3, 1), "trunk queries are order-insensitive");
         assert!(!st.trunk_down(1, 2));
-        assert_eq!(st.port_degrade_extra(2), SimDuration::from_micros(5));
-        assert_eq!(st.port_degrade_extra(4), SimDuration::ZERO);
         st.end(FaultKind::SwitchDown { switch: 4 });
         assert!(!st.switch_down(4));
         // Switch-scoped kinds never perturb host-link hop decisions.
@@ -879,7 +812,6 @@ mod tests {
             .nic_reset(NodeId(2), t0, d);
         assert!(plan.has_node_faults());
         assert!(!plan.has_switch_faults());
-        assert!(!plan.has_reroute_faults());
         assert!(plan.events()[0].kind.is_node_scoped());
         assert_eq!(plan.events()[0].kind.node_scope(), Some(NodeId(1)));
         assert_eq!(plan.events()[1].kind.node_scope(), Some(NodeId(2)));
@@ -942,6 +874,58 @@ mod tests {
             }
         }
         assert!(saw_node_scoped, "64 seeds must draw some node windows");
+    }
+
+    /// Every [`FaultKind`] is drawn by the randomized plans, so none is
+    /// reachable only from its own unit tests. The shapes are chaos's
+    /// two-node dumbbell and X-TOPO's 64-node fat-tree; the match below is
+    /// exhaustive, so a new variant must be drawn here or this fails.
+    #[test]
+    fn randomized_plans_draw_every_fault_kind() {
+        use crate::params::LinkParams;
+        use crate::topo::PortLimits;
+        const KINDS: usize = 8;
+        fn kind_index(k: FaultKind) -> usize {
+            match k {
+                FaultKind::LinkDown { .. } => 0,
+                FaultKind::Degrade { .. } => 1,
+                FaultKind::Corrupt { .. } => 2,
+                FaultKind::Brownout { .. } => 3,
+                FaultKind::SwitchDown { .. } => 4,
+                FaultKind::TrunkDown { .. } => 5,
+                FaultKind::NodeDown { .. } => 6,
+                FaultKind::NicReset { .. } => 7,
+            }
+        }
+        let drawn = |topo: &Topology| {
+            let mut seen = [false; KINDS];
+            for seed in 0..64 {
+                let mut rng = SimRng::derive(seed, "every-kind");
+                let base = SimTime::ZERO + SimDuration::from_micros(100);
+                let span = SimDuration::from_millis(5);
+                for w in FaultPlan::randomized_topo(&mut rng, base, span, topo).events() {
+                    seen[kind_index(w.kind)] = true;
+                }
+            }
+            seen
+        };
+        let trunk = LinkParams {
+            bandwidth_bps: 440_000_000,
+            propagation: SimDuration::from_nanos(600),
+            frame_overhead_bytes: 8,
+            mtu: 64 * 1024,
+        };
+        let limits = PortLimits::default();
+        for topo in [
+            Topology::dumbbell(2, trunk, limits),
+            Topology::fat_tree(8, 8, 4, trunk, limits),
+        ] {
+            assert_eq!(drawn(&topo), [true; KINDS], "{}", topo.name());
+        }
+        // A star draws exactly the host-link and switch-wide kinds.
+        let star = drawn(&Topology::star(2));
+        assert_eq!(star.iter().filter(|&&s| s).count(), 4, "{star:?}");
+        assert!(star[..4].iter().all(|&s| s), "{star:?}");
     }
 
     #[test]

@@ -487,13 +487,12 @@ struct SanInner {
     /// or counters, only how many scheduler events carry a frame.
     fuse: AtomicBool,
     /// Set once a plan containing switch-scoped windows ([`SwitchDown`],
-    /// [`TrunkDown`], [`PortDegrade`]) is installed. A hop checks fault
-    /// state and reconverged routes only under this flag, so fault-free
-    /// topologies pay one relaxed load per hop.
+    /// [`TrunkDown`]) is installed. A hop checks fault state and
+    /// reconverged routes only under this flag, so fault-free topologies
+    /// pay one relaxed load per hop.
     ///
     /// [`SwitchDown`]: FaultKind::SwitchDown
     /// [`TrunkDown`]: FaultKind::TrunkDown
-    /// [`PortDegrade`]: FaultKind::PortDegrade
     switch_faults: AtomicBool,
     /// Set once a plan containing node-scoped windows ([`NodeDown`],
     /// [`NicReset`]) is installed. The delivery funnel checks the
@@ -701,7 +700,7 @@ impl San {
             let trunks = inner.topo.trunk_pairs();
             for w in plan.events() {
                 match w.kind {
-                    FaultKind::SwitchDown { switch } | FaultKind::PortDegrade { switch, .. } => {
+                    FaultKind::SwitchDown { switch } => {
                         assert!(
                             (switch as usize) < inner.topo.switches(),
                             "fault window names switch {switch} outside the topology"
@@ -749,7 +748,7 @@ impl San {
                 // affecting window — scheduled at install time on every
                 // shard, so all replicas flip identically and before any
                 // same-instant traffic event.
-                if kind.triggers_reroute() {
+                if kind.is_switch_scoped() {
                     for (at, open) in edges {
                         let san = self.clone();
                         sim.call_at_as(EventClass::Fabric, at + reroute, move |_| {
@@ -1281,7 +1280,7 @@ impl San {
             port_idx
         };
         if topo.limits().is_unbounded() {
-            return self.transmit(shard, sw, port_idx, f, at, SimDuration::ZERO);
+            return self.transmit(shard, sw, port_idx, f, at);
         }
         let need_resolver = {
             let mut port = inner.ports[sw as usize][port_idx].lock();
@@ -1306,19 +1305,6 @@ impl San {
         let inner = &self.inner;
         let now = inner.sims[shard].now();
         let limits = inner.topo.limits();
-        // PortDegrade stretches the switch traversal of every admission at
-        // this switch. Queried from the link-fault lock strictly before
-        // the port lock (the shared-stats lock is likewise never taken
-        // inside it) — lock order is links → port → shared, always.
-        let degrade_extra = if inner.switch_faults.load(Ordering::Relaxed) {
-            inner.links[shard]
-                .lock()
-                .faults
-                .as_ref()
-                .map_or(SimDuration::ZERO, |fs| fs.port_degrade_extra(sw))
-        } else {
-            SimDuration::ZERO
-        };
         let mut admit: Vec<Frame> = Vec::new();
         let mut dropped: Vec<Option<MsgId>> = Vec::new();
         let mut stormed: Vec<Option<MsgId>> = Vec::new();
@@ -1411,7 +1397,7 @@ impl San {
         // Admitted frames occupy the output wire in the canonical order
         // fixed above.
         for f in admit {
-            self.transmit(shard, sw, port_idx, f, now, degrade_extra);
+            self.transmit(shard, sw, port_idx, f, now);
         }
         if !dropped.is_empty() || !stormed.is_empty() {
             let mut sh = inner.shared.lock();
@@ -1436,15 +1422,7 @@ impl San {
     /// cross-shard step of a multi-switch SAN), [`San::egress`] for a host
     /// port. A bounded port also schedules the depart event that frees the
     /// buffer slot.
-    fn transmit(
-        &self,
-        shard: usize,
-        sw: u32,
-        port_idx: usize,
-        f: Frame,
-        at: SimTime,
-        degrade: SimDuration,
-    ) {
+    fn transmit(&self, shard: usize, sw: u32, port_idx: usize, f: Frame, at: SimTime) {
         let inner = &self.inner;
         let spec = inner.topo.ports(sw)[port_idx];
         let link = spec.trunk.unwrap_or(inner.params.link);
@@ -1454,7 +1432,7 @@ impl San {
         let traversal = if inner.topo.is_single_switch() {
             SimDuration::ZERO
         } else {
-            inner.params.switch.latency + degrade
+            inner.params.switch.latency
         };
         let depart = {
             let mut port = inner.ports[sw as usize][port_idx].lock();

@@ -4,10 +4,9 @@
 //! edge-switch attachment map, and switch↔switch trunks with their own
 //! [`LinkParams`]. Constructors cover the shapes the suite exercises —
 //! [`Topology::star`] (the paper's testbed: one switch, unbounded host
-//! ports), [`Topology::dumbbell`], a 2-level [`Topology::fat_tree`], and a
-//! [`Topology::ring`] of switches. The San consumes the description to
-//! build per-output-port switch state (see `san.rs`); everything here is
-//! side-effect-free and cheap to clone.
+//! ports), [`Topology::dumbbell`] and a 2-level [`Topology::fat_tree`].
+//! The San consumes the description to build per-output-port switch state
+//! (see `san.rs`); everything here is side-effect-free and cheap to clone.
 //!
 //! # Routing
 //!
@@ -298,26 +297,6 @@ impl Topology {
         Topology::finish("fat-tree", nodes, edge_of, ports, limits)
     }
 
-    /// A ring of `switches` switches, `hosts_per_switch` hosts each. Two
-    /// equal-cost directions exist exactly for antipodal destinations on
-    /// even rings; otherwise routing follows the shorter arc.
-    pub fn ring(
-        switches: usize,
-        hosts_per_switch: usize,
-        trunk: LinkParams,
-        limits: PortLimits,
-    ) -> Topology {
-        assert!(switches >= 3, "ring needs at least three switches");
-        assert!(hosts_per_switch >= 1, "ring switches need hosts");
-        let nodes = (switches * hosts_per_switch) as u32;
-        let edge_of: Vec<u32> = (0..nodes).map(|n| n / hosts_per_switch as u32).collect();
-        let trunks: Vec<(u32, u32)> = (0..switches as u32)
-            .map(|s| (s, (s + 1) % switches as u32))
-            .collect();
-        let ports = Topology::switch_ports(switches as u32, &edge_of, &trunks, trunk);
-        Topology::finish("ring", nodes, edge_of, ports, limits)
-    }
-
     /// Build per-switch port lists: host ports (node order), then trunk
     /// ports (neighbor order). `trunks` lists undirected switch pairs.
     fn switch_ports(
@@ -444,7 +423,7 @@ impl Topology {
         }
     }
 
-    /// Shape name ("star", "dumbbell", "fat-tree", "ring").
+    /// Shape name ("star", "dumbbell", "fat-tree").
     pub fn name(&self) -> &'static str {
         self.name
     }
@@ -922,20 +901,14 @@ mod tests {
     }
 
     #[test]
-    fn dumbbell_and_ring_shapes() {
+    fn dumbbell_shape() {
         let d = Topology::dumbbell(5, trunk(), PortLimits::default());
         assert_eq!(d.switches(), 2);
         assert_eq!(d.edge_of(2), 0);
         assert_eq!(d.edge_of(3), 1);
         assert_eq!(d.hops(0, 1), 1);
         assert_eq!(d.trunk_ports(), 2);
-
-        let r = Topology::ring(4, 2, trunk(), PortLimits::default());
-        assert_eq!(r.switches(), 4);
-        assert_eq!(r.hops(0, 2), 2);
-        // Antipodal destination on an even ring: both directions tie.
-        assert_eq!(r.next_hops[0][2], vec![1, 3]);
-        assert_eq!(r.next_hops[0][1], vec![1]);
+        assert_eq!(d.next_hops[0][1], vec![1]);
     }
 
     #[test]

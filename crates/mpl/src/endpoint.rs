@@ -18,7 +18,7 @@
 //! * one completion queue per rank merges every receive queue, drained by
 //!   a progress engine that stashes unexpected messages.
 
-use simkit::{ProcessCtx, SimDuration, WaitMode};
+use simkit::{ProcessCtx, WaitMode};
 use via::{
     Cq, Descriptor, Discriminator, MemAttributes, MemHandle, Provider, QueueKind, Reliability, Vi,
     ViAttributes, ViId,
@@ -485,12 +485,6 @@ impl Mpl {
             })
             .collect()
     }
-}
-
-/// Small helper: sleep long enough for in-flight layer traffic to drain in
-/// tests (virtual time is free).
-pub fn settle(ctx: &mut ProcessCtx) {
-    ctx.sleep(SimDuration::from_millis(2));
 }
 
 #[cfg(test)]

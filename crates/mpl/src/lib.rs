@@ -44,5 +44,5 @@
 pub mod endpoint;
 pub mod proto;
 
-pub use endpoint::{settle, Mpl, MplConfig, MplStats, BARRIER_TAG};
+pub use endpoint::{Mpl, MplConfig, MplStats, BARRIER_TAG};
 pub use proto::{Kind, Tag};

@@ -22,20 +22,6 @@ impl CpuId {
     }
 }
 
-pub(crate) struct CpuRecord {
-    pub(crate) name: String,
-    pub(crate) busy: SimDuration,
-}
-
-impl CpuRecord {
-    pub(crate) fn new(name: String) -> Self {
-        CpuRecord {
-            name,
-            busy: SimDuration::ZERO,
-        }
-    }
-}
-
 /// Result of metering a CPU over an interval.
 #[derive(Clone, Copy, Debug)]
 pub struct CpuUsage {

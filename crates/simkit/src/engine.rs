@@ -85,7 +85,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering as AtomicOrdering};
 use std::sync::{Arc, Weak};
 
 use crate::confined::{Affinity, Confined};
-use crate::cpu::{CpuId, CpuRecord};
+use crate::cpu::CpuId;
 use crate::process::{ProcessCtx, ProcessHandle, ProcessId, ProcessRecord, WaitToken};
 use crate::time::{SimDuration, SimTime};
 
@@ -894,7 +894,8 @@ pub(crate) struct SimInner {
     now_ns: AtomicU64,
     /// Grows only: a record stays at its index, alive, as long as the `Sim`.
     pub(crate) procs: Confined<Vec<Arc<ProcessRecord>>>,
-    pub(crate) cpus: Confined<Vec<CpuRecord>>,
+    /// Busy time of each registered CPU, by [`CpuId`].
+    pub(crate) cpus: Confined<Vec<SimDuration>>,
     pub(crate) shutdown: AtomicBool,
     /// Fast-path guard for `hook`: the run loop checks this relaxed flag
     /// before touching the mutex, so an unhooked simulation pays one
@@ -1141,10 +1142,10 @@ impl Sim {
         };
     }
 
-    fn push_wake(&self, at: SimTime, class: EventClass, token: WaitToken) -> (u32, u32) {
+    fn push_wake(&self, at: SimTime, class: EventClass, token: WaitToken) {
         // Safety: `WAKE` is the vtable of a `WaitToken`, which is `Copy`, so
         // the slot's copy is the only one that is ever consumed.
-        unsafe { self.push_raw(at, class, &WAKE, Stored::Wake, (&raw const token).cast()) }
+        unsafe { self.push_raw(at, class, &WAKE, Stored::Wake, (&raw const token).cast()) };
     }
 
     /// Schedule `f` to run at absolute time `at`, inside [`Sim::run`].
@@ -1175,12 +1176,6 @@ impl Sim {
         f: impl FnOnce(&Sim) + Send + 'static,
     ) {
         self.call_at_as(class, self.now() + delay, f);
-    }
-
-    /// Schedule `f` to run at the current time, after already-queued
-    /// same-time events.
-    pub fn call_soon(&self, f: impl FnOnce(&Sim) + Send + 'static) {
-        self.call_at(self.now(), f);
     }
 
     /// Schedule `f` at absolute time `at` and return a cancellable
@@ -1227,24 +1222,6 @@ impl Sim {
     /// delivery accounts as [`EventClass::Completion`]).
     pub fn wake_in_as(&self, class: EventClass, delay: SimDuration, token: WaitToken) {
         self.push_wake(self.now() + delay, class, token);
-    }
-
-    /// Schedule a wake for `token` after `delay` and return a cancellable
-    /// [`TimerHandle`] — the building block for coalesced interrupts and
-    /// cancellable timeouts. Wake timers store no closure at all.
-    pub fn wake_timer_in(
-        &self,
-        class: EventClass,
-        delay: SimDuration,
-        token: WaitToken,
-    ) -> TimerHandle {
-        let (slot, gen) = self.push_wake(self.now() + delay, class, token);
-        TimerHandle {
-            inner: Arc::downgrade(&self.inner),
-            slot,
-            gen,
-            class,
-        }
     }
 
     /// Spawn a simulated process. `body` runs on its own stack, on
@@ -1466,28 +1443,24 @@ impl Sim {
         }
     }
 
-    /// Register a CPU for busy-time accounting and return its id.
-    pub fn add_cpu(&self, name: impl Into<String>) -> CpuId {
+    /// Register a CPU for busy-time accounting and return its id. `_name`
+    /// labels the CPU at the call site; only its busy time is kept.
+    pub fn add_cpu(&self, _name: impl Into<String>) -> CpuId {
         let mut cpus = self.inner.cpus.lock();
         let id = CpuId::new(cpus.len() as u32);
-        cpus.push(CpuRecord::new(name.into()));
+        cpus.push(SimDuration::ZERO);
         id
     }
 
     /// Add `amount` of busy time to `cpu` (the `getrusage` counterpart).
     pub fn charge(&self, cpu: CpuId, amount: SimDuration) {
         let mut cpus = self.inner.cpus.lock();
-        cpus[cpu.index()].busy += amount;
+        cpus[cpu.index()] += amount;
     }
 
     /// Total busy time accumulated on `cpu`.
     pub fn cpu_busy(&self, cpu: CpuId) -> SimDuration {
-        self.inner.cpus.lock()[cpu.index()].busy
-    }
-
-    /// Name given to `cpu` at registration.
-    pub fn cpu_name(&self, cpu: CpuId) -> String {
-        self.inner.cpus.lock()[cpu.index()].name.clone()
+        self.inner.cpus.lock()[cpu.index()]
     }
 
     /// Number of live events currently queued (diagnostics/tests).
@@ -1747,7 +1720,7 @@ mod tests {
             });
         }
         let c = Arc::clone(&count);
-        sim.call_soon(move |s| chain(s, c, 100));
+        sim.call_in(SimDuration::ZERO, move |s| chain(s, c, 100));
         let report = sim.run();
         assert_eq!(count.load(AtomicOrdering::Relaxed), 100);
         assert_eq!(report.end_time, SimTime::from_nanos(100_000));
@@ -1775,7 +1748,6 @@ mod tests {
         sim.charge(cpu, SimDuration::from_micros(3));
         sim.charge(cpu, SimDuration::from_micros(4));
         assert_eq!(sim.cpu_busy(cpu), SimDuration::from_micros(7));
-        assert_eq!(sim.cpu_name(cpu), "node0");
     }
 
     #[test]
@@ -1986,7 +1958,7 @@ mod tests {
                 log.lock().push(tag);
                 if tag % 8 == 0 {
                     let log = Arc::clone(&log);
-                    sim.call_soon(move |_| log.lock().push(100 + tag));
+                    sim.call_in(SimDuration::ZERO, move |_| log.lock().push(100 + tag));
                 }
             });
         }

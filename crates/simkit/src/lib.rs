@@ -71,5 +71,5 @@ pub use process::{ProcessCtx, ProcessHandle, ProcessId, WaitToken};
 pub use rng::SimRng;
 pub use shard::{ShardMap, ShardSender, ShardStats, ShardedReport, ShardedSim};
 pub use stats::{megabytes_per_second, Samples};
-pub use sync::{Notify, SimBarrier, SimChannel, WaitMode};
+pub use sync::{Notify, SimBarrier, WaitMode};
 pub use time::{SimDuration, SimTime};

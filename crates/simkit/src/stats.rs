@@ -19,11 +19,6 @@ impl Samples {
         self.values.push(x);
     }
 
-    /// Append a duration in microseconds.
-    pub fn push_duration(&mut self, d: SimDuration) {
-        self.values.push(d.as_micros_f64());
-    }
-
     /// Number of samples.
     pub fn len(&self) -> usize {
         self.values.len()
@@ -109,8 +104,8 @@ mod tests {
     #[test]
     fn duration_samples() {
         let mut s = Samples::new();
-        s.push_duration(SimDuration::from_micros(10));
-        s.push_duration(SimDuration::from_micros(20));
+        s.push(SimDuration::from_micros(10).as_micros_f64());
+        s.push(SimDuration::from_micros(20).as_micros_f64());
         assert!((s.mean() - 15.0).abs() < 1e-12);
     }
 

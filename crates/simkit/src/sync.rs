@@ -1,9 +1,10 @@
 //! Synchronization primitives for simulated processes.
 //!
-//! All primitives here operate on *virtual* time: waiting costs no host CPU
-//! and wakes happen through the event queue, preserving determinism. They
-//! are the building blocks the VIA layer uses for completion notification
-//! and that benchmarks use for phase coordination.
+//! Two primitives, both on *virtual* time: waiting costs no host CPU and
+//! wakes happen through the event queue, preserving determinism.
+//! [`Notify`], a counting semaphore, is what the VIA layer uses for
+//! completion notification; [`SimBarrier`] is what benchmarks use for
+//! phase coordination.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -86,91 +87,6 @@ impl Notify {
         }
         ctx.now() - start
     }
-
-    /// Consume a signal if one is banked, without waiting.
-    pub fn try_wait(&self) -> bool {
-        let mut st = self.state.lock();
-        if st.pending > 0 {
-            st.pending -= 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Number of banked (unconsumed) signals.
-    pub fn pending(&self) -> u64 {
-        self.state.lock().pending
-    }
-}
-
-struct ChannelState<T> {
-    queue: VecDeque<T>,
-    waiters: VecDeque<WaitToken>,
-}
-
-/// An unbounded multi-producer multi-consumer channel on virtual time.
-#[derive(Clone)]
-pub struct SimChannel<T> {
-    state: Arc<Mutex<ChannelState<T>>>,
-}
-
-impl<T> Default for SimChannel<T> {
-    fn default() -> Self {
-        SimChannel {
-            state: Arc::new(Mutex::new(ChannelState {
-                queue: VecDeque::new(),
-                waiters: VecDeque::new(),
-            })),
-        }
-    }
-}
-
-impl<T: Send + 'static> SimChannel<T> {
-    /// New empty channel.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Enqueue a value and wake the longest-waiting receiver, if any.
-    pub fn send(&self, sim: &Sim, value: T) {
-        let mut st = self.state.lock();
-        st.queue.push_back(value);
-        if let Some(w) = st.waiters.pop_front() {
-            sim.wake(w);
-        }
-    }
-
-    /// Dequeue, parking until a value is available.
-    pub fn recv(&self, ctx: &mut ProcessCtx, mode: WaitMode) -> T {
-        loop {
-            let token = {
-                let mut st = self.state.lock();
-                if let Some(v) = st.queue.pop_front() {
-                    return v;
-                }
-                let token = ctx.prepare_wait();
-                st.waiters.push_back(token);
-                token
-            };
-            ctx.wait_mode(token, mode);
-        }
-    }
-
-    /// Dequeue without waiting.
-    pub fn try_recv(&self) -> Option<T> {
-        self.state.lock().queue.pop_front()
-    }
-
-    /// Number of queued values.
-    pub fn len(&self) -> usize {
-        self.state.lock().queue.len()
-    }
-
-    /// True when no values are queued.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
 }
 
 struct BarrierState {
@@ -232,10 +148,17 @@ mod tests {
         let n = Notify::new();
         n.signal(&sim);
         n.signal(&sim);
-        assert_eq!(n.pending(), 2);
-        assert!(n.try_wait());
-        assert!(n.try_wait());
-        assert!(!n.try_wait());
+        let n2 = n.clone();
+        // Two banked signals are consumed at once; the third wait parks
+        // until the next signal.
+        let h = sim.spawn("waiter", None, move |ctx| {
+            [0; 3].map(|_| n2.wait(ctx, WaitMode::Block))
+        });
+        let n3 = n.clone();
+        sim.call_in(SimDuration::from_micros(5), move |s| n3.signal(s));
+        sim.run_to_completion();
+        let zero = SimDuration::ZERO;
+        assert_eq!(h.expect_result(), [zero, zero, SimDuration::from_micros(5)]);
     }
 
     #[test]
@@ -285,38 +208,6 @@ mod tests {
         }
         sim.run_to_completion();
         assert_eq!(*order.lock(), vec!["w0", "w1", "w2"]);
-    }
-
-    #[test]
-    fn channel_passes_values_in_order() {
-        let sim = Sim::new();
-        let ch: SimChannel<u32> = SimChannel::new();
-        let tx = ch.clone();
-        sim.spawn("producer", None, move |ctx| {
-            for i in 0..5 {
-                ctx.sleep(SimDuration::from_micros(10));
-                tx.send(ctx.sim(), i);
-            }
-        });
-        let rx = ch.clone();
-        let h = sim.spawn("consumer", None, move |ctx| {
-            (0..5)
-                .map(|_| rx.recv(ctx, WaitMode::Block))
-                .collect::<Vec<_>>()
-        });
-        sim.run_to_completion();
-        assert_eq!(h.expect_result(), vec![0, 1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn channel_try_recv() {
-        let sim = Sim::new();
-        let ch: SimChannel<&str> = SimChannel::new();
-        assert!(ch.try_recv().is_none());
-        assert!(ch.is_empty());
-        ch.send(&sim, "x");
-        assert_eq!(ch.len(), 1);
-        assert_eq!(ch.try_recv(), Some("x"));
     }
 
     #[test]

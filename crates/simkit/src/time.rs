@@ -86,13 +86,6 @@ impl SimDuration {
         SimDuration(s * 1_000_000_000)
     }
 
-    /// Construct from fractional microseconds, rounding to the nearest
-    /// nanosecond. Negative values clamp to zero.
-    #[inline]
-    pub fn from_micros_f64(us: f64) -> Self {
-        SimDuration((us * 1_000.0).max(0.0).round() as u64)
-    }
-
     /// Raw nanoseconds.
     #[inline]
     pub const fn as_nanos(self) -> u64 {
@@ -251,8 +244,6 @@ mod tests {
         assert_eq!(SimDuration::from_micros(3).as_nanos(), 3_000);
         assert_eq!(SimDuration::from_millis(2).as_nanos(), 2_000_000);
         assert_eq!(SimDuration::from_secs(1).as_nanos(), 1_000_000_000);
-        assert_eq!(SimDuration::from_micros_f64(1.5).as_nanos(), 1_500);
-        assert_eq!(SimDuration::from_micros_f64(-4.0), SimDuration::ZERO);
     }
 
     #[test]

@@ -8,7 +8,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use simkit::engine::{LARGE_WORDS, SMALL_WORDS};
-use simkit::{EventClass, PoolStats, Sim, SimChannel, SimDuration, TimerHandle, WaitMode};
+use simkit::{EventClass, Notify, PoolStats, Sim, SimDuration, TimerHandle, WaitMode};
 
 /// Counts its own drops.
 struct DropCount(Arc<AtomicUsize>);
@@ -128,20 +128,20 @@ fn pool_ledger_of_a_fixed_world_is_unchanged() {
     // the enum-in-slot arena this slab replaced; only the small/large
     // split may move (and only if captures change size).
     let sim = Sim::new();
-    let (ping, pong) = (Arc::new(SimChannel::new()), Arc::new(SimChannel::new()));
-    let (ping2, pong2) = (Arc::clone(&ping), Arc::clone(&pong));
+    let (ping, pong) = (Notify::new(), Notify::new());
+    let (ping2, pong2) = (ping.clone(), pong.clone());
     sim.spawn("pinger", None, move |ctx| {
-        for i in 0..200u32 {
+        for _ in 0..200u32 {
             ctx.busy(SimDuration::from_nanos(40));
-            ping.send(ctx.sim(), i);
-            assert_eq!(pong2.recv(ctx, WaitMode::Block), i);
+            ping.signal(ctx.sim());
+            pong2.wait(ctx, WaitMode::Block);
         }
     });
     sim.spawn("ponger", None, move |ctx| {
         for _ in 0..200u32 {
-            let i = ping2.recv(ctx, WaitMode::Block);
+            ping2.wait(ctx, WaitMode::Block);
             ctx.sleep(SimDuration::from_nanos(25));
-            pong.send(ctx.sim(), i);
+            pong.signal(ctx.sim());
         }
     });
     fn step(sim: &Sim, lane: u64, left: u32, done: Arc<AtomicUsize>) {
@@ -177,7 +177,7 @@ fn pool_ledger_of_a_fixed_world_is_unchanged() {
     let done = Arc::new(AtomicUsize::new(0));
     for lane in 0..8 {
         let done = Arc::clone(&done);
-        sim.call_soon(move |sim| step(sim, lane, 300, done));
+        sim.call_in(SimDuration::ZERO, move |sim| step(sim, lane, 300, done));
     }
     let report = sim.run_to_completion();
     assert_eq!(done.load(Ordering::Relaxed), 8);

@@ -99,7 +99,8 @@ pub enum TracePoint {
     /// Interrupt delivered to wake a blocked waiter.
     Interrupt,
     /// A fault plan took a link (or the switch) down. aux = 1 for a node
-    /// link, 2 for a switch brownout.
+    /// link, 2 for a switch brownout, 3 for a dead switch, 4 for a severed
+    /// trunk, 6 for a node crash and 7 for a NIC reset.
     LinkDown,
     /// The fault window closed and the link (or switch) came back.
     LinkUp,

@@ -73,7 +73,7 @@ pub use descriptor::{Completion, DataSegment, DescOp, Descriptor, RemoteSegment}
 pub use mem::MemAttributes;
 pub use profile::{CreditFlow, DataCosts, DataPathKind, HeartbeatParams, Profile, SetupCosts};
 pub use provider::{AuditReport, Cluster, Provider, ProviderStats};
-pub use session::{SessionParams, SessionReceiver, SessionSender, SessionStats, SESSION_HDR_BYTES};
+pub use session::{SessionReceiver, SessionSender, SessionStats, SESSION_HDR_BYTES};
 pub use types::{
     CqId, Discriminator, MemHandle, QueueKind, Reliability, ViAttributes, ViId, ViaError, ViaResult,
 };

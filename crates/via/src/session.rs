@@ -75,45 +75,27 @@ fn decode_header(bytes: &[u8]) -> Option<(u8, u64, u64)> {
     Some((ty, epoch, seq))
 }
 
-/// Tuning knobs for a session endpoint.
-#[derive(Clone, Copy, Debug)]
-pub struct SessionParams {
-    /// Receive descriptors kept posted (per endpoint).
-    pub depth: usize,
-    /// Maximum payload bytes per session message.
-    pub msg_size: u64,
-    /// Unacknowledged messages the sender journals before `send`
-    /// backpressures (blocks reaping acknowledgments).
-    pub journal_cap: usize,
-    /// First reconnect backoff delay (doubles per consecutive failure).
-    pub backoff_base: SimDuration,
-    /// Backoff ceiling.
-    pub backoff_cap: SimDuration,
-    /// Per-attempt `connect` timeout. Must comfortably exceed the
-    /// profile's handshake constants plus the peer's heartbeat-watchdog
-    /// detection time, or a live-but-slow accept reads as a dead peer.
-    pub connect_timeout: SimDuration,
-    /// How long a closing receiver lingers for the sender's clean
-    /// teardown, re-acknowledging replays of the final messages whose
-    /// acks a crash may have eaten. Must exceed the sender's worst-case
-    /// reconnect time (crash window + backoff + handshake), or a
-    /// recovering sender finds nobody to replay to.
-    pub linger_timeout: SimDuration,
-}
-
-impl Default for SessionParams {
-    fn default() -> Self {
-        SessionParams {
-            depth: 8,
-            msg_size: 1024,
-            journal_cap: 32,
-            backoff_base: SimDuration::from_micros(200),
-            backoff_cap: SimDuration::from_millis(10),
-            connect_timeout: SimDuration::from_millis(10),
-            linger_timeout: SimDuration::from_millis(50),
-        }
-    }
-}
+/// Receive descriptors kept posted (per endpoint).
+const DEPTH: usize = 8;
+/// Maximum payload bytes per session message.
+const MSG_SIZE: u64 = 1024;
+/// Unacknowledged messages the sender journals before `send`
+/// backpressures (blocks reaping acknowledgments).
+const JOURNAL_CAP: usize = 32;
+/// First reconnect backoff delay (doubles per consecutive failure).
+const BACKOFF_BASE: SimDuration = SimDuration::from_micros(200);
+/// Backoff ceiling.
+const BACKOFF_CAP: SimDuration = SimDuration::from_millis(10);
+/// Per-attempt `connect` timeout. Must comfortably exceed the profile's
+/// handshake constants plus the peer's heartbeat-watchdog detection time,
+/// or a live-but-slow accept reads as a dead peer.
+const CONNECT_TIMEOUT: SimDuration = SimDuration::from_millis(10);
+/// How long a closing receiver lingers for the sender's clean teardown,
+/// re-acknowledging replays of the final messages whose acks a crash may
+/// have eaten. Must exceed the sender's worst-case reconnect time (crash
+/// window + backoff + handshake), or a recovering sender finds nobody to
+/// replay to.
+const LINGER_TIMEOUT: SimDuration = SimDuration::from_millis(50);
 
 /// Counters kept by both session endpoints (sender and receiver each
 /// populate the fields that apply to their role).
@@ -152,7 +134,6 @@ pub struct SessionSender {
     vi: Vi,
     remote: NodeId,
     disc: Discriminator,
-    params: SessionParams,
     mh: MemHandle,
     /// Scratch buffer data messages are staged in (`post_send` snapshots
     /// the bytes synchronously, so one buffer serves every in-flight send).
@@ -187,7 +168,6 @@ impl SessionSender {
         ctx: &mut ProcessCtx,
         remote: NodeId,
         disc: Discriminator,
-        params: SessionParams,
     ) -> ViaResult<Self> {
         let vi = provider.create_vi(
             ctx,
@@ -195,18 +175,17 @@ impl SessionSender {
             None,
             None,
         )?;
-        let data_len = SESSION_HDR_BYTES + params.msg_size;
-        let total = data_len + params.depth as u64 * SESSION_HDR_BYTES;
+        let data_len = SESSION_HDR_BYTES + MSG_SIZE;
+        let total = data_len + DEPTH as u64 * SESSION_HDR_BYTES;
         let base = provider.malloc(total);
         let mh = provider.register_mem(ctx, base, total, crate::mem::MemAttributes::default())?;
-        let ack_free: Vec<u64> = (0..params.depth as u64)
+        let ack_free: Vec<u64> = (0..DEPTH as u64)
             .map(|i| base + data_len + i * SESSION_HDR_BYTES)
             .collect();
         let mut s = SessionSender {
             vi,
             remote,
             disc,
-            params,
             mh,
             data_va: base,
             ack_ring: std::collections::VecDeque::new(),
@@ -245,13 +224,12 @@ impl SessionSender {
     /// needed) — the bounded journal is the session's flow control.
     pub fn send(&mut self, ctx: &mut ProcessCtx, payload: &[u8]) -> u64 {
         assert!(
-            payload.len() as u64 <= self.params.msg_size,
-            "session payload {} exceeds msg_size {}",
+            payload.len() as u64 <= MSG_SIZE,
+            "session payload {} exceeds {MSG_SIZE} bytes",
             payload.len(),
-            self.params.msg_size
         );
         self.reap(ctx);
-        while self.journal.len() >= self.params.journal_cap {
+        while self.journal.len() >= JOURNAL_CAP {
             self.step(ctx);
         }
         let seq = self.next_seq;
@@ -299,16 +277,10 @@ impl SessionSender {
                     // A crash ate the connection between the final ack and
                     // the goodbye; reconnect once just to disconnect cleanly.
                     if provider
-                        .connect(
-                            ctx,
-                            &self.vi,
-                            self.remote,
-                            self.disc,
-                            Some(self.params.connect_timeout),
-                        )
+                        .connect(ctx, &self.vi, self.remote, self.disc, Some(CONNECT_TIMEOUT))
                         .is_err()
                     {
-                        ctx.sleep(self.params.backoff_base);
+                        ctx.sleep(BACKOFF_BASE);
                     }
                 }
                 ConnState::Connecting => {
@@ -426,7 +398,7 @@ impl SessionSender {
                         &self.vi,
                         self.remote,
                         self.disc,
-                        Some(self.params.connect_timeout),
+                        Some(CONNECT_TIMEOUT),
                     ) {
                         Ok(()) => {
                             self.epoch += 1;
@@ -456,12 +428,10 @@ impl SessionSender {
     /// count yet distinct senders never thundering-herd in lockstep.
     fn backoff_delay(&self) -> SimDuration {
         let shift = (self.attempt_streak.saturating_sub(1)).min(16);
-        let exp = self
-            .params
-            .backoff_base
+        let exp = BACKOFF_BASE
             .as_nanos()
             .saturating_mul(1u64 << shift)
-            .min(self.params.backoff_cap.as_nanos())
+            .min(BACKOFF_CAP.as_nanos())
             .max(1);
         let provider = self.vi.provider();
         let key = provider.core.seed
@@ -506,7 +476,6 @@ impl SessionSender {
 pub struct SessionReceiver {
     vi: Vi,
     disc: Discriminator,
-    params: SessionParams,
     mh: MemHandle,
     ack_va: u64,
     /// Buffers posted for inbound data, FIFO against receive completions.
@@ -528,29 +497,23 @@ pub struct SessionReceiver {
 impl SessionReceiver {
     /// Create the receiving endpoint. Buffers are allocated, registered,
     /// and pre-posted; the first `recv` blocks in accept.
-    pub fn new(
-        provider: &Provider,
-        ctx: &mut ProcessCtx,
-        disc: Discriminator,
-        params: SessionParams,
-    ) -> ViaResult<Self> {
+    pub fn new(provider: &Provider, ctx: &mut ProcessCtx, disc: Discriminator) -> ViaResult<Self> {
         let vi = provider.create_vi(
             ctx,
             ViAttributes::reliable(Reliability::ReliableDelivery),
             None,
             None,
         )?;
-        let slot = SESSION_HDR_BYTES + params.msg_size;
-        let total = SESSION_HDR_BYTES + params.depth as u64 * slot;
+        let slot = SESSION_HDR_BYTES + MSG_SIZE;
+        let total = SESSION_HDR_BYTES + DEPTH as u64 * slot;
         let base = provider.malloc(total);
         let mh = provider.register_mem(ctx, base, total, crate::mem::MemAttributes::default())?;
-        let free: Vec<u64> = (0..params.depth as u64)
+        let free: Vec<u64> = (0..DEPTH as u64)
             .map(|i| base + SESSION_HDR_BYTES + i * slot)
             .collect();
         let mut r = SessionReceiver {
             vi,
             disc,
-            params,
             mh,
             ack_va: base,
             ring: std::collections::VecDeque::new(),
@@ -638,11 +601,8 @@ impl SessionReceiver {
             }
             let bytes = provider.mem_read(va, c.length);
             // Return the buffer to service before deciding what we got.
-            let desc = Descriptor::recv().segment(
-                va,
-                self.mh,
-                (SESSION_HDR_BYTES + self.params.msg_size) as u32,
-            );
+            let desc =
+                Descriptor::recv().segment(va, self.mh, (SESSION_HDR_BYTES + MSG_SIZE) as u32);
             if self.vi.post_recv(ctx, desc).is_ok() {
                 self.ring.push_back(va);
             } else {
@@ -681,7 +641,7 @@ impl SessionReceiver {
     /// or the linger deadline passes (sender gone for good; everything
     /// owed was already delivered and acknowledged).
     pub fn close(mut self, ctx: &mut ProcessCtx) -> SessionStats {
-        let deadline = ctx.now() + self.params.linger_timeout;
+        let deadline = ctx.now() + LINGER_TIMEOUT;
         loop {
             while self.vi.send_done(ctx).is_some() {}
             let provider = self.vi.provider().clone();
@@ -732,7 +692,7 @@ impl SessionReceiver {
                     let desc = Descriptor::recv().segment(
                         va,
                         self.mh,
-                        (SESSION_HDR_BYTES + self.params.msg_size) as u32,
+                        (SESSION_HDR_BYTES + MSG_SIZE) as u32,
                     );
                     if self.vi.post_recv(ctx, desc).is_ok() {
                         self.ring.push_back(va);
@@ -800,11 +760,8 @@ impl SessionReceiver {
     /// counts toward the credit grant at the next accept).
     fn top_up(&mut self, ctx: &mut ProcessCtx) {
         while let Some(va) = self.free.pop() {
-            let desc = Descriptor::recv().segment(
-                va,
-                self.mh,
-                (SESSION_HDR_BYTES + self.params.msg_size) as u32,
-            );
+            let desc =
+                Descriptor::recv().segment(va, self.mh, (SESSION_HDR_BYTES + MSG_SIZE) as u32);
             if self.vi.post_recv(ctx, desc).is_ok() {
                 self.ring.push_back(va);
             } else {
@@ -860,9 +817,7 @@ mod tests {
         let rh = {
             let pb = pb.clone();
             sim.spawn("receiver", Some(pb.cpu()), move |ctx| {
-                let mut rx =
-                    SessionReceiver::new(&pb, ctx, Discriminator(5), SessionParams::default())
-                        .unwrap();
+                let mut rx = SessionReceiver::new(&pb, ctx, Discriminator(5)).unwrap();
                 let mut got = Vec::new();
                 while let Some(msg) = rx.recv(ctx) {
                     got.push(msg);
@@ -873,14 +828,8 @@ mod tests {
         let sh = {
             let pa = pa.clone();
             sim.spawn("sender", Some(pa.cpu()), move |ctx| {
-                let mut tx = SessionSender::new(
-                    &pa,
-                    ctx,
-                    fabric::NodeId(1),
-                    Discriminator(5),
-                    SessionParams::default(),
-                )
-                .unwrap();
+                let mut tx =
+                    SessionSender::new(&pa, ctx, fabric::NodeId(1), Discriminator(5)).unwrap();
                 for i in 0u64..40 {
                     tx.send(ctx, format!("msg-{i}").as_bytes());
                 }
@@ -924,9 +873,7 @@ mod tests {
         let rh = {
             let pb = pb.clone();
             sim.spawn("receiver", Some(pb.cpu()), move |ctx| {
-                let mut rx =
-                    SessionReceiver::new(&pb, ctx, Discriminator(5), SessionParams::default())
-                        .unwrap();
+                let mut rx = SessionReceiver::new(&pb, ctx, Discriminator(5)).unwrap();
                 let mut got = Vec::new();
                 while let Some(msg) = rx.recv(ctx) {
                     got.push(msg);
@@ -937,14 +884,8 @@ mod tests {
         let sh = {
             let pa = pa.clone();
             sim.spawn("sender", Some(pa.cpu()), move |ctx| {
-                let mut tx = SessionSender::new(
-                    &pa,
-                    ctx,
-                    fabric::NodeId(1),
-                    Discriminator(5),
-                    SessionParams::default(),
-                )
-                .unwrap();
+                let mut tx =
+                    SessionSender::new(&pa, ctx, fabric::NodeId(1), Discriminator(5)).unwrap();
                 for i in 0u64..60 {
                     tx.send(ctx, format!("msg-{i}").as_bytes());
                     // Pace the stream across the crash window.

@@ -5,7 +5,7 @@
 //! (cLAN, Berkeley VIA) and a kernel trap (M-VIA, which emulates VIA inside
 //! the Linux kernel). The choice moves microseconds between the host and
 //! the device on every single post — the §3.2.1 base benchmarks see it
-//! directly, and `bench --bench ablation_doorbell` isolates it.
+//! directly.
 
 use simkit::SimDuration;
 

@@ -60,17 +60,6 @@ impl HostParams {
         let ns = (bytes as u128 * 1_000_000_000u128).div_ceil(self.copy_bandwidth_bps as u128);
         self.memcpy_setup + SimDuration::from_nanos(ns as u64)
     }
-
-    /// Number of pages a buffer spans, assuming worst-case page alignment is
-    /// avoided (buffers in the benchmarks are page-aligned, as real VIPL
-    /// allocators produced).
-    pub fn pages_spanned(&self, bytes: u64) -> u64 {
-        if bytes == 0 {
-            1 // a zero-length descriptor still names one page
-        } else {
-            bytes.div_ceil(self.page_size as u64)
-        }
-    }
 }
 
 #[cfg(test)]
@@ -94,16 +83,5 @@ mod tests {
         fn t_minus_setup(h: &HostParams, b: u64) -> u64 {
             (h.copy_time(b) - h.memcpy_setup).as_nanos()
         }
-    }
-
-    #[test]
-    fn pages_spanned_boundaries() {
-        let h = HostParams::pentium_ii_300();
-        assert_eq!(h.pages_spanned(0), 1);
-        assert_eq!(h.pages_spanned(1), 1);
-        assert_eq!(h.pages_spanned(4096), 1);
-        assert_eq!(h.pages_spanned(4097), 2);
-        assert_eq!(h.pages_spanned(8192), 2);
-        assert_eq!(h.pages_spanned(32 * 1024 * 1024), 8192);
     }
 }

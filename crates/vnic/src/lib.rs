@@ -35,7 +35,7 @@ pub mod xlate;
 pub use doorbell::DoorbellKind;
 pub use firmware::{FirmwareModel, FirmwareStalls};
 pub use host::HostParams;
-pub use intr::{CoalescedInterrupts, InterruptController};
+pub use intr::InterruptController;
 pub use pci::{PciBus, PciParams, PciStats};
 pub use ring::DescRing;
 pub use xlate::{

@@ -211,14 +211,6 @@ impl XlateEngine {
         &self.config
     }
 
-    /// Per-page host-side translation cost (zero unless the host translates).
-    pub fn host_cost_per_page(&self) -> SimDuration {
-        match self.config.translator {
-            Translator::Host => self.config.host_lookup,
-            Translator::Nic => SimDuration::ZERO,
-        }
-    }
-
     /// Price the NIC-side translation of `pages`, reserving PCI for PTE
     /// fetches on misses. Returns the total added NIC delay.
     pub fn nic_translate(&mut self, pages: impl Iterator<Item = u64>, pci: &PciBus) -> SimDuration {
@@ -360,7 +352,6 @@ mod tests {
         let pci = PciBus::new(sim.clone(), PciParams::pci_33_32());
         let mut eng = XlateEngine::new(XlateConfig::mvia());
         assert_eq!(eng.nic_translate(0..64, &pci), SimDuration::ZERO);
-        assert!(eng.host_cost_per_page() > SimDuration::ZERO);
     }
 
     #[test]

@@ -84,17 +84,11 @@ fn random_topology(rng: &mut SimRng) -> Topology {
             None
         },
     };
-    match rng.below(4) {
+    match rng.below(3) {
         0 => Topology::dumbbell(4 + rng.below(8) as usize, trunk, limits),
         1 => Topology::fat_tree(
             2 + rng.below(3) as usize,
             2 + rng.below(3) as usize,
-            1 + rng.below(3) as usize,
-            trunk,
-            limits,
-        ),
-        2 => Topology::ring(
-            3 + rng.below(3) as usize,
             1 + rng.below(3) as usize,
             trunk,
             limits,
@@ -142,7 +136,7 @@ fn port_tuples(san: &San) -> Vec<PortTuple> {
 #[test]
 fn random_topologies_match_serial_at_every_shard_count() {
     // Property sweep: random multi-switch worlds — dumbbell / fat-tree /
-    // ring / star shapes with random trunk speeds and port limits, random
+    // star shapes with random trunk speeds and port limits, random
     // loss, and randomized fault plans. For every sampled world the
     // sharded engine must reproduce the serial per-node delivery
     // timelines, SAN counters and per-port switch counters exactly, with

@@ -1,0 +1,103 @@
+#!/usr/bin/env bash
+# Source-tree gates: code shapes this repository removed on purpose and
+# that may not grow back. Run from anywhere: `tools/gates.sh`. It checks
+# every gate, prints each one that fails with its offending lines, and
+# exits 1 if any did.
+#
+# Most gates are one row of the table below:
+#
+#   row <gate> <allowed> <scope> <pattern> <path>...
+#
+# A row fails when more than <allowed> lines match the extended regex
+# <pattern>. A <path> is a file, a directory (every file under it) or a
+# glob (`**` recurses); a path prefixed with `-` is excluded. <scope> is
+# `all` for whole files, or `src` to cut each file at its first
+# `#[cfg(test)]`, so unit tests may still name what the code may not.
+# The few checks a row cannot express follow the table as `check` lines.
+
+set -uo pipefail
+shopt -s globstar nullglob
+cd "$(dirname "$0")/.." || exit 2
+
+failed=0
+
+# The files a row names, one per line, exclusions removed.
+files() {
+    local keep=() skip=() p f
+    for p in "$@"; do
+        case $p in
+            -*) for f in ${p#-}; do skip+=("$f"); done ;;
+            *) for f in $p; do keep+=("$f"); done ;;
+        esac
+    done
+    for p in "${keep[@]}"; do
+        if [ -d "$p" ]; then find "$p" -type f; else echo "$p"; fi
+    done | sort -u | while read -r f; do
+        case " ${skip[*]} " in *" $f "*) ;; *) echo "$f" ;; esac
+    done
+}
+
+row() {
+    local gate=$1 allowed=$2 scope=$3 pattern=$4 hits f
+    shift 4
+    hits=$(files "$@" | while read -r f; do
+        if [ "$scope" = src ]; then
+            sed '/#\[cfg(test)\]/,$d' "$f" | grep -nE -- "$pattern" | sed "s|^|$f:|"
+        else
+            grep -nE -- "$pattern" "$f" | sed "s|^|$f:|"
+        fi
+    done)
+    local n
+    n=$(grep -c . <<<"$hits")
+    if [ "$n" -gt "$allowed" ]; then
+        echo "gate $gate: $n lines match /$pattern/ ($allowed allowed)"
+        echo "$hits"
+        failed=1
+    fi
+}
+
+check() {
+    local gate=$1
+    shift
+    if ! "$@"; then
+        echo "gate $gate: failed: $*"
+        failed=1
+    fi
+}
+
+# Thread-confinement: the cells that became simkit::Confined stay
+# confined; the engine and the PCI bus import no lock outside their tests.
+row Thread-confinement 0 all 'Mutex<(SchedState|Vec<Arc<ProcessRecord>>|Vec<SimDuration>|ProviderState|PciState)>' crates
+row Thread-confinement 0 src 'use parking_lot' crates/simkit/src/engine.rs crates/vnic/src/pci.rs
+# One-instrument: `trace` is the only per-message lifecycle instrument.
+row One-instrument 0 all 'ProbeEvent|enable_probe|take_probe_events|probe_on' crates examples tests
+# One-snapshot: a fragment is a window into the one send snapshot, never
+# a copy of its slice.
+row One-snapshot 0 all 'bufs\.data\[.*\]\.to_vec\(\)' crates/via/src/transport.rs crates/via/src/fastpath.rs
+row One-snapshot 0 all 'payload: Vec<u8>' crates/via/src/wire.rs
+# One-law: each conservation law is stated once, in the layer owning its
+# counters, and checked once, in `harness::finish_world`.
+row One-law 0 all 'check_oracles' crates tests examples
+row One-law 0 all '\.audit\(\)' crates/core/src -crates/core/src/harness.rs
+row One-law 0 src '(\+|==|<=|>=) *[A-Za-z_.()]*frames_(port|fault)_dropped|frames_(port|fault)_dropped *(\+|==|<=|>=)' 'crates/*/src/**/*.rs' '-crates/fabric/src/**/*.rs'
+# One-stream: each workload step is written once, in `harness`. The
+# registration benchmark (nondata.rs) and the get target's RDMA-read
+# buffer (getput.rs) are not that step.
+row One-stream 0 src 'outstanding *[-+]= *1' 'crates/core/src/*.rs' -crates/core/src/harness.rs -crates/core/src/nondata.rs
+row One-stream 0 src 'register_mem\(' 'crates/core/src/*.rs' -crates/core/src/harness.rs -crates/core/src/nondata.rs -crates/core/src/getput.rs
+row One-stream 1 src 'register_mem\(' crates/core/src/getput.rs
+row One-stream 0 all 'fn ping_pong_samples' crates
+# One-claim: the paper's claims are stated once, in tests/claims/mod.rs;
+# the shape tests that re-simulated a sweep stay gone.
+row One-claim 0 all '#\[cfg\(test\)\]' crates/core/src/base.rs crates/core/src/client_server.rs crates/core/src/cqimpact.rs
+row One-claim 0 all 'fn (reuse_sensitivity|latency_slope_per_vi|full_table1_reproduces_paper_within_ten_percent|headline_crossovers_hold)\b' crates tests
+# Deleted-features: simulator features and option structs that no
+# experiment, benchmark or example reached.
+row Deleted-features 0 all '\b(CoalescedInterrupts|wake_timer_in|PortDegrade|port_degrade|SimChannel|SessionParams|DsmConfig|call_soon|vibe-bench|vibe_bench)\b' crates examples src tests Cargo.toml
+
+check Thread-confinement test "$(grep -l 'unsafe impl' crates/simkit/src/*.rs | sort | tr '\n' ' ')" = \
+    "crates/simkit/src/confined.rs crates/simkit/src/process.rs "
+check One-law test "$(grep -c '\.audit()' crates/core/src/harness.rs)" = 1
+check One-stream test "$(grep -rlE 'struct Stream\b' crates/ | tr '\n' ' ')" = "crates/core/src/harness.rs "
+
+exit $failed
