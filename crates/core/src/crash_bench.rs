@@ -21,9 +21,7 @@
 //!   reconnect-storm size, and the victim's fault-drop accounting.
 //!
 //! Every cell is virtual-time-derived or a deterministic counter, so the
-//! tables are byte-identical at any `VIBE_JOBS` / `VIBE_SHARDS` /
-//! `VIBE_FUSE` value — node-fault window edges are replicated to every
-//! shard, the victim's provider crashes on its owning shard, and the
+//! tables are byte-identical at any `VIBE_JOBS` / `VIBE_FUSE` value — the
 //! fused fast path de-fuses (`DefuseCause::NodeFault`) whenever node
 //! faults are installed. Each run ends with the session-conservation
 //! oracle (every message delivered exactly once, in order, zero losses
@@ -33,15 +31,14 @@
 //!
 //! [`recovery_probe`] is the same machinery folded into a seed-derived
 //! randomized scenario on a small 8-node tree — the property test
-//! `tests/session_recovery.rs` sweeps it over arbitrary crash/loss plans
-//! and shard counts 1–5 and pins byte-identical digests.
+//! `tests/session_recovery.rs` sweeps it over arbitrary crash/loss
+//! plans.
 
 use fabric::{FaultPlan, LinkParams, NodeId, PortLimits, SanStats, Topology};
 use simkit::{SimDuration, SimRng, SimTime};
 use via::{Discriminator, HeartbeatParams, Profile, SessionReceiver, SessionSender, SessionStats};
 
 use crate::report::Table;
-use crate::runner::default_shards;
 use crate::topo_bench::{fat_tree64, Rig, HOSTS_PER_EDGE};
 
 /// Base seed for the X-CRASH runs.
@@ -153,13 +150,13 @@ pub struct CrashOutcome {
 /// Panics if any conservation oracle fails — the session oracle (every
 /// message exactly once, in order, zero losses, zero duplicates
 /// delivered) plus the world's audit, via the shared rig runner.
-pub fn node_kill(seed: u64, shards: usize) -> CrashOutcome {
+/// `_shards` is ignored: every world runs on one engine.
+pub fn node_kill(seed: u64, _shards: usize) -> CrashOutcome {
     let rig = Rig::new_with_profile(
         fat_tree64(PortLimits::default()),
         crash_profile(),
         seed,
-        shards,
-        "crash-node-kill".to_string(),
+        "crash-node-kill",
     );
     let cluster = &rig.cluster;
     cluster.san().install_faults(&FaultPlan::new().node_down(
@@ -172,7 +169,7 @@ pub fn node_kill(seed: u64, shards: usize) -> CrashOutcome {
     for f in 0..CRASH_FLOWS {
         let (_, dst) = flow_pair(f);
         let p = cluster.provider(dst);
-        let sim = cluster.node_sim(dst).clone();
+        let sim = cluster.sim().clone();
         rx.push(
             sim.spawn(format!("crash-rx-f{f}"), Some(p.cpu()), move |ctx| {
                 let mut r = SessionReceiver::new(&p, ctx, Discriminator(700 + f as u64))
@@ -204,7 +201,7 @@ pub fn node_kill(seed: u64, shards: usize) -> CrashOutcome {
     for f in 0..CRASH_FLOWS {
         let (src, dst) = flow_pair(f);
         let p = cluster.provider(src);
-        let sim = cluster.node_sim(src).clone();
+        let sim = cluster.sim().clone();
         tx.push(
             sim.spawn(format!("crash-tx-f{f}"), Some(p.cpu()), move |ctx| {
                 ctx.sleep(SimDuration::from_nanos(1_069 * f as u64));
@@ -221,15 +218,13 @@ pub fn node_kill(seed: u64, shards: usize) -> CrashOutcome {
     }
 
     // Detection watchers: one per affected flow, polling the sender's
-    // provider for the first heartbeat-watchdog timeout. 20 us polls from
-    // the kill instant — deterministic at any shard count (the watcher
-    // and the watchdog timer live on the same node, hence the same
-    // shard).
+    // provider for the first heartbeat-watchdog timeout, in 20 us polls
+    // from the kill instant.
     let mut watch = Vec::with_capacity(AFFECTED_FLOWS);
     for f in 0..AFFECTED_FLOWS {
         let (src, _) = flow_pair(f);
         let p = cluster.provider(src);
-        let sim = cluster.node_sim(src).clone();
+        let sim = cluster.sim().clone();
         watch.push(
             sim.spawn(format!("crash-watch-f{f}"), Some(p.cpu()), move |ctx| {
                 ctx.sleep(crash_at().saturating_duration_since(ctx.now()));
@@ -330,7 +325,7 @@ pub fn node_kill(seed: u64, shards: usize) -> CrashOutcome {
     // Session recovery is the one health figure `Rig::run`'s roll-up
     // cannot see (it already counted the crash wipe): it is session-layer
     // knowledge.
-    crate::runner::ledger(|l| l.health.sessions_recovered += sessions_recovered);
+    crate::runner::ledger(|h| h.sessions_recovered += sessions_recovered);
 
     CrashOutcome {
         flows,
@@ -345,7 +340,7 @@ pub fn node_kill(seed: u64, shards: usize) -> CrashOutcome {
 /// The node-kill tables: per-flow session telemetry and the crash
 /// timeline / recovery summary.
 pub fn node_kill_tables() -> (Table, Table) {
-    let o = node_kill(CRASH_SEED, default_shards());
+    let o = node_kill(CRASH_SEED, 1);
 
     let mut flows = Table::new(
         format!(
@@ -427,8 +422,8 @@ pub fn node_kill_tables() -> (Table, Table) {
 // ---------------------------------------------------------------------
 
 /// The small tree the randomized probe runs over: 8 hosts, 2 edges, 1
-/// spine — enough structure for real shard maps at counts 1–5, cheap
-/// enough for a property sweep.
+/// spine — trunks and two edges to cross, cheap enough for a property
+/// sweep.
 fn probe_tree() -> Topology {
     let trunk = LinkParams {
         bandwidth_bps: 440_000_000,
@@ -444,10 +439,9 @@ fn probe_tree() -> Topology {
 /// everything observable: session counters both sides, fabric counters,
 /// and the per-node fault-drop split. The plan (victim side, node_down
 /// vs nic_reset, window edges, optional degrade-loss window, optional
-/// second kill) is content-keyed by `seed` alone, so the digest must be
-/// byte-identical at every `shards` value — the property test pins that.
-/// Panics if delivery is not exactly-once in-order.
-pub fn recovery_probe(seed: u64, shards: usize) -> String {
+/// second kill) is content-keyed by `seed` alone. Panics if delivery is
+/// not exactly-once in-order.
+pub fn recovery_probe(seed: u64) -> String {
     let mut rng = SimRng::derive(seed, "x-crash-probe");
     let msgs = 12 + rng.below(13);
     let gap = SimDuration::from_micros(25 + rng.below(36));
@@ -486,7 +480,6 @@ pub fn recovery_probe(seed: u64, shards: usize) -> String {
         probe_tree(),
         crash_profile(),
         seed,
-        shards,
         format!("crash-probe-{seed:x}"),
     );
     let cluster = &rig.cluster;
@@ -494,7 +487,7 @@ pub fn recovery_probe(seed: u64, shards: usize) -> String {
 
     let rh = {
         let p = cluster.provider(dst);
-        let sim = cluster.node_sim(dst).clone();
+        let sim = cluster.sim().clone();
         sim.spawn("probe-rx", Some(p.cpu()), move |ctx| {
             let mut r =
                 SessionReceiver::new(&p, ctx, Discriminator(900)).expect("session receiver");
@@ -507,7 +500,7 @@ pub fn recovery_probe(seed: u64, shards: usize) -> String {
     };
     let sh = {
         let p = cluster.provider(src);
-        let sim = cluster.node_sim(src).clone();
+        let sim = cluster.sim().clone();
         sim.spawn("probe-tx", Some(p.cpu()), move |ctx| {
             let mut s = SessionSender::new(&p, ctx, NodeId(dst as u32), Discriminator(900))
                 .expect("session sender");
@@ -621,37 +614,6 @@ mod tests {
                     fl.stall
                 );
             }
-        }
-    }
-
-    #[test]
-    fn node_kill_is_shard_count_invariant() {
-        let key = |o: &CrashOutcome| -> Vec<String> {
-            let mut k: Vec<String> = o
-                .flows
-                .iter()
-                .map(|f| {
-                    format!(
-                        "{} {} {} {} {} {:?} {:?}",
-                        f.label,
-                        f.delivered,
-                        f.post_crash,
-                        f.tx.replays,
-                        f.rx.dups_dropped,
-                        f.stall,
-                        f.last_rx
-                    )
-                })
-                .collect();
-            k.push(format!("{:?}", o.detection));
-            k.push(format!("{:?}", o.san));
-            k.push(format!("{} {}", o.victim_dropped, o.node_crashes));
-            k
-        };
-        let serial = node_kill(CRASH_SEED, 1);
-        for shards in [2usize, 4] {
-            let sharded = node_kill(CRASH_SEED, shards);
-            assert_eq!(key(&sharded), key(&serial), "shards={shards}");
         }
     }
 }

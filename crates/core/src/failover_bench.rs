@@ -22,8 +22,8 @@
 //!   — honest port-attributed drops that Reliable Delivery recovers).
 //!
 //! Every artifact cell is virtual-time-derived or a deterministic
-//! counter, so the tables are byte-identical at any `VIBE_SHARDS` /
-//! `VIBE_JOBS` / `VIBE_FUSE` value — CI's golden matrix pins that (with
+//! counter, so the tables are byte-identical at any `VIBE_JOBS` /
+//! `VIBE_FUSE` value — CI's golden matrix pins that (with
 //! switch faults installed the fused fast path de-fuses with
 //! [`simkit::DefuseCause::Reroute`], so fused and unfused runs are
 //! identical by construction). Each run ends, like every suite world, in
@@ -37,7 +37,6 @@ use simkit::{SimDuration, SimTime};
 
 use crate::flow::{run_flows, Flow};
 use crate::report::Table;
-use crate::runner::default_shards;
 use crate::topo_bench::{fat_tree64, EDGES, HOSTS_PER_EDGE};
 
 /// Base seed for the X-FAILOVER runs.
@@ -125,12 +124,11 @@ pub struct FailoverOutcome {
 /// Run the spine-kill workload: stream [`KILL_FLOWS`] cross-edge flows,
 /// kill [`KILLED_SPINE`] at `kill_at` for `kill_duration`, and let
 /// reroute + retransmission carry every flow to completion.
-pub fn spine_kill(seed: u64, shards: usize) -> FailoverOutcome {
+pub fn spine_kill(seed: u64) -> FailoverOutcome {
     let rig = crate::topo_bench::Rig::new(
         fat_tree64(PortLimits::default()),
         seed,
-        shards,
-        "failover-spine-kill".to_string(),
+        "failover-spine-kill",
     );
     let cluster = &rig.cluster;
     let plan = FaultPlan::new()
@@ -173,7 +171,7 @@ pub fn spine_kill(seed: u64, shards: usize) -> FailoverOutcome {
 /// The spine-kill tables: per-flow delivery/stall telemetry and the
 /// failover summary (fault timeline + drop accounting).
 pub fn spine_kill_tables() -> (Table, Table) {
-    let o = spine_kill(FAILOVER_SEED, default_shards());
+    let o = spine_kill(FAILOVER_SEED);
     for f in &o.flows {
         assert_eq!(
             f.delivered, KILL_MSGS as u64,
@@ -289,13 +287,9 @@ pub struct CascadeOutcome {
 /// Run the pause cascade: [`CASCADE_SENDERS`] pipelined senders converge
 /// on edge 0's eight hosts under `cascade_limits`; the watchdog trips
 /// on ports that stay paused past the bound and sheds their backlog.
-pub fn pause_cascade(seed: u64, shards: usize) -> CascadeOutcome {
-    let rig = crate::topo_bench::Rig::new(
-        fat_tree64(cascade_limits()),
-        seed,
-        shards,
-        "failover-pause-cascade".to_string(),
-    );
+pub fn pause_cascade(seed: u64) -> CascadeOutcome {
+    let rig =
+        crate::topo_bench::Rig::new(fat_tree64(cascade_limits()), seed, "failover-pause-cascade");
     let cluster = &rig.cluster;
 
     let flows: Vec<Flow> = (0..CASCADE_SENDERS)
@@ -327,7 +321,7 @@ pub fn pause_cascade(seed: u64, shards: usize) -> CascadeOutcome {
 
 /// The pause-cascade table: per-tier pause/storm counters plus totals.
 pub fn pause_cascade_table() -> Table {
-    let o = pause_cascade(FAILOVER_SEED, default_shards());
+    let o = pause_cascade(FAILOVER_SEED);
     assert_eq!(
         o.delivered,
         (CASCADE_SENDERS * CASCADE_MSGS) as u64,
@@ -463,7 +457,7 @@ mod tests {
 
     #[test]
     fn spine_kill_recovers_every_flow() {
-        let o = spine_kill(FAILOVER_SEED, 1);
+        let o = spine_kill(FAILOVER_SEED);
         assert!(
             o.san.frames_fault_dropped > 0,
             "the kill must catch frames in flight: {:?}",
@@ -482,46 +476,10 @@ mod tests {
     }
 
     #[test]
-    fn spine_kill_is_shard_count_invariant() {
-        let serial = spine_kill(FAILOVER_SEED, 1);
-        for shards in [2usize, 4] {
-            let sharded = spine_kill(FAILOVER_SEED, shards);
-            assert_eq!(sharded.san, serial.san, "shards={shards}");
-            let key = |o: &FailoverOutcome| -> Vec<(String, u64, u64, u64, u64)> {
-                o.flows
-                    .iter()
-                    .map(|f| {
-                        (
-                            f.label.clone(),
-                            f.bytes,
-                            f.last_rx.as_nanos(),
-                            f.stall.as_nanos(),
-                            f.post_kill,
-                        )
-                    })
-                    .collect()
-            };
-            assert_eq!(key(&sharded), key(&serial), "shards={shards}");
-            assert_eq!(
-                sharded.ports.iter().map(|p| p.stats).collect::<Vec<_>>(),
-                serial.ports.iter().map(|p| p.stats).collect::<Vec<_>>(),
-                "shards={shards}"
-            );
-        }
-    }
-
-    #[test]
-    fn pause_cascade_trips_watchdog_and_is_shard_count_invariant() {
-        let serial = pause_cascade(FAILOVER_SEED, 1);
-        let trips: u64 = serial.ports.iter().map(|p| p.stats.storm_trips).sum();
+    fn pause_cascade_trips_watchdog() {
+        let o = pause_cascade(FAILOVER_SEED);
+        let trips: u64 = o.ports.iter().map(|p| p.stats.storm_trips).sum();
         assert!(trips > 0, "watchdog must trip");
-        assert_eq!(serial.delivered, (CASCADE_SENDERS * CASCADE_MSGS) as u64);
-        let sharded = pause_cascade(FAILOVER_SEED, 4);
-        assert_eq!(sharded.san, serial.san);
-        assert_eq!(sharded.last_rx, serial.last_rx);
-        assert_eq!(
-            sharded.ports.iter().map(|p| p.stats).collect::<Vec<_>>(),
-            serial.ports.iter().map(|p| p.stats).collect::<Vec<_>>()
-        );
+        assert_eq!(o.delivered, (CASCADE_SENDERS * CASCADE_MSGS) as u64);
     }
 }

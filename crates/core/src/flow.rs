@@ -132,7 +132,7 @@ pub(crate) fn spawn_rx(
         ..
     } = *flow;
     let p = cluster.provider(dst);
-    let sim = cluster.node_sim(dst).clone();
+    let sim = cluster.sim().clone();
     sim.spawn(name, Some(p.cpu()), move |ctx| {
         let vi = p.create_vi(ctx, attrs, None, None).expect("vi");
         let (buf, mh) = registered(ctx, &p, size);
@@ -186,7 +186,7 @@ pub(crate) fn spawn_tx(cluster: &Cluster, flow: &Flow, name: String) -> ProcessH
         depth,
     } = *flow;
     let p = cluster.provider(src);
-    let sim = cluster.node_sim(src).clone();
+    let sim = cluster.sim().clone();
     sim.spawn(name, Some(p.cpu()), move |ctx| {
         let vi = p.create_vi(ctx, attrs, None, None).expect("vi");
         let (buf, mh) = registered(ctx, &p, size);

@@ -631,14 +631,14 @@ pub(crate) fn finish_world(cluster: &Cluster, world: std::fmt::Arguments) {
         cluster.san().topology().name(),
         audit.violations.join("\n  ")
     );
-    crate::runner::ledger(|l| {
+    crate::runner::ledger(|h| {
         for p in cluster.san().port_stats() {
-            l.health.storm_trips += p.stats.storm_trips;
+            h.storm_trips += p.stats.storm_trips;
         }
-        l.health.fault_dropped += cluster.san().stats().frames_fault_dropped;
+        h.fault_dropped += cluster.san().stats().frames_fault_dropped;
         for i in 0..cluster.nodes() {
             let s = cluster.provider(i).stats();
-            l.health.node_crashes += s.node_crashes + s.nic_resets;
+            h.node_crashes += s.node_crashes + s.nic_resets;
         }
     });
 }

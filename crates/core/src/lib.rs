@@ -67,7 +67,5 @@ pub use harness::{
     DtConfig, Endpoint, Pair, PingPongResult,
 };
 pub use report::{merge_artifacts, Artifact, Figure, Series, Table};
-pub use runner::{
-    default_shards, default_workers, run_suite, Job, JobReport, ShardRunRecord, SuiteRun,
-};
+pub use runner::{default_workers, run_suite, Job, JobReport, SuiteRun};
 pub use suite::{all_experiments, Experiment};

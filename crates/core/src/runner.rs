@@ -31,10 +31,9 @@
 //! maintains ([`thread_events`], [`thread_pool_stats`]) to attribute
 //! wall-clock, event throughput, and event-arena churn to each job —
 //! surfaced as the X-PAR artifact ([`SuiteRun::xpar_artifacts`]). What a
-//! workload wants the suite summary to know (shard balance, fabric
-//! health) goes into a per-job ledger that exists only while the job's
-//! closure runs, so concurrent suites in one process cannot see each
-//! other's records.
+//! workload wants the suite summary to know (fabric health) goes into a
+//! per-job ledger that exists only while the job's closure runs, so
+//! concurrent suites in one process cannot see each other's records.
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -139,9 +138,6 @@ pub struct SuiteRun {
     pub wall: Duration,
     /// Event-arena churn aggregated over every job.
     pub pool: PoolStats,
-    /// Sharded-engine runs recorded by this suite's jobs (empty when every
-    /// experiment ran on a serial engine).
-    pub shard_runs: Vec<ShardRunRecord>,
     /// Fabric-robustness counters accumulated by this suite's jobs.
     pub fabric_health: FabricHealth,
 }
@@ -247,41 +243,11 @@ impl SuiteRun {
             row.extend(fuse.causes().map(|(_, n)| n as f64));
             fuse_tbl.push(e.id, row);
         }
-        let mut artifacts = vec![per_exp.into(), summary.into(), fuse_tbl.into()];
-        if !self.shard_runs.is_empty() {
-            let mut shard_tbl = Table::new(
-                "X-PAR: sharded-engine balance (per shard)",
-                vec![
-                    "shards".to_string(),
-                    "horizon grants".to_string(),
-                    "events".to_string(),
-                    "msgs sent".to_string(),
-                    "msgs received".to_string(),
-                    "barrier stall (ms)".to_string(),
-                ],
-            );
-            for rec in &self.shard_runs {
-                for (i, s) in rec.per_shard.iter().enumerate() {
-                    shard_tbl.push(
-                        format!("{}/s{i}", rec.label),
-                        vec![
-                            rec.shards as f64,
-                            rec.rounds as f64,
-                            s.events as f64,
-                            s.sent as f64,
-                            s.received as f64,
-                            s.stall.as_secs_f64() * 1e3,
-                        ],
-                    );
-                }
-            }
-            artifacts.push(shard_tbl.into());
-        }
-        artifacts
+        vec![per_exp.into(), summary.into(), fuse_tbl.into()]
     }
 }
 
-/// Parse a worker or shard count given as `what` (a flag or an environment
+/// Parse a worker count given as `what` (a flag or an environment
 /// variable): a positive integer, or a message naming `what`.
 pub fn parse_count(what: &str, value: &str) -> Result<usize, String> {
     let n = value.trim().parse::<usize>().ok().filter(|&n| n >= 1);
@@ -304,41 +270,10 @@ pub fn try_default_workers() -> Result<usize, String> {
     Ok(env_count("VIBE_JOBS")?.unwrap_or_else(parallelism))
 }
 
-/// Engine shard count selected by the environment: `VIBE_SHARDS` if set
-/// (must be a positive integer, else an error saying so), else 1 — the
-/// serial engine, the exact path the committed goldens pin. Experiments
-/// that drive a sharded engine (X-SHARD) read this; their artifacts are
-/// byte-identical at any value, which CI enforces.
-pub fn try_default_shards() -> Result<usize, String> {
-    Ok(env_count("VIBE_SHARDS")?.unwrap_or(1))
-}
-
 /// [`try_default_workers`] for callers with nobody to report to. Panics on
 /// a malformed `VIBE_JOBS`; a front end checks with the `try_` form first.
 pub fn default_workers() -> usize {
     try_default_workers().unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// [`try_default_shards`] for job bodies, which run long after the front
-/// end has checked `VIBE_SHARDS`. Panics on a malformed value.
-pub fn default_shards() -> usize {
-    try_default_shards().unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Telemetry from one sharded-engine run, recorded by workloads that
-/// drive a [`simkit::ShardedSim`] so the X-PAR artifact can surface
-/// shard balance. One horizon grant = one synchronization round (every
-/// shard receives one granted horizon per round).
-#[derive(Clone, Debug)]
-pub struct ShardRunRecord {
-    /// Workload label ("mvia-ring", …).
-    pub label: String,
-    /// Shard count the engine ran with.
-    pub shards: usize,
-    /// Synchronization rounds == horizon grants per shard.
-    pub rounds: u64,
-    /// Per-shard engine telemetry for the run.
-    pub per_shard: Vec<simkit::ShardStats>,
 }
 
 /// Fabric-robustness counters accumulated across a suite run's workloads
@@ -372,23 +307,16 @@ impl FabricHealth {
     }
 }
 
-/// What one job's workloads reported for the suite summary.
-#[derive(Default)]
-pub(crate) struct JobLedger {
-    pub(crate) shard_runs: Vec<ShardRunRecord>,
-    pub(crate) health: FabricHealth,
-}
-
 thread_local! {
-    /// The ledger of the job running on this thread: `execute` opens it
-    /// before the job's closure and closes it after.
-    static LEDGER: RefCell<Option<JobLedger>> = const { RefCell::new(None) };
+    /// The fabric health the job running on this thread reported:
+    /// `execute` opens it before the job's closure and closes it after.
+    static LEDGER: RefCell<Option<FabricHealth>> = const { RefCell::new(None) };
 }
 
 /// Write into the running job's ledger. A workload driven outside a suite
 /// job (a unit test, `perfbench`'s direct legs) has no ledger and the
 /// record is dropped — nothing accumulates for the life of the process.
-pub(crate) fn ledger(write: impl FnOnce(&mut JobLedger)) {
+pub(crate) fn ledger(write: impl FnOnce(&mut FabricHealth)) {
     LEDGER.with_borrow_mut(|l| l.as_mut().map(write));
 }
 
@@ -398,14 +326,14 @@ struct JobOutcome {
     events: u64,
     pool: PoolStats,
     fuse: FuseTally,
-    ledger: JobLedger,
+    health: FabricHealth,
 }
 
 fn execute(job: Job) -> JobOutcome {
     let ev0 = thread_events();
     let pool0 = thread_pool_stats();
     let fuse0 = thread_fuse_stats();
-    LEDGER.set(Some(JobLedger::default()));
+    LEDGER.set(Some(FabricHealth::default()));
     let t0 = Instant::now();
     let artifacts = job.run();
     JobOutcome {
@@ -414,7 +342,7 @@ fn execute(job: Job) -> JobOutcome {
         events: thread_events() - ev0,
         pool: thread_pool_stats().delta_since(&pool0),
         fuse: thread_fuse_stats().delta_since(&fuse0),
-        ledger: LEDGER.take().expect("ledger stays open for the whole job"),
+        health: LEDGER.take().expect("ledger stays open for the whole job"),
     }
 }
 
@@ -456,7 +384,6 @@ pub fn run_suite(experiments: Vec<Experiment>, workers: usize) -> SuiteRun {
     }
 
     let mut pool = PoolStats::zero();
-    let mut shard_runs = Vec::new();
     let mut fabric_health = FabricHealth::default();
     let mut jobs = Vec::with_capacity(results.len());
     let mut runs: Vec<(ExperimentRun, Vec<Vec<Artifact>>)> = experiments
@@ -477,8 +404,7 @@ pub fn run_suite(experiments: Vec<Experiment>, workers: usize) -> SuiteRun {
             .into_inner()
             .expect("worker pool left a job unexecuted");
         pool.merge(&out.pool);
-        shard_runs.extend(out.ledger.shard_runs);
-        fabric_health.merge(&out.ledger.health);
+        fabric_health.merge(&out.health);
         let (run, parts) = &mut runs[ei];
         run.wall += out.wall;
         run.events += out.events;
@@ -492,8 +418,6 @@ pub fn run_suite(experiments: Vec<Experiment>, workers: usize) -> SuiteRun {
             fuse: out.fuse,
         });
     }
-    // Label order, so the table does not depend on which jobs ran where.
-    shard_runs.sort_by(|a, b| a.label.cmp(&b.label));
 
     SuiteRun {
         experiments: runs
@@ -507,7 +431,6 @@ pub fn run_suite(experiments: Vec<Experiment>, workers: usize) -> SuiteRun {
         workers,
         wall: t0.elapsed(),
         pool,
-        shard_runs,
         fabric_health,
     }
 }
@@ -606,8 +529,6 @@ mod tests {
             "events attributed via thread counter"
         );
         assert!(run.pool.pooled() + run.pool.boxed > 0);
-        // CQ drives no `Rig`, so there is no shard-balance table — and a
-        // test recording beside this one cannot add one.
         let xpar = run.xpar_artifacts();
         assert_eq!(xpar.len(), 3);
         assert!(xpar[0].title().starts_with("X-PAR"));
@@ -617,7 +538,7 @@ mod tests {
     #[test]
     fn concurrent_suites_keep_their_own_ledgers() {
         // Suites on threads of one process: each must report exactly its
-        // own shard-run rows and fabric health — the sums every finished
+        // own fabric health — the sums every finished
         // world rolls up, pinned to the values before the roll-up moved
         // into `harness::finish_world`.
         let suite =
@@ -629,19 +550,11 @@ mod tests {
             sessions_recovered,
         };
         for _ in 0..3 {
-            let (shard, failover) = (suite("X-SHARD"), suite("X-FAILOVER"));
-            let (shard, failover) = (shard.join().unwrap(), failover.join().unwrap());
-            let labels = |run: &SuiteRun| -> Vec<String> {
-                run.shard_runs.iter().map(|r| r.label.clone()).collect()
-            };
-            assert_eq!(labels(&shard), ["BVIA-ring", "M-VIA-ring", "cLAN-ring"]);
-            assert_eq!(shard.fabric_health, FabricHealth::default());
-            assert_eq!(
-                labels(&failover),
-                ["failover-pause-cascade", "failover-spine-kill"]
-            );
+            let (ring, failover) = (suite("X-SHARD"), suite("X-FAILOVER"));
+            let (ring, failover) = (ring.join().unwrap(), failover.join().unwrap());
+            assert_eq!(ring.fabric_health, FabricHealth::default());
             assert_eq!(failover.fabric_health, health(1, 11, 0, 0));
-            assert_eq!(shard.xpar_artifacts().len(), 4);
+            assert_eq!(ring.xpar_artifacts().len(), 3);
         }
         let (chaos, crash) = (suite("X-CHAOS"), suite("X-CRASH"));
         assert_eq!(chaos.join().unwrap().fabric_health, health(0, 8, 4, 0));

@@ -1,21 +1,15 @@
-//! Sharded-engine ring benchmark (extension X-SHARD).
+//! Ring benchmark (extension X-SHARD).
 //!
-//! An 8-node ring where every node streams messages to its successor over
-//! a connected VI while receiving from its predecessor — the smallest
-//! workload in which *every* shard of a sharded engine both sends and
-//! receives cross-shard traffic continuously. The artifact reports only
-//! virtual-time quantities (per-node delivery counts and times, goodput,
-//! SAN counters), so it is byte-identical at any `VIBE_SHARDS` value —
-//! the invariant CI's golden matrix pins. The shard count *does* shape
-//! the engine telemetry (barrier stalls, horizon grants), which flows
-//! into the non-golden X-PAR artifact through the running job's ledger
-//! (the shared `topo_bench::Rig` records it and runs the conservation
-//! oracles, the ring being a workload over a one-switch star).
+//! An 8-node ring over a one-switch star where every node streams
+//! messages to its successor over a connected VI while receiving from its
+//! predecessor. The artifact reports only virtual-time quantities
+//! (per-node delivery counts and times, goodput, SAN counters). The id,
+//! module name and title survive from a since-deleted parallel engine
+//! this ring once exercised; they are kept so the artifact's bytes do not
+//! move.
 //!
 //! Client starts are staggered by odd per-node offsets so no two nodes
-//! inject at the same nanosecond: the ring stays tie-free, which keeps
-//! the delivery timeline independent of how simultaneous events would
-//! interleave across engines.
+//! inject at the same nanosecond: the ring stays tie-free.
 
 use fabric::{SanStats, Topology};
 use simkit::{SimDuration, SimTime};
@@ -23,10 +17,9 @@ use via::{Profile, ViAttributes};
 
 use crate::flow::{spawn_rx, spawn_tx, Flow};
 use crate::report::Table;
-use crate::runner::default_shards;
 use crate::topo_bench::Rig;
 
-/// Nodes in the ring (enough that 2- and 4-shard maps split them).
+/// Nodes in the ring.
 pub const RING_NODES: usize = 8;
 /// Messages each node sends to its successor.
 pub const RING_MSGS: u64 = 48;
@@ -57,23 +50,18 @@ pub struct RingOutcome {
     pub san: SanStats,
 }
 
-/// Run the ring on `shards` engine shards (1 = the plain serial engine).
-/// Every virtual-time observable in the result is shard-count-invariant.
+/// Run the ring. `_shards` is ignored: every world runs on one engine.
 pub fn ring(
     profile: Profile,
     nodes: usize,
     msgs: u64,
     size: u64,
     seed: u64,
-    shards: usize,
+    _shards: usize,
 ) -> RingOutcome {
-    let label = format!("{}-ring", profile.name);
-    let rig = Rig::new_with_profile(Topology::star(nodes), profile, seed, shards, label);
-    ring_on(&rig, nodes, msgs, size)
-}
-
-fn ring_on(rig: &Rig, nodes: usize, msgs: u64, size: u64) -> RingOutcome {
     assert!(nodes >= 2, "a ring needs at least two nodes");
+    let label = format!("{}-ring", profile.name);
+    let rig = Rig::new_with_profile(Topology::star(nodes), profile, seed, label);
     let cluster = &rig.cluster;
     // Node `i` streams to its successor, self-paced, after a staggered,
     // tie-breaking start offset.
@@ -132,18 +120,10 @@ fn ring_on(rig: &Rig, nodes: usize, msgs: u64, size: u64) -> RingOutcome {
 }
 
 /// The X-SHARD table for one profile: per-node delivery rows plus ring
-/// totals. Runs on [`default_shards`] engine shards; every cell is
-/// virtual-time-derived and therefore shard-count-invariant.
+/// totals.
 pub fn ring_table(profile: Profile) -> Table {
     let name = profile.name;
-    let outcome = ring(
-        profile,
-        RING_NODES,
-        RING_MSGS,
-        RING_SIZE,
-        0x5A4D,
-        default_shards(),
-    );
+    let outcome = ring(profile, RING_NODES, RING_MSGS, RING_SIZE, 0x5A4D, 1);
     let mut t = Table::new(
         format!("X-SHARD: {RING_NODES}-node ring, {RING_MSGS} x {RING_SIZE} B per hop ({name})"),
         vec![
@@ -202,20 +182,6 @@ pub fn ring_table(profile: Profile) -> Table {
 mod tests {
     use super::*;
 
-    fn key(o: &RingOutcome) -> Vec<(u64, u64, u64, u64)> {
-        o.per_node
-            .iter()
-            .map(|n| {
-                (
-                    n.delivered,
-                    n.bytes,
-                    n.first_rx.as_nanos(),
-                    n.last_rx.as_nanos(),
-                )
-            })
-            .collect()
-    }
-
     #[test]
     fn ring_delivers_everything() {
         let o = ring(Profile::clan(), 4, 12, 512, 7, 1);
@@ -227,48 +193,5 @@ mod tests {
         }
         assert!(o.makespan > SimDuration::ZERO);
         assert_eq!(o.san.frames_dropped, 0);
-    }
-
-    #[test]
-    fn ring_timeline_is_shard_count_invariant() {
-        let serial = ring(Profile::clan(), RING_NODES, 16, 1024, 11, 1);
-        for shards in [2usize, 4] {
-            let sharded = ring(Profile::clan(), RING_NODES, 16, 1024, 11, shards);
-            assert_eq!(
-                key(&sharded),
-                key(&serial),
-                "per-node timeline diverged at shards={shards}"
-            );
-            assert_eq!(sharded.san, serial.san);
-            assert_eq!(sharded.makespan, serial.makespan);
-        }
-    }
-
-    /// Like [`ring`], but always drives the sharded engine — including at
-    /// `shards == 1`, where the engine must take its barrier/channel
-    /// *bypass* and run the exact serial scheduler path.
-    fn ring_pinned(
-        profile: Profile,
-        nodes: usize,
-        msgs: u64,
-        size: u64,
-        seed: u64,
-        shards: usize,
-    ) -> RingOutcome {
-        let engine = simkit::ShardedSim::new(shards, profile.net.min_cross_latency());
-        let topo = Topology::star(nodes);
-        let rig = Rig::on(Some(engine), topo, profile, seed, "pinned-ring");
-        ring_on(&rig, nodes, msgs, size)
-    }
-
-    #[test]
-    fn one_shard_bypass_matches_plain_sim() {
-        // ring_pinned(shards=1) runs the ShardedSim bypass; it must be
-        // observationally identical to ring()'s plain-Sim baseline.
-        let serial = ring(Profile::clan(), RING_NODES, 16, 1024, 11, 1);
-        let bypass = ring_pinned(Profile::clan(), RING_NODES, 16, 1024, 11, 1);
-        assert_eq!(key(&bypass), key(&serial));
-        assert_eq!(bypass.san, serial.san);
-        assert_eq!(bypass.makespan, serial.makespan);
     }
 }

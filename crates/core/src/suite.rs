@@ -363,7 +363,7 @@ fn plan_chaos() -> Vec<Job> {
         .collect()
 }
 
-fn plan_shard() -> Vec<Job> {
+fn plan_ring() -> Vec<Job> {
     // One ring per profile; each job is a whole table, so slices
     // column-merge trivially.
     per_profile_jobs("X-SHARD", |p| vec![shard_bench::ring_table(p).into()])
@@ -547,7 +547,7 @@ pub fn all_experiments() -> Vec<Experiment> {
             id: "X-SHARD",
             title: "Extension: sharded-engine ring traffic (lookahead synchronization)",
             category: DataTransfer,
-            plan: plan_shard,
+            plan: plan_ring,
         },
         Experiment {
             id: "X-TOPO",

@@ -19,21 +19,18 @@
 //!   fabric-wide balance.
 //!
 //! Every artifact cell is virtual-time-derived or a deterministic port
-//! counter, so the tables are byte-identical at any `VIBE_SHARDS` /
-//! `VIBE_JOBS` value — CI's golden matrix pins that. Each run ends like
-//! every suite world, in [`via::Cluster::audit`]: frames conserved and
-//! every port drop attributed to its port, nothing leaked on any node.
-//! Shard-balance telemetry flows into X-PAR through the running job's
-//! ledger under `topo-*` labels.
+//! counter, so the tables are byte-identical at any `VIBE_JOBS` value —
+//! CI's golden matrix pins that. Each run ends like every suite world, in
+//! [`via::Cluster::audit`]: frames conserved and every port drop
+//! attributed to its port, nothing leaked on any node.
 
 use fabric::{LinkParams, NodeId, PortLimits, PortSnapshot, PortTarget, SanStats, Topology};
-use simkit::{ShardedSim, Sim, SimDuration, SimTime, WaitMode};
+use simkit::{Sim, SimDuration, SimTime, WaitMode};
 use via::{Cluster, Descriptor, Discriminator, Profile};
 
 use crate::flow::{rd, run_flows, Flow};
 use crate::harness::{finish_world, registered, Stream};
 use crate::report::Table;
-use crate::runner::{default_shards, ledger, ShardRunRecord};
 
 /// Edge switches in the fat-tree.
 pub const EDGES: usize = 8;
@@ -61,18 +58,16 @@ pub fn fat_tree64(limits: PortLimits) -> Topology {
     Topology::fat_tree(EDGES, HOSTS_PER_EDGE, SPINES, trunk(), limits)
 }
 
-/// Engine scaffolding shared by the multi-node workloads: the serial
-/// engine at one shard, a [`ShardedSim`] on the topology's own shard map
-/// and per-link-pair lookahead otherwise.
+/// One world of a multi-node workload: a cluster on a fresh engine and
+/// the label its audit reports under.
 pub(crate) struct Rig {
     pub(crate) cluster: Cluster,
-    engine: Option<ShardedSim>,
     label: String,
 }
 
 impl Rig {
-    pub(crate) fn new(topo: Topology, seed: u64, shards: usize, label: impl Into<String>) -> Rig {
-        Rig::new_with_profile(topo, Profile::clan(), seed, shards, label)
+    pub(crate) fn new(topo: Topology, seed: u64, label: impl Into<String>) -> Rig {
+        Rig::new_with_profile(topo, Profile::clan(), seed, label)
     }
 
     /// Like [`Rig::new`] but with an explicit profile — X-CRASH runs the
@@ -81,61 +76,17 @@ impl Rig {
         topo: Topology,
         profile: Profile,
         seed: u64,
-        shards: usize,
         label: impl Into<String>,
     ) -> Rig {
-        let engine = (shards > 1).then(|| {
-            ShardedSim::new_with_map(topo.shard_map(shards), topo.shard_lookahead(&profile.net))
-        });
-        Rig::on(engine, topo, profile, seed, label)
-    }
-
-    /// Build on a given engine: `None` is a fresh serial [`Sim`].
-    pub(crate) fn on(
-        engine: Option<ShardedSim>,
-        topo: Topology,
-        profile: Profile,
-        seed: u64,
-        label: impl Into<String>,
-    ) -> Rig {
-        let cluster = match &engine {
-            Some(engine) => Cluster::new_sharded_topo(engine, profile, topo, seed),
-            None => Cluster::new_topo(Sim::new(), profile, topo, seed),
-        };
         Rig {
-            cluster,
-            engine,
+            cluster: Cluster::new_topo(Sim::new(), profile, topo, seed),
             label: label.into(),
         }
     }
 
-    /// Run to completion, record the shard-balance row, finish the world
-    /// ([`finish_world`]).
+    /// Run to completion and finish the world ([`finish_world`]).
     pub(crate) fn run(&self) {
-        let (shards, rounds, per_shard) = match &self.engine {
-            Some(eng) => {
-                let rep = eng.run_to_completion();
-                (eng.shards(), rep.rounds, rep.per_shard)
-            }
-            // Every node of a serial cluster shares the one engine. Its
-            // row (one shard, zero rounds) pins the zero barrier stall.
-            None => {
-                let rep = self.cluster.node_sim(0).run_to_completion();
-                let stats = simkit::ShardStats {
-                    events: rep.events,
-                    ..Default::default()
-                };
-                (1, 0, vec![stats])
-            }
-        };
-        ledger(|l| {
-            l.shard_runs.push(ShardRunRecord {
-                label: self.label.clone(),
-                shards,
-                rounds,
-                per_shard,
-            })
-        });
+        self.cluster.sim().run_to_completion();
         finish_world(&self.cluster, format_args!("{}", self.label));
     }
 }
@@ -195,13 +146,9 @@ pub struct StormOutcome {
 /// fabric to server `32 + i` and streams [`STORM_MSGS`] messages of a
 /// pair-distinct size. On the fat-tree every pair crosses the spine
 /// tier (nodes `i` and `i + 32` are always four edge switches apart).
-pub fn storm(shape: StormShape, seed: u64, shards: usize) -> StormOutcome {
-    let rig = Rig::new(
-        shape.topo(),
-        seed,
-        shards,
-        format!("topo-{}-storm", shape.label()),
-    );
+/// `_shards` is ignored: every world runs on one engine.
+pub fn storm(shape: StormShape, seed: u64, _shards: usize) -> StormOutcome {
+    let rig = Rig::new(shape.topo(), seed, format!("topo-{}-storm", shape.label()));
     let cluster = &rig.cluster;
     let pairs = STORM_NODES / 2;
     let flows: Vec<Flow> = (0..pairs)
@@ -243,7 +190,7 @@ pub fn storm(shape: StormShape, seed: u64, shards: usize) -> StormOutcome {
 }
 
 /// The storm comparison table: one row per shape (the star control row,
-/// then the fat-tree). Runs on [`default_shards`] engine shards.
+/// then the fat-tree).
 pub fn storm_table(shapes: &[StormShape]) -> Table {
     let mut t = Table::new(
         format!(
@@ -260,7 +207,7 @@ pub fn storm_table(shapes: &[StormShape]) -> Table {
         ],
     );
     for &shape in shapes {
-        let o = storm(shape, TOPO_SEED, default_shards());
+        let o = storm(shape, TOPO_SEED, 1);
         t.push(
             shape.label(),
             vec![
@@ -345,13 +292,9 @@ pub struct IncastOutcome {
 /// Run the 16-to-1 incast with the victim and probe flows alongside.
 /// The senders run a window of two — enough standing pressure to pause
 /// and drop at the tight receiver port; victim and probe are self-paced.
-pub fn incast(seed: u64, shards: usize) -> IncastOutcome {
-    let rig = Rig::new(
-        fat_tree64(incast_limits()),
-        seed,
-        shards,
-        "topo-fat-tree-incast".to_string(),
-    );
+/// `_shards` is ignored: every world runs on one engine.
+pub fn incast(seed: u64, _shards: usize) -> IncastOutcome {
+    let rig = Rig::new(fat_tree64(incast_limits()), seed, "topo-fat-tree-incast");
     let cluster = &rig.cluster;
 
     let mut labels: Vec<String> = (0..INCAST_SENDERS).map(|s| format!("s{s:02}")).collect();
@@ -419,7 +362,7 @@ fn port_tier(snap: &PortSnapshot) -> &'static str {
 /// The two X-TOPO incast tables: per-flow delivery/goodput (senders,
 /// victim, probe) and the per-tier port occupancy/pause/drop aggregate.
 pub fn incast_tables() -> (Table, Table) {
-    let o = incast(TOPO_SEED, default_shards());
+    let o = incast(TOPO_SEED, 1);
 
     let mut flows = Table::new(
         format!(
@@ -548,13 +491,13 @@ pub struct A2aOutcome {
 /// Clients connect and send in ascending peer order; servers accept in
 /// ascending peer order — the staircase rendezvous schedule, which is
 /// deadlock-free because each node's client and server run concurrently.
-pub fn all_to_all(seed: u64, shards: usize) -> A2aOutcome {
+/// `_shards` is ignored: every world runs on one engine.
+pub fn all_to_all(seed: u64, _shards: usize) -> A2aOutcome {
     let n = A2A_NODES;
     let rig = Rig::new(
         fat_tree64(PortLimits::default()),
         seed,
-        shards,
-        "topo-fat-tree-all-to-all".to_string(),
+        "topo-fat-tree-all-to-all",
     );
     let cluster = &rig.cluster;
     let disc = move |src: usize, dst: usize| (src * n + dst) as u64;
@@ -562,7 +505,7 @@ pub fn all_to_all(seed: u64, shards: usize) -> A2aOutcome {
     let mut servers = Vec::with_capacity(n);
     for i in 0..n {
         let p = cluster.provider(i);
-        let sim = cluster.node_sim(i).clone();
+        let sim = cluster.sim().clone();
         servers.push(sim.spawn(format!("a2a-srv{i}"), Some(p.cpu()), move |ctx| {
             let max = (0..n)
                 .filter(|&j| j != i)
@@ -596,7 +539,7 @@ pub fn all_to_all(seed: u64, shards: usize) -> A2aOutcome {
     let mut clients = Vec::with_capacity(n);
     for i in 0..n {
         let p = cluster.provider(i);
-        let sim = cluster.node_sim(i).clone();
+        let sim = cluster.sim().clone();
         clients.push(sim.spawn(format!("a2a-cli{i}"), Some(p.cpu()), move |ctx| {
             ctx.sleep(SimDuration::from_nanos(2_000 + 937 * i as u64));
             for j in (0..n).filter(|&j| j != i) {
@@ -647,7 +590,7 @@ pub fn all_to_all(seed: u64, shards: usize) -> A2aOutcome {
 
 /// The all-to-all table: one aggregate row per edge switch, then totals.
 pub fn all_to_all_table() -> Table {
-    let o = all_to_all(TOPO_SEED, default_shards());
+    let o = all_to_all(TOPO_SEED, 1);
     let mut t = Table::new(
         format!(
             "X-TOPO: {A2A_NODES}-node all-to-all over the fat-tree \
@@ -724,24 +667,15 @@ mod tests {
         }
     }
 
-    /// Weak handles on a world's fabric and on each of its engines (through
-    /// an event hook, which only the engine owns).
-    fn world_probes(
-        san: &fabric::San,
-        sims: &[&Sim],
-    ) -> (fabric::WeakSan, Vec<std::sync::Weak<()>>) {
-        let engines = sims
-            .iter()
-            .map(|sim| {
-                let owned = std::sync::Arc::new(());
-                let weak = std::sync::Arc::downgrade(&owned);
-                sim.set_event_hook(Some(std::sync::Arc::new(move |_, _| {
-                    let _ = &owned;
-                })));
-                weak
-            })
-            .collect();
-        (san.downgrade(), engines)
+    /// Weak handles on a world's fabric and on its engine (through an
+    /// event hook, which only the engine owns).
+    fn world_probes(san: &fabric::San, sim: &Sim) -> (fabric::WeakSan, std::sync::Weak<()>) {
+        let owned = std::sync::Arc::new(());
+        let engine = std::sync::Arc::downgrade(&owned);
+        sim.set_event_hook(Some(std::sync::Arc::new(move |_, _| {
+            let _ = &owned;
+        })));
+        (san.downgrade(), engine)
     }
 
     /// Regression test for the `Provider -> San -> handler -> Provider`
@@ -755,37 +689,30 @@ mod tests {
             ..DtConfig::base(Profile::clan(), 64)
         };
         let pair = Pair::new(&cfg);
-        let (san, engines) = world_probes(&pair.san(), &[pair.sim()]);
+        let (san, engine) = world_probes(&pair.san(), pair.sim());
         assert!(ping_pong_on(&pair, &cfg, false).0.latency_us > 0.0);
         assert!(san.upgrade().is_some());
         drop(pair);
         assert!(san.upgrade().is_none(), "ping-pong fabric leaked");
-        assert!(engines[0].upgrade().is_none(), "ping-pong engine leaked");
+        assert!(engine.upgrade().is_none(), "ping-pong engine leaked");
 
-        for shards in [1, 2] {
-            let rig = Rig::new(fat_tree64(PortLimits::default()), 7, shards, "leak-probe");
-            let sims: Vec<&Sim> = (0..2).map(|n| rig.cluster.node_sim(32 * n)).collect();
-            let (san, engines) = world_probes(rig.cluster.san(), &sims);
-            let (a, b) = (rig.cluster.provider(0), rig.cluster.provider(32));
-            sims[1].spawn("srv", Some(b.cpu()), move |ctx| {
-                let vi = b.create_vi(ctx, rd(), None, None).expect("vi");
-                b.accept(ctx, &vi, Discriminator(1)).expect("accept");
-            });
-            sims[0].spawn("cli", Some(a.cpu()), move |ctx| {
-                let vi = a.create_vi(ctx, rd(), None, None).expect("vi");
-                a.connect(ctx, &vi, NodeId(32), Discriminator(1), None)
-                    .expect("connect");
-            });
-            rig.run();
-            drop(rig);
-            assert!(san.upgrade().is_none(), "{shards}-shard fabric leaked");
-            for (i, engine) in engines.iter().enumerate() {
-                assert!(
-                    engine.upgrade().is_none(),
-                    "{shards}-shard engine {i} leaked"
-                );
-            }
-        }
+        let rig = Rig::new(fat_tree64(PortLimits::default()), 7, "leak-probe");
+        let sim = rig.cluster.sim().clone();
+        let (san, engine) = world_probes(rig.cluster.san(), &sim);
+        let (a, b) = (rig.cluster.provider(0), rig.cluster.provider(32));
+        sim.spawn("srv", Some(b.cpu()), move |ctx| {
+            let vi = b.create_vi(ctx, rd(), None, None).expect("vi");
+            b.accept(ctx, &vi, Discriminator(1)).expect("accept");
+        });
+        sim.spawn("cli", Some(a.cpu()), move |ctx| {
+            let vi = a.create_vi(ctx, rd(), None, None).expect("vi");
+            a.connect(ctx, &vi, NodeId(32), Discriminator(1), None)
+                .expect("connect");
+        });
+        rig.run();
+        drop((rig, sim));
+        assert!(san.upgrade().is_none(), "fat-tree fabric leaked");
+        assert!(engine.upgrade().is_none(), "fat-tree engine leaked");
     }
 
     #[test]
@@ -799,18 +726,6 @@ mod tests {
                 assert_eq!(o.pauses, 0);
                 assert_eq!(o.port_drops, 0);
             }
-        }
-    }
-
-    #[test]
-    fn fat_tree_storm_is_shard_count_invariant() {
-        let serial = storm(StormShape::FatTree, 7, 1);
-        for shards in [2usize, 4] {
-            let sharded = storm(StormShape::FatTree, 7, shards);
-            assert_eq!(sharded.san, serial.san, "shards={shards}");
-            assert_eq!(sharded.makespan, serial.makespan, "shards={shards}");
-            assert_eq!(sharded.pauses, serial.pauses, "shards={shards}");
-            assert_eq!(sharded.port_drops, serial.port_drops, "shards={shards}");
         }
     }
 
@@ -836,32 +751,6 @@ mod tests {
             "intra-edge probe ({:.1} MB/s) must outrun the trunk-crossing victim ({:.1} MB/s)",
             probe.goodput(),
             victim.goodput()
-        );
-    }
-
-    #[test]
-    fn incast_is_shard_count_invariant() {
-        let serial = incast(TOPO_SEED, 1);
-        let sharded = incast(TOPO_SEED, 4);
-        assert_eq!(sharded.san, serial.san);
-        let key = |o: &IncastOutcome| -> Vec<(String, u64, u64, u64, u64)> {
-            o.flows
-                .iter()
-                .map(|f| {
-                    (
-                        f.label.clone(),
-                        f.delivered,
-                        f.bytes,
-                        f.first_rx.as_nanos(),
-                        f.last_rx.as_nanos(),
-                    )
-                })
-                .collect()
-        };
-        assert_eq!(key(&sharded), key(&serial));
-        assert_eq!(
-            sharded.ports.iter().map(|p| p.stats).collect::<Vec<_>>(),
-            serial.ports.iter().map(|p| p.stats).collect::<Vec<_>>()
         );
     }
 

@@ -19,8 +19,7 @@
 //! draws from the stream of the endpoint whose hop it is crossing), so
 //! the per-link loss-injection streams see exactly the draws they see
 //! without a plan, and a draw depends only on the frame order through
-//! that endpoint — never on unrelated traffic or on how nodes are
-//! distributed over engine shards. With no plan installed the per-frame
+//! that endpoint — never on unrelated traffic. With no plan installed the per-frame
 //! cost is a single `Option` branch and the timeline is bit-identical to
 //! a fault-free build.
 
@@ -157,9 +156,8 @@ impl FaultKind {
 /// [`FaultKind::SwitchDown`] or [`FaultKind::TrunkDown`] edge. Routing
 /// keeps steering frames into the dead element (a blackhole, dropped with
 /// honest counters) for `detection + reconvergence` after each edge, then
-/// flips to BFS routes excluding every currently failed element — on every
-/// shard at the same virtual instant, so the chosen paths are a pure
-/// function of virtual time at any shard count.
+/// flips to BFS routes excluding every currently failed element, so the
+/// chosen paths are a pure function of virtual time.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RerouteParams {
     /// Time for the control plane to notice the failed element.

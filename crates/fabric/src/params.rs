@@ -165,16 +165,6 @@ impl NetParams {
         }
     }
 
-    /// The minimum delay any frame pays between leaving its source shard
-    /// (fabric ingress) and acting on any other node: one propagation plus
-    /// the switch traversal — store-and-forward and serialization only add
-    /// to it. This is the conservative *lookahead* window the sharded
-    /// engine synchronizes on: a shard may run `lookahead` past the global
-    /// minimum event time before any cross-shard frame can arrive.
-    pub fn min_cross_latency(&self) -> SimDuration {
-        self.link.propagation + self.switch.latency
-    }
-
     /// Builder-style override: independent loss with probability `p`.
     pub fn with_loss(mut self, p: f64) -> Self {
         assert!((0.0..=1.0).contains(&p), "loss probability out of range");

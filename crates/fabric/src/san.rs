@@ -20,8 +20,7 @@
 //! emerges naturally. Loss injection (for the reliability benchmarks) drops
 //! frames with a seeded RNG stream *per host-link direction*, so the draw a
 //! frame sees depends only on the order of frames over its own link —
-//! never on unrelated traffic elsewhere, and never on how nodes are
-//! distributed over engine shards.
+//! never on unrelated traffic elsewhere.
 //!
 //! What differs between shapes are parameters the pipeline derives from the
 //! topology — nothing a caller sets:
@@ -43,21 +42,6 @@
 //!   fires once the *header* has crossed the switch. A multi-hop fabric
 //!   needs the whole frame before a routing decision exists, so it stores
 //!   and forwards, and each switch charges its latency after admission.
-//! * **Which shard runs a hop.** See below.
-//!
-//! # Sharded operation
-//!
-//! A SAN built with [`San::new_sharded`] or [`San::new_sharded_topo`]
-//! splits its state by shard: node `n`'s uplink is touched only while
-//! `n`'s shard executes an injection, and a switch port only by the shard
-//! that runs its hops — the destination node's shard for a host port, the
-//! switch's own shard ([`Topology::switch_shard`]) for a trunk port. On a
-//! multi-switch shape every node shares its edge switch's shard, so the
-//! only cross-shard step is a trunk traversal; on a star nodes spread by
-//! the content-keyed map and the cross-shard step is the injection. Either
-//! way the step is a [`simkit::ShardSender`] channel message (same shard: a
-//! direct local event, the exact serial path) whose delay is at least the
-//! lookahead the engine synchronizes on ([`Topology::shard_lookahead`]).
 
 use std::any::Any;
 use std::collections::VecDeque;
@@ -65,7 +49,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Weak};
 
 use parking_lot::Mutex;
-use simkit::{EventClass, ShardMap, ShardSender, ShardedSim, Sim, SimDuration, SimRng, SimTime};
+use simkit::{EventClass, Sim, SimDuration, SimRng, SimTime};
 use trace::{MsgId, TracePoint, Tracer};
 
 use crate::fault::{FaultKind, FaultPlan, FaultState, HopOutcome, SWITCH_NODE};
@@ -146,8 +130,7 @@ struct LossLane {
     loss: LossState,
     /// Dedicated loss-draw stream for this link direction, derived from
     /// the SAN seed and the (node, direction) label. Per-link streams make
-    /// drop decisions a function of the frame order on *this* link alone —
-    /// the property that keeps seeded runs identical at any shard count.
+    /// drop decisions a function of the frame order on *this* link alone.
     rng: SimRng,
 }
 
@@ -242,22 +225,16 @@ pub struct SanStats {
     pub frames_fault_dropped: u64,
 }
 
-/// Per-shard host-link state. Vectors span *all* nodes for simple
-/// indexing, but a shard only ever touches the entries of nodes it owns
-/// (uplinks at injection, downlink loss lanes at egress), so the
-/// replicated entries of foreign nodes stay untouched and cost only idle
-/// memory.
-struct LinkShard {
+/// Host-link state, indexed by node: uplinks at injection, downlink loss
+/// lanes at egress, and the fault-window state both consult.
+struct Links {
     uplinks: Vec<Wire>,
     up_loss: Vec<LossLane>,
     /// A node's downlink *wire* is its host port's (see [`Port`]); only
     /// the loss channel lives here.
     down_loss: Vec<LossLane>,
     /// Present only once a non-empty [`FaultPlan`] is installed, so the
-    /// fault-free send path pays exactly one `Option` branch. Window state
-    /// is replicated per shard (edges are scheduled on every shard's
-    /// engine); the per-node fault RNG streams inside are only ever drawn
-    /// from on the owning shard, so replication never skews a draw.
+    /// fault-free send path pays exactly one `Option` branch.
     faults: Option<Box<FaultState>>,
 }
 
@@ -276,9 +253,8 @@ enum WriterSet {
     Many,
 }
 
-/// Order-independent state shared by every shard: pure counters, the
-/// tracer, and the rx-handler table (written at topology setup, read at
-/// delivery).
+/// Order-independent state: pure counters, the tracer, and the rx-handler
+/// table (written at topology setup, read at delivery).
 struct SharedState {
     handlers: Vec<Option<RxHandler>>,
     stats: SanStats,
@@ -338,15 +314,14 @@ impl SharedState {
     }
 }
 
-/// Callback fired at a node-scoped fault window edge, on the victim
-/// node's owning shard's engine. `open` is true at window open (the host
-/// crashes: wipe NIC and VI state) and false at window close (the host
-/// reboots). The [`FaultKind`] is the window's kind
+/// Callback fired at a node-scoped fault window edge. `open` is true at
+/// window open (the host crashes: wipe NIC and VI state) and false at
+/// window close (the host reboots). The [`FaultKind`] is the window's kind
 /// ([`FaultKind::NodeDown`] or [`FaultKind::NicReset`]).
 pub type NodeFaultHook = Arc<dyn Fn(&Sim, FaultKind, bool) + Send + Sync>;
 
 /// A frame in flight between injection and arrival: everything the next
-/// stage needs, owned by whichever shard currently holds the frame.
+/// stage needs.
 struct Frame {
     src: NodeId,
     dst: NodeId,
@@ -356,23 +331,21 @@ struct Frame {
     lossy: bool,
 }
 
-/// One switch output port: a FIFO buffer in front of a FIFO wire. Only the
-/// shard that runs the port's hops ever touches it. For a host port the
-/// wire *is* the node's downlink.
+/// One switch output port: a FIFO buffer in front of a FIFO wire. For a
+/// host port the wire *is* the node's downlink.
 ///
 /// On a bounded port, arrivals and slot frees are not applied at their
 /// event's instant: they are *staged* and applied by a resolver event one
 /// nanosecond later, in a canonical content order (see [`San::resolve`]).
-/// The engine executes same-timestamp events in insertion order, and with
-/// a sharded engine that order depends on how switches map to shards — so
-/// any admit/pause/drop decision made directly in event order would make
-/// artifact bytes a function of the shard count. Staging makes every port
+/// The engine executes same-timestamp events in insertion order — the
+/// order their upstream events happened to schedule them in — so an
+/// admit/pause/drop decision made directly in event order would depend on
+/// scheduling order rather than on the frames. Staging makes every port
 /// decision a pure function of virtual time and frame content. An
 /// unbounded port has no decision to make and uses only `wire`, `last_dst`
 /// and `stats.admitted`.
 struct Port {
-    /// Egress-wire occupancy chain (monotone: admissions happen in this
-    /// shard's event order, and each admission extends it).
+    /// Egress-wire occupancy chain (monotone: each admission extends it).
     wire: Wire,
     /// Frames admitted — buffered or serializing — bounded by `capacity`.
     queued: u32,
@@ -443,12 +416,9 @@ fn arrival_order((at, f): &(SimTime, Frame)) -> (SimTime, u32, u32, u32, u64, u3
     (*at, f.src.0, f.dst.0, vi, seq, f.payload_bytes)
 }
 
-/// Per-shard replica of the reconverged routing table plus the failure
-/// bookkeeping behind it. Every shard applies the same routing updates at
-/// the same virtual times (the update events are scheduled on every
-/// shard's engine at install time, in plan order), so all replicas hold
-/// identical state whenever any frame consults them — routing stays a
-/// pure function of virtual time and topology state at any shard count.
+/// The reconverged routing table plus the failure bookkeeping behind it.
+/// Its update events are scheduled at install time, in plan order, so
+/// routing is a pure function of virtual time and topology state.
 #[derive(Default)]
 struct RoutingState {
     /// Active [`FaultKind::SwitchDown`] windows per switch (overlapping
@@ -468,19 +438,13 @@ struct RoutingState {
 struct SanInner {
     params: NetParams,
     seed: u64,
-    map: ShardMap,
     topo: Topology,
     /// Per-switch output-port state, indexed like [`Topology::ports`].
     ports: Vec<Vec<Mutex<Port>>>,
-    /// Per-shard routing replicas (see [`RoutingState`]).
-    routing: Vec<Mutex<RoutingState>>,
-    /// One engine per shard; a serial SAN has exactly one.
-    sims: Vec<Sim>,
-    /// Cross-shard schedulers, indexed by source shard. Empty for a serial
-    /// SAN, whose map sends every node to shard 0 and therefore never
-    /// takes the cross-shard branch.
-    senders: Vec<ShardSender>,
-    links: Vec<Mutex<LinkShard>>,
+    routing: Mutex<RoutingState>,
+    /// The engine every stage of every frame is scheduled on.
+    sim: Sim,
+    links: Mutex<Links>,
     shared: Mutex<SharedState>,
     /// Master switch for the switch-egress fold (`VIBE_FUSE`). The VIA
     /// layer sets it at cluster build; folding never changes virtual times
@@ -503,7 +467,7 @@ struct SanInner {
     /// [`NicReset`]: FaultKind::NicReset
     node_faults: AtomicBool,
     /// Per-node crash/reboot hooks (registered by the attached provider
-    /// layer); invoked on the victim's owning shard at window edges.
+    /// layer); invoked at window edges.
     node_hooks: Mutex<Vec<Option<NodeFaultHook>>>,
 }
 
@@ -538,84 +502,15 @@ impl San {
     }
 
     /// Build a SAN with `nodes` endpoints, all joined through one switch
-    /// ([`Topology::star`]), driven by a single serial engine. `seed`
-    /// feeds the per-link loss-injection RNG streams.
+    /// ([`Topology::star`]). `seed` feeds the per-link loss-injection RNG
+    /// streams.
     pub fn new(sim: Sim, params: NetParams, nodes: usize, seed: u64) -> Self {
         Self::new_topo(sim, params, Topology::star(nodes), seed)
     }
 
-    /// Build a SAN over an explicit [`Topology`], driven by a single
-    /// serial engine.
+    /// Build a SAN over an explicit [`Topology`].
     pub fn new_topo(sim: Sim, params: NetParams, topo: Topology, seed: u64) -> Self {
-        Self::build(vec![sim], Vec::new(), ShardMap::new(1), params, topo, seed)
-    }
-
-    /// Build a SAN over an explicit [`Topology`] distributed over the
-    /// shards of a [`ShardedSim`]. The engine must have been built with
-    /// this topology's [`Topology::shard_map`] (so switch neighborhoods
-    /// are co-sharded and only trunk hops cross shards) and a lookahead no
-    /// larger than [`Topology::shard_lookahead`], which every cross-shard
-    /// step meets or exceeds.
-    pub fn new_sharded_topo(
-        sharded: &ShardedSim,
-        params: NetParams,
-        topo: Topology,
-        seed: u64,
-    ) -> Self {
-        assert_eq!(
-            sharded.map(),
-            topo.shard_map(sharded.shards()),
-            "sharded engine must use the topology's node→shard map",
-        );
-        Self::on_shards(sharded, params, topo, seed)
-    }
-
-    /// Build a one-switch SAN ([`Topology::star`]) whose nodes are
-    /// distributed over the shards of a [`ShardedSim`] by the engine's own
-    /// map. The engine's lookahead must not exceed
-    /// [`NetParams::min_cross_latency`] — the fastest any frame can cross
-    /// between nodes — or conservative synchronization would be unsound.
-    pub fn new_sharded(sharded: &ShardedSim, params: NetParams, nodes: usize, seed: u64) -> Self {
-        Self::on_shards(sharded, params, Topology::star(nodes), seed)
-    }
-
-    fn on_shards(sharded: &ShardedSim, params: NetParams, topo: Topology, seed: u64) -> Self {
-        assert!(
-            sharded.lookahead() <= topo.shard_lookahead(&params),
-            "engine lookahead {:?} exceeds the fabric's minimum cross-shard latency {:?}",
-            sharded.lookahead(),
-            topo.shard_lookahead(&params),
-        );
-        let senders = (0..sharded.shards()).map(|s| sharded.sender(s)).collect();
-        Self::build(
-            sharded.sims().to_vec(),
-            senders,
-            sharded.map(),
-            params,
-            topo,
-            seed,
-        )
-    }
-
-    fn build(
-        sims: Vec<Sim>,
-        senders: Vec<ShardSender>,
-        map: ShardMap,
-        params: NetParams,
-        topo: Topology,
-        seed: u64,
-    ) -> Self {
         let nodes = topo.nodes();
-        let shards = sims.len();
-        if !topo.is_single_switch() {
-            for n in 0..nodes as u32 {
-                assert_eq!(
-                    map.assign(n),
-                    topo.switch_shard(topo.edge_of(n), shards),
-                    "node {n} must share its edge switch's shard",
-                );
-            }
-        }
         let ports = (0..topo.switches() as u32)
             .map(|s| {
                 let specs = topo.ports(s);
@@ -632,29 +527,21 @@ impl San {
                 specs.iter().map(|_| Mutex::new(Port::new())).collect()
             })
             .collect();
-        let links = (0..shards)
-            .map(|_| {
-                Mutex::new(LinkShard {
-                    uplinks: (0..nodes).map(|_| Wire::IDLE).collect(),
-                    up_loss: (0..nodes).map(|n| LossLane::new(seed, n, true)).collect(),
-                    down_loss: (0..nodes).map(|n| LossLane::new(seed, n, false)).collect(),
-                    faults: None,
-                })
-            })
-            .collect();
+        let links = Links {
+            uplinks: (0..nodes).map(|_| Wire::IDLE).collect(),
+            up_loss: (0..nodes).map(|n| LossLane::new(seed, n, true)).collect(),
+            down_loss: (0..nodes).map(|n| LossLane::new(seed, n, false)).collect(),
+            faults: None,
+        };
         San {
             inner: Arc::new(SanInner {
                 params,
                 seed,
-                map,
                 topo,
                 ports,
-                routing: (0..shards)
-                    .map(|_| Mutex::new(RoutingState::default()))
-                    .collect(),
-                sims,
-                senders,
-                links,
+                routing: Mutex::new(RoutingState::default()),
+                sim,
+                links: Mutex::new(links),
                 shared: Mutex::new(SharedState {
                     handlers: (0..nodes).map(|_| None).collect(),
                     stats: SanStats::default(),
@@ -678,9 +565,8 @@ impl San {
     }
 
     /// Install a fault plan: schedule every window's open/close edge on
-    /// the timer core of *every* shard (window state is per shard, so each
-    /// engine flips its own replica at the right virtual time). An empty
-    /// plan is a no-op — the send path stays on its fault-free fast path.
+    /// the engine's timer core. An empty plan is a no-op — the send path
+    /// stays on its fault-free fast path.
     /// May be called more than once; plans accumulate.
     ///
     /// Fault decisions draw from dedicated per-node `"fabric-fault-n*"`
@@ -729,44 +615,44 @@ impl San {
             inner.node_faults.store(true, Ordering::Relaxed);
         }
         let reroute = plan.reroute().total();
-        for (shard, sim) in inner.sims.iter().enumerate() {
-            inner.links[shard]
-                .lock()
-                .faults
-                .get_or_insert_with(|| Box::new(FaultState::new(inner.seed, inner.topo.nodes())));
-            for w in plan.events() {
-                let kind = w.kind;
-                let edges = [(w.at, true), (w.at + w.duration, false)];
+        inner
+            .links
+            .lock()
+            .faults
+            .get_or_insert_with(|| Box::new(FaultState::new(inner.seed, inner.topo.nodes())));
+        for w in plan.events() {
+            let kind = w.kind;
+            let edges = [(w.at, true), (w.at + w.duration, false)];
+            for (at, open) in edges {
+                let san = self.clone();
+                inner.sim.call_at_as(EventClass::Fabric, at, move |sim| {
+                    san.fault_edge(sim, kind, open)
+                });
+            }
+            // Routing reconverges a configurable detection + reconvergence
+            // delay after each edge of a topology-affecting window —
+            // scheduled at install time, so before any same-instant
+            // traffic event.
+            if kind.is_switch_scoped() {
                 for (at, open) in edges {
                     let san = self.clone();
-                    sim.call_at_as(EventClass::Fabric, at, move |sim| {
-                        san.fault_edge(sim, shard, kind, open)
-                    });
-                }
-                // Routing reconverges a configurable detection +
-                // reconvergence delay after each edge of a topology-
-                // affecting window — scheduled at install time on every
-                // shard, so all replicas flip identically and before any
-                // same-instant traffic event.
-                if kind.is_switch_scoped() {
-                    for (at, open) in edges {
-                        let san = self.clone();
-                        sim.call_at_as(EventClass::Fabric, at + reroute, move |_| {
-                            san.routing_update(shard, kind, open)
+                    inner
+                        .sim
+                        .call_at_as(EventClass::Fabric, at + reroute, move |_| {
+                            san.routing_update(kind, open)
                         });
-                    }
                 }
             }
         }
     }
 
-    /// One edge of a fault window on one shard: flip this shard's replica
-    /// of the window state, flush what a dying switch or trunk takes with
-    /// it, trace the edge, and crash or reboot the victim host.
-    fn fault_edge(&self, sim: &Sim, shard: usize, kind: FaultKind, open: bool) {
+    /// One edge of a fault window: flip the window state, flush what a
+    /// dying switch or trunk takes with it, trace the edge, and crash or
+    /// reboot the victim host.
+    fn fault_edge(&self, sim: &Sim, kind: FaultKind, open: bool) {
         let now = sim.now();
         {
-            let mut ls = self.inner.links[shard].lock();
+            let mut ls = self.inner.links.lock();
             let fs = ls.faults.as_mut().expect("fault state installed");
             if open {
                 fs.begin(kind);
@@ -775,11 +661,9 @@ impl San {
             }
         }
         if open {
-            self.flush_fault_ports(shard, kind, now);
+            self.flush_fault_ports(kind, now);
         }
-        // Edge trace records are global (one logical window), so only
-        // shard 0's replica emits them.
-        if let Some((node, aux)) = kind.edge_tag().filter(|_| shard == 0) {
+        if let Some((node, aux)) = kind.edge_tag() {
             let point = if open {
                 TracePoint::LinkDown
             } else {
@@ -788,16 +672,15 @@ impl San {
             let sh = self.inner.shared.lock();
             sh.tracer.record(now, point, node, None, aux);
         }
-        // The victim's provider crashes (or reboots) on its owning shard
-        // only, after the fabric-side window state is in place — so a crash
-        // hook observes the node as already dead, a reboot hook a live
-        // fabric edge.
-        self.fire_node_hook(sim, shard, kind, open);
+        // The victim's provider crashes (or reboots) after the fabric-side
+        // window state is in place — so a crash hook observes the node as
+        // already dead, a reboot hook a live fabric edge.
+        self.fire_node_hook(sim, kind, open);
     }
 
     /// Flush every frame parked (`waiting`) or staged-but-unapplied at
-    /// ports a just-opened [`SwitchDown`]/[`TrunkDown`] window covers, on
-    /// the shard that owns them. Admitted frames — already buffered into
+    /// ports a just-opened [`SwitchDown`]/[`TrunkDown`] window covers.
+    /// Admitted frames — already buffered into
     /// the forwarding pipeline or serializing on the wire — complete their
     /// hop; only queue occupants die. Staged frames are drained in the
     /// resolver's canonical content order so the trace bytes cannot depend
@@ -805,22 +688,19 @@ impl San {
     ///
     /// [`SwitchDown`]: FaultKind::SwitchDown
     /// [`TrunkDown`]: FaultKind::TrunkDown
-    fn flush_fault_ports(&self, shard: usize, kind: FaultKind, now: SimTime) {
+    fn flush_fault_ports(&self, kind: FaultKind, now: SimTime) {
         let inner = &self.inner;
-        let owned = |sw: u32| inner.topo.switch_shard(sw, inner.sims.len()) == shard;
-        // (switch, ports) targets this shard owns: every port of a dead
-        // switch, or the two directed ports of a dead trunk.
+        // (switch, ports) targets: every port of a dead switch, or the two
+        // directed ports of a dead trunk.
         let mut targets: Vec<(u32, std::ops::Range<usize>)> = Vec::new();
         match kind {
-            FaultKind::SwitchDown { switch } if owned(switch) => {
+            FaultKind::SwitchDown { switch } => {
                 targets.push((switch, 0..inner.ports[switch as usize].len()));
             }
             FaultKind::TrunkDown { a, b } => {
                 for (sw, far) in [(a, b), (b, a)] {
-                    if owned(sw) {
-                        let i = inner.topo.port_to_switch(sw, far);
-                        targets.push((sw, i..i + 1));
-                    }
+                    let i = inner.topo.port_to_switch(sw, far);
+                    targets.push((sw, i..i + 1));
                 }
             }
             _ => return,
@@ -854,13 +734,12 @@ impl San {
         }
     }
 
-    /// Apply (or revert) one topology-affecting fault window to this
-    /// shard's routing replica and recompute the reconverged table. Both
-    /// edges bump the epoch, so every convergence — including fail-back —
-    /// re-salts ECMP identically on every shard.
-    fn routing_update(&self, shard: usize, kind: FaultKind, apply: bool) {
+    /// Apply (or revert) one topology-affecting fault window to the routing
+    /// state and recompute the reconverged table. Both edges bump the
+    /// epoch, so every convergence — including fail-back — re-salts ECMP.
+    fn routing_update(&self, kind: FaultKind, apply: bool) {
         let inner = &self.inner;
-        let mut rs = inner.routing[shard].lock();
+        let mut rs = inner.routing.lock();
         fn bump<K: PartialEq + Copy>(set: &mut Vec<(K, u32)>, key: K, apply: bool) {
             match set.iter_mut().find(|(k, _)| *k == key) {
                 Some((_, n)) if apply => *n += 1,
@@ -891,13 +770,13 @@ impl San {
     }
 
     /// The ECMP next hop the current routing state picks from `sw` toward
-    /// `dst_sw`, or `None` when no surviving path exists. Reads this
-    /// shard's replica only under the switch-fault flag; pristine fabrics
-    /// take the baseline precomputed table with zero locking.
-    fn route_next_hop(&self, shard: usize, sw: u32, dst_sw: u32, key: u64) -> Option<u32> {
+    /// `dst_sw`, or `None` when no surviving path exists. Reads the routing
+    /// state only under the switch-fault flag; pristine fabrics take the
+    /// baseline precomputed table with zero locking.
+    fn route_next_hop(&self, sw: u32, dst_sw: u32, key: u64) -> Option<u32> {
         let inner = &self.inner;
         if inner.switch_faults.load(Ordering::Relaxed) {
-            if let Some(r) = &inner.routing[shard].lock().routes {
+            if let Some(r) = &inner.routing.lock().routes {
                 return r.next_hop(sw, dst_sw, key);
             }
         }
@@ -905,16 +784,11 @@ impl San {
     }
 
     /// Invoke the registered crash/reboot hook for a node-scoped window
-    /// edge — on the victim's owning shard only, so the host-side wipe
-    /// and reboot happen exactly once per logical edge regardless of how
-    /// many shard replicas flip their window state.
-    fn fire_node_hook(&self, sim: &Sim, shard: usize, kind: FaultKind, open: bool) {
+    /// edge.
+    fn fire_node_hook(&self, sim: &Sim, kind: FaultKind, open: bool) {
         let Some(node) = kind.node_scope() else {
             return;
         };
-        if self.inner.map.assign(node.0) != shard {
-            return;
-        }
         let hook = self.inner.node_hooks.lock()[node.index()].clone();
         if let Some(h) = hook {
             h(sim, kind, open);
@@ -923,7 +797,7 @@ impl San {
 
     /// Register `node`'s crash/reboot hook, replacing any previous one.
     /// The attached provider layer calls this at cluster build; the hook
-    /// fires on the node's owning shard at every node-scoped window edge
+    /// fires at every node-scoped window edge
     /// scheduled by [`San::install_faults`] — registration must precede
     /// the window's virtual time.
     pub fn on_node_fault(&self, node: NodeId, hook: NodeFaultHook) {
@@ -952,22 +826,18 @@ impl San {
         self.inner.shared.lock().node_fault_dropped.clone()
     }
 
-    /// True once a non-empty fault plan has been installed on any shard.
+    /// True once a non-empty fault plan has been installed.
     /// The fused fast path de-fuses whenever this holds: fault windows can
     /// open anywhere inside a message's time envelope, so only the general
     /// hop-by-hop path may carry traffic.
     pub fn faults_installed(&self) -> bool {
-        self.inner.links.iter().any(|l| l.lock().faults.is_some())
+        self.inner.links.lock().faults.is_some()
     }
 
-    /// Ask `shard`'s replica of the fault-window state a yes/no question;
-    /// `false` when no plan is installed.
-    fn fault_active(&self, shard: usize, q: impl FnOnce(&FaultState) -> bool) -> bool {
-        self.inner.links[shard]
-            .lock()
-            .faults
-            .as_deref()
-            .is_some_and(q)
+    /// Ask the fault-window state a yes/no question; `false` when no plan
+    /// is installed.
+    fn fault_active(&self, q: impl FnOnce(&FaultState) -> bool) -> bool {
+        self.inner.links.lock().faults.as_deref().is_some_and(q)
     }
 
     /// True when the configured loss model never drops a frame (and hence
@@ -977,27 +847,19 @@ impl San {
         matches!(self.inner.params.loss, LossModel::None)
     }
 
-    /// The current virtual time on the engine of `node`'s shard.
-    fn now_at(&self, node: NodeId) -> SimTime {
-        self.inner.sims[self.inner.map.assign(node.0)].now()
-    }
-
     /// True when `node`'s uplink has no in-progress or queued serialization
-    /// at its shard's current virtual time. Call only for nodes owned by
-    /// the executing shard.
+    /// at the current virtual time.
     pub fn uplink_idle(&self, node: NodeId) -> bool {
-        let shard = self.inner.map.assign(node.0);
-        self.inner.links[shard].lock().uplinks[node.index()].busy_until <= self.now_at(node)
+        self.inner.links.lock().uplinks[node.index()].busy_until <= self.inner.sim.now()
     }
 
     /// True when `node`'s downlink — the wire of its host port — has no
-    /// in-progress or queued serialization at its shard's current virtual
-    /// time. Call only for nodes owned by the executing shard.
+    /// in-progress or queued serialization at the current virtual time.
     pub fn downlink_idle(&self, node: NodeId) -> bool {
         let topo = &self.inner.topo;
         let sw = topo.edge_of(node.0);
         let port = &self.inner.ports[sw as usize][topo.port_to_node(sw, node.0)];
-        port.lock().wire.busy_until <= self.now_at(node)
+        port.lock().wire.busy_until <= self.inner.sim.now()
     }
 
     /// Record that `src` opens a flow toward `dst`. VIA connection setup
@@ -1046,7 +908,15 @@ impl San {
     /// layers own fragmentation) or if src == dst (no loopback path in the
     /// paper's testbed; VIA loopback short-circuits above the fabric).
     pub fn send(&self, src: NodeId, dst: NodeId, payload_bytes: u32, body: Box<dyn Any + Send>) {
-        self.inject(src, dst, payload_bytes, body, true, None, self.now_at(src));
+        self.inject(
+            src,
+            dst,
+            payload_bytes,
+            body,
+            true,
+            None,
+            self.inner.sim.now(),
+        );
     }
 
     /// Like [`San::send`], but tagged with the message the frame belongs
@@ -1059,7 +929,15 @@ impl San {
         body: Box<dyn Any + Send>,
         msg: Option<MsgId>,
     ) {
-        self.inject(src, dst, payload_bytes, body, true, msg, self.now_at(src));
+        self.inject(
+            src,
+            dst,
+            payload_bytes,
+            body,
+            true,
+            msg,
+            self.inner.sim.now(),
+        );
     }
 
     /// Like [`San::send`], but exempt from loss injection. Connection
@@ -1073,7 +951,15 @@ impl San {
         payload_bytes: u32,
         body: Box<dyn Any + Send>,
     ) {
-        self.inject(src, dst, payload_bytes, body, false, None, self.now_at(src));
+        self.inject(
+            src,
+            dst,
+            payload_bytes,
+            body,
+            false,
+            None,
+            self.inner.sim.now(),
+        );
     }
 
     /// Fused-path injection: put a frame on the wire exactly as
@@ -1087,7 +973,7 @@ impl San {
     /// can claim this uplink between now and `at`.
     ///
     /// Returns `true` when the switch-egress hop was folded in as well —
-    /// same shard, and `src` the sole registered writer of `dst`'s
+    /// `src` being the sole registered writer of `dst`'s
     /// downlink ([`San::sole_writer`]) — and `false` when its event had to
     /// be scheduled.
     pub fn send_msg_at(
@@ -1103,36 +989,14 @@ impl San {
             self.is_single_switch() && self.is_lossless() && !self.faults_installed(),
             "fused injection requires a lossless, fault-free one-switch fabric"
         );
-        debug_assert!(at >= self.now_at(src), "fused wire time lies in the past");
+        debug_assert!(
+            at >= self.inner.sim.now(),
+            "fused wire time lies in the past"
+        );
         self.inject(src, dst, payload_bytes, body, true, msg, at)
     }
 
-    /// Run `f` as a `Fabric` event at `at` on shard `to`'s engine, from
-    /// code executing on shard `from`. Same shard: a plain local event —
-    /// the exact serial path. Different shard: a channel send, legal
-    /// because every cross-shard step is at least the lookahead away.
-    fn schedule(&self, from: usize, to: usize, at: SimTime, f: impl FnOnce(&Sim) + Send + 'static) {
-        if to == from {
-            self.inner.sims[from].call_at_as(EventClass::Fabric, at, f);
-        } else {
-            self.inner.senders[from].send(to, at, EventClass::Fabric, f);
-        }
-    }
-
-    /// The shard that runs switch `sw`'s hop for a frame bound for `dst`:
-    /// the destination's own shard when the hop is onto its host port, the
-    /// switch's shard for a trunk hop. (On multi-switch shapes a node
-    /// shares its edge switch's shard, so there the two coincide.)
-    fn hop_shard(&self, sw: u32, dst: NodeId) -> usize {
-        let inner = &self.inner;
-        if inner.topo.edge_of(dst.0) == sw {
-            inner.map.assign(dst.0)
-        } else {
-            inner.topo.switch_shard(sw, inner.sims.len())
-        }
-    }
-
-    /// Stage 1 — injection at virtual time `at`, on `src`'s shard: uplink
+    /// Stage 1 — injection at virtual time `at`: uplink
     /// occupancy, the per-link loss roll, the fault plan's uplink verdict,
     /// the `frames_sent`/`WireTx` accounting, then on to the edge switch's
     /// hop. `at` is the current virtual time, or a future wire time for a
@@ -1167,7 +1031,6 @@ impl San {
             p.link.mtu
         );
         let one_switch = inner.topo.is_single_switch();
-        let src_shard = inner.map.assign(src.0);
         let ser = p.link.serialization(payload_bytes);
         // One switch: the route is known here, so the switch traversal is
         // paid on the way in, and a cut-through switch starts forwarding
@@ -1182,7 +1045,7 @@ impl San {
                 (false, _) => ser,
             };
         let (outcome, at_hop, no_faults) = {
-            let mut ls = inner.links[src_shard].lock();
+            let mut ls = inner.links.lock();
             let ls = &mut *ls;
             let start = ls.uplinks[src.index()].occupy(at, SimDuration::ZERO, ser);
             let lane = &mut ls.up_loss[src.index()];
@@ -1197,7 +1060,6 @@ impl San {
             (outcome, start + to_hop, ls.faults.is_none())
         };
         let edge = inner.topo.edge_of(src.0);
-        let shard = self.hop_shard(edge, dst);
         let fold = {
             let mut sh = inner.shared.lock();
             sh.stats.frames_sent += 1;
@@ -1205,7 +1067,6 @@ impl San {
                 .record(at, TracePoint::WireTx, src.0, msg, payload_bytes as u64);
             sh.record_outcome(at, src, msg, payload_bytes, outcome, true);
             one_switch
-                && shard == src_shard
                 && no_faults
                 && self.is_lossless()
                 && inner.fuse.load(Ordering::Relaxed)
@@ -1225,35 +1086,37 @@ impl San {
             lossy,
         };
         if fold {
-            inner.sims[src_shard].note_elided(EventClass::Fabric, 1);
-            self.hop(shard, edge, frame, at_hop);
+            inner.sim.note_elided(EventClass::Fabric, 1);
+            self.hop(edge, frame, at_hop);
             return true;
         }
         let san = self.clone();
-        self.schedule(src_shard, shard, at_hop, move |sim| {
-            san.hop(shard, edge, frame, sim.now())
-        });
+        inner
+            .sim
+            .call_at_as(EventClass::Fabric, at_hop, move |sim| {
+                san.hop(edge, frame, sim.now())
+            });
         false
     }
 
-    /// Stage 2 — a frame is ready for switch `sw` at `at`, on `shard`:
-    /// pick the output port (the host port when this is the destination's
-    /// edge, deterministic ECMP otherwise) and ask it for admission.
+    /// Stage 2 — a frame is ready for switch `sw` at `at`: pick the output
+    /// port (the host port when this is the destination's edge,
+    /// deterministic ECMP otherwise) and ask it for admission.
     ///
     /// An unbounded port admits on the spot. A bounded port deliberately
     /// does NOT decide here: same-instant arrivals reach this event in
-    /// engine insertion order — which the shard map reshuffles — so
-    /// deciding inline would make the outcome a function of the shard
-    /// count. The frame is staged for [`San::resolve`] one nanosecond
-    /// later, where the whole same-instant batch is ordered by content.
-    fn hop(&self, shard: usize, sw: u32, f: Frame, at: SimTime) {
+    /// engine insertion order, so deciding inline would make the outcome a
+    /// function of scheduling order. The frame is staged for
+    /// [`San::resolve`] one nanosecond later, where the whole same-instant
+    /// batch is ordered by content.
+    fn hop(&self, sw: u32, f: Frame, at: SimTime) {
         let inner = &self.inner;
         let topo = &inner.topo;
         let switch_faults = inner.switch_faults.load(Ordering::Relaxed);
         // A dead switch accepts nothing: frames still converging on it
         // (sent before routing detected the failure) die here, with no
         // single output port to blame.
-        if switch_faults && self.fault_active(shard, |fs| fs.switch_down(sw)) {
+        if switch_faults && self.fault_active(|fs| fs.switch_down(sw)) {
             return self.fault_drop(at, [f.msg]);
         }
         let dst_sw = topo.edge_of(f.dst.0);
@@ -1261,7 +1124,7 @@ impl San {
             topo.port_to_node(sw, f.dst.0)
         } else {
             let key = Topology::flow_key(f.src, f.dst, f.msg.as_ref());
-            let Some(next) = self.route_next_hop(shard, sw, dst_sw, key) else {
+            let Some(next) = self.route_next_hop(sw, dst_sw, key) else {
                 // The surviving fabric has no path: an honest fault drop
                 // rather than a stall (the fabric may be partitioned).
                 return self.fault_drop(at, [f.msg]);
@@ -1270,7 +1133,7 @@ impl San {
             // Routing may still point over a downed trunk during the
             // detection window; the port refuses the frame and owns it in
             // its counters.
-            if switch_faults && self.fault_active(shard, |fs| fs.trunk_down(sw, next)) {
+            if switch_faults && self.fault_active(|fs| fs.trunk_down(sw, next)) {
                 inner.ports[sw as usize][port_idx]
                     .lock()
                     .stats
@@ -1280,7 +1143,7 @@ impl San {
             port_idx
         };
         if topo.limits().is_unbounded() {
-            return self.transmit(shard, sw, port_idx, f, at);
+            return self.transmit(sw, port_idx, f, at);
         }
         let need_resolver = {
             let mut port = inner.ports[sw as usize][port_idx].lock();
@@ -1289,9 +1152,11 @@ impl San {
         };
         if need_resolver {
             let san = self.clone();
-            inner.sims[shard].call_at_as(EventClass::Fabric, at + RESOLVE_TICK, move |_| {
-                san.resolve(shard, sw, port_idx)
-            });
+            inner
+                .sim
+                .call_at_as(EventClass::Fabric, at + RESOLVE_TICK, move |_| {
+                    san.resolve(sw, port_idx)
+                });
         }
     }
 
@@ -1299,11 +1164,10 @@ impl San {
     /// before `now`, in canonical order: slot frees first, then paused
     /// frames refill freed slots FIFO, then the arrival batch in
     /// [`arrival_order`]. The outcome is a pure function of virtual time,
-    /// port state and frame content — never of engine event order, so it
-    /// cannot depend on the shard count.
-    fn resolve(&self, shard: usize, sw: u32, port_idx: usize) {
+    /// port state and frame content — never of engine event order.
+    fn resolve(&self, sw: u32, port_idx: usize) {
         let inner = &self.inner;
-        let now = inner.sims[shard].now();
+        let now = inner.sim.now();
         let limits = inner.topo.limits();
         let mut admit: Vec<Frame> = Vec::new();
         let mut dropped: Vec<Option<MsgId>> = Vec::new();
@@ -1397,7 +1261,7 @@ impl San {
         // Admitted frames occupy the output wire in the canonical order
         // fixed above.
         for f in admit {
-            self.transmit(shard, sw, port_idx, f, now);
+            self.transmit(sw, port_idx, f, now);
         }
         if !dropped.is_empty() || !stormed.is_empty() {
             let mut sh = inner.shared.lock();
@@ -1418,11 +1282,10 @@ impl San {
 
     /// Put a frame admitted at `at` on switch `sw`'s output port
     /// `port_idx`: chain the port's wire occupancy and schedule the
-    /// frame's onward step — the next switch's hop for a trunk (the only
-    /// cross-shard step of a multi-switch SAN), [`San::egress`] for a host
-    /// port. A bounded port also schedules the depart event that frees the
-    /// buffer slot.
-    fn transmit(&self, shard: usize, sw: u32, port_idx: usize, f: Frame, at: SimTime) {
+    /// frame's onward step — the next switch's hop for a trunk,
+    /// [`San::egress`] for a host port. A bounded port also schedules the
+    /// depart event that frees the buffer slot.
+    fn transmit(&self, sw: u32, port_idx: usize, f: Frame, at: SimTime) {
         let inner = &self.inner;
         let spec = inner.topo.ports(sw)[port_idx];
         let link = spec.trunk.unwrap_or(inner.params.link);
@@ -1446,25 +1309,22 @@ impl San {
         };
         if bounded {
             let san = self.clone();
-            inner.sims[shard].call_at_as(EventClass::Fabric, depart, move |_| {
-                san.depart(shard, sw, port_idx)
+            inner.sim.call_at_as(EventClass::Fabric, depart, move |_| {
+                san.depart(sw, port_idx)
             });
         }
         match spec.target {
             PortTarget::Switch(next) => {
-                // Scheduling from the admission event keeps every
-                // cross-shard delay at `switch latency + serialization +
-                // propagation` — strictly above the sharded lookahead
-                // (`switch latency + min trunk propagation`).
-                let to = self.hop_shard(next, f.dst);
                 let san = self.clone();
-                self.schedule(shard, to, depart + link.propagation, move |sim| {
-                    san.hop(to, next, f, sim.now())
-                });
+                inner
+                    .sim
+                    .call_at_as(EventClass::Fabric, depart + link.propagation, move |sim| {
+                        san.hop(next, f, sim.now())
+                    });
             }
             PortTarget::Node(node) => {
                 debug_assert_eq!(node, f.dst.0, "host port target mismatch");
-                self.egress(shard, f, depart, at);
+                self.egress(f, depart, at);
             }
         }
     }
@@ -1473,12 +1333,11 @@ impl San {
     /// buffer slot for the next resolver tick, which applies it and — if
     /// paused frames are parked — admits the head of the pause queue. A
     /// popped frame re-pays the switch traversal (the forwarding pipeline
-    /// restarts for parked frames), preserving the per-hop delay floor the
-    /// sharded lookahead relies on. The free is staged rather than applied
+    /// restarts for parked frames). The free is staged rather than applied
     /// inline for the same reason arrivals are (see [`San::resolve`]): a
     /// depart and an arrival at one instant must not race in engine order.
-    fn depart(&self, shard: usize, sw: u32, port_idx: usize) {
-        let sim = &self.inner.sims[shard];
+    fn depart(&self, sw: u32, port_idx: usize) {
+        let sim = &self.inner.sim;
         let now = sim.now();
         let need_resolver = {
             let mut port = self.inner.ports[sw as usize][port_idx].lock();
@@ -1488,7 +1347,7 @@ impl San {
         if need_resolver {
             let san = self.clone();
             sim.call_at_as(EventClass::Fabric, now + RESOLVE_TICK, move |_| {
-                san.resolve(shard, sw, port_idx)
+                san.resolve(sw, port_idx)
             });
         }
     }
@@ -1498,10 +1357,10 @@ impl San {
     /// (in admission order — the downlink RNG stream stays a pure function
     /// of frame order on this link), then schedule the NIC arrival one
     /// propagation after the frame `depart`s the wire.
-    fn egress(&self, shard: usize, f: Frame, depart: SimTime, at: SimTime) {
+    fn egress(&self, f: Frame, depart: SimTime, at: SimTime) {
         let inner = &self.inner;
         let outcome = {
-            let mut ls = inner.links[shard].lock();
+            let mut ls = inner.links.lock();
             let ls = &mut *ls;
             let lane = &mut ls.down_loss[f.dst.index()];
             if f.lossy && lane.loss.roll(&mut lane.rng, inner.params.loss) {
@@ -1516,7 +1375,7 @@ impl San {
         match outcome {
             HopOutcome::Pass { extra } => {
                 let arrive = depart + inner.params.link.propagation + extra;
-                self.schedule_delivery(shard, f, arrive);
+                self.schedule_delivery(f, arrive);
             }
             dropped => inner.shared.lock().record_outcome(
                 at,
@@ -1529,57 +1388,57 @@ impl San {
         }
     }
 
-    /// Schedule the NIC arrival event at `arrive` on the destination's
-    /// engine (`shard`).
-    fn schedule_delivery(&self, shard: usize, f: Frame, arrive: SimTime) {
+    /// Schedule the NIC arrival event at `arrive`.
+    fn schedule_delivery(&self, f: Frame, arrive: SimTime) {
         let san = self.clone();
-        self.inner.sims[shard].call_at_as(EventClass::Fabric, arrive, move |sim| {
-            let Frame {
-                src,
-                dst,
-                payload_bytes,
-                body,
-                msg,
-                ..
-            } = f;
-            // Frames already past the downlink when a node-scoped window
-            // opened still arrive during it: the dead NIC sinks them.
-            // Liveness at the arrival instant is a pure function of
-            // virtual time (window edges flip every shard's replica), so
-            // this decision is shard-count-invariant.
-            if san.inner.node_faults.load(Ordering::Relaxed)
-                && san.fault_active(shard, |fs| fs.node_dead(dst))
-            {
-                let dead = HopOutcome::NodeDead;
-                let mut sh = san.inner.shared.lock();
-                return sh.record_outcome(sim.now(), dst, msg, payload_bytes, dead, false);
-            }
-            let handler = {
-                let mut sh = san.inner.shared.lock();
-                sh.stats.frames_delivered += 1;
-                sh.stats.bytes_delivered += payload_bytes as u64;
-                sh.tracer.record(
-                    sim.now(),
-                    TracePoint::WireRx,
-                    dst.0,
-                    msg,
-                    payload_bytes as u64,
-                );
-                sh.handlers[dst.index()].clone()
-            };
-            let handler = handler.unwrap_or_else(|| {
-                panic!("frame delivered to node {dst} with no handler attached")
-            });
-            handler(
-                sim,
-                Delivery {
+        self.inner
+            .sim
+            .call_at_as(EventClass::Fabric, arrive, move |sim| {
+                let Frame {
                     src,
                     dst,
                     payload_bytes,
                     body,
-                },
-            );
-        });
+                    msg,
+                    ..
+                } = f;
+                // Frames already past the downlink when a node-scoped window
+                // opened still arrive during it: the dead NIC sinks them.
+                // Liveness at the arrival instant is a pure function of
+                // virtual time.
+                if san.inner.node_faults.load(Ordering::Relaxed)
+                    && san.fault_active(|fs| fs.node_dead(dst))
+                {
+                    let dead = HopOutcome::NodeDead;
+                    let mut sh = san.inner.shared.lock();
+                    return sh.record_outcome(sim.now(), dst, msg, payload_bytes, dead, false);
+                }
+                let handler = {
+                    let mut sh = san.inner.shared.lock();
+                    sh.stats.frames_delivered += 1;
+                    sh.stats.bytes_delivered += payload_bytes as u64;
+                    sh.tracer.record(
+                        sim.now(),
+                        TracePoint::WireRx,
+                        dst.0,
+                        msg,
+                        payload_bytes as u64,
+                    );
+                    sh.handlers[dst.index()].clone()
+                };
+                let handler = handler.unwrap_or_else(|| {
+                    panic!("frame delivered to node {dst} with no handler attached")
+                });
+                handler(
+                    sim,
+                    Delivery {
+                        src,
+                        dst,
+                        payload_bytes,
+                        body,
+                    },
+                );
+            });
     }
 
     /// True when this SAN's topology has exactly one switch (however it
@@ -2068,147 +1927,6 @@ mod tests {
         assert_eq!(delivered_ids(false), delivered_ids(true));
     }
 
-    #[test]
-    fn sharded_san_matches_serial_timeline() {
-        use simkit::ShardedSim;
-        type Log = Arc<Mutex<Vec<(u64, u32, u32)>>>;
-        fn attach_all(san: &San, nodes: u32) -> Log {
-            let log: Log = Arc::new(Mutex::new(Vec::new()));
-            for n in 0..nodes {
-                let l2 = Arc::clone(&log);
-                san.attach(
-                    NodeId(n),
-                    Arc::new(move |sim, d| {
-                        l2.lock()
-                            .push((sim.now().as_nanos(), d.dst.0, d.payload_bytes));
-                    }),
-                );
-            }
-            log
-        }
-        // Every node sends to every other at staggered, tie-free offsets.
-        fn schedule(san: &San, sim: &Sim, src: u32, nodes: u32) {
-            for k in 0..6u64 {
-                let dst = NodeId((src + 1 + (k as u32 % (nodes - 1))) % nodes);
-                let s = NodeId(src);
-                let san2 = san.clone();
-                let at = SimDuration::from_nanos(911 * (k + 1) + src as u64 * 137);
-                let bytes = 300 + 111 * k as u32;
-                sim.call_in_as(EventClass::Fabric, at, move |_| {
-                    san2.send(s, dst, bytes, Box::new(()));
-                });
-            }
-        }
-        let params = NetParams::clan().with_loss(0.15);
-        let nodes = 5u32;
-
-        let sim = Sim::new();
-        let serial_san = San::new(sim.clone(), params, nodes as usize, 42);
-        let serial_log = attach_all(&serial_san, nodes);
-        for src in 0..nodes {
-            schedule(&serial_san, &sim, src, nodes);
-        }
-        sim.run_to_completion();
-        let mut serial: Vec<_> = serial_log.lock().clone();
-        serial.sort_unstable();
-        let serial_stats = serial_san.stats();
-        assert!(serial_stats.frames_dropped > 0, "{serial_stats:?}");
-        assert!(serial_stats.frames_delivered > 0, "{serial_stats:?}");
-
-        for shards in [2usize, 3] {
-            let eng = ShardedSim::new(shards, params.min_cross_latency());
-            let san = San::new_sharded(&eng, params, nodes as usize, 42);
-            let log = attach_all(&san, nodes);
-            for src in 0..nodes {
-                schedule(&san, eng.sim_for_node(src), src, nodes);
-            }
-            let rep = eng.run_to_completion();
-            assert_eq!(rep.causality_violations, 0);
-            let mut got: Vec<_> = log.lock().clone();
-            got.sort_unstable();
-            assert_eq!(got, serial, "delivery log diverged at shards={shards}");
-            assert_eq!(
-                san.stats(),
-                serial_stats,
-                "stats diverged at shards={shards}"
-            );
-        }
-    }
-
-    #[test]
-    fn sharded_san_faults_match_serial() {
-        use simkit::ShardedSim;
-        fn run(shards: usize) -> (SanStats, Vec<u64>) {
-            let params = NetParams::myrinet();
-            let nodes = 4u32;
-            let plan = FaultPlan::new()
-                .link_flap(
-                    NodeId(1),
-                    SimTime::ZERO + SimDuration::from_micros(20),
-                    SimDuration::from_micros(30),
-                )
-                .degrade(
-                    NodeId(2),
-                    SimTime::ZERO + SimDuration::from_micros(5),
-                    SimDuration::from_micros(120),
-                    SimDuration::from_micros(2),
-                    0.3,
-                );
-            let got = Arc::new(Mutex::new(Vec::new()));
-            let setup = |san: &San| {
-                for n in 0..nodes {
-                    let g2 = Arc::clone(&got);
-                    san.attach(
-                        NodeId(n),
-                        Arc::new(move |sim, _| g2.lock().push(sim.now().as_nanos())),
-                    );
-                }
-                san.install_faults(&plan.clone());
-            };
-            let sends = |san: &San, sim: &Sim, src: u32| {
-                for k in 0..20u64 {
-                    let dst = NodeId((src + 1) % nodes);
-                    let s = NodeId(src);
-                    let san2 = san.clone();
-                    sim.call_in_as(
-                        EventClass::Fabric,
-                        SimDuration::from_micros(1 + 3 * k) + SimDuration::from_nanos(src as u64),
-                        move |_| san2.send(s, dst, 256, Box::new(())),
-                    );
-                }
-            };
-            let stats = if shards == 1 {
-                let sim = Sim::new();
-                let san = San::new(sim.clone(), params, nodes as usize, 9);
-                setup(&san);
-                for src in 0..nodes {
-                    sends(&san, &sim, src);
-                }
-                sim.run_to_completion();
-                san.stats()
-            } else {
-                let eng = ShardedSim::new(shards, params.min_cross_latency());
-                let san = San::new_sharded(&eng, params, nodes as usize, 9);
-                setup(&san);
-                for src in 0..nodes {
-                    sends(&san, eng.sim_for_node(src), src);
-                }
-                eng.run_to_completion();
-                san.stats()
-            };
-            let mut arrivals = got.lock().clone();
-            arrivals.sort_unstable();
-            (stats, arrivals)
-        }
-        let (serial_stats, serial_arrivals) = run(1);
-        assert!(serial_stats.frames_faulted > 0, "{serial_stats:?}");
-        for shards in [2usize, 4] {
-            let (stats, arrivals) = run(shards);
-            assert_eq!(stats, serial_stats, "stats diverged at shards={shards}");
-            assert_eq!(arrivals, serial_arrivals);
-        }
-    }
-
     fn test_trunk(bandwidth_bps: u64) -> crate::params::LinkParams {
         crate::params::LinkParams {
             bandwidth_bps,
@@ -2226,26 +1944,13 @@ mod tests {
     /// The 4-node / 32-frame / 20 %-loss star scenario the pinned timelines
     /// below were recorded from: arrivals and `WireDrop` records, both
     /// sorted, plus the SAN counters and the SAN itself.
-    fn run_pinned(
-        cut_through: bool,
-        plan: &FaultPlan,
-        shards: usize,
-    ) -> (Vec<Arrival>, Vec<Drop>, SanStats, San) {
-        use simkit::ShardedSim;
+    fn run_pinned(cut_through: bool, plan: &FaultPlan) -> (Vec<Arrival>, Vec<Drop>, SanStats, San) {
         use trace::TraceConfig;
         let mut params = NetParams::clan().with_loss(0.2);
         params.switch.cut_through = cut_through;
         let nodes = 4u32;
-        let (san, sims, eng) = if shards == 1 {
-            let sim = Sim::new();
-            let san = San::new(sim.clone(), params, nodes as usize, 7);
-            (san, vec![sim; nodes as usize], None)
-        } else {
-            let eng = ShardedSim::new(shards, params.min_cross_latency());
-            let san = San::new_sharded(&eng, params, nodes as usize, 7);
-            let sims = (0..nodes).map(|n| eng.sim_for_node(n).clone()).collect();
-            (san, sims, Some(eng))
-        };
+        let sim = Sim::new();
+        let san = San::new(sim.clone(), params, nodes as usize, 7);
         let tracer = Tracer::new(TraceConfig::default());
         san.set_tracer(tracer.clone());
         let log = Arc::new(Mutex::new(Vec::new()));
@@ -2266,17 +1971,12 @@ mod tests {
                 let s = NodeId(src);
                 let san2 = san.clone();
                 let at = SimDuration::from_nanos(701 * (k + 1) + src as u64 * 97);
-                sims[src as usize].call_in_as(EventClass::Fabric, at, move |_| {
+                sim.call_in_as(EventClass::Fabric, at, move |_| {
                     san2.send(s, dst, 200 + 64 * k as u32, Box::new(()));
                 });
             }
         }
-        match eng {
-            Some(e) => assert_eq!(e.run_to_completion().causality_violations, 0),
-            None => {
-                sims[0].run_to_completion();
-            }
-        }
+        sim.run_to_completion();
         let mut arrivals = log.lock().clone();
         arrivals.sort_unstable();
         let mut drops: Vec<Drop> = tracer
@@ -2289,8 +1989,8 @@ mod tests {
         (arrivals, drops, san.stats(), san)
     }
 
-    /// Run the pinned scenario serially and at 2 and 3 shards against one
-    /// recorded timeline, and check what a star reports about itself.
+    /// Run the pinned scenario against one recorded timeline, and check
+    /// what a star reports about itself.
     fn assert_pinned(
         cut_through: bool,
         plan: &FaultPlan,
@@ -2298,28 +1998,25 @@ mod tests {
         drops: &[Drop],
         stats: SanStats,
     ) {
-        for shards in [1usize, 2, 3] {
-            let (a, d, s, san) = run_pinned(cut_through, plan, shards);
-            assert_eq!(a, arrivals, "arrivals moved at shards={shards}");
-            assert_eq!(d, drops, "drop records moved at shards={shards}");
-            assert_eq!(s, stats, "counters moved at shards={shards}");
-            // A star is a topology like any other: one switch, one
-            // unbounded host port per node, nothing paused or dropped
-            // there, and every frame that survived its uplink (no crashed
-            // sender here, so uplink deaths are hop tags 1/3/5) admitted
-            // to one.
-            assert!(san.is_single_switch());
-            assert_eq!(san.topology().name(), "star");
-            let ports = san.port_stats();
-            assert_eq!(ports.len(), 4);
-            for (n, p) in ports.iter().enumerate() {
-                assert_eq!((p.switch, p.target), (0, PortTarget::Node(n as u32)));
-                assert_eq!((p.stats.pauses, p.stats.drops), (0, 0));
-            }
-            let uplink_drops = d.iter().filter(|r| matches!(r.2, 1 | 3 | 5)).count() as u64;
-            let admitted: u64 = ports.iter().map(|p| p.stats.admitted).sum();
-            assert_eq!(admitted, s.frames_sent - uplink_drops);
+        let (a, d, s, san) = run_pinned(cut_through, plan);
+        assert_eq!(a, arrivals, "arrivals moved");
+        assert_eq!(d, drops, "drop records moved");
+        assert_eq!(s, stats, "counters moved");
+        // A star is a topology like any other: one switch, one unbounded
+        // host port per node, nothing paused or dropped there, and every
+        // frame that survived its uplink (no crashed sender here, so
+        // uplink deaths are hop tags 1/3/5) admitted to one.
+        assert!(san.is_single_switch());
+        assert_eq!(san.topology().name(), "star");
+        let ports = san.port_stats();
+        assert_eq!(ports.len(), 4);
+        for (n, p) in ports.iter().enumerate() {
+            assert_eq!((p.switch, p.target), (0, PortTarget::Node(n as u32)));
+            assert_eq!((p.stats.pauses, p.stats.drops), (0, 0));
         }
+        let uplink_drops = d.iter().filter(|r| matches!(r.2, 1 | 3 | 5)).count() as u64;
+        let admitted: u64 = ports.iter().map(|p| p.stats.admitted).sum();
+        assert_eq!(admitted, s.frames_sent - uplink_drops);
     }
 
     // The three timelines below were recorded from the single-switch
@@ -2523,91 +2220,14 @@ mod tests {
         assert!(b.windows(2).all(|w| w[0] < w[1]), "{b:?}");
     }
 
+    /// Switch-scoped fault windows on a fat-tree: a dead spine kills
+    /// frames with no port to blame, a downed trunk's port owns its
+    /// refusals, routing reconverges after the windows, and every frame is
+    /// accounted for.
     #[test]
-    fn sharded_topo_matches_serial_timeline() {
-        use crate::topo::{PortLimits, Topology};
-        use simkit::ShardedSim;
-        type Log = Arc<Mutex<Vec<(u64, u32, u32)>>>;
-        let params = NetParams::clan().with_loss(0.15);
-        let make_topo =
-            || Topology::fat_tree(3, 2, 2, test_trunk(440_000_000), PortLimits::default());
-        let nodes = 6u32;
-        fn attach_all(san: &San, nodes: u32) -> Log {
-            let log: Log = Arc::new(Mutex::new(Vec::new()));
-            for n in 0..nodes {
-                let l2 = Arc::clone(&log);
-                san.attach(
-                    NodeId(n),
-                    Arc::new(move |sim, d| {
-                        l2.lock()
-                            .push((sim.now().as_nanos(), d.dst.0, d.payload_bytes));
-                    }),
-                );
-            }
-            log
-        }
-        fn schedule(san: &San, sim: &Sim, src: u32, nodes: u32) {
-            for k in 0..6u64 {
-                let dst = NodeId((src + 1 + (k as u32 % (nodes - 1))) % nodes);
-                let s = NodeId(src);
-                let san2 = san.clone();
-                let at = SimDuration::from_nanos(911 * (k + 1) + src as u64 * 137);
-                let bytes = 300 + 111 * k as u32 + 13 * src;
-                sim.call_in_as(EventClass::Fabric, at, move |_| {
-                    san2.send(s, dst, bytes, Box::new(()));
-                });
-            }
-        }
-        let sim = Sim::new();
-        let serial_san = San::new_topo(sim.clone(), params, make_topo(), 42);
-        let serial_log = attach_all(&serial_san, nodes);
-        for src in 0..nodes {
-            schedule(&serial_san, &sim, src, nodes);
-        }
-        sim.run_to_completion();
-        let mut serial: Vec<_> = serial_log.lock().clone();
-        serial.sort_unstable();
-        let serial_stats = serial_san.stats();
-        assert!(serial_stats.frames_dropped > 0, "{serial_stats:?}");
-        assert!(serial_stats.frames_delivered > 0, "{serial_stats:?}");
-        let serial_ports: Vec<_> = serial_san.port_stats().iter().map(|p| p.stats).collect();
-
-        for shards in [2usize, 3, 4] {
-            let topo = make_topo();
-            let eng =
-                ShardedSim::new_with_map(topo.shard_map(shards), topo.shard_lookahead(&params));
-            let san = San::new_sharded_topo(&eng, params, topo, 42);
-            let log = attach_all(&san, nodes);
-            for src in 0..nodes {
-                schedule(&san, eng.sim_for_node(src), src, nodes);
-            }
-            let rep = eng.run_to_completion();
-            assert_eq!(rep.causality_violations, 0);
-            let mut got: Vec<_> = log.lock().clone();
-            got.sort_unstable();
-            assert_eq!(got, serial, "delivery log diverged at shards={shards}");
-            assert_eq!(
-                san.stats(),
-                serial_stats,
-                "stats diverged at shards={shards}"
-            );
-            let ports: Vec<_> = san.port_stats().iter().map(|p| p.stats).collect();
-            assert_eq!(
-                ports, serial_ports,
-                "port stats diverged at shards={shards}"
-            );
-        }
-    }
-
-    /// Satellite regression: switch-scoped fault windows must replicate
-    /// their edges to every shard owning an attached link — the same
-    /// pattern as per-node fault streams — so stats, delivery timelines
-    /// and per-port counters are identical at shard counts 1..5.
-    #[test]
-    fn sharded_switch_faults_match_serial() {
+    fn switch_faults_reroute_and_conserve() {
         use crate::fault::RerouteParams;
         use crate::topo::{PortLimits, Topology};
-        use simkit::ShardedSim;
         type Log = Arc<Mutex<Vec<(u64, u32, u32)>>>;
         let params = NetParams::clan();
         let t0 = SimTime::ZERO;
@@ -2657,37 +2277,18 @@ mod tests {
                 });
             }
         }
-        let run = |shards: usize| -> (SanStats, Vec<(u64, u32, u32)>, Vec<PortStats>) {
-            let topo = make_topo();
-            let (san, log, rep_ok) = if shards == 1 {
-                let sim = Sim::new();
-                let san = San::new_topo(sim.clone(), params, topo, 42);
-                let log = attach_all(&san, nodes);
-                san.install_faults(&plan);
-                for src in 0..nodes {
-                    schedule(&san, &sim, src, nodes);
-                }
-                sim.run_to_completion();
-                (san, log, true)
-            } else {
-                let eng =
-                    ShardedSim::new_with_map(topo.shard_map(shards), topo.shard_lookahead(&params));
-                let san = San::new_sharded_topo(&eng, params, topo, 42);
-                let log = attach_all(&san, nodes);
-                san.install_faults(&plan);
-                for src in 0..nodes {
-                    schedule(&san, eng.sim_for_node(src), src, nodes);
-                }
-                let rep = eng.run_to_completion();
-                (san, log, rep.causality_violations == 0)
-            };
-            assert!(rep_ok, "causality violation at shards={shards}");
-            let mut got = log.lock().clone();
-            got.sort_unstable();
-            let ports = san.port_stats().iter().map(|p| p.stats).collect();
-            (san.stats(), got, ports)
-        };
-        let (serial, arrivals, ports) = run(1);
+        let sim = Sim::new();
+        let san = San::new_topo(sim.clone(), params, make_topo(), 42);
+        let log = attach_all(&san, nodes);
+        san.install_faults(&plan);
+        for src in 0..nodes {
+            schedule(&san, &sim, src, nodes);
+        }
+        sim.run_to_completion();
+        let mut arrivals = log.lock().clone();
+        arrivals.sort_unstable();
+        let ports: Vec<PortStats> = san.port_stats().iter().map(|p| p.stats).collect();
+        let serial = san.stats();
         // The fault windows bit: some frames died to the dead spine (no
         // port attribution) and some were refused at the downed trunk's
         // port (attributed).
@@ -2717,12 +2318,6 @@ mod tests {
                 + serial.frames_fault_dropped,
             "{serial:?}"
         );
-        for shards in [2usize, 3, 4, 5] {
-            let (stats, got, p) = run(shards);
-            assert_eq!(stats, serial, "stats diverged at shards={shards}");
-            assert_eq!(got, arrivals, "timeline diverged at shards={shards}");
-            assert_eq!(p, ports, "port stats diverged at shards={shards}");
-        }
     }
 
     /// The pause-storm watchdog bounds consecutive pause time per port:

@@ -18,29 +18,16 @@
 //! number so every fragment and retransmit of a flow takes the same path
 //! and per-flow FIFO order survives ECMP. Control frames without a `MsgId`
 //! key on the `(src, dst)` node pair. No RNG is consumed anywhere: the
-//! same frame takes the same path in every run at every shard count.
-//!
-//! # Sharding
-//!
-//! [`Topology::shard_map`] produces a topology-aware node→shard table that
-//! keeps each switch neighborhood (a switch and all hosts attached to it)
-//! on one shard, so the only cross-shard hops are trunk traversals.
-//! [`Topology::shard_lookahead`] is the matching conservative window: the
-//! minimum over all trunks of `switch latency + trunk propagation` (a
-//! frame admitted to a trunk port additionally pays serialization, so this
-//! is a strict floor). A single switch has no neighborhoods to keep
-//! together: its nodes spread by the content-keyed [`ShardMap`], every
-//! frame may cross shards on its way into the switch, and the window is
-//! [`NetParams::min_cross_latency`].
+//! same frame takes the same path in every run.
 
-use simkit::{ShardMap, SimDuration};
+use simkit::SimDuration;
 use trace::MsgId;
 
-use crate::params::{LinkParams, NetParams};
+use crate::params::LinkParams;
 use crate::san::NodeId;
 
 /// splitmix64: cheap, well-mixed integer hash (public-domain constants).
-/// Same function the shard map uses; salted differently per use below.
+/// Salted differently per use below.
 fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut z = x;
@@ -174,8 +161,8 @@ pub struct PortSnapshot {
 /// A reconverged routing table: sorted equal-cost next-hop sets recomputed
 /// with failed switches and trunks excluded, plus the reconvergence
 /// `epoch` that re-salts ECMP. Produced by [`Topology::compute_routes`];
-/// a pure value — the same `(failed set, epoch)` yields the same table on
-/// every shard of every run.
+/// a pure value — the same `(failed set, epoch)` yields the same table in
+/// every run.
 ///
 /// Unlike [`Topology::next_hop`], lookups return `Option`: a fault window
 /// may partition the fabric, in which case the candidate set is empty and
@@ -341,8 +328,8 @@ impl Topology {
     ) -> Topology {
         assert!(limits.capacity >= 1, "port capacity must be at least 1");
         let s = ports.len();
-        // Unbounded ports admit in engine event order; with trunks between
-        // shards that order would depend on the shard count.
+        // Unbounded ports admit in engine event order; behind trunks that
+        // order would depend on how upstream events were scheduled.
         assert!(
             s == 1 || !limits.is_unbounded(),
             "multi-switch ports need a finite buffer"
@@ -629,54 +616,6 @@ impl Topology {
             .collect();
         Routes { next_hops, epoch }
     }
-
-    /// The shard owning switch `sw`: switches stripe round-robin — switch
-    /// counts are small and homogeneous, so striping balances shards where
-    /// a content-keyed hash could leave one empty. Pure function of
-    /// `(sw, shards)`: stable across runs and machines. (A hop onto a host
-    /// port runs on the *node's* shard, which [`Topology::shard_map`] makes
-    /// the same thing on every multi-switch shape.)
-    pub fn switch_shard(&self, sw: u32, shards: usize) -> usize {
-        if shards == 1 {
-            return 0;
-        }
-        sw as usize % shards
-    }
-
-    /// The topology-aware node→shard map: every node lands on its edge
-    /// switch's shard, so switch neighborhoods stay co-sharded and only
-    /// trunk traversals cross shards. A single switch has no neighborhoods
-    /// to keep together, so its nodes spread by the content-keyed map.
-    pub fn shard_map(&self, shards: usize) -> ShardMap {
-        if self.is_single_switch() {
-            return ShardMap::new(shards);
-        }
-        let table = self
-            .edge_of
-            .iter()
-            .map(|&sw| self.switch_shard(sw, shards) as u32)
-            .collect();
-        ShardMap::with_table(shards, table)
-    }
-
-    /// The conservative cross-shard lookahead this topology supports under
-    /// `net`: the minimum over trunks of `switch latency + trunk
-    /// propagation` (admission additionally pays serialization, so this is
-    /// a strict floor on any trunk traversal). On a single switch the
-    /// cross-shard hop is the injection itself, which pays at least
-    /// [`NetParams::min_cross_latency`].
-    pub fn shard_lookahead(&self, net: &NetParams) -> SimDuration {
-        if self.is_single_switch() {
-            return net.min_cross_latency();
-        }
-        self.ports
-            .iter()
-            .flatten()
-            .filter_map(|p| p.trunk.as_ref())
-            .map(|t| net.switch.latency + t.propagation)
-            .min()
-            .expect("multi-switch topology has trunks")
-    }
 }
 
 #[cfg(test)]
@@ -703,12 +642,6 @@ mod tests {
         assert_eq!(t.ports(0).len(), 5);
         assert!(t.limits().is_unbounded());
         assert!((0..5).all(|n| t.port_to_node(0, n) == n as usize));
-        let net = NetParams::clan();
-        assert_eq!(t.shard_lookahead(&net), net.min_cross_latency());
-        // One switch: nodes spread by the content-keyed map.
-        let keyed = ShardMap::new(4);
-        let m = t.shard_map(4);
-        assert!((0..5).all(|n| m.assign(n) == keyed.assign(n)));
     }
 
     #[test]
@@ -909,38 +842,6 @@ mod tests {
         assert_eq!(d.hops(0, 1), 1);
         assert_eq!(d.trunk_ports(), 2);
         assert_eq!(d.next_hops[0][1], vec![1]);
-    }
-
-    #[test]
-    fn shard_map_co_shards_switch_neighborhoods() {
-        let t = Topology::fat_tree(8, 8, 4, trunk(), PortLimits::default());
-        for shards in [1usize, 2, 4] {
-            let map = t.shard_map(shards);
-            assert_eq!(map.shards(), shards);
-            for n in 0..64u32 {
-                assert_eq!(
-                    map.assign(n),
-                    t.switch_shard(t.edge_of(n), shards),
-                    "node must share its edge switch's shard"
-                );
-            }
-        }
-        // 12 switches round-robin over 4 shards: perfectly balanced.
-        let counts = (0..12u32).fold([0usize; 4], |mut acc, s| {
-            acc[t.switch_shard(s, 4)] += 1;
-            acc
-        });
-        assert_eq!(counts, [3, 3, 3, 3]);
-    }
-
-    #[test]
-    fn lookahead_is_min_over_trunks() {
-        let net = NetParams::clan();
-        let t = Topology::fat_tree(4, 2, 2, trunk(), PortLimits::default());
-        assert_eq!(
-            t.shard_lookahead(&net),
-            net.switch.latency + SimDuration::from_nanos(600)
-        );
     }
 
     #[test]

@@ -90,8 +90,8 @@ pub fn claims() -> u64 {
 ///
 /// Never inlined *and* made to perform a volatile read, so that every call
 /// happens and computes the thread-local's address afresh. A process body
-/// can park under one thread and resume under another (`ShardedSim` spawns
-/// fresh workers for every `run`), and the compiler does not know that a
+/// can park under one thread and resume under another (the next `run` may
+/// be called from a different thread), and the compiler does not know that a
 /// stack switch changes threads. Inlined, the address is computed once and
 /// reused across the switch. Out of line but free of side effects, the
 /// *call* is treated as a pure function of nothing and hoisted or merged

@@ -133,25 +133,6 @@ pub fn thread_fuse_stats() -> FuseTally {
     THREAD_FUSE.with(|c| c.get())
 }
 
-/// Credit events and arena churn to the calling thread's cumulative
-/// counters. The sharded engine runs its shards on scoped worker threads,
-/// whose thread-locals vanish with them; it calls this from the
-/// coordinating thread so job-level attribution (the parallel runner reads
-/// [`thread_events`] deltas around each job) keeps working.
-pub(crate) fn add_thread_telemetry(events: u64, pool: &PoolStats, fuse: &FuseTally) {
-    THREAD_EVENTS.with(|c| c.set(c.get() + events));
-    THREAD_POOL.with(|c| {
-        let mut p = c.get();
-        p.merge(pool);
-        c.set(p);
-    });
-    THREAD_FUSE.with(|c| {
-        let mut f = c.get();
-        f.merge(fuse);
-        c.set(f);
-    });
-}
-
 /// Which component of the simulated system an event belongs to.
 ///
 /// Used purely for accounting: [`SchedStats`] tallies fired / cancelled /
@@ -233,7 +214,7 @@ type Payload = MaybeUninit<[usize; LARGE_WORDS]>;
 /// What the scheduler knows about a stored value once its type is erased:
 /// how many payload bytes it occupies, how to run it and how to discard it.
 /// One per stored type, promoted to `'static` from [`VtableOf`].
-pub(crate) struct ActionVtable {
+struct ActionVtable {
     /// `size_of` the stored value — the bytes a move in or out copies.
     size: usize,
     /// Run the value at the pointer, consuming it.
@@ -289,7 +270,7 @@ const _: () = assert!(
 
 /// How a stored action is tallied in [`PoolStats`].
 #[derive(Clone, Copy)]
-pub(crate) enum Stored {
+enum Stored {
     Small,
     Large,
     Boxed,
@@ -333,46 +314,6 @@ fn erase<F: FnOnce(&Sim) + Send + 'static, R>(
             Stored::Boxed,
             (&raw const *boxed).cast(),
         )
-    }
-}
-
-/// A type-erased closure outside the slab: what a cross-shard send parks
-/// in the destination's mailbox until the round boundary moves it into a
-/// slot ([`Sim::push_action`]) by the same byte-count copy a local schedule
-/// makes. `Send` like the bytes it carries: [`erase`] only admits `Send`
-/// closures.
-pub(crate) struct Action {
-    vtable: &'static ActionVtable,
-    stored: Stored,
-    payload: Payload,
-}
-
-impl Action {
-    /// Erase `f` into a free-standing action.
-    pub(crate) fn from_closure(f: impl FnOnce(&Sim) + Send + 'static) -> Action {
-        erase(f, |vtable, stored, src| {
-            let mut payload = Payload::uninit();
-            // Safety: `src` addresses a value of `vtable`'s type, which
-            // fits a payload; `erase` gives it up to this sink.
-            unsafe {
-                std::ptr::copy_nonoverlapping(src, payload.as_mut_ptr().cast::<u8>(), vtable.size)
-            };
-            Action {
-                vtable,
-                stored,
-                payload,
-            }
-        })
-    }
-}
-
-impl Drop for Action {
-    fn drop(&mut self) {
-        // Only reached when a parked action is discarded unrun (its
-        // mailbox is torn down); `Sim::push_action` forgets the ones it
-        // moves into a slot.
-        // Safety: the payload still holds the value `from_closure` wrote.
-        unsafe { (self.vtable.drop)(self.payload.as_mut_ptr().cast()) }
     }
 }
 
@@ -484,9 +425,9 @@ impl ClassTally {
 
 /// Why a message that attempted the fused fast path fell back to the
 /// general event chain. The variants mirror the guard checks in
-/// `via::fastpath`; the engine only stores the tally so that sharded
-/// merges and thread-telemetry funnels treat fuse accounting exactly like
-/// every other scheduler counter.
+/// `via::fastpath`; the engine only stores the tally so that the
+/// thread-telemetry funnel treats fuse accounting exactly like every other
+/// scheduler counter.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DefuseCause {
     /// Fusing disabled (`VIBE_FUSE=0` / `--no-fuse`).
@@ -574,8 +515,8 @@ impl DefuseCause {
 
 /// Fused-fast-path accounting: how many messages attempted the fused
 /// path, how many hit, and why the misses fell back. Lives in
-/// [`SchedStats`] so per-shard ledgers merge and funnel to the runner
-/// exactly like `fired`/`cancelled`.
+/// [`SchedStats`] so it funnels to the runner exactly like
+/// `fired`/`cancelled`.
 #[derive(Default, Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FuseTally {
     /// Messages that evaluated the fuse guard.
@@ -781,11 +722,8 @@ impl SchedStats {
         violations
     }
 
-    /// Field-wise accumulate another shard's ledger into this one. Every
-    /// counter is a plain sum, so merging per-shard ledgers yields exactly
-    /// the totals a single serial engine would have recorded for the same
-    /// event population (conservation: each event fires, cancels, or reaps
-    /// on exactly one shard).
+    /// Field-wise accumulate another ledger into this one; every counter
+    /// is a plain sum.
     pub fn merge(&mut self, other: &SchedStats) {
         self.fired += other.fired;
         self.cancelled += other.cancelled;
@@ -1126,22 +1064,6 @@ impl Sim {
         })
     }
 
-    /// Move a parked cross-shard [`Action`] into the arena.
-    pub(crate) fn push_action(&self, at: SimTime, class: EventClass, action: Action) {
-        let action = ManuallyDrop::new(action);
-        // Safety: the payload holds `action.vtable`'s type, and the
-        // `ManuallyDrop` gives it up to the slot.
-        unsafe {
-            self.push_raw(
-                at,
-                class,
-                action.vtable,
-                action.stored,
-                action.payload.as_ptr().cast(),
-            )
-        };
-    }
-
     fn push_wake(&self, at: SimTime, class: EventClass, token: WaitToken) {
         // Safety: `WAKE` is the vtable of a `WaitToken`, which is `Copy`, so
         // the slot's copy is the only one that is ever consumed.
@@ -1228,8 +1150,8 @@ impl Sim {
     /// whichever thread is inside [`Sim::run`] when one of its wakes fires,
     /// and never concurrently with the event loop or another process. It
     /// must not hold anything bound to a thread (a lock guard, a reference
-    /// into a thread-local) across a wait: under the sharded engine the
-    /// next `run` may resume it on a different thread. `cpu`, when given,
+    /// into a thread-local) across a wait: the next `run` may be called
+    /// from a different thread. `cpu`, when given,
     /// is charged by [`ProcessCtx::busy`] and the `*_charged` waits.
     pub fn spawn<T, F>(
         &self,
@@ -1272,24 +1194,12 @@ impl Sim {
     ///
     /// An action stays in its slot until its entry reaches the head of the
     /// heap, so an event cancelling a later same-timestamp timer still
-    /// wins. The horizon is checked before *each* pop: the head is the
-    /// global minimum, so `head.at >= bound` means every pending entry is
-    /// at or past the bound — and a stale head there is left unreaped for
-    /// whoever pops it next. The action's bytes are copied into `out`
-    /// (the slot is free again before its action runs) and its vtable
-    /// returned: the caller owes `out` exactly one `call`.
-    fn pop_live(
-        &self,
-        bound: Option<SimTime>,
-        out: &mut Payload,
-    ) -> Option<(SimTime, EventClass, &'static ActionVtable)> {
+    /// wins. The action's bytes are copied into `out` (the slot is free
+    /// again before its action runs) and its vtable returned: the caller
+    /// owes `out` exactly one `call`.
+    fn pop_live(&self, out: &mut Payload) -> Option<(SimTime, EventClass, &'static ActionVtable)> {
         let mut s = self.inner.sched.lock();
         loop {
-            if let (Some(b), Some(head)) = (bound, s.queue.peek()) {
-                if head.at() >= b {
-                    return None;
-                }
-            }
             let entry = s.queue.pop()?;
             let stale = match s.slots.get(entry.slot as usize) {
                 Some(slot) => slot.gen != entry.gen,
@@ -1310,23 +1220,6 @@ impl Sim {
 
     /// Drive the simulation until the event queue drains, then report.
     pub fn run(&self) -> RunReport {
-        self.run_bounded(None)
-    }
-
-    /// Drive the simulation until the queue drains *or* the next pending
-    /// event lies at or past `bound` (exclusive horizon). Events exactly at
-    /// `bound` do not run. The sharded engine's round loop is built on
-    /// this: each shard runs up to its granted horizon, then re-syncs.
-    ///
-    /// Repeated bounded runs compose exactly like one unbounded run over
-    /// the same events: the bound is checked against the heap's minimum
-    /// before every pop, and new events can only be scheduled at `>= now`,
-    /// so no event below a respected bound is ever left behind.
-    pub fn run_until(&self, bound: SimTime) -> RunReport {
-        self.run_bounded(Some(bound))
-    }
-
-    fn run_bounded(&self, bound: Option<SimTime>) -> RunReport {
         // This thread owns every confined cell of the simulation until the
         // run returns or unwinds, so each access made below, by an event or
         // by a process body costs a compare and a few plain stores.
@@ -1337,7 +1230,7 @@ impl Sim {
         };
         let mut events = 0u64;
         let mut taken = Payload::uninit();
-        while let Some((at, class, vtable)) = self.pop_live(bound, &mut taken) {
+        while let Some((at, class, vtable)) = self.pop_live(&mut taken) {
             debug_assert!(at.as_nanos() >= self.inner.now_ns.load(AtomicOrdering::Relaxed));
             self.inner
                 .now_ns
@@ -1354,8 +1247,7 @@ impl Sim {
             unsafe { (vtable.call)(taken.as_mut_ptr().cast(), self) }
         }
         // Report *logical* events: physical pops plus hops the fused fast
-        // path elided during this run. Matches the sharded engine, which
-        // derives its event count from the (already-folded) `fired` delta.
+        // path elided during this run.
         let (pool_delta, elided_delta, fuse_delta) = {
             let s = self.inner.sched.lock();
             (
@@ -1468,30 +1360,6 @@ impl Sim {
     pub fn queued_events(&self) -> usize {
         let s = self.inner.sched.lock();
         s.queue.len() - s.dead_in_queue
-    }
-
-    /// Timestamp of the earliest *live* pending event, or `None` when the
-    /// queue is drained. Stale (cancelled) heap heads are reaped on the way
-    /// — each counts as `dead_popped` exactly once, here or in the run
-    /// loop, so ledger totals are unaffected by who reaps. The sharded
-    /// engine polls this between rounds to compute the global horizon.
-    pub fn next_event_time(&self) -> Option<SimTime> {
-        let mut s = self.inner.sched.lock();
-        loop {
-            let head = s.queue.peek()?;
-            let (at, slot, gen, class) = (head.at(), head.slot, head.gen, head.class);
-            let stale = match s.slots.get(slot as usize) {
-                Some(slot) => slot.gen != gen,
-                None => true,
-            };
-            if !stale {
-                return Some(at);
-            }
-            s.queue.pop();
-            s.dead_in_queue -= 1;
-            s.stats.dead_popped += 1;
-            s.stats.by_class[class.index()].dead_popped += 1;
-        }
     }
 
     /// Snapshot of cumulative scheduler accounting.
@@ -2060,41 +1928,6 @@ mod tests {
     }
 
     #[test]
-    fn bounded_runs_compose_like_one_unbounded_run() {
-        let sim = Sim::new();
-        let log = Arc::new(Mutex::new(Vec::new()));
-        for d in [5u64, 10, 15] {
-            let log = Arc::clone(&log);
-            sim.call_at(SimTime::from_nanos(d), move |_| log.lock().push(d));
-        }
-        // Bound is exclusive: the event at t=10 must NOT run.
-        let r = sim.run_until(SimTime::from_nanos(10));
-        assert_eq!(r.events, 1);
-        assert_eq!(*log.lock(), vec![5]);
-        assert_eq!(sim.next_event_time(), Some(SimTime::from_nanos(10)));
-        let r = sim.run_until(SimTime::from_nanos(16));
-        assert_eq!(r.events, 2);
-        assert_eq!(*log.lock(), vec![5, 10, 15]);
-        assert_eq!(sim.next_event_time(), None);
-        assert_eq!(sim.run().events, 0);
-    }
-
-    #[test]
-    fn next_event_time_skips_cancelled_heads() {
-        let sim = Sim::new();
-        let h = sim.timer_in(EventClass::Retransmit, SimDuration::from_nanos(3), |_| {});
-        sim.call_in(SimDuration::from_nanos(8), |_| {});
-        assert!(h.cancel());
-        // The cancelled head is reaped (counted dead_popped once) and the
-        // live event behind it is reported.
-        assert_eq!(sim.next_event_time(), Some(SimTime::from_nanos(8)));
-        assert_eq!(sim.sched_stats().dead_popped, 1);
-        let report = sim.run();
-        assert_eq!(report.sched.dead_popped, 1, "no double reap");
-        assert_eq!(report.events, 1);
-    }
-
-    #[test]
     fn sched_stats_merge_is_fieldwise_sum() {
         let a = Sim::new();
         let b = Sim::new();
@@ -2237,52 +2070,30 @@ mod tests {
 
     #[test]
     fn random_programs_match_a_sorted_vec_scheduler() {
-        // Schedule / cancel / reschedule-at-now on a coarse clock, run
-        // whole and in random `run_until` chunks: same fired order, same
-        // ledger as the reference, however the run is sliced.
+        // Schedule / cancel / reschedule-at-now on a coarse clock: same
+        // fired order, same ledger as the reference.
         use crate::rng::SimRng;
         for seed in 0..12u64 {
             let mut rng = SimRng::derive(seed, "engine-model");
             let (nodes, roots) = model_program(&mut rng);
             let (want_order, want_ledger) = model_reference(&nodes, &roots);
             assert!(want_ledger.1 >= 20, "seed {seed}: the program must cancel");
-            for chunked in [false, true] {
-                let sim = Sim::new();
-                let world = Arc::new(ModelWorld {
-                    nodes: nodes.clone(),
-                    handles: Mutex::new((0..nodes.len()).map(|_| None).collect()),
-                    order: Mutex::new(Vec::new()),
-                });
-                for &r in &roots {
-                    model_arm(&sim, &world, r);
-                }
-                let mut bound = 0;
-                while chunked && sim.next_event_time().is_some() {
-                    // Bounds land on ticks, between them, and on the
-                    // previous bound (an empty run).
-                    bound += rng.next_u64() % 3 * TICK + rng.next_u64() % 2 * (TICK / 2);
-                    let report = sim.run_until(SimTime::from_nanos(bound));
-                    assert!(
-                        report.events == 0 || report.end_time.as_nanos() < bound,
-                        "seed {seed}: fired at or past the bound {bound}"
-                    );
-                    assert!(
-                        sim.next_event_time().is_none_or(|t| t.as_nanos() >= bound),
-                        "seed {seed}: left an event below the bound {bound}"
-                    );
-                }
-                let stats = sim.run().sched;
-                assert_eq!(
-                    *world.order.lock(),
-                    want_order,
-                    "seed {seed}, chunked {chunked}"
-                );
-                assert_eq!(
-                    (stats.fired, stats.cancelled, stats.dead_popped),
-                    want_ledger,
-                    "seed {seed}, chunked {chunked}"
-                );
+            let sim = Sim::new();
+            let world = Arc::new(ModelWorld {
+                nodes: nodes.clone(),
+                handles: Mutex::new((0..nodes.len()).map(|_| None).collect()),
+                order: Mutex::new(Vec::new()),
+            });
+            for &r in &roots {
+                model_arm(&sim, &world, r);
             }
+            let stats = sim.run().sched;
+            assert_eq!(*world.order.lock(), want_order, "seed {seed}");
+            assert_eq!(
+                (stats.fired, stats.cancelled, stats.dead_popped),
+                want_ledger,
+                "seed {seed}"
+            );
         }
     }
 }

@@ -56,7 +56,6 @@ pub mod cpu;
 pub mod engine;
 pub mod process;
 pub mod rng;
-pub mod shard;
 pub mod stats;
 pub mod sync;
 pub mod time;
@@ -69,7 +68,6 @@ pub use engine::{
 };
 pub use process::{ProcessCtx, ProcessHandle, ProcessId, WaitToken};
 pub use rng::SimRng;
-pub use shard::{ShardMap, ShardSender, ShardStats, ShardedReport, ShardedSim};
 pub use stats::{megabytes_per_second, Samples};
 pub use sync::{Notify, SimBarrier, WaitMode};
 pub use time::{SimDuration, SimTime};

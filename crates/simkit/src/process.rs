@@ -13,7 +13,7 @@
 //! the process is parked (and on which wait), running, or finished. Only
 //! the thread that moves it from parked to running may touch the coroutine,
 //! which is what lets a process parked under one `run` be resumed by a
-//! different thread under the next (the sharded engine's scoped workers).
+//! different thread under the next.
 //! The one rule this puts on process bodies: **hold nothing bound to a
 //! thread — a lock guard, a reference into a thread-local — across a
 //! `wait`**.

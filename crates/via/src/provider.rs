@@ -4,7 +4,7 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, OnceLock};
 
 use fabric::{NodeId, San, Topology};
-use simkit::{Confined, ConfinedGuard, CpuId, ProcessCtx, ShardedSim, Sim, SimDuration, WaitMode};
+use simkit::{Confined, ConfinedGuard, CpuId, ProcessCtx, Sim, SimDuration, WaitMode};
 use trace::{TraceConfig, Tracer};
 use vnic::{DescRing, FirmwareStalls, InterruptController, PciBus, XlateEngine};
 
@@ -802,9 +802,6 @@ impl Provider {
 /// simulated analogue of the paper's testbed.
 pub struct Cluster {
     sim: Sim,
-    /// Every distinct engine driving this cluster: one per shard, or just
-    /// `sim` for a serial cluster. Trace hooks attach to all of them.
-    engine_sims: Vec<Sim>,
     san: San,
     profile: Arc<Profile>,
     providers: Vec<Provider>,
@@ -817,62 +814,13 @@ impl Cluster {
         Self::new_topo(sim, profile, Topology::star(nodes), seed)
     }
 
-    /// Build one provider per topology node over an explicit [`Topology`]
-    /// on a serial engine. Multi-switch shapes route frames hop by hop
-    /// through buffered, backpressured switch ports (see `fabric::topo`).
+    /// Build one provider per topology node over an explicit [`Topology`].
+    /// Multi-switch shapes route frames hop by hop through buffered,
+    /// backpressured switch ports (see `fabric::topo`).
     pub fn new_topo(sim: Sim, profile: Profile, topo: Topology, seed: u64) -> Self {
         let nodes = topo.nodes();
-        let san = San::new_topo(sim.clone(), profile.net, topo, seed);
-        let sim2 = sim.clone();
-        Self::build(san, profile, nodes, seed, move |_| sim2.clone(), vec![sim])
-    }
-
-    /// Build `nodes` providers over the shards of a [`ShardedSim`]: each
-    /// node's NIC, PCI bus, CPU meter, and timer state live on the engine
-    /// of the shard that owns the node (per the engine's content-keyed
-    /// map), and the SAN routes cross-shard frames through the engine's
-    /// lookahead channels. Use [`Cluster::node_sim`] to spawn a node's
-    /// workload on the right engine.
-    pub fn new_sharded(sharded: &ShardedSim, profile: Profile, nodes: usize, seed: u64) -> Self {
-        Self::new_sharded_topo(sharded, profile, Topology::star(nodes), seed)
-    }
-
-    /// Build one provider per topology node over an explicit [`Topology`]
-    /// distributed over the shards of a [`ShardedSim`]. The engine must
-    /// have been built with the topology's shard map and a lookahead no
-    /// larger than [`Topology::shard_lookahead`] (the fabric asserts
-    /// both).
-    pub fn new_sharded_topo(
-        sharded: &ShardedSim,
-        profile: Profile,
-        topo: Topology,
-        seed: u64,
-    ) -> Self {
-        let nodes = topo.nodes();
-        let san = San::new_sharded_topo(sharded, profile.net, topo, seed);
-        let sims = sharded.sims().to_vec();
-        let per_node: Vec<Sim> = (0..nodes)
-            .map(|i| sharded.sim_for_node(i as u32).clone())
-            .collect();
-        Self::build(
-            san,
-            profile,
-            nodes,
-            seed,
-            move |i| per_node[i].clone(),
-            sims,
-        )
-    }
-
-    fn build(
-        san: San,
-        profile: Profile,
-        nodes: usize,
-        seed: u64,
-        sim_of: impl Fn(usize) -> Sim,
-        engine_sims: Vec<Sim>,
-    ) -> Self {
         assert!(nodes >= 2, "a SAN needs at least two nodes");
+        let san = San::new_topo(sim.clone(), profile.net, topo, seed);
         // The fabric's forward-fold shares the global fuse knob so
         // `VIBE_FUSE=0` (or `fastpath::set_fuse(false)`) disables every
         // event-eliding path at once.
@@ -880,7 +828,6 @@ impl Cluster {
         let profile = Arc::new(profile);
         let mut providers = Vec::with_capacity(nodes);
         for i in 0..nodes {
-            let sim = sim_of(i);
             let node = NodeId(i as u32);
             let cpu = sim.add_cpu(format!("{}-node{}", profile.name, i));
             let core = Arc::new(ProviderCore {
@@ -909,8 +856,7 @@ impl Cluster {
                     crashed: false,
                     stats: ProviderStats::default(),
                 }),
-                // Last: `pci` and `state` above are built from it.
-                sim,
+                sim: sim.clone(),
             });
             providers.push(Provider {
                 core: Arc::clone(&core),
@@ -938,9 +884,8 @@ impl Cluster {
                 }),
             );
             // Node-scoped fault windows (node_down / nic_reset) wipe and
-            // reboot the victim's provider. The fabric fires the hook on the
-            // victim's owning shard, after its own state flip, so the wipe is
-            // ordered identically at every shard count.
+            // reboot the victim's provider. The fabric fires the hook after
+            // its own state flip, so a crash sees the node already dead.
             let weak = san.downgrade();
             san.on_node_fault(
                 node,
@@ -959,8 +904,7 @@ impl Cluster {
             );
         }
         Cluster {
-            sim: engine_sims[0].clone(),
-            engine_sims,
+            sim,
             san,
             profile,
             providers,
@@ -982,16 +926,9 @@ impl Cluster {
         &self.san
     }
 
-    /// The simulation handle (shard 0's engine for a sharded cluster).
+    /// The simulation handle.
     pub fn sim(&self) -> &Sim {
         &self.sim
-    }
-
-    /// The engine that owns node `i` — spawn node-local workloads here so
-    /// they run on the node's shard. For a serial cluster this is always
-    /// the one engine.
-    pub fn node_sim(&self, i: usize) -> &Sim {
-        &self.providers[i].core.sim
     }
 
     /// The profile all nodes run.
@@ -1002,7 +939,7 @@ impl Cluster {
     /// Audit every conservation law this world keeps, once its run has
     /// quiesced: the fabric's frame laws ([`San::audit`]), each node's
     /// resource laws (no leaked descriptor, credit, CQ reference, NIC-ring
-    /// entry or timer), and each engine's macro-event ledger
+    /// entry or timer), and the engine's macro-event ledger
     /// ([`simkit::SchedStats::audit`]). Returns every violation found —
     /// an empty report is a clean bill of health.
     pub fn audit(&self) -> AuditReport {
@@ -1010,10 +947,7 @@ impl Cluster {
         for p in &self.providers {
             p.audit(&mut violations);
         }
-        for (i, sim) in self.engine_sims.iter().enumerate() {
-            let ledger = sim.sched_stats().audit();
-            violations.extend(ledger.into_iter().map(|v| format!("engine {i}: {v}")));
-        }
+        violations.extend(self.sim.sched_stats().audit());
         AuditReport { violations }
     }
 
@@ -1036,9 +970,7 @@ impl Cluster {
             );
         }
         self.san.set_tracer(tracer.clone());
-        for sim in &self.engine_sims {
-            sim.set_event_hook(tracer.engine_hook());
-        }
+        self.sim.set_event_hook(tracer.engine_hook());
         tracer
     }
 }

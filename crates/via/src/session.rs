@@ -27,7 +27,7 @@
 //! - **Reconnect with backoff** — the sender retries `connect` with
 //!   capped exponential backoff and deterministic content-keyed jitter
 //!   (seeded from node, VI, and attempt number — no shared RNG stream,
-//!   so sharded and serial runs back off identically). The receiver
+//!   so a backoff never depends on unrelated traffic). The receiver
 //!   re-accepts on the same discriminator, first discarding all but the
 //!   newest parked connection request (earlier ones are abandoned
 //!   retries of the same client).
@@ -424,8 +424,8 @@ impl SessionSender {
     /// Deterministic capped exponential backoff with content-keyed
     /// jitter: delay for attempt `n` is uniform in `[cap/2, cap]` of the
     /// doubled base, keyed by (cluster seed, node, VI, attempt) — no
-    /// shared RNG stream, so the schedule is identical at every shard
-    /// count yet distinct senders never thundering-herd in lockstep.
+    /// shared RNG stream, so the schedule does not depend on unrelated
+    /// traffic, yet distinct senders never thundering-herd in lockstep.
     fn backoff_delay(&self) -> SimDuration {
         let shift = (self.attempt_streak.saturating_sub(1)).min(16);
         let exp = BACKOFF_BASE

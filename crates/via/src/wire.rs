@@ -217,8 +217,8 @@ mod tests {
         assert_eq!(Window::new(Arc::clone(&bufs), 256, 0).len(), 0);
         // Windows share the snapshot; none owns a copy.
         assert_eq!(Arc::strong_count(&bufs), 2);
-        fn crosses_shards<T: Send + Sync>() {}
-        crosses_shards::<Window>();
+        fn is_send_sync<T: Send + Sync>() {}
+        is_send_sync::<Window>();
     }
 
     #[test]

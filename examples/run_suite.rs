@@ -22,14 +22,6 @@
 //! run also prints the X-PAR telemetry artifact (wall-clock, events/sec,
 //! speedup, event-arena hit rates).
 //!
-//! Engine shard count: `--shards N` wins, then the `VIBE_SHARDS` env var,
-//! else 1 (the serial engine). Experiments that drive a sharded engine
-//! (X-SHARD) split their simulated nodes over N conservatively
-//! synchronized engine shards; artifact bytes are identical at any shard
-//! count — CI pins goldens at 1, 2, and 4 — while the X-PAR artifact
-//! gains a per-shard balance table (events, channel traffic, barrier
-//! stall, horizon grants).
-//!
 //! Fused fast path: on by default; `--no-fuse` (or `VIBE_FUSE=0`) forces
 //! every message down the general event-by-event chain. Artifact bytes
 //! are identical either way — CI pins a `VIBE_FUSE=0` leg — except F5's
@@ -38,9 +30,9 @@
 //! de-fuse causes.
 
 //!
-//! A usage error (unknown id or flag, a flag without its value, a worker or
-//! shard count that is not a positive integer — on the command line or in
-//! `VIBE_JOBS` / `VIBE_SHARDS`) prints `run_suite: <what>` to stderr and
+//! A usage error (unknown id or flag, a flag without its value, a worker
+//! count that is not a positive integer — on the command line or in
+//! `VIBE_JOBS`) prints `run_suite: <what>` to stderr and
 //! exits with status 2 before anything runs. An output directory or file
 //! that cannot be written (`--csv`, `--json`, `--trace` / `VIBE_TRACE`)
 //! prints `run_suite: cannot write '<path>': <io error>` and exits with
@@ -48,7 +40,7 @@
 
 use std::path::{Path, PathBuf};
 
-use vibe::runner::{parse_count, run_suite, try_default_shards, try_default_workers};
+use vibe::runner::{parse_count, run_suite, try_default_workers};
 use vibe::suite::{all_experiments, find, render_json, Category};
 
 /// Why `run` gave up: the line for stderr and the exit status.
@@ -86,11 +78,10 @@ fn main() {
 fn run() -> Result<(), Failure> {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     if args.is_empty() || args.iter().any(|a| a == "--help" || a == "-h") {
-        println!("usage: run_suite [--list | --all | <id>...] [--jobs <n>] [--shards <n>] [--no-fuse] [--csv <dir>] [--json <dir>] [--trace <dir>]");
+        println!("usage: run_suite [--list | --all | <id>...] [--jobs <n>] [--no-fuse] [--csv <dir>] [--json <dir>] [--trace <dir>]");
         let ids: Vec<&str> = all_experiments().iter().map(|e| e.id).collect();
         println!("       ids: {}", ids.join(" "));
         println!("       --jobs <n>: worker threads (default: VIBE_JOBS env, else all cores; 1 = the calling thread)");
-        println!("       --shards <n>: engine shards for sharded experiments (default: VIBE_SHARDS env, else 1)");
         println!("       --no-fuse: disable the fused message-lifecycle fast path (same as VIBE_FUSE=0; artifacts are byte-identical either way, F5/F6 small-message bandwidth excepted)");
         println!("       --trace <dir>: also write Perfetto/Chrome message-lifecycle traces (default: VIBE_TRACE env)");
         return Ok(());
@@ -113,17 +104,6 @@ fn run() -> Result<(), Failure> {
         Some(v) => parse_count("--jobs", &v)?,
         None => try_default_workers()?,
     };
-    if let Some(v) = take_val("--shards", &mut args)? {
-        parse_count("--shards", &v)?;
-        // Sharded experiments read VIBE_SHARDS through
-        // `runner::default_shards` when their jobs run; routing the flag
-        // through the env keeps job closures environment-driven and lets
-        // CI's golden matrix exercise the same path.
-        std::env::set_var("VIBE_SHARDS", &v);
-    }
-    // Job bodies read it with the panicking `default_shards`: reject a
-    // malformed `VIBE_SHARDS` here, before any of them runs.
-    let shards = try_default_shards()?;
     if let Some(i) = args.iter().position(|a| a == "--no-fuse") {
         args.remove(i);
         via::fastpath::set_fuse(false);
@@ -200,7 +180,7 @@ fn run() -> Result<(), Failure> {
         println!("[wrote {}]", path.display());
     }
     // Fabric-robustness roll-up: deterministic sums, identical at any
-    // worker/shard/fuse setting — a PR diff of this line shows when the
+    // worker/fuse setting — a PR diff of this line shows when the
     // suite's fault exposure changed.
     println!(
         "[fabric: storm_trips={} fault_dropped={} node_crashes={} sessions_recovered={}]",
@@ -210,10 +190,9 @@ fn run() -> Result<(), Failure> {
         run.fabric_health.sessions_recovered,
     );
     println!(
-        "[suite: {} jobs on {} workers x {} shards, {:.2}s wall, {:.2}s serial-equivalent, {:.2}x speedup, {:.1}M events/s]",
+        "[suite: {} jobs on {} workers, {:.2}s wall, {:.2}s serial-equivalent, {:.2}x speedup, {:.1}M events/s]",
         run.jobs.len(),
         run.workers,
-        shards,
         run.wall.as_secs_f64(),
         run.serial_wall().as_secs_f64(),
         run.speedup(),

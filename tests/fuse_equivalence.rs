@@ -1,5 +1,5 @@
 //! The fused-fast-path equivalence property: for randomized worlds —
-//! profile, loss model, fault plan, shard count, reliability level,
+//! profile, loss model, fault plan, reliability level,
 //! message-size mix — a run with fusing enabled must be *byte-identical*
 //! to the same run with `VIBE_FUSE=0` in everything virtual-time-derived:
 //! per-node completion timelines, provider protocol counters, and the
@@ -14,7 +14,7 @@
 //! knob-leak regression case).
 
 use vibe_suite::fabric::FaultPlan;
-use vibe_suite::simkit::{SchedStats, ShardedSim, Sim, SimDuration, SimRng, SimTime, WaitMode};
+use vibe_suite::simkit::{SchedStats, Sim, SimDuration, SimRng, SimTime, WaitMode};
 use vibe_suite::via::{
     self, Cluster, Descriptor, Discriminator, MemAttributes, Profile, Reliability, ViAttributes,
 };
@@ -26,8 +26,8 @@ fn render_outcome(lines: &[String]) -> String {
 }
 
 /// One randomized world: run the workload and return (rendered outcome,
-/// merged scheduler stats).
-fn run_world(case: u64, shards: usize, fused: bool) -> (String, SchedStats) {
+/// scheduler stats).
+fn run_world(case: u64, fused: bool) -> (String, SchedStats) {
     via::fastpath::set_fuse(fused);
     let mut rng = SimRng::derive(0xF05E, &format!("fuse-prop-{case}"));
     let profile_pick = rng.below(3);
@@ -62,16 +62,7 @@ fn run_world(case: u64, shards: usize, fused: bool) -> (String, SchedStats) {
         .collect();
 
     let nodes = 2usize;
-    let (eng, cluster);
-    if shards == 1 {
-        let sim = Sim::new();
-        eng = None;
-        cluster = Cluster::new(sim, profile, nodes, case);
-    } else {
-        let e = ShardedSim::new(shards, profile.net.min_cross_latency());
-        cluster = Cluster::new_sharded(&e, profile, nodes, case);
-        eng = Some(e);
-    }
+    let cluster = Cluster::new(Sim::new(), profile, nodes, case);
     if faulted {
         // Latency-only degrade windows (zero drop fraction): behaviourally
         // mild — no VI is killed, the ping-pong always terminates — but
@@ -95,85 +86,78 @@ fn run_world(case: u64, shards: usize, fused: bool) -> (String, SchedStats) {
     let sh = {
         let pb = pb.clone();
         let sizes = sizes.clone();
-        cluster
-            .node_sim(1)
-            .spawn("server", Some(pb.cpu()), move |ctx| {
-                let vi = pb.create_vi(ctx, attrs, None, None).unwrap();
-                let buf = pb.malloc(max);
-                let mh = pb
-                    .register_mem(ctx, buf, max, MemAttributes::default())
+        cluster.sim().spawn("server", Some(pb.cpu()), move |ctx| {
+            let vi = pb.create_vi(ctx, attrs, None, None).unwrap();
+            let buf = pb.malloc(max);
+            let mh = pb
+                .register_mem(ctx, buf, max, MemAttributes::default())
+                .unwrap();
+            pb.accept(ctx, &vi, Discriminator(1)).unwrap();
+            let mut log = Vec::new();
+            for &sz in &sizes {
+                vi.post_recv(ctx, Descriptor::recv().segment(buf, mh, sz))
                     .unwrap();
-                pb.accept(ctx, &vi, Discriminator(1)).unwrap();
-                let mut log = Vec::new();
-                for &sz in &sizes {
-                    vi.post_recv(ctx, Descriptor::recv().segment(buf, mh, sz))
-                        .unwrap();
-                    let rc = vi.recv_wait(ctx, WaitMode::Poll);
-                    log.push(format!(
-                        "s-recv {} {} {:?}",
-                        ctx.now().as_nanos(),
-                        rc.length,
-                        rc.status
-                    ));
-                    vi.post_send(ctx, Descriptor::send().segment(buf, mh, sz))
-                        .unwrap();
-                    let sc = vi.send_wait(ctx, WaitMode::Poll);
-                    log.push(format!(
-                        "s-send {} {} {:?}",
-                        ctx.now().as_nanos(),
-                        sc.length,
-                        sc.status
-                    ));
-                }
-                log
-            })
+                let rc = vi.recv_wait(ctx, WaitMode::Poll);
+                log.push(format!(
+                    "s-recv {} {} {:?}",
+                    ctx.now().as_nanos(),
+                    rc.length,
+                    rc.status
+                ));
+                vi.post_send(ctx, Descriptor::send().segment(buf, mh, sz))
+                    .unwrap();
+                let sc = vi.send_wait(ctx, WaitMode::Poll);
+                log.push(format!(
+                    "s-send {} {} {:?}",
+                    ctx.now().as_nanos(),
+                    sc.length,
+                    sc.status
+                ));
+            }
+            log
+        })
     };
     let ch = {
         let pa = pa.clone();
-        cluster
-            .node_sim(0)
-            .spawn("client", Some(pa.cpu()), move |ctx| {
-                let vi = pa.create_vi(ctx, attrs, None, None).unwrap();
-                let buf = pa.malloc(max);
-                let mh = pa
-                    .register_mem(ctx, buf, max, MemAttributes::default())
-                    .unwrap();
-                pa.connect(
-                    ctx,
-                    &vi,
-                    vibe_suite::fabric::NodeId(1),
-                    Discriminator(1),
-                    None,
-                )
+        cluster.sim().spawn("client", Some(pa.cpu()), move |ctx| {
+            let vi = pa.create_vi(ctx, attrs, None, None).unwrap();
+            let buf = pa.malloc(max);
+            let mh = pa
+                .register_mem(ctx, buf, max, MemAttributes::default())
                 .unwrap();
-                let mut log = Vec::new();
-                for &sz in &sizes {
-                    vi.post_recv(ctx, Descriptor::recv().segment(buf, mh, sz))
-                        .unwrap();
-                    vi.post_send(ctx, Descriptor::send().segment(buf, mh, sz))
-                        .unwrap();
-                    let sc = vi.send_wait(ctx, WaitMode::Poll);
-                    log.push(format!(
-                        "c-send {} {} {:?}",
-                        ctx.now().as_nanos(),
-                        sc.length,
-                        sc.status
-                    ));
-                    let rc = vi.recv_wait(ctx, WaitMode::Poll);
-                    log.push(format!(
-                        "c-recv {} {} {:?}",
-                        ctx.now().as_nanos(),
-                        rc.length,
-                        rc.status
-                    ));
-                }
-                log
-            })
+            pa.connect(
+                ctx,
+                &vi,
+                vibe_suite::fabric::NodeId(1),
+                Discriminator(1),
+                None,
+            )
+            .unwrap();
+            let mut log = Vec::new();
+            for &sz in &sizes {
+                vi.post_recv(ctx, Descriptor::recv().segment(buf, mh, sz))
+                    .unwrap();
+                vi.post_send(ctx, Descriptor::send().segment(buf, mh, sz))
+                    .unwrap();
+                let sc = vi.send_wait(ctx, WaitMode::Poll);
+                log.push(format!(
+                    "c-send {} {} {:?}",
+                    ctx.now().as_nanos(),
+                    sc.length,
+                    sc.status
+                ));
+                let rc = vi.recv_wait(ctx, WaitMode::Poll);
+                log.push(format!(
+                    "c-recv {} {} {:?}",
+                    ctx.now().as_nanos(),
+                    rc.length,
+                    rc.status
+                ));
+            }
+            log
+        })
     };
-    let sched = match &eng {
-        Some(e) => e.run_to_completion().sched,
-        None => cluster.sim().run_to_completion().sched,
-    };
+    let sched = cluster.sim().run_to_completion().sched;
 
     let mut lines = Vec::new();
     lines.extend(sh.expect_result());
@@ -181,7 +165,7 @@ fn run_world(case: u64, shards: usize, fused: bool) -> (String, SchedStats) {
     let audit = cluster.audit();
     assert!(
         audit.is_clean(),
-        "case {case} shards={shards} fused={fused}: audit violations: {:?}",
+        "case {case} fused={fused}: audit violations: {:?}",
         audit.violations
     );
     for (name, p) in [("a", &pa), ("b", &pb)] {
@@ -202,8 +186,8 @@ fn run_world(case: u64, shards: usize, fused: bool) -> (String, SchedStats) {
 /// too (that is the fused-path contract), while `events_elided`,
 /// `macro_events`, and the fuse ledger legitimately differ between the
 /// two runs — whole-struct equality would be a bug here.
-fn assert_census_equal(case: u64, shards: usize, fused: &SchedStats, general: &SchedStats) {
-    let ctx = format!("case {case} shards={shards}");
+fn assert_census_equal(case: u64, fused: &SchedStats, general: &SchedStats) {
+    let ctx = format!("case {case}");
     assert_eq!(fused.fired, general.fired, "{ctx}: fired census moved");
     assert_eq!(fused.cancelled, general.cancelled, "{ctx}: cancelled moved");
     assert_eq!(
@@ -226,15 +210,13 @@ fn assert_census_equal(case: u64, shards: usize, fused: &SchedStats, general: &S
 #[test]
 fn random_worlds_fused_equals_general() {
     for case in 0..10u64 {
-        for shards in [1usize, 2, 4] {
-            let (out_fused, sched_fused) = run_world(case, shards, true);
-            let (out_general, sched_general) = run_world(case, shards, false);
-            assert_eq!(
-                out_fused, out_general,
-                "case {case} shards={shards}: fused outcome diverged from general"
-            );
-            assert_census_equal(case, shards, &sched_fused, &sched_general);
-        }
+        let (out_fused, sched_fused) = run_world(case, true);
+        let (out_general, sched_general) = run_world(case, false);
+        assert_eq!(
+            out_fused, out_general,
+            "case {case}: fused outcome diverged from general"
+        );
+        assert_census_equal(case, &sched_fused, &sched_general);
     }
     via::fastpath::set_fuse(true);
 }

@@ -5,7 +5,7 @@
 //! without one fails [`every_experiment_matches_its_golden`]. The plan is
 //! an experiment's only definition, so these files are what holds it
 //! still across time; CI regenerates them through the example binary at
-//! every `VIBE_JOBS` / `VIBE_SHARDS` / `VIBE_FUSE` leg and diffs the
+//! every `VIBE_JOBS` / `VIBE_FUSE` leg and diffs the
 //! directory.
 //!
 //! The same run is where the paper's claims are checked ([`claims`]):
@@ -128,10 +128,9 @@ fn x_chaos_matches_golden() {
 
 #[test]
 fn x_shard_matches_golden() {
-    // The sharded-engine extension: the ring artifact reports only
-    // virtual-time quantities, so this golden pins the invariant that the
-    // shard count is unobservable — CI regenerates it at VIBE_SHARDS=1/2/4
-    // and diffs all three against this file.
+    // The ring extension: per-node delivery counts and times, goodput and
+    // fabric counters of an 8-node ring over a one-switch star, all
+    // virtual-time quantities.
     check("X-SHARD");
 }
 
@@ -141,7 +140,7 @@ fn x_topo_matches_golden() {
     // incast and 64-way all-to-all. Pins per-flow goodput, per-tier port
     // occupancy/pause/drop counters and the fabric frame-conservation
     // ledger; regenerating it re-runs every per-port oracle. CI diffs it
-    // across the full VIBE_JOBS x VIBE_SHARDS x VIBE_FUSE matrix.
+    // across the full VIBE_JOBS x VIBE_FUSE matrix.
     check("X-TOPO");
 }
 
@@ -153,7 +152,7 @@ fn x_failover_matches_golden() {
     // Pins per-flow stall/recovery telemetry, the fault timeline, the
     // fault_dropped conservation bucket and per-tier storm counters;
     // regenerating it re-runs the fault-domain oracles. CI diffs it
-    // across the full VIBE_JOBS x VIBE_SHARDS x VIBE_FUSE matrix.
+    // across the full VIBE_JOBS x VIBE_FUSE matrix.
     check("X-FAILOVER");
 }
 
@@ -165,7 +164,7 @@ fn x_crash_matches_golden() {
     // detection latencies, the reconnect-storm size and the victim's
     // fault-drop accounting; regenerating it re-runs the exactly-once
     // session-conservation oracle. CI diffs it across the full
-    // VIBE_JOBS x VIBE_SHARDS x VIBE_FUSE matrix.
+    // VIBE_JOBS x VIBE_FUSE matrix.
     check("X-CRASH");
 }
 

@@ -140,8 +140,7 @@ const ALLOCATED_BYTES_X100: [[u64; 3]; 2] = [[75_400, 81_800, 81_800], [2_000_00
 /// (PR 21) holds the parent's values next to these: 10600/12700/12700 and
 /// 27533/12470/19620 before the scheduler, process table, CPU records,
 /// provider state and PCI bus became `simkit::Confined` cells. Every one
-/// that is left is in `fabric::san` (five or six per frame), which is shared
-/// between engine shards by design.
+/// that is left is in `fabric::san` (five or six per frame).
 /// A debug build reads two more per fused ping-pong iteration (BVIA, cLAN):
 /// `San::send_msg_at`'s `debug_assert!` asks the fabric whether faults are
 /// installed.

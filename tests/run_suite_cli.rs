@@ -17,7 +17,6 @@ fn run_suite(args: &[&str], env: &[(&str, &str)]) -> Output {
     let mut cmd = Command::new(&example);
     cmd.args(args)
         .env_remove("VIBE_JOBS")
-        .env_remove("VIBE_SHARDS")
         .env_remove("VIBE_TRACE");
     cmd.envs(env.iter().copied());
     cmd.output().unwrap_or_else(|e| {
@@ -72,14 +71,20 @@ fn unknown_experiment_id() {
 }
 
 #[test]
-fn zero_workers_or_malformed_shards_from_the_environment() {
+fn zero_workers_from_the_environment() {
     assert_usage_error(
         run_suite(&["CQ"], &[("VIBE_JOBS", "0")]),
         "VIBE_JOBS must be a positive integer, got '0'",
     );
+}
+
+/// A script still passing the deleted engine-partition flag fails loudly
+/// instead of silently running something else.
+#[test]
+fn deleted_engine_flag_is_refused() {
     assert_usage_error(
-        run_suite(&["CQ"], &[("VIBE_SHARDS", "two")]),
-        "VIBE_SHARDS must be a positive integer, got 'two'",
+        run_suite(&["CQ", "--shards", "2"], &[]),
+        "unknown flag '--shards'",
     );
 }
 

@@ -2,18 +2,15 @@
 //! crash/loss/fault plans (node_down vs nic_reset, either endpoint,
 //! random window edges, optional degrade-loss window on the survivor,
 //! optional second kill) must deliver every session message exactly
-//! once, in order — and the full observable outcome (session counters,
-//! fabric counters, per-node fault-drop split) must be byte-identical
-//! at every engine shard count from 1 to 5.
+//! once, in order.
 //!
 //! The exactly-once and in-order assertions live inside
-//! [`recovery_probe`] itself; this sweep adds the shard-equivalence
-//! pinning on top.
+//! [`recovery_probe`] itself; this sweep drives it over the seeds.
 
 use vibe_suite::vibe::crash_bench::recovery_probe;
 
 #[test]
-fn arbitrary_crash_plans_deliver_exactly_once_at_any_shard_count() {
+fn arbitrary_crash_plans_deliver_exactly_once() {
     let mut crashed_runs = 0usize;
     for seed in [
         0x51u64,
@@ -23,18 +20,10 @@ fn arbitrary_crash_plans_deliver_exactly_once_at_any_shard_count() {
         0x5EED_5EED,
         0x6_0000_0001,
     ] {
-        let serial = recovery_probe(seed, 1);
         // Every probe installs at least one node-scoped window, so the
         // victim's provider must acknowledge a wipe.
-        if !serial.contains("victim[crashes=0 resets=0]") {
+        if !recovery_probe(seed).contains("victim[crashes=0 resets=0]") {
             crashed_runs += 1;
-        }
-        for shards in 2..=5usize {
-            let sharded = recovery_probe(seed, shards);
-            assert_eq!(
-                sharded, serial,
-                "seed {seed:#x}: shards={shards} diverged from serial"
-            );
         }
     }
     assert_eq!(crashed_runs, 6, "every probe plan carries a node wipe");

@@ -94,6 +94,9 @@ row One-claim 0 all 'fn (reuse_sensitivity|latency_slope_per_vi|full_table1_repr
 # Deleted-features: simulator features and option structs that no
 # experiment, benchmark or example reached.
 row Deleted-features 0 all '\b(CoalescedInterrupts|wake_timer_in|PortDegrade|port_degrade|SimChannel|SessionParams|DsmConfig|call_soon|vibe-bench|vibe_bench)\b' crates examples src tests Cargo.toml
+# The sharded engine: one `Sim` per world; `VIBE_JOBS` is the only
+# parallel axis.
+row Deleted-features 0 all '\b(ShardedSim|ShardSender|ShardMap|ShardStats|ShardedReport|ShardRunRecord|LinkShard|new_sharded(_topo)?|shard_lookahead|switch_shard|shard_map|min_cross_latency|default_shards|VIBE_SHARDS|run_until|next_event_time|node_sim)\b' crates examples src tests .github
 
 check Thread-confinement test "$(grep -l 'unsafe impl' crates/simkit/src/*.rs | sort | tr '\n' ' ')" = \
     "crates/simkit/src/confined.rs crates/simkit/src/process.rs "
