@@ -162,8 +162,8 @@ pub fn run_episode(idx: usize) -> EpisodeReport {
     let san = pair.san();
     // The client decides after its stream whether the failure arc runs;
     // the server learns the verdict across a second barrier.
-    let needs_reconnect = Arc::new(parking_lot::Mutex::new(false));
-    let rendezvous = SimBarrier::new(2);
+    let needs_reconnect = Arc::new(pair.sim().confined(false));
+    let rendezvous = SimBarrier::new(pair.sim(), 2);
     let (flag_s, flag_c) = (needs_reconnect.clone(), needs_reconnect);
     let (barrier_s, barrier_c) = (rendezvous.clone(), rendezvous);
     let (_, out) = pair.run(

@@ -30,7 +30,7 @@ pub enum PutMapping {
 pub fn put_latency(cfg: &DtConfig, mapping: PutMapping) -> f64 {
     let pair = Pair::new(cfg);
     let total = (cfg.warmup + cfg.iters) as u64;
-    let slot = std::sync::Arc::new(parking_lot::Mutex::new(None::<(u64, MemHandle)>));
+    let slot = std::sync::Arc::new(pair.sim().confined(None::<(u64, MemHandle)>));
     let s2 = slot.clone();
     let scfg = cfg.clone();
     let ccfg = cfg.clone();
@@ -117,7 +117,7 @@ pub fn get_latency(cfg: &DtConfig) -> f64 {
     );
     let pair = Pair::new(cfg);
     let total = (cfg.warmup + cfg.iters) as u64;
-    let slot = std::sync::Arc::new(parking_lot::Mutex::new(None::<(u64, MemHandle)>));
+    let slot = std::sync::Arc::new(pair.sim().confined(None::<(u64, MemHandle)>));
     let s2 = slot.clone();
     let scfg = cfg.clone();
     let ccfg = cfg.clone();

@@ -507,8 +507,8 @@ impl Pair {
         &self.sim
     }
 
-    /// Attach a tracer to every layer of this pair's cluster (providers,
-    /// fabric, and the engine's event hook). Call before [`Pair::run`].
+    /// Attach a tracer to every layer of this pair's cluster (providers and
+    /// fabric). Call before [`Pair::run`].
     pub fn enable_trace(&self, config: trace::TraceConfig) -> trace::Tracer {
         self.cluster.enable_trace(config)
     }
@@ -549,7 +549,7 @@ impl Pair {
         RS: Send + 'static,
         RC: Send + 'static,
     {
-        let barrier = SimBarrier::new(2);
+        let barrier = SimBarrier::new(&self.sim, 2);
         let attrs = self.attrs;
         let extra = self.active_vis - 1;
         let use_cq = self.use_recv_cq;
@@ -898,7 +898,7 @@ pub fn transactions(cfg: &DtConfig, request: u64, reply: u64) -> f64 {
 pub fn rdma_write_ping(cfg: &DtConfig) -> PingPongResult {
     let pair = Pair::new(cfg);
     let total = (cfg.warmup + cfg.iters) as u64;
-    let slot = std::sync::Arc::new(parking_lot::Mutex::new(None::<(u64, MemHandle)>));
+    let slot = std::sync::Arc::new(pair.sim().confined(None::<(u64, MemHandle)>));
     let s2 = slot.clone();
     let scfg = cfg.clone();
     let ccfg = cfg.clone();

@@ -32,7 +32,7 @@ pub fn fan_in(profile: Profile, clients: usize, size: u64, msgs: u64, seed: u64)
     let sim = Sim::new();
     let cluster = Cluster::new(sim.clone(), profile, clients + 1, seed);
     let server = cluster.provider(0);
-    let start = SimBarrier::new(clients + 1);
+    let start = SimBarrier::new(&sim, clients + 1);
     let window: u64 = 16; // receive window per connection
     let burst = window / 2; // credit quantum (application flow control)
 

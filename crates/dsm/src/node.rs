@@ -3,8 +3,7 @@
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
-use simkit::{Notify, ProcessCtx, ProcessHandle, Sim, WaitMode};
+use simkit::{Confined, Notify, ProcessCtx, ProcessHandle, Sim, WaitMode};
 use via::{
     Cluster, Cq, Descriptor, Discriminator, MemAttributes, MemHandle, Provider, QueueKind, Vi,
     ViAttributes, ViId,
@@ -63,7 +62,7 @@ struct Shared {
     provider: Provider,
     rank: u32,
     ranks: u32,
-    state: Mutex<NodeState>,
+    state: Confined<NodeState>,
     /// Signaled by the pager whenever a page lands.
     arrivals: Notify,
     /// Application's outbound lanes (this node's endpoint; the app is the
@@ -618,7 +617,7 @@ fn build_node(
         provider: provider.clone(),
         rank,
         ranks,
-        state: Mutex::new(NodeState {
+        state: provider.sim().confined(NodeState {
             owned,
             store: HashMap::new(),
             directory,
@@ -627,7 +626,7 @@ fn build_node(
             fault_outstanding: None,
             stats: DsmStats::default(),
         }),
-        arrivals: Notify::new(),
+        arrivals: Notify::new(provider.sim()),
         app_tx,
         finished_apps,
     });

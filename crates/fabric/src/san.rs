@@ -48,8 +48,7 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Weak};
 
-use parking_lot::Mutex;
-use simkit::{EventClass, Sim, SimDuration, SimRng, SimTime};
+use simkit::{Confined, EventClass, Sim, SimDuration, SimRng, SimTime};
 use trace::{MsgId, TracePoint, Tracer};
 
 use crate::fault::{FaultKind, FaultPlan, FaultState, HopOutcome, SWITCH_NODE};
@@ -440,12 +439,12 @@ struct SanInner {
     seed: u64,
     topo: Topology,
     /// Per-switch output-port state, indexed like [`Topology::ports`].
-    ports: Vec<Vec<Mutex<Port>>>,
-    routing: Mutex<RoutingState>,
+    ports: Vec<Vec<Confined<Port>>>,
+    routing: Confined<RoutingState>,
     /// The engine every stage of every frame is scheduled on.
     sim: Sim,
-    links: Mutex<Links>,
-    shared: Mutex<SharedState>,
+    links: Confined<Links>,
+    shared: Confined<SharedState>,
     /// Master switch for the switch-egress fold (`VIBE_FUSE`). The VIA
     /// layer sets it at cluster build; folding never changes virtual times
     /// or counters, only how many scheduler events carry a frame.
@@ -468,7 +467,7 @@ struct SanInner {
     node_faults: AtomicBool,
     /// Per-node crash/reboot hooks (registered by the attached provider
     /// layer); invoked at window edges.
-    node_hooks: Mutex<Vec<Option<NodeFaultHook>>>,
+    node_hooks: Confined<Vec<Option<NodeFaultHook>>>,
 }
 
 /// Handle to the SAN; cheap to clone.
@@ -524,7 +523,7 @@ impl San {
                         params.link.mtu,
                     );
                 }
-                specs.iter().map(|_| Mutex::new(Port::new())).collect()
+                specs.iter().map(|_| sim.confined(Port::new())).collect()
             })
             .collect();
         let links = Links {
@@ -539,10 +538,9 @@ impl San {
                 seed,
                 topo,
                 ports,
-                routing: Mutex::new(RoutingState::default()),
-                sim,
-                links: Mutex::new(links),
-                shared: Mutex::new(SharedState {
+                routing: sim.confined(RoutingState::default()),
+                links: sim.confined(links),
+                shared: sim.confined(SharedState {
                     handlers: (0..nodes).map(|_| None).collect(),
                     stats: SanStats::default(),
                     tracer: Tracer::disabled(),
@@ -552,7 +550,8 @@ impl San {
                 fuse: AtomicBool::new(true),
                 switch_faults: AtomicBool::new(false),
                 node_faults: AtomicBool::new(false),
-                node_hooks: Mutex::new((0..nodes).map(|_| None).collect()),
+                node_hooks: sim.confined((0..nodes).map(|_| None).collect()),
+                sim,
             }),
         }
     }
@@ -1503,6 +1502,7 @@ impl San {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use parking_lot::Mutex;
     use simkit::SimTime;
 
     fn collect_arrivals(san: &San, node: NodeId) -> Arc<Mutex<Vec<(SimTime, u32)>>> {

@@ -64,16 +64,13 @@
 //!
 //! # Threads
 //!
-//! The scheduler state, the process table and the CPU records are
-//! [`Confined`] cells, not mutexes: `run` takes ownership of the `Sim`'s
-//! affinity word for the calling thread once, and every `.lock()` below —
-//! from the loop, an event or a process body — is then an ownership check
-//! and a re-entrancy flag, with no atomic read-modify-write. Other threads
-//! may still schedule, cancel and read between runs (each call claims the
-//! word and gives it back); one that calls in *during* a run waits for the
-//! run to return. [`crate::confined`] has the argument. Only the event hook
-//! keeps a real mutex: it is installed from outside and read once per
-//! event behind an atomic flag.
+//! A `Sim` belongs to the thread that built it: [`Sim::new`] records that
+//! thread's token, and the scheduler state, the process table, the CPU
+//! records and the event hook are [`Confined`] cells that check it. Every
+//! `.lock()` below — from the loop, an event or a process body — is then a
+//! compare and a re-entrancy flag, with no atomic read-modify-write, and
+//! the same `.lock()` from any other thread panics. [`crate::confined`] has
+//! the argument.
 //!
 //! The erased payloads are this module's only `unsafe`: everything that
 //! reads or writes one is below, between `erase` and [`Sim::run`].
@@ -84,7 +81,7 @@ use std::mem::{align_of, size_of, ManuallyDrop, MaybeUninit};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering as AtomicOrdering};
 use std::sync::{Arc, Weak};
 
-use crate::confined::{Affinity, Confined};
+use crate::confined::{token, Confined};
 use crate::cpu::CpuId;
 use crate::process::{ProcessCtx, ProcessHandle, ProcessId, ProcessRecord, WaitToken};
 use crate::time::{SimDuration, SimTime};
@@ -414,15 +411,6 @@ pub struct ClassTally {
     pub dead_popped: u64,
 }
 
-impl ClassTally {
-    /// Field-wise accumulate another tally into this one.
-    pub fn merge(&mut self, d: &ClassTally) {
-        self.fired += d.fired;
-        self.cancelled += d.cancelled;
-        self.dead_popped += d.dead_popped;
-    }
-}
-
 /// Why a message that attempted the fused fast path fell back to the
 /// general event chain. The variants mirror the guard checks in
 /// `via::fastpath`; the engine only stores the tally so that the
@@ -721,21 +709,6 @@ impl SchedStats {
         }
         violations
     }
-
-    /// Field-wise accumulate another ledger into this one; every counter
-    /// is a plain sum.
-    pub fn merge(&mut self, other: &SchedStats) {
-        self.fired += other.fired;
-        self.cancelled += other.cancelled;
-        self.dead_popped += other.dead_popped;
-        self.macro_events += other.macro_events;
-        self.events_elided += other.events_elided;
-        self.fuse.merge(&other.fuse);
-        self.pool.merge(&other.pool);
-        for (mine, theirs) in self.by_class.iter_mut().zip(other.by_class.iter()) {
-            mine.merge(theirs);
-        }
-    }
 }
 
 struct SchedState {
@@ -824,9 +797,9 @@ impl Default for SchedState {
 }
 
 pub(crate) struct SimInner {
-    /// Which thread owns the confined cells below — and every cell made by
-    /// [`Sim::confined`] — right now. Held by [`Sim::run`] for a whole run.
-    affinity: Arc<Affinity>,
+    /// Token of the thread that built the simulation: the owner of the
+    /// confined cells below and of every cell made by [`Sim::confined`].
+    owner: usize,
     sched: Confined<SchedState>,
     /// Mirror of the current virtual time for lock-free reads.
     now_ns: AtomicU64,
@@ -836,12 +809,12 @@ pub(crate) struct SimInner {
     pub(crate) cpus: Confined<Vec<SimDuration>>,
     pub(crate) shutdown: AtomicBool,
     /// Fast-path guard for `hook`: the run loop checks this relaxed flag
-    /// before touching the mutex, so an unhooked simulation pays one
+    /// before touching the cell, so an unhooked simulation pays one
     /// predictable-branch load per event and nothing else.
     hook_set: AtomicBool,
     /// Observer invoked after each fired event (with no scheduler guard
     /// alive), installed by [`Sim::set_event_hook`].
-    hook: parking_lot::Mutex<Option<EventHook>>,
+    hook: Confined<Option<EventHook>>,
 }
 
 /// Observer called once per fired event with its timestamp and class.
@@ -853,8 +826,10 @@ pub(crate) struct SimInner {
 pub type EventHook = Arc<dyn Fn(SimTime, EventClass) + Send + Sync>;
 
 /// Handle to a simulation. Cheap to clone; all clones share one virtual
-/// world. The thread that calls [`Sim::run`] executes every event and every
-/// process until the call returns.
+/// world. It belongs to the thread that built it: that thread's
+/// [`Sim::run`] executes every event and every process, and a call that
+/// reaches its state from any other thread panics (see
+/// [`crate::confined`]).
 #[derive(Clone)]
 pub struct Sim {
     pub(crate) inner: Arc<SimInner>,
@@ -976,28 +951,27 @@ impl Default for Sim {
 impl Sim {
     /// Create an empty simulation at time zero.
     pub fn new() -> Self {
-        let affinity = Affinity::new();
+        let owner = token();
         Sim {
             inner: Arc::new(SimInner {
-                sched: Confined::new(Arc::clone(&affinity), SchedState::default()),
+                owner,
+                sched: Confined::new(owner, SchedState::default()),
                 now_ns: AtomicU64::new(0),
-                procs: Confined::new(Arc::clone(&affinity), Vec::new()),
-                cpus: Confined::new(Arc::clone(&affinity), Vec::new()),
+                procs: Confined::new(owner, Vec::new()),
+                cpus: Confined::new(owner, Vec::new()),
                 shutdown: AtomicBool::new(false),
                 hook_set: AtomicBool::new(false),
-                hook: parking_lot::Mutex::new(None),
-                affinity,
+                hook: Confined::new(owner, None),
             }),
         }
     }
 
-    /// Wrap `value` in a cell confined to whichever thread is using this
-    /// simulation: free to lock from inside [`Sim::run`] (events and process
-    /// bodies), and from any one thread at a time outside it. For per-node
-    /// model state that only this `Sim`'s events touch. See
-    /// [`crate::confined`].
+    /// Wrap `value` in a cell confined to the thread that built this
+    /// simulation: free to lock from its events, its process bodies and the
+    /// code around its runs, and a panic from any other thread. For model
+    /// state that only this world touches. See [`crate::confined`].
     pub fn confined<T>(&self, value: T) -> Confined<T> {
-        Confined::new(Arc::clone(&self.inner.affinity), value)
+        Confined::new(self.inner.owner, value)
     }
 
     /// Install (or clear, with `None`) the per-event observer. See
@@ -1146,13 +1120,11 @@ impl Sim {
         self.push_wake(self.now() + delay, class, token);
     }
 
-    /// Spawn a simulated process. `body` runs on its own stack, on
-    /// whichever thread is inside [`Sim::run`] when one of its wakes fires,
-    /// and never concurrently with the event loop or another process. It
-    /// must not hold anything bound to a thread (a lock guard, a reference
-    /// into a thread-local) across a wait: the next `run` may be called
-    /// from a different thread. `cpu`, when given,
-    /// is charged by [`ProcessCtx::busy`] and the `*_charged` waits.
+    /// Spawn a simulated process. `body` runs on its own stack, on the
+    /// thread that built this simulation, inside [`Sim::run`] whenever one
+    /// of its wakes fires, and never concurrently with the event loop or
+    /// another process. `cpu`, when given, is charged by
+    /// [`ProcessCtx::busy`] and the `*_charged` waits.
     pub fn spawn<T, F>(
         &self,
         name: impl Into<String>,
@@ -1163,7 +1135,7 @@ impl Sim {
         T: Send + 'static,
         F: FnOnce(&mut ProcessCtx) -> T + Send + 'static,
     {
-        let slot = Arc::new(parking_lot::Mutex::new(None));
+        let slot = Arc::new(self.confined(None));
         let record = {
             let mut procs = self.inner.procs.lock();
             let pid = ProcessId::new(procs.len() as u32);
@@ -1181,6 +1153,7 @@ impl Sim {
                 name.into(),
                 cpu,
                 Box::new(on_stack),
+                self.confined(None),
             ));
             procs.push(Arc::clone(&record));
             record
@@ -1220,10 +1193,6 @@ impl Sim {
 
     /// Drive the simulation until the event queue drains, then report.
     pub fn run(&self) -> RunReport {
-        // This thread owns every confined cell of the simulation until the
-        // run returns or unwinds, so each access made below, by an event or
-        // by a process body costs a compare and a few plain stores.
-        let _hold = self.inner.affinity.hold();
         let (pool_at_entry, elided_at_entry, fuse_at_entry) = {
             let s = self.inner.sched.lock();
             (s.stats.pool, s.stats.events_elided, s.stats.fuse)
@@ -1928,30 +1897,6 @@ mod tests {
     }
 
     #[test]
-    fn sched_stats_merge_is_fieldwise_sum() {
-        let a = Sim::new();
-        let b = Sim::new();
-        a.call_in_as(EventClass::Fabric, SimDuration::from_nanos(1), |_| {});
-        b.call_in_as(EventClass::Firmware, SimDuration::from_nanos(1), |_| {});
-        let h = b.timer_in(EventClass::Doorbell, SimDuration::from_nanos(2), |_| {});
-        h.cancel();
-        a.run();
-        b.run();
-        let mut merged = a.sched_stats();
-        merged.merge(&b.sched_stats());
-        assert_eq!(merged.fired, 2);
-        assert_eq!(merged.cancelled, 1);
-        assert_eq!(merged.dead_popped, 1);
-        assert_eq!(merged.class(EventClass::Fabric).fired, 1);
-        assert_eq!(merged.class(EventClass::Firmware).fired, 1);
-        assert_eq!(merged.class(EventClass::Doorbell).cancelled, 1);
-        assert_eq!(
-            merged.pool.inline_small + merged.pool.inline_large + merged.pool.boxed,
-            3
-        );
-    }
-
-    #[test]
     fn timer_handle_outliving_sim_is_inert() {
         let h = {
             let sim = Sim::new();
@@ -2095,109 +2040,5 @@ mod tests {
                 "seed {seed}"
             );
         }
-    }
-}
-
-#[cfg(test)]
-mod thread_safety_tests {
-    use super::*;
-    use crate::time::SimDuration;
-    use parking_lot::Mutex;
-    use std::sync::atomic::AtomicUsize;
-
-    #[test]
-    fn scheduling_from_many_os_threads_is_safe_and_complete() {
-        // The Sim handle is Send+Sync; external threads (e.g. a test
-        // driver or tracing collector) may schedule events concurrently
-        // before the scheduler runs. Hammer the queue from 8 threads and
-        // verify nothing is lost or misordered.
-        const THREADS: usize = 8;
-        const PER_THREAD: usize = 5_000;
-        let sim = Sim::new();
-        let hits = Arc::new(AtomicUsize::new(0));
-        std::thread::scope(|scope| {
-            for t in 0..THREADS {
-                let sim = sim.clone();
-                let hits = Arc::clone(&hits);
-                scope.spawn(move || {
-                    for i in 0..PER_THREAD {
-                        let hits = Arc::clone(&hits);
-                        sim.call_in(
-                            SimDuration::from_nanos(((t * PER_THREAD + i) % 997) as u64),
-                            move |_| {
-                                hits.fetch_add(1, AtomicOrdering::Relaxed);
-                            },
-                        );
-                    }
-                });
-            }
-        });
-        let report = sim.run();
-        assert_eq!(hits.load(AtomicOrdering::Relaxed), THREADS * PER_THREAD);
-        assert_eq!(report.events, (THREADS * PER_THREAD) as u64);
-        // All events landed within the jittered window.
-        assert!(report.end_time <= SimTime::from_nanos(997));
-    }
-
-    #[test]
-    fn clock_is_monotone_under_concurrent_scheduling() {
-        let sim = Sim::new();
-        let last = Arc::new(Mutex::new(SimTime::ZERO));
-        std::thread::scope(|scope| {
-            for t in 0..4 {
-                let sim = sim.clone();
-                let last = Arc::clone(&last);
-                scope.spawn(move || {
-                    for i in 0..2_000u64 {
-                        let last = Arc::clone(&last);
-                        sim.call_in(SimDuration::from_nanos((i * 7 + t) % 509), move |s| {
-                            let mut l = last.lock();
-                            assert!(s.now() >= *l, "clock went backwards");
-                            *l = s.now();
-                        });
-                    }
-                });
-            }
-        });
-        sim.run();
-    }
-
-    #[test]
-    fn concurrent_cancels_from_other_threads_are_safe() {
-        // Cancel from foreign threads while more timers are being armed;
-        // every timer either fires exactly once or cancels exactly once.
-        let sim = Sim::new();
-        let fired = Arc::new(AtomicUsize::new(0));
-        let mut handles = Vec::new();
-        for i in 0..4_000u64 {
-            let fired = Arc::clone(&fired);
-            handles.push(sim.timer_in(
-                EventClass::User,
-                SimDuration::from_nanos(i % 331),
-                move |_| {
-                    fired.fetch_add(1, AtomicOrdering::Relaxed);
-                },
-            ));
-        }
-        let cancelled = Arc::new(AtomicUsize::new(0));
-        std::thread::scope(|scope| {
-            for chunk in handles.chunks(1_000) {
-                let cancelled = Arc::clone(&cancelled);
-                scope.spawn(move || {
-                    for h in chunk.iter().step_by(2) {
-                        if h.cancel() {
-                            cancelled.fetch_add(1, AtomicOrdering::Relaxed);
-                        }
-                    }
-                });
-            }
-        });
-        let report = sim.run();
-        let fired = fired.load(AtomicOrdering::Relaxed);
-        let cancelled = cancelled.load(AtomicOrdering::Relaxed);
-        assert_eq!(fired + cancelled, 4_000);
-        assert_eq!(report.sched.cancelled as usize, cancelled);
-        assert_eq!(report.sched.fired as usize, fired);
-        assert_eq!(report.sched.dead_popped as usize, cancelled);
     }
 }

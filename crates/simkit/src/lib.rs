@@ -32,7 +32,7 @@
 //!
 //! let sim = Sim::new();
 //! let cpu = sim.add_cpu("node0");
-//! let done = Notify::new();
+//! let done = Notify::new(&sim);
 //!
 //! let d2 = done.clone();
 //! let h = sim.spawn("worker", Some(cpu), move |ctx| {

@@ -1,7 +1,7 @@
 //! Cooperative simulated processes on stackful coroutines.
 //!
 //! Each simulated process is a stackful coroutine: its body runs on a private
-//! stack, on whichever thread is inside [`Sim::run`], so benchmark code can
+//! stack, on the thread inside [`Sim::run`], so benchmark code can
 //! use a natural *blocking* style (`post_send(); wait_send();` loops, like
 //! the paper's VIPL benchmarks). A wake event switches the running thread
 //! onto the process's stack; [`ProcessCtx::wait`] switches it back. The
@@ -10,13 +10,13 @@
 //! event queue alone.
 //!
 //! A per-process atomic **baton** (`ProcessRecord::state`) records whether
-//! the process is parked (and on which wait), running, or finished. Only
-//! the thread that moves it from parked to running may touch the coroutine,
-//! which is what lets a process parked under one `run` be resumed by a
-//! different thread under the next.
-//! The one rule this puts on process bodies: **hold nothing bound to a
-//! thread — a lock guard, a reference into a thread-local — across a
-//! `wait`**.
+//! the process is parked (and on which wait), running, or finished; only
+//! the caller that moves it from parked to running touches the coroutine.
+//! All of it happens on the thread that built the [`Sim`]: the world is
+//! confined to that thread ([`crate::confined`]), processes included. The
+//! one rule this puts on process bodies: **hold no `ConfinedGuard` across
+//! a `wait`** — whatever runs meanwhile may lock the same cell, and a second
+//! guard panics.
 //!
 //! Wakeups are tokenized: every wait gets a fresh [`WaitToken`], and a wake
 //! only resumes the process if it is still waiting on that exact token.
@@ -29,8 +29,7 @@ use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering as AtomicOrdering};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
-
+use crate::confined::Confined;
 use crate::coroutine::{Coroutine, Resumed};
 use crate::cpu::CpuId;
 use crate::engine::Sim;
@@ -88,7 +87,7 @@ pub(crate) struct ProcessRecord {
     /// resumer must publish in `state`. Touched only while holding the baton.
     parked_on: Cell<u64>,
     next_wait_seq: AtomicU64,
-    panic_payload: Mutex<Option<Box<dyn Any + Send>>>,
+    panic_payload: Confined<Option<Box<dyn Any + Send>>>,
 }
 
 // SAFETY: `co` and `parked_on` are the only fields that are not already
@@ -109,6 +108,7 @@ impl ProcessRecord {
         name: String,
         cpu: Option<CpuId>,
         body: Box<dyn FnOnce() + Send>,
+        panic_payload: Confined<Option<Box<dyn Any + Send>>>,
     ) -> Self {
         ProcessRecord {
             pid,
@@ -119,7 +119,7 @@ impl ProcessRecord {
             co: Coroutine::new(body),
             parked_on: Cell::new(0),
             next_wait_seq: AtomicU64::new(1),
-            panic_payload: Mutex::new(None),
+            panic_payload,
         }
     }
 
@@ -319,11 +319,11 @@ impl ProcessCtx {
 /// simulation has run.
 pub struct ProcessHandle<T> {
     record: Arc<ProcessRecord>,
-    slot: Arc<Mutex<Option<T>>>,
+    slot: Arc<Confined<Option<T>>>,
 }
 
 impl<T: Send + 'static> ProcessHandle<T> {
-    pub(crate) fn new(record: Arc<ProcessRecord>, slot: Arc<Mutex<Option<T>>>) -> Self {
+    pub(crate) fn new(record: Arc<ProcessRecord>, slot: Arc<Confined<Option<T>>>) -> Self {
         ProcessHandle { record, slot }
     }
 
@@ -362,6 +362,7 @@ impl<T: Send + 'static> ProcessHandle<T> {
 mod tests {
     use super::*;
     use crate::time::SimDuration;
+    use parking_lot::Mutex;
 
     #[test]
     fn process_sleep_advances_virtual_time() {
@@ -489,28 +490,28 @@ mod tests {
     }
 
     #[test]
-    fn every_process_runs_on_the_thread_that_calls_run() {
-        let sim = Sim::new();
-        let handles: Vec<_> = (0..64)
-            .map(|i| {
-                sim.spawn(format!("p{i}"), None, move |ctx| {
-                    let first = std::thread::current().id();
-                    ctx.sleep(SimDuration::from_micros(i % 5 + 1));
-                    (first, std::thread::current().id())
+    fn a_process_body_runs_on_the_thread_that_built_its_world() {
+        // Built, spawned and run on a thread of its own: that thread, not
+        // the test's, hosts every body, before and after each wait.
+        let (builder, ran_on) = std::thread::spawn(|| {
+            let sim = Sim::new();
+            let handles: Vec<_> = (0..64)
+                .map(|i| {
+                    sim.spawn(format!("p{i}"), None, move |ctx| {
+                        let first = std::thread::current().id();
+                        ctx.sleep(SimDuration::from_micros(i % 5 + 1));
+                        (first, std::thread::current().id())
+                    })
                 })
-            })
-            .collect();
-        // Spawned here, run elsewhere: the runner, not the spawner, hosts them.
-        let runner = std::thread::spawn(move || {
+                .collect();
             sim.run_to_completion();
-            std::thread::current().id()
+            let ran_on: Vec<_> = handles.iter().map(|h| h.expect_result()).collect();
+            (std::thread::current().id(), ran_on)
         })
         .join()
-        .expect("runner thread");
-        assert_ne!(runner, std::thread::current().id());
-        for h in handles {
-            assert_eq!(h.expect_result(), (runner, runner));
-        }
+        .expect("builder thread");
+        assert_ne!(builder, std::thread::current().id());
+        assert!(ran_on.iter().all(|&ids| ids == (builder, builder)));
     }
 
     /// Records the thread it is dropped on.

@@ -9,8 +9,7 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use parking_lot::Mutex;
-
+use crate::confined::Confined;
 use crate::engine::Sim;
 use crate::process::{ProcessCtx, WaitToken};
 use crate::time::SimDuration;
@@ -49,15 +48,18 @@ struct NotifyState {
 ///
 /// `signal` either hands its credit directly to the longest-waiting process
 /// or banks it for the next waiter; FIFO hand-off keeps runs deterministic.
-#[derive(Clone, Default)]
+/// Its state is a confined cell of the [`Sim`] it was made for.
+#[derive(Clone)]
 pub struct Notify {
-    state: Arc<Mutex<NotifyState>>,
+    state: Arc<Confined<NotifyState>>,
 }
 
 impl Notify {
-    /// New notification source with zero banked signals.
-    pub fn new() -> Self {
-        Self::default()
+    /// New notification source on `sim`, with zero banked signals.
+    pub fn new(sim: &Sim) -> Self {
+        Notify {
+            state: Arc::new(sim.confined(NotifyState::default())),
+        }
     }
 
     /// Post one signal. Callable from event handlers and processes alike.
@@ -98,15 +100,15 @@ struct BarrierState {
 /// A reusable N-party barrier on virtual time (benchmark phase alignment).
 #[derive(Clone)]
 pub struct SimBarrier {
-    state: Arc<Mutex<BarrierState>>,
+    state: Arc<Confined<BarrierState>>,
 }
 
 impl SimBarrier {
-    /// Barrier for `n` parties (`n >= 1`).
-    pub fn new(n: usize) -> Self {
+    /// Barrier on `sim` for `n` parties (`n >= 1`).
+    pub fn new(sim: &Sim, n: usize) -> Self {
         assert!(n >= 1, "barrier needs at least one party");
         SimBarrier {
-            state: Arc::new(Mutex::new(BarrierState {
+            state: Arc::new(sim.confined(BarrierState {
                 needed: n,
                 arrived: 0,
                 waiters: Vec::new(),
@@ -141,11 +143,12 @@ impl SimBarrier {
 mod tests {
     use super::*;
     use crate::time::SimTime;
+    use parking_lot::Mutex;
 
     #[test]
     fn notify_banks_signals() {
         let sim = Sim::new();
-        let n = Notify::new();
+        let n = Notify::new(&sim);
         n.signal(&sim);
         n.signal(&sim);
         let n2 = n.clone();
@@ -164,7 +167,7 @@ mod tests {
     #[test]
     fn notify_wakes_blocked_waiter() {
         let sim = Sim::new();
-        let n = Notify::new();
+        let n = Notify::new(&sim);
         let n2 = n.clone();
         let h = sim.spawn("waiter", None, move |ctx| {
             let waited = n2.wait(ctx, WaitMode::Block);
@@ -181,7 +184,7 @@ mod tests {
     #[test]
     fn notify_pre_banked_signal_returns_immediately() {
         let sim = Sim::new();
-        let n = Notify::new();
+        let n = Notify::new(&sim);
         n.signal(&sim);
         let n2 = n.clone();
         let h = sim.spawn("waiter", None, move |ctx| n2.wait(ctx, WaitMode::Block));
@@ -192,7 +195,7 @@ mod tests {
     #[test]
     fn notify_fifo_ordering_across_waiters() {
         let sim = Sim::new();
-        let n = Notify::new();
+        let n = Notify::new(&sim);
         let order = Arc::new(Mutex::new(Vec::new()));
         for name in ["w0", "w1", "w2"] {
             let n = n.clone();
@@ -213,7 +216,7 @@ mod tests {
     #[test]
     fn barrier_releases_all_parties_together() {
         let sim = Sim::new();
-        let b = SimBarrier::new(3);
+        let b = SimBarrier::new(&sim, 3);
         let times = Arc::new(Mutex::new(Vec::new()));
         for (name, d) in [("a", 10u64), ("b", 20), ("c", 30)] {
             let b = b.clone();
@@ -233,7 +236,7 @@ mod tests {
     #[test]
     fn barrier_is_reusable() {
         let sim = Sim::new();
-        let b = SimBarrier::new(2);
+        let b = SimBarrier::new(&sim, 2);
         let rounds = Arc::new(Mutex::new(0u32));
         for name in ["a", "b"] {
             let b = b.clone();
@@ -254,7 +257,7 @@ mod tests {
     fn polling_wait_on_notify_burns_cpu() {
         let sim = Sim::new();
         let cpu = sim.add_cpu("host");
-        let n = Notify::new();
+        let n = Notify::new(&sim);
         let n2 = n.clone();
         sim.spawn("poller", Some(cpu), move |ctx| {
             n2.wait(ctx, WaitMode::Poll);

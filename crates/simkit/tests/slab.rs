@@ -128,7 +128,7 @@ fn pool_ledger_of_a_fixed_world_is_unchanged() {
     // the enum-in-slot arena this slab replaced; only the small/large
     // split may move (and only if captures change size).
     let sim = Sim::new();
-    let (ping, pong) = (Notify::new(), Notify::new());
+    let (ping, pong) = (Notify::new(&sim), Notify::new(&sim));
     let (ping2, pong2) = (ping.clone(), pong.clone());
     sim.spawn("pinger", None, move |ctx| {
         for _ in 0..200u32 {

@@ -23,19 +23,18 @@
 //!
 //! * [`chrome_trace_json`] renders records as Chrome trace-event JSON,
 //!   loadable in Perfetto / `chrome://tracing`.
-//! * [`Tracer::snapshot`] reads the point counters, the engine's
-//!   per-class event tallies and the ring's overflow count in one go.
+//! * [`Tracer::snapshot`] reads the point counters and the ring's overflow
+//!   count in one go.
 //! * The `vibe` suite crate derives per-stage latency tables from records
 //!   (the X-TRACE experiment) and the X-BRK component breakdown from
 //!   the same records.
 
 #![warn(missing_docs)]
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use simkit::{EventClass, SimTime};
+use simkit::SimTime;
 
 /// Stable identity of one message across layers and nodes.
 ///
@@ -298,8 +297,6 @@ struct TraceState {
 struct TraceInner {
     config: TraceConfig,
     state: Mutex<TraceState>,
-    /// Engine events fired per [`EventClass`], fed by the scheduler hook.
-    engine_events: [AtomicU64; EventClass::ALL.len()],
 }
 
 /// Handle to a trace sink; cheap to clone and thread through every layer.
@@ -328,7 +325,6 @@ impl Tracer {
                     dropped: 0,
                     counters: [0; TracePoint::ALL.len()],
                 }),
-                engine_events: Default::default(),
             })),
         }
     }
@@ -419,8 +415,8 @@ impl Tracer {
         }
     }
 
-    /// The single snapshot path: point counters, engine event tallies, and
-    /// the ring's overflow count. Empty when disabled.
+    /// The single snapshot path: point counters and the ring's overflow
+    /// count. Empty when disabled.
     pub fn snapshot(&self) -> MetricsSnapshot {
         let Some(inner) = &self.inner else {
             return MetricsSnapshot::default();
@@ -431,27 +427,8 @@ impl Tracer {
                 .iter()
                 .map(|p| (p.name(), st.counters[p.index()]))
                 .collect(),
-            engine_events: EventClass::ALL
-                .iter()
-                .map(|c| {
-                    (
-                        c.name(),
-                        inner.engine_events[c.index()].load(Ordering::Relaxed),
-                    )
-                })
-                .collect(),
             records_dropped: st.dropped,
         }
-    }
-
-    /// A scheduler hook tallying fired engine events per [`EventClass`]
-    /// into this tracer, for [`simkit::Sim::set_event_hook`]. `None` when
-    /// disabled (leave the engine unhooked).
-    pub fn engine_hook(&self) -> Option<simkit::EventHook> {
-        let inner = Arc::clone(self.inner.as_ref()?);
-        Some(Arc::new(move |_at: SimTime, class: EventClass| {
-            inner.engine_events[class.index()].fetch_add(1, Ordering::Relaxed);
-        }))
     }
 }
 
@@ -460,8 +437,6 @@ impl Tracer {
 pub struct MetricsSnapshot {
     /// Lifecycle point counters, in [`TracePoint::ALL`] order.
     pub points: Vec<(&'static str, u64)>,
-    /// Scheduler events fired per [`simkit::EventClass`].
-    pub engine_events: Vec<(&'static str, u64)>,
     /// Span records lost to ring overflow.
     pub records_dropped: u64,
 }
@@ -575,7 +550,6 @@ mod tests {
         assert_eq!(t.count(TracePoint::WireTx), 0);
         assert!(t.records().is_empty());
         assert!(t.snapshot().points.is_empty());
-        assert!(t.engine_hook().is_none());
     }
 
     #[test]
@@ -623,26 +597,6 @@ mod tests {
         let recs = t.records();
         assert_eq!(recs[0].msg, recs[1].msg);
         assert_eq!(format!("{id}"), "n0/vi3/s7");
-    }
-
-    #[test]
-    fn engine_hook_tallies_classes() {
-        let t = Tracer::new(TraceConfig::default());
-        let hook = t.engine_hook().expect("attached tracer provides a hook");
-        hook(SimTime::ZERO, EventClass::Fabric);
-        hook(SimTime::ZERO, EventClass::Fabric);
-        hook(SimTime::ZERO, EventClass::Doorbell);
-        let snap = t.snapshot();
-        let get = |name: &str| {
-            snap.engine_events
-                .iter()
-                .find(|(n, _)| *n == name)
-                .map(|(_, v)| *v)
-                .unwrap()
-        };
-        assert_eq!(get("fabric"), 2);
-        assert_eq!(get("doorbell"), 1);
-        assert_eq!(get("completion"), 0);
     }
 
     #[test]

@@ -119,14 +119,7 @@ pub(crate) fn accept(
                 return Err(ViaError::Busy); // someone already listens here
             }
             let token = ctx.prepare_wait();
-            st.listeners.insert(
-                disc,
-                Listener {
-                    vi: vi_id,
-                    token,
-                    slot: None,
-                },
-            );
+            st.listeners.insert(disc, Listener { token, slot: None });
             token
         };
         if let Some(d) = deadline {
@@ -415,7 +408,6 @@ pub(crate) fn handle_conn_frame(provider: &Provider, sim: &Sim, frame: ConnFrame
             max_transfer_size,
         } => {
             let req = PendingConnReq {
-                disc,
                 client_node,
                 client_vi,
                 reliability,

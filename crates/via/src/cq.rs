@@ -16,8 +16,6 @@ use crate::types::{CqId, QueueKind, ViId};
 
 /// Internal CQ state.
 pub(crate) struct CqState {
-    #[allow(dead_code)] // kept for diagnostics
-    pub id: CqId,
     pub depth: usize,
     pub entries: VecDeque<(ViId, QueueKind)>,
     pub waiters: VecDeque<(WaitToken, WaitMode)>,
@@ -27,9 +25,8 @@ pub(crate) struct CqState {
 }
 
 impl CqState {
-    pub(crate) fn new(id: CqId, depth: usize) -> Self {
+    pub(crate) fn new(depth: usize) -> Self {
         CqState {
-            id,
             depth,
             entries: VecDeque::new(),
             waiters: VecDeque::new(),
@@ -75,7 +72,7 @@ mod tests {
 
     #[test]
     fn cqstate_starts_empty() {
-        let cq = CqState::new(CqId(0), 16);
+        let cq = CqState::new(16);
         assert_eq!(cq.entries.len(), 0);
         assert_eq!(cq.refs, 0);
         assert_eq!(cq.depth, 16);

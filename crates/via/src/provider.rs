@@ -109,8 +109,6 @@ pub struct ProviderStats {
 
 /// A pending inbound connection request (no listener yet).
 pub(crate) struct PendingConnReq {
-    #[allow(dead_code)] // kept for diagnostics
-    pub disc: Discriminator,
     pub client_node: NodeId,
     pub client_vi: ViId,
     pub reliability: crate::types::Reliability,
@@ -119,8 +117,6 @@ pub(crate) struct PendingConnReq {
 
 /// A registered `accept` listener.
 pub(crate) struct Listener {
-    #[allow(dead_code)] // kept for diagnostics
-    pub vi: ViId,
     pub token: simkit::WaitToken,
     pub slot: Option<PendingConnReq>,
 }
@@ -360,7 +356,6 @@ impl Provider {
         }
         let id = ViId(st.vis.len() as u32);
         st.vis.push(Some(ViState::new(
-            id,
             attrs,
             send_cq.map(|c| c.id),
             recv_cq.map(|c| c.id),
@@ -397,7 +392,7 @@ impl Provider {
         ctx.busy(self.core.profile.setup.create_cq);
         let mut st = self.lock();
         let id = CqId(st.cqs.len() as u32);
-        st.cqs.push(Some(CqState::new(id, depth)));
+        st.cqs.push(Some(CqState::new(depth)));
         Ok(Cq {
             provider: self.clone(),
             id,
@@ -435,8 +430,9 @@ impl Provider {
         let st = self.lock();
         let node = self.core.node.0;
         let initial = self.core.profile.credit_flow.initial as u64;
-        for vi in st.vis.iter().flatten() {
-            let tag = || format!("node {node} vi {}", vi.id.raw());
+        for (index, vi) in st.vis.iter().enumerate() {
+            let Some(vi) = vi else { continue };
+            let tag = || format!("node {node} vi {index}");
             if matches!(vi.conn, ConnState::Error { .. }) {
                 for (what, count) in [
                     ("in-flight sends", vi.send_inflight.len()),
@@ -559,9 +555,10 @@ impl Provider {
             st.rx_engine_busy = simkit::SimTime::ZERO;
             st.pending_conn.clear();
             let mut cancelled = 0u64;
-            for vi in st.vis.iter_mut().flatten() {
+            for (index, vi) in st.vis.iter_mut().enumerate() {
+                let Some(vi) = vi else { continue };
                 match vi.conn {
-                    crate::vi::ConnState::Connected { .. } => to_fail.push(vi.id),
+                    crate::vi::ConnState::Connected { .. } => to_fail.push(ViId(index as u32)),
                     crate::vi::ConnState::Connecting => {
                         vi.connect_result = Some(Err(ViaError::ConnectionLost));
                         if let Some(token) = vi.connect_waiter {
@@ -953,9 +950,9 @@ impl Cluster {
 
     /// Attach a message-lifecycle [`Tracer`] to every layer of this
     /// cluster: all providers (doorbell / firmware / translation / DMA /
-    /// ACK / completion / interrupt points), the SAN (wire tx / rx /
-    /// drop), and the scheduler (per-class engine event tallies via
-    /// [`simkit::Sim::set_event_hook`]). Returns the tracer handle;
+    /// ACK / completion / interrupt points) and the SAN (wire tx / rx /
+    /// drop). Engine events are counted by the engine itself
+    /// ([`simkit::Sim::sched_stats`]). Returns the tracer handle;
     /// tracing adds **no virtual-time cost**, so a traced run's timeline
     /// is identical to an untraced one.
     ///
@@ -970,7 +967,6 @@ impl Cluster {
             );
         }
         self.san.set_tracer(tracer.clone());
-        self.sim.set_event_hook(tracer.engine_hook());
         tracer
     }
 }

@@ -146,8 +146,6 @@ pub(crate) type ReassemblyMap = HashMap<u64, Reassembly, BuildHasherDefault<SeqH
 
 /// Internal per-VI state.
 pub(crate) struct ViState {
-    #[allow(dead_code)] // kept for diagnostics
-    pub id: ViId,
     pub attrs: ViAttributes,
     pub conn: ConnState,
     pub send_cq: Option<CqId>,
@@ -326,14 +324,8 @@ impl DeliveredTracker {
 }
 
 impl ViState {
-    pub(crate) fn new(
-        id: ViId,
-        attrs: ViAttributes,
-        send_cq: Option<CqId>,
-        recv_cq: Option<CqId>,
-    ) -> Self {
+    pub(crate) fn new(attrs: ViAttributes, send_cq: Option<CqId>, recv_cq: Option<CqId>) -> Self {
         ViState {
-            id,
             attrs,
             conn: ConnState::Idle,
             send_cq,
@@ -537,7 +529,7 @@ mod tests {
 
     #[test]
     fn vistate_defaults() {
-        let vi = ViState::new(ViId(0), ViAttributes::default(), None, None);
+        let vi = ViState::new(ViAttributes::default(), None, None);
         assert_eq!(vi.conn, ConnState::Idle);
         assert!(vi.conn_mtu().is_none());
         assert!(vi.peer().is_none());
@@ -546,7 +538,7 @@ mod tests {
 
     #[test]
     fn connected_state_reports_peer_and_mtu() {
-        let mut vi = ViState::new(ViId(0), ViAttributes::default(), None, None);
+        let mut vi = ViState::new(ViAttributes::default(), None, None);
         vi.conn = ConnState::Connected {
             peer_node: NodeId(1),
             peer_vi: ViId(4),
@@ -676,7 +668,7 @@ mod tests {
         // order, not the sequences', so the stale list still sorts.
         let mut first_order = None;
         for _ in 0..20 {
-            let mut vi = ViState::new(ViId(0), ViAttributes::default(), None, None);
+            let mut vi = ViState::new(ViAttributes::default(), None, None);
             for seq in [11, 3, 8, 5, 2, 13, 7] {
                 vi.reassembly.insert(seq, two_fragment_reassembly(1));
             }

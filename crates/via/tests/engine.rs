@@ -1500,9 +1500,8 @@ fn trace_captures_full_message_lifecycle() {
         .at_ns;
     assert!(posted < landed, "post must precede landing in sim time");
 
-    // The engine hook tallied scheduler events alongside lifecycle points.
-    let snap = tracer.snapshot();
-    assert!(snap.engine_events.iter().map(|(_, n)| n).sum::<u64>() > 0);
+    // The engine counted the scheduler events behind those lifecycle points.
+    assert!(sim.sched_stats().fired > 0);
 }
 
 #[test]

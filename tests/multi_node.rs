@@ -17,7 +17,7 @@ fn eight_clients_fan_into_one_server() {
     let server = cluster.provider(0);
     // Nobody streams until every connection is accepted (accepting eight
     // clients takes ~9 ms of simulated connection-manager time).
-    let start = SimBarrier::new(N + 1);
+    let start = SimBarrier::new(&sim, N + 1);
     let server_task = {
         let server = server.clone();
         let start = start.clone();

@@ -1,19 +1,18 @@
 //! Host-independent performance proxies, gated so that a regression fails
 //! a diff instead of waiting for someone to notice a slower laptop
 //! (ROADMAP item 2): heap allocations, bytes allocated and mutex
-//! acquisitions per message,
-//! affinity claims inside a run, boxed events, event-pool hit rate, and the
+//! acquisitions per message, boxed events, event-pool hit rate, and the
 //! size of the handle every datapath closure captures.
 //!
 //! Every number here is a count the simulator reproduces exactly: the whole
-//! world runs on the calling thread, and the allocator below, `pl-shim`'s
-//! `count` feature and `simkit::confined::claims` all count per thread, so
-//! tests running beside this one do not leak into it.
+//! world runs on the calling thread, and the allocator below and
+//! `pl-shim`'s `count` feature both count per thread, so tests running
+//! beside this one do not leak into it.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use vibe_suite::simkit::{confined::claims, thread_pool_stats, PoolStats};
+use vibe_suite::simkit::{thread_pool_stats, PoolStats};
 use vibe_suite::via::{Profile, Provider};
 use vibe_suite::vibe::harness::{bandwidth, ping_pong, DtConfig};
 
@@ -54,19 +53,18 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// `[allocations, mutex acquisitions, affinity claims, bytes allocated]` made
-/// by this thread so far.
-fn counters() -> [u64; 4] {
+/// `[allocations, mutex acquisitions, bytes allocated]` made by this thread
+/// so far.
+fn counters() -> [u64; 3] {
     [
         ALLOCS.with(Cell::get),
         parking_lot::lock_count(),
-        claims(),
         ALLOCATED_BYTES.with(Cell::get),
     ]
 }
 
 /// The counters and event-pool churn of one call.
-fn measured(f: impl FnOnce()) -> ([u64; 4], PoolStats) {
+fn measured(f: impl FnOnce()) -> ([u64; 3], PoolStats) {
     let (before, pool) = (counters(), thread_pool_stats());
     f();
     let after = counters();
@@ -76,11 +74,11 @@ fn measured(f: impl FnOnce()) -> ([u64; 4], PoolStats) {
     )
 }
 
-/// Marginal `[allocations, mutex acquisitions, affinity claims, bytes
-/// allocated]` per iteration of `run`, in hundredths: the slope between a
-/// short and a long run of the same world, so cluster set-up and one-off
-/// buffer growth cancel.
-fn per_iter_x100(run: impl Fn(u32)) -> [u64; 4] {
+/// Marginal `[allocations, mutex acquisitions, bytes allocated]` per
+/// iteration of `run`, in hundredths: the slope between a short and a long
+/// run of the same world, so cluster set-up and one-off buffer growth
+/// cancel.
+fn per_iter_x100(run: impl Fn(u32)) -> [u64; 3] {
     const SHORT: u32 = 64;
     const LONG: u32 = 576;
     let (short, _) = measured(|| run(SHORT));
@@ -93,8 +91,8 @@ fn per_iter_x100(run: impl Fn(u32)) -> [u64; 4] {
 /// Per profile in `paper_trio` order (M-VIA, BVIA, cLAN), the
 /// [`per_iter_x100`] counters of a 4 B polling ping-pong iteration (two
 /// messages) and of one 16 KiB message of a depth-16 stream.
-fn trio_x100() -> [[[u64; 4]; 3]; 2] {
-    let (mut ping_pongs, mut streams) = ([[0; 4]; 3], [[0; 4]; 3]);
+fn trio_x100() -> [[[u64; 3]; 3]; 2] {
+    let (mut ping_pongs, mut streams) = ([[0; 3]; 3], [[0; 3]; 3]);
     for (i, profile) in Profile::paper_trio().into_iter().enumerate() {
         ping_pongs[i] = per_iter_x100(|iters| {
             ping_pong(&DtConfig {
@@ -114,7 +112,7 @@ fn trio_x100() -> [[[u64; 4]; 3]; 2] {
 }
 
 /// One counter of [`trio_x100`], as `[ping-pong, stream]` rows of profiles.
-fn column(trio: &[[[u64; 4]; 3]; 2], counter: usize) -> [[u64; 3]; 2] {
+fn column(trio: &[[[u64; 3]; 3]; 2], counter: usize) -> [[u64; 3]; 2] {
     trio.map(|workload| workload.map(|profile| profile[counter]))
 }
 
@@ -136,24 +134,10 @@ const ALLOCS_X100: [[u64; 3]; 2] = [[1601, 1801, 1801], [1928, 1229, 1631]];
 /// bytes. The ping-pong row is recorded as found.
 const ALLOCATED_BYTES_X100: [[u64; 3]; 2] = [[75_400, 81_800, 81_800], [2_000_000; 3]];
 
-/// Mutex-acquisition ceilings recorded from this tree, same layout. CHANGES.md
-/// (PR 21) holds the parent's values next to these: 10600/12700/12700 and
-/// 27533/12470/19620 before the scheduler, process table, CPU records,
-/// provider state and PCI bus became `simkit::Confined` cells. Every one
-/// that is left is in `fabric::san` (five or six per frame).
-/// A debug build reads two more per fused ping-pong iteration (BVIA, cLAN):
-/// `San::send_msg_at`'s `debug_assert!` asks the fabric whether faults are
-/// installed.
-const LOCKS_X100: [[u64; 3]; 2] = if cfg!(debug_assertions) {
-    [[1200, 2000, 2000], [6018, 2021, 4021]]
-} else {
-    [[1200, 1800, 1800], [6018, 2021, 4021]]
-};
-
 #[test]
 fn allocations_per_message_stay_under_their_recorded_ceilings() {
     let trio = trio_x100();
-    let (allocs, bytes) = (column(&trio, 0), column(&trio, 3));
+    let (allocs, bytes) = (column(&trio, 0), column(&trio, 2));
     println!(
         "allocations x100 per iteration, [ping-pong, stream] x (M-VIA, BVIA, cLAN): {allocs:?}"
     );
@@ -168,20 +152,15 @@ fn allocations_per_message_stay_under_their_recorded_ceilings() {
     );
 }
 
+/// A world's state lives in `simkit::Confined` cells, so a message takes no
+/// mutex at all, in any profile or build.
 #[test]
-fn mutex_acquisitions_per_message_stay_under_their_ceilings_and_a_run_claims_nothing() {
-    let trio = trio_x100();
-    let (locks, claims) = (column(&trio, 1), column(&trio, 2));
+fn no_mutex_is_acquired_per_message() {
+    let locks = column(&trio_x100(), 1);
     println!(
         "mutex acquisitions x100 per iteration, [ping-pong, stream] x (M-VIA, BVIA, cLAN): {locks:?}"
     );
-    assert!(
-        under(&locks, &LOCKS_X100),
-        "mutex acquisitions x100 per iteration {locks:?} over {LOCKS_X100:?}"
-    );
-    // A claim inside a run means some confined state is being reached from
-    // a thread other than the one running it.
-    assert_eq!(claims, [[0; 3]; 2], "affinity claims per iteration");
+    assert_eq!(locks, [[0; 3]; 2], "mutex acquisitions x100 per iteration");
 }
 
 #[test]

@@ -65,10 +65,13 @@ check() {
     fi
 }
 
-# Thread-confinement: the cells that became simkit::Confined stay
-# confined; the engine and the PCI bus import no lock outside their tests.
+# Thread-confinement: a world is touched only by the thread that built it,
+# so its state lives in simkit::Confined cells. A mutex is left only where
+# OS threads really share state (the suite runner's worker pool) and in the
+# tracer, which can be built without a world.
 row Thread-confinement 0 all 'Mutex<(SchedState|Vec<Arc<ProcessRecord>>|Vec<SimDuration>|ProviderState|PciState)>' crates
 row Thread-confinement 0 src 'use parking_lot' crates/simkit/src/engine.rs crates/vnic/src/pci.rs
+row Thread-confinement 0 src 'parking_lot|Mutex' 'crates/*/src/**/*.rs' -crates/core/src/runner.rs -crates/trace/src/lib.rs '-crates/pl-shim/**/*.rs'
 # One-instrument: `trace` is the only per-message lifecycle instrument.
 row One-instrument 0 all 'ProbeEvent|enable_probe|take_probe_events|probe_on' crates examples tests
 # One-snapshot: a fragment is a window into the one send snapshot, never
@@ -97,6 +100,9 @@ row Deleted-features 0 all '\b(CoalescedInterrupts|wake_timer_in|PortDegrade|por
 # The sharded engine: one `Sim` per world; `VIBE_JOBS` is the only
 # parallel axis.
 row Deleted-features 0 all '\b(ShardedSim|ShardSender|ShardMap|ShardStats|ShardedReport|ShardRunRecord|LinkShard|new_sharded(_topo)?|shard_lookahead|switch_shard|shard_map|min_cross_latency|default_shards|VIBE_SHARDS|run_until|next_event_time|node_sim)\b' crates examples src tests .github
+# Negotiated thread ownership: a `Confined` cell checks the one thread that
+# built its world instead of claiming, waiting for and counting owners.
+row Deleted-features 0 all '\bAffinity\b|claims\(\)|read_volatile|compare_exchange|yield_now' crates/simkit/src/confined.rs crates/simkit/src/engine.rs tests/perf_proxies.rs
 
 check Thread-confinement test "$(grep -l 'unsafe impl' crates/simkit/src/*.rs | sort | tr '\n' ' ')" = \
     "crates/simkit/src/confined.rs crates/simkit/src/process.rs "
