@@ -36,10 +36,10 @@ use std::sync::Arc;
 
 use fabric::{FaultPlan, PortLimits, Topology};
 use simkit::{ProcessCtx, SimBarrier, SimDuration, SimRng, WaitMode};
-use via::{Profile, Reliability, ViaError};
+use via::{registered, Profile, Reliability, ViaError};
 
 use crate::harness::{
-    reconnect_resend, registered, rel_short, standby, DtConfig, Pair, Stream, BASE_SEED, RECONNECT,
+    reconnect_resend, rel_short, standby, DtConfig, Pair, Stream, BASE_SEED, RECONNECT,
 };
 use crate::report::Table;
 

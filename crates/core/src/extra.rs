@@ -5,11 +5,11 @@
 //! reliability levels (REL). The paper describes their design; we
 //! reproduce the benchmarks and report our own numbers.
 
-use via::{Profile, Reliability};
+use via::{registered, Profile, Reliability};
 
 use crate::harness::{
-    bandwidth, ping_pong, ping_pong_on, rdma_write_ping, registered, rel_short, BufferPool,
-    DtConfig, Pair, Stream,
+    bandwidth, ping_pong, ping_pong_on, rdma_write_ping, rel_short, BufferPool, DtConfig, Pair,
+    Stream,
 };
 use crate::report::Table;
 use crate::sweep::{Curve, Metric, Sweep};

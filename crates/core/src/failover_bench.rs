@@ -7,7 +7,7 @@
 //!   through the 64-node fat-tree while a scripted [`fabric::FaultPlan`]
 //!   kills one spine switch mid-stream. Frames in the dead spine's FIFOs
 //!   are flushed (the honest `fault_dropped` bucket) and frames routed at
-//!   it during the detection window are refused; after the configured
+//!   it during the detection window are refused; after the fabric's
 //!   detection + reconvergence delay the flow-keyed ECMP re-salts onto
 //!   the surviving spines and RTO-driven retransmits recover every drop.
 //!   The artifact reports each flow's stall (longest inter-delivery gap)
@@ -32,12 +32,12 @@
 //! (fault-drop included), and every port and storm drop is attributed to
 //! its port. Design notes: DESIGN.md §4.7.
 
-use fabric::{FaultPlan, PortLimits, PortSnapshot, RerouteParams, SanStats};
+use fabric::{FaultPlan, PortLimits, PortSnapshot, SanStats, REROUTE_DELAY};
 use simkit::{SimDuration, SimTime};
 
 use crate::flow::{run_flows, Flow};
 use crate::report::Table;
-use crate::topo_bench::{fat_tree64, EDGES, HOSTS_PER_EDGE};
+use crate::topo_bench::{fat_tree64, port_tier, EDGES, HOSTS_PER_EDGE};
 
 /// Base seed for the X-FAILOVER runs.
 pub const FAILOVER_SEED: u64 = 0xFA11;
@@ -131,9 +131,7 @@ pub fn spine_kill(seed: u64) -> FailoverOutcome {
         "failover-spine-kill",
     );
     let cluster = &rig.cluster;
-    let plan = FaultPlan::new()
-        .switch_down(KILLED_SPINE, kill_at(), kill_duration())
-        .with_reroute(RerouteParams::default());
+    let plan = FaultPlan::new().switch_down(KILLED_SPINE, kill_at(), kill_duration());
     cluster.san().install_faults(&plan);
 
     // The burst's window of two keeps frames in flight across the kill
@@ -217,7 +215,6 @@ pub fn spine_kill_tables() -> (Table, Table) {
         );
     }
 
-    let reroute = RerouteParams::default();
     let port_faulted: u64 = o.ports.iter().map(|p| p.stats.fault_dropped).sum();
     let mut summary = Table::new(
         "X-FAILOVER: spine-kill fault timeline & drop accounting",
@@ -226,11 +223,11 @@ pub fn spine_kill_tables() -> (Table, Table) {
     summary.push("kill at (us)", vec![kill_at().as_micros_f64()]);
     summary.push(
         "reroute converged (us)",
-        vec![(kill_at() + reroute.total()).as_micros_f64()],
+        vec![(kill_at() + REROUTE_DELAY).as_micros_f64()],
     );
     summary.push(
         "failback converged (us)",
-        vec![(kill_at() + kill_duration() + reroute.total()).as_micros_f64()],
+        vec![(kill_at() + kill_duration() + REROUTE_DELAY).as_micros_f64()],
     );
     summary.push("frames sent", vec![o.san.frames_sent as f64]);
     summary.push("frames delivered", vec![o.san.frames_delivered as f64]);
@@ -366,18 +363,8 @@ pub fn pause_cascade_table() -> Table {
             "max pause (us)".to_string(),
         ],
     );
-    let tier_of = |p: &PortSnapshot| -> &'static str {
-        if (p.switch as usize) < EDGES {
-            match p.target {
-                fabric::PortTarget::Node(_) => "edge->host",
-                fabric::PortTarget::Switch(_) => "edge->spine",
-            }
-        } else {
-            "spine->edge"
-        }
-    };
     for tier in ["edge->host", "edge->spine", "spine->edge"] {
-        let sel: Vec<&PortSnapshot> = o.ports.iter().filter(|p| tier_of(p) == tier).collect();
+        let sel: Vec<&PortSnapshot> = o.ports.iter().filter(|p| port_tier(p) == tier).collect();
         t.push(
             tier,
             vec![

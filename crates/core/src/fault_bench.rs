@@ -18,10 +18,10 @@
 
 use fabric::NodeId;
 use simkit::{ProcessCtx, SimDuration, SimTime};
-use via::{Profile, Reliability, ViaError};
+use via::{registered, Profile, Reliability, ViaError};
 
 use crate::harness::{
-    reconnect_resend, registered, rel_short, standby, DtConfig, Endpoint, Pair, Stream, RECONNECT,
+    reconnect_resend, rel_short, standby, DtConfig, Endpoint, Pair, Stream, RECONNECT,
 };
 use crate::report::Table;
 

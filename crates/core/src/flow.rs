@@ -26,9 +26,9 @@
 
 use fabric::NodeId;
 use simkit::{ProcessHandle, SimDuration, SimTime, WaitMode};
-use via::{Cluster, Descriptor, Discriminator, Reliability, ViAttributes};
+use via::{registered, Cluster, Descriptor, Discriminator, Reliability, ViAttributes};
 
-use crate::harness::{registered, Stream};
+use crate::harness::Stream;
 use crate::topo_bench::Rig;
 
 /// One unidirectional stream of `msgs` messages of `size` bytes.

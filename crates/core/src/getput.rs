@@ -10,9 +10,9 @@
 //! measures both mappings, which tells a get/put-layer implementor exactly
 //! what the fallback costs on a given VIA implementation.
 
-use via::{Descriptor, MemAttributes, MemHandle, Profile};
+use via::{registered, Descriptor, MemAttributes, MemHandle, Profile};
 
-use crate::harness::{registered, DtConfig, Pair, Stream};
+use crate::harness::{DtConfig, Pair, Stream};
 use crate::sweep::{Curve, Sweep};
 
 /// How the one-sided operation is realized on the VIA.

@@ -13,8 +13,8 @@
 use fabric::NodeId;
 use simkit::{CpuMeter, ProcessCtx, Samples, Sim, SimBarrier, SimTime, WaitMode};
 use via::{
-    Cluster, Cq, Descriptor, Discriminator, MemAttributes, MemHandle, Profile, Provider,
-    Reliability, Vi, ViAttributes, ViaError, ViaResult,
+    registered, Cluster, Cq, Descriptor, Discriminator, MemHandle, Profile, Provider, Reliability,
+    Vi, ViAttributes, ViaError, ViaResult,
 };
 
 pub use simkit::SimDuration;
@@ -180,19 +180,6 @@ impl BufferPool {
         }
         self.bufs[self.cursor]
     }
-}
-
-/// Allocate and register `len` bytes with default attributes. The length
-/// is part of the timeline, so callers choose between `size` and
-/// `size.max(1)` with care: the virtual address of every later buffer,
-/// and with it the page straddles the translation cache sees, depends on
-/// it.
-pub fn registered(ctx: &mut ProcessCtx, provider: &Provider, len: u64) -> (u64, MemHandle) {
-    let va = provider.malloc(len);
-    let mh = provider
-        .register_mem(ctx, va, len, MemAttributes::default())
-        .expect("buffer registration");
-    (va, mh)
 }
 
 /// The one windowed sender every one-way stream body is built from: sends

@@ -7,9 +7,9 @@
 
 use fabric::NodeId;
 use simkit::{CpuMeter, Sim, SimBarrier, WaitMode};
-use via::{Cluster, Descriptor, Discriminator, Profile, QueueKind, ViAttributes};
+use via::{registered, Cluster, Descriptor, Discriminator, Profile, QueueKind, ViAttributes};
 
-use crate::harness::{finish_world, registered, Stream};
+use crate::harness::{finish_world, Stream};
 use crate::sweep::{Curve, Sweep};
 
 /// Result of one fan-in run.

@@ -11,9 +11,9 @@
 //! alarm that goes off if dead timers ever leak back into the queue.
 
 use simkit::{EventClass, SchedStats, WaitMode};
-use via::{Profile, Reliability};
+use via::{registered, Profile, Reliability};
 
-use crate::harness::{registered, DtConfig, Pair, Stream};
+use crate::harness::{DtConfig, Pair, Stream};
 use crate::report::Table;
 
 /// Stream `msgs` reliable messages across a two-node pair and return the

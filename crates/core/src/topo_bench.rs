@@ -26,10 +26,10 @@
 
 use fabric::{LinkParams, NodeId, PortLimits, PortSnapshot, PortTarget, SanStats, Topology};
 use simkit::{Sim, SimDuration, SimTime, WaitMode};
-use via::{Cluster, Descriptor, Discriminator, Profile};
+use via::{registered, Cluster, Descriptor, Discriminator, Profile};
 
 use crate::flow::{rd, run_flows, Flow};
-use crate::harness::{finish_world, registered, Stream};
+use crate::harness::{finish_world, Stream};
 use crate::report::Table;
 
 /// Edge switches in the fat-tree.
@@ -347,8 +347,8 @@ pub fn incast(seed: u64, _shards: usize) -> IncastOutcome {
     }
 }
 
-/// Classify a fat-tree port into its tier for the aggregate table.
-fn port_tier(snap: &PortSnapshot) -> &'static str {
+/// Classify a fat-tree port into its tier for the aggregate tables.
+pub(crate) fn port_tier(snap: &PortSnapshot) -> &'static str {
     if (snap.switch as usize) < EDGES {
         match snap.target {
             PortTarget::Node(_) => "edge->host",

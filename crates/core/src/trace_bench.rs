@@ -13,9 +13,9 @@ use std::io::Write as _;
 
 use simkit::{SimDuration, WaitMode};
 use trace::{chrome_trace_json, MsgId, Record, TraceConfig, TracePoint};
-use via::{Descriptor, Profile};
+use via::{registered, Descriptor, Profile};
 
-use crate::harness::{registered, DtConfig, Pair, Stream};
+use crate::harness::{DtConfig, Pair, Stream};
 use crate::report::Table;
 
 /// A traced one-way message stream: the full record set, the id of the

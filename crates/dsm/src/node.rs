@@ -5,8 +5,8 @@ use std::sync::Arc;
 
 use simkit::{Confined, Notify, ProcessCtx, ProcessHandle, Sim, WaitMode};
 use via::{
-    Cluster, Cq, Descriptor, Discriminator, MemAttributes, MemHandle, Provider, QueueKind, Vi,
-    ViAttributes, ViId,
+    registered, Cluster, Cq, Descriptor, MemHandle, Mesh, Provider, QueueKind, RecvRing, Vi,
+    ViAttributes,
 };
 
 use crate::wire::Msg;
@@ -52,10 +52,10 @@ struct NodeState {
     stats: DsmStats,
 }
 
-struct Lane {
-    vi: Vi,
-    ring: Vec<(u64, MemHandle)>,
-}
+/// The mesh lane pagers ship pages and forwards on.
+const PAGER: usize = 0;
+/// The mesh lane applications send requests on (to the peer's pager).
+const APP: usize = 1;
 
 /// Shared plumbing between the application handle and the pager.
 struct Shared {
@@ -65,9 +65,10 @@ struct Shared {
     state: Confined<NodeState>,
     /// Signaled by the pager whenever a page lands.
     arrivals: Notify,
-    /// Application's outbound lanes (this node's endpoint; the app is the
-    /// only sender on them).
-    app_tx: Vec<Option<Vi>>,
+    /// Two lanes per peer, both feeding the pager's CQ: [`PAGER`] lanes
+    /// carry pager-to-pager traffic, [`APP`] lanes this node's application
+    /// requests (the app is the only sender on them).
+    mesh: Mesh,
     /// World-wide count of application processes that have finished; the
     /// pagers stop only when every rank's application is done (a pager
     /// must keep serving remote faults after its own application exits).
@@ -259,7 +260,7 @@ impl Dsm {
                 }
             };
             if let Some((dst, msg)) = to_send {
-                let vi = self.shared.app_tx[dst].as_ref().expect("lane").clone();
+                let vi = self.shared.mesh.lane(dst, APP).clone();
                 send_msg(ctx, &self.shared.provider, &vi, self.send_buf, &msg);
             }
             // Wait until the pager lands a page, then re-check ownership.
@@ -291,10 +292,7 @@ impl Dsm {
             let mut st = self.shared.state.lock();
             st.store.remove(&page).expect("owned page has data")
         };
-        let vi = self.shared.app_tx[first as usize]
-            .as_ref()
-            .expect("lane")
-            .clone();
+        let vi = self.shared.mesh.lane(first as usize, APP).clone();
         send_msg(
             ctx,
             &self.shared.provider,
@@ -303,10 +301,7 @@ impl Dsm {
             &Msg::Page { page, data },
         );
         for chaser in refwd {
-            let vi = self.shared.app_tx[first as usize]
-                .as_ref()
-                .expect("lane")
-                .clone();
+            let vi = self.shared.mesh.lane(first as usize, APP).clone();
             send_msg(
                 ctx,
                 &self.shared.provider,
@@ -328,30 +323,12 @@ impl Dsm {
 struct Pager {
     shared: Arc<Shared>,
     cq: Cq,
-    mesh: Vec<Option<Lane>>,
-    app_rx: Vec<Option<Lane>>,
+    /// Per peer, the receive rings of its two mesh lanes.
+    rings: Vec<Option<[RecvRing; 2]>>,
     send_buf: (u64, MemHandle),
 }
 
 impl Pager {
-    fn classify(&self, vi_id: ViId) -> Option<(usize, bool)> {
-        for (r, l) in self.mesh.iter().enumerate() {
-            if let Some(l) = l {
-                if l.vi.id() == vi_id {
-                    return Some((r, true));
-                }
-            }
-        }
-        for (r, l) in self.app_rx.iter().enumerate() {
-            if let Some(l) = l {
-                if l.vi.id() == vi_id {
-                    return Some((r, false));
-                }
-            }
-        }
-        None
-    }
-
     fn run(&mut self, ctx: &mut ProcessCtx) {
         loop {
             // Drain ready completions; park briefly when idle so the stop
@@ -371,25 +348,15 @@ impl Pager {
             if kind != QueueKind::Recv {
                 continue;
             }
-            let Some((src, is_mesh)) = self.classify(vi_id) else {
+            let Some((src, lane)) = self.shared.mesh.lane_of(vi_id) else {
                 continue;
             };
-            let lane = if is_mesh {
-                self.mesh[src].as_mut().expect("lane")
-            } else {
-                self.app_rx[src].as_mut().expect("lane")
-            };
-            let comp = lane.vi.recv_done(ctx).expect("cq said so");
+            let ring = &mut self.rings[src].as_mut().expect("lane")[lane];
+            let comp = ring.vi().recv_done(ctx).expect("cq said so");
             assert!(comp.is_ok(), "pager recv: {:?}", comp.status);
-            let slot = lane.ring.remove(0);
-            lane.ring.push(slot);
+            let slot = ring.rotate();
             let msg = Msg::decode(&self.shared.provider.mem_read(slot.0, comp.length));
-            let vi = lane.vi.clone();
-            vi.post_recv(
-                ctx,
-                Descriptor::recv().segment(slot.0, slot.1, SLOT_LEN as u32),
-            )
-            .expect("ring repost");
+            ring.repost(ctx, slot).expect("ring repost");
             self.handle(ctx, msg);
         }
     }
@@ -477,7 +444,7 @@ impl Pager {
     }
 
     fn ship(&self, ctx: &mut ProcessCtx, dst: usize, msg: &Msg) {
-        let vi = self.mesh[dst].as_ref().expect("mesh lane").vi.clone();
+        let vi = self.shared.mesh.lane(dst, PAGER).clone();
         send_msg(ctx, &self.shared.provider, &vi, self.send_buf, msg);
     }
 }
@@ -538,72 +505,24 @@ fn build_node(
     let cq = provider
         .create_cq(ctx, (ranks as usize * RING_SLOTS * 2).max(64))
         .expect("pager cq");
-    let mut mesh: Vec<Option<Lane>> = (0..ranks).map(|_| None).collect();
-    let mut app_rx: Vec<Option<Lane>> = (0..ranks).map(|_| None).collect();
-    let mut app_tx: Vec<Option<Vi>> = (0..ranks).map(|_| None).collect();
-    let attrs = ViAttributes::default();
-    let make_lane = |ctx: &mut ProcessCtx, vi: &Vi, provider: &Provider| -> Vec<(u64, MemHandle)> {
-        let mut ring = Vec::with_capacity(RING_SLOTS);
-        for _ in 0..RING_SLOTS {
-            let va = provider.malloc(SLOT_LEN);
-            let mh = provider
-                .register_mem(ctx, va, SLOT_LEN, MemAttributes::default())
-                .expect("slot");
-            vi.post_recv(ctx, Descriptor::recv().segment(va, mh, SLOT_LEN as u32))
-                .expect("slot post");
-            ring.push((va, mh));
-        }
-        ring
-    };
-    for peer in 0..ranks {
-        if peer == rank {
-            continue;
-        }
-        let mesh_vi = provider.create_vi(ctx, attrs, None, Some(&cq)).expect("vi");
-        let app_vi = provider.create_vi(ctx, attrs, None, Some(&cq)).expect("vi");
-        let (lo, hi) = (rank.min(peer), rank.max(peer));
-        let pair = (lo * ranks + hi) as u64;
-        let (d_mesh, d_app) = (Discriminator(pair * 2), Discriminator(pair * 2 + 1));
-        if rank < peer {
-            provider
-                .connect(ctx, &mesh_vi, fabric::NodeId(peer), d_mesh, None)
-                .expect("connect mesh");
-            provider
-                .connect(ctx, &app_vi, fabric::NodeId(peer), d_app, None)
-                .expect("connect app lane");
-        } else {
-            provider.accept(ctx, &mesh_vi, d_mesh).expect("accept mesh");
-            provider
-                .accept(ctx, &app_vi, d_app)
-                .expect("accept app lane");
-        }
-        let mesh_ring = make_lane(ctx, &mesh_vi, &provider);
-        let app_ring = make_lane(ctx, &app_vi, &provider);
-        app_tx[peer as usize] = Some(app_vi.clone());
-        mesh[peer as usize] = Some(Lane {
-            vi: mesh_vi,
-            ring: mesh_ring,
-        });
-        app_rx[peer as usize] = Some(Lane {
-            vi: app_vi,
-            ring: app_ring,
-        });
-    }
+    let mut mesh = Mesh::new(rank as usize, ranks as usize);
+    let rings = (0..ranks as usize)
+        .map(|peer| {
+            if peer == rank as usize {
+                return None;
+            }
+            let lanes = mesh
+                .connect(ctx, &provider, &cq, ViAttributes::default(), peer)
+                .expect("mesh bring-up");
+            Some(
+                [&lanes[PAGER], &lanes[APP]]
+                    .map(|vi| RecvRing::post(ctx, vi, RING_SLOTS, SLOT_LEN).expect("slot post")),
+            )
+        })
+        .collect();
     // Registered send buffers: one for the app, one for the pager.
-    let app_buf_va = provider.malloc(SLOT_LEN);
-    let app_buf = (
-        app_buf_va,
-        provider
-            .register_mem(ctx, app_buf_va, SLOT_LEN, MemAttributes::default())
-            .expect("app send buf"),
-    );
-    let pager_buf_va = provider.malloc(SLOT_LEN);
-    let pager_buf = (
-        pager_buf_va,
-        provider
-            .register_mem(ctx, pager_buf_va, SLOT_LEN, MemAttributes::default())
-            .expect("pager send buf"),
-    );
+    let app_buf = registered(ctx, &provider, SLOT_LEN);
+    let pager_buf = registered(ctx, &provider, SLOT_LEN);
     // Initial ownership: each home owns its pages.
     let mut owned = HashSet::new();
     let mut directory = HashMap::new();
@@ -627,7 +546,7 @@ fn build_node(
             stats: DsmStats::default(),
         }),
         arrivals: Notify::new(provider.sim()),
-        app_tx,
+        mesh,
         finished_apps,
     });
     let dsm = Dsm {
@@ -637,8 +556,7 @@ fn build_node(
     let pager = Pager {
         shared,
         cq,
-        mesh,
-        app_rx,
+        rings,
         send_buf: pager_buf,
     };
     (dsm, pager)

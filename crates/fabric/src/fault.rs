@@ -70,7 +70,7 @@ pub enum FaultKind {
     /// parked in its port FIFOs at window open are flushed, and every
     /// frame arriving at it during the window is dropped — both counted
     /// in [`crate::SanStats::frames_fault_dropped`]. Routing reconverges
-    /// around it after the plan's [`RerouteParams`] delay.
+    /// around it after [`REROUTE_DELAY`].
     SwitchDown {
         /// The dead switch.
         switch: u32,
@@ -78,7 +78,7 @@ pub enum FaultKind {
     /// One undirected trunk is severed (multi-switch topologies only):
     /// the two trunk-port FIFOs are flushed at window open and frames
     /// routed onto the trunk during the window are dropped. Routing
-    /// reconverges around it after the plan's [`RerouteParams`] delay.
+    /// reconverges around it after [`REROUTE_DELAY`].
     TrunkDown {
         /// Lower-numbered endpoint switch.
         a: u32,
@@ -152,35 +152,14 @@ impl FaultKind {
     }
 }
 
-/// Detection + reconvergence delays for route recomputation after a
-/// [`FaultKind::SwitchDown`] or [`FaultKind::TrunkDown`] edge. Routing
-/// keeps steering frames into the dead element (a blackhole, dropped with
-/// honest counters) for `detection + reconvergence` after each edge, then
-/// flips to BFS routes excluding every currently failed element, so the
-/// chosen paths are a pure function of virtual time.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct RerouteParams {
-    /// Time for the control plane to notice the failed element.
-    pub detection: SimDuration,
-    /// Time to recompute and install routes once detected.
-    pub reconvergence: SimDuration,
-}
-
-impl Default for RerouteParams {
-    fn default() -> Self {
-        RerouteParams {
-            detection: SimDuration::from_micros(20),
-            reconvergence: SimDuration::from_micros(30),
-        }
-    }
-}
-
-impl RerouteParams {
-    /// Total delay between a fault edge and the routing flip.
-    pub fn total(&self) -> SimDuration {
-        self.detection + self.reconvergence
-    }
-}
+/// Delay between a [`FaultKind::SwitchDown`] or [`FaultKind::TrunkDown`]
+/// edge and the routing flip: 20 us for the control plane to detect the
+/// failed element plus 30 us to recompute and install routes. Until then
+/// routing keeps steering frames into the dead element (a blackhole,
+/// dropped with honest counters); after it, routes are BFS routes
+/// excluding every currently failed element, so the chosen paths are a
+/// pure function of virtual time.
+pub const REROUTE_DELAY: SimDuration = SimDuration::from_micros(20 + 30);
 
 /// One scheduled fault window: `kind` is active on `[at, at + duration)`.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -199,9 +178,6 @@ pub struct FaultWindow {
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct FaultPlan {
     events: Vec<FaultWindow>,
-    /// Reroute delays for switch-scoped windows; `None` uses
-    /// [`RerouteParams::default`].
-    reroute: Option<RerouteParams>,
 }
 
 impl FaultPlan {
@@ -303,19 +279,6 @@ impl FaultPlan {
     /// state wiped and link dead for the window, host survives.
     pub fn nic_reset(self, node: NodeId, at: SimTime, duration: SimDuration) -> Self {
         self.window(at, duration, FaultKind::NicReset { node })
-    }
-
-    /// Override the reroute delays applied to this plan's switch-scoped
-    /// windows (default: [`RerouteParams::default`]).
-    pub fn with_reroute(mut self, reroute: RerouteParams) -> Self {
-        self.reroute = Some(reroute);
-        self
-    }
-
-    /// The reroute delays switch-scoped windows in this plan reconverge
-    /// under.
-    pub fn reroute(&self) -> RerouteParams {
-        self.reroute.unwrap_or_default()
     }
 
     /// True when any window targets a switch-fabric element (switch or
@@ -480,12 +443,6 @@ impl FaultState {
         if let Some(pos) = self.active.iter().position(|k| *k == kind) {
             self.active.remove(pos);
         }
-    }
-
-    /// True while any window is open (used by tests).
-    #[cfg(test)]
-    fn any_active(&self) -> bool {
-        !self.active.is_empty()
     }
 
     /// True while a node-scoped window ([`FaultKind::NodeDown`] or
@@ -655,7 +612,7 @@ mod tests {
             }
         ));
         st.end(FaultKind::LinkDown { node: NodeId(2) });
-        assert!(!st.any_active());
+        assert!(st.active.is_empty());
         assert!(matches!(
             st.on_uplink(NodeId(2), true),
             HopOutcome::Pass { .. }
@@ -714,14 +671,6 @@ mod tests {
         // Host-link kinds are not switch-scoped.
         let host = FaultPlan::new().link_flap(NodeId(0), t0, d);
         assert!(!host.has_switch_faults());
-        // Reroute defaults apply until overridden.
-        assert_eq!(plan.reroute(), RerouteParams::default());
-        let custom = RerouteParams {
-            detection: SimDuration::from_micros(5),
-            reconvergence: SimDuration::from_micros(7),
-        };
-        let plan = plan.with_reroute(custom);
-        assert_eq!(plan.reroute().total(), SimDuration::from_micros(12));
     }
 
     #[test]
@@ -841,7 +790,7 @@ mod tests {
             HopOutcome::NodeDead
         ));
         st.end(FaultKind::NicReset { node: NodeId(2) });
-        assert!(!st.any_active());
+        assert!(st.active.is_empty());
     }
 
     #[test]
@@ -933,8 +882,8 @@ mod tests {
         st.begin(k);
         st.begin(k);
         st.end(k);
-        assert!(st.any_active());
+        assert!(!st.active.is_empty());
         st.end(k);
-        assert!(!st.any_active());
+        assert!(st.active.is_empty());
     }
 }

@@ -36,7 +36,7 @@ pub mod san;
 pub mod topo;
 
 pub use audit::conservation_violations;
-pub use fault::{FaultKind, FaultPlan, FaultWindow, RerouteParams};
+pub use fault::{FaultKind, FaultPlan, FaultWindow, REROUTE_DELAY};
 pub use params::{LinkParams, LossModel, NetParams, SwitchParams};
 pub use san::{Delivery, LossState, NodeId, RxHandler, San, SanStats, WeakSan};
 pub use topo::{PortLimits, PortSnapshot, PortStats, PortTarget, Routes, Topology};

@@ -10,7 +10,7 @@
 //!    model, ask the fault plan for the uplink's verdict, count the frame
 //!    as sent;
 //! 2. **hop**, once per switch on the route — pick the output port
-//!    (deterministic content-keyed ECMP, [`Topology::next_hop`]; no RNG),
+//!    (deterministic content-keyed ECMP, [`Routes::next_hop`]; no RNG),
 //!    win admission to it, occupy its wire;
 //! 3. **egress**, when that port feeds the destination host — roll the
 //!    downlink's loss and fault verdict and schedule the NIC arrival.
@@ -51,7 +51,7 @@ use std::sync::{Arc, Weak};
 use simkit::{Confined, EventClass, Sim, SimDuration, SimRng, SimTime};
 use trace::{MsgId, TracePoint, Tracer};
 
-use crate::fault::{FaultKind, FaultPlan, FaultState, HopOutcome, SWITCH_NODE};
+use crate::fault::{FaultKind, FaultPlan, FaultState, HopOutcome, REROUTE_DELAY, SWITCH_NODE};
 use crate::params::{LossModel, NetParams};
 use crate::topo::{PortSnapshot, PortStats, PortTarget, Routes, Topology};
 
@@ -415,10 +415,9 @@ fn arrival_order((at, f): &(SimTime, Frame)) -> (SimTime, u32, u32, u32, u64, u3
     (*at, f.src.0, f.dst.0, vi, seq, f.payload_bytes)
 }
 
-/// The reconverged routing table plus the failure bookkeeping behind it.
+/// The current routing table plus the failure bookkeeping behind it.
 /// Its update events are scheduled at install time, in plan order, so
 /// routing is a pure function of virtual time and topology state.
-#[derive(Default)]
 struct RoutingState {
     /// Active [`FaultKind::SwitchDown`] windows per switch (overlapping
     /// windows on one switch stack as a count).
@@ -428,10 +427,8 @@ struct RoutingState {
     /// Reconvergence epoch: bumped on every apply *and* revert, folding
     /// into the ECMP salt so each convergence re-spreads flows.
     epoch: u64,
-    /// The current reconverged table; `None` until the first update (the
-    /// baseline [`Topology::next_hop`] applies — byte-identical to the
-    /// pre-fault fabric).
-    routes: Option<Routes>,
+    /// The current table: the topology's baseline until the first update.
+    routes: Routes,
 }
 
 struct SanInner {
@@ -532,13 +529,19 @@ impl San {
             down_loss: (0..nodes).map(|n| LossLane::new(seed, n, false)).collect(),
             faults: None,
         };
+        let routes = topo.routes().clone();
         San {
             inner: Arc::new(SanInner {
                 params,
                 seed,
                 topo,
                 ports,
-                routing: sim.confined(RoutingState::default()),
+                routing: sim.confined(RoutingState {
+                    switch_down: Vec::new(),
+                    trunk_down: Vec::new(),
+                    epoch: 0,
+                    routes,
+                }),
                 links: sim.confined(links),
                 shared: sim.confined(SharedState {
                     handlers: (0..nodes).map(|_| None).collect(),
@@ -613,7 +616,6 @@ impl San {
             }
             inner.node_faults.store(true, Ordering::Relaxed);
         }
-        let reroute = plan.reroute().total();
         inner
             .links
             .lock()
@@ -628,16 +630,15 @@ impl San {
                     san.fault_edge(sim, kind, open)
                 });
             }
-            // Routing reconverges a configurable detection + reconvergence
-            // delay after each edge of a topology-affecting window —
-            // scheduled at install time, so before any same-instant
-            // traffic event.
+            // Routing reconverges [`REROUTE_DELAY`] after each edge of a
+            // topology-affecting window — scheduled at install time, so
+            // before any same-instant traffic event.
             if kind.is_switch_scoped() {
                 for (at, open) in edges {
                     let san = self.clone();
                     inner
                         .sim
-                        .call_at_as(EventClass::Fabric, at + reroute, move |_| {
+                        .call_at_as(EventClass::Fabric, at + REROUTE_DELAY, move |_| {
                             san.routing_update(kind, open)
                         });
                 }
@@ -765,21 +766,19 @@ impl San {
             .filter(|&&(_, n)| n > 0)
             .map(|&(t, _)| t)
             .collect();
-        rs.routes = Some(inner.topo.compute_routes(&failed_sw, &failed_tr, rs.epoch));
+        rs.routes = inner.topo.compute_routes(&failed_sw, &failed_tr, rs.epoch);
     }
 
     /// The ECMP next hop the current routing state picks from `sw` toward
     /// `dst_sw`, or `None` when no surviving path exists. Reads the routing
     /// state only under the switch-fault flag; pristine fabrics take the
-    /// baseline precomputed table with zero locking.
+    /// topology's baseline table with zero locking.
     fn route_next_hop(&self, sw: u32, dst_sw: u32, key: u64) -> Option<u32> {
         let inner = &self.inner;
         if inner.switch_faults.load(Ordering::Relaxed) {
-            if let Some(r) = &inner.routing.lock().routes {
-                return r.next_hop(sw, dst_sw, key);
-            }
+            return inner.routing.lock().routes.next_hop(sw, dst_sw, key);
         }
-        Some(inner.topo.next_hop(sw, dst_sw, key))
+        inner.topo.routes().next_hop(sw, dst_sw, key)
     }
 
     /// Invoke the registered crash/reboot hook for a node-scoped window
@@ -2226,7 +2225,6 @@ mod tests {
     /// accounted for.
     #[test]
     fn switch_faults_reroute_and_conserve() {
-        use crate::fault::RerouteParams;
         use crate::topo::{PortLimits, Topology};
         type Log = Arc<Mutex<Vec<(u64, u32, u32)>>>;
         let params = NetParams::clan();
@@ -2242,11 +2240,7 @@ mod tests {
                 4,
                 t0 + SimDuration::from_micros(600),
                 SimDuration::from_micros(100),
-            )
-            .with_reroute(RerouteParams {
-                detection: SimDuration::from_micros(20),
-                reconvergence: SimDuration::from_micros(30),
-            });
+            );
         let make_topo =
             || Topology::fat_tree(3, 2, 2, test_trunk(440_000_000), PortLimits::default());
         let nodes = 6u32;

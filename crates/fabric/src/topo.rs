@@ -11,30 +11,22 @@
 //! # Routing
 //!
 //! Paths are shortest-path with deterministic ECMP tie-breaking: a BFS over
-//! the switch graph precomputes, for every `(switch, destination switch)`
-//! pair, the sorted set of equal-cost next hops; [`Topology::next_hop`]
-//! picks one by a content-keyed hash of the *flow key* — derived from the
-//! frame's [`MsgId`] `(src_node, vi)`, deliberately excluding the sequence
-//! number so every fragment and retransmit of a flow takes the same path
-//! and per-flow FIFO order survives ECMP. Control frames without a `MsgId`
-//! key on the `(src, dst)` node pair. No RNG is consumed anywhere: the
-//! same frame takes the same path in every run.
+//! the switch graph ([`Topology::compute_routes`]) precomputes, for every
+//! `(switch, destination switch)` pair, the sorted set of equal-cost next
+//! hops; [`Routes::next_hop`] picks one by a content-keyed hash of the
+//! *flow key* — derived from the frame's [`MsgId`] `(src_node, vi)`,
+//! deliberately excluding the sequence number so every fragment and
+//! retransmit of a flow takes the same path and per-flow FIFO order
+//! survives ECMP. Control frames without a `MsgId` key on the `(src, dst)`
+//! node pair. No RNG is consumed anywhere: the same frame takes the same
+//! path in every run.
 
+use simkit::rng::splitmix64;
 use simkit::SimDuration;
 use trace::MsgId;
 
 use crate::params::LinkParams;
 use crate::san::NodeId;
-
-/// splitmix64: cheap, well-mixed integer hash (public-domain constants).
-/// Salted differently per use below.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// Salt for ECMP next-hop selection ("VIBeECMP").
 const ECMP_SALT: u64 = 0x5649_4265_4543_4D50;
@@ -158,15 +150,16 @@ pub struct PortSnapshot {
     pub stats: PortStats,
 }
 
-/// A reconverged routing table: sorted equal-cost next-hop sets recomputed
-/// with failed switches and trunks excluded, plus the reconvergence
+/// A routing table: sorted equal-cost next-hop sets over the switches
+/// left after excluding failed switches and trunks, plus the reconvergence
 /// `epoch` that re-salts ECMP. Produced by [`Topology::compute_routes`];
 /// a pure value — the same `(failed set, epoch)` yields the same table in
-/// every run.
+/// every run. The baseline ([`Topology::routes`]) is the table with
+/// nothing failed at epoch 0.
 ///
-/// Unlike [`Topology::next_hop`], lookups return `Option`: a fault window
-/// may partition the fabric, in which case the candidate set is empty and
-/// the San drops the frame with honest accounting instead of panicking.
+/// Lookups return `Option`: a fault window may partition the fabric, in
+/// which case the candidate set is empty and the San drops the frame with
+/// honest accounting instead of panicking.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Routes {
     next_hops: Vec<Vec<Vec<u32>>>,
@@ -174,15 +167,10 @@ pub struct Routes {
 }
 
 impl Routes {
-    /// The reconvergence epoch this table was computed at. Epoch 0 with no
-    /// failures reproduces the baseline table and salt exactly.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// Deterministic ECMP next hop from `sw` toward `dst_sw` for `flow`,
-    /// or `None` when no surviving path exists. At epoch 0 this picks
-    /// identically to [`Topology::next_hop`]; later epochs fold the epoch
+    /// Deterministic ECMP next hop from `sw` toward `dst_sw` for `flow`
+    /// (a [`Topology::flow_key`]), or `None` when no surviving path
+    /// exists. Hashes per hop, as real switches do; a pure function of
+    /// `(sw, dst_sw, flow, epoch)` — no RNG, no state. Epochs after 0 fold
     /// into the salt so surviving flows re-spread over the remaining
     /// equal-cost paths instead of piling onto the old hash's choices.
     pub fn next_hop(&self, sw: u32, dst_sw: u32, flow: u64) -> Option<u32> {
@@ -215,11 +203,8 @@ pub struct Topology {
     /// Per-switch output ports: host ports first (ascending node), then
     /// trunk ports (ascending neighbor switch).
     ports: Vec<Vec<PortSpec>>,
-    /// `next_hops[s][d]`: sorted equal-cost next-hop switches from `s`
-    /// toward `d` (empty when `s == d`).
-    next_hops: Vec<Vec<Vec<u32>>>,
-    /// Switch-graph hop distances.
-    dist: Vec<Vec<u32>>,
+    /// The baseline table: nothing failed, epoch 0.
+    routes: Routes,
     limits: PortLimits,
 }
 
@@ -318,7 +303,7 @@ impl Topology {
         ports
     }
 
-    /// Precompute BFS distances and sorted equal-cost next-hop sets.
+    /// Index host ports and precompute the baseline routing table.
     fn finish(
         name: &'static str,
         nodes: u32,
@@ -342,72 +327,28 @@ impl Topology {
                 }
             }
         }
-        let adj: Vec<Vec<u32>> = ports
-            .iter()
-            .map(|ps| {
-                ps.iter()
-                    .filter_map(|p| match p.target {
-                        PortTarget::Switch(n) => Some(n),
-                        PortTarget::Node(_) => None,
-                    })
-                    .collect()
-            })
-            .collect();
-        let mut dist = vec![vec![u32::MAX; s]; s];
-        for (src, row) in dist.iter_mut().enumerate() {
-            row[src] = 0;
-            let mut frontier = vec![src as u32];
-            let mut d = 0;
-            while !frontier.is_empty() {
-                d += 1;
-                let mut next = Vec::new();
-                for &f in &frontier {
-                    for &n in &adj[f as usize] {
-                        if row[n as usize] == u32::MAX {
-                            row[n as usize] = d;
-                            next.push(n);
-                        }
-                    }
-                }
-                frontier = next;
-            }
-        }
-        for (a, row) in dist.iter().enumerate() {
-            for (b, &d) in row.iter().enumerate() {
-                assert!(
-                    d != u32::MAX,
-                    "topology disconnected: switch {a} cannot reach {b}"
-                );
-            }
-        }
-        let next_hops: Vec<Vec<Vec<u32>>> = (0..s)
-            .map(|src| {
-                (0..s)
-                    .map(|dst| {
-                        if src == dst {
-                            return Vec::new();
-                        }
-                        // Neighbors strictly closer to dst; `adj` is sorted
-                        // by construction, so this is too.
-                        adj[src]
-                            .iter()
-                            .copied()
-                            .filter(|&n| dist[n as usize][dst] + 1 == dist[src][dst])
-                            .collect()
-                    })
-                    .collect()
-            })
-            .collect();
-        Topology {
+        let mut t = Topology {
             name,
             nodes,
             edge_of,
             host_port,
             ports,
-            next_hops,
-            dist,
+            routes: Routes {
+                next_hops: Vec::new(),
+                epoch: 0,
+            },
             limits,
+        };
+        t.routes = t.compute_routes(&[], &[], 0);
+        for (a, row) in t.routes.next_hops.iter().enumerate() {
+            for (b, c) in row.iter().enumerate() {
+                assert!(
+                    a == b || !c.is_empty(),
+                    "topology disconnected: switch {a} cannot reach {b}"
+                );
+            }
         }
+        t
     }
 
     /// Shape name ("star", "dumbbell", "fat-tree").
@@ -477,11 +418,6 @@ impl Topology {
         pairs
     }
 
-    /// Switch-graph hop distance.
-    pub fn hops(&self, a: u32, b: u32) -> u32 {
-        self.dist[a as usize][b as usize]
-    }
-
     /// Index of switch `sw`'s port toward node `node`. Panics if the node
     /// is not attached to `sw`.
     pub fn port_to_node(&self, sw: u32, node: u32) -> usize {
@@ -511,38 +447,17 @@ impl Topology {
         }
     }
 
-    /// Deterministic ECMP next hop from `sw` toward `dst_sw` for `flow`
-    /// (a [`Topology::flow_key`]). Hashes per hop, as real switches do;
-    /// pure function of `(sw, dst_sw, flow)` — no RNG, no state.
-    pub fn next_hop(&self, sw: u32, dst_sw: u32, flow: u64) -> u32 {
-        let c = &self.next_hops[sw as usize][dst_sw as usize];
-        debug_assert!(!c.is_empty(), "no route {sw} -> {dst_sw}");
-        if c.len() == 1 {
-            return c[0];
-        }
-        let h = splitmix64(flow ^ (u64::from(sw) << 32) ^ u64::from(dst_sw) ^ ECMP_SALT);
-        c[(h % c.len() as u64) as usize]
+    /// The baseline routing table: every switch and trunk up, epoch 0.
+    pub fn routes(&self) -> &Routes {
+        &self.routes
     }
 
-    /// The switch sequence a frame with `flow` key traverses from `src` to
-    /// `dst` (edge switch of `src` first, edge switch of `dst` last).
-    pub fn route_path(&self, src: NodeId, dst: NodeId, flow: u64) -> Vec<u32> {
-        let dst_sw = self.edge_of(dst.0);
-        let mut cur = self.edge_of(src.0);
-        let mut path = vec![cur];
-        while cur != dst_sw {
-            cur = self.next_hop(cur, dst_sw, flow);
-            path.push(cur);
-        }
-        path
-    }
-
-    /// Recompute shortest-path routing with `failed_switches` removed from
+    /// Compute shortest-path routing with `failed_switches` removed from
     /// the graph entirely and `failed_trunks` (undirected, any order) cut.
     /// Unreachable destinations get empty candidate sets rather than a
     /// panic — the fabric may legitimately partition under faults. With
-    /// both failure sets empty and `epoch == 0`, the result picks
-    /// byte-identically to the baseline [`Topology::next_hop`].
+    /// both failure sets empty and `epoch == 0`, this is the baseline
+    /// [`Topology::routes`].
     pub fn compute_routes(
         &self,
         failed_switches: &[u32],
@@ -602,6 +517,8 @@ impl Topology {
                         if src == dst || dist[src][dst] == u32::MAX {
                             return Vec::new();
                         }
+                        // Neighbors strictly closer to dst; `adj` follows
+                        // port order (ascending neighbor), so this is sorted.
                         adj[src]
                             .iter()
                             .copied()
@@ -631,6 +548,18 @@ mod tests {
         }
     }
 
+    /// The switch sequence the baseline table sends a `flow` frame along
+    /// from `src` to `dst` (edge switch of `src` first, of `dst` last).
+    fn walk(t: &Topology, src: NodeId, dst: NodeId, flow: u64) -> Vec<u32> {
+        let dst_sw = t.edge_of(dst.0);
+        let mut path = vec![t.edge_of(src.0)];
+        while path[path.len() - 1] != dst_sw {
+            let hop = t.routes().next_hop(path[path.len() - 1], dst_sw, flow);
+            path.push(hop.expect("baseline routes reach every switch"));
+        }
+        path
+    }
+
     #[test]
     fn star_is_one_unbounded_switch() {
         let t = Topology::star(5);
@@ -653,8 +582,7 @@ mod tests {
         assert_eq!(t.edge_of(0), 0);
         assert_eq!(t.edge_of(7), 3);
         // Edge→edge is two hops via either spine.
-        assert_eq!(t.hops(0, 3), 2);
-        assert_eq!(t.next_hops[0][3], vec![4, 5]);
+        assert_eq!(t.routes().next_hops[0][3], vec![4, 5]);
         // Every route from node 0 to node 6 goes edge0 → spine → edge3.
         for vi in 0..32u32 {
             let key = Topology::flow_key(
@@ -666,7 +594,7 @@ mod tests {
                     seq: 0,
                 }),
             );
-            let path = t.route_path(NodeId(0), NodeId(6), key);
+            let path = walk(&t, NodeId(0), NodeId(6), key);
             assert_eq!(path.len(), 3);
             assert_eq!(path[0], 0);
             assert!(path[1] == 4 || path[1] == 5);
@@ -686,8 +614,8 @@ mod tests {
         let k9 = Topology::flow_key(NodeId(1), NodeId(6), Some(&m(9)));
         assert_eq!(k0, k9, "retransmits must take the original path");
         assert_eq!(
-            t.route_path(NodeId(1), NodeId(6), k0),
-            t.route_path(NodeId(1), NodeId(6), k9)
+            walk(&t, NodeId(1), NodeId(6), k0),
+            walk(&t, NodeId(1), NodeId(6), k9)
         );
         // Distinct VIs spread over the spines (content-keyed, not uniform).
         let spines: std::collections::BTreeSet<u32> = (0..64)
@@ -701,7 +629,7 @@ mod tests {
                         seq: 0,
                     }),
                 );
-                t.route_path(NodeId(1), NodeId(6), k)[1]
+                walk(&t, NodeId(1), NodeId(6), k)[1]
             })
             .collect();
         assert_eq!(spines.len(), 2, "ECMP must use both spines across flows");
@@ -724,34 +652,12 @@ mod tests {
                         seq: 0,
                     }),
                 );
-                t.next_hop(0, 3, k)
+                t.routes().next_hop(0, 3, k).unwrap()
             })
             .collect();
         assert_eq!(picks, vec![4, 4, 4, 4, 4, 4, 5, 5]);
         let ctrl = Topology::flow_key(NodeId(0), NodeId(6), None);
-        assert_eq!(t.next_hop(0, 3, ctrl), 5);
-    }
-
-    #[test]
-    fn compute_routes_with_no_failures_matches_baseline() {
-        let t = Topology::fat_tree(4, 2, 2, trunk(), PortLimits::default());
-        let r = t.compute_routes(&[], &[], 0);
-        assert_eq!(r.epoch(), 0);
-        for sw in 0..6u32 {
-            for dst in 0..6u32 {
-                if sw == dst {
-                    continue;
-                }
-                for key in 0..256u64 {
-                    let flow = splitmix64(key);
-                    assert_eq!(
-                        r.next_hop(sw, dst, flow),
-                        Some(t.next_hop(sw, dst, flow)),
-                        "epoch-0 empty-failure routes must be the baseline"
-                    );
-                }
-            }
-        }
+        assert_eq!(t.routes().next_hop(0, 3, ctrl), Some(5));
     }
 
     #[test]
@@ -839,9 +745,8 @@ mod tests {
         assert_eq!(d.switches(), 2);
         assert_eq!(d.edge_of(2), 0);
         assert_eq!(d.edge_of(3), 1);
-        assert_eq!(d.hops(0, 1), 1);
         assert_eq!(d.trunk_ports(), 2);
-        assert_eq!(d.next_hops[0][1], vec![1]);
+        assert_eq!(d.routes().next_hops[0][1], vec![1]);
     }
 
     #[test]

@@ -20,8 +20,8 @@
 
 use simkit::{ProcessCtx, WaitMode};
 use via::{
-    Cq, Descriptor, Discriminator, MemAttributes, MemHandle, Provider, QueueKind, Reliability, Vi,
-    ViAttributes, ViId,
+    registered, Cq, Descriptor, MemAttributes, MemHandle, Mesh, Provider, QueueKind, RecvRing,
+    Reliability, ViAttributes,
 };
 
 use crate::proto::{self, Kind, Tag};
@@ -64,11 +64,16 @@ pub struct MplStats {
     pub rts_matches: u64,
 }
 
+/// The mesh lane carrying eager frames (and RTS/CTS); its receive queue
+/// is the peer's ring.
+const EAGER: usize = 0;
+/// The mesh lane carrying rendezvous payloads only.
+const BULK: usize = 1;
+
+/// What this rank keeps per peer besides the mesh lanes.
 struct Peer {
-    eager: Vi,
-    bulk: Vi,
-    /// Pre-registered ring slots: `(va, handle)`, reposted after each use.
-    ring: Vec<(u64, MemHandle)>,
+    /// The eager lane's pre-posted receive ring, reposted after each use.
+    ring: RecvRing,
     /// Bounce buffer for this rank's eager sends to the peer.
     send_slot: (u64, MemHandle),
     /// Small buffer for RTS/CTS control sends.
@@ -87,6 +92,7 @@ pub struct Mpl {
     ranks: usize,
     cfg: MplConfig,
     cq: Cq,
+    mesh: Mesh,
     peers: Vec<Option<Peer>>,
     /// Unexpected eager messages: `(src, tag, payload)`.
     unexpected: Vec<(usize, Tag, Vec<u8>)>,
@@ -120,71 +126,36 @@ impl Mpl {
             reliability: cfg.reliability,
             ..Default::default()
         };
-        let mut peers: Vec<Option<Peer>> = (0..ranks).map(|_| None).collect();
-        // Deterministic mesh bring-up: for each pair, the lower rank
-        // connects and the higher accepts; requests park at the acceptor,
-        // so no extra synchronization is needed.
-        #[allow(clippy::needless_range_loop)] // `peer` is a rank, not an index
-        for peer in 0..ranks {
-            if peer == rank {
-                continue;
-            }
-            let eager = provider
-                .create_vi(ctx, attrs, None, Some(&cq))
-                .expect("eager vi");
-            let bulk = provider
-                .create_vi(ctx, attrs, None, Some(&cq))
-                .expect("bulk vi");
-            let (lo, hi) = (rank.min(peer), rank.max(peer));
-            let pair = (lo * ranks + hi) as u64;
-            let (d_eager, d_bulk) = (Discriminator(pair * 2), Discriminator(pair * 2 + 1));
-            if rank < peer {
-                provider
-                    .connect(ctx, &eager, fabric::NodeId(peer as u32), d_eager, None)
-                    .expect("connect eager");
-                provider
-                    .connect(ctx, &bulk, fabric::NodeId(peer as u32), d_bulk, None)
-                    .expect("connect bulk");
-            } else {
-                provider.accept(ctx, &eager, d_eager).expect("accept eager");
-                provider.accept(ctx, &bulk, d_bulk).expect("accept bulk");
-            }
-            // Eager receive ring + send-side bounce/control slots.
-            let mut ring = Vec::with_capacity(cfg.ring_slots);
-            for _ in 0..cfg.ring_slots {
-                let va = provider.malloc(slot_len);
-                let mh = provider
-                    .register_mem(ctx, va, slot_len, MemAttributes::default())
-                    .expect("ring slot");
-                eager
-                    .post_recv(ctx, Descriptor::recv().segment(va, mh, slot_len as u32))
+        let mut mesh = Mesh::new(rank, ranks);
+        let peers = (0..ranks)
+            .map(|peer| {
+                if peer == rank {
+                    return None;
+                }
+                let lanes = mesh
+                    .connect(ctx, &provider, &cq, attrs, peer)
+                    .expect("mesh bring-up");
+                // Eager receive ring + send-side bounce/control slots.
+                let ring = RecvRing::post(ctx, &lanes[EAGER], cfg.ring_slots, slot_len)
                     .expect("ring post");
-                ring.push((va, mh));
-            }
-            let sva = provider.malloc(slot_len);
-            let smh = provider
-                .register_mem(ctx, sva, slot_len, MemAttributes::default())
-                .expect("send slot");
-            let cva = provider.malloc(64);
-            let cmh = provider
-                .register_mem(ctx, cva, 64, MemAttributes::default())
-                .expect("ctrl slot");
-            peers[peer] = Some(Peer {
-                eager,
-                bulk,
-                ring,
-                send_slot: (sva, smh),
-                ctrl_slot: (cva, cmh),
-                bulk_done: None,
-                cts_pending: false,
-            });
-        }
+                let send_slot = registered(ctx, &provider, slot_len);
+                let ctrl_slot = registered(ctx, &provider, 64);
+                Some(Peer {
+                    ring,
+                    send_slot,
+                    ctrl_slot,
+                    bulk_done: None,
+                    cts_pending: false,
+                })
+            })
+            .collect();
         Mpl {
             provider,
             rank,
             ranks,
             cfg,
             cq,
+            mesh,
             peers,
             unexpected: Vec::new(),
             pending_rts: Vec::new(),
@@ -235,51 +206,35 @@ impl Mpl {
             .unwrap_or_else(|| panic!("no connection to rank {rank}"))
     }
 
-    fn classify(&self, vi_id: ViId) -> Option<(usize, bool)> {
-        for (r, p) in self.peers.iter().enumerate() {
-            if let Some(p) = p {
-                if p.eager.id() == vi_id {
-                    return Some((r, true));
-                }
-                if p.bulk.id() == vi_id {
-                    return Some((r, false));
-                }
-            }
-        }
-        None
-    }
-
     /// Drive the progress engine through one completion.
     fn progress(&mut self, ctx: &mut ProcessCtx) {
         let (vi_id, kind) = self.cq.wait(ctx, WaitMode::Poll);
         if kind != QueueKind::Recv {
             return;
         }
-        let Some((src, is_eager)) = self.classify(vi_id) else {
+        let Some((src, lane)) = self.mesh.lane_of(vi_id) else {
             return;
         };
-        if !is_eager {
+        if lane == BULK {
             // A rendezvous payload landed in the user's buffer.
-            let comp = self.peer(src).bulk.recv_done(ctx).expect("bulk completion");
+            let comp = self
+                .mesh
+                .lane(src, BULK)
+                .recv_done(ctx)
+                .expect("bulk completion");
             assert!(comp.is_ok(), "bulk recv: {:?}", comp.status);
             self.peer(src).bulk_done = Some(comp.length);
             return;
         }
         let comp = self
-            .peer(src)
-            .eager
+            .mesh
+            .lane(src, EAGER)
             .recv_done(ctx)
             .expect("eager completion");
         assert!(comp.is_ok(), "eager recv: {:?}", comp.status);
         let (kind, tag) = proto::unpack(comp.immediate.expect("layer messages carry imm"))
             .expect("valid layer immediate");
-        // The completed descriptor is the ring's oldest slot: rotate it.
-        let slot = {
-            let p = self.peer(src);
-            let slot = p.ring.remove(0);
-            p.ring.push(slot);
-            slot
-        };
+        let slot = self.peer(src).ring.rotate();
         match kind {
             Kind::Eager => {
                 let data = self.provider.mem_read(slot.0, comp.length.max(1))
@@ -298,12 +253,7 @@ impl Mpl {
             }
         }
         // Re-arm the slot.
-        let slot_len = (self.cfg.eager_threshold as u64).max(64);
-        let p = self.peer(src);
-        let (va, mh) = *p.ring.last().expect("ring nonempty");
-        p.eager
-            .post_recv(ctx, Descriptor::recv().segment(va, mh, slot_len as u32))
-            .expect("ring repost");
+        self.peer(src).ring.repost(ctx, slot).expect("ring repost");
     }
 
     fn send_eager_frame(
@@ -314,7 +264,7 @@ impl Mpl {
         slot: (u64, MemHandle),
         len: u64,
     ) {
-        let vi = self.peer(dst).eager.clone();
+        let vi = self.mesh.lane(dst, EAGER).clone();
         vi.post_send(
             ctx,
             Descriptor::send()
@@ -359,7 +309,7 @@ impl Mpl {
                 self.progress(ctx);
             }
             self.peer(dst).cts_pending = false;
-            let bulk = self.peer(dst).bulk.clone();
+            let bulk = self.mesh.lane(dst, BULK).clone();
             bulk.post_send(ctx, Descriptor::send().segment(va, mh, len as u32))
                 .expect("bulk post");
             let comp = bulk.send_wait(ctx, WaitMode::Poll);
@@ -405,7 +355,7 @@ impl Mpl {
                 assert!(len <= cap, "message truncated");
                 self.stats.rts_matches += 1;
                 // Post the landing descriptor FIRST, then clear-to-send.
-                let bulk = self.peer(src).bulk.clone();
+                let bulk = self.mesh.lane(src, BULK).clone();
                 bulk.post_recv(ctx, Descriptor::recv().segment(va, mh, len as u32))
                     .expect("bulk landing");
                 let ctrl = self.peer(src).ctrl_slot;

@@ -15,10 +15,15 @@ pub struct SimRng {
     state: [u64; 4],
 }
 
+/// The splitmix64 increment (the golden-ratio constant).
+const GOLDEN: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// splitmix64 as a stateless mixer: one step from state `x`. A cheap,
+/// well-mixed integer hash (public-domain constants); it seeds
+/// [`SimRng`] and keys the fabric's ECMP picks.
 #[inline]
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
+pub fn splitmix64(x: u64) -> u64 {
+    let mut z = x.wrapping_add(GOLDEN);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     z ^ (z >> 31)
@@ -37,12 +42,11 @@ impl SimRng {
             h = h.wrapping_mul(0x0000_0100_0000_01b3);
         }
         let mut sm = seed ^ h;
-        let state = [
-            splitmix64(&mut sm),
-            splitmix64(&mut sm),
-            splitmix64(&mut sm),
-            splitmix64(&mut sm),
-        ];
+        let state = [(); 4].map(|()| {
+            let z = splitmix64(sm);
+            sm = sm.wrapping_add(GOLDEN);
+            z
+        });
         SimRng { state }
     }
 

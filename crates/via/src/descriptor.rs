@@ -184,16 +184,15 @@ impl Completion {
 }
 
 #[cfg(test)]
-impl MemHandle {
-    /// Test-only constructor for doctests/unit tests.
-    pub fn test(v: u32) -> Self {
-        MemHandle(v)
-    }
-}
-
-#[cfg(test)]
 mod tests {
     use super::*;
+
+    impl MemHandle {
+        /// Test-only constructor for unit tests.
+        pub fn test(v: u32) -> Self {
+            MemHandle(v)
+        }
+    }
 
     fn h(v: u32) -> MemHandle {
         MemHandle::test(v)

@@ -59,6 +59,7 @@ pub mod connect;
 pub mod cq;
 pub mod descriptor;
 pub mod fastpath;
+pub mod kit;
 pub mod mem;
 pub mod profile;
 pub mod provider;
@@ -70,6 +71,7 @@ pub(crate) mod wire;
 
 pub use cq::Cq;
 pub use descriptor::{Completion, DataSegment, DescOp, Descriptor, RemoteSegment};
+pub use kit::{registered, Mesh, RecvRing};
 pub use mem::MemAttributes;
 pub use profile::{CreditFlow, DataCosts, DataPathKind, HeartbeatParams, Profile, SetupCosts};
 pub use provider::{AuditReport, Cluster, Provider, ProviderStats};

@@ -396,15 +396,6 @@ impl Profile {
         p.name = "custom";
         p
     }
-
-    /// Number of wire fragments a message of `len` bytes needs.
-    pub fn fragments_for(&self, len: u64) -> u64 {
-        if len == 0 {
-            1
-        } else {
-            len.div_ceil(self.wire_mtu as u64)
-        }
-    }
 }
 
 #[cfg(test)]
@@ -453,16 +444,6 @@ mod tests {
         assert!(!Profile::bvia().supports_reliability(Reliability::ReliableDelivery));
         assert!(Profile::mvia().supports_reliability(Reliability::ReliableDelivery));
         assert!(!Profile::mvia().supports_reliability(Reliability::ReliableReception));
-    }
-
-    #[test]
-    fn fragment_math() {
-        let p = Profile::bvia(); // 4096-byte wire MTU
-        assert_eq!(p.fragments_for(0), 1);
-        assert_eq!(p.fragments_for(1), 1);
-        assert_eq!(p.fragments_for(4096), 1);
-        assert_eq!(p.fragments_for(4097), 2);
-        assert_eq!(p.fragments_for(28672), 7);
     }
 
     #[test]

@@ -44,6 +44,7 @@ use fabric::NodeId;
 use simkit::{ProcessCtx, SimDuration, SimRng, WaitMode};
 
 use crate::descriptor::{Completion, Descriptor};
+use crate::kit::registered;
 use crate::provider::Provider;
 use crate::types::{Discriminator, MemHandle, Reliability, ViAttributes, ViaResult};
 use crate::vi::{ConnState, Vi};
@@ -177,8 +178,7 @@ impl SessionSender {
         )?;
         let data_len = SESSION_HDR_BYTES + MSG_SIZE;
         let total = data_len + DEPTH as u64 * SESSION_HDR_BYTES;
-        let base = provider.malloc(total);
-        let mh = provider.register_mem(ctx, base, total, crate::mem::MemAttributes::default())?;
+        let (base, mh) = registered(ctx, provider, total);
         let ack_free: Vec<u64> = (0..DEPTH as u64)
             .map(|i| base + data_len + i * SESSION_HDR_BYTES)
             .collect();
@@ -506,8 +506,7 @@ impl SessionReceiver {
         )?;
         let slot = SESSION_HDR_BYTES + MSG_SIZE;
         let total = SESSION_HDR_BYTES + DEPTH as u64 * slot;
-        let base = provider.malloc(total);
-        let mh = provider.register_mem(ctx, base, total, crate::mem::MemAttributes::default())?;
+        let (base, mh) = registered(ctx, provider, total);
         let free: Vec<u64> = (0..DEPTH as u64)
             .map(|i| base + SESSION_HDR_BYTES + i * slot)
             .collect();

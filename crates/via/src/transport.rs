@@ -135,24 +135,6 @@ fn fragment_at(len: u64, mtu: u32, idx: u32) -> (u64, u32) {
     (off, (len - off).min(mtu as u64) as u32)
 }
 
-/// Every fragment boundary of a message, built the long way: the oracle
-/// the closed forms above are tested against.
-#[cfg(test)]
-fn fragments(len: u64, mtu: u32) -> Vec<(u64, u32)> {
-    if len == 0 {
-        return vec![(0, 0)];
-    }
-    let mtu = mtu as u64;
-    let mut out = Vec::with_capacity(len.div_ceil(mtu) as usize);
-    let mut off = 0;
-    while off < len {
-        let l = (len - off).min(mtu);
-        out.push((off, l as u32));
-        off += l;
-    }
-    out
-}
-
 // ---------------------------------------------------------------------
 // Posting.
 // ---------------------------------------------------------------------
@@ -1946,6 +1928,23 @@ mod tests {
     use crate::mem::MemAttributes;
     use crate::types::MemHandle;
 
+    /// Every fragment boundary of a message, built the long way: the
+    /// oracle the closed forms are tested against.
+    fn fragments(len: u64, mtu: u32) -> Vec<(u64, u32)> {
+        if len == 0 {
+            return vec![(0, 0)];
+        }
+        let mtu = mtu as u64;
+        let mut out = Vec::with_capacity(len.div_ceil(mtu) as usize);
+        let mut off = 0;
+        while off < len {
+            let l = (len - off).min(mtu);
+            out.push((off, l as u32));
+            off += l;
+        }
+        out
+    }
+
     #[test]
     fn fragment_boundaries() {
         assert_eq!(fragments(0, 1024), vec![(0, 0)]);
@@ -1956,6 +1955,13 @@ mod tests {
             fragments(3000, 1024),
             vec![(0, 1024), (1024, 1024), (2048, 952)]
         );
+        // At BVIA's 4096-byte wire MTU.
+        let mtu = crate::Profile::bvia().wire_mtu;
+        assert_eq!(fragment_count(0, mtu), 1);
+        assert_eq!(fragment_count(1, mtu), 1);
+        assert_eq!(fragment_count(4096, mtu), 1);
+        assert_eq!(fragment_count(4097, mtu), 2);
+        assert_eq!(fragment_count(28672, mtu), 7);
     }
 
     #[test]

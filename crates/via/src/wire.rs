@@ -46,16 +46,6 @@ impl std::fmt::Debug for Window {
     }
 }
 
-/// A whole buffer as one window (frames built by hand in tests).
-#[cfg(test)]
-impl From<Vec<u8>> for Window {
-    fn from(data: Vec<u8>) -> Self {
-        let len = data.len() as u32;
-        let pages = Vec::new();
-        Window::new(Arc::new(TxBuffers { data, pages }), 0, len)
-    }
-}
-
 /// What kind of message a data fragment belongs to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum MsgKind {
@@ -204,6 +194,15 @@ pub(crate) const RDMA_READ_REQ_BYTES: u32 = 48;
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A whole buffer as one window (frames built by hand in tests).
+    impl From<Vec<u8>> for Window {
+        fn from(data: Vec<u8>) -> Self {
+            let len = data.len() as u32;
+            let pages = Vec::new();
+            Window::new(Arc::new(TxBuffers { data, pages }), 0, len)
+        }
+    }
 
     #[test]
     fn a_window_reads_its_slice_of_the_shared_snapshot() {

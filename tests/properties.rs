@@ -5,7 +5,7 @@
 //! * Reliable Delivery over a lossy fabric → exactly-once, in-order
 //!   delivery for arbitrary loss rates and seeds;
 //! * the deterministic clock: identical runs produce identical timelines;
-//! * pure-data invariants of the fragmentation math and the buffer pool.
+//! * pure-data invariants of the buffer pool.
 //!
 //! Cases are generated with a seeded [`SimRng`] rather than a property-test
 //! framework, so the whole suite is deterministic and dependency-free: every
@@ -306,29 +306,6 @@ fn fault_windows_without_traffic_touch_nothing() {
 // ---------------------------------------------------------------------
 // Pure-data properties (no simulation): cheap, so many cases.
 // ---------------------------------------------------------------------
-
-#[test]
-fn fragments_cover_exactly() {
-    let mut gen = SimRng::derive(14, "prop-fragments");
-    for _ in 0..256 {
-        let len = gen.below(200_000);
-        let mtu = 1 + gen.below(69_999) as u32;
-        let p = {
-            let mut p = Profile::clan();
-            p.wire_mtu = mtu;
-            p
-        };
-        let n = p.fragments_for(len);
-        if len == 0 {
-            assert_eq!(n, 1);
-        } else {
-            assert_eq!(n, len.div_ceil(mtu as u64), "len={len} mtu={mtu}");
-            // n fragments of at most mtu cover len exactly.
-            assert!(n * mtu as u64 >= len, "len={len} mtu={mtu}");
-            assert!((n - 1) * (mtu as u64) < len, "len={len} mtu={mtu}");
-        }
-    }
-}
 
 #[test]
 fn buffer_pool_fresh_fraction_matches_reuse() {

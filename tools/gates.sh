@@ -12,8 +12,9 @@
 # <pattern>. A <path> is a file, a directory (every file under it) or a
 # glob (`**` recurses); a path prefixed with `-` is excluded. <scope> is
 # `all` for whole files, or `src` to cut each file at its first
-# `#[cfg(test)]`, so unit tests may still name what the code may not.
-# The few checks a row cannot express follow the table as `check` lines.
+# `#[cfg(test)]`, so unit tests may still name what the code may not (the
+# Test-cut check below keeps that cut at each file's `mod tests`). The few
+# checks a row cannot express follow the table as `check` lines.
 
 set -uo pipefail
 shopt -s globstar nullglob
@@ -83,19 +84,29 @@ row One-snapshot 0 all 'payload: Vec<u8>' crates/via/src/wire.rs
 row One-law 0 all 'check_oracles' crates tests examples
 row One-law 0 all '\.audit\(\)' crates/core/src -crates/core/src/harness.rs
 row One-law 0 src '(\+|==|<=|>=) *[A-Za-z_.()]*frames_(port|fault)_dropped|frames_(port|fault)_dropped *(\+|==|<=|>=)' 'crates/*/src/**/*.rs' '-crates/fabric/src/**/*.rs'
-# One-stream: each workload step is written once, in `harness`. The
-# registration benchmark (nondata.rs) and the get target's RDMA-read
-# buffer (getput.rs) are not that step.
+# One-stream: each workload step is written once, in `harness`, and each
+# buffer is registered through `via::registered`. The registration
+# benchmark (nondata.rs) and the get target's RDMA-read buffer (getput.rs)
+# are not that step.
 row One-stream 0 src 'outstanding *[-+]= *1' 'crates/core/src/*.rs' -crates/core/src/harness.rs -crates/core/src/nondata.rs
-row One-stream 0 src 'register_mem\(' 'crates/core/src/*.rs' -crates/core/src/harness.rs -crates/core/src/nondata.rs -crates/core/src/getput.rs
+row One-stream 0 src 'register_mem\(' 'crates/core/src/*.rs' -crates/core/src/nondata.rs -crates/core/src/getput.rs
 row One-stream 1 src 'register_mem\(' crates/core/src/getput.rs
 row One-stream 0 all 'fn ping_pong_samples' crates
 # One-claim: the paper's claims are stated once, in tests/claims/mod.rs;
 # the shape tests that re-simulated a sweep stay gone.
 row One-claim 0 all '#\[cfg\(test\)\]' crates/core/src/base.rs crates/core/src/client_server.rs crates/core/src/cqimpact.rs
 row One-claim 0 all 'fn (reuse_sensitivity|latency_slope_per_vi|full_table1_reproduces_paper_within_ten_percent|headline_crossovers_hold)\b' crates tests
+# One-mechanism: each substrate mechanism is built once. Routing is one
+# table type built by `Topology::compute_routes` and picked from by
+# `Routes::next_hop`; the hash behind it is `simkit::rng::splitmix64`; MPL
+# and DSM take their registered buffers, receive rings, mesh bring-up and
+# lane lookup from `via::kit`.
+row One-mechanism 1 all 'fn splitmix64\b' crates
+row One-mechanism 0 all 'dist:|fn hops\b|fn route_path\b' crates/fabric/src/topo.rs
+row One-mechanism 0 all 'fn (classify|registered)\b|make_lane|struct Lane\b' crates/mpl/src crates/dsm/src crates/core/src
 # Deleted-features: simulator features and option structs that no
 # experiment, benchmark or example reached.
+row Deleted-features 0 all '\bRerouteParams\b|fn fragments_for\b' crates examples src tests
 row Deleted-features 0 all '\b(CoalescedInterrupts|wake_timer_in|PortDegrade|port_degrade|SimChannel|SessionParams|DsmConfig|call_soon|vibe-bench|vibe_bench)\b' crates examples src tests Cargo.toml
 # The sharded engine: one `Sim` per world; `VIBE_JOBS` is the only
 # parallel axis.
@@ -104,6 +115,21 @@ row Deleted-features 0 all '\b(ShardedSim|ShardSender|ShardMap|ShardStats|Sharde
 # built its world instead of claiming, waiting for and counting owners.
 row Deleted-features 0 all '\bAffinity\b|claims\(\)|read_volatile|compare_exchange|yield_now' crates/simkit/src/confined.rs crates/simkit/src/engine.rs tests/perf_proxies.rs
 
+# Test-cut: a `src` row cuts each file at its first `#[cfg(test)]`, which
+# must therefore open the file's `mod tests`. A test-only item above it
+# would hide every line after it from the `src` rows.
+first_cfg_test_opens_mod_tests() {
+    local f ok=0
+    for f in crates/*/src/**/*.rs; do
+        if ! awk '/#\[cfg\(test\)\]/ { getline; exit $0 !~ /^mod tests \{/ }' "$f"; then
+            echo "  $f: the first #[cfg(test)] does not open mod tests"
+            ok=1
+        fi
+    done
+    return $ok
+}
+
+check Test-cut first_cfg_test_opens_mod_tests
 check Thread-confinement test "$(grep -l 'unsafe impl' crates/simkit/src/*.rs | sort | tr '\n' ' ')" = \
     "crates/simkit/src/confined.rs crates/simkit/src/process.rs "
 check One-law test "$(grep -c '\.audit()' crates/core/src/harness.rs)" = 1
