@@ -37,8 +37,10 @@
 //!   only outsized or over-aligned ones fall back to a heap `Box`, whose
 //!   pointer is then the inline payload. Process wakeups ([`Sim::wake`],
 //!   [`Sim::wake_in`], sleeps, timeouts) store the bare [`WaitToken`] the
-//!   same way. Since slots come off a freelist, the common schedule→fire
-//!   cycle performs **zero allocations**.
+//!   same way — except a sleep whose own wake would pop next, which fires
+//!   in place and stores nothing ([`ProcessCtx::sleep`]). Since slots come
+//!   off a freelist, the common schedule→fire cycle performs **zero
+//!   allocations**.
 //!
 //! On top of that layout:
 //!
@@ -575,7 +577,8 @@ pub struct PoolStats {
     pub inline_large: u64,
     /// Closures too big (or too aligned) for a slot payload, heap-boxed.
     pub boxed: u64,
-    /// Wake tokens (never allocate).
+    /// Wake tokens queued (never allocate). A sleep whose wake fires in
+    /// place queues nothing and is not counted.
     pub wakes: u64,
     /// Slot requests served by recycling a freed slot.
     pub slot_reused: u64,
@@ -649,11 +652,12 @@ impl PoolStats {
 /// Cumulative scheduler accounting since the [`Sim`] was created.
 #[derive(Default, Clone, Debug, PartialEq, Eq)]
 pub struct SchedStats {
-    /// Total events executed. Includes elided hops folded in by
-    /// [`Sim::note_elided`], so `fired` counts *logical* events: the
-    /// number the general (unfused) chain would have executed. This keeps
-    /// every class table and events/sec figure byte-identical whether the
-    /// fused fast path ran or not.
+    /// Total events executed. Includes process wakes fired in place (a
+    /// sleep whose own wake was the next event, see [`ProcessCtx::sleep`])
+    /// and elided hops folded in by [`Sim::note_elided`], so `fired` counts
+    /// *logical* events: the number the general (unfused, all-queued) chain
+    /// would have executed. This keeps every class table and events/sec
+    /// figure byte-identical whether the fused fast path ran or not.
     pub fired: u64,
     /// Total timers cancelled before firing.
     pub cancelled: u64,
@@ -664,7 +668,7 @@ pub struct SchedStats {
     pub macro_events: u64,
     /// Scheduler hops elided by the fused fast path. Already folded into
     /// `fired`; `fired - events_elided` is the count of events that
-    /// physically went through the queue.
+    /// executed, popped from the queue or woken in place.
     pub events_elided: u64,
     /// Fused-fast-path attempt/hit/de-fuse ledger.
     pub fuse: FuseTally,
@@ -718,10 +722,18 @@ struct SchedState {
     free_head: u32,
     /// Cancelled heap entries that have not been reaped yet.
     dead_in_queue: usize,
+    /// Process wakes fired without being queued ([`Sim::wake_in_place`]).
+    woken_in_place: u64,
     stats: SchedStats,
 }
 
 impl SchedState {
+    /// Events counted in `fired` that never went through the queue: wakes
+    /// fired in place and hops the fused fast path elided.
+    fn unqueued(&self) -> u64 {
+        self.woken_in_place + self.stats.events_elided
+    }
+
     /// Copy the `vtable.size` bytes at `src` into a slab slot, once, and
     /// return `(slot, gen)`.
     ///
@@ -791,6 +803,7 @@ impl Default for SchedState {
             slots: Vec::new(),
             free_head: NO_SLOT,
             dead_in_queue: 0,
+            woken_in_place: 0,
             stats: SchedStats::default(),
         }
     }
@@ -1191,41 +1204,78 @@ impl Sim {
         }
     }
 
+    /// Fire the wake the calling process is about to queue for itself at
+    /// `now + d` without queueing it, when it would be the next event to
+    /// pop anyway: the queue is empty, or its head entry — live or
+    /// cancelled — is strictly later. Every queued entry has a smaller
+    /// `seq` than the wake would get, so an entry at `now + d` or earlier
+    /// would pop (or be reaped) first; when there is none, nothing can run
+    /// between the push and the pop, and this does what they would have —
+    /// consumes the wake's `seq`, counts one fired [`EventClass::User`]
+    /// event, advances the clock and calls the event hook — minus the slab
+    /// slot, the heap traffic and the two stack switches. Returns `false`,
+    /// having changed nothing, when the wake must be queued after all or
+    /// the simulation is shutting down (the caller's wait unwinds it).
+    pub(crate) fn wake_in_place(&self, d: SimDuration) -> bool {
+        if self.inner.shutdown.load(AtomicOrdering::SeqCst) {
+            return false;
+        }
+        let at = self.now() + d;
+        {
+            let mut s = self.inner.sched.lock();
+            if s.queue.peek().is_some_and(|head| head.at() <= at) {
+                return false;
+            }
+            s.seq += 1;
+            s.woken_in_place += 1;
+            s.stats.fired += 1;
+            s.stats.by_class[EventClass::User.index()].fired += 1;
+        }
+        self.advance_to(at, EventClass::User);
+        true
+    }
+
+    /// Move the clock to `at`, where an event of `class` fires, and show it
+    /// to the event hook, if one is installed.
+    fn advance_to(&self, at: SimTime, class: EventClass) {
+        debug_assert!(at.as_nanos() >= self.inner.now_ns.load(AtomicOrdering::Relaxed));
+        self.inner
+            .now_ns
+            .store(at.as_nanos(), AtomicOrdering::Release);
+        if self.inner.hook_set.load(AtomicOrdering::Relaxed) {
+            let hook = self.inner.hook.lock().clone();
+            if let Some(hook) = hook {
+                hook(at, class);
+            }
+        }
+    }
+
     /// Drive the simulation until the event queue drains, then report.
     pub fn run(&self) -> RunReport {
-        let (pool_at_entry, elided_at_entry, fuse_at_entry) = {
+        let (pool_at_entry, unqueued_at_entry, fuse_at_entry) = {
             let s = self.inner.sched.lock();
-            (s.stats.pool, s.stats.events_elided, s.stats.fuse)
+            (s.stats.pool, s.unqueued(), s.stats.fuse)
         };
         let mut events = 0u64;
         let mut taken = Payload::uninit();
         while let Some((at, class, vtable)) = self.pop_live(&mut taken) {
-            debug_assert!(at.as_nanos() >= self.inner.now_ns.load(AtomicOrdering::Relaxed));
-            self.inner
-                .now_ns
-                .store(at.as_nanos(), AtomicOrdering::Release);
+            self.advance_to(at, class);
             events += 1;
-            if self.inner.hook_set.load(AtomicOrdering::Relaxed) {
-                let hook = self.inner.hook.lock().clone();
-                if let Some(hook) = hook {
-                    hook(at, class);
-                }
-            }
             // Safety: `pop_live` just moved a value of `vtable`'s type into
             // `taken`; this call consumes it, once.
             unsafe { (vtable.call)(taken.as_mut_ptr().cast(), self) }
         }
-        // Report *logical* events: physical pops plus hops the fused fast
-        // path elided during this run.
-        let (pool_delta, elided_delta, fuse_delta) = {
+        // Report *logical* events: physical pops plus wakes fired in place
+        // and hops the fused fast path elided during this run.
+        let (pool_delta, unqueued_delta, fuse_delta) = {
             let s = self.inner.sched.lock();
             (
                 s.stats.pool.delta_since(&pool_at_entry),
-                s.stats.events_elided - elided_at_entry,
+                s.unqueued() - unqueued_at_entry,
                 s.stats.fuse.delta_since(&fuse_at_entry),
             )
         };
-        events += elided_delta;
+        events += unqueued_delta;
         THREAD_EVENTS.with(|c| c.set(c.get() + events));
         THREAD_POOL.with(|c| {
             let mut p = c.get();

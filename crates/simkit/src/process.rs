@@ -18,6 +18,12 @@
 //! a `wait`** — whatever runs meanwhile may lock the same cell, and a second
 //! guard panics.
 //!
+//! A process that sleeps or yields when its own wake would be the next
+//! event to fire does not leave its stack at all: [`ProcessCtx::sleep`]
+//! asks the engine to fire that wake in place (clock, event count and
+//! event hook exactly as if it had been queued and popped), and only
+//! queues it and parks when something else is due first.
+//!
 //! Wakeups are tokenized: every wait gets a fresh [`WaitToken`], and a wake
 //! only resumes the process if it is still waiting on that exact token.
 //! Stale wakes (races between a timeout and a signal, duplicate signals) are
@@ -289,8 +295,14 @@ impl ProcessCtx {
         elapsed
     }
 
-    /// Park for `d` of idle (uncharged) virtual time.
+    /// Park for `d` of idle (uncharged) virtual time. When nothing else is
+    /// queued at or before `now + d`, the wake would be the next event
+    /// anyway: the clock moves and the body carries on without leaving its
+    /// stack (the same instant, event count and hook call, no queue entry).
     pub fn sleep(&mut self, d: SimDuration) {
+        if self.sim.wake_in_place(d) {
+            return;
+        }
         let token = self.prepare_wait();
         self.sim.wake_in(d, token);
         self.wait(token);
@@ -307,8 +319,11 @@ impl ProcessCtx {
     }
 
     /// Park behind every event already queued at the current instant, then
-    /// continue.
+    /// continue (at once, in place, when there is none).
     pub fn yield_now(&mut self) {
+        if self.sim.wake_in_place(SimDuration::ZERO) {
+            return;
+        }
         let token = self.prepare_wait();
         self.sim.wake(token);
         self.wait(token);
@@ -361,6 +376,7 @@ impl<T: Send + 'static> ProcessHandle<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{thread_events, EventClass, SchedStats};
     use crate::time::SimDuration;
     use parking_lot::Mutex;
 
@@ -644,6 +660,152 @@ mod tests {
             *log.lock(),
             vec!["first:0", "second:0", "first:1", "second:1"]
         );
+    }
+
+    fn ns(n: u64) -> SimDuration {
+        SimDuration::from_nanos(n)
+    }
+
+    /// `(fired, user fired, dead_popped, queued wakes)` of a world's books.
+    fn books(stats: &SchedStats) -> (u64, u64, u64, u64) {
+        let user = stats.class(EventClass::User).fired;
+        (stats.fired, user, stats.dead_popped, stats.pool.wakes)
+    }
+
+    type Log = Arc<Mutex<Vec<(&'static str, SimTime)>>>;
+
+    #[test]
+    fn an_event_due_at_the_wake_instant_runs_before_the_sleeper_resumes() {
+        let sim = Sim::new();
+        let log: Log = Arc::default();
+        let l = Arc::clone(&log);
+        sim.spawn("sleeper", None, move |ctx| {
+            let l2 = Arc::clone(&l);
+            ctx.sim().call_in_as(EventClass::Fabric, ns(10), move |s| {
+                l2.lock().push(("event", s.now()))
+            });
+            // Queued first, so it pops first: the wake must be queued too.
+            ctx.sleep(ns(10));
+            l.lock().push(("sleeper", ctx.now()));
+        });
+        let report = sim.run_to_completion();
+        let at10 = SimTime::from_nanos(10);
+        assert_eq!(*log.lock(), vec![("event", at10), ("sleeper", at10)]);
+        // Spawn wake, the event and the queued wake.
+        assert_eq!(books(&report.sched), (3, 2, 0, 2));
+        assert_eq!(report.sched.class(EventClass::Fabric).fired, 1);
+        assert_eq!(report.events, 3);
+    }
+
+    #[test]
+    fn an_earlier_event_runs_first_and_a_lone_sleep_fires_in_place() {
+        let before = thread_events();
+        let sim = Sim::new();
+        let log: Log = Arc::default();
+        let l = Arc::clone(&log);
+        sim.spawn("sleeper", None, move |ctx| {
+            let l2 = Arc::clone(&l);
+            ctx.sim().call_in_as(EventClass::Firmware, ns(5), move |s| {
+                l2.lock().push(("event", s.now()))
+            });
+            ctx.sleep(ns(10));
+            l.lock().push(("sleeper", ctx.now()));
+            // Nothing else is queued: this wake fires without a queue entry.
+            ctx.sleep(ns(10));
+            l.lock().push(("sleeper", ctx.now()));
+        });
+        let report = sim.run_to_completion();
+        let at = SimTime::from_nanos;
+        assert_eq!(
+            *log.lock(),
+            vec![("event", at(5)), ("sleeper", at(10)), ("sleeper", at(20))]
+        );
+        // Spawn wake, the event, one queued and one in-place wake: every
+        // logical event counted, two wakes queued.
+        assert_eq!(books(&report.sched), (4, 3, 0, 2));
+        assert_eq!((report.events, thread_events() - before), (4, 4));
+        assert_eq!(report.end_time, at(20));
+    }
+
+    #[test]
+    fn a_cancelled_timer_due_by_the_wake_is_reaped_before_the_sleeper_resumes() {
+        let sim = Sim::new();
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let s2 = Arc::clone(&seen);
+        sim.spawn("sleeper", None, move |ctx| {
+            let sim = ctx.sim().clone();
+            let arm = |at: u64| sim.timer_in(EventClass::Retransmit, ns(at), |_| {});
+            // Cancelled entries at and before the wake's instant still sit
+            // at the head of the queue: they are reaped, then the wake pops.
+            assert!(arm(5).cancel() && arm(10).cancel());
+            ctx.sleep(ns(10));
+            s2.lock()
+                .push((ctx.now(), ctx.sim().sched_stats().dead_popped));
+            // One strictly later does not hold the wake up; it is reaped
+            // when it surfaces, after the sleeper is done.
+            assert!(arm(100).cancel());
+            ctx.sleep(ns(10));
+            s2.lock()
+                .push((ctx.now(), ctx.sim().sched_stats().dead_popped));
+        });
+        let report = sim.run_to_completion();
+        let at = SimTime::from_nanos;
+        assert_eq!(*seen.lock(), vec![(at(10), 2), (at(20), 2)]);
+        // Spawn wake, one queued and one in-place wake; three reaped.
+        assert_eq!(books(&report.sched), (3, 3, 3, 2));
+        assert_eq!(report.sched.class(EventClass::Retransmit).dead_popped, 3);
+        assert_eq!(report.end_time, at(20));
+    }
+
+    #[test]
+    fn the_event_hook_sees_a_wake_fired_in_place_as_a_user_pop() {
+        let sim = Sim::new();
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let l = Arc::clone(&log);
+        sim.set_event_hook(Some(Arc::new(move |at, class| l.lock().push((at, class)))));
+        sim.spawn("sleeper", None, |ctx| {
+            ctx.sleep(ns(7)); // in place
+            ctx.sim().call_in_as(EventClass::Doorbell, ns(3), |_| {});
+            ctx.sleep(ns(5)); // queued behind the doorbell
+            ctx.yield_now(); // in place: nothing else at 12
+        });
+        let report = sim.run_to_completion();
+        let (at, user) = (SimTime::from_nanos, EventClass::User);
+        assert_eq!(
+            *log.lock(),
+            vec![
+                (at(0), user),
+                (at(7), user),
+                (at(10), EventClass::Doorbell),
+                (at(12), user),
+                (at(12), user),
+            ]
+        );
+        assert_eq!(books(&report.sched), (5, 4, 0, 2));
+    }
+
+    #[test]
+    fn a_sleep_after_shutdown_still_unwinds() {
+        let sim = Sim::new();
+        sim.shutdown();
+        let woke = Arc::new(AtomicBool::new(false));
+        let w = Arc::clone(&woke);
+        // Spawned after the shutdown, so its body runs in the next `run`;
+        // its sleep would fire in place, but unwinds instead.
+        let h = sim.spawn("late", None, move |ctx| {
+            ctx.sleep(ns(10));
+            w.store(true, AtomicOrdering::Relaxed);
+        });
+        let report = sim.run();
+        assert!(
+            !woke.load(AtomicOrdering::Relaxed),
+            "the body ran past its sleep"
+        );
+        assert!(h.is_finished() && h.take_result().is_none());
+        // The sleep queued its wake before it unwound; that wake still
+        // fires, and finds the process finished.
+        assert_eq!(report.end_time, SimTime::from_nanos(10));
+        assert_eq!(books(&report.sched), (2, 2, 0, 2));
     }
 
     #[test]

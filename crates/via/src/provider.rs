@@ -150,7 +150,13 @@ pub(crate) struct ProviderState {
     /// the offload path, kernel on the emulated path): per-fragment receive
     /// work is serial on one engine.
     pub rx_engine_busy: simkit::SimTime,
+    /// Indexed by [`ViId`]; a destroyed VI leaves its slot `None`. Only
+    /// `create_vi` and `destroy_vi` fill or empty a slot, and each keeps
+    /// `live_vis` in step.
     pub vis: Vec<Option<ViState>>,
+    /// Occupied slots of `vis`, kept so the firmware's per-transmit scan
+    /// cost is O(1) to look up ([`Provider::audit`] checks the count).
+    live_vis: usize,
     pub cqs: Vec<Option<CqState>>,
     pub xlate: XlateEngine,
     pub listeners: HashMap<Discriminator, Listener>,
@@ -196,7 +202,7 @@ impl ProviderState {
 
     /// Number of live VIs — what the firmware's polling loop scans.
     pub(crate) fn active_vis(&self) -> usize {
-        self.vis.iter().filter(|v| v.is_some()).count()
+        self.live_vis
     }
 }
 
@@ -360,6 +366,7 @@ impl Provider {
             send_cq.map(|c| c.id),
             recv_cq.map(|c| c.id),
         )));
+        st.live_vis += 1;
         Ok(Vi {
             provider: self.clone(),
             id,
@@ -379,6 +386,7 @@ impl Provider {
                 st.cq_mut(cq).refs -= 1;
             }
             st.vis[vi.id.index()] = None;
+            st.live_vis -= 1;
         }
         ctx.busy(self.core.profile.setup.destroy_vi);
         Ok(())
@@ -422,8 +430,9 @@ impl Provider {
     /// (the Error transition flushed everything), every credit-parked send
     /// still has its in-flight entry, no credit ledger has gone negative,
     /// no keepalive outlives its connection, CQ reference counts match the
-    /// VIs that actually point at them, no job is stuck in the NIC transmit
-    /// ring, and no timer was cancelled more often than armed. A clean node
+    /// VIs that actually point at them, the live-VI count matches the
+    /// occupied VI slots, no job is stuck in the NIC transmit ring, and no
+    /// timer was cancelled more often than armed. A clean node
     /// appends (and allocates) nothing. [`Cluster::audit`] runs it per node.
     pub(crate) fn audit(&self, violations: &mut Vec<String>) {
         use crate::vi::ConnState;
@@ -496,6 +505,13 @@ impl Provider {
                     cq.refs
                 ));
             }
+        }
+        let occupied = st.vis.iter().flatten().count();
+        if st.live_vis != occupied {
+            violations.push(format!(
+                "node {node}: {} live VIs counted, {occupied} VI slots occupied",
+                st.live_vis
+            ));
         }
         if !st.nic_tx.queue.is_empty() || st.nic_tx.busy {
             violations.push(format!(
@@ -839,6 +855,7 @@ impl Cluster {
                     mem: ProcessMem::new(profile.host.page_size),
                     rx_engine_busy: simkit::SimTime::ZERO,
                     vis: Vec::new(),
+                    live_vis: 0,
                     cqs: Vec::new(),
                     xlate: XlateEngine::new(profile.xlate),
                     listeners: HashMap::new(),
@@ -1022,6 +1039,16 @@ mod tests {
             assert_eq!(p2.active_vis(), 1);
         });
         sim.run_to_completion();
+        let mut violations = Vec::new();
+        p.audit(&mut violations);
+        assert_eq!(violations, Vec::<String>::new());
+        // A count that drifts from the slots is a broken law.
+        p.lock().live_vis += 1;
+        p.audit(&mut violations);
+        assert_eq!(
+            violations,
+            ["node 0: 2 live VIs counted, 1 VI slots occupied"]
+        );
     }
 
     #[test]

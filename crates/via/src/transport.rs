@@ -1926,7 +1926,6 @@ fn rx_landed(sim: &Sim, provider: Provider, src: NodeId, df: DataFrame, at: SimT
 mod tests {
     use super::*;
     use crate::mem::MemAttributes;
-    use crate::types::MemHandle;
 
     /// Every fragment boundary of a message, built the long way: the
     /// oracle the closed forms are tested against.
@@ -2137,11 +2136,5 @@ mod tests {
         let h = mem.register(a, 4096, MemAttributes::default()).unwrap();
         let d = Descriptor::recv().segment(a, h, 10);
         scatter(&mut mem, &d, 0, &[0u8; 20]);
-    }
-
-    #[test]
-    fn unused_handle_type_compiles() {
-        // Silence the "unused import" trap for MemHandle used in cfg(test).
-        let _ = MemHandle::test(0);
     }
 }

@@ -1,8 +1,9 @@
 //! Host-independent performance proxies, gated so that a regression fails
 //! a diff instead of waiting for someone to notice a slower laptop
-//! (ROADMAP item 2): heap allocations, bytes allocated and mutex
-//! acquisitions per message, boxed events, event-pool hit rate, and the
-//! size of the handle every datapath closure captures.
+//! (ROADMAP item 2): heap allocations, bytes allocated, mutex acquisitions,
+//! queued process wakes and logical events per message, boxed events,
+//! event-pool hit rate, and the size of the handle every datapath closure
+//! captures.
 //!
 //! Every number here is a count the simulator reproduces exactly: the whole
 //! world runs on the calling thread, and the allocator below and
@@ -12,7 +13,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use vibe_suite::simkit::{thread_pool_stats, PoolStats};
+use vibe_suite::simkit::{thread_events, thread_pool_stats, PoolStats};
 use vibe_suite::via::{Profile, Provider};
 use vibe_suite::vibe::harness::{bandwidth, ping_pong, DtConfig};
 
@@ -53,18 +54,30 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// `[allocations, mutex acquisitions, bytes allocated]` made by this thread
-/// so far.
-fn counters() -> [u64; 3] {
+/// Index of each counter in [`counters`].
+const ALLOCATIONS: usize = 0;
+const MUTEX_ACQUISITIONS: usize = 1;
+const BYTES_ALLOCATED: usize = 2;
+const QUEUED_WAKES: usize = 3;
+const LOGICAL_EVENTS: usize = 4;
+
+/// `[allocations, mutex acquisitions, bytes allocated, queued process
+/// wakes, logical events]` made by this thread so far. A process wake is
+/// queued when something else is due before it; one that would pop next
+/// fires in place and is not counted here, but is a logical event like
+/// any other.
+fn counters() -> [u64; 5] {
     [
         ALLOCS.with(Cell::get),
         parking_lot::lock_count(),
         ALLOCATED_BYTES.with(Cell::get),
+        thread_pool_stats().wakes,
+        thread_events(),
     ]
 }
 
 /// The counters and event-pool churn of one call.
-fn measured(f: impl FnOnce()) -> ([u64; 3], PoolStats) {
+fn measured(f: impl FnOnce()) -> ([u64; 5], PoolStats) {
     let (before, pool) = (counters(), thread_pool_stats());
     f();
     let after = counters();
@@ -74,11 +87,10 @@ fn measured(f: impl FnOnce()) -> ([u64; 3], PoolStats) {
     )
 }
 
-/// Marginal `[allocations, mutex acquisitions, bytes allocated]` per
-/// iteration of `run`, in hundredths: the slope between a short and a long
-/// run of the same world, so cluster set-up and one-off buffer growth
-/// cancel.
-fn per_iter_x100(run: impl Fn(u32)) -> [u64; 3] {
+/// Marginal [`counters`] per iteration of `run`, in hundredths: the slope
+/// between a short and a long run of the same world, so cluster set-up and
+/// one-off buffer growth cancel.
+fn per_iter_x100(run: impl Fn(u32)) -> [u64; 5] {
     const SHORT: u32 = 64;
     const LONG: u32 = 576;
     let (short, _) = measured(|| run(SHORT));
@@ -91,8 +103,8 @@ fn per_iter_x100(run: impl Fn(u32)) -> [u64; 3] {
 /// Per profile in `paper_trio` order (M-VIA, BVIA, cLAN), the
 /// [`per_iter_x100`] counters of a 4 B polling ping-pong iteration (two
 /// messages) and of one 16 KiB message of a depth-16 stream.
-fn trio_x100() -> [[[u64; 3]; 3]; 2] {
-    let (mut ping_pongs, mut streams) = ([[0; 3]; 3], [[0; 3]; 3]);
+fn trio_x100() -> [[[u64; 5]; 3]; 2] {
+    let (mut ping_pongs, mut streams) = ([[0; 5]; 3], [[0; 5]; 3]);
     for (i, profile) in Profile::paper_trio().into_iter().enumerate() {
         ping_pongs[i] = per_iter_x100(|iters| {
             ping_pong(&DtConfig {
@@ -112,7 +124,7 @@ fn trio_x100() -> [[[u64; 3]; 3]; 2] {
 }
 
 /// One counter of [`trio_x100`], as `[ping-pong, stream]` rows of profiles.
-fn column(trio: &[[[u64; 3]; 3]; 2], counter: usize) -> [[u64; 3]; 2] {
+fn column(trio: &[[[u64; 5]; 3]; 2], counter: usize) -> [[u64; 3]; 2] {
     trio.map(|workload| workload.map(|profile| profile[counter]))
 }
 
@@ -137,7 +149,7 @@ const ALLOCATED_BYTES_X100: [[u64; 3]; 2] = [[75_400, 81_800, 81_800], [2_000_00
 #[test]
 fn allocations_per_message_stay_under_their_recorded_ceilings() {
     let trio = trio_x100();
-    let (allocs, bytes) = (column(&trio, 0), column(&trio, 2));
+    let (allocs, bytes) = (column(&trio, ALLOCATIONS), column(&trio, BYTES_ALLOCATED));
     println!(
         "allocations x100 per iteration, [ping-pong, stream] x (M-VIA, BVIA, cLAN): {allocs:?}"
     );
@@ -156,11 +168,47 @@ fn allocations_per_message_stay_under_their_recorded_ceilings() {
 /// mutex at all, in any profile or build.
 #[test]
 fn no_mutex_is_acquired_per_message() {
-    let locks = column(&trio_x100(), 1);
+    let locks = column(&trio_x100(), MUTEX_ACQUISITIONS);
     println!(
         "mutex acquisitions x100 per iteration, [ping-pong, stream] x (M-VIA, BVIA, cLAN): {locks:?}"
     );
     assert_eq!(locks, [[0; 3]; 2], "mutex acquisitions x100 per iteration");
+}
+
+/// Queued process wakes, same layout. A host-cost charge (`busy`) whose
+/// wake is the next event fires in place instead, so an M-VIA polling
+/// ping-pong iteration queues two wakes of its twenty logical events, not
+/// ten. The parent of the in-place wake read
+/// `[[1000, 1100, 1100], [529, 629, 619]]`.
+const QUEUED_WAKES_X100: [[u64; 3]; 2] = [[200, 300, 300], [249, 408, 411]];
+
+/// Logical events (`thread_events`), same layout: what the all-queued
+/// chain executes, so a wake fired in place must leave it exactly where it
+/// was before wakes could be.
+const LOGICAL_EVENTS_X100: [[u64; 3]; 2] = [[2000, 3100, 3100], [6544, 3160, 5150]];
+
+#[test]
+fn queued_wakes_per_message_stay_under_their_recorded_ceilings() {
+    let wakes = column(&trio_x100(), QUEUED_WAKES);
+    println!(
+        "queued wakes x100 per iteration, [ping-pong, stream] x (M-VIA, BVIA, cLAN): {wakes:?}"
+    );
+    assert!(
+        under(&wakes, &QUEUED_WAKES_X100),
+        "queued wakes x100 per iteration {wakes:?} over {QUEUED_WAKES_X100:?}"
+    );
+}
+
+#[test]
+fn logical_events_per_message_are_unchanged() {
+    let events = column(&trio_x100(), LOGICAL_EVENTS);
+    println!(
+        "logical events x100 per iteration, [ping-pong, stream] x (M-VIA, BVIA, cLAN): {events:?}"
+    );
+    assert_eq!(
+        events, LOGICAL_EVENTS_X100,
+        "logical events x100 per iteration"
+    );
 }
 
 #[test]

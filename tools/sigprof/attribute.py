@@ -25,6 +25,8 @@ STATIC_CODE_BYTES = 4096
 CATEGORIES = [
     ("mutex", ("futex.rs", "sync/poison", "sync/mutex", "pl-shim")),
     ("confined", ("simkit/src/confined.rs",)),
+    # Switching onto a process's stack and back, and the baton around it.
+    ("process hand-off", ("simkit/src/process.rs", "simkit/src/coroutine.rs")),
     ("Arc counts", ("alloc/src/sync.rs",)),
     ("hash", ("hashbrown", "/hash/", "collections/hash")),
     ("vec / heap", ("alloc/src/vec", "alloc/src/raw_vec", "binary_heap", "vec_deque")),
