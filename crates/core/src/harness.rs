@@ -64,8 +64,6 @@ pub struct DtConfig {
     pub reliability: Reliability,
     /// Outstanding sends during the bandwidth test (§3.2.5 PIP/ASY).
     pub queue_depth: usize,
-    /// Use RDMA writes instead of send/receive (§3.2.5 RDMA).
-    pub rdma: bool,
     /// RNG seed for the run.
     pub seed: u64,
     /// Fabric shape joining the two nodes. `None` (the base setup) is the
@@ -91,7 +89,6 @@ impl DtConfig {
             segments: 1,
             reliability: Reliability::Unreliable,
             queue_depth: 16,
-            rdma: false,
             seed: BASE_SEED,
             topology: None,
         }
@@ -1026,7 +1023,6 @@ mod tests {
         let cfg = DtConfig {
             iters: 10,
             warmup: 2,
-            rdma: true,
             ..DtConfig::base(Profile::clan(), 2048)
         };
         let r = rdma_write_ping(&cfg);

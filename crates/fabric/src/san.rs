@@ -559,9 +559,10 @@ impl San {
         }
     }
 
-    /// Enable or disable the switch-egress fold (see [`San::send_msg_at`]).
-    /// Folding is timeline-neutral; the knob exists so `VIBE_FUSE=0` runs
-    /// measure the genuinely unfused scheduler.
+    /// Enable or disable the switch-egress fold (see `inject`). Folding
+    /// is not timeline-neutral: switched off alone it moves three F6
+    /// bandwidth points (DESIGN.md §4.5). The knob exists so `VIBE_FUSE=0`
+    /// runs measure the genuinely unfused scheduler.
     pub fn set_fuse(&self, on: bool) {
         self.inner.fuse.store(on, Ordering::Relaxed);
     }
@@ -874,13 +875,6 @@ impl San {
         };
     }
 
-    /// True when `src` is the only source ever registered toward `dst`'s
-    /// downlink — the precondition for eagerly applying that downlink's
-    /// occupancy from the sender (fan-in de-fuses the forward hop).
-    pub fn sole_writer(&self, src: NodeId, dst: NodeId) -> bool {
-        self.inner.shared.lock().writers[dst.index()] == WriterSet::One(src)
-    }
-
     /// Install a tracer recording wire tx/rx/drop points. Pass
     /// [`Tracer::disabled`] to detach.
     pub fn set_tracer(&self, tracer: Tracer) {
@@ -963,17 +957,14 @@ impl San {
     /// Fused-path injection: put a frame on the wire exactly as
     /// [`San::send_msg`] executed at virtual time `at` (the precomputed
     /// wire time, `at >= now`) would have — the same pipeline, entered
-    /// early. Callers must have verified the fabric-side fuse guard first
-    /// — one switch, lossless loss model, no fault plan — so the frame
-    /// cannot drop and no RNG stream is consumed, which is what makes
-    /// computing the uplink occupancy ahead of time exact: the caller's
-    /// NIC ring serializes all sends of the source node, so no other frame
-    /// can claim this uplink between now and `at`.
-    ///
-    /// Returns `true` when the switch-egress hop was folded in as well —
-    /// `src` being the sole registered writer of `dst`'s
-    /// downlink ([`San::sole_writer`]) — and `false` when its event had to
-    /// be scheduled.
+    /// early. Its one caller is the fused send (`via::fastpath`), which
+    /// has verified the fabric-side fuse guard first — one switch,
+    /// lossless loss model, no fault plan — so the frame cannot drop and
+    /// no RNG stream is consumed, which is what makes computing the uplink
+    /// occupancy ahead of time exact: the sender's NIC ring serializes all
+    /// sends of the source node, so no other frame can claim this uplink
+    /// between now and `at`. The switch-egress hop folds in as on any
+    /// other injection (see `inject`).
     pub fn send_msg_at(
         &self,
         src: NodeId,
@@ -982,7 +973,7 @@ impl San {
         body: Box<dyn Any + Send>,
         msg: Option<MsgId>,
         at: SimTime,
-    ) -> bool {
+    ) {
         debug_assert!(
             self.is_single_switch() && self.is_lossless() && !self.faults_installed(),
             "fused injection requires a lossless, fault-free one-switch fabric"
@@ -1006,8 +997,7 @@ impl San {
     /// downlink its applications arrive in non-decreasing order (they all
     /// chain through `src`'s uplink). The hop then runs inline instead of
     /// as a scheduled event, and the elided `Fabric` event is credited to
-    /// the engine's logical ledger via `note_elided`. Returns whether it
-    /// folded.
+    /// the engine's logical ledger via `note_elided`.
     #[allow(clippy::too_many_arguments)]
     fn inject(
         &self,
@@ -1018,7 +1008,7 @@ impl San {
         lossy: bool,
         msg: Option<MsgId>,
         at: SimTime,
-    ) -> bool {
+    ) {
         assert_ne!(src, dst, "fabric has no loopback path");
         let inner = &self.inner;
         let p = &inner.params;
@@ -1072,7 +1062,7 @@ impl San {
                 && sh.writers[dst.index()] == WriterSet::One(src)
         };
         let HopOutcome::Pass { extra } = outcome else {
-            return false;
+            return;
         };
         let at_hop = at_hop + extra;
         let frame = Frame {
@@ -1086,7 +1076,7 @@ impl San {
         if fold {
             inner.sim.note_elided(EventClass::Fabric, 1);
             self.hop(edge, frame, at_hop);
-            return true;
+            return;
         }
         let san = self.clone();
         inner
@@ -1094,7 +1084,6 @@ impl San {
             .call_at_as(EventClass::Fabric, at_hop, move |sim| {
                 san.hop(edge, frame, sim.now())
             });
-        false
     }
 
     /// Stage 2 — a frame is ready for switch `sw` at `at`: pick the output

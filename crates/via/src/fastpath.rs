@@ -6,10 +6,11 @@
 //! fabric forward hop, and the receive-side landing. Every stage's delay
 //! is a pure function of state that is fully determined at post time
 //! *provided nothing else can interleave* — so when a guard proves the
-//! pipeline uncontended, the whole chain collapses into straight-line
-//! arithmetic executed inside the posting call: one macro-event on the
-//! sender (this module) and one on the receiver (the delivery event, which
-//! inlines the landing — see `transport::rx_data`).
+//! pipeline uncontended, the sender's stages up to the wire handoff
+//! collapse into straight-line arithmetic executed inside the posting
+//! call: one macro-event on the sender. The fabric may fold the forward
+//! hop as well; the receive-side landing always runs as its own event
+//! (see `transport::rx_data`).
 //!
 //! Exactness is the contract: a fused run must be byte-identical to the
 //! unfused run in every committed artifact. The guards here are therefore
@@ -27,11 +28,10 @@ use std::sync::OnceLock;
 use simkit::{DefuseCause, EventClass};
 
 use crate::descriptor::DescOp;
-use crate::provider::{Provider, ProviderState, TxJobRef};
+use crate::provider::{Provider, TxJobRef};
 use crate::transport::{arm_retransmit_at, complete_send, resolve_job, tx_msg};
 use crate::transport::{JobPayload, LastAction};
-use crate::types::{Reliability, ViId};
-use crate::vi::{Reassembly, RxTarget};
+use crate::types::ViId;
 use crate::wire::{DataFrame, Frame, Window};
 
 /// The global fuse knob: `VIBE_FUSE=0` disables fusing for the process
@@ -230,68 +230,4 @@ pub(crate) fn try_fuse_send(
     sim.note_elided(EventClass::Doorbell, 1);
     sim.note_elided(EventClass::Firmware, 4);
     Ok(())
-}
-
-/// A conservative floor on how soon any frame handed to the device after
-/// "now" can reach the wire. The elided ACK's eager uplink reservation at
-/// `now + ack_processing` is exact only when no later wire handoff can
-/// beat it to the link — which holds when the transmit ring is idle (so
-/// every future handoff happens at `>= now`) and `ack_processing` is
-/// strictly below this floor.
-pub(crate) fn min_wire_latency(provider: &Provider) -> simkit::SimDuration {
-    let profile = &provider.core.profile;
-    match profile.data_path {
-        crate::profile::DataPathKind::HostEmulated => {
-            // The post enqueues inline and an RDMA-read request hits the
-            // wire straight from the fragment stage with no DMA.
-            if profile.supports_rdma_read {
-                simkit::SimDuration::ZERO
-            } else {
-                profile.pci.setup + profile.data.kernel_tx_per_frag
-            }
-        }
-        crate::profile::DataPathKind::NicOffload => {
-            // Doorbell propagation + one firmware pass + the descriptor
-            // fetch's bus setup. Read requests skip the data DMA, so the
-            // floor stops at the fetch.
-            profile.doorbell.propagation() + profile.firmware.service_delay(1) + profile.pci.setup
-        }
-    }
-}
-
-/// Whether the receive-side landing of `df` may be folded into the
-/// delivery event (called by `transport::rx_data` after the reassembly
-/// entry exists, before any landing side effect). Folding runs
-/// `rx_landed` inline at delivery time with the precomputed landing
-/// instant, eliding the landing's `Firmware` event.
-///
-/// Only single-fragment plain receives fold: RDMA-with-immediate pops the
-/// descriptor inside the landing (an early pop would diverge), read
-/// responses complete send descriptors, and Reliable Reception's ACK
-/// snapshots the credit ledger at landing time — all excluded for
-/// exactness. The early `delivered` mark a fold causes is compensated by
-/// `ViState::unfused_highwater`, and lossless in-order delivery makes it
-/// dedup-safe.
-pub(crate) fn fuse_rx_eligible(provider: &Provider, st: &ProviderState, df: &DataFrame) -> bool {
-    if !fuse_enabled() || df.frag_count != 1 || df.reliability == Reliability::ReliableReception {
-        return false;
-    }
-    let san = &provider.san;
-    if !san.is_single_switch() || !san.is_lossless() || san.faults_installed() {
-        return false;
-    }
-    if provider.observed() {
-        return false;
-    }
-    let Some(vi) = st.vis.get(df.dst_vi.index()).and_then(|v| v.as_ref()) else {
-        return false;
-    };
-    matches!(
-        vi.reassembly.get(&df.seq),
-        Some(Reassembly {
-            target: RxTarget::Recv { .. },
-            error: None,
-            ..
-        })
-    )
 }

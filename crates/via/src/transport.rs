@@ -830,45 +830,15 @@ fn wire_send(
 /// Emit an ACK for `(dst_vi, seq)` on the peer, reading the piggybacked
 /// credit grant total off `local_vi` (the VI the message arrived on).
 fn send_ack(provider: &Provider, dst_node: NodeId, dst_vi: ViId, seq: u64, local_vi: ViId) {
-    send_ack_at(
-        provider,
-        dst_node,
-        dst_vi,
-        seq,
-        local_vi,
-        provider.core.sim.now(),
-    );
-}
-
-/// [`send_ack`] with an explicit decision instant `at` (always "now" on
-/// the general path; kept explicit so a folded landing could ACK from its
-/// precomputed landing time without drift).
-fn send_ack_at(
-    provider: &Provider,
-    dst_node: NodeId,
-    dst_vi: ViId,
-    seq: u64,
-    local_vi: ViId,
-    at: SimTime,
-) {
     let profile = &provider.core.profile;
     // The ACK carries the *sender's* message coordinates back.
     let msg = rx_msg(dst_node, dst_vi, seq);
-    trace_at(provider, at, TracePoint::AckTx, msg, 0);
-    let tracer_on = provider.core.tracer.get().is_some();
-    let (credit_total, tx_quiet) = {
+    trace_at(provider, provider.core.sim.now(), TracePoint::AckTx, msg, 0);
+    let credit_total = {
         let mut st = provider.lock();
         st.stats.acks_sent += 1;
-        // Nothing queued, transmitting, or inside a fused window: every
-        // future wire handoff on this node happens strictly after now.
-        let tx_quiet = !st.nic_tx.busy
-            && st.nic_tx.queue.is_empty()
-            && st.nic_tx.fused_until <= provider.core.sim.now();
-        (
-            st.try_vi_mut(local_vi)
-                .map_or(0, |vi| vi.credits_granted_total),
-            tx_quiet,
-        )
+        st.try_vi_mut(local_vi)
+            .map_or(0, |vi| vi.credits_granted_total)
     };
     let bytes = profile.data.ack_bytes;
     let frame = Frame::Ack {
@@ -876,46 +846,19 @@ fn send_ack_at(
         seq,
         credit_total,
     };
-    let t_ack = at + profile.data.ack_processing;
-    // On a lossless, fault-free, untraced fabric the ACK-processing delay
-    // is pure arithmetic: inject the frame at its precomputed wire time
-    // and elide the Retransmit-class processing event. The credit total
-    // was snapshotted above at the same instant the general path reads it.
-    // Exactness of the eager uplink reservation requires that no other
-    // frame from this node can reach the wire before `t_ack`: the
-    // transmit path must be quiet and the ACK-processing delay strictly
-    // below the device's minimum handoff-to-wire latency.
-    if crate::fastpath::fuse_enabled()
-        && !tracer_on
-        && tx_quiet
-        && profile.data.ack_processing < crate::fastpath::min_wire_latency(provider)
-        && provider.san.is_single_switch()
-        && provider.san.is_lossless()
-        && !provider.san.faults_installed()
-    {
-        provider.core.sim.note_elided(EventClass::Retransmit, 1);
-        provider.san.send_msg_at(
-            provider.core.node,
-            dst_node,
-            bytes,
-            Box::new(frame),
-            Some(msg),
-            t_ack,
-        );
-        return;
-    }
     // The ACK rides the lossy data path like every other frame and is
     // correlated to the message it acknowledges, so a traced run shows the
     // ACK's wire hop under the message's id — and a lost ACK shows up as a
     // WireDrop followed by the sender's retransmission.
     let p = provider.clone();
-    provider
-        .core
-        .sim
-        .call_at_as(EventClass::Retransmit, t_ack, move |_| {
+    provider.core.sim.call_in_as(
+        EventClass::Retransmit,
+        profile.data.ack_processing,
+        move |_| {
             p.san
                 .send_msg(p.core.node, dst_node, bytes, Box::new(frame), Some(msg));
-        });
+        },
+    );
 }
 
 fn handle_ack(provider: &Provider, vi_id: ViId, seq: u64, credit_total: u64) {
@@ -1451,44 +1394,31 @@ fn rx_read_request(provider: &Provider, req: RdmaReadReq) {
     );
 }
 
-/// A data fragment arrived at the NIC: book its arrival, then land it —
-/// inline when the landing folds into this event, as its own event at the
-/// landing instant otherwise.
+/// A data fragment arrived at the NIC: book its arrival, then land it as
+/// its own event at the landing instant.
 fn rx_data(sim: &Sim, provider: Provider, src: NodeId, df: DataFrame) {
-    let Some((landed_at, fold)) = rx_arrived(sim, &provider, src, &df) else {
+    let Some(landed_at) = rx_arrived(sim, &provider, src, &df) else {
         return;
     };
-    if fold {
-        sim.note_elided(EventClass::Firmware, 1);
-        rx_landed(sim, provider, src, df, landed_at);
-    } else {
-        sim.call_at_as(EventClass::Firmware, landed_at, move |sim| {
-            rx_landed(sim, provider, src, df, landed_at)
-        });
-    }
+    sim.call_at_as(EventClass::Firmware, landed_at, move |sim| {
+        rx_landed(sim, provider, src, df)
+    });
 }
 
 /// Everything a fragment's arrival does short of landing its bytes. Returns
-/// the landing instant and whether the landing may fold into the delivery
-/// event; `None` when the fragment is dropped (no such connection, a
-/// duplicate).
-fn rx_arrived(
-    sim: &Sim,
-    provider: &Provider,
-    src: NodeId,
-    df: &DataFrame,
-) -> Option<(SimTime, bool)> {
+/// the landing instant; `None` when the fragment is dropped (no such
+/// connection, a duplicate).
+fn rx_arrived(sim: &Sim, provider: &Provider, src: NodeId, df: &DataFrame) -> Option<SimTime> {
     let profile = &*provider.core.profile;
     let now = sim.now();
     let host_emulated = profile.data_path == DataPathKind::HostEmulated;
     let msg = rx_msg(src, df.src_vi, df.seq);
 
     // One visit to the state for the whole arrival: admission, dedup,
-    // classification, the fragment's bookkeeping, its price and the fold
-    // decision. What must run unlocked (the ACK, the landing) is decided
-    // here and done after.
+    // classification, the fragment's bookkeeping and its price. What must
+    // run unlocked (the ACK, the landing) is decided here and done after.
     let mut first_frag_xlate = SimDuration::ZERO;
-    let (ack_to, landed_at, cpu_charge, fold) = {
+    let (ack_to, landed_at, cpu_charge) = {
         let mut st = provider.lock();
         {
             let vi = st.vis.get(df.dst_vi.index()).and_then(|v| v.as_ref())?;
@@ -1547,16 +1477,13 @@ fn rx_arrived(
             // reposts: a permanent starvation cycle. Reserving the *last*
             // descriptor for the next in-order seq breaks the cycle: the gap
             // message can always land, releasing the parked prefix.
-            // (The highwater is read through `unfused_highwater`, which
-            // backs out landings the fused path marked early — folded but
-            // not yet past their landing instant — so the fused and
-            // general runs take the identical reserve decision.)
             let reserve_for_in_order = df.reliability != Reliability::Unreliable
                 && matches!(df.kind, MsgKind::Send { .. })
                 && st.vi(df.dst_vi).recv_posted.len() == 1
                 && st
-                    .vi_mut(df.dst_vi)
-                    .unfused_highwater(now)
+                    .vi(df.dst_vi)
+                    .delivered
+                    .highwater()
                     .map_or(df.seq != 0, |h| df.seq != h + 1);
             let target = match df.kind {
                 MsgKind::Send { .. } if reserve_for_in_order => {
@@ -1713,20 +1640,7 @@ fn rx_arrived(
             st.rx_engine_busy = end;
             (provider.core.pci.reserve_at(end, bytes), SimDuration::ZERO)
         };
-
-        // Receive-side fold: when the landing's side effects are provably
-        // independent of anything that can happen between arrival and
-        // `landed_at` (see the guard), `rx_landed` runs inline below with
-        // its precomputed instant and the landing event is elided — the
-        // delivery event becomes the receiver's macro-event. The landing
-        // instant is remembered so `unfused_highwater` can back the early
-        // `delivered` mark out of reserve decisions until it would have
-        // landed anyway.
-        let fold = crate::fastpath::fuse_rx_eligible(provider, &st, df);
-        if fold {
-            st.vi_mut(df.dst_vi).fold_pending.push_back(landed_at);
-        }
-        (ack_to, landed_at, cpu_charge, fold)
+        (ack_to, landed_at, cpu_charge)
     };
 
     if let Some(peer_node) = ack_to {
@@ -1735,13 +1649,11 @@ fn rx_arrived(
     if !cpu_charge.is_zero() {
         sim.charge(provider.core.cpu, cpu_charge);
     }
-    Some((landed_at, fold))
+    Some(landed_at)
 }
 
-/// A fragment's bytes finished DMA into their destination. `at` is the
-/// landing instant: "now" when running as the scheduled landing event,
-/// the precomputed instant when folded inline into the delivery event.
-fn rx_landed(sim: &Sim, provider: Provider, src: NodeId, df: DataFrame, at: SimTime) {
+/// A fragment's bytes finished DMA into their destination.
+fn rx_landed(sim: &Sim, provider: Provider, src: NodeId, df: DataFrame) {
     let completion_write = provider.core.profile.data.completion_write;
 
     enum Finish {
@@ -1840,13 +1752,13 @@ fn rx_landed(sim: &Sim, provider: Provider, src: NodeId, df: DataFrame, at: SimT
                 drop(st);
                 trace_at(
                     &provider,
-                    at,
+                    sim.now(),
                     TracePoint::RecvLanded,
                     rx_msg(src, df.src_vi, df.seq),
                     df.msg_len,
                 );
                 let vi_id = df.dst_vi;
-                sim.call_at_as(EventClass::Completion, at + completion_write, move |_| {
+                sim.call_in_as(EventClass::Completion, completion_write, move |_| {
                     complete_send(&provider, vi_id, req_seq, Ok(()));
                 });
                 return;
@@ -1889,7 +1801,7 @@ fn rx_landed(sim: &Sim, provider: Provider, src: NodeId, df: DataFrame, at: SimT
     if !matches!(finish, Finish::None) || ack_rr {
         trace_at(
             &provider,
-            at,
+            sim.now(),
             TracePoint::RecvLanded,
             rx_msg(src, df.src_vi, df.seq),
             df.msg_len,
@@ -1899,7 +1811,7 @@ fn rx_landed(sim: &Sim, provider: Provider, src: NodeId, df: DataFrame, at: SimT
     // Reliable Reception ACKs only after the data is in memory.
     if ack_rr {
         if let Some((peer_node, _)) = peer {
-            send_ack_at(&provider, peer_node, df.src_vi, df.seq, df.dst_vi, at);
+            send_ack(&provider, peer_node, df.src_vi, df.seq, df.dst_vi);
         }
     }
     match finish {
@@ -1908,7 +1820,7 @@ fn rx_landed(sim: &Sim, provider: Provider, src: NodeId, df: DataFrame, at: SimT
             // A VI is point-to-point connected, so every parked completion
             // released here came from the same peer (node, VI).
             let src_vi = df.src_vi;
-            sim.call_at_as(EventClass::Completion, at + completion_write, move |sim| {
+            sim.call_in_as(EventClass::Completion, completion_write, move |sim| {
                 let p = &provider;
                 let mut st = p.lock();
                 for (seq, comp) in comps {

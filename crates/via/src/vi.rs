@@ -187,14 +187,6 @@ pub(crate) struct ViState {
     /// Completion notifications this VI lost to a full CQ (per-VI
     /// attribution of the CQ's aggregate overflow counter).
     pub cq_overflows: u64,
-    /// Landing times of receive-side *folded* landings still in the
-    /// future. A folded landing runs the landing logic early (at NIC
-    /// arrival) with its virtual timestamps pinned to the true landing
-    /// instant; until that instant passes, `delivered` is logically ahead
-    /// by these entries. Readers that must see the *unfused* tracker state
-    /// (the in-order descriptor-reserve heuristic) subtract the pending
-    /// count so fused and general runs take identical decisions.
-    pub fold_pending: VecDeque<SimTime>,
     /// Last instant a liveness signal (heartbeat frame) arrived from the
     /// peer. Only meaningful while the profile's keepalive is enabled and
     /// the VI is connected.
@@ -348,20 +340,9 @@ impl ViState {
             credit_waiting: VecDeque::new(),
             credits_granted_total: 0,
             cq_overflows: 0,
-            fold_pending: VecDeque::new(),
             last_heard: SimTime::ZERO,
             heartbeat_timer: None,
         }
-    }
-
-    /// Folded landings whose landing instant is still in the future at
-    /// `now` (pruning the ones that have passed). In an unfused run this
-    /// is always zero.
-    pub(crate) fn folds_in_flight(&mut self, now: SimTime) -> u64 {
-        while self.fold_pending.front().is_some_and(|&t| t <= now) {
-            self.fold_pending.pop_front();
-        }
-        self.fold_pending.len() as u64
     }
 
     /// Sequences of the reassemblies older than `before` that still miss
@@ -377,20 +358,6 @@ impl ViState {
             .collect();
         stale.sort_unstable();
         stale
-    }
-
-    /// The delivery highwater an *unfused* run would observe at `now`:
-    /// the tracker minus the folded landings that have not physically
-    /// happened yet. Folded landings are always the top contiguous marks
-    /// (folding requires an in-order lossless fabric), so subtracting the
-    /// pending count is exact.
-    pub(crate) fn unfused_highwater(&mut self, now: SimTime) -> Option<u64> {
-        let pending = self.folds_in_flight(now);
-        match self.delivered.highwater() {
-            Some(h) if h + 1 > pending => Some(h - pending),
-            Some(_) => None,
-            None => None,
-        }
     }
 
     /// Re-arm the credit ledger for a fresh connection: nothing consumed,

@@ -183,3 +183,92 @@ fn spurious_retransmits_after_delayed_acks_are_deduped_end_to_end() {
         "duplicate ACKs absorbed on done sends"
     );
 }
+
+#[test]
+fn last_descriptor_is_reserved_for_the_in_order_message() {
+    // The receiver has one posted descriptor, and a one-frame link flap
+    // drops message 0 so message 1 arrives first. Parking message 1 in
+    // that descriptor would leave message 0's retransmissions nowhere to
+    // land while the receiver waits for it: the reserve discards message
+    // 1 un-ACKed instead, message 0 lands on its retransmission, and the
+    // sender's retry of message 1 finds the reposted descriptor.
+    let sim = Sim::new();
+    let cluster = Cluster::new(sim.clone(), Profile::clan(), 2, 3);
+    let (pa, pb) = (cluster.provider(0), cluster.provider(1));
+    let san = cluster.san().clone();
+    let attrs = ViAttributes::reliable(via::Reliability::ReliableDelivery);
+    let sh = {
+        let pb = pb.clone();
+        sim.spawn("server", Some(pb.cpu()), move |ctx| {
+            let vi = pb.create_vi(ctx, attrs, None, None).unwrap();
+            let buf = pb.malloc(MSG_LEN as u64);
+            let mh = pb
+                .register_mem(ctx, buf, MSG_LEN as u64, MemAttributes::default())
+                .unwrap();
+            vi.post_recv(ctx, Descriptor::recv().segment(buf, mh, MSG_LEN))
+                .unwrap();
+            pb.accept(ctx, &vi, Discriminator(1)).unwrap();
+            let mut first = Vec::new();
+            for i in 0..2 {
+                let c = vi.recv_wait(ctx, WaitMode::Block);
+                assert!(c.is_ok(), "recv {i}: {:?}", c.status);
+                first.push(pb.mem_read(buf, 1)[0]);
+                vi.post_recv(ctx, Descriptor::recv().segment(buf, mh, MSG_LEN))
+                    .unwrap();
+            }
+            first
+        })
+    };
+    let ch = {
+        let pa = pa.clone();
+        sim.spawn("client", Some(pa.cpu()), move |ctx| {
+            let vi = pa.create_vi(ctx, attrs, None, None).unwrap();
+            let buf = pa.malloc(2 * MSG_LEN as u64);
+            let mh = pa
+                .register_mem(ctx, buf, 2 * MSG_LEN as u64, MemAttributes::default())
+                .unwrap();
+            pa.mem_write(buf, &[0xA0]);
+            pa.mem_write(buf + MSG_LEN as u64, &[0xA1]);
+            pa.connect(ctx, &vi, fabric::NodeId(1), Discriminator(1), None)
+                .unwrap();
+            // The flap covers message 0's wire handoff and ends well before
+            // message 1 is posted; the retransmit timeout is far longer.
+            san.install_faults(&fabric::FaultPlan::new().link_flap(
+                fabric::NodeId(0),
+                ctx.now(),
+                SimDuration::from_micros(20),
+            ));
+            for i in 0..2 {
+                vi.post_send(
+                    ctx,
+                    Descriptor::send().segment(buf + i * MSG_LEN as u64, mh, MSG_LEN),
+                )
+                .unwrap();
+                ctx.sleep(SimDuration::from_micros(40));
+            }
+            for i in 0..2 {
+                let c = vi.send_wait(ctx, WaitMode::Block);
+                assert!(c.is_ok(), "send {i}: {:?}", c.status);
+            }
+        })
+    };
+    sim.run_to_completion();
+    assert_eq!(
+        sh.expect_result(),
+        vec![0xA0, 0xA1],
+        "the gap message lands first, then the one that overtook it"
+    );
+    ch.expect_result();
+
+    let (cs, ss) = (pa.stats(), pb.stats());
+    assert_eq!(
+        ss.recv_descriptor_reserved, 1,
+        "message 1 must be refused the last descriptor"
+    );
+    assert_eq!(ss.msgs_delivered, 2);
+    assert_eq!(ss.recv_no_descriptor, 0);
+    assert_eq!(cs.conn_failures, 0);
+    assert!(cs.retransmissions >= 2, "both messages are retried");
+    let audit = cluster.audit();
+    assert!(audit.is_clean(), "audit violations: {:?}", audit.violations);
+}

@@ -111,6 +111,10 @@ row Deleted-features 0 all '\b(CoalescedInterrupts|wake_timer_in|PortDegrade|por
 # The sharded engine: one `Sim` per world; `VIBE_JOBS` is the only
 # parallel axis.
 row Deleted-features 0 all '\b(ShardedSim|ShardSender|ShardMap|ShardStats|ShardedReport|ShardRunRecord|LinkShard|new_sharded(_topo)?|shard_lookahead|switch_shard|shard_map|min_cross_latency|default_shards|VIBE_SHARDS|run_until|next_event_time|node_sim)\b' crates examples src tests .github
+# One-path: every landing and every ACK takes the general event chain; the
+# receive-landing fold and the eager-ACK fold, with the state that backed
+# their early marks out, stay gone.
+row One-path 0 src 'fold_pending|unfused_highwater|folds_in_flight|fuse_rx_eligible|min_wire_latency|send_ack_at' 'crates/*/src/**/*.rs'
 # Negotiated thread ownership: a `Confined` cell checks the one thread that
 # built its world instead of claiming, waiting for and counting owners.
 row Deleted-features 0 all '\bAffinity\b|claims\(\)|read_volatile|compare_exchange|yield_now' crates/simkit/src/confined.rs crates/simkit/src/engine.rs tests/perf_proxies.rs
