@@ -10,10 +10,9 @@
 use fabric::NodeId;
 use simkit::{EventClass, ProcessCtx, Sim, SimDuration};
 
-use crate::descriptor::Completion;
 use crate::profile::HeartbeatParams;
 use crate::provider::{Listener, PendingConnReq, Provider};
-use crate::types::{Discriminator, ViId, ViaError, ViaResult};
+use crate::types::{Discriminator, QueueKind, ViId, ViaError, ViaResult};
 use crate::vi::{ConnState, ErrorCause};
 use crate::wire::{ConnFrame, Frame, CONN_FRAME_BYTES};
 
@@ -228,65 +227,31 @@ pub(crate) fn disconnect(provider: &Provider, ctx: &mut ProcessCtx, vi_id: ViId)
     Ok(())
 }
 
-/// Drop connection state on a VI: outstanding sends complete with
-/// `ConnectionLost`; posted receives stay posted (reusable after
-/// reconnection, as the spec allows).
+/// Drop connection state on a VI through the shared reset
+/// ([`ViState::reset_connection`](crate::vi::ViState::reset_connection)):
+/// outstanding sends complete with `ConnectionLost`; posted receives stay
+/// posted (reusable after reconnection, as the spec allows).
 ///
-/// Idempotent by construction, including on a VI that already transitioned
-/// to `ConnState::Error` (whose descriptors were flushed by the error
-/// transition): every drained collection is empty the second time through,
-/// the keepalive timer handle is *taken* before cancelling (a second call
-/// finds `None`), and the flush loop below emits exactly one completion
-/// per remaining descriptor — never re-flushing what the error path
-/// already delivered. A crash window closing mid-teardown therefore
-/// cannot double-count timers or completions (pinned by
-/// `teardown_during_node_down_is_idempotent` in `tests/crash.rs`).
+/// Idempotent, including on a VI that already transitioned to
+/// `ConnState::Error` (whose descriptors were flushed by the error
+/// transition): the reset finds nothing left to cancel or flush, so a
+/// crash window closing mid-teardown cannot double-count timers or
+/// completions (pinned by `teardown_during_node_down_is_idempotent` in
+/// `tests/crash.rs`).
 pub(crate) fn teardown_local(provider: &Provider, vi_id: ViId) {
-    let mut completions = Vec::new();
     {
         let mut st = provider.lock();
         let Some(vi) = st.try_vi_mut(vi_id) else {
             return;
         };
-        if vi.disarm_heartbeat() {
-            st.stats.heartbeat_timers_cancelled += 1;
-        }
-        let vi = st.vi_mut(vi_id);
-        vi.conn = ConnState::Idle;
-        vi.reassembly.clear();
-        vi.delivered.clear();
-        vi.parked_recv.clear();
-        vi.rto.reset();
-        // Credit-parked sends drain below with the rest of send_inflight
-        // (flushed as ConnectionLost — they never reached the wire); the
-        // ledger re-arms from the surviving posted receives at the next
-        // Connected transition.
-        vi.credit_waiting.clear();
-        vi.credits_consumed = 0;
-        vi.credit_seen_total = 0;
-        vi.credits_granted_total = 0;
+        let reset = vi.reset_connection(ConnState::Idle);
         // Sequence numbers are per-connection: a VI that reconnects must
         // restart at 0 to line up with its new peer's fresh in-order state.
         vi.next_seq = 0;
-        let mut cancelled = 0u64;
-        while let Some(mut inflight) = vi.send_inflight.pop_front() {
-            // Disarm the retransmission timer: without this, a teardown
-            // with sends still awaiting their ACK leaks the timer, which
-            // fires dead at its deadline (and holds its closure until then).
-            if inflight.retx_timer.take().is_some_and(|t| t.cancel()) {
-                cancelled += 1;
-            }
-            completions.push(Completion {
-                op: inflight.desc.op,
-                status: Err(ViaError::ConnectionLost),
-                length: 0,
-                immediate: None,
-            });
+        st.stats.count_reset(&reset);
+        for c in reset.lost {
+            crate::transport::deliver_completion(provider, &mut st, vi_id, QueueKind::Send, c);
         }
-        st.stats.retx_timers_cancelled += cancelled;
-    }
-    for c in completions {
-        crate::transport::deliver_send_completion(provider, vi_id, c);
     }
     // A process blocked in a queue wait gets no completion from a clean
     // teardown (posted receives stay posted), so poke it awake: plain
@@ -334,18 +299,12 @@ fn schedule_beat(provider: &Provider, vi_id: ViId, hb: HeartbeatParams) {
         .timer_at(EventClass::Retransmit, at, move |_| {
             heartbeat_tick(&p, vi_id, hb);
         });
-    let mut st = provider.lock();
-    let stored = st
-        .try_vi_mut(vi_id)
-        .map(|vi| vi.heartbeat_timer = Some(handle.clone()))
-        .is_some();
-    if stored {
-        st.stats.heartbeat_timers_armed += 1;
-    } else {
-        // VI destroyed between the connected-state check and here.
-        drop(st);
-        handle.cancel();
-    }
+    crate::transport::keep_timer(
+        provider,
+        handle,
+        |st| Some(&mut st.try_vi_mut(vi_id)?.heartbeat_timer),
+        |stats| &mut stats.heartbeat_timers_armed,
+    );
 }
 
 /// One keepalive tick: declare the peer dead if its heartbeats stopped,
@@ -447,8 +406,7 @@ pub(crate) fn handle_conn_frame(provider: &Provider, sim: &Sim, frame: ConnFrame
                             mtu,
                         };
                         vi.credit_reset();
-                        vi.connect_result = Some(Ok(()));
-                        Some(vi.connect_waiter)
+                        Some(vi.resolve_connect(Ok(())))
                     }
                     // Late accept after timeout: ignore (the server believes
                     // it is connected; a real stack would RST — first traffic
@@ -468,8 +426,7 @@ pub(crate) fn handle_conn_frame(provider: &Provider, sim: &Sim, frame: ConnFrame
             let mut st = provider.lock();
             if let Some(vi) = st.try_vi_mut(client_vi) {
                 if vi.conn == ConnState::Connecting {
-                    vi.connect_result = Some(Err(ViaError::ConnectFailed));
-                    if let Some(token) = vi.connect_waiter {
+                    if let Some(token) = vi.resolve_connect(Err(ViaError::ConnectFailed)) {
                         drop(st);
                         sim.wake(token);
                     }

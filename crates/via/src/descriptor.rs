@@ -181,6 +181,16 @@ impl Completion {
     pub fn is_ok(&self) -> bool {
         self.status.is_ok()
     }
+
+    /// A completion of `op` that failed with `error`, having moved nothing.
+    pub(crate) fn failed(op: DescOp, error: ViaError) -> Completion {
+        Completion {
+            op,
+            status: Err(error),
+            length: 0,
+            immediate: None,
+        }
+    }
 }
 
 #[cfg(test)]

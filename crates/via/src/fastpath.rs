@@ -134,7 +134,7 @@ pub(crate) fn try_fuse_send(
         if st.rx_engine_busy > now {
             return Err(DefuseCause::Contention);
         }
-        let Some(vi) = st.vis.get(vi_id.index()).and_then(|v| v.as_ref()) else {
+        let Some(vi) = st.try_vi(vi_id) else {
             return Err(DefuseCause::Other);
         };
         if vi.send_inflight.len() > 1 || !vi.reassembly.is_empty() {

@@ -107,6 +107,14 @@ pub struct ProviderStats {
     pub tx_jobs_wiped: u64,
 }
 
+impl ProviderStats {
+    /// Count the timers a connection reset cancelled.
+    pub(crate) fn count_reset(&mut self, reset: &crate::vi::ConnReset) {
+        self.heartbeat_timers_cancelled += reset.heartbeat_cancelled;
+        self.retx_timers_cancelled += reset.retx_cancelled;
+    }
+}
+
 /// A pending inbound connection request (no listener yet).
 pub(crate) struct PendingConnReq {
     pub client_node: NodeId,
@@ -176,10 +184,12 @@ pub(crate) struct ProviderState {
 
 impl ProviderState {
     pub(crate) fn vi(&self, id: ViId) -> &ViState {
-        self.vis
-            .get(id.index())
-            .and_then(|v| v.as_ref())
+        self.try_vi(id)
             .unwrap_or_else(|| panic!("dangling ViId {id:?}"))
+    }
+
+    pub(crate) fn try_vi(&self, id: ViId) -> Option<&ViState> {
+        self.vis.get(id.index()).and_then(|v| v.as_ref())
     }
 
     pub(crate) fn vi_mut(&mut self, id: ViId) -> &mut ViState {
@@ -381,8 +391,7 @@ impl Provider {
             if matches!(state.conn, crate::vi::ConnState::Connected { .. }) {
                 return Err(ViaError::Busy);
             }
-            let (send_cq, recv_cq) = (state.send_cq, state.recv_cq);
-            for cq in [send_cq, recv_cq].into_iter().flatten() {
+            for cq in state.queues.each_ref().map(|q| q.cq).into_iter().flatten() {
                 st.cq_mut(cq).refs -= 1;
             }
             st.vis[vi.id.index()] = None;
@@ -495,8 +504,8 @@ impl Provider {
                 .vis
                 .iter()
                 .flatten()
-                .flat_map(|v| [v.send_cq, v.recv_cq])
-                .flatten()
+                .flat_map(|v| &v.queues)
+                .filter_map(|q| q.cq)
                 .filter(|c| c.index() == i)
                 .count();
             if refs != cq.refs {
@@ -576,10 +585,7 @@ impl Provider {
                 match vi.conn {
                     crate::vi::ConnState::Connected { .. } => to_fail.push(ViId(index as u32)),
                     crate::vi::ConnState::Connecting => {
-                        vi.connect_result = Some(Err(ViaError::ConnectionLost));
-                        if let Some(token) = vi.connect_waiter {
-                            waiters.push(token);
-                        }
+                        waiters.extend(vi.resolve_connect(Err(ViaError::ConnectionLost)));
                     }
                     _ => {
                         if vi.disarm_heartbeat() {
@@ -630,52 +636,29 @@ impl Provider {
         &self,
         ctx: &mut ProcessCtx,
         vi: ViId,
-        send_side: bool,
+        kind: QueueKind,
     ) -> Option<Completion> {
         ctx.busy(self.core.profile.host.completion_check);
-        let mut st = self.lock();
-        let v = st.vi_mut(vi);
-        let q = if send_side {
-            &mut v.send_completed
-        } else {
-            &mut v.recv_completed
-        };
-        q.pop_front()
+        self.lock().vi_mut(vi).queue(kind).completed.pop_front()
     }
 
     pub(crate) fn queue_wait(
         &self,
         ctx: &mut ProcessCtx,
         vi: ViId,
-        send_side: bool,
+        kind: QueueKind,
         mode: WaitMode,
     ) -> Completion {
         loop {
             let token = {
                 let mut st = self.lock();
-                let v = st.vi_mut(vi);
-                let q = if send_side {
-                    &mut v.send_completed
-                } else {
-                    &mut v.recv_completed
-                };
-                if let Some(c) = q.pop_front() {
+                let q = st.vi_mut(vi).queue(kind);
+                if let Some(c) = q.completed.pop_front() {
                     drop(st);
                     ctx.busy(self.core.profile.host.completion_check);
                     return c;
                 }
-                let waiter = if send_side {
-                    &mut v.send_waiter
-                } else {
-                    &mut v.recv_waiter
-                };
-                assert!(
-                    waiter.is_none(),
-                    "two processes waiting on the same work queue"
-                );
-                let token = ctx.prepare_wait();
-                *waiter = Some((token, mode));
-                token
+                q.park(ctx.prepare_wait(), mode)
             };
             ctx.wait_mode(token, mode);
         }
@@ -693,7 +676,7 @@ impl Provider {
         &self,
         ctx: &mut ProcessCtx,
         vi: ViId,
-        send_side: bool,
+        kind: QueueKind,
         mode: WaitMode,
     ) -> Option<Completion> {
         loop {
@@ -701,12 +684,8 @@ impl Provider {
                 let mut st = self.lock();
                 let v = st.vi_mut(vi);
                 let connected = matches!(v.conn, crate::vi::ConnState::Connected { .. });
-                let q = if send_side {
-                    &mut v.send_completed
-                } else {
-                    &mut v.recv_completed
-                };
-                if let Some(c) = q.pop_front() {
+                let q = v.queue(kind);
+                if let Some(c) = q.completed.pop_front() {
                     drop(st);
                     ctx.busy(self.core.profile.host.completion_check);
                     return Some(c);
@@ -714,18 +693,7 @@ impl Provider {
                 if !connected {
                     return None;
                 }
-                let waiter = if send_side {
-                    &mut v.send_waiter
-                } else {
-                    &mut v.recv_waiter
-                };
-                assert!(
-                    waiter.is_none(),
-                    "two processes waiting on the same work queue"
-                );
-                let token = ctx.prepare_wait();
-                *waiter = Some((token, mode));
-                token
+                q.park(ctx.prepare_wait(), mode)
             };
             ctx.wait_mode(token, mode);
         }

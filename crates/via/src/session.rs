@@ -41,7 +41,7 @@
 //! side Connected to a peer that gave up) relies on the watchdog.
 
 use fabric::NodeId;
-use simkit::{ProcessCtx, SimDuration, SimRng, WaitMode};
+use simkit::{ProcessCtx, SimDuration, SimRng};
 
 use crate::descriptor::{Completion, Descriptor};
 use crate::kit::registered;
@@ -302,8 +302,7 @@ impl SessionSender {
         if self.journal.is_empty() {
             return;
         }
-        let provider = self.vi.provider().clone();
-        let Some(c) = provider.queue_wait_conn(ctx, self.vi.id(), false, WaitMode::Block) else {
+        let Some(c) = self.vi.recv_wait_conn(ctx) else {
             // The connection died (or was torn down) while we were blocked;
             // the caller's loop re-enters recovery.
             return;
@@ -582,9 +581,7 @@ impl SessionReceiver {
                     unreachable!("a receiver VI never initiates a connect")
                 }
             }
-            let provider = self.vi.provider().clone();
-            let Some(c) = provider.queue_wait_conn(ctx, self.vi.id(), false, WaitMode::Block)
-            else {
+            let Some(c) = self.vi.recv_wait_conn(ctx) else {
                 // The connection died (or the peer tore it down) while we
                 // were blocked; re-run the state machine.
                 continue;
@@ -598,7 +595,7 @@ impl SessionReceiver {
                 self.free.push(va);
                 continue;
             }
-            let bytes = provider.mem_read(va, c.length);
+            let bytes = self.vi.provider().mem_read(va, c.length);
             // Return the buffer to service before deciding what we got.
             let desc =
                 Descriptor::recv().segment(va, self.mh, (SESSION_HDR_BYTES + MSG_SIZE) as u32);
@@ -674,9 +671,7 @@ impl SessionReceiver {
                     let _ = provider.disconnect(ctx, &self.vi);
                 }
                 ConnState::Connected { .. } => {
-                    let Some(c) =
-                        provider.queue_wait_conn(ctx, self.vi.id(), false, WaitMode::Block)
-                    else {
+                    let Some(c) = self.vi.recv_wait_conn(ctx) else {
                         continue;
                     };
                     let va = self

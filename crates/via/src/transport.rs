@@ -19,15 +19,15 @@
 use std::sync::Arc;
 
 use fabric::NodeId;
-use simkit::{EventClass, ProcessCtx, Sim, SimDuration, SimTime, WaitMode, WaitToken};
+use simkit::{EventClass, ProcessCtx, Sim, SimDuration, SimTime, TimerHandle, WaitMode, WaitToken};
 use trace::{MsgId, TracePoint};
 use vnic::DoorbellKind;
 
 use crate::descriptor::{Completion, DescOp, Descriptor};
 use crate::mem::ProcessMem;
 use crate::profile::DataPathKind;
-use crate::provider::{Provider, ProviderState, TxJobRef};
-use crate::types::{QueueKind, Reliability, ViId, ViaError, ViaResult};
+use crate::provider::{Provider, ProviderState, ProviderStats, TxJobRef};
+use crate::types::{MemHandle, QueueKind, Reliability, ViAttributes, ViId, ViaError, ViaResult};
 use crate::vi::{ConnState, InflightSend, Reassembly, RxTarget, TxBuffers};
 use crate::wire::{DataFrame, Frame, MsgKind, RdmaReadReq, Window, RDMA_READ_REQ_BYTES};
 
@@ -451,7 +451,7 @@ pub(crate) fn resolve_job(
     st: &ProviderState,
     job: &TxJobRef,
 ) -> Option<JobSpec> {
-    let vi = st.vis.get(job.vi.index())?.as_ref()?;
+    let vi = st.try_vi(job.vi)?;
     let (peer_node, peer_vi) = vi.peer()?;
     let inf = vi.send_inflight.iter().find(|i| i.seq == job.seq)?;
     let reliability = vi.attrs.reliability;
@@ -702,7 +702,6 @@ fn tx_fragment(sim: &Sim, provider: Provider, spec: JobSpec, idx: u32) {
     } = spec.payload
     {
         let frame = Frame::RdmaRead(RdmaReadReq {
-            src_vi: spec.src_vi,
             dst_vi: spec.dst_vi,
             req_seq: spec.seq,
             remote_va,
@@ -950,7 +949,7 @@ fn retx_timeout_for(
     retries: u32,
 ) -> SimDuration {
     let data = &provider.core.profile.data;
-    let base = match st.vis.get(vi_id.index()).and_then(|v| v.as_ref()) {
+    let base = match st.try_vi(vi_id) {
         Some(vi) => vi
             .rto
             .backed_off(data.retransmit_timeout, data.max_rto, retries),
@@ -983,9 +982,7 @@ pub(crate) fn arm_retransmit_at(provider: &Provider, vi_id: ViId, seq: u64, wire
     let (retries, timeout) = {
         let st = provider.lock();
         let retries = st
-            .vis
-            .get(vi_id.index())
-            .and_then(|v| v.as_ref())
+            .try_vi(vi_id)
             .and_then(|vi| vi.send_inflight.iter().find(|i| i.seq == seq))
             .map_or(0, |inf| inf.retries);
         (
@@ -1043,26 +1040,46 @@ pub(crate) fn arm_retransmit_at(provider: &Provider, vi_id: ViId, seq: u64, wire
                 }
             }
         });
-    let mut st = provider.lock();
-    let stored = st
-        .try_vi_mut(vi_id)
-        .and_then(|vi| vi.send_inflight.iter_mut().find(|i| i.seq == seq))
-        .map(|inf| {
+    keep_timer(
+        provider,
+        handle,
+        |st| {
+            let inf = st
+                .try_vi_mut(vi_id)?
+                .send_inflight
+                .iter_mut()
+                .find(|i| i.seq == seq)?;
             if inf.retries == 0 && inf.first_tx_at.is_none() {
                 // Last fragment of the first transmission (just) hit the
                 // wire: the Karn-eligible RTT clock starts here.
                 inf.first_tx_at = Some(wire_at);
             }
-            inf.retx_timer = Some(handle.clone());
-        })
-        .is_some();
-    if stored {
-        st.stats.retx_timers_armed += 1;
-    } else {
-        // Connection torn down between the wire send and arming: the timer
-        // would fire dead, so take it right back out of the queue.
-        drop(st);
-        handle.cancel();
+            Some(&mut inf.retx_timer)
+        },
+        |stats| &mut stats.retx_timers_armed,
+    );
+}
+
+/// Store a just-armed timer in the slot `slot` finds and count it in
+/// `armed`. With no slot left — the VI or its entry went away between the
+/// decision to arm and here — the timer would fire dead, so it is taken
+/// right back out of the queue instead.
+pub(crate) fn keep_timer(
+    provider: &Provider,
+    handle: TimerHandle,
+    slot: impl FnOnce(&mut ProviderState) -> Option<&mut Option<TimerHandle>>,
+    armed: impl FnOnce(&mut ProviderStats) -> &mut u64,
+) {
+    let mut st = provider.lock();
+    match slot(&mut st) {
+        Some(slot) => {
+            *slot = Some(handle);
+            *armed(&mut st.stats) += 1;
+        }
+        None => {
+            drop(st);
+            handle.cancel();
+        }
     }
 }
 
@@ -1077,11 +1094,12 @@ enum RetxAction {
 /// sends *and* posted receives — is flushed to its completion queue with
 /// an error status, and new posts are refused until the application
 /// disconnects and reconnects. `cause` is recorded in the error state so
-/// recovery layers can tell a dead path from a dead peer.
+/// recovery layers can tell a dead path from a dead peer. The sends are
+/// flushed by the reset a clean teardown shares
+/// ([`ViState::reset_connection`](crate::vi::ViState::reset_connection));
+/// the receives only here.
 pub(crate) fn fail_connection(provider: &Provider, vi_id: ViId, cause: crate::vi::ErrorCause) {
     let now = provider.core.sim.now();
-    let mut send_comps = Vec::new();
-    let mut recv_comps = Vec::new();
     {
         let mut st = provider.lock();
         let Some(vi) = st.try_vi_mut(vi_id) else {
@@ -1090,59 +1108,29 @@ pub(crate) fn fail_connection(provider: &Provider, vi_id: ViId, cause: crate::vi
         if matches!(vi.conn, ConnState::Error { .. }) {
             return; // several exhausted timers can race to the same verdict
         }
-        vi.conn = ConnState::Error { cause };
-        if vi.disarm_heartbeat() {
-            st.stats.heartbeat_timers_cancelled += 1;
-        }
-        let vi = st.vi_mut(vi_id);
-        vi.reassembly.clear();
-        vi.parked_recv.clear();
-        vi.delivered.clear();
-        vi.rto.reset();
-        // Credit-parked sends are flushed below with the rest of
-        // send_inflight (they were never transmitted); the ledger itself
-        // re-arms at the next Connected transition.
-        vi.credit_waiting.clear();
-        vi.credits_consumed = 0;
-        vi.credit_seen_total = 0;
-        vi.credits_granted_total = 0;
-        let mut cancelled = 0u64;
-        while let Some(mut inf) = vi.send_inflight.pop_front() {
-            if inf.retx_timer.take().is_some_and(|t| t.cancel()) {
-                cancelled += 1;
-            }
-            send_comps.push(Completion {
-                op: inf.desc.op,
-                status: Err(ViaError::ConnectionLost),
-                length: 0,
-                immediate: None,
-            });
-        }
-        while let Some(desc) = vi.recv_posted.pop_front() {
-            recv_comps.push(Completion {
-                op: desc.op,
-                status: Err(ViaError::ConnectionLost),
-                length: 0,
-                immediate: None,
-            });
-        }
-        st.stats.retx_timers_cancelled += cancelled;
+        let reset = vi.reset_connection(ConnState::Error { cause });
+        let flushed: Vec<Completion> = vi
+            .recv_posted
+            .drain(..)
+            .map(|desc| Completion::failed(desc.op, ViaError::ConnectionLost))
+            .collect();
+        st.stats.count_reset(&reset);
         st.stats.conn_failures += 1;
         if let Some(tracer) = provider.core.tracer.get() {
             let node = provider.core.node.0;
-            let flushed = (send_comps.len() + recv_comps.len()) as u64;
-            tracer.record(now, TracePoint::ViError, node, None, flushed);
-            for _ in &send_comps {
+            let total = (reset.lost.len() + flushed.len()) as u64;
+            tracer.record(now, TracePoint::ViError, node, None, total);
+            for _ in &reset.lost {
                 tracer.record(now, TracePoint::ViFlush, node, None, 0);
             }
-            for _ in &recv_comps {
+            for _ in &flushed {
                 tracer.record(now, TracePoint::ViFlush, node, None, 1);
             }
         }
-        for c in send_comps {
+        for c in reset.lost {
             deliver_completion(provider, &mut st, vi_id, QueueKind::Send, c);
         }
-        for c in recv_comps {
+        for c in flushed {
             deliver_completion(provider, &mut st, vi_id, QueueKind::Recv, c);
         }
     }
@@ -1165,8 +1153,10 @@ pub(crate) fn wake_stranded_waiters(provider: &Provider, vi_id: ViId) {
             return;
         };
         if !matches!(vi.conn, ConnState::Connected { .. }) {
-            tokens[0] = vi.send_waiter.take().map(|(t, _)| t);
-            tokens[1] = vi.recv_waiter.take().map(|(t, _)| t);
+            tokens = vi
+                .queues
+                .each_mut()
+                .map(|q| q.waiter.take().map(|(t, _)| t));
         }
     }
     for t in tokens.into_iter().flatten() {
@@ -1211,7 +1201,7 @@ pub(crate) fn complete_send(provider: &Provider, vi_id: ViId, seq: u64, status: 
 /// the caller's state guard — every handler that completes a descriptor
 /// already holds it — and enters nothing but the scheduler (to post the
 /// wake), never the provider state again.
-fn deliver_completion(
+pub(crate) fn deliver_completion(
     provider: &Provider,
     st: &mut ProviderState,
     vi_id: ViId,
@@ -1221,26 +1211,15 @@ fn deliver_completion(
     let Some(vi) = st.try_vi_mut(vi_id) else {
         return;
     };
-    let (waiter, cq) = match kind {
-        QueueKind::Send => {
-            vi.send_completed.push_back(comp);
-            (vi.send_waiter.take(), vi.send_cq)
-        }
-        QueueKind::Recv => {
-            vi.recv_completed.push_back(comp);
-            (vi.recv_waiter.take(), vi.recv_cq)
-        }
-    };
+    let q = vi.queue(kind);
+    q.completed.push_back(comp);
+    let (waiter, cq) = (q.waiter.take(), q.cq);
     if let Some((token, mode)) = waiter {
         wake_waiter(provider, token, mode);
     }
     if let Some(cq) = cq {
         cq_notify(provider, cq, vi_id, kind);
     }
-}
-
-pub(crate) fn deliver_send_completion(provider: &Provider, vi_id: ViId, comp: Completion) {
-    deliver_completion(provider, &mut provider.lock(), vi_id, QueueKind::Send, comp);
 }
 
 fn wake_waiter(provider: &Provider, token: WaitToken, mode: WaitMode) {
@@ -1333,23 +1312,17 @@ pub(crate) fn handle_frame(provider: Provider, sim: &Sim, src: NodeId, frame: Fr
 fn rx_read_request(provider: &Provider, req: RdmaReadReq) {
     let ok = {
         let mut st = provider.lock();
-        let valid = st
-            .try_vi_mut(req.dst_vi)
-            .map(|vi| matches!(vi.conn, ConnState::Connected { .. }) && vi.attrs.enable_rdma_read)
-            .unwrap_or(false)
-            && st
-                .mem
-                .check_registered(
-                    crate::types::MemHandle(req.remote_handle),
+        let valid = st.try_vi(req.dst_vi).is_some_and(|vi| {
+            matches!(vi.conn, ConnState::Connected { .. })
+                && rdma_permitted(
+                    &st.mem,
+                    &vi.attrs,
+                    DescOp::RdmaRead,
+                    MemHandle(req.remote_handle),
                     req.remote_va,
                     req.len,
                 )
-                .is_ok()
-            && st
-                .mem
-                .attrs(crate::types::MemHandle(req.remote_handle))
-                .map(|a| a.enable_rdma_read)
-                .unwrap_or(false);
+        });
         if !valid {
             st.stats.protection_errors += 1;
             false
@@ -1394,6 +1367,25 @@ fn rx_read_request(provider: &Provider, req: RdmaReadReq) {
     );
 }
 
+/// The VIA protection check on an inbound RDMA `op` (read or write) of
+/// `[va, va + len)` under `handle`: the target VI and the registration must
+/// both enable the operation, and the range must lie inside the region.
+fn rdma_permitted(
+    mem: &ProcessMem,
+    vi: &ViAttributes,
+    op: DescOp,
+    handle: MemHandle,
+    va: u64,
+    len: u64,
+) -> bool {
+    let enabled = |read: bool, write: bool| if op == DescOp::RdmaRead { read } else { write };
+    enabled(vi.enable_rdma_read, vi.enable_rdma_write)
+        && mem.check_registered(handle, va, len).is_ok()
+        && mem
+            .attrs(handle)
+            .is_ok_and(|a| enabled(a.enable_rdma_read, a.enable_rdma_write))
+}
+
 /// A data fragment arrived at the NIC: book its arrival, then land it as
 /// its own event at the landing instant.
 fn rx_data(sim: &Sim, provider: Provider, src: NodeId, df: DataFrame) {
@@ -1420,11 +1412,8 @@ fn rx_arrived(sim: &Sim, provider: &Provider, src: NodeId, df: &DataFrame) -> Op
     let mut first_frag_xlate = SimDuration::ZERO;
     let (ack_to, landed_at, cpu_charge) = {
         let mut st = provider.lock();
-        {
-            let vi = st.vis.get(df.dst_vi.index()).and_then(|v| v.as_ref())?;
-            if !matches!(vi.conn, ConnState::Connected { .. }) {
-                return None;
-            }
+        if !matches!(st.try_vi(df.dst_vi)?.conn, ConnState::Connected { .. }) {
+            return None;
         }
         // Reliable-mode dedup of fully delivered messages.
         if df.reliability != Reliability::Unreliable && st.vi(df.dst_vi).delivered.contains(df.seq)
@@ -1454,12 +1443,7 @@ fn rx_arrived(sim: &Sim, provider: &Provider, src: NodeId, df: &DataFrame) -> Op
                         .expect("key just listed");
                     st.stats.msgs_dropped_partial += 1;
                     if let RxTarget::Recv { desc, .. } = r.target {
-                        let comp = Completion {
-                            op: desc.op,
-                            status: Err(ViaError::MessageDropped),
-                            length: 0,
-                            immediate: None,
-                        };
+                        let comp = Completion::failed(desc.op, ViaError::MessageDropped);
                         deliver_completion(provider, &mut st, df.dst_vi, QueueKind::Recv, comp);
                     }
                 }
@@ -1488,16 +1472,12 @@ fn rx_arrived(sim: &Sim, provider: &Provider, src: NodeId, df: &DataFrame) -> Op
             let target = match df.kind {
                 MsgKind::Send { .. } if reserve_for_in_order => {
                     st.stats.recv_descriptor_reserved += 1;
-                    RxTarget::Discard {
-                        reason: ViaError::MessageDropped,
-                    }
+                    RxTarget::Discard
                 }
                 MsgKind::Send { imm } => match st.vi_mut(df.dst_vi).recv_posted.pop_front() {
                     None => {
                         st.stats.recv_no_descriptor += 1;
-                        RxTarget::Discard {
-                            reason: ViaError::MessageDropped,
-                        }
+                        RxTarget::Discard
                     }
                     Some(desc) if df.msg_len > desc.total_len() => {
                         st.vi_mut(df.dst_vi).reassembly.insert(
@@ -1513,9 +1493,7 @@ fn rx_arrived(sim: &Sim, provider: &Provider, src: NodeId, df: &DataFrame) -> Op
                                 reliability: df.reliability,
                             },
                         );
-                        RxTarget::Discard {
-                            reason: ViaError::DescriptorError,
-                        } // placeholder; the real entry was inserted above
+                        RxTarget::Discard // placeholder; the real entry was inserted above
                     }
                     Some(desc) => {
                         if !host_emulated {
@@ -1537,17 +1515,14 @@ fn rx_arrived(sim: &Sim, provider: &Provider, src: NodeId, df: &DataFrame) -> Op
                     remote_handle,
                     imm,
                 } => {
-                    let handle = crate::types::MemHandle(remote_handle);
-                    let allowed = st.vi(df.dst_vi).attrs.enable_rdma_write
-                        && st
-                            .mem
-                            .check_registered(handle, remote_va, df.msg_len)
-                            .is_ok()
-                        && st
-                            .mem
-                            .attrs(handle)
-                            .map(|a| a.enable_rdma_write)
-                            .unwrap_or(false);
+                    let allowed = rdma_permitted(
+                        &st.mem,
+                        &st.vi(df.dst_vi).attrs,
+                        DescOp::RdmaWrite,
+                        MemHandle(remote_handle),
+                        remote_va,
+                        df.msg_len,
+                    );
                     if allowed {
                         if !host_emulated {
                             let pages = pages_of_range(&st.mem, remote_va, df.msg_len);
@@ -1566,9 +1541,7 @@ fn rx_arrived(sim: &Sim, provider: &Provider, src: NodeId, df: &DataFrame) -> Op
                         }
                     } else {
                         st.stats.protection_errors += 1;
-                        RxTarget::Discard {
-                            reason: ViaError::ProtectionError,
-                        }
+                        RxTarget::Discard
                     }
                 }
                 MsgKind::RdmaReadResp { req_seq } => {
@@ -1580,9 +1553,7 @@ fn rx_arrived(sim: &Sim, provider: &Provider, src: NodeId, df: &DataFrame) -> Op
                     {
                         RxTarget::ReadResp { req_seq }
                     } else {
-                        RxTarget::Discard {
-                            reason: ViaError::InvalidState,
-                        }
+                        RxTarget::Discard
                     }
                 }
             };
@@ -1612,8 +1583,7 @@ fn rx_arrived(sim: &Sim, provider: &Provider, src: NodeId, df: &DataFrame) -> Op
             reass.arrived += 1;
             // A message that consumed a descriptor (even in error) is ACKed;
             // discarded ones are not, so the sender retries.
-            let ackable =
-                !matches!(reass.target, RxTarget::Discard { .. }) || reass.error.is_some();
+            let ackable = !matches!(reass.target, RxTarget::Discard) || reass.error.is_some();
             (reass.arrived == reass.frag_count, ackable)
         };
 
@@ -1763,7 +1733,7 @@ fn rx_landed(sim: &Sim, provider: Provider, src: NodeId, df: DataFrame) {
                 });
                 return;
             }
-            RxTarget::Discard { .. } => None,
+            RxTarget::Discard => None,
         };
         let finish = if !bump_highwater {
             // Unreliable: deliver immediately; no ordering guarantee.

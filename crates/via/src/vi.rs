@@ -10,7 +10,7 @@ use simkit::{ProcessCtx, SimDuration, SimTime, WaitMode, WaitToken};
 use crate::descriptor::{Completion, DescOp, Descriptor};
 use crate::provider::Provider;
 use crate::transport;
-use crate::types::{CqId, Reliability, ViAttributes, ViId, ViaError, ViaResult};
+use crate::types::{CqId, QueueKind, Reliability, ViAttributes, ViId, ViaError, ViaResult};
 use crate::wire::MsgKind;
 
 /// Why a VI entered [`ConnState::Error`] — the transport's post-mortem,
@@ -98,12 +98,8 @@ pub(crate) enum RxTarget {
     /// (looked up by `req_seq` at landing time).
     ReadResp { req_seq: u64 },
     /// Fragments are consumed and dropped (no receive descriptor posted, or
-    /// protection failure). `reason` records why, for debugging.
-    Discard {
-        /// Why the message is being discarded.
-        #[allow(dead_code)]
-        reason: ViaError,
-    },
+    /// protection failure).
+    Discard,
 }
 
 /// In-progress reassembly of one inbound message.
@@ -144,18 +140,46 @@ impl Hasher for SeqHasher {
 /// 64-node worlds ~3 MiB of peak RSS (DESIGN.md §4.9).
 pub(crate) type ReassemblyMap = HashMap<u64, Reassembly, BuildHasherDefault<SeqHasher>>;
 
+/// One work queue of a VI as its consumer sees it: the completions not yet
+/// collected, the process parked waiting for one, and the CQ it reports to.
+#[derive(Default)]
+pub(crate) struct WorkQueue {
+    pub completed: VecDeque<Completion>,
+    pub waiter: Option<(WaitToken, WaitMode)>,
+    pub cq: Option<CqId>,
+}
+
+impl WorkQueue {
+    /// Record `token` as the queue's one waiter, woken by the next
+    /// completion delivered to it.
+    pub(crate) fn park(&mut self, token: WaitToken, mode: WaitMode) -> WaitToken {
+        assert!(
+            self.waiter.is_none(),
+            "two processes waiting on the same work queue"
+        );
+        self.waiter = Some((token, mode));
+        token
+    }
+}
+
+/// What leaving `Connected` tore down, for the caller to deliver and count.
+pub(crate) struct ConnReset {
+    /// One `ConnectionLost` completion per in-flight send, oldest first.
+    pub lost: Vec<Completion>,
+    /// Keepalive timers the reset cancelled (0 or 1).
+    pub heartbeat_cancelled: u64,
+    /// Retransmission timers the reset cancelled.
+    pub retx_cancelled: u64,
+}
+
 /// Internal per-VI state.
 pub(crate) struct ViState {
     pub attrs: ViAttributes,
     pub conn: ConnState,
-    pub send_cq: Option<CqId>,
-    pub recv_cq: Option<CqId>,
+    /// The send and receive work queues, indexed by [`QueueKind`].
+    pub queues: [WorkQueue; 2],
     pub send_inflight: VecDeque<InflightSend>,
-    pub send_completed: VecDeque<Completion>,
-    pub send_waiter: Option<(WaitToken, WaitMode)>,
     pub recv_posted: VecDeque<Descriptor>,
-    pub recv_completed: VecDeque<Completion>,
-    pub recv_waiter: Option<(WaitToken, WaitMode)>,
     pub next_seq: u64,
     pub connect_waiter: Option<WaitToken>,
     pub connect_result: Option<ViaResult<()>>,
@@ -320,14 +344,12 @@ impl ViState {
         ViState {
             attrs,
             conn: ConnState::Idle,
-            send_cq,
-            recv_cq,
+            queues: [send_cq, recv_cq].map(|cq| WorkQueue {
+                cq,
+                ..WorkQueue::default()
+            }),
             send_inflight: VecDeque::new(),
-            send_completed: VecDeque::new(),
-            send_waiter: None,
             recv_posted: VecDeque::new(),
-            recv_completed: VecDeque::new(),
-            recv_waiter: None,
             next_seq: 0,
             connect_waiter: None,
             connect_result: None,
@@ -343,6 +365,11 @@ impl ViState {
             last_heard: SimTime::ZERO,
             heartbeat_timer: None,
         }
+    }
+
+    /// The `kind` work queue.
+    pub(crate) fn queue(&mut self, kind: QueueKind) -> &mut WorkQueue {
+        &mut self.queues[kind as usize]
     }
 
     /// Sequences of the reassemblies older than `before` that still miss
@@ -369,6 +396,53 @@ impl ViState {
         self.credit_seen_total = 0;
         self.credit_waiting.clear();
         self.credits_granted_total = self.recv_posted.len() as u64;
+    }
+
+    /// Leave `Connected` for `to`: the reset both exits share. Disarms the
+    /// keepalive, forgets the connection's reassemblies, delivered tracker,
+    /// parked completions, RTO estimate and credit ledger (which re-arms from
+    /// the surviving posted receives at the next `Connected` transition),
+    /// and pops every in-flight send — credit-parked ones included — with
+    /// its retransmission timer cancelled, into a `ConnectionLost`
+    /// completion. Posted receives are the caller's to keep or flush.
+    ///
+    /// Idempotent: the timer handles are *taken* before cancelling, so a
+    /// second reset cancels nothing, and it finds every drained collection
+    /// empty, so no completion is emitted twice.
+    pub(crate) fn reset_connection(&mut self, to: ConnState) -> ConnReset {
+        self.conn = to;
+        let heartbeat_cancelled = self.disarm_heartbeat() as u64;
+        self.reassembly.clear();
+        self.delivered.clear();
+        self.parked_recv.clear();
+        self.rto.reset();
+        self.credit_waiting.clear();
+        self.credits_consumed = 0;
+        self.credit_seen_total = 0;
+        self.credits_granted_total = 0;
+        let mut retx_cancelled = 0;
+        let lost = self
+            .send_inflight
+            .drain(..)
+            .map(|mut inf| {
+                if inf.retx_timer.take().is_some_and(|t| t.cancel()) {
+                    retx_cancelled += 1;
+                }
+                Completion::failed(inf.desc.op, ViaError::ConnectionLost)
+            })
+            .collect();
+        ConnReset {
+            lost,
+            heartbeat_cancelled,
+            retx_cancelled,
+        }
+    }
+
+    /// Resolve a pending connect with `result`; returns the token of the
+    /// process waiting for it, if one still waits.
+    pub(crate) fn resolve_connect(&mut self, result: ViaResult<()>) -> Option<WaitToken> {
+        self.connect_result = Some(result);
+        self.connect_waiter
     }
 
     /// Disarm the keepalive timer, if armed. Returns whether a pending
@@ -458,22 +532,31 @@ impl Vi {
 
     /// Poll the send queue for a completion (`VipSendDone`).
     pub fn send_done(&self, ctx: &mut ProcessCtx) -> Option<Completion> {
-        self.provider.queue_done(ctx, self.id, true)
+        self.provider.queue_done(ctx, self.id, QueueKind::Send)
     }
 
     /// Wait for a send completion (`VipSendWait`), polling or blocking.
     pub fn send_wait(&self, ctx: &mut ProcessCtx, mode: WaitMode) -> Completion {
-        self.provider.queue_wait(ctx, self.id, true, mode)
+        self.provider
+            .queue_wait(ctx, self.id, QueueKind::Send, mode)
     }
 
     /// Poll the receive queue for a completion (`VipRecvDone`).
     pub fn recv_done(&self, ctx: &mut ProcessCtx) -> Option<Completion> {
-        self.provider.queue_done(ctx, self.id, false)
+        self.provider.queue_done(ctx, self.id, QueueKind::Recv)
     }
 
     /// Wait for a receive completion (`VipRecvWait`), polling or blocking.
     pub fn recv_wait(&self, ctx: &mut ProcessCtx, mode: WaitMode) -> Completion {
-        self.provider.queue_wait(ctx, self.id, false, mode)
+        self.provider
+            .queue_wait(ctx, self.id, QueueKind::Recv, mode)
+    }
+
+    /// Like [`Self::recv_wait`] blocking, but `None` once the VI is seen
+    /// off `Connected`: the session layer's signal to recover.
+    pub(crate) fn recv_wait_conn(&self, ctx: &mut ProcessCtx) -> Option<Completion> {
+        self.provider
+            .queue_wait_conn(ctx, self.id, QueueKind::Recv, WaitMode::Block)
     }
 
     /// Sends parked by credit-based flow control (posted, in flight, but

@@ -148,9 +148,6 @@ pub(crate) enum ConnFrame {
 /// An RDMA-read request travelling initiator → responder.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct RdmaReadReq {
-    /// Initiator's VI (diagnostics; responses address `dst_vi`'s peer).
-    #[allow(dead_code)]
-    pub src_vi: ViId,
     /// Responder's VI.
     pub dst_vi: ViId,
     /// Initiator-side descriptor sequence (echoed in the response).

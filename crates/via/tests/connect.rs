@@ -439,3 +439,156 @@ fn multifragment_immediate_is_delivered_exactly_once() {
     assert_eq!(len, 28672);
     assert_eq!(imm, Some(0xFEED));
 }
+
+#[test]
+fn a_clean_disconnect_and_retry_exhaustion_share_one_reset() {
+    // One reliable cLAN pair leaves `Connected` twice, each time with sends
+    // in flight and receives posted: first by a clean disconnect, then, on
+    // the same VI reconnected, by retry exhaustion under a link flap. Both
+    // exits flush the sends and cancel their retransmit timers and the
+    // keepalive; only the clean one keeps the receives posted and restarts
+    // the sequence, only the failure flushes them and counts itself.
+    const SENDS: u64 = 3;
+    let sim = Sim::new();
+    let mut p = Profile::clan();
+    p.data.max_rto = SimDuration::from_millis(2);
+    p.data.max_retries = 1;
+    p.heartbeat = Some(via::HeartbeatParams {
+        interval: SimDuration::from_millis(1),
+        timeout: SimDuration::from_millis(10),
+    });
+    let cluster = Cluster::new(sim.clone(), p, 2, 5);
+    let (pa, pb) = (cluster.provider(0), cluster.provider(1));
+    let san = cluster.san().clone();
+    let attrs = ViAttributes::reliable(via::Reliability::ReliableDelivery);
+    let sh = {
+        let pb = pb.clone();
+        sim.spawn("server", Some(pb.cpu()), move |ctx| {
+            // No receive posted: the first connection's sends are dropped
+            // un-ACKed and stay in flight.
+            let vi = pb.create_vi(ctx, attrs, None, None).unwrap();
+            pb.accept(ctx, &vi, Discriminator(1)).unwrap();
+            // One receive for the reconnected VI's first message. Were the
+            // sequence not restarted, it would arrive out of order and be
+            // refused the last descriptor until the sender gave up.
+            let vi2 = pb.create_vi(ctx, attrs, None, None).unwrap();
+            let buf = pb.malloc(256);
+            let mh = pb
+                .register_mem(ctx, buf, 256, MemAttributes::default())
+                .unwrap();
+            vi2.post_recv(ctx, Descriptor::recv().segment(buf, mh, 256))
+                .unwrap();
+            pb.accept(ctx, &vi2, Discriminator(2)).unwrap();
+            vi2.recv_wait(ctx, WaitMode::Block).status
+        })
+    };
+    let ch = {
+        let pa = pa.clone();
+        sim.spawn("client", Some(pa.cpu()), move |ctx| {
+            let vi = pa.create_vi(ctx, attrs, None, None).unwrap();
+            let buf = pa.malloc(4096);
+            let mh = pa
+                .register_mem(ctx, buf, 4096, MemAttributes::default())
+                .unwrap();
+            for i in 0..2 {
+                let d = Descriptor::recv().segment(buf + 2048 + i * 256, mh, 256);
+                vi.post_recv(ctx, d).unwrap();
+            }
+            let post_sends = |ctx: &mut simkit::ProcessCtx| {
+                for _ in 0..SENDS {
+                    vi.post_send(ctx, Descriptor::send().segment(buf, mh, 256))
+                        .unwrap();
+                }
+                // Every send on the wire, its timer armed, none yet fired.
+                ctx.sleep(SimDuration::from_micros(100));
+            };
+            // Every completion waiting on a queue, by status.
+            let sends = |ctx: &mut simkit::ProcessCtx| {
+                std::iter::from_fn(|| vi.send_done(ctx).map(|c| c.status)).collect::<Vec<_>>()
+            };
+            let recvs = |ctx: &mut simkit::ProcessCtx| {
+                std::iter::from_fn(|| vi.recv_done(ctx).map(|c| c.status)).collect::<Vec<_>>()
+            };
+            let lost = |n: u64| vec![Err(ViaError::ConnectionLost); n as usize];
+
+            // Exit 1: a clean disconnect.
+            pa.connect(ctx, &vi, fabric::NodeId(1), Discriminator(1), None)
+                .unwrap();
+            post_sends(ctx);
+            let before = pa.stats();
+            pa.disconnect(ctx, &vi).unwrap();
+            let after = pa.stats();
+            assert_eq!(vi.conn_state(), ConnState::Idle);
+            assert_eq!(sends(ctx), lost(SENDS));
+            assert_eq!(recvs(ctx), lost(0), "the receives stay posted");
+            assert_eq!(
+                after.retx_timers_cancelled - before.retx_timers_cancelled,
+                SENDS
+            );
+            assert_eq!(
+                after.heartbeat_timers_cancelled - before.heartbeat_timers_cancelled,
+                1
+            );
+            assert_eq!(after.conn_failures, 0);
+
+            // Reconnected, the sequence starts over at 0.
+            pa.connect(ctx, &vi, fabric::NodeId(1), Discriminator(2), None)
+                .unwrap();
+            vi.post_send(ctx, Descriptor::send().segment(buf, mh, 256))
+                .unwrap();
+            assert!(vi.send_wait(ctx, WaitMode::Block).is_ok());
+
+            // Exit 2: retry exhaustion while the link is down.
+            san.install_faults(&fabric::FaultPlan::new().link_flap(
+                fabric::NodeId(0),
+                ctx.now(),
+                SimDuration::from_millis(20),
+            ));
+            post_sends(ctx);
+            let before = pa.stats();
+            let first = vi.send_wait(ctx, WaitMode::Block);
+            assert_eq!(first.status, Err(ViaError::ConnectionLost));
+            let after = pa.stats();
+            assert_eq!(
+                vi.conn_state(),
+                ConnState::Error {
+                    cause: via::ErrorCause::RetryExhausted
+                }
+            );
+            assert_eq!(sends(ctx), lost(SENDS - 1));
+            assert_eq!(recvs(ctx), lost(2), "the receives are flushed too");
+            // The firing that gave up consumed its own timer; the reset
+            // cancelled the other sends'.
+            assert_eq!(
+                after.retx_timers_cancelled - before.retx_timers_cancelled,
+                SENDS - 1
+            );
+            assert_eq!(
+                after.heartbeat_timers_cancelled - before.heartbeat_timers_cancelled,
+                1
+            );
+            assert_eq!(after.conn_failures, 1);
+            // Clearing the error resets nothing further.
+            pa.disconnect(ctx, &vi).unwrap();
+            let cleared = pa.stats();
+            assert_eq!(cleared.retx_timers_cancelled, after.retx_timers_cancelled);
+            assert_eq!(
+                cleared.heartbeat_timers_cancelled,
+                after.heartbeat_timers_cancelled
+            );
+            assert_eq!((sends(ctx), recvs(ctx)), (lost(0), lost(0)));
+        })
+    };
+    sim.run_to_completion();
+    ch.expect_result();
+    assert_eq!(sh.expect_result(), Ok(()));
+    // Every retransmit timer armed was cancelled or fired: a resend, or the
+    // one firing that gave the connection up.
+    let s = pa.stats();
+    assert_eq!(
+        s.retx_timers_armed,
+        s.retx_timers_cancelled + s.retransmissions + s.conn_failures
+    );
+    let audit = cluster.audit();
+    assert!(audit.is_clean(), "audit violations: {:?}", audit.violations);
+}

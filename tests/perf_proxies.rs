@@ -1,7 +1,8 @@
 //! Host-independent performance proxies, gated so that a regression fails
 //! a diff instead of waiting for someone to notice a slower laptop
 //! (ROADMAP item 2): heap allocations, bytes allocated, mutex acquisitions,
-//! queued process wakes and logical events per message, boxed events,
+//! queued process wakes, logical events and queued events per message,
+//! boxed events,
 //! event-pool hit rate, and the size of the handle every datapath closure
 //! captures.
 //!
@@ -60,24 +61,30 @@ const MUTEX_ACQUISITIONS: usize = 1;
 const BYTES_ALLOCATED: usize = 2;
 const QUEUED_WAKES: usize = 3;
 const LOGICAL_EVENTS: usize = 4;
+const QUEUED_EVENTS: usize = 5;
 
 /// `[allocations, mutex acquisitions, bytes allocated, queued process
-/// wakes, logical events]` made by this thread so far. A process wake is
-/// queued when something else is due before it; one that would pop next
-/// fires in place and is not counted here, but is a logical event like
-/// any other.
-fn counters() -> [u64; 5] {
+/// wakes, logical events, queued events]` made by this thread so far. A
+/// process wake is queued when something else is due before it; one that
+/// would pop next fires in place and is not counted here, but is a logical
+/// event like any other. Queued events are every event pushed onto the
+/// queue (`PoolStats::pooled` plus `boxed`): queued wakes included, and
+/// timers cancelled before they fired, but no wake fired in place and no
+/// hop a fold elided.
+fn counters() -> [u64; 6] {
+    let pool = thread_pool_stats();
     [
         ALLOCS.with(Cell::get),
         parking_lot::lock_count(),
         ALLOCATED_BYTES.with(Cell::get),
-        thread_pool_stats().wakes,
+        pool.wakes,
         thread_events(),
+        pool.pooled() + pool.boxed,
     ]
 }
 
 /// The counters and event-pool churn of one call.
-fn measured(f: impl FnOnce()) -> ([u64; 5], PoolStats) {
+fn measured(f: impl FnOnce()) -> ([u64; 6], PoolStats) {
     let (before, pool) = (counters(), thread_pool_stats());
     f();
     let after = counters();
@@ -90,7 +97,7 @@ fn measured(f: impl FnOnce()) -> ([u64; 5], PoolStats) {
 /// Marginal [`counters`] per iteration of `run`, in hundredths: the slope
 /// between a short and a long run of the same world, so cluster set-up and
 /// one-off buffer growth cancel.
-fn per_iter_x100(run: impl Fn(u32)) -> [u64; 5] {
+fn per_iter_x100(run: impl Fn(u32)) -> [u64; 6] {
     const SHORT: u32 = 64;
     const LONG: u32 = 576;
     let (short, _) = measured(|| run(SHORT));
@@ -103,8 +110,8 @@ fn per_iter_x100(run: impl Fn(u32)) -> [u64; 5] {
 /// Per profile in `paper_trio` order (M-VIA, BVIA, cLAN), the
 /// [`per_iter_x100`] counters of a 4 B polling ping-pong iteration (two
 /// messages) and of one 16 KiB message of a depth-16 stream.
-fn trio_x100() -> [[[u64; 5]; 3]; 2] {
-    let (mut ping_pongs, mut streams) = ([[0; 5]; 3], [[0; 5]; 3]);
+fn trio_x100() -> [[[u64; 6]; 3]; 2] {
+    let (mut ping_pongs, mut streams) = ([[0; 6]; 3], [[0; 6]; 3]);
     for (i, profile) in Profile::paper_trio().into_iter().enumerate() {
         ping_pongs[i] = per_iter_x100(|iters| {
             ping_pong(&DtConfig {
@@ -124,7 +131,7 @@ fn trio_x100() -> [[[u64; 5]; 3]; 2] {
 }
 
 /// One counter of [`trio_x100`], as `[ping-pong, stream]` rows of profiles.
-fn column(trio: &[[[u64; 5]; 3]; 2], counter: usize) -> [[u64; 3]; 2] {
+fn column(trio: &[[[u64; 6]; 3]; 2], counter: usize) -> [[u64; 3]; 2] {
     trio.map(|workload| workload.map(|profile| profile[counter]))
 }
 
@@ -208,6 +215,24 @@ fn logical_events_per_message_are_unchanged() {
     assert_eq!(
         events, LOGICAL_EVENTS_X100,
         "logical events x100 per iteration"
+    );
+}
+
+/// Ceilings on queued events, same layout, recorded as found. The exact
+/// logical count cannot see an event that stops being folded: it was
+/// counted before as elided and is counted now as fired, while this one
+/// rises.
+const QUEUED_EVENTS_X100: [[u64; 3]; 2] = [[1000, 1100, 1100], [5061, 2536, 4139]];
+
+#[test]
+fn queued_events_per_message_stay_under_their_recorded_ceilings() {
+    let queued = column(&trio_x100(), QUEUED_EVENTS);
+    println!(
+        "queued events x100 per iteration, [ping-pong, stream] x (M-VIA, BVIA, cLAN): {queued:?}"
+    );
+    assert!(
+        under(&queued, &QUEUED_EVENTS_X100),
+        "queued events x100 per iteration {queued:?} over {QUEUED_EVENTS_X100:?}"
     );
 }
 

@@ -115,6 +115,13 @@ row Deleted-features 0 all '\b(ShardedSim|ShardSender|ShardMap|ShardStats|Sharde
 # receive-landing fold and the eager-ACK fold, with the state that backed
 # their early marks out, stay gone.
 row One-path 0 src 'fold_pending|unfused_highwater|folds_in_flight|fuse_rx_eligible|min_wire_latency|send_ack_at' 'crates/*/src/**/*.rs'
+# One-path: a VI's two work queues are one `WorkQueue` type indexed by
+# `QueueKind`, and every exit from `Connected` goes through one reset
+# (`ViState::reset_connection`) and one error-completion constructor.
+row One-path 0 src 'send_side|send_completed|recv_completed|send_waiter|recv_waiter' crates/via/src
+row One-path 1 src 'status: Err\(ViaError::ConnectionLost\)' crates/via/src
+# Dead-code: no field is kept for a reader that never comes.
+row Dead-code 0 src 'allow\(dead_code\)' 'crates/*/src/**/*.rs'
 # Negotiated thread ownership: a `Confined` cell checks the one thread that
 # built its world instead of claiming, waiting for and counting owners.
 row Deleted-features 0 all '\bAffinity\b|claims\(\)|read_volatile|compare_exchange|yield_now' crates/simkit/src/confined.rs crates/simkit/src/engine.rs tests/perf_proxies.rs
