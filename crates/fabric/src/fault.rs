@@ -421,6 +421,12 @@ impl HopOutcome {
 pub(crate) struct FaultState {
     active: Vec<FaultKind>,
     rngs: Vec<SimRng>,
+    /// Set once an installed plan holds a switch-scoped window
+    /// ([`FaultKind::SwitchDown`], [`FaultKind::TrunkDown`]).
+    pub(crate) switch_scoped: bool,
+    /// Set once an installed plan holds a node-scoped window
+    /// ([`FaultKind::NodeDown`], [`FaultKind::NicReset`]).
+    pub(crate) node_scoped: bool,
 }
 
 impl FaultState {
@@ -430,7 +436,15 @@ impl FaultState {
             rngs: (0..nodes)
                 .map(|n| SimRng::derive(seed, &format!("fabric-fault-n{n}")))
                 .collect(),
+            switch_scoped: false,
+            node_scoped: false,
         }
+    }
+
+    /// Note what scopes of window `plan` installs; plans accumulate.
+    pub(crate) fn record_plan(&mut self, plan: &FaultPlan) {
+        self.switch_scoped |= plan.has_switch_faults();
+        self.node_scoped |= plan.has_node_faults();
     }
 
     /// A window opened.

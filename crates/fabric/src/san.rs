@@ -43,9 +43,22 @@
 //!   needs the whole frame before a routing decision exists, so it stores
 //!   and forwards, and each switch charges its latency after admission.
 
+//!
+//! # The state cell
+//!
+//! Everything that changes while a SAN runs — its switch ports, host
+//! links, fault-window state, routing table, counters, tracer, receive
+//! handlers and node-fault hooks — lives in one [`Confined`] cell; only the
+//! parameters, seed, topology and engine beside it are fixed at build.
+//! Each event borrows the cell once, at its start: an injection, a hop, a
+//! port's resolver or depart, a delivery and a fault-window edge. The
+//! stages it runs take the borrowed state and schedule their follow-on
+//! events through the [`San`] handle. The borrow ends before any callback
+//! runs — a receive handler or a node-fault hook — so a callback may send,
+//! read counters or install faults on the SAN that called it.
+
 use std::any::Any;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Weak};
 
 use simkit::{Confined, EventClass, Sim, SimDuration, SimRng, SimTime};
@@ -224,19 +237,6 @@ pub struct SanStats {
     pub frames_fault_dropped: u64,
 }
 
-/// Host-link state, indexed by node: uplinks at injection, downlink loss
-/// lanes at egress, and the fault-window state both consult.
-struct Links {
-    uplinks: Vec<Wire>,
-    up_loss: Vec<LossLane>,
-    /// A node's downlink *wire* is its host port's (see [`Port`]); only
-    /// the loss channel lives here.
-    down_loss: Vec<LossLane>,
-    /// Present only once a non-empty [`FaultPlan`] is installed, so the
-    /// fault-free send path pays exactly one `Option` branch.
-    faults: Option<Box<FaultState>>,
-}
-
 /// Who can write a node's downlink. Registered at VIA connect time —
 /// before any frame of the flow can possibly be on the wire — so a sender
 /// can prove it is the *sole* writer of the destination downlink and apply
@@ -250,67 +250,6 @@ enum WriterSet {
     One(NodeId),
     /// Two or more distinct sources target this node (fan-in).
     Many,
-}
-
-/// Order-independent state: pure counters, the tracer, and the rx-handler
-/// table (written at topology setup, read at delivery).
-struct SharedState {
-    handlers: Vec<Option<RxHandler>>,
-    stats: SanStats,
-    tracer: Tracer,
-    /// Per-destination writer registry for the switch-egress fold.
-    writers: Vec<WriterSet>,
-    /// Per-node split of [`SanStats::frames_fault_dropped`] attributable
-    /// to node-scoped windows: frames that died because this node was
-    /// crashed (as sender, receiver, or in-flight destination).
-    node_fault_dropped: Vec<u64>,
-}
-
-impl SharedState {
-    /// Count and trace what a host-link hop did to a frame at `node`'s end
-    /// of the link. `WireDrop` hop tags are odd on the source uplink (`up`)
-    /// and even on the destination downlink: 1/2 loss model, 3/4 link
-    /// down, 5/6 degradation-burst loss; 10 either way for a crashed host.
-    fn record_outcome(
-        &mut self,
-        at: SimTime,
-        node: NodeId,
-        msg: Option<MsgId>,
-        payload_bytes: u32,
-        outcome: HopOutcome,
-        up: bool,
-    ) {
-        let tag = |uplink_tag: u64| uplink_tag + u64::from(!up);
-        let aux = match outcome {
-            HopOutcome::Pass { .. } => return,
-            HopOutcome::LossDrop => {
-                self.stats.frames_dropped += 1;
-                tag(1)
-            }
-            HopOutcome::Down => {
-                self.stats.frames_faulted += 1;
-                tag(3)
-            }
-            HopOutcome::Corrupt => {
-                self.stats.frames_corrupted += 1;
-                let bytes = payload_bytes as u64;
-                self.tracer
-                    .record(at, TracePoint::FrameCorrupt, node.0, msg, bytes);
-                return;
-            }
-            HopOutcome::Lost => {
-                self.stats.frames_dropped += 1;
-                tag(5)
-            }
-            HopOutcome::NodeDead => {
-                self.stats.frames_fault_dropped += 1;
-                self.node_fault_dropped[node.index()] += 1;
-                10
-            }
-        };
-        self.tracer
-            .record(at, TracePoint::WireDrop, node.0, msg, aux);
-    }
 }
 
 /// Callback fired at a node-scoped fault window edge. `open` is true at
@@ -327,6 +266,7 @@ struct Frame {
     payload_bytes: u32,
     body: Box<dyn Any + Send>,
     msg: Option<MsgId>,
+    /// False for loss-exempt control frames.
     lossy: bool,
 }
 
@@ -431,40 +371,170 @@ struct RoutingState {
     routes: Routes,
 }
 
+/// Everything about a SAN that changes while it runs (see the module
+/// docs' "state cell").
+struct SanState {
+    /// Per-switch output ports, indexed like [`Topology::ports`].
+    ports: Vec<Vec<Port>>,
+    /// Host uplinks, indexed by node. A node's downlink *wire* is its host
+    /// port's; only its loss channel is kept beside the uplink's.
+    uplinks: Vec<Wire>,
+    up_loss: Vec<LossLane>,
+    down_loss: Vec<LossLane>,
+    /// Present only once a non-empty [`FaultPlan`] is installed, so the
+    /// fault-free send path pays exactly one `Option` branch.
+    faults: Option<Box<FaultState>>,
+    routing: RoutingState,
+    /// Receive handlers, indexed by node; written at topology setup.
+    handlers: Vec<Option<RxHandler>>,
+    /// Per-node crash/reboot hooks (registered by the attached provider
+    /// layer); invoked at window edges.
+    node_hooks: Vec<Option<NodeFaultHook>>,
+    stats: SanStats,
+    /// Per-node split of [`SanStats::frames_fault_dropped`] attributable
+    /// to node-scoped windows: frames that died because this node was
+    /// crashed (as sender, receiver, or in-flight destination).
+    node_fault_dropped: Vec<u64>,
+    tracer: Tracer,
+    /// Per-destination writer registry for the switch-egress fold.
+    writers: Vec<WriterSet>,
+    /// Master switch for the switch-egress fold (`VIBE_FUSE`). The VIA
+    /// layer sets it at cluster build; folding never changes virtual times
+    /// or counters, only how many scheduler events carry a frame.
+    fuse: bool,
+}
+
+impl SanState {
+    fn new(topo: &Topology, seed: u64) -> SanState {
+        let nodes = topo.nodes();
+        SanState {
+            ports: (0..topo.switches() as u32)
+                .map(|s| topo.ports(s).iter().map(|_| Port::new()).collect())
+                .collect(),
+            uplinks: (0..nodes).map(|_| Wire::IDLE).collect(),
+            up_loss: (0..nodes).map(|n| LossLane::new(seed, n, true)).collect(),
+            down_loss: (0..nodes).map(|n| LossLane::new(seed, n, false)).collect(),
+            faults: None,
+            routing: RoutingState {
+                switch_down: Vec::new(),
+                trunk_down: Vec::new(),
+                epoch: 0,
+                routes: topo.routes().clone(),
+            },
+            handlers: (0..nodes).map(|_| None).collect(),
+            node_hooks: (0..nodes).map(|_| None).collect(),
+            stats: SanStats::default(),
+            node_fault_dropped: vec![0; nodes],
+            tracer: Tracer::disabled(),
+            writers: vec![WriterSet::Empty; nodes],
+            fuse: true,
+        }
+    }
+
+    fn port(&mut self, sw: u32, port_idx: usize) -> &mut Port {
+        &mut self.ports[sw as usize][port_idx]
+    }
+
+    /// What a host-link hop does to a frame at `node`'s end of the link —
+    /// the uplink (`up`) or the downlink: the configured loss model's roll
+    /// on that direction's lane, then the fault plan's verdict.
+    fn link_outcome(
+        &mut self,
+        node: NodeId,
+        up: bool,
+        lossy: bool,
+        model: LossModel,
+    ) -> HopOutcome {
+        let lanes = if up {
+            &mut self.up_loss
+        } else {
+            &mut self.down_loss
+        };
+        let lane = &mut lanes[node.index()];
+        if lossy && lane.loss.roll(&mut lane.rng, model) {
+            return HopOutcome::LossDrop;
+        }
+        match self.faults.as_mut() {
+            Some(fs) if up => fs.on_uplink(node, lossy),
+            Some(fs) => fs.on_downlink(node, lossy),
+            None => HopOutcome::PASS,
+        }
+    }
+
+    /// Count and trace what a host-link hop did to a frame at `node`'s end
+    /// of the link. `WireDrop` hop tags are odd on the source uplink (`up`)
+    /// and even on the destination downlink: 1/2 loss model, 3/4 link
+    /// down, 5/6 degradation-burst loss; 10 either way for a crashed host.
+    fn record_outcome(
+        &mut self,
+        at: SimTime,
+        node: NodeId,
+        msg: Option<MsgId>,
+        payload_bytes: u32,
+        outcome: HopOutcome,
+        up: bool,
+    ) {
+        let tag = |uplink_tag: u64| uplink_tag + u64::from(!up);
+        let aux = match outcome {
+            HopOutcome::Pass { .. } => return,
+            HopOutcome::LossDrop => {
+                self.stats.frames_dropped += 1;
+                tag(1)
+            }
+            HopOutcome::Down => {
+                self.stats.frames_faulted += 1;
+                tag(3)
+            }
+            HopOutcome::Corrupt => {
+                self.stats.frames_corrupted += 1;
+                let bytes = payload_bytes as u64;
+                self.tracer
+                    .record(at, TracePoint::FrameCorrupt, node.0, msg, bytes);
+                return;
+            }
+            HopOutcome::Lost => {
+                self.stats.frames_dropped += 1;
+                tag(5)
+            }
+            HopOutcome::NodeDead => {
+                self.stats.frames_fault_dropped += 1;
+                self.node_fault_dropped[node.index()] += 1;
+                10
+            }
+        };
+        self.tracer
+            .record(at, TracePoint::WireDrop, node.0, msg, aux);
+    }
+
+    /// Count and trace frames killed by a switch-scoped fault window
+    /// (`WireDrop` hop tag 8): refused at a dead switch or a downed trunk,
+    /// stranded with no surviving route, or flushed from a dying element's
+    /// queues.
+    fn fault_drop(&mut self, at: SimTime, msgs: impl IntoIterator<Item = Option<MsgId>>) {
+        for msg in msgs {
+            self.stats.frames_fault_dropped += 1;
+            self.tracer
+                .record(at, TracePoint::WireDrop, SWITCH_NODE, msg, 8);
+        }
+    }
+
+    /// Count and trace a frame a bounded output port dropped: `aux` 7 for
+    /// a buffer and pause-queue overflow, 9 for a pause-storm watchdog
+    /// trip.
+    fn port_drop(&mut self, at: SimTime, msg: Option<MsgId>, aux: u64) {
+        self.stats.frames_port_dropped += 1;
+        self.tracer
+            .record(at, TracePoint::WireDrop, SWITCH_NODE, msg, aux);
+    }
+}
+
 struct SanInner {
     params: NetParams,
     seed: u64,
     topo: Topology,
-    /// Per-switch output-port state, indexed like [`Topology::ports`].
-    ports: Vec<Vec<Confined<Port>>>,
-    routing: Confined<RoutingState>,
     /// The engine every stage of every frame is scheduled on.
     sim: Sim,
-    links: Confined<Links>,
-    shared: Confined<SharedState>,
-    /// Master switch for the switch-egress fold (`VIBE_FUSE`). The VIA
-    /// layer sets it at cluster build; folding never changes virtual times
-    /// or counters, only how many scheduler events carry a frame.
-    fuse: AtomicBool,
-    /// Set once a plan containing switch-scoped windows ([`SwitchDown`],
-    /// [`TrunkDown`]) is installed. A hop checks fault state and
-    /// reconverged routes only under this flag, so fault-free topologies
-    /// pay one relaxed load per hop.
-    ///
-    /// [`SwitchDown`]: FaultKind::SwitchDown
-    /// [`TrunkDown`]: FaultKind::TrunkDown
-    switch_faults: AtomicBool,
-    /// Set once a plan containing node-scoped windows ([`NodeDown`],
-    /// [`NicReset`]) is installed. The delivery funnel checks the
-    /// destination's liveness only under this flag, so crash-free runs
-    /// pay one relaxed load per delivery.
-    ///
-    /// [`NodeDown`]: FaultKind::NodeDown
-    /// [`NicReset`]: FaultKind::NicReset
-    node_faults: AtomicBool,
-    /// Per-node crash/reboot hooks (registered by the attached provider
-    /// layer); invoked at window edges.
-    node_hooks: Confined<Vec<Option<NodeFaultHook>>>,
+    state: Confined<SanState>,
 }
 
 /// Handle to the SAN; cheap to clone.
@@ -506,55 +576,26 @@ impl San {
 
     /// Build a SAN over an explicit [`Topology`].
     pub fn new_topo(sim: Sim, params: NetParams, topo: Topology, seed: u64) -> Self {
-        let nodes = topo.nodes();
-        let ports = (0..topo.switches() as u32)
-            .map(|s| {
-                let specs = topo.ports(s);
-                for l in specs.iter().filter_map(|p| p.trunk) {
-                    // Upper layers fragment to the access MTU; a narrower
-                    // trunk would strand frames mid-path.
-                    assert!(
-                        l.mtu >= params.link.mtu,
-                        "trunk MTU {} below access MTU {}",
-                        l.mtu,
-                        params.link.mtu,
-                    );
-                }
-                specs.iter().map(|_| sim.confined(Port::new())).collect()
-            })
-            .collect();
-        let links = Links {
-            uplinks: (0..nodes).map(|_| Wire::IDLE).collect(),
-            up_loss: (0..nodes).map(|n| LossLane::new(seed, n, true)).collect(),
-            down_loss: (0..nodes).map(|n| LossLane::new(seed, n, false)).collect(),
-            faults: None,
-        };
-        let routes = topo.routes().clone();
+        for s in 0..topo.switches() as u32 {
+            for l in topo.ports(s).iter().filter_map(|p| p.trunk) {
+                // Upper layers fragment to the access MTU; a narrower
+                // trunk would strand frames mid-path.
+                assert!(
+                    l.mtu >= params.link.mtu,
+                    "trunk MTU {} below access MTU {}",
+                    l.mtu,
+                    params.link.mtu,
+                );
+            }
+        }
+        let state = sim.confined(SanState::new(&topo, seed));
         San {
             inner: Arc::new(SanInner {
                 params,
                 seed,
                 topo,
-                ports,
-                routing: sim.confined(RoutingState {
-                    switch_down: Vec::new(),
-                    trunk_down: Vec::new(),
-                    epoch: 0,
-                    routes,
-                }),
-                links: sim.confined(links),
-                shared: sim.confined(SharedState {
-                    handlers: (0..nodes).map(|_| None).collect(),
-                    stats: SanStats::default(),
-                    tracer: Tracer::disabled(),
-                    writers: vec![WriterSet::Empty; nodes],
-                    node_fault_dropped: vec![0; nodes],
-                }),
-                fuse: AtomicBool::new(true),
-                switch_faults: AtomicBool::new(false),
-                node_faults: AtomicBool::new(false),
-                node_hooks: sim.confined((0..nodes).map(|_| None).collect()),
                 sim,
+                state,
             }),
         }
     }
@@ -564,7 +605,7 @@ impl San {
     /// bandwidth points (DESIGN.md §4.5). The knob exists so `VIBE_FUSE=0`
     /// runs measure the genuinely unfused scheduler.
     pub fn set_fuse(&self, on: bool) {
-        self.inner.fuse.store(on, Ordering::Relaxed);
+        self.inner.state.lock().fuse = on;
     }
 
     /// Install a fault plan: schedule every window's open/close edge on
@@ -604,24 +645,21 @@ impl San {
                     _ => {}
                 }
             }
-            inner.switch_faults.store(true, Ordering::Relaxed);
         }
-        if plan.has_node_faults() {
-            for w in plan.events() {
-                if let Some(n) = w.kind.node_scope() {
-                    assert!(
-                        (n.0 as usize) < inner.topo.nodes(),
-                        "fault window names node {n} outside the fabric"
-                    );
-                }
+        for w in plan.events() {
+            if let Some(n) = w.kind.node_scope() {
+                assert!(
+                    (n.0 as usize) < inner.topo.nodes(),
+                    "fault window names node {n} outside the fabric"
+                );
             }
-            inner.node_faults.store(true, Ordering::Relaxed);
         }
         inner
-            .links
+            .state
             .lock()
             .faults
-            .get_or_insert_with(|| Box::new(FaultState::new(inner.seed, inner.topo.nodes())));
+            .get_or_insert_with(|| Box::new(FaultState::new(inner.seed, inner.topo.nodes())))
+            .record_plan(plan);
         for w in plan.events() {
             let kind = w.kind;
             let edges = [(w.at, true), (w.at + w.duration, false)];
@@ -652,31 +690,32 @@ impl San {
     /// reboot the victim host.
     fn fault_edge(&self, sim: &Sim, kind: FaultKind, open: bool) {
         let now = sim.now();
-        {
-            let mut ls = self.inner.links.lock();
-            let fs = ls.faults.as_mut().expect("fault state installed");
+        let hook = {
+            let mut st = self.inner.state.lock();
+            let fs = st.faults.as_mut().expect("fault state installed");
             if open {
                 fs.begin(kind);
+                self.flush_fault_ports(&mut st, kind, now);
             } else {
                 fs.end(kind);
             }
-        }
-        if open {
-            self.flush_fault_ports(kind, now);
-        }
-        if let Some((node, aux)) = kind.edge_tag() {
-            let point = if open {
-                TracePoint::LinkDown
-            } else {
-                TracePoint::LinkUp
-            };
-            let sh = self.inner.shared.lock();
-            sh.tracer.record(now, point, node, None, aux);
-        }
+            if let Some((node, aux)) = kind.edge_tag() {
+                let point = if open {
+                    TracePoint::LinkDown
+                } else {
+                    TracePoint::LinkUp
+                };
+                st.tracer.record(now, point, node, None, aux);
+            }
+            kind.node_scope()
+                .and_then(|node| st.node_hooks[node.index()].clone())
+        };
         // The victim's provider crashes (or reboots) after the fabric-side
         // window state is in place — so a crash hook observes the node as
         // already dead, a reboot hook a live fabric edge.
-        self.fire_node_hook(sim, kind, open);
+        if let Some(h) = hook {
+            h(sim, kind, open);
+        }
     }
 
     /// Flush every frame parked (`waiting`) or staged-but-unapplied at
@@ -689,18 +728,18 @@ impl San {
     ///
     /// [`SwitchDown`]: FaultKind::SwitchDown
     /// [`TrunkDown`]: FaultKind::TrunkDown
-    fn flush_fault_ports(&self, kind: FaultKind, now: SimTime) {
-        let inner = &self.inner;
+    fn flush_fault_ports(&self, st: &mut SanState, kind: FaultKind, now: SimTime) {
+        let topo = &self.inner.topo;
         // (switch, ports) targets: every port of a dead switch, or the two
         // directed ports of a dead trunk.
         let mut targets: Vec<(u32, std::ops::Range<usize>)> = Vec::new();
         match kind {
             FaultKind::SwitchDown { switch } => {
-                targets.push((switch, 0..inner.ports[switch as usize].len()));
+                targets.push((switch, 0..topo.ports(switch).len()));
             }
             FaultKind::TrunkDown { a, b } => {
                 for (sw, far) in [(a, b), (b, a)] {
-                    let i = inner.topo.port_to_switch(sw, far);
+                    let i = topo.port_to_switch(sw, far);
                     targets.push((sw, i..i + 1));
                 }
             }
@@ -708,9 +747,7 @@ impl San {
         }
         let mut flushed: Vec<Option<MsgId>> = Vec::new();
         for (sw, range) in targets {
-            for port in &inner.ports[sw as usize][range] {
-                let mut port = port.lock();
-                let port = &mut *port;
+            for port in &mut st.ports[sw as usize][range] {
                 let before = flushed.len();
                 flushed.extend(port.waiting.drain(..).map(|f| f.msg));
                 port.staged.sort_by_key(arrival_order);
@@ -719,28 +756,15 @@ impl San {
                 port.paused_since = None;
             }
         }
-        self.fault_drop(now, flushed);
-    }
-
-    /// Count and trace frames killed by a switch-scoped fault window
-    /// (`WireDrop` hop tag 8): refused at a dead switch or a downed trunk,
-    /// stranded with no surviving route, or flushed from a dying element's
-    /// queues.
-    fn fault_drop(&self, at: SimTime, msgs: impl IntoIterator<Item = Option<MsgId>>) {
-        let mut sh = self.inner.shared.lock();
-        for msg in msgs {
-            sh.stats.frames_fault_dropped += 1;
-            sh.tracer
-                .record(at, TracePoint::WireDrop, SWITCH_NODE, msg, 8);
-        }
+        st.fault_drop(now, flushed);
     }
 
     /// Apply (or revert) one topology-affecting fault window to the routing
     /// state and recompute the reconverged table. Both edges bump the
     /// epoch, so every convergence — including fail-back — re-salts ECMP.
     fn routing_update(&self, kind: FaultKind, apply: bool) {
-        let inner = &self.inner;
-        let mut rs = inner.routing.lock();
+        let mut st = self.inner.state.lock();
+        let rs = &mut st.routing;
         fn bump<K: PartialEq + Copy>(set: &mut Vec<(K, u32)>, key: K, apply: bool) {
             match set.iter_mut().find(|(k, _)| *k == key) {
                 Some((_, n)) if apply => *n += 1,
@@ -767,31 +791,10 @@ impl San {
             .filter(|&&(_, n)| n > 0)
             .map(|&(t, _)| t)
             .collect();
-        rs.routes = inner.topo.compute_routes(&failed_sw, &failed_tr, rs.epoch);
-    }
-
-    /// The ECMP next hop the current routing state picks from `sw` toward
-    /// `dst_sw`, or `None` when no surviving path exists. Reads the routing
-    /// state only under the switch-fault flag; pristine fabrics take the
-    /// topology's baseline table with zero locking.
-    fn route_next_hop(&self, sw: u32, dst_sw: u32, key: u64) -> Option<u32> {
-        let inner = &self.inner;
-        if inner.switch_faults.load(Ordering::Relaxed) {
-            return inner.routing.lock().routes.next_hop(sw, dst_sw, key);
-        }
-        inner.topo.routes().next_hop(sw, dst_sw, key)
-    }
-
-    /// Invoke the registered crash/reboot hook for a node-scoped window
-    /// edge.
-    fn fire_node_hook(&self, sim: &Sim, kind: FaultKind, open: bool) {
-        let Some(node) = kind.node_scope() else {
-            return;
-        };
-        let hook = self.inner.node_hooks.lock()[node.index()].clone();
-        if let Some(h) = hook {
-            h(sim, kind, open);
-        }
+        rs.routes = self
+            .inner
+            .topo
+            .compute_routes(&failed_sw, &failed_tr, rs.epoch);
     }
 
     /// Register `node`'s crash/reboot hook, replacing any previous one.
@@ -800,7 +803,7 @@ impl San {
     /// scheduled by [`San::install_faults`] — registration must precede
     /// the window's virtual time.
     pub fn on_node_fault(&self, node: NodeId, hook: NodeFaultHook) {
-        self.inner.node_hooks.lock()[node.index()] = Some(hook);
+        self.inner.state.lock().node_hooks[node.index()] = Some(hook);
     }
 
     /// True once a plan containing switch-scoped windows is installed.
@@ -808,21 +811,23 @@ impl San {
     /// reconvergence can move any flow's path mid-message, so only the
     /// hop-by-hop general path may carry traffic.
     pub fn switch_faults_installed(&self) -> bool {
-        self.inner.switch_faults.load(Ordering::Relaxed)
+        let st = self.inner.state.lock();
+        st.faults.as_deref().is_some_and(|fs| fs.switch_scoped)
     }
 
     /// True once a plan containing node-scoped windows (node crash / NIC
     /// reset) is installed. The fused fast path de-fuses on this
-    /// (`DefuseCause::NodeFault`), and the delivery funnel starts
-    /// checking destination liveness at arrival time.
+    /// (`DefuseCause::NodeFault`), and the conservation audit admits
+    /// node-attributed drops only under it.
     pub fn node_faults_installed(&self) -> bool {
-        self.inner.node_faults.load(Ordering::Relaxed)
+        let st = self.inner.state.lock();
+        st.faults.as_deref().is_some_and(|fs| fs.node_scoped)
     }
 
     /// Per-node split of [`SanStats::frames_fault_dropped`] attributable
     /// to node-scoped fault windows, indexed by node id.
     pub fn node_fault_dropped(&self) -> Vec<u64> {
-        self.inner.shared.lock().node_fault_dropped.clone()
+        self.inner.state.lock().node_fault_dropped.clone()
     }
 
     /// True once a non-empty fault plan has been installed.
@@ -830,13 +835,7 @@ impl San {
     /// open anywhere inside a message's time envelope, so only the general
     /// hop-by-hop path may carry traffic.
     pub fn faults_installed(&self) -> bool {
-        self.inner.links.lock().faults.is_some()
-    }
-
-    /// Ask the fault-window state a yes/no question; `false` when no plan
-    /// is installed.
-    fn fault_active(&self, q: impl FnOnce(&FaultState) -> bool) -> bool {
-        self.inner.links.lock().faults.as_deref().is_some_and(q)
+        self.inner.state.lock().faults.is_some()
     }
 
     /// True when the configured loss model never drops a frame (and hence
@@ -849,7 +848,7 @@ impl San {
     /// True when `node`'s uplink has no in-progress or queued serialization
     /// at the current virtual time.
     pub fn uplink_idle(&self, node: NodeId) -> bool {
-        self.inner.links.lock().uplinks[node.index()].busy_until <= self.inner.sim.now()
+        self.inner.state.lock().uplinks[node.index()].busy_until <= self.inner.sim.now()
     }
 
     /// True when `node`'s downlink — the wire of its host port — has no
@@ -857,8 +856,9 @@ impl San {
     pub fn downlink_idle(&self, node: NodeId) -> bool {
         let topo = &self.inner.topo;
         let sw = topo.edge_of(node.0);
-        let port = &self.inner.ports[sw as usize][topo.port_to_node(sw, node.0)];
-        port.lock().wire.busy_until <= self.inner.sim.now()
+        let st = self.inner.state.lock();
+        let port = &st.ports[sw as usize][topo.port_to_node(sw, node.0)];
+        port.wire.busy_until <= self.inner.sim.now()
     }
 
     /// Record that `src` opens a flow toward `dst`. VIA connection setup
@@ -866,8 +866,8 @@ impl San {
     /// sent, so by the time any frame can be on the wire the registry
     /// already names every possible writer of each downlink.
     pub fn register_flow(&self, src: NodeId, dst: NodeId) {
-        let mut sh = self.inner.shared.lock();
-        let w = &mut sh.writers[dst.index()];
+        let mut st = self.inner.state.lock();
+        let w = &mut st.writers[dst.index()];
         *w = match *w {
             WriterSet::Empty => WriterSet::One(src),
             WriterSet::One(s) if s == src => WriterSet::One(s),
@@ -878,7 +878,7 @@ impl San {
     /// Install a tracer recording wire tx/rx/drop points. Pass
     /// [`Tracer::disabled`] to detach.
     pub fn set_tracer(&self, tracer: Tracer) {
-        self.inner.shared.lock().tracer = tracer;
+        self.inner.state.lock().tracer = tracer;
     }
 
     /// Number of attached nodes.
@@ -893,22 +893,14 @@ impl San {
 
     /// Install the receive handler for `node` (the NIC's rx path).
     pub fn attach(&self, node: NodeId, handler: RxHandler) {
-        self.inner.shared.lock().handlers[node.index()] = Some(handler);
+        self.inner.state.lock().handlers[node.index()] = Some(handler);
     }
 
     /// Inject a frame. Panics if the payload exceeds the link MTU (upper
     /// layers own fragmentation) or if src == dst (no loopback path in the
     /// paper's testbed; VIA loopback short-circuits above the fabric).
     pub fn send(&self, src: NodeId, dst: NodeId, payload_bytes: u32, body: Box<dyn Any + Send>) {
-        self.inject(
-            src,
-            dst,
-            payload_bytes,
-            body,
-            true,
-            None,
-            self.inner.sim.now(),
-        );
+        self.send_msg(src, dst, payload_bytes, body, None);
     }
 
     /// Like [`San::send`], but tagged with the message the frame belongs
@@ -921,15 +913,15 @@ impl San {
         body: Box<dyn Any + Send>,
         msg: Option<MsgId>,
     ) {
-        self.inject(
+        let f = Frame {
             src,
             dst,
             payload_bytes,
             body,
-            true,
             msg,
-            self.inner.sim.now(),
-        );
+            lossy: true,
+        };
+        self.inject(f, self.inner.sim.now());
     }
 
     /// Like [`San::send`], but exempt from loss injection. Connection
@@ -943,15 +935,15 @@ impl San {
         payload_bytes: u32,
         body: Box<dyn Any + Send>,
     ) {
-        self.inject(
+        let f = Frame {
             src,
             dst,
             payload_bytes,
             body,
-            false,
-            None,
-            self.inner.sim.now(),
-        );
+            msg: None,
+            lossy: false,
+        };
+        self.inject(f, self.inner.sim.now());
     }
 
     /// Fused-path injection: put a frame on the wire exactly as
@@ -982,7 +974,15 @@ impl San {
             at >= self.inner.sim.now(),
             "fused wire time lies in the past"
         );
-        self.inject(src, dst, payload_bytes, body, true, msg, at)
+        let f = Frame {
+            src,
+            dst,
+            payload_bytes,
+            body,
+            msg,
+            lossy: true,
+        };
+        self.inject(f, at);
     }
 
     /// Stage 1 — injection at virtual time `at`: uplink
@@ -998,28 +998,18 @@ impl San {
     /// chain through `src`'s uplink). The hop then runs inline instead of
     /// as a scheduled event, and the elided `Fabric` event is credited to
     /// the engine's logical ledger via `note_elided`.
-    #[allow(clippy::too_many_arguments)]
-    fn inject(
-        &self,
-        src: NodeId,
-        dst: NodeId,
-        payload_bytes: u32,
-        body: Box<dyn Any + Send>,
-        lossy: bool,
-        msg: Option<MsgId>,
-        at: SimTime,
-    ) {
-        assert_ne!(src, dst, "fabric has no loopback path");
+    fn inject(&self, f: Frame, at: SimTime) {
+        assert_ne!(f.src, f.dst, "fabric has no loopback path");
         let inner = &self.inner;
         let p = &inner.params;
         assert!(
-            payload_bytes <= p.link.mtu,
+            f.payload_bytes <= p.link.mtu,
             "frame payload {} exceeds link MTU {}",
-            payload_bytes,
+            f.payload_bytes,
             p.link.mtu
         );
         let one_switch = inner.topo.is_single_switch();
-        let ser = p.link.serialization(payload_bytes);
+        let ser = p.link.serialization(f.payload_bytes);
         // One switch: the route is known here, so the switch traversal is
         // paid on the way in, and a cut-through switch starts forwarding
         // once the header is in (the egress wire still pays a full
@@ -1032,57 +1022,41 @@ impl San {
                 (true, false) => p.switch.latency + ser,
                 (false, _) => ser,
             };
-        let (outcome, at_hop, no_faults) = {
-            let mut ls = inner.links.lock();
-            let ls = &mut *ls;
-            let start = ls.uplinks[src.index()].occupy(at, SimDuration::ZERO, ser);
-            let lane = &mut ls.up_loss[src.index()];
-            let outcome = if lossy && lane.loss.roll(&mut lane.rng, p.loss) {
-                HopOutcome::LossDrop
-            } else {
-                match ls.faults.as_mut() {
-                    Some(f) => f.on_uplink(src, lossy),
-                    None => HopOutcome::PASS,
-                }
-            };
-            (outcome, start + to_hop, ls.faults.is_none())
-        };
-        let edge = inner.topo.edge_of(src.0);
-        let fold = {
-            let mut sh = inner.shared.lock();
-            sh.stats.frames_sent += 1;
-            sh.tracer
-                .record(at, TracePoint::WireTx, src.0, msg, payload_bytes as u64);
-            sh.record_outcome(at, src, msg, payload_bytes, outcome, true);
-            one_switch
-                && no_faults
-                && self.is_lossless()
-                && inner.fuse.load(Ordering::Relaxed)
-                && !sh.tracer.enabled()
-                && sh.writers[dst.index()] == WriterSet::One(src)
-        };
+        let mut st = inner.state.lock();
+        let st = &mut *st;
+        let start = st.uplinks[f.src.index()].occupy(at, SimDuration::ZERO, ser);
+        let outcome = st.link_outcome(f.src, true, f.lossy, p.loss);
+        st.stats.frames_sent += 1;
+        let bytes = f.payload_bytes as u64;
+        st.tracer
+            .record(at, TracePoint::WireTx, f.src.0, f.msg, bytes);
+        st.record_outcome(at, f.src, f.msg, f.payload_bytes, outcome, true);
         let HopOutcome::Pass { extra } = outcome else {
             return;
         };
-        let at_hop = at_hop + extra;
-        let frame = Frame {
-            src,
-            dst,
-            payload_bytes,
-            body,
-            msg,
-            lossy,
-        };
+        let at_hop = start + to_hop + extra;
+        let edge = inner.topo.edge_of(f.src.0);
+        let fold = one_switch
+            && st.faults.is_none()
+            && self.is_lossless()
+            && st.fuse
+            && !st.tracer.enabled()
+            && st.writers[f.dst.index()] == WriterSet::One(f.src);
         if fold {
             inner.sim.note_elided(EventClass::Fabric, 1);
-            self.hop(edge, frame, at_hop);
-            return;
+            self.hop(st, edge, f, at_hop);
+        } else {
+            self.schedule_hop(edge, f, at_hop);
         }
+    }
+
+    /// Schedule frame `f`'s hop at switch `sw` for `at`.
+    fn schedule_hop(&self, sw: u32, f: Frame, at: SimTime) {
         let san = self.clone();
-        inner
+        self.inner
             .sim
-            .call_at_as(EventClass::Fabric, at_hop, move |sim| {
-                san.hop(edge, frame, sim.now())
+            .call_at_as(EventClass::Fabric, at, move |sim| {
+                san.hop(&mut san.inner.state.lock(), sw, f, sim.now())
             });
     }
 
@@ -1096,50 +1070,46 @@ impl San {
     /// function of scheduling order. The frame is staged for
     /// [`San::resolve`] one nanosecond later, where the whole same-instant
     /// batch is ordered by content.
-    fn hop(&self, sw: u32, f: Frame, at: SimTime) {
-        let inner = &self.inner;
-        let topo = &inner.topo;
-        let switch_faults = inner.switch_faults.load(Ordering::Relaxed);
+    fn hop(&self, st: &mut SanState, sw: u32, f: Frame, at: SimTime) {
+        let topo = &self.inner.topo;
         // A dead switch accepts nothing: frames still converging on it
         // (sent before routing detected the failure) die here, with no
         // single output port to blame.
-        if switch_faults && self.fault_active(|fs| fs.switch_down(sw)) {
-            return self.fault_drop(at, [f.msg]);
+        if st.faults.as_deref().is_some_and(|fs| fs.switch_down(sw)) {
+            return st.fault_drop(at, [f.msg]);
         }
         let dst_sw = topo.edge_of(f.dst.0);
         let port_idx = if sw == dst_sw {
             topo.port_to_node(sw, f.dst.0)
         } else {
             let key = Topology::flow_key(f.src, f.dst, f.msg.as_ref());
-            let Some(next) = self.route_next_hop(sw, dst_sw, key) else {
+            let Some(next) = st.routing.routes.next_hop(sw, dst_sw, key) else {
                 // The surviving fabric has no path: an honest fault drop
                 // rather than a stall (the fabric may be partitioned).
-                return self.fault_drop(at, [f.msg]);
+                return st.fault_drop(at, [f.msg]);
             };
             let port_idx = topo.port_to_switch(sw, next);
             // Routing may still point over a downed trunk during the
             // detection window; the port refuses the frame and owns it in
             // its counters.
-            if switch_faults && self.fault_active(|fs| fs.trunk_down(sw, next)) {
-                inner.ports[sw as usize][port_idx]
-                    .lock()
-                    .stats
-                    .fault_dropped += 1;
-                return self.fault_drop(at, [f.msg]);
+            if st
+                .faults
+                .as_deref()
+                .is_some_and(|fs| fs.trunk_down(sw, next))
+            {
+                st.port(sw, port_idx).stats.fault_dropped += 1;
+                return st.fault_drop(at, [f.msg]);
             }
             port_idx
         };
         if topo.limits().is_unbounded() {
-            return self.transmit(sw, port_idx, f, at);
+            return self.transmit(st, sw, port_idx, f, at);
         }
-        let need_resolver = {
-            let mut port = inner.ports[sw as usize][port_idx].lock();
-            port.staged.push((at, f));
-            port.schedule_resolver(at)
-        };
-        if need_resolver {
+        let port = st.port(sw, port_idx);
+        port.staged.push((at, f));
+        if port.schedule_resolver(at) {
             let san = self.clone();
-            inner
+            self.inner
                 .sim
                 .call_at_as(EventClass::Fabric, at + RESOLVE_TICK, move |_| {
                     san.resolve(sw, port_idx)
@@ -1152,117 +1122,91 @@ impl San {
     /// frames refill freed slots FIFO, then the arrival batch in
     /// [`arrival_order`]. The outcome is a pure function of virtual time,
     /// port state and frame content — never of engine event order.
+    ///
+    /// Every admission takes its slot in [`San::transmit`] as it is
+    /// decided. Admissions can only precede a batch's pauses and drops (a
+    /// frame pauses once the buffer is full or the pause queue is not
+    /// empty, and neither changes back inside one resolver), so each
+    /// admitted frame's onward events and downlink-drop record come before
+    /// any port-drop record of the same tick.
     fn resolve(&self, sw: u32, port_idx: usize) {
         let inner = &self.inner;
         let now = inner.sim.now();
         let limits = inner.topo.limits();
-        let mut admit: Vec<Frame> = Vec::new();
-        let mut dropped: Vec<Option<MsgId>> = Vec::new();
-        let mut stormed: Vec<Option<MsgId>> = Vec::new();
-        {
-            let mut port = inner.ports[sw as usize][port_idx].lock();
-            let port = &mut *port;
-            // 1. Slot frees: departures staged strictly before this tick.
-            let freed = port.freed.iter().filter(|&&t| t < now).count() as u32;
-            port.freed.retain(|&t| t >= now);
-            debug_assert!(port.queued >= freed, "depart without an admitted frame");
-            port.queued -= freed;
-            // 2. Paused frames refill freed slots first, strict FIFO.
-            // `q` tracks slots this resolver has already committed — the
-            // admissions themselves happen in `transmit` below, after the
-            // lock drops (the shared-stats lock is never taken inside the
-            // port lock).
-            let mut q = port.queued;
-            while q < limits.capacity {
-                match port.waiting.pop_front() {
-                    Some(f) => {
-                        q += 1;
-                        port.last_dst = f.dst.0;
-                        admit.push(f);
-                    }
-                    None => break,
-                }
-            }
-            // 3. The same-instant arrival batch, in content order.
-            let mut batch: Vec<(SimTime, Frame)> = Vec::new();
-            let mut i = 0;
-            while i < port.staged.len() {
-                if port.staged[i].0 < now {
-                    batch.push(port.staged.swap_remove(i));
-                } else {
-                    i += 1;
-                }
-            }
-            batch.sort_by_key(arrival_order);
-            for (_, f) in batch {
-                // `q < capacity` implies the pause queue is empty (frees
-                // refill from the queue first, above), but the explicit
-                // check keeps FIFO order visibly non-negotiable.
-                if q < limits.capacity && port.waiting.is_empty() {
-                    q += 1;
-                    port.last_dst = f.dst.0;
-                    admit.push(f);
-                } else if (port.waiting.len() as u32) < limits.pause_depth {
-                    port.stats.pauses += 1;
-                    if port.last_dst != f.dst.0 {
-                        // Parked behind traffic bound for a different final
-                        // destination: a head-of-line blocking victim.
-                        port.stats.hol_blocked += 1;
-                    }
-                    port.waiting.push_back(f);
-                    port.stats.pause_highwater =
-                        port.stats.pause_highwater.max(port.waiting.len() as u32);
-                } else {
-                    port.stats.drops += 1;
-                    dropped.push(f.msg);
-                }
-            }
-            // 4. Pause-storm watchdog: track the consecutive time this
-            // port has held frames paused; past `max_pause`, trip — drain
-            // the pause queue into honest drops so the HOL cascade breaks
-            // instead of propagating upstream forever. Streaks are
-            // observed at resolver instants, which a non-empty pause
-            // queue guarantees recur (full buffer ⇒ frame serializing ⇒
-            // depart stages a resolver), so the bound holds within one
-            // serialization granule.
-            if port.waiting.is_empty() {
-                if let Some(since) = port.paused_since.take() {
-                    port.stats.max_pause_ns = port.stats.max_pause_ns.max((now - since).as_nanos());
-                }
+        let mut st = inner.state.lock();
+        let st = &mut *st;
+        // 1. Slot frees: departures staged strictly before this tick.
+        let port = st.port(sw, port_idx);
+        let freed = port.freed.iter().filter(|&&t| t < now).count() as u32;
+        port.freed.retain(|&t| t >= now);
+        debug_assert!(port.queued >= freed, "depart without an admitted frame");
+        port.queued -= freed;
+        // 2. Paused frames refill freed slots first, strict FIFO.
+        while st.port(sw, port_idx).queued < limits.capacity {
+            let Some(f) = st.port(sw, port_idx).waiting.pop_front() else {
+                break;
+            };
+            self.transmit(st, sw, port_idx, f, now);
+        }
+        // 3. The same-instant arrival batch, in content order.
+        let port = st.port(sw, port_idx);
+        let mut batch: Vec<(SimTime, Frame)> = Vec::new();
+        let mut i = 0;
+        while i < port.staged.len() {
+            if port.staged[i].0 < now {
+                batch.push(port.staged.swap_remove(i));
             } else {
-                let since = *port.paused_since.get_or_insert(now);
-                let streak = now - since;
-                port.stats.max_pause_ns = port.stats.max_pause_ns.max(streak.as_nanos());
-                if let Some(bound) = limits.max_pause {
-                    if streak >= bound {
-                        port.stats.storm_trips += 1;
-                        while let Some(f) = port.waiting.pop_front() {
-                            port.stats.storm_dropped += 1;
-                            stormed.push(f.msg);
-                        }
-                        port.paused_since = None;
-                    }
+                i += 1;
+            }
+        }
+        batch.sort_by_key(arrival_order);
+        for (_, f) in batch {
+            let port = st.port(sw, port_idx);
+            // `queued < capacity` implies the pause queue is empty (frees
+            // refill from the queue first, above), but the explicit check
+            // keeps FIFO order visibly non-negotiable.
+            if port.queued < limits.capacity && port.waiting.is_empty() {
+                self.transmit(st, sw, port_idx, f, now);
+            } else if (port.waiting.len() as u32) < limits.pause_depth {
+                port.stats.pauses += 1;
+                if port.last_dst != f.dst.0 {
+                    // Parked behind traffic bound for a different final
+                    // destination: a head-of-line blocking victim.
+                    port.stats.hol_blocked += 1;
                 }
+                port.waiting.push_back(f);
+                port.stats.pause_highwater =
+                    port.stats.pause_highwater.max(port.waiting.len() as u32);
+            } else {
+                port.stats.drops += 1;
+                st.port_drop(now, f.msg, 7);
             }
         }
-        // Admitted frames occupy the output wire in the canonical order
-        // fixed above.
-        for f in admit {
-            self.transmit(sw, port_idx, f, now);
-        }
-        if !dropped.is_empty() || !stormed.is_empty() {
-            let mut sh = inner.shared.lock();
-            for msg in dropped {
-                sh.stats.frames_port_dropped += 1;
-                // aux = 7: switch output-port buffer overflow.
-                sh.tracer
-                    .record(now, TracePoint::WireDrop, SWITCH_NODE, msg, 7);
+        // 4. Pause-storm watchdog: track the consecutive time this
+        // port has held frames paused; past `max_pause`, trip — drain
+        // the pause queue into honest drops so the HOL cascade breaks
+        // instead of propagating upstream forever. Streaks are
+        // observed at resolver instants, which a non-empty pause
+        // queue guarantees recur (full buffer ⇒ frame serializing ⇒
+        // depart stages a resolver), so the bound holds within one
+        // serialization granule.
+        let port = st.port(sw, port_idx);
+        if port.waiting.is_empty() {
+            if let Some(since) = port.paused_since.take() {
+                port.stats.max_pause_ns = port.stats.max_pause_ns.max((now - since).as_nanos());
             }
-            for msg in stormed {
-                sh.stats.frames_port_dropped += 1;
-                // aux = 9: pause-storm watchdog trip drained this frame.
-                sh.tracer
-                    .record(now, TracePoint::WireDrop, SWITCH_NODE, msg, 9);
+            return;
+        }
+        let since = *port.paused_since.get_or_insert(now);
+        let streak = now - since;
+        port.stats.max_pause_ns = port.stats.max_pause_ns.max(streak.as_nanos());
+        if limits.max_pause.is_some_and(|bound| streak >= bound) {
+            port.stats.storm_trips += 1;
+            port.paused_since = None;
+            let stormed = std::mem::take(&mut port.waiting);
+            port.stats.storm_dropped += stormed.len() as u64;
+            for f in stormed {
+                st.port_drop(now, f.msg, 9);
             }
         }
     }
@@ -1270,9 +1214,9 @@ impl San {
     /// Put a frame admitted at `at` on switch `sw`'s output port
     /// `port_idx`: chain the port's wire occupancy and schedule the
     /// frame's onward step — the next switch's hop for a trunk,
-    /// [`San::egress`] for a host port. A bounded port also schedules the
-    /// depart event that frees the buffer slot.
-    fn transmit(&self, sw: u32, port_idx: usize, f: Frame, at: SimTime) {
+    /// [`San::egress`] for a host port. A bounded port also takes a buffer
+    /// slot and schedules the depart event that frees it.
+    fn transmit(&self, st: &mut SanState, sw: u32, port_idx: usize, f: Frame, at: SimTime) {
         let inner = &self.inner;
         let spec = inner.topo.ports(sw)[port_idx];
         let link = spec.trunk.unwrap_or(inner.params.link);
@@ -1284,16 +1228,14 @@ impl San {
         } else {
             inner.params.switch.latency
         };
-        let depart = {
-            let mut port = inner.ports[sw as usize][port_idx].lock();
-            port.stats.admitted += 1;
-            port.last_dst = f.dst.0;
-            if bounded {
-                port.queued += 1;
-                port.stats.highwater = port.stats.highwater.max(port.queued);
-            }
-            port.wire.occupy(at, traversal, ser) + ser
-        };
+        let port = st.port(sw, port_idx);
+        port.stats.admitted += 1;
+        port.last_dst = f.dst.0;
+        if bounded {
+            port.queued += 1;
+            port.stats.highwater = port.stats.highwater.max(port.queued);
+        }
+        let depart = port.wire.occupy(at, traversal, ser) + ser;
         if bounded {
             let san = self.clone();
             inner.sim.call_at_as(EventClass::Fabric, depart, move |_| {
@@ -1301,17 +1243,10 @@ impl San {
             });
         }
         match spec.target {
-            PortTarget::Switch(next) => {
-                let san = self.clone();
-                inner
-                    .sim
-                    .call_at_as(EventClass::Fabric, depart + link.propagation, move |sim| {
-                        san.hop(next, f, sim.now())
-                    });
-            }
+            PortTarget::Switch(next) => self.schedule_hop(next, f, depart + link.propagation),
             PortTarget::Node(node) => {
                 debug_assert_eq!(node, f.dst.0, "host port target mismatch");
-                self.egress(f, depart, at);
+                self.egress(st, f, depart, at);
             }
         }
     }
@@ -1326,12 +1261,10 @@ impl San {
     fn depart(&self, sw: u32, port_idx: usize) {
         let sim = &self.inner.sim;
         let now = sim.now();
-        let need_resolver = {
-            let mut port = self.inner.ports[sw as usize][port_idx].lock();
-            port.freed.push(now);
-            port.schedule_resolver(now)
-        };
-        if need_resolver {
+        let mut st = self.inner.state.lock();
+        let port = st.port(sw, port_idx);
+        port.freed.push(now);
+        if port.schedule_resolver(now) {
             let san = self.clone();
             sim.call_at_as(EventClass::Fabric, now + RESOLVE_TICK, move |_| {
                 san.resolve(sw, port_idx)
@@ -1344,88 +1277,59 @@ impl San {
     /// (in admission order — the downlink RNG stream stays a pure function
     /// of frame order on this link), then schedule the NIC arrival one
     /// propagation after the frame `depart`s the wire.
-    fn egress(&self, f: Frame, depart: SimTime, at: SimTime) {
-        let inner = &self.inner;
-        let outcome = {
-            let mut ls = inner.links.lock();
-            let ls = &mut *ls;
-            let lane = &mut ls.down_loss[f.dst.index()];
-            if f.lossy && lane.loss.roll(&mut lane.rng, inner.params.loss) {
-                HopOutcome::LossDrop
-            } else {
-                match ls.faults.as_mut() {
-                    Some(fs) => fs.on_downlink(f.dst, f.lossy),
-                    None => HopOutcome::PASS,
-                }
-            }
-        };
-        match outcome {
+    fn egress(&self, st: &mut SanState, f: Frame, depart: SimTime, at: SimTime) {
+        let params = &self.inner.params;
+        match st.link_outcome(f.dst, false, f.lossy, params.loss) {
             HopOutcome::Pass { extra } => {
-                let arrive = depart + inner.params.link.propagation + extra;
-                self.schedule_delivery(f, arrive);
+                let arrive = depart + params.link.propagation + extra;
+                let san = self.clone();
+                self.inner
+                    .sim
+                    .call_at_as(EventClass::Fabric, arrive, move |sim| san.deliver(sim, f));
             }
-            dropped => inner.shared.lock().record_outcome(
-                at,
-                f.dst,
-                f.msg,
-                f.payload_bytes,
-                dropped,
-                false,
-            ),
+            dropped => st.record_outcome(at, f.dst, f.msg, f.payload_bytes, dropped, false),
         }
     }
 
-    /// Schedule the NIC arrival event at `arrive`.
-    fn schedule_delivery(&self, f: Frame, arrive: SimTime) {
-        let san = self.clone();
-        self.inner
-            .sim
-            .call_at_as(EventClass::Fabric, arrive, move |sim| {
-                let Frame {
-                    src,
-                    dst,
-                    payload_bytes,
-                    body,
-                    msg,
-                    ..
-                } = f;
-                // Frames already past the downlink when a node-scoped window
-                // opened still arrive during it: the dead NIC sinks them.
-                // Liveness at the arrival instant is a pure function of
-                // virtual time.
-                if san.inner.node_faults.load(Ordering::Relaxed)
-                    && san.fault_active(|fs| fs.node_dead(dst))
-                {
-                    let dead = HopOutcome::NodeDead;
-                    let mut sh = san.inner.shared.lock();
-                    return sh.record_outcome(sim.now(), dst, msg, payload_bytes, dead, false);
-                }
-                let handler = {
-                    let mut sh = san.inner.shared.lock();
-                    sh.stats.frames_delivered += 1;
-                    sh.stats.bytes_delivered += payload_bytes as u64;
-                    sh.tracer.record(
-                        sim.now(),
-                        TracePoint::WireRx,
-                        dst.0,
-                        msg,
-                        payload_bytes as u64,
-                    );
-                    sh.handlers[dst.index()].clone()
-                };
-                let handler = handler.unwrap_or_else(|| {
-                    panic!("frame delivered to node {dst} with no handler attached")
-                });
-                handler(
-                    sim,
-                    Delivery {
-                        src,
-                        dst,
-                        payload_bytes,
-                        body,
-                    },
-                );
-            });
+    /// The NIC arrival event: count and trace the frame, then hand it to
+    /// the destination's receive handler with the state cell released.
+    fn deliver(&self, sim: &Sim, f: Frame) {
+        let Frame {
+            src,
+            dst,
+            payload_bytes,
+            body,
+            msg,
+            ..
+        } = f;
+        let now = sim.now();
+        let handler = {
+            let mut st = self.inner.state.lock();
+            // Frames already past the downlink when a node-scoped window
+            // opened still arrive during it: the dead NIC sinks them.
+            // Liveness at the arrival instant is a pure function of
+            // virtual time.
+            if st.faults.as_deref().is_some_and(|fs| fs.node_dead(dst)) {
+                let dead = HopOutcome::NodeDead;
+                return st.record_outcome(now, dst, msg, payload_bytes, dead, false);
+            }
+            st.stats.frames_delivered += 1;
+            st.stats.bytes_delivered += payload_bytes as u64;
+            st.tracer
+                .record(now, TracePoint::WireRx, dst.0, msg, payload_bytes as u64);
+            st.handlers[dst.index()].clone()
+        };
+        let handler = handler
+            .unwrap_or_else(|| panic!("frame delivered to node {dst} with no handler attached"));
+        handler(
+            sim,
+            Delivery {
+                src,
+                dst,
+                payload_bytes,
+                body,
+            },
+        );
     }
 
     /// True when this SAN's topology has exactly one switch (however it
@@ -1445,13 +1349,14 @@ impl San {
     /// order.
     pub fn port_stats(&self) -> Vec<PortSnapshot> {
         let inner = &self.inner;
+        let st = inner.state.lock();
         let mut out = Vec::new();
-        for (s, ports) in inner.ports.iter().enumerate() {
+        for (s, ports) in st.ports.iter().enumerate() {
             for (spec, port) in inner.topo.ports(s as u32).iter().zip(ports) {
                 out.push(PortSnapshot {
                     switch: s as u32,
                     target: spec.target,
-                    stats: port.lock().stats,
+                    stats: port.stats,
                 });
             }
         }
@@ -1471,7 +1376,7 @@ impl San {
 
     /// Snapshot of traffic counters.
     pub fn stats(&self) -> SanStats {
-        self.inner.shared.lock().stats
+        self.inner.state.lock().stats
     }
 
     /// Check the fabric's conservation laws
@@ -2400,5 +2305,157 @@ mod tests {
         );
         sim.run_to_completion();
         assert_eq!(got.lock().as_deref(), Some("hello world"));
+    }
+
+    /// Attach to each of `nodes` a handler that answers every frame
+    /// carrying a positive hop budget with one carrying one less, sent back
+    /// to its source from inside the delivery; returns the delivery count.
+    fn attach_echo(san: &San, nodes: u32) -> Arc<Mutex<u64>> {
+        let got = Arc::new(Mutex::new(0u64));
+        for n in 0..nodes {
+            let (weak, got) = (san.downgrade(), Arc::clone(&got));
+            san.attach(
+                NodeId(n),
+                Arc::new(move |_, d| {
+                    *got.lock() += 1;
+                    let san = weak.upgrade().expect("the SAN delivering this frame");
+                    let delivered = san.stats().frames_delivered;
+                    assert_eq!(delivered, *got.lock(), "counted before the handler runs");
+                    let left = *d.body.downcast::<u32>().expect("hop budget");
+                    if left > 0 {
+                        san.send(d.dst, d.src, d.payload_bytes, Box::new(left - 1));
+                    }
+                }),
+            );
+        }
+        got
+    }
+
+    #[test]
+    fn receive_handlers_may_reenter_the_san() {
+        // A star with the switch-egress fold live: each direction has one
+        // registered writer, so every injection runs its hop inline.
+        let sim = Sim::new();
+        let san = San::new(sim.clone(), NetParams::myrinet(), 2, 7);
+        san.register_flow(NodeId(0), NodeId(1));
+        san.register_flow(NodeId(1), NodeId(0));
+        let got = attach_echo(&san, 2);
+        san.send(NodeId(0), NodeId(1), 256, Box::new(9u32));
+        sim.run_to_completion();
+        assert_eq!(sim.sched_stats().events_elided, 10, "every hop folded");
+        assert_eq!(*got.lock(), 10);
+        assert_eq!(san.stats().frames_delivered, 10);
+        assert_eq!(san.audit(), Vec::<String>::new());
+
+        // A bounded fat-tree: the replies cross edge, spine and edge ports
+        // and their resolvers.
+        let topo = Topology::fat_tree(
+            2,
+            2,
+            2,
+            test_trunk(440_000_000),
+            crate::topo::PortLimits::default(),
+        );
+        let sim = Sim::new();
+        let san = San::new_topo(sim.clone(), NetParams::clan(), topo, 7);
+        let got = attach_echo(&san, 4);
+        for n in 0..4 {
+            san.send(NodeId(n), NodeId((n + 2) % 4), 1024, Box::new(5u32));
+        }
+        sim.run_to_completion();
+        let stats = san.stats();
+        assert_eq!(stats.frames_sent, 24, "{stats:?}");
+        assert_eq!(stats.frames_delivered, 24, "{stats:?}");
+        assert_eq!(*got.lock(), 24);
+        assert!(san.port_stats().iter().any(|p| p.stats.admitted > 0));
+        assert_eq!(san.audit(), Vec::<String>::new());
+    }
+
+    #[test]
+    fn node_fault_hooks_may_read_the_san() {
+        let us = SimDuration::from_micros;
+        let sim = Sim::new();
+        let san = San::new(sim.clone(), NetParams::myrinet(), 2, 7);
+        let log = collect_arrivals(&san, NodeId(1));
+        san.install_faults(&FaultPlan::new().node_down(NodeId(1), SimTime::ZERO + us(10), us(20)));
+        type Seen = Arc<Mutex<Vec<(bool, u64, u64)>>>;
+        let seen: Seen = Arc::new(Mutex::new(Vec::new()));
+        let (weak, seen2) = (san.downgrade(), Arc::clone(&seen));
+        san.on_node_fault(
+            NodeId(1),
+            Arc::new(move |_, _, open| {
+                let san = weak.upgrade().expect("the SAN firing this hook");
+                let total = san.stats().frames_fault_dropped;
+                seen2
+                    .lock()
+                    .push((open, total, san.node_fault_dropped()[1]));
+            }),
+        );
+        // One frame every 2 µs across the window: those meeting the dead
+        // node die there.
+        for k in 0..20 {
+            let san2 = san.clone();
+            sim.call_in_as(EventClass::Fabric, us(2 * k), move |_| {
+                san2.send(NodeId(0), NodeId(1), 64, Box::new(()));
+            });
+        }
+        sim.run_to_completion();
+        let stats = san.stats();
+        let dead = san.node_fault_dropped()[1];
+        assert!(dead > 0, "{stats:?}");
+        // The window opens before any frame meets it and closes after the
+        // last one that did.
+        assert_eq!(*seen.lock(), [(true, 0, 0), (false, dead, dead)]);
+        assert_eq!(stats.frames_fault_dropped, dead);
+        assert_eq!(stats.frames_delivered, log.lock().len() as u64);
+        assert_eq!(san.audit(), Vec::<String>::new());
+    }
+
+    #[test]
+    fn installed_fault_queries_name_each_plan_scope() {
+        let at = SimTime::ZERO + SimDuration::from_micros(5);
+        let d = SimDuration::from_micros(10);
+        let switch = || FaultPlan::new().switch_down(2, at, d);
+        let node = || FaultPlan::new().nic_reset(NodeId(1), at, d);
+        // (plan kind, plans installed one call each, expected
+        // (faults_installed, switch_faults_installed, node_faults_installed))
+        let cases = [
+            ("empty", vec![FaultPlan::new()], (false, false, false)),
+            (
+                "link-only",
+                vec![FaultPlan::new().link_flap(NodeId(0), at, d)],
+                (true, false, false),
+            ),
+            ("switch-scoped", vec![switch()], (true, true, false)),
+            ("node-scoped", vec![node()], (true, false, true)),
+            ("two plans", vec![switch(), node()], (true, true, true)),
+        ];
+        let queries = |san: &San| {
+            let installed = san.faults_installed();
+            (
+                installed,
+                san.switch_faults_installed(),
+                san.node_faults_installed(),
+            )
+        };
+        for (kind, plans, want) in cases {
+            let topo = Topology::fat_tree(
+                2,
+                2,
+                2,
+                test_trunk(440_000_000),
+                crate::topo::PortLimits::default(),
+            );
+            let sim = Sim::new();
+            let san = San::new_topo(sim.clone(), NetParams::clan(), topo, 1);
+            for plan in &plans {
+                san.install_faults(plan);
+            }
+            assert_eq!(queries(&san), want, "{kind}: once installed");
+            sim.run_to_completion();
+            let windows = !plans.iter().all(FaultPlan::is_empty);
+            assert_eq!(sim.now() >= at + d, windows, "{kind}: every window closed");
+            assert_eq!(queries(&san), want, "{kind}: after every window closed");
+        }
     }
 }

@@ -104,6 +104,11 @@ row One-claim 0 all 'fn (reuse_sensitivity|latency_slope_per_vi|full_table1_repr
 row One-mechanism 1 all 'fn splitmix64\b' crates
 row One-mechanism 0 all 'dist:|fn hops\b|fn route_path\b' crates/fabric/src/topo.rs
 row One-mechanism 0 all 'fn (classify|registered)\b|make_lane|struct Lane\b' crates/mpl/src crates/dsm/src crates/core/src
+# One-cell: everything a SAN changes while it runs is one
+# `Confined<SanState>` that each fabric event borrows once; no per-port or
+# per-concern cells, and no atomic flags beside it.
+row One-cell 1 src 'Confined<' crates/fabric/src/san.rs
+row One-cell 0 src 'Atomic|Ordering::' crates/fabric/src/san.rs
 # Deleted-features: simulator features and option structs that no
 # experiment, benchmark or example reached.
 row Deleted-features 0 all '\bRerouteParams\b|fn fragments_for\b' crates examples src tests
