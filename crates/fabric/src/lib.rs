@@ -1,14 +1,26 @@
 //! # fabric — simulated System Area Network
 //!
-//! The interconnect substrate of the VIBe reproduction: a single-switch
-//! star network (the shape of the paper's testbed, which used dedicated
-//! Myrinet, Gigabit Ethernet, and cLAN switches) with
+//! The interconnect substrate of the VIBe reproduction. [`San::new`] builds
+//! a single-switch star (the shape of the paper's testbed, which used
+//! dedicated Myrinet, Gigabit Ethernet, and cLAN switches);
+//! [`San::new_topo`] takes any [`Topology`] — the star, a dumbbell or a
+//! 2-level fat-tree of switches joined by trunks ([`topo`]), routed
+//! shortest-path with deterministic ECMP. Either way the fabric models
 //!
 //! * per-direction FIFO link occupancy (serialization + propagation), so
 //!   bandwidth contention and pipelining emerge naturally,
-//! * a fixed-latency switch stage with per-output-port queueing,
+//! * a fixed-latency switch stage with per-output-port queueing, bounded
+//!   ports with pause/drop on multi-switch shapes ([`PortLimits`]),
 //! * per-frame overhead bytes and a link MTU (upper layers fragment),
-//! * seeded Bernoulli loss injection for the reliability benchmarks.
+//! * seeded loss on every link traversal, memoryless (Bernoulli) or
+//!   bursty (Gilbert–Elliott), chosen by [`LossModel`],
+//! * scripted fault windows ([`fault`], installed by
+//!   [`San::install_faults`]): link-scoped (down, degrade), network-wide
+//!   (corruption, switch brownout), switch- and trunk-scoped (a dead switch
+//!   or severed trunk, with route reconvergence), and node- and NIC-scoped
+//!   (a node crash, a NIC reset),
+//! * conservation laws over a finished run's counters ([`audit`], checked
+//!   by [`San::audit`]).
 //!
 //! Era presets for the paper's three interconnects live on
 //! [`NetParams`].

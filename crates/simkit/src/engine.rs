@@ -32,10 +32,8 @@
 //!   with events pending drops each exactly once, in slot order.
 //! * **Sized by the closure.** A two-word capture moves two words. Captures
 //!   up to [`LARGE_WORDS`]`×8` bytes and no more aligned than a `usize`
-//!   live inline — tallied as *small* up to [`SMALL_WORDS`]`×8` bytes and
-//!   *large* above, which is accounting only: both use the same slot — and
-//!   only outsized or over-aligned ones fall back to a heap `Box`, whose
-//!   pointer is then the inline payload. Process wakeups ([`Sim::wake`],
+//!   live inline, and only outsized or over-aligned ones fall back to a
+//!   heap `Box`, whose pointer is then the inline payload. Process wakeups ([`Sim::wake`],
 //!   [`Sim::wake_in`], sleeps, timeouts) store the bare [`WaitToken`] the
 //!   same way — except a sleep whose own wake would pop next, which fires
 //!   in place and stores nothing ([`ProcessCtx::sleep`]). Since slots come
@@ -67,20 +65,28 @@
 //! # Threads
 //!
 //! A `Sim` belongs to the thread that built it: [`Sim::new`] records that
-//! thread's token, and the scheduler state, the process table, the CPU
-//! records and the event hook are [`Confined`] cells that check it. Every
-//! `.lock()` below — from the loop, an event or a process body — is then a
-//! compare and a re-entrancy flag, with no atomic read-modify-write, and
+//! thread's token, and everything the engine changes while it runs — the
+//! scheduler, the process table, the CPU busy times, the event hook and
+//! the shutdown flag — is one [`Confined`] cell (`EngineState`) that checks
+//! it. Every `.lock()` below — from the loop, an event or a process body —
+//! is then a compare and a re-entrancy flag, with no atomic operation, and
 //! the same `.lock()` from any other thread panics. [`crate::confined`] has
-//! the argument.
+//! the argument. Each event borrows the cell once to pop, move the clock
+//! and fetch the event hook, and releases it before the hook or the action
+//! runs, so either may call any `Sim` method.
+//!
+//! The clock mirror beside the cell is the engine's one atomic: every layer
+//! reads [`Sim::now`] many times per event, and a relaxed load there costs
+//! less than a thread check. Only the owning thread ever stores to it.
 //!
 //! The erased payloads are this module's only `unsafe`: everything that
 //! reads or writes one is below, between `erase` and [`Sim::run`].
 
+use std::cell::Cell;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::mem::{align_of, size_of, ManuallyDrop, MaybeUninit};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering as AtomicOrdering};
+use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::{Arc, Weak};
 
 use crate::confined::{token, Confined};
@@ -91,22 +97,28 @@ use crate::time::{SimDuration, SimTime};
 /// A scheduled callback: runs inside [`Sim::run`] with a `&Sim` handle.
 pub type Event = Box<dyn FnOnce(&Sim) + Send + 'static>;
 
+/// What the [`Sim::run`] calls on one thread executed, cumulatively.
+#[derive(Clone, Copy)]
+struct RunTotals {
+    events: u64,
+    pool: PoolStats,
+    fuse: FuseTally,
+}
+
 thread_local! {
-    /// Events executed by any [`Sim::run`] on this thread, cumulatively.
-    /// The parallel suite runner reads this around each job to report
-    /// events-per-second per job without threading `RunReport`s through
-    /// every measurement function.
-    static THREAD_EVENTS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
-    /// Arena churn accumulated by [`Sim::run`] calls on this thread,
-    /// cumulatively — the pool-stat companion to `THREAD_EVENTS`.
-    static THREAD_POOL: std::cell::Cell<PoolStats> = const { std::cell::Cell::new(PoolStats::zero()) };
-    /// Fused-fast-path ledger accumulated by [`Sim::run`] calls on this
-    /// thread, cumulatively — the fuse companion to `THREAD_EVENTS`.
-    static THREAD_FUSE: std::cell::Cell<FuseTally> = const {
-        std::cell::Cell::new(FuseTally {
-            attempts: 0,
-            hits: 0,
-            by_cause: [0; 11],
+    /// This thread's run totals. The parallel suite runner reads them
+    /// around each job to report its events per second, arena churn and
+    /// fuse ledger without threading `RunReport`s through every
+    /// measurement function.
+    static THREAD_TOTALS: Cell<RunTotals> = const {
+        Cell::new(RunTotals {
+            events: 0,
+            pool: PoolStats::zero(),
+            fuse: FuseTally {
+                attempts: 0,
+                hits: 0,
+                by_cause: [0; 11],
+            },
         })
     };
 }
@@ -115,21 +127,21 @@ thread_local! {
 /// thread since it started. Monotonic; take a delta around a workload to
 /// attribute events to it.
 pub fn thread_events() -> u64 {
-    THREAD_EVENTS.with(|c| c.get())
+    THREAD_TOTALS.get().events
 }
 
 /// Cumulative [`PoolStats`] across every `Sim::run` call on the calling
 /// thread. Monotonic; take a [`PoolStats::delta_since`] around a workload
 /// to attribute arena churn to it.
 pub fn thread_pool_stats() -> PoolStats {
-    THREAD_POOL.with(|c| c.get())
+    THREAD_TOTALS.get().pool
 }
 
 /// Cumulative [`FuseTally`] across every `Sim::run` call on the calling
 /// thread. Monotonic; take a [`FuseTally::delta_since`] around a workload
 /// to attribute fuse hits and de-fuse causes to it.
 pub fn thread_fuse_stats() -> FuseTally {
-    THREAD_FUSE.with(|c| c.get())
+    THREAD_TOTALS.get().fuse
 }
 
 /// Which component of the simulated system an event belongs to.
@@ -191,10 +203,6 @@ impl EventClass {
     }
 }
 
-/// Capture size (in `usize` words) up to which a closure is tallied in the
-/// small inline class: fits a captured `Arc` plus a word of state — the
-/// shape of most fabric hop and doorbell events.
-pub const SMALL_WORDS: usize = 2;
 /// Payload capacity (in `usize` words) of a slab slot, and so the largest
 /// capture stored inline. Sized from measurement, and since re-measured:
 /// with a six-`Arc` provider handle in every datapath closure the biggest
@@ -270,8 +278,7 @@ const _: () = assert!(
 /// How a stored action is tallied in [`PoolStats`].
 #[derive(Clone, Copy)]
 enum Stored {
-    Small,
-    Large,
+    Inline,
     Boxed,
     Wake,
 }
@@ -279,15 +286,6 @@ enum Stored {
 /// True when an `F` can live in a slot payload as it is.
 const fn fits_inline<F>() -> bool {
     size_of::<F>() <= size_of::<Payload>() && align_of::<F>() <= align_of::<usize>()
-}
-
-/// The tally class of an inline `F`.
-const fn inline_class<F>() -> Stored {
-    if size_of::<F>() <= SMALL_WORDS * size_of::<usize>() {
-        Stored::Small
-    } else {
-        Stored::Large
-    }
 }
 
 /// Erase `f` — as it is when it fits a slot payload, behind a `Box`
@@ -303,7 +301,7 @@ fn erase<F: FnOnce(&Sim) + Send + 'static, R>(
         let f = ManuallyDrop::new(f);
         sink(
             &VtableOf::<F>::VTABLE,
-            inline_class::<F>(),
+            Stored::Inline,
             (&raw const *f).cast(),
         )
     } else {
@@ -571,10 +569,8 @@ impl FuseTally {
 /// were stored and how slab slots were obtained.
 #[derive(Default, Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PoolStats {
-    /// Closures stored inline whose capture is at most [`SMALL_WORDS`] words.
-    pub inline_small: u64,
-    /// Closures stored inline with a larger capture (up to [`LARGE_WORDS`]).
-    pub inline_large: u64,
+    /// Closures stored inline (captures up to [`LARGE_WORDS`] words).
+    pub inline: u64,
     /// Closures too big (or too aligned) for a slot payload, heap-boxed.
     pub boxed: u64,
     /// Wake tokens queued (never allocate). A sleep whose wake fires in
@@ -590,8 +586,7 @@ impl PoolStats {
     /// The all-zero value (`Default` usable in `const` position).
     pub const fn zero() -> PoolStats {
         PoolStats {
-            inline_small: 0,
-            inline_large: 0,
+            inline: 0,
             boxed: 0,
             wakes: 0,
             slot_reused: 0,
@@ -601,8 +596,7 @@ impl PoolStats {
 
     /// Field-wise accumulate another tally into this one.
     pub fn merge(&mut self, d: &PoolStats) {
-        self.inline_small += d.inline_small;
-        self.inline_large += d.inline_large;
+        self.inline += d.inline;
         self.boxed += d.boxed;
         self.wakes += d.wakes;
         self.slot_reused += d.slot_reused;
@@ -613,8 +607,7 @@ impl PoolStats {
     /// monotonic tally (e.g. [`thread_pool_stats`] taken around a job).
     pub fn delta_since(&self, earlier: &PoolStats) -> PoolStats {
         PoolStats {
-            inline_small: self.inline_small - earlier.inline_small,
-            inline_large: self.inline_large - earlier.inline_large,
+            inline: self.inline - earlier.inline,
             boxed: self.boxed - earlier.boxed,
             wakes: self.wakes - earlier.wakes,
             slot_reused: self.slot_reused - earlier.slot_reused,
@@ -624,7 +617,7 @@ impl PoolStats {
 
     /// Events whose action was stored without any heap allocation.
     pub fn pooled(&self) -> u64 {
-        self.inline_small + self.inline_large + self.wakes
+        self.inline + self.wakes
     }
 
     /// Fraction of scheduled events that avoided a per-event allocation,
@@ -715,7 +708,10 @@ impl SchedStats {
     }
 }
 
-struct SchedState {
+/// Everything a [`Sim`] changes while it runs, kept in its one confined
+/// cell: the scheduler (heap, slab, counters), the process table, the CPU
+/// busy times, the event hook and the shutdown flag.
+struct EngineState {
     queue: BinaryHeap<Scheduled>,
     seq: u64,
     slots: Vec<Slot>,
@@ -725,9 +721,17 @@ struct SchedState {
     /// Process wakes fired without being queued ([`Sim::wake_in_place`]).
     woken_in_place: u64,
     stats: SchedStats,
+    /// Grows only: a record stays at its index, alive, as long as the `Sim`.
+    procs: Vec<Arc<ProcessRecord>>,
+    /// Busy time of each registered CPU, by [`CpuId`].
+    cpus: Vec<SimDuration>,
+    /// Observer of each fired event, installed by [`Sim::set_event_hook`].
+    hook: Option<EventHook>,
+    /// Set by [`Sim::shutdown`]: every later wait unwinds its process.
+    shutdown: bool,
 }
 
-impl SchedState {
+impl EngineState {
     /// Events counted in `fired` that never went through the queue: wakes
     /// fired in place and hops the fused fast path elided.
     fn unqueued(&self) -> u64 {
@@ -795,48 +799,35 @@ impl SchedState {
     }
 }
 
-impl Default for SchedState {
-    fn default() -> Self {
-        SchedState {
-            queue: BinaryHeap::new(),
-            seq: 0,
-            slots: Vec::new(),
-            free_head: NO_SLOT,
-            dead_in_queue: 0,
-            woken_in_place: 0,
-            stats: SchedStats::default(),
-        }
-    }
-}
-
 pub(crate) struct SimInner {
-    /// Token of the thread that built the simulation: the owner of the
-    /// confined cells below and of every cell made by [`Sim::confined`].
+    /// Token of the thread that built the simulation: the owner of `state`
+    /// and of every cell made by [`Sim::confined`].
     owner: usize,
-    sched: Confined<SchedState>,
-    /// Mirror of the current virtual time for lock-free reads.
+    /// Mirror of the current virtual time for lock-free reads, stored by
+    /// the owning thread under `state`'s borrow whenever an event fires.
+    /// `Relaxed` both ways: it publishes no other data (the rest of the
+    /// world is in confined cells, which only the owning thread reaches).
     now_ns: AtomicU64,
-    /// Grows only: a record stays at its index, alive, as long as the `Sim`.
-    pub(crate) procs: Confined<Vec<Arc<ProcessRecord>>>,
-    /// Busy time of each registered CPU, by [`CpuId`].
-    pub(crate) cpus: Confined<Vec<SimDuration>>,
-    pub(crate) shutdown: AtomicBool,
-    /// Fast-path guard for `hook`: the run loop checks this relaxed flag
-    /// before touching the cell, so an unhooked simulation pays one
-    /// predictable-branch load per event and nothing else.
-    hook_set: AtomicBool,
-    /// Observer invoked after each fired event (with no scheduler guard
-    /// alive), installed by [`Sim::set_event_hook`].
-    hook: Confined<Option<EventHook>>,
+    state: Confined<EngineState>,
 }
 
 /// Observer called once per fired event with its timestamp and class.
 ///
 /// Hooks run inside [`Sim::run`] *after* the event's bookkeeping but
-/// *before* its action executes, and never under the scheduler guard — a
-/// hook may inspect the [`Sim`] but must not block. Tracing layers use
+/// *before* its action executes, and never under the engine's borrow — a
+/// hook may call any [`Sim`] method, installing or clearing the hook
+/// included, but must not block. Tracing layers use
 /// this to tally engine activity without the engine depending on them.
 pub type EventHook = Arc<dyn Fn(SimTime, EventClass) + Send + Sync>;
+
+/// An event `Sim::pop_live` fired: its time and class, its action's
+/// vtable, and the event hook it owes a call.
+type Fired = (
+    SimTime,
+    EventClass,
+    &'static ActionVtable,
+    Option<EventHook>,
+);
 
 /// Handle to a simulation. Cheap to clone; all clones share one virtual
 /// world. It belongs to the thread that built it: that thread's
@@ -845,7 +836,7 @@ pub type EventHook = Arc<dyn Fn(SimTime, EventClass) + Send + Sync>;
 /// [`crate::confined`]).
 #[derive(Clone)]
 pub struct Sim {
-    pub(crate) inner: Arc<SimInner>,
+    inner: Arc<SimInner>,
 }
 
 /// Cancellable reference to one scheduled timer.
@@ -885,7 +876,7 @@ impl TimerHandle {
         };
         let mut taken = Payload::uninit();
         let vtable = {
-            let mut s = inner.sched.lock();
+            let mut s = inner.state.lock();
             let Some(slot) = s.slots.get(self.slot as usize) else {
                 return false;
             };
@@ -910,7 +901,7 @@ impl TimerHandle {
         let Some(inner) = self.inner.upgrade() else {
             return false;
         };
-        let s = inner.sched.lock();
+        let s = inner.state.lock();
         match s.slots.get(self.slot as usize) {
             Some(slot) => slot.gen == self.gen && slot.vtable.is_some(),
             None => false,
@@ -965,16 +956,24 @@ impl Sim {
     /// Create an empty simulation at time zero.
     pub fn new() -> Self {
         let owner = token();
+        let state = EngineState {
+            queue: BinaryHeap::new(),
+            seq: 0,
+            slots: Vec::new(),
+            free_head: NO_SLOT,
+            dead_in_queue: 0,
+            woken_in_place: 0,
+            stats: SchedStats::default(),
+            procs: Vec::new(),
+            cpus: Vec::new(),
+            hook: None,
+            shutdown: false,
+        };
         Sim {
             inner: Arc::new(SimInner {
                 owner,
-                sched: Confined::new(owner, SchedState::default()),
                 now_ns: AtomicU64::new(0),
-                procs: Confined::new(owner, Vec::new()),
-                cpus: Confined::new(owner, Vec::new()),
-                shutdown: AtomicBool::new(false),
-                hook_set: AtomicBool::new(false),
-                hook: Confined::new(owner, None),
+                state: Confined::new(owner, state),
             }),
         }
     }
@@ -987,19 +986,19 @@ impl Sim {
         Confined::new(self.inner.owner, value)
     }
 
-    /// Install (or clear, with `None`) the per-event observer. See
-    /// [`EventHook`] for the contract. The disabled path costs one relaxed
-    /// atomic load per event.
+    /// Install (or clear, with `None`) the per-event observer; the next
+    /// event to fire is the first it sees (or does not). See [`EventHook`]
+    /// for the contract. The disabled path costs one `None` check per
+    /// event, under the borrow the event takes anyway.
     pub fn set_event_hook(&self, hook: Option<EventHook>) {
-        let set = hook.is_some();
-        *self.inner.hook.lock() = hook;
-        self.inner.hook_set.store(set, AtomicOrdering::Release);
+        // The old hook is dropped once the cell is released.
+        let _old = std::mem::replace(&mut self.inner.state.lock().hook, hook);
     }
 
     /// Current virtual time.
     #[inline]
     pub fn now(&self) -> SimTime {
-        SimTime::from_nanos(self.inner.now_ns.load(AtomicOrdering::Acquire))
+        SimTime::from_nanos(self.inner.now_ns.load(AtomicOrdering::Relaxed))
     }
 
     /// Insert an action into the arena + heap; returns `(slot, gen)` for
@@ -1021,12 +1020,11 @@ impl Sim {
             "scheduling into the past: {at:?} < {:?}",
             self.now()
         );
-        let mut s = self.inner.sched.lock();
+        let mut s = self.inner.state.lock();
         let seq = s.seq;
         s.seq += 1;
         match stored {
-            Stored::Small => s.stats.pool.inline_small += 1,
-            Stored::Large => s.stats.pool.inline_large += 1,
+            Stored::Inline => s.stats.pool.inline += 1,
             Stored::Boxed => s.stats.pool.boxed += 1,
             Stored::Wake => s.stats.pool.wakes += 1,
         }
@@ -1148,10 +1146,10 @@ impl Sim {
         T: Send + 'static,
         F: FnOnce(&mut ProcessCtx) -> T + Send + 'static,
     {
-        let slot = Arc::new(self.confined(None));
+        let (name, slot) = (name.into(), Arc::new(self.confined(None)));
         let record = {
-            let mut procs = self.inner.procs.lock();
-            let pid = ProcessId::new(procs.len() as u32);
+            let mut s = self.inner.state.lock();
+            let pid = ProcessId::new(s.procs.len() as u32);
             let (sim, result) = (self.clone(), Arc::clone(&slot));
             // The body looks its own record up when it first runs, so the
             // record does not have to exist before the closure it owns.
@@ -1161,14 +1159,8 @@ impl Sim {
                 let value = body(&mut ctx);
                 *result.lock() = Some(value);
             };
-            let record = Arc::new(ProcessRecord::new(
-                pid,
-                name.into(),
-                cpu,
-                Box::new(on_stack),
-                self.confined(None),
-            ));
-            procs.push(Arc::clone(&record));
+            let record = Arc::new(ProcessRecord::new(self, pid, name, cpu, Box::new(on_stack)));
+            s.procs.push(Arc::clone(&record));
             record
         };
         // First wake: token sequence 0, the state ProcessRecord::new starts in.
@@ -1176,15 +1168,17 @@ impl Sim {
         ProcessHandle::new(record, slot)
     }
 
-    /// Pop the next live event, reaping stale (cancelled) entries.
+    /// Pop the next live event, reaping stale (cancelled) entries, and
+    /// move the clock to it.
     ///
     /// An action stays in its slot until its entry reaches the head of the
     /// heap, so an event cancelling a later same-timestamp timer still
     /// wins. The action's bytes are copied into `out` (the slot is free
-    /// again before its action runs) and its vtable returned: the caller
-    /// owes `out` exactly one `call`.
-    fn pop_live(&self, out: &mut Payload) -> Option<(SimTime, EventClass, &'static ActionVtable)> {
-        let mut s = self.inner.sched.lock();
+    /// again before its action runs) and its vtable returned, with the
+    /// event hook to show it to: the caller owes the hook one call and
+    /// `out` exactly one `call`, both once this borrow is released.
+    fn pop_live(&self, out: &mut Payload) -> Option<Fired> {
+        let mut s = self.inner.state.lock();
         loop {
             let entry = s.queue.pop()?;
             let stale = match s.slots.get(entry.slot as usize) {
@@ -1200,7 +1194,8 @@ impl Sim {
             let vtable = s.free_slot(entry.slot, out);
             s.stats.fired += 1;
             s.stats.by_class[entry.class.index()].fired += 1;
-            return Some((entry.at(), entry.class, vtable));
+            let hook = self.advance_to(&s, entry.at());
+            return Some((entry.at(), entry.class, vtable, hook));
         }
     }
 
@@ -1217,89 +1212,71 @@ impl Sim {
     /// having changed nothing, when the wake must be queued after all or
     /// the simulation is shutting down (the caller's wait unwinds it).
     pub(crate) fn wake_in_place(&self, d: SimDuration) -> bool {
-        if self.inner.shutdown.load(AtomicOrdering::SeqCst) {
-            return false;
-        }
         let at = self.now() + d;
-        {
-            let mut s = self.inner.sched.lock();
-            if s.queue.peek().is_some_and(|head| head.at() <= at) {
+        let hook = {
+            let mut s = self.inner.state.lock();
+            if s.shutdown || s.queue.peek().is_some_and(|head| head.at() <= at) {
                 return false;
             }
             s.seq += 1;
             s.woken_in_place += 1;
             s.stats.fired += 1;
             s.stats.by_class[EventClass::User.index()].fired += 1;
+            self.advance_to(&s, at)
+        };
+        if let Some(hook) = hook {
+            hook(at, EventClass::User);
         }
-        self.advance_to(at, EventClass::User);
         true
     }
 
-    /// Move the clock to `at`, where an event of `class` fires, and show it
-    /// to the event hook, if one is installed.
-    fn advance_to(&self, at: SimTime, class: EventClass) {
-        debug_assert!(at.as_nanos() >= self.inner.now_ns.load(AtomicOrdering::Relaxed));
+    /// Move the clock to `at`, where an event fires, under the borrow `s`
+    /// came from; returns the event hook, if one is installed, for the
+    /// caller to call once that borrow is released.
+    fn advance_to(&self, s: &EngineState, at: SimTime) -> Option<EventHook> {
+        debug_assert!(at >= self.now());
         self.inner
             .now_ns
-            .store(at.as_nanos(), AtomicOrdering::Release);
-        if self.inner.hook_set.load(AtomicOrdering::Relaxed) {
-            let hook = self.inner.hook.lock().clone();
-            if let Some(hook) = hook {
-                hook(at, class);
-            }
-        }
+            .store(at.as_nanos(), AtomicOrdering::Relaxed);
+        s.hook.clone()
     }
 
     /// Drive the simulation until the event queue drains, then report.
     pub fn run(&self) -> RunReport {
         let (pool_at_entry, unqueued_at_entry, fuse_at_entry) = {
-            let s = self.inner.sched.lock();
+            let s = self.inner.state.lock();
             (s.stats.pool, s.unqueued(), s.stats.fuse)
         };
-        let mut events = 0u64;
+        let mut popped = 0u64;
         let mut taken = Payload::uninit();
-        while let Some((at, class, vtable)) = self.pop_live(&mut taken) {
-            self.advance_to(at, class);
-            events += 1;
+        while let Some((at, class, vtable, hook)) = self.pop_live(&mut taken) {
+            if let Some(hook) = hook {
+                hook(at, class);
+            }
+            popped += 1;
             // Safety: `pop_live` just moved a value of `vtable`'s type into
             // `taken`; this call consumes it, once.
             unsafe { (vtable.call)(taken.as_mut_ptr().cast(), self) }
         }
+        let s = self.inner.state.lock();
         // Report *logical* events: physical pops plus wakes fired in place
         // and hops the fused fast path elided during this run.
-        let (pool_delta, unqueued_delta, fuse_delta) = {
-            let s = self.inner.sched.lock();
-            (
-                s.stats.pool.delta_since(&pool_at_entry),
-                s.unqueued() - unqueued_at_entry,
-                s.stats.fuse.delta_since(&fuse_at_entry),
-            )
-        };
-        events += unqueued_delta;
-        THREAD_EVENTS.with(|c| c.set(c.get() + events));
-        THREAD_POOL.with(|c| {
-            let mut p = c.get();
-            p.merge(&pool_delta);
-            c.set(p);
-        });
-        THREAD_FUSE.with(|c| {
-            let mut f = c.get();
-            f.merge(&fuse_delta);
-            c.set(f);
-        });
-        let blocked = self
-            .inner
-            .procs
-            .lock()
-            .iter()
-            .filter(|p| p.is_blocked())
-            .map(|p| p.name.clone())
-            .collect();
+        let events = popped + s.unqueued() - unqueued_at_entry;
+        let mut totals = THREAD_TOTALS.get();
+        totals.events += events;
+        totals.pool.merge(&s.stats.pool.delta_since(&pool_at_entry));
+        totals.fuse.merge(&s.stats.fuse.delta_since(&fuse_at_entry));
+        THREAD_TOTALS.set(totals);
         RunReport {
             end_time: self.now(),
             events,
-            blocked,
-            sched: self.sched_stats(),
+            blocked: s
+                .procs
+                .iter()
+                .filter(|p| p.is_blocked())
+                .map(|p| p.name.clone())
+                .collect(),
+            sched: s.stats.clone(),
         }
     }
 
@@ -1319,11 +1296,11 @@ impl Sim {
     /// The record of process `pid`, taken without holding `procs` past
     /// the call: whoever resumes the process may find it spawning.
     fn record(&self, pid: ProcessId) -> Option<Arc<ProcessRecord>> {
-        self.inner.procs.lock().get(pid.index()).cloned()
+        self.inner.state.lock().procs.get(pid.index()).cloned()
     }
 
     fn dispatch_wake(&self, token: WaitToken) {
-        let record = match self.inner.procs.lock().get(token.pid().index()) {
+        let record = match self.inner.state.lock().procs.get(token.pid().index()) {
             Some(record) => Arc::as_ptr(record),
             None => return,
         };
@@ -1331,7 +1308,7 @@ impl Sim {
         // stays in it, and `&self` keeps `SimInner` (and so `procs`) alive
         // for the whole call — the invariant `run_body` already rests on.
         // Borrowing the record this way spares a reference-count round trip
-        // per wake, and the `procs` guard is gone before the body runs.
+        // per wake, and the engine's borrow is gone before the body runs.
         unsafe { &*record }.try_resume(token);
     }
 
@@ -1344,7 +1321,7 @@ impl Sim {
     /// freed. Idempotent; finished processes are untouched. Any process
     /// that waits after this unwinds at that wait.
     pub fn shutdown(&self) {
-        self.inner.shutdown.store(true, AtomicOrdering::SeqCst);
+        self.inner.state.lock().shutdown = true;
         // By index rather than under one lock: an unwinding process may
         // spawn, and the newcomer must be torn down too.
         let mut next = 0;
@@ -1357,7 +1334,7 @@ impl Sim {
     /// Register a CPU for busy-time accounting and return its id. `_name`
     /// labels the CPU at the call site; only its busy time is kept.
     pub fn add_cpu(&self, _name: impl Into<String>) -> CpuId {
-        let mut cpus = self.inner.cpus.lock();
+        let cpus = &mut self.inner.state.lock().cpus;
         let id = CpuId::new(cpus.len() as u32);
         cpus.push(SimDuration::ZERO);
         id
@@ -1365,25 +1342,29 @@ impl Sim {
 
     /// Add `amount` of busy time to `cpu` (the `getrusage` counterpart).
     pub fn charge(&self, cpu: CpuId, amount: SimDuration) {
-        let mut cpus = self.inner.cpus.lock();
-        cpus[cpu.index()] += amount;
+        self.inner.state.lock().cpus[cpu.index()] += amount;
     }
 
     /// Total busy time accumulated on `cpu`.
     pub fn cpu_busy(&self, cpu: CpuId) -> SimDuration {
-        self.inner.cpus.lock()[cpu.index()]
+        self.inner.state.lock().cpus[cpu.index()]
+    }
+
+    /// True once [`Sim::shutdown`] was called: a process's wait unwinds it.
+    pub(crate) fn shutting_down(&self) -> bool {
+        self.inner.state.lock().shutdown
     }
 
     /// Number of live events currently queued (diagnostics/tests).
     /// Cancelled-but-unreaped entries are not counted.
     pub fn queued_events(&self) -> usize {
-        let s = self.inner.sched.lock();
+        let s = self.inner.state.lock();
         s.queue.len() - s.dead_in_queue
     }
 
     /// Snapshot of cumulative scheduler accounting.
     pub fn sched_stats(&self) -> SchedStats {
-        self.inner.sched.lock().stats.clone()
+        self.inner.state.lock().stats.clone()
     }
 
     /// Credit `n` elided scheduler hops of `class` to the ledger. The
@@ -1392,7 +1373,7 @@ impl Sim {
     /// them — the invariant that keeps goldens byte-identical with the
     /// fused fast path on.
     pub fn note_elided(&self, class: EventClass, n: u64) {
-        let mut s = self.inner.sched.lock();
+        let mut s = self.inner.state.lock();
         s.stats.fired += n;
         s.stats.by_class[class.index()].fired += n;
         s.stats.events_elided += n;
@@ -1404,7 +1385,7 @@ impl Sim {
     /// behind a fused message): the materialized event will re-count
     /// itself as `fired` when it pops.
     pub fn un_elide(&self, class: EventClass) {
-        let mut s = self.inner.sched.lock();
+        let mut s = self.inner.state.lock();
         s.stats.fired -= 1;
         s.stats.by_class[class.index()].fired -= 1;
         s.stats.events_elided -= 1;
@@ -1412,22 +1393,22 @@ impl Sim {
 
     /// Count one macro-event executed by the fused fast path.
     pub fn note_macro(&self) {
-        self.inner.sched.lock().stats.macro_events += 1;
+        self.inner.state.lock().stats.macro_events += 1;
     }
 
     /// Count one message that evaluated the fuse guard.
     pub fn note_fuse_attempt(&self) {
-        self.inner.sched.lock().stats.fuse.attempts += 1;
+        self.inner.state.lock().stats.fuse.attempts += 1;
     }
 
     /// Count one message that ran the fused path end to end.
     pub fn note_fuse_hit(&self) {
-        self.inner.sched.lock().stats.fuse.hits += 1;
+        self.inner.state.lock().stats.fuse.hits += 1;
     }
 
     /// Count one message that fell back to the general path for `cause`.
     pub fn note_defuse(&self, cause: DefuseCause) {
-        let mut s = self.inner.sched.lock();
+        let mut s = self.inner.state.lock();
         s.stats.fuse.by_cause[cause.index()] += 1;
     }
 }
@@ -1503,6 +1484,50 @@ mod tests {
         sim.call_in(SimDuration::from_nanos(1), |_| {});
         sim.run();
         assert_eq!(log.lock().len(), 2);
+    }
+
+    #[test]
+    fn a_hook_set_or_cleared_inside_an_event_takes_effect_at_the_next_event() {
+        let sim = Sim::new();
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let l = Arc::clone(&log);
+        let hook: EventHook =
+            Arc::new(move |at: SimTime, class| l.lock().push((at.as_nanos(), class)));
+        fn ns(n: u64) -> SimDuration {
+            SimDuration::from_nanos(n)
+        }
+        sim.call_in(ns(1), |_| {});
+        // Installed from inside an event: every later one is seen — the
+        // spawn wake, a queued and an in-place process wake, another event.
+        sim.call_in_as(EventClass::Firmware, ns(2), move |sim| {
+            sim.set_event_hook(Some(hook));
+            sim.spawn("hooked", None, |ctx| {
+                ctx.sleep(ns(2)); // queued: the fabric event at 3 comes first
+                ctx.sleep(ns(0)); // in place: nothing else is due at 4
+            });
+        });
+        sim.call_in_as(EventClass::Fabric, ns(3), |_| {});
+        // Cleared from inside an event: no later one is seen, in place or
+        // popped.
+        sim.call_in_as(EventClass::Doorbell, ns(5), |sim| {
+            sim.set_event_hook(None);
+            sim.spawn("unhooked", None, |ctx| ctx.sleep(ns(1)));
+        });
+        sim.call_in(ns(9), |_| {});
+        let report = sim.run_to_completion();
+        let user = EventClass::User;
+        assert_eq!(
+            *log.lock(),
+            vec![
+                (2, user),
+                (3, EventClass::Fabric),
+                (4, user),
+                (4, user),
+                (5, EventClass::Doorbell),
+            ]
+        );
+        // Every event fired, seen or not.
+        assert_eq!(report.events, 10);
     }
 
     #[test]
@@ -1784,13 +1809,13 @@ mod tests {
     #[test]
     fn pool_stats_classify_inline_and_boxed() {
         let sim = Sim::new();
-        // Small: captures a single Arc (8 B).
+        // Inline: captures a single Arc (8 B).
         let a = Arc::new(AtomicUsize::new(0));
         let a2 = Arc::clone(&a);
         sim.call_in(SimDuration::from_micros(1), move |_| {
             a2.fetch_add(1, AtomicOrdering::Relaxed);
         });
-        // Large: Arc + 32 B of config words (40 B).
+        // Inline too: Arc + 32 B of config words (40 B).
         let a3 = Arc::clone(&a);
         let pad = [1u64, 2, 3, 4];
         sim.call_in(SimDuration::from_micros(2), move |_| {
@@ -1805,8 +1830,7 @@ mod tests {
         let report = sim.run();
         assert_eq!(a.load(AtomicOrdering::Relaxed), 3);
         let pool = report.sched.pool;
-        assert_eq!(pool.inline_small, 1, "{pool:?}");
-        assert_eq!(pool.inline_large, 1, "{pool:?}");
+        assert_eq!(pool.inline, 2, "{pool:?}");
         assert_eq!(pool.boxed, 1, "{pool:?}");
         assert!((pool.pool_hit_rate() - 2.0 / 3.0).abs() < 1e-12);
         assert_eq!(pool.slot_grown, 3, "three pending at once: three slots");
@@ -1858,8 +1882,8 @@ mod tests {
 
     #[test]
     fn arena_never_hands_out_an_in_use_slot() {
-        // Seeded property loop: randomly arm (across all three size
-        // classes) and cancel timers. Invariant: a newly armed timer never
+        // Seeded property loop: randomly arm (across three capture sizes,
+        // two inline and one boxed) and cancel timers. Invariant: a newly armed timer never
         // receives the slot of any timer that is still pending, and every
         // captured guard is dropped exactly once (fired or cancelled, never
         // both, never leaked).
@@ -1927,11 +1951,11 @@ mod tests {
             );
             let pool = report.sched.pool;
             assert_eq!(
-                pool.inline_small + pool.inline_large + pool.boxed,
+                pool.inline + pool.boxed,
                 armed as u64,
                 "seed {seed}: every closure accounted to exactly one class"
             );
-            assert!(pool.inline_small > 0 && pool.inline_large > 0 && pool.boxed > 0);
+            assert!(pool.inline > 0 && pool.boxed > 0);
         }
     }
 

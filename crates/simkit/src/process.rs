@@ -9,14 +9,19 @@
 //! one of them executes at any instant, and which one is decided by the
 //! event queue alone.
 //!
-//! A per-process atomic **baton** (`ProcessRecord::state`) records whether
-//! the process is parked (and on which wait), running, or finished; only
-//! the caller that moves it from parked to running touches the coroutine.
-//! All of it happens on the thread that built the [`Sim`]: the world is
-//! confined to that thread ([`crate::confined`]), processes included. The
-//! one rule this puts on process bodies: **hold no `ConfinedGuard` across
-//! a `wait`** — whatever runs meanwhile may lock the same cell, and a second
-//! guard panics.
+//! A per-process **baton** (`ProcessRecord::baton`, a [`Confined`] cell)
+//! records whether the process is parked (and on which wait), running, or
+//! finished; only the caller that moves it from parked to running touches
+//! the coroutine. A resume is three steps, each a short borrow of the
+//! baton or none: take it (parked → running), switch onto the body, and
+//! publish where the body stopped — the body itself publishes the wait it
+//! parks on just before it leaves its stack, and its resumer publishes
+//! *finished*. No borrow is held across a stack switch. All of it happens
+//! on the thread that built the [`Sim`]: the world is confined to that
+//! thread ([`crate::confined`]), processes included. The one rule this puts
+//! on process bodies: **hold no `ConfinedGuard` across a `wait`** —
+//! whatever runs meanwhile may lock the same cell, and a second guard
+//! panics.
 //!
 //! A process that sleeps or yields when its own wake would be the next
 //! event to fire does not leave its stack at all: [`ProcessCtx::sleep`]
@@ -30,9 +35,7 @@
 //! dropped, which makes signaling unconditionally safe.
 
 use std::any::Any;
-use std::cell::Cell;
 use std::marker::PhantomData;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering as AtomicOrdering};
 use std::sync::Arc;
 
 use crate::confined::Confined;
@@ -81,107 +84,117 @@ const FINISHED: u64 = u64::MAX - 1;
 /// Payload of the unwind [`Sim::shutdown`] raises inside a parked process.
 struct ShutdownSignal;
 
+/// Where a process stands, and what it leaves for its handle.
+struct Baton {
+    /// [`RUNNING`], [`FINISHED`], or the sequence of the wait the process
+    /// is parked on.
+    state: u64,
+    /// The sequence the next [`ProcessCtx::prepare_wait`] hands out.
+    next_wait_seq: u64,
+    /// The body's panic, kept for the [`ProcessHandle`] owner to rethrow.
+    panic_payload: Option<Box<dyn Any + Send>>,
+}
+
 pub(crate) struct ProcessRecord {
     pub(crate) pid: ProcessId,
     pub(crate) name: String,
     pub(crate) cpu: Option<CpuId>,
-    /// The baton: [`RUNNING`], [`FINISHED`], or the parked-on wait sequence.
-    state: AtomicU64,
+    baton: Confined<Baton>,
     /// The body on its own stack. Touched only while holding the baton.
     co: Coroutine,
-    /// Set by the body just before it suspends: the wait sequence its
-    /// resumer must publish in `state`. Touched only while holding the baton.
-    parked_on: Cell<u64>,
-    next_wait_seq: AtomicU64,
-    panic_payload: Confined<Option<Box<dyn Any + Send>>>,
 }
 
-// SAFETY: `co` and `parked_on` are the only fields that are not already
-// `Send + Sync`. They are accessed only between a successful
-// `state: parked -> RUNNING` compare-exchange (Acquire) and the
-// `state: RUNNING -> next` store (Release) that ends the same call, by the
-// thread that won the exchange — directly, or from the body it switched
-// onto. The exchange admits one thread at a time and the Release/Acquire
-// pair orders one holder's writes before the next holder's reads. The body
-// closure is `Send`, so it may run on whichever thread holds the baton.
+// SAFETY: `co` is the only field that is not `Send + Sync`, and only the
+// holder of the baton touches it: a resumer after `take_baton` moved the
+// baton from parked to RUNNING, or the body it switched onto. The baton is
+// a `Confined` cell, so it is taken only on the thread that built the
+// world, and nothing else takes it until the body has parked again or
+// finished; `co` is therefore reached from that one thread, by one holder
+// at a time. A record leaves that thread only inside its whole `Sim`, which
+// is moved, never shared: the body closure is `Send`, and a suspended body
+// holds nothing bound to a thread across its wait (module docs).
 unsafe impl Send for ProcessRecord {}
 // SAFETY: as above.
 unsafe impl Sync for ProcessRecord {}
 
 impl ProcessRecord {
     pub(crate) fn new(
+        sim: &Sim,
         pid: ProcessId,
         name: String,
         cpu: Option<CpuId>,
         body: Box<dyn FnOnce() + Send>,
-        panic_payload: Confined<Option<Box<dyn Any + Send>>>,
     ) -> Self {
         ProcessRecord {
             pid,
             name,
             cpu,
-            // Token sequence 0 is the spawn wake.
-            state: AtomicU64::new(0),
+            baton: sim.confined(Baton {
+                // Token sequence 0 is the spawn wake.
+                state: 0,
+                next_wait_seq: 1,
+                panic_payload: None,
+            }),
             co: Coroutine::new(body),
-            parked_on: Cell::new(0),
-            next_wait_seq: AtomicU64::new(1),
-            panic_payload,
         }
     }
 
     /// Event-loop side: if the process still waits on `token`, run it on
     /// the calling thread until it parks again or finishes.
     pub(crate) fn try_resume(&self, token: WaitToken) {
-        // A failed exchange is a stale or mistimed wake: the process moved
+        // A refused baton is a stale or mistimed wake: the process moved
         // on. Drop it.
         if self.take_baton(token.seq) {
             self.run_body();
         }
     }
 
-    fn take_baton(&self, parked_on: u64) -> bool {
-        self.state
-            .compare_exchange(
-                parked_on,
-                RUNNING,
-                AtomicOrdering::Acquire,
-                AtomicOrdering::Relaxed,
-            )
-            .is_ok()
+    /// Move the baton from parked on wait `seq` to RUNNING; false, having
+    /// changed nothing, if the process is not parked there.
+    fn take_baton(&self, seq: u64) -> bool {
+        let mut baton = self.baton.lock();
+        let parked_there = baton.state == seq;
+        if parked_there {
+            baton.state = RUNNING;
+        }
+        parked_there
     }
 
-    /// Switch onto the body, then publish where it stopped. Requires the
-    /// baton (`take_baton` succeeded on this thread).
+    /// Switch onto the body until it parks (it publishes that wait itself)
+    /// or finishes (published here). Requires the baton (`take_baton`
+    /// succeeded).
     fn run_body(&self) {
-        // SAFETY: this thread holds the baton, so nothing else touches
-        // `co`, and the body is not running (it would hold the baton).
-        // Records are only ever built inside the `Arc` that `Sim::procs`
-        // keeps, so `co` never moves.
-        let next = match unsafe { self.co.resume() } {
-            Resumed::Suspended => self.parked_on.get(),
-            Resumed::Finished(payload) => {
-                // A shutdown unwind is a quiet teardown; anything else is
-                // kept for the `ProcessHandle` owner to rethrow.
-                *self.panic_payload.lock() = payload.filter(|p| !p.is::<ShutdownSignal>());
-                FINISHED
-            }
-        };
-        self.state.store(next, AtomicOrdering::Release);
+        // SAFETY: the caller holds the baton, so nothing else touches `co`,
+        // and the body is not running (it would hold the baton). Records
+        // are only ever built inside the `Arc` that the engine's process
+        // table keeps, so `co` never moves.
+        if let Resumed::Finished(payload) = unsafe { self.co.resume() } {
+            let mut baton = self.baton.lock();
+            // A shutdown unwind is a quiet teardown; anything else is kept
+            // for the `ProcessHandle` owner to rethrow.
+            baton.panic_payload = payload.filter(|p| !p.is::<ShutdownSignal>());
+            baton.state = FINISHED;
+        }
     }
 
     /// Body side: hand the thread back to the event loop until a wake
-    /// carrying `token` arrives. Once `shutdown` is set, unwinds the body
-    /// instead (with a payload the panic hook never sees).
-    fn park(&self, token: WaitToken, shutdown: &AtomicBool) {
-        debug_assert_eq!(self.state.load(AtomicOrdering::Relaxed), RUNNING);
-        if !shutdown.load(AtomicOrdering::SeqCst) {
-            self.parked_on.set(token.seq);
+    /// carrying `token` arrives. Once `sim` is shutting down, unwinds the
+    /// body instead (with a payload the panic hook never sees).
+    fn park(&self, token: WaitToken, sim: &Sim) {
+        if !sim.shutting_down() {
+            {
+                // Published before the switch; nothing runs in between, so
+                // no wake can find the process still RUNNING.
+                let mut baton = self.baton.lock();
+                debug_assert_eq!(baton.state, RUNNING);
+                baton.state = token.seq;
+            }
             // SAFETY: `park` is reached only through this process's own
             // `ProcessCtx`, which exists only on the body's stack and is
             // neither `Send` nor `'static`.
             unsafe { self.co.suspend() };
         }
-        if shutdown.load(AtomicOrdering::SeqCst) {
+        if sim.shutting_down() {
             std::panic::resume_unwind(Box::new(ShutdownSignal));
         }
     }
@@ -191,7 +204,7 @@ impl ProcessRecord {
     /// `park` unwinds it and its locals' destructors run; a body that never
     /// started is dropped unrun. Running or finished processes are left be.
     pub(crate) fn unwind_if_parked(&self) {
-        let seq = self.state.load(AtomicOrdering::Relaxed);
+        let seq = self.baton.lock().state;
         if seq >= FINISHED || !self.take_baton(seq) {
             return;
         }
@@ -203,22 +216,22 @@ impl ProcessRecord {
     }
 
     pub(crate) fn is_blocked(&self) -> bool {
-        self.state.load(AtomicOrdering::Acquire) < FINISHED
+        self.baton.lock().state < FINISHED
     }
 
     pub(crate) fn is_finished(&self) -> bool {
-        self.state.load(AtomicOrdering::Acquire) == FINISHED
+        self.baton.lock().state == FINISHED
     }
 
     fn take_panic(&self) -> Option<Box<dyn Any + Send>> {
-        self.panic_payload.lock().take()
+        self.baton.lock().panic_payload.take()
     }
 
     fn fresh_token(&self) -> WaitToken {
-        WaitToken {
-            pid: self.pid,
-            seq: self.next_wait_seq.fetch_add(1, AtomicOrdering::Relaxed),
-        }
+        let mut baton = self.baton.lock();
+        let seq = baton.next_wait_seq;
+        baton.next_wait_seq += 1;
+        WaitToken { pid: self.pid, seq }
     }
 }
 
@@ -278,7 +291,7 @@ impl ProcessCtx {
     /// is called with `token`. No CPU time is charged (a blocked process is
     /// idle).
     pub fn wait(&mut self, token: WaitToken) {
-        self.record.park(token, &self.sim.inner.shutdown);
+        self.record.park(token, &self.sim);
     }
 
     /// Like [`ProcessCtx::wait`], but models a *polling* wait: the entire
@@ -379,6 +392,7 @@ mod tests {
     use crate::engine::{thread_events, EventClass, SchedStats};
     use crate::time::SimDuration;
     use parking_lot::Mutex;
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering as AtomicOrdering};
 
     #[test]
     fn process_sleep_advances_virtual_time() {
@@ -528,6 +542,24 @@ mod tests {
         .expect("builder thread");
         assert_ne!(builder, std::thread::current().id());
         assert!(ran_on.iter().all(|&ids| ids == (builder, builder)));
+    }
+
+    #[test]
+    fn a_handle_read_from_a_foreign_thread_panics() {
+        let sim = Sim::new();
+        let h = sim.spawn("p", None, |ctx| ctx.sleep(SimDuration::from_micros(1)));
+        sim.run_to_completion();
+        std::thread::scope(|scope| {
+            let payload = scope
+                .spawn(|| h.is_finished())
+                .join()
+                .expect_err("a foreign read of the baton must panic");
+            assert_eq!(
+                payload.downcast_ref::<&str>(),
+                Some(&"a world is touched only by the thread that built it")
+            );
+        });
+        assert!(h.is_finished(), "the owning thread still reads it");
     }
 
     /// Records the thread it is dropped on.

@@ -7,7 +7,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use simkit::engine::{LARGE_WORDS, SMALL_WORDS};
+use simkit::engine::LARGE_WORDS;
 use simkit::{EventClass, Notify, PoolStats, Sim, SimDuration, TimerHandle, WaitMode};
 
 /// Counts its own drops.
@@ -68,12 +68,11 @@ fn dropped_once_on_every_path<const PAD: usize>() -> PoolStats {
 
 #[test]
 fn captures_drop_exactly_once_fired_cancelled_and_torn_down() {
-    // Two `Arc`s: exactly the small class.
-    assert_eq!(SMALL_WORDS, 2);
+    // Two `Arc`s, and two `Arc`s plus eight words: both inline.
     let small = dropped_once_on_every_path::<0>();
-    assert_eq!((small.inline_small, small.boxed), (3, 0), "{small:?}");
+    assert_eq!((small.inline, small.boxed), (3, 0), "{small:?}");
     let large = dropped_once_on_every_path::<8>();
-    assert_eq!((large.inline_large, large.boxed), (3, 0), "{large:?}");
+    assert_eq!((large.inline, large.boxed), (3, 0), "{large:?}");
     let oversized = dropped_once_on_every_path::<{ LARGE_WORDS }>();
     assert_eq!(oversized.boxed, 3, "{oversized:?}");
 }
@@ -182,11 +181,7 @@ fn pool_ledger_of_a_fixed_world_is_unchanged() {
     let report = sim.run_to_completion();
     assert_eq!(done.load(Ordering::Relaxed), 8);
     let pool = report.sched.pool;
-    assert_eq!(
-        pool.inline_small + pool.inline_large,
-        2408 + 1600,
-        "{pool:?}"
-    );
+    assert_eq!(pool.inline, 2408 + 1600, "{pool:?}");
     assert_eq!(pool.boxed, 800, "{pool:?}");
     assert_eq!(pool.wakes, 802, "{pool:?}");
     // Every action scheduled fired or was cancelled, and every cancel's

@@ -109,6 +109,12 @@ row One-mechanism 0 all 'fn (classify|registered)\b|make_lane|struct Lane\b' cra
 # per-concern cells, and no atomic flags beside it.
 row One-cell 1 src 'Confined<' crates/fabric/src/san.rs
 row One-cell 0 src 'Atomic|Ordering::' crates/fabric/src/san.rs
+# The engine likewise: `SimInner` keeps its run-time state in one
+# `Confined<EngineState>` beside the clock mirror, a process's baton is a
+# confined cell, and no atomic flag stands beside either.
+row One-cell 1 src '^ *(pub(\(crate\))? )?[a-z_]+: Confined<' crates/simkit/src/engine.rs
+row One-cell 0 src 'Atomic' crates/simkit/src/process.rs
+row One-cell 0 src 'AtomicBool' crates/simkit/src
 # Deleted-features: simulator features and option structs that no
 # experiment, benchmark or example reached.
 row Deleted-features 0 all '\bRerouteParams\b|fn fragments_for\b' crates examples src tests
@@ -130,6 +136,9 @@ row Dead-code 0 src 'allow\(dead_code\)' 'crates/*/src/**/*.rs'
 # Negotiated thread ownership: a `Confined` cell checks the one thread that
 # built its world instead of claiming, waiting for and counting owners.
 row Deleted-features 0 all '\bAffinity\b|claims\(\)|read_volatile|compare_exchange|yield_now' crates/simkit/src/confined.rs crates/simkit/src/engine.rs tests/perf_proxies.rs
+# The same for the process baton, which a compare-exchange once passed
+# between threads. (`yield_now` is `ProcessCtx::yield_now` here.)
+row Deleted-features 0 all '\bAffinity\b|claims\(\)|read_volatile|compare_exchange' crates/simkit/src/process.rs
 
 # Test-cut: a `src` row cuts each file at its first `#[cfg(test)]`, which
 # must therefore open the file's `mod tests`. A test-only item above it
